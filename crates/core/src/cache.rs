@@ -188,10 +188,6 @@ struct Shard {
 /// entries.
 const ENTRY_OVERHEAD_BYTES: usize = 96;
 
-fn charge_of(value: &ProximityVec) -> usize {
-    value.memory_bytes() + ENTRY_OVERHEAD_BYTES
-}
-
 /// Aggregate counters, cheap enough to read in a serving loop.
 ///
 /// **Deprecated for reporting**: reading these fields directly from
@@ -484,9 +480,33 @@ impl ProximityCache {
         bounds: SigmaBounds,
         value: Arc<ProximityVec>,
     ) {
+        let value_bytes = value.memory_bytes();
+        self.insert_with(graph, seeker, model, bounds, value_bytes, || value);
+    }
+
+    /// [`ProximityCache::insert_bounded`] for a value that does not exist
+    /// yet: the admission decision needs only the value's size, so the
+    /// caller states `value_bytes` (its [`ProximityVec::memory_bytes`]) and
+    /// `make` builds it — under the shard lock — only once the insert is
+    /// certain to go in. A cold seeker whose insert the budget or TinyLFU
+    /// turns away never pays for the snapshot.
+    pub fn insert_with(
+        &self,
+        graph: &CsrGraph,
+        seeker: NodeId,
+        model: ProximityModel,
+        bounds: SigmaBounds,
+        value_bytes: usize,
+        make: impl FnOnce() -> Arc<ProximityVec>,
+    ) {
+        let make = || {
+            let value = make();
+            debug_assert_eq!(value.memory_bytes(), value_bytes, "misstated charge");
+            value
+        };
         let key = key_of(graph, seeker, model, bounds);
         let hash = hash_key(&key);
-        let new_bytes = charge_of(&value);
+        let new_bytes = value_bytes + ENTRY_OVERHEAD_BYTES;
         let mut guard = self.shard_of(hash).lock();
         let shard = &mut *guard;
         if new_bytes > self.byte_budget_per_shard {
@@ -503,7 +523,7 @@ impl ProximityCache {
         if let Some(slot) = shard.map.get_mut(&key) {
             shard.bytes = shard.bytes - slot.bytes + new_bytes;
             slot.bytes = new_bytes;
-            slot.value = value;
+            slot.value = make();
             slot.inserted_at = Instant::now();
             shard.tick += 1;
             shard.recency.remove(&slot.stamp);
@@ -577,7 +597,7 @@ impl ProximityCache {
         shard.map.insert(
             key,
             Slot {
-                value,
+                value: make(),
                 stamp,
                 inserted_at: Instant::now(),
                 bytes: new_bytes,
@@ -740,6 +760,10 @@ impl ProximityCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn charge_of(value: &ProximityVec) -> usize {
+        value.memory_bytes() + ENTRY_OVERHEAD_BYTES
+    }
 
     fn vec_for(u: NodeId) -> Arc<ProximityVec> {
         Arc::new(ProximityVec::Sparse(vec![(u, 1.0)]))
@@ -1011,6 +1035,41 @@ mod tests {
         // Small entries still fit afterwards.
         c.insert(&g, 2, MODEL, touched_vec(2, 4));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn insert_with_builds_the_value_only_when_it_goes_in() {
+        let g = CsrGraph::empty(20_000);
+        let policy = CachePolicy {
+            admission: true,
+            ttl: None,
+        };
+        let per_entry = charge_of(&touched_vec(0, 4));
+        let c = ProximityCache::with_byte_budget(2 * per_entry, 1, policy);
+        let built = std::cell::Cell::new(0u32);
+        let offer = |u: NodeId, v: Arc<ProximityVec>| {
+            c.insert_with(&g, u, MODEL, SigmaBounds::EXACT, v.memory_bytes(), || {
+                built.set(built.get() + 1);
+                v
+            })
+        };
+        for _ in 0..6 {
+            let _ = c.get(&g, 1, MODEL);
+            let _ = c.get(&g, 2, MODEL);
+        }
+        offer(1, touched_vec(1, 4));
+        offer(2, touched_vec(2, 4));
+        assert_eq!((built.get(), c.len()), (2, 2), "room: both built");
+        // Colder than the resident it would displace: turned away unbuilt.
+        let _ = c.get(&g, 3, MODEL);
+        offer(3, touched_vec(3, 4));
+        // Larger than the whole budget: turned away unbuilt.
+        offer(4, dense_vec(4, 10_000));
+        assert_eq!((built.get(), c.stats().rejections), (2, 2));
+        // A refresh of a resident key goes in, so it is built.
+        offer(1, touched_vec(1, 4));
+        assert_eq!(built.get(), 3);
+        assert!(c.get(&g, 1, MODEL).is_some() && c.get(&g, 2, MODEL).is_some());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::cache::ProximityCache;
 use crate::corpus::{Corpus, QueryStats, SearchResult};
 use crate::latency::elapsed_ns;
-use crate::processors::{Processor, ScoringStrategy};
+use crate::processors::{resolve_sigma, Processor, ScoringStrategy};
 use crate::proximity::{ProximityModel, Sigma, SigmaBounds, SigmaWorkspace};
 use friends_data::queries::Query;
 use friends_index::accumulate::{DenseAccumulator, StampedSet};
@@ -134,53 +134,20 @@ impl Processor for ExactOnline<'_> {
 
     fn query(&mut self, q: &Query) -> SearchResult {
         let mut stats = QueryStats::default();
-        // Resolve σ: cache hit → shared vector, miss → materialize into the
-        // workspace (and publish a snapshot for the next worker). Models
-        // that are cheaper to rebuild than to fetch skip the cache entirely.
-        // The cache is keyed on the bounds, so a degraded σ is never served
-        // for an exact request (or for differently-bounded ones).
-        let bounds = self.bounds;
-        let use_cache = self.model.cache_worthy();
-        let sigma_start = std::time::Instant::now();
-        let cached = if use_cache {
-            self.cache
-                .as_ref()
-                .and_then(|c| c.get_bounded(&self.corpus.graph, q.seeker, self.model, bounds))
-        } else {
-            None
-        };
-        let sigma_residual;
+        let cached = resolve_sigma(
+            &self.corpus.graph,
+            q.seeker,
+            self.model,
+            self.bounds,
+            self.cache.as_deref(),
+            &mut self.sigma,
+            &mut stats,
+        );
         let sigma = match &cached {
-            Some(v) => {
-                sigma_residual = v.residual_bound();
-                Sigma::Shared(v.as_ref())
-            }
-            None => {
-                self.model.materialize_bounded(
-                    &self.corpus.graph,
-                    q.seeker,
-                    &mut self.sigma,
-                    bounds,
-                );
-                sigma_residual = self.sigma.residual_bound();
-                if use_cache {
-                    if let Some(c) = &self.cache {
-                        c.insert_bounded(
-                            &self.corpus.graph,
-                            q.seeker,
-                            self.model,
-                            bounds,
-                            Arc::new(self.sigma.snapshot(self.corpus.graph.num_nodes())),
-                        );
-                    }
-                }
-                Sigma::Workspace(&self.sigma)
-            }
+            Some(v) => Sigma::Shared(v.as_ref()),
+            None => Sigma::Workspace(&self.sigma),
         };
-        stats.sigma_ns = elapsed_ns(sigma_start);
-        if use_cache && self.cache.is_some() {
-            stats.sigma_cached = Some(cached.is_some());
-        }
+        let sigma_residual = sigma.residual_bound();
         let scoring_start = std::time::Instant::now();
         // A lossy σ (positive residual) forces the posting-driven scan: it
         // is the one route that *enumerates* every posting the bounds may

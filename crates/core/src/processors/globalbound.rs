@@ -18,7 +18,7 @@
 use crate::cache::ProximityCache;
 use crate::corpus::{Corpus, QueryStats, SearchResult};
 use crate::latency::elapsed_ns;
-use crate::processors::{Processor, ScoringStrategy};
+use crate::processors::{resolve_sigma, Processor, ScoringStrategy};
 use crate::proximity::{ProximityModel, Sigma, SigmaBounds, SigmaWorkspace};
 use friends_data::queries::Query;
 use friends_data::store::TagStore;
@@ -167,48 +167,20 @@ impl Processor for GlobalBoundTA<'_> {
                 residual: 0.0,
             };
         }
-        let bounds = self.bounds;
-        let use_cache = self.model.cache_worthy();
-        let sigma_start = std::time::Instant::now();
-        let cached = if use_cache {
-            self.cache
-                .as_ref()
-                .and_then(|c| c.get_bounded(&self.corpus.graph, q.seeker, self.model, bounds))
-        } else {
-            None
-        };
-        let sigma_residual;
+        let cached = resolve_sigma(
+            &self.corpus.graph,
+            q.seeker,
+            self.model,
+            self.bounds,
+            self.cache.as_deref(),
+            &mut self.sigma,
+            &mut stats,
+        );
         let sigma = match &cached {
-            Some(v) => {
-                sigma_residual = v.residual_bound();
-                Sigma::Shared(v.as_ref())
-            }
-            None => {
-                self.model.materialize_bounded(
-                    &self.corpus.graph,
-                    q.seeker,
-                    &mut self.sigma,
-                    bounds,
-                );
-                sigma_residual = self.sigma.residual_bound();
-                if use_cache {
-                    if let Some(c) = &self.cache {
-                        c.insert_bounded(
-                            &self.corpus.graph,
-                            q.seeker,
-                            self.model,
-                            bounds,
-                            Arc::new(self.sigma.snapshot(self.corpus.graph.num_nodes())),
-                        );
-                    }
-                }
-                Sigma::Workspace(&self.sigma)
-            }
+            Some(v) => Sigma::Shared(v.as_ref()),
+            None => Sigma::Workspace(&self.sigma),
         };
-        stats.sigma_ns = elapsed_ns(sigma_start);
-        if use_cache && self.cache.is_some() {
-            stats.sigma_cached = Some(cached.is_some());
-        }
+        let sigma_residual = sigma.residual_bound();
         let scoring_start = std::time::Instant::now();
         // A lossy σ routes through the native TA: `score_item` enumerates
         // every posting of every scored candidate, so the missed weight —

@@ -14,9 +14,14 @@ pub use global::GlobalProcessor;
 pub use globalbound::GlobalBoundTA;
 pub use hybrid::{Hybrid, HybridConfig};
 
-use crate::corpus::SearchResult;
+use crate::cache::ProximityCache;
+use crate::corpus::{QueryStats, SearchResult};
+use crate::latency::elapsed_ns;
+use crate::proximity::{ProximityModel, ProximityVec, SigmaBounds, SigmaWorkspace};
 use friends_data::queries::Query;
+use friends_graph::{CsrGraph, NodeId};
 use friends_index::accumulate::DenseAccumulator;
+use std::sync::Arc;
 
 /// How a processor evaluates one query's σ-weighted scores. All strategies
 /// of a given processor return **bit-identical rankings** (pinned by the
@@ -70,6 +75,40 @@ pub trait Processor {
     /// `GlobalBoundTA` honor it and report the score-space residual
     /// certificate in [`SearchResult::residual`].
     fn set_bounds(&mut self, _bounds: crate::proximity::SigmaBounds) {}
+}
+
+/// Resolves `σ(seeker, ·)` for one query, the step `ExactOnline` and
+/// `GlobalBoundTA` share: a cache hit returns the shared vector; a miss
+/// materializes into `ws` (returning `None` — σ is then read from the
+/// workspace) and offers the cache a snapshot, built only if the cache
+/// admits it. Models cheaper to rebuild than to fetch skip the cache
+/// entirely. The cache is keyed on the bounds, so a degraded σ is never
+/// served for an exact request (or for differently-bounded ones). Records
+/// `sigma_ns` and `sigma_cached` in `stats`.
+pub(crate) fn resolve_sigma(
+    graph: &CsrGraph,
+    seeker: NodeId,
+    model: ProximityModel,
+    bounds: SigmaBounds,
+    cache: Option<&ProximityCache>,
+    ws: &mut SigmaWorkspace,
+    stats: &mut QueryStats,
+) -> Option<Arc<ProximityVec>> {
+    let start = std::time::Instant::now();
+    let cache = cache.filter(|_| model.cache_worthy());
+    let cached = cache.and_then(|c| c.get_bounded(graph, seeker, model, bounds));
+    if cached.is_none() {
+        model.materialize_bounded(graph, seeker, ws, bounds);
+        if let Some(c) = cache {
+            let n = graph.num_nodes();
+            c.insert_with(graph, seeker, model, bounds, ws.snapshot_bytes(n), || {
+                Arc::new(ws.snapshot(n))
+            });
+        }
+    }
+    stats.sigma_ns = elapsed_ns(start);
+    stats.sigma_cached = cache.map(|_| cached.is_some());
+    cached
 }
 
 /// `(θ, η)` over an accumulator's touched docs: the k-th best accumulated

@@ -20,7 +20,7 @@
 //! processors.
 
 use friends_graph::ppr::{forward_push_into, PushWorkspace};
-use friends_graph::traversal::{bfs_stamped, BfsWorkspace, ProximityScan, ProximityWorkspace};
+use friends_graph::traversal::{bfs_stamped, decay_labels, BfsWorkspace, ProximityLabels};
 use friends_graph::{CsrGraph, NodeId};
 use friends_index::topk::SigmaBound;
 
@@ -273,7 +273,8 @@ impl ProximityModel {
     /// Materializes the dense proximity vector `σ(seeker, ·)`.
     ///
     /// Cost: `O(n)` for Global/FriendsOnly, one BFS for DistanceDecay, one
-    /// full proximity-Dijkstra for WeightedDecay, one forward push for PPR —
+    /// `O(n + m)` label pass ([`decay_labels`]) for WeightedDecay, one
+    /// forward push for PPR —
     /// plus an `O(n)` allocation every call. Query loops should prefer
     /// [`ProximityModel::materialize_into`].
     pub fn materialize(&self, g: &CsrGraph, seeker: NodeId) -> Vec<f64> {
@@ -315,9 +316,9 @@ impl ProximityModel {
             ProximityModel::FriendsOnly => {
                 ws.kind = SigmaKind::Sparse;
                 if n > 0 {
-                    ws.set(seeker, 1.0);
+                    ws.labels.set(seeker, 1.0);
                     for &f in g.neighbors(seeker) {
-                        ws.set(f, 1.0);
+                        ws.labels.set(f, 1.0);
                     }
                     ws.build_entries_from_touched();
                 }
@@ -338,7 +339,7 @@ impl ProximityModel {
                     bfs_stamped(g, seeker, horizon, &mut bfs);
                     for &u in bfs.touched() {
                         let h = bfs.dist(u).expect("touched node has a distance");
-                        ws.set(u, alpha.powi(h as i32));
+                        ws.labels.set(u, alpha.powi(h as i32));
                     }
                     // Every dropped node sits ≥ horizon+1 hops out, so the
                     // decay envelope bounds its σ; at the exact horizon that
@@ -354,21 +355,13 @@ impl ProximityModel {
             ProximityModel::WeightedDecay { alpha } => {
                 assert!((0.0..1.0).contains(&alpha) && alpha > 0.0);
                 ws.kind = SigmaKind::Dense;
-                if n > 0 {
-                    let mut prox = std::mem::take(&mut ws.prox);
-                    let mut scan = ProximityScan::with_floor(
-                        g,
-                        seeker,
-                        edge_decay(alpha),
-                        bounds.min_mass,
-                        &mut prox,
-                    );
-                    for (u, p) in scan.by_ref() {
-                        ws.set(u, p);
-                    }
-                    ws.residual = scan.residual_bound();
-                    ws.prox = prox;
-                }
+                ws.residual = decay_labels(
+                    g,
+                    seeker,
+                    edge_decay(alpha),
+                    bounds.min_mass,
+                    &mut ws.labels,
+                );
             }
             ProximityModel::Ppr { alpha, epsilon } => {
                 ws.kind = SigmaKind::Sparse;
@@ -377,7 +370,7 @@ impl ProximityModel {
                     let mut entries = std::mem::take(&mut ws.entries);
                     forward_push_into(g, seeker, alpha, epsilon, &mut push, &mut entries);
                     for &(u, p) in &entries {
-                        ws.set(u, p);
+                        ws.labels.set(u, p);
                     }
                     ws.push = push;
                     ws.entries = entries;
@@ -393,25 +386,26 @@ impl ProximityModel {
                         let contrib = 1.0 / (1.0 + g.degree(w) as f64).ln();
                         for &x in g.neighbors(w) {
                             if x != seeker {
-                                ws.accumulate(x, contrib);
+                                ws.labels.add(x, contrib);
                             }
                         }
                         // Direct friends always have nonzero proximity, even
                         // without any common neighbor.
-                        ws.accumulate(w, contrib * f64::EPSILON.max(1e-9));
+                        ws.labels.add(w, contrib * f64::EPSILON.max(1e-9));
                     }
-                    let max = ws
-                        .touched
+                    let labels = &mut ws.labels;
+                    let max = labels
+                        .touched()
                         .iter()
-                        .map(|&u| ws.values[u as usize])
+                        .map(|&u| labels.get(u))
                         .fold(0.0f64, f64::max);
                     if max > 0.0 {
-                        for i in 0..ws.touched.len() {
-                            let u = ws.touched[i] as usize;
-                            ws.values[u] /= max;
+                        for i in 0..labels.touched().len() {
+                            let u = labels.touched()[i];
+                            labels.set(u, labels.get(u) / max);
                         }
                     }
-                    ws.set(seeker, 1.0);
+                    labels.set(seeker, 1.0);
                     ws.build_entries_from_touched();
                 }
             }
@@ -444,14 +438,12 @@ enum SigmaKind {
 /// One workspace per processor instance; each query calls
 /// [`ProximityModel::materialize_into`] which bumps the epoch (invalidating
 /// the previous query's values in `O(1)`) and refills only the touched
-/// nodes. All traversal scratch (BFS queues, Dijkstra heaps, push residuals)
+/// nodes. All traversal scratch (BFS queues, bucket stacks, push residuals)
 /// is owned here and persists across queries.
 pub struct SigmaWorkspace {
-    values: Vec<f64>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    /// Nodes written this epoch, in write order.
-    touched: Vec<NodeId>,
+    /// This epoch's `node → σ` map and touched list; the WeightedDecay
+    /// kernel labels straight into it.
+    labels: ProximityLabels,
     /// Sparse support, sorted by node id (kind == Sparse only).
     entries: Vec<(NodeId, f64)>,
     kind: SigmaKind,
@@ -468,9 +460,7 @@ pub struct SigmaWorkspace {
     /// `0.0` proves the bounded traversal lost nothing.
     residual: f64,
     bfs: BfsWorkspace,
-    prox: ProximityWorkspace,
     push: PushWorkspace,
-    allocations: u64,
 }
 
 impl Default for SigmaWorkspace {
@@ -483,10 +473,7 @@ impl SigmaWorkspace {
     /// Creates an empty workspace; buffers are sized on first use.
     pub fn new() -> Self {
         SigmaWorkspace {
-            values: Vec::new(),
-            stamp: Vec::new(),
-            epoch: 0,
-            touched: Vec::new(),
+            labels: ProximityLabels::new(),
             entries: Vec::new(),
             kind: SigmaKind::AllOnes,
             seeker: NodeId::MAX,
@@ -494,9 +481,7 @@ impl SigmaWorkspace {
             nonzero: 0,
             residual: 0.0,
             bfs: BfsWorkspace::new(),
-            prox: ProximityWorkspace::new(),
             push: PushWorkspace::default(),
-            allocations: 0,
         }
     }
 
@@ -504,49 +489,14 @@ impl SigmaWorkspace {
     /// traversal scratch. A warm query loop must keep this constant — the
     /// zero-allocation property the hot path is built around.
     pub fn allocation_count(&self) -> u64 {
-        self.allocations
-            + self.bfs.allocation_count()
-            + self.prox.allocation_count()
-            + self.push.allocation_count()
+        self.labels.allocation_count() + self.bfs.allocation_count() + self.push.allocation_count()
     }
 
     fn begin(&mut self, n: usize) {
-        if self.values.len() < n {
-            self.values.resize(n, 0.0);
-            self.stamp.resize(n, 0);
-            self.allocations += 1;
-        }
-        if self.epoch == u32::MAX {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.touched.clear();
+        self.labels.begin(n);
         self.entries.clear();
         self.kind = SigmaKind::Dense;
         self.residual = 0.0;
-    }
-
-    #[inline]
-    fn set(&mut self, u: NodeId, v: f64) {
-        let i = u as usize;
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.touched.push(u);
-        }
-        self.values[i] = v;
-    }
-
-    #[inline]
-    fn accumulate(&mut self, u: NodeId, delta: f64) {
-        let i = u as usize;
-        if self.stamp[i] == self.epoch {
-            self.values[i] += delta;
-        } else {
-            self.stamp[i] = self.epoch;
-            self.values[i] = delta;
-            self.touched.push(u);
-        }
     }
 
     /// Seals a materialization: records the seeker and precomputes the
@@ -565,8 +515,8 @@ impl SigmaWorkspace {
             _ => {
                 let mut max = 0.0f64;
                 let mut nonzero = 0usize;
-                for &u in &self.touched {
-                    let v = self.values[u as usize];
+                for &u in self.labels.touched() {
+                    let v = self.labels.get(u);
                     if v > 0.0 {
                         nonzero += 1;
                         if u != seeker {
@@ -589,12 +539,11 @@ impl SigmaWorkspace {
     }
 
     fn build_entries_from_touched(&mut self) {
-        self.touched.sort_unstable();
-        self.touched.dedup();
+        self.labels.sort_touched();
         self.entries.clear();
-        let values = &self.values;
+        let labels = &self.labels;
         self.entries
-            .extend(self.touched.iter().map(|&u| (u, values[u as usize])));
+            .extend(labels.touched().iter().map(|&u| (u, labels.get(u))));
     }
 
     /// `σ(seeker, u)` for the most recent materialization.
@@ -602,13 +551,7 @@ impl SigmaWorkspace {
     pub fn get(&self, u: NodeId) -> f64 {
         match self.kind {
             SigmaKind::AllOnes => 1.0,
-            _ => {
-                if self.stamp[u as usize] == self.epoch {
-                    self.values[u as usize]
-                } else {
-                    0.0
-                }
-            }
+            _ => self.labels.get(u),
         }
     }
 
@@ -626,13 +569,7 @@ impl SigmaWorkspace {
     pub fn to_dense(&self, n: usize) -> Vec<f64> {
         match self.kind {
             SigmaKind::AllOnes => vec![1.0; n],
-            _ => {
-                let mut v = vec![0.0; n];
-                for &u in &self.touched {
-                    v[u as usize] = self.values[u as usize];
-                }
-                v
-            }
+            _ => self.labels.to_dense(n),
         }
     }
 
@@ -648,17 +585,13 @@ impl SigmaWorkspace {
     pub fn snapshot(&self, n: usize) -> ProximityVec {
         match self.kind {
             SigmaKind::Sparse => ProximityVec::Sparse(self.entries.clone()),
-            // (node, σ) pairs cost 16 bytes to the flat array's 8 per node.
-            // A lossy materialization (residual > 0) must snapshot Touched
-            // regardless of reach: `Dense` has no residual field, and a
-            // truncated σ served as `residual_bound() == 0.0` would be a
-            // false exactness certificate.
-            SigmaKind::Dense if self.nonzero * 2 <= n || self.residual > 0.0 => {
+            SigmaKind::Dense if self.snapshots_touched(n) => {
                 let mut entries: Vec<(NodeId, f64)> = self
-                    .touched
+                    .labels
+                    .touched()
                     .iter()
                     .filter_map(|&u| {
-                        let v = self.values[u as usize];
+                        let v = self.labels.get(u);
                         (v > 0.0).then_some((u, v))
                     })
                     .collect();
@@ -671,6 +604,29 @@ impl SigmaWorkspace {
                 }
             }
             _ => self.snapshot_dense(n),
+        }
+    }
+
+    /// Whether a dense-model epoch snapshots as [`ProximityVec::Touched`]:
+    /// `(node, σ)` pairs cost 16 bytes to the flat array's 8 per node, so
+    /// only when at most half the graph was reached — or when the
+    /// materialization was lossy (residual > 0), regardless of reach:
+    /// `Dense` has no residual field, and a truncated σ served as
+    /// `residual_bound() == 0.0` would be a false exactness certificate.
+    fn snapshots_touched(&self, n: usize) -> bool {
+        self.nonzero * 2 <= n || self.residual > 0.0
+    }
+
+    /// [`ProximityVec::memory_bytes`] of what [`SigmaWorkspace::snapshot`]
+    /// would build, without building it — all a byte-budgeted cache needs
+    /// to decide admission (see [`crate::cache::ProximityCache::insert_with`]).
+    pub fn snapshot_bytes(&self, n: usize) -> usize {
+        let pair = std::mem::size_of::<(NodeId, f64)>();
+        match self.kind {
+            SigmaKind::AllOnes => 0,
+            SigmaKind::Sparse => self.entries.len() * pair,
+            SigmaKind::Dense if self.snapshots_touched(n) => self.nonzero * pair,
+            SigmaKind::Dense => n * std::mem::size_of::<f64>(),
         }
     }
 
@@ -803,6 +759,15 @@ impl Sigma<'_> {
         }
     }
 
+    /// Upper bound on the σ of any node the materialization's
+    /// [`SigmaBounds`] dropped (`0.0` ⇒ exact).
+    pub fn residual_bound(&self) -> f64 {
+        match self {
+            Sigma::Workspace(ws) => ws.residual_bound(),
+            Sigma::Shared(v) => v.residual_bound(),
+        }
+    }
+
     /// Largest σ over every node except `exclude` — the exact dense-model
     /// envelope for σ-aware pruning. `O(1)` when `exclude` is the seeker
     /// the σ was materialized for (the only caller on the hot path — both
@@ -814,7 +779,8 @@ impl Sigma<'_> {
                 SigmaKind::AllOnes => 1.0,
                 _ if exclude == ws.seeker => ws.non_seeker_max,
                 _ => ws
-                    .touched
+                    .labels
+                    .touched()
                     .iter()
                     .filter(|&&u| u != exclude)
                     .map(|&u| ws.get(u))
@@ -868,7 +834,9 @@ impl Sigma<'_> {
         #[cfg(debug_assertions)]
         {
             let ok = match self {
-                Sigma::Workspace(ws) => ws.touched.iter().all(|&u| ws.get(u) <= 1.0 + 1e-9),
+                Sigma::Workspace(ws) => {
+                    ws.labels.touched().iter().all(|&u| ws.get(u) <= 1.0 + 1e-9)
+                }
                 Sigma::Shared(ProximityVec::AllOnes) => true,
                 Sigma::Shared(ProximityVec::Dense { values, .. }) => {
                     values.iter().all(|&s| s <= 1.0 + 1e-9)
@@ -1100,6 +1068,7 @@ mod tests {
                 }
                 // Snapshot (the cached form) must agree everywhere too.
                 let snap = ws.snapshot(120);
+                assert_eq!(ws.snapshot_bytes(120), snap.memory_bytes());
                 for u in 0..120u32 {
                     assert_eq!(
                         snap.get(u).to_bits(),
@@ -1267,7 +1236,11 @@ mod tests {
         let mut ws = SigmaWorkspace::new();
         ProximityModel::DistanceDecay { alpha }.materialize_into(&g, 0, &mut ws);
         assert_eq!(ws.residual_bound(), 0.0, "EXACT bounds are lossless");
-        assert_eq!(ws.touched.len(), horizon + 1, "stopped at the horizon");
+        assert_eq!(
+            ws.labels.touched().len(),
+            horizon + 1,
+            "stopped at the horizon"
+        );
         for u in 0..n as u32 {
             let want = if (u as usize) <= horizon {
                 alpha.powi(u as i32)
@@ -1317,7 +1290,7 @@ mod tests {
         let mut by_mass = SigmaWorkspace::new();
         let floor = alpha.powi(5) * 1.0001; // keeps hops 0..=4
         model.materialize_bounded(&g, 0, &mut by_mass, SigmaBounds::with_min_mass(floor));
-        assert_eq!(by_mass.touched.len(), 5);
+        assert_eq!(by_mass.labels.touched().len(), 5);
         // Straddle: a radius past the horizon drops nothing representable.
         let mut wide = SigmaWorkspace::new();
         model.materialize_bounded(
@@ -1445,12 +1418,13 @@ mod tests {
         let radius = (1..12)
             .find(|&r| {
                 model.materialize_bounded(&g, 0, &mut ws, SigmaBounds::with_radius(r));
-                ws.residual_bound() > 0.0 && ws.touched.len() * 2 > 120
+                ws.residual_bound() > 0.0 && ws.labels.touched().len() * 2 > 120
             })
             .expect("some radius is both truncating and wide-reach");
         model.materialize_bounded(&g, 0, &mut ws, SigmaBounds::with_radius(radius));
         let snap = ws.snapshot(120);
         assert!(matches!(snap, ProximityVec::Touched { .. }));
+        assert_eq!(ws.snapshot_bytes(120), snap.memory_bytes());
         assert_eq!(
             snap.residual_bound().to_bits(),
             ws.residual_bound().to_bits()

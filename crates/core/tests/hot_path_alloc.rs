@@ -8,7 +8,7 @@ use friends_core::corpus::Corpus;
 use friends_core::processors::{
     ExactOnline, ExpansionConfig, FriendExpansion, Processor, ScoringStrategy,
 };
-use friends_core::proximity::{ProximityModel, SigmaWorkspace};
+use friends_core::proximity::{ProximityModel, SigmaBounds, SigmaWorkspace};
 use friends_data::datasets::{DatasetSpec, Scale};
 use friends_data::queries::{QueryParams, QueryWorkload};
 
@@ -106,7 +106,7 @@ fn friend_expansion_steady_state_is_allocation_free() {
 fn sigma_workspace_steady_state_is_allocation_free() {
     let (corpus, w) = fixture();
     let mut ws = SigmaWorkspace::new();
-    // Warm every model's private scratch (BFS / Dijkstra / push buffers).
+    // Warm every model's private scratch (BFS / bucket stacks / push buffers).
     for model in all_models() {
         model.materialize_into(&corpus.graph, 0, &mut ws);
     }
@@ -114,6 +114,31 @@ fn sigma_workspace_steady_state_is_allocation_free() {
     for q in &w.queries {
         for model in all_models() {
             model.materialize_into(&corpus.graph, q.seeker, &mut ws);
+        }
+    }
+    assert_eq!(ws.allocation_count(), warm);
+}
+
+#[test]
+fn weighted_decay_kernel_steady_state_is_allocation_free() {
+    // The unordered σ kernel labels into the workspace's own record array:
+    // one materialization sizes it, and no later seeker, decay (α > 0.5
+    // re-queues nodes inside a binade) or mass floor grows it again.
+    let (corpus, w) = fixture();
+    let mut ws = SigmaWorkspace::new();
+    ProximityModel::WeightedDecay { alpha: 0.5 }.materialize_into(&corpus.graph, 0, &mut ws);
+    let warm = ws.allocation_count();
+    for alpha in [0.5, 0.9] {
+        for min_mass in [0.0, 0.05] {
+            let bounds = SigmaBounds::with_min_mass(min_mass);
+            for q in &w.queries {
+                ProximityModel::WeightedDecay { alpha }.materialize_bounded(
+                    &corpus.graph,
+                    q.seeker,
+                    &mut ws,
+                    bounds,
+                );
+            }
         }
     }
     assert_eq!(ws.allocation_count(), warm);

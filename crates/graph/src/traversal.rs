@@ -4,6 +4,12 @@
 //! Social proximity in `friends-core` is a *decreasing* function of distance,
 //! so both hop counts (for decay proximity) and weighted lengths (for
 //! strength-aware decay) are provided.
+//!
+//! Multiplicative path proximity has two kernels returning bit-identical
+//! values: [`ProximityScan`] / [`ProximityOrder`] yield nodes in decreasing
+//! proximity from a heap (for callers that stop early on `peek_bound`), and
+//! [`decay_labels`] labels every node in `O(n + m)` in no particular order
+//! (for callers that want the whole vector).
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::OrdF64;
@@ -258,9 +264,11 @@ pub fn bfs_stamped(g: &CsrGraph, src: NodeId, max_hops: u32, ws: &mut BfsWorkspa
     ws.touched.len()
 }
 
-/// Reusable epoch-stamped scratch for proximity-ordered traversals: the
-/// tentative-proximity array, the settled set and the frontier heap survive
-/// across queries, so starting a traversal allocates nothing once warm.
+/// Reusable epoch-stamped scratch for proximity-ordered traversals
+/// ([`ProximityScan`]): the tentative-proximity array, the settled set and
+/// the frontier heap survive across queries, so starting a traversal
+/// allocates nothing once warm. Whole-vector consumers use
+/// [`ProximityLabels`] with [`decay_labels`] instead.
 #[derive(Debug, Default)]
 pub struct ProximityWorkspace {
     best: Vec<f64>,
@@ -474,6 +482,241 @@ impl<F: FnMut(f32) -> f64> Iterator for ProximityScan<'_, '_, F> {
 
     fn next(&mut self) -> Option<Self::Item> {
         self.ws.step(self.g, &mut self.decay)
+    }
+}
+
+/// One packed per-node record of a [`ProximityLabels`] map: the value, the
+/// epoch it belongs to and — during [`decay_labels`] — whether that value
+/// has been relaxed along the node's arcs yet. Packed so a lookup or a
+/// relaxation touches one cache line, not one per array.
+#[derive(Clone, Copy, Debug, Default)]
+struct Label {
+    value: f64,
+    stamp: u32,
+    relaxed: bool,
+}
+
+/// An epoch-stamped `node → f64` map plus the scratch of the unordered
+/// proximity kernel [`decay_labels`], which writes its tentative
+/// proximities straight into the map: what the kernel leaves behind *is*
+/// the proximity vector, with no second copy pass. Starting a new epoch is
+/// `O(1)`; nodes not written this epoch read `0.0`.
+#[derive(Debug, Default)]
+pub struct ProximityLabels {
+    cells: Vec<Label>,
+    epoch: u32,
+    /// Nodes written this epoch, in first-write order.
+    touched: Vec<NodeId>,
+    /// `buckets[b]`: nodes whose tentative proximity lies in binade `b`
+    /// (`[2^-b, 2^-(b-1))`), as LIFO stacks that keep their capacity.
+    buckets: Vec<Vec<NodeId>>,
+    /// Targets of below-floor relaxations, resolved once the run is over.
+    cut: Vec<NodeId>,
+    allocations: u64,
+}
+
+impl ProximityLabels {
+    /// Creates an empty map; buffers are sized on first use.
+    pub fn new() -> Self {
+        ProximityLabels::default()
+    }
+
+    /// Starts a new epoch over `n` nodes: every node reads `0.0` again.
+    pub fn begin(&mut self, n: usize) {
+        if self.cells.len() < n {
+            self.cells.resize(n, Label::default());
+            self.allocations += 1;
+        }
+        if self.epoch == u32::MAX {
+            // Epoch wrap: invalidate every stamp once per 2^32 epochs.
+            self.cells.iter_mut().for_each(|c| c.stamp = 0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.touched.clear();
+    }
+
+    /// The value written for `u` this epoch, `0.0` if none.
+    #[inline]
+    pub fn get(&self, u: NodeId) -> f64 {
+        let c = &self.cells[u as usize];
+        if c.stamp == self.epoch {
+            c.value
+        } else {
+            0.0
+        }
+    }
+
+    /// Writes `value` for `u`.
+    #[inline]
+    pub fn set(&mut self, u: NodeId, value: f64) {
+        let c = &mut self.cells[u as usize];
+        if c.stamp != self.epoch {
+            c.stamp = self.epoch;
+            self.touched.push(u);
+        }
+        c.value = value;
+    }
+
+    /// Adds `delta` to `u`'s value (starting from `0.0`).
+    #[inline]
+    pub fn add(&mut self, u: NodeId, delta: f64) {
+        let c = &mut self.cells[u as usize];
+        if c.stamp == self.epoch {
+            c.value += delta;
+        } else {
+            c.stamp = self.epoch;
+            c.value = delta;
+            self.touched.push(u);
+        }
+    }
+
+    /// This epoch's values for nodes `0..n` as a flat vector, read in one
+    /// sequential pass over the records.
+    pub fn to_dense(&self, n: usize) -> Vec<f64> {
+        let mut dense: Vec<f64> = self
+            .cells
+            .iter()
+            .take(n)
+            .map(|c| if c.stamp == self.epoch { c.value } else { 0.0 })
+            .collect();
+        dense.resize(n, 0.0);
+        dense
+    }
+
+    /// Nodes written this epoch, in first-write order.
+    pub fn touched(&self) -> &[NodeId] {
+        &self.touched
+    }
+
+    /// Sorts the touched list by node id (each node appears once).
+    pub fn sort_touched(&mut self) {
+        self.touched.sort_unstable();
+    }
+
+    /// Number of times the per-node record array grew (the kernel's stacks
+    /// amortize like any queue and, as in [`BfsWorkspace`], are not counted).
+    pub fn allocation_count(&self) -> u64 {
+        self.allocations
+    }
+
+    #[inline]
+    fn push(&mut self, bucket: usize, u: NodeId) {
+        if bucket >= self.buckets.len() {
+            self.buckets.resize_with(bucket + 1, Vec::new);
+        }
+        self.buckets[bucket].push(u);
+    }
+}
+
+/// The binade of a proximity in `(0, 1]`, counted down from 1.0: bucket 0
+/// holds exactly `1.0`, bucket `b` holds `[2^-b, 2^-(b-1))`, subnormals
+/// share the last one. Smaller proximity ⇒ same or later bucket.
+#[inline]
+fn binade(p: f64) -> usize {
+    1023usize.saturating_sub((p.to_bits() >> 52) as usize)
+}
+
+/// Every node's best-path proximity from `src` — `max_path Π decay(w_e)`,
+/// each product taken in path order — written into `labels` without a
+/// priority queue. Returns an upper bound on the proximity of any node the
+/// `floor` cut off: `floor` when a node with positive proximity was
+/// dropped, `0.0` when none was.
+///
+/// This computes exactly what draining [`ProximityScan::with_floor`]
+/// yields, **bit for bit**, in `O(n + m)` instead of `O(m log n)`, but in
+/// no particular order; [`ProximityScan`] remains the kernel for callers
+/// that need decreasing-proximity iteration with `peek_bound`.
+///
+/// `decay` must map into `[0, 1]`, so a relaxation never raises a value and
+/// therefore never lands in an earlier binade than the node it came from.
+/// Tentative proximities are bucketed by binade and the buckets processed
+/// in increasing order: when bucket `b` is reached every value above
+/// `2^-(b-1)` is final. A popped node is relaxed unless its current value
+/// already was. With multipliers `≤ 0.5` every relaxation lands in a later
+/// bucket and each node is relaxed once; larger multipliers can improve a
+/// node inside the bucket being processed, which re-queues it there
+/// (label-correcting within one binade) until nothing changes. As
+/// `x ↦ fl(x · m)` is monotone, the values converge to the one fixed point
+/// — the maximum over paths — whatever the order, which is also what the
+/// heap-ordered scan settles.
+///
+/// Under a `floor`, relaxations below it are skipped. Proximity only
+/// decreases along a path, so every node whose proximity is `≥ floor` is
+/// still labelled exactly; the nodes cut off are those some kept node
+/// reached below the floor and no path reached above it.
+pub fn decay_labels<F: FnMut(f32) -> f64>(
+    g: &CsrGraph,
+    src: NodeId,
+    mut decay: F,
+    floor: f64,
+    labels: &mut ProximityLabels,
+) -> f64 {
+    debug_assert!((0.0..=1.0).contains(&floor), "floor must be in [0, 1]");
+    labels.begin(g.num_nodes());
+    if g.num_nodes() == 0 {
+        return 0.0;
+    }
+    // A finished run leaves every stack drained; one that unwound part-way
+    // (a panicking `decay`) must not leak its entries into this epoch.
+    labels.buckets.iter_mut().for_each(Vec::clear);
+    labels.cut.clear();
+    let epoch = labels.epoch;
+    labels.cells[src as usize] = Label {
+        value: 1.0,
+        stamp: epoch,
+        relaxed: false,
+    };
+    labels.touched.push(src);
+    labels.push(0, src);
+    let mut b = 0;
+    while b < labels.buckets.len() {
+        while let Some(u) = labels.buckets[b].pop() {
+            let cell = &mut labels.cells[u as usize];
+            if cell.relaxed {
+                continue; // this value already went out along u's arcs
+            }
+            cell.relaxed = true;
+            let p = cell.value;
+            for (v, w) in g.edges(u) {
+                let mult = decay(w);
+                debug_assert!(
+                    (0.0..=1.0).contains(&mult),
+                    "decay must map into [0, 1], got {mult}"
+                );
+                let np = p * mult;
+                if np < floor {
+                    if np > 0.0 {
+                        labels.cut.push(v);
+                    }
+                    continue;
+                }
+                let cell = &mut labels.cells[v as usize];
+                let known = cell.stamp == epoch;
+                if np > if known { cell.value } else { 0.0 } {
+                    let bucket = binade(np);
+                    // An unrelaxed value of the same binade means `v` is
+                    // still waiting on that stack: no second entry needed.
+                    let queued = known && !cell.relaxed && binade(cell.value) == bucket;
+                    if !known {
+                        cell.stamp = epoch;
+                        labels.touched.push(v);
+                    }
+                    cell.value = np;
+                    cell.relaxed = false;
+                    if !queued {
+                        labels.push(bucket, v);
+                    }
+                }
+            }
+        }
+        b += 1;
+    }
+    let (cells, cut) = (&labels.cells, &labels.cut);
+    if cut.iter().any(|&v| cells[v as usize].stamp != epoch) {
+        floor
+    } else {
+        0.0
     }
 }
 
@@ -750,6 +993,63 @@ mod tests {
                 assert!(residual > 0.0, "floor {floor}: dropped without residual");
             }
         }
+    }
+
+    #[test]
+    fn decay_labels_reuse_keeps_stack_capacity_and_survives_epoch_wrap() {
+        let g = generators::assign_weights(
+            &generators::barabasi_albert(300, 3, 21),
+            generators::WeightModel::Jaccard { floor: 0.1 },
+            21,
+        );
+        let decay = |w: f32| 0.8 * (w as f64).clamp(0.0, 1.0);
+        let want = |src| -> Vec<(NodeId, f64)> { ProximityOrder::new(&g, src, decay).collect() };
+        let mut labels = ProximityLabels::new();
+        decay_labels(&g, 5, decay, 0.0, &mut labels);
+        let capacities: Vec<usize> = labels.buckets.iter().map(Vec::capacity).collect();
+        assert!(capacities.iter().any(|&c| c > 0));
+        // The same traversal again finds every stack already large enough.
+        decay_labels(&g, 5, decay, 0.0, &mut labels);
+        let again: Vec<usize> = labels.buckets.iter().map(Vec::capacity).collect();
+        assert_eq!(capacities, again, "stacks must be cleared, not rebuilt");
+        assert_eq!(labels.allocation_count(), 1);
+        // Epoch wrap: records stamped in the last epoch before the wrap
+        // must not read as current in the first one after it.
+        labels.epoch = u32::MAX - 1;
+        decay_labels(&g, 5, decay, 0.0, &mut labels);
+        assert_eq!(labels.epoch, u32::MAX);
+        for src in [7, 5] {
+            decay_labels(&g, src, decay, 0.05, &mut labels);
+            let kept: Vec<(NodeId, f64)> =
+                want(src).into_iter().filter(|&(_, p)| p >= 0.05).collect();
+            assert_eq!(labels.touched().len(), kept.len(), "src {src}");
+            for (u, p) in kept {
+                assert_eq!(labels.get(u).to_bits(), p.to_bits(), "src {src} node {u}");
+            }
+        }
+        assert_eq!(labels.epoch, 2, "wrapped to epoch 1, then one more run");
+    }
+
+    #[test]
+    fn proximity_labels_read_zero_until_written() {
+        let mut labels = ProximityLabels::new();
+        labels.begin(4);
+        labels.set(2, 0.5);
+        labels.add(2, 0.25);
+        labels.add(1, 0.125);
+        assert_eq!(
+            [labels.get(0), labels.get(1), labels.get(2)],
+            [0.0, 0.125, 0.75]
+        );
+        assert_eq!(labels.touched(), &[2, 1]);
+        labels.sort_touched();
+        assert_eq!(labels.touched(), &[1, 2]);
+        assert_eq!(labels.to_dense(3), [0.0, 0.125, 0.75]);
+        assert_eq!(labels.to_dense(6), [0.0, 0.125, 0.75, 0.0, 0.0, 0.0]);
+        labels.begin(4);
+        assert_eq!(labels.get(2), 0.0);
+        assert_eq!(labels.to_dense(4), [0.0; 4]);
+        assert!(labels.touched().is_empty());
     }
 
     #[test]

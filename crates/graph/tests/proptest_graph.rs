@@ -6,7 +6,8 @@ use friends_graph::csr::{CsrGraph, GraphBuilder, NodeId};
 use friends_graph::landmarks::{LandmarkOracle, LandmarkStrategy};
 use friends_graph::ppr::{forward_push_fresh, power_iteration};
 use friends_graph::traversal::{
-    bfs_distances, bidirectional_hops, dijkstra, ProximityOrder, UNREACHABLE, UNREACHABLE_F,
+    bfs_distances, bidirectional_hops, decay_labels, dijkstra, ProximityLabels, ProximityOrder,
+    ProximityScan, ProximityWorkspace, UNREACHABLE, UNREACHABLE_F,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -17,6 +18,24 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId, f32)>)> {
         let edges =
             proptest::collection::vec((0..n as NodeId, 0..n as NodeId, 0.05f32..1.0), 0..(n * 3));
         (Just(n), edges)
+    })
+}
+
+/// Strategy for the two proximity kernels: up to 40 nodes (sparse enough
+/// that some stay disconnected), a source, and weights that hit the decay's
+/// corners — 0 (an arc that carries nothing), > 1 (clamped to 1), 0.5 and 1
+/// repeated (ties, equal-product paths) — beside ordinary strengths.
+fn arb_weighted() -> impl Strategy<Value = (usize, NodeId, Vec<(NodeId, NodeId, f32)>)> {
+    (1usize..40).prop_flat_map(|n| {
+        let weight = prop_oneof![
+            Just(0.0f32),
+            Just(0.5f32),
+            Just(1.0f32),
+            Just(2.5f32),
+            0.05f32..1.0,
+        ];
+        let edges = proptest::collection::vec((0..n as NodeId, 0..n as NodeId, weight), 0..(n * 3));
+        (Just(n), 0..n as NodeId, edges)
     })
 }
 
@@ -121,6 +140,72 @@ proptest! {
         prop_assert_eq!(order.len(), reachable);
     }
 
+    /// The unordered kernel labels exactly what the heap-ordered one
+    /// settles: the same reached set, every value bit for bit — for
+    /// multipliers that always leave the binade (α ≤ 0.5) and for ones
+    /// that re-relax inside it (α > 0.5) — across reuse of one label map.
+    #[test]
+    fn decay_labels_equal_proximity_order(
+        (n, src, edges) in arb_weighted(),
+        alpha in prop_oneof![0.01f64..0.5, 0.5f64..0.999],
+    ) {
+        let g = build(n, &edges);
+        let decay = move |w: f32| alpha * (w as f64).clamp(0.0, 1.0);
+        let mut labels = ProximityLabels::new();
+        for src in [src, 0, src] {
+            let order: Vec<(NodeId, f64)> = ProximityOrder::new(&g, src, decay).collect();
+            let residual = decay_labels(&g, src, decay, 0.0, &mut labels);
+            prop_assert_eq!(residual, 0.0);
+            let reached: BTreeSet<NodeId> = order.iter().map(|&(u, _)| u).collect();
+            let touched: BTreeSet<NodeId> = labels.touched().iter().copied().collect();
+            prop_assert_eq!(labels.touched().len(), touched.len(), "node labelled twice");
+            prop_assert_eq!(&reached, &touched);
+            for &(u, p) in &order {
+                prop_assert_eq!(labels.get(u).to_bits(), p.to_bits(), "node {}", u);
+            }
+            for u in (0..n as NodeId).filter(|u| !reached.contains(u)) {
+                prop_assert_eq!(labels.get(u), 0.0, "unreached node {}", u);
+            }
+        }
+    }
+
+    /// Under a floor every node whose true proximity clears it keeps its
+    /// exact value, every other node reads 0, and the residual is 0
+    /// exactly when no node with positive proximity was cut — never looser
+    /// than the heap scan's.
+    #[test]
+    fn decay_labels_floor_is_exact_above_and_certified_below(
+        (n, src, edges) in arb_weighted(),
+        alpha in prop_oneof![0.01f64..0.5, 0.5f64..0.999],
+        floor in prop_oneof![Just(0.0f64), 1e-6f64..0.6, Just(1.0f64)],
+    ) {
+        let g = build(n, &edges);
+        let decay = move |w: f32| alpha * (w as f64).clamp(0.0, 1.0);
+        let mut truth = vec![0.0f64; n];
+        for (u, p) in ProximityOrder::new(&g, src, decay) {
+            truth[u as usize] = p;
+        }
+        let mut labels = ProximityLabels::new();
+        let residual = decay_labels(&g, src, decay, floor, &mut labels);
+        let mut cut = false;
+        for u in 0..n as NodeId {
+            let p = truth[u as usize];
+            if p >= floor {
+                prop_assert_eq!(labels.get(u).to_bits(), p.to_bits(), "kept node {}", u);
+            } else {
+                prop_assert_eq!(labels.get(u), 0.0, "node {} is below the floor", u);
+                prop_assert!(!labels.touched().contains(&u));
+                cut |= p > 0.0;
+            }
+        }
+        prop_assert_eq!(residual, if cut { floor } else { 0.0 });
+        let mut ws = ProximityWorkspace::new();
+        let mut scan = ProximityScan::with_floor(&g, src, decay, floor, &mut ws);
+        let yielded = scan.by_ref().count();
+        prop_assert_eq!(yielded, labels.touched().len());
+        prop_assert!(residual <= scan.residual_bound());
+    }
+
     /// PPR estimates: power iteration is a distribution; forward push is a
     /// sub-distribution lower bound within its additive guarantee.
     #[test]
@@ -166,4 +251,12 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn decay_labels_on_an_empty_graph_labels_nothing() {
+    let g = CsrGraph::empty(0);
+    let mut labels = ProximityLabels::new();
+    assert_eq!(decay_labels(&g, 0, |_| 0.5, 0.0, &mut labels), 0.0);
+    assert!(labels.touched().is_empty());
 }

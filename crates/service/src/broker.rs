@@ -439,8 +439,10 @@ pub struct FriendsService {
     /// against it and publishes to it after every shard acks.
     live: LiveCorpus,
     /// Serializes `apply_mutations` callers (prepare must see the latest
-    /// published snapshot).
-    mutation_gate: Mutex<()>,
+    /// published snapshot). What it guards is the writer's σ-refresh
+    /// scratch, kept across batches so a warm refresh allocates only the
+    /// vectors it installs.
+    mutation_gate: Mutex<SigmaWorkspace>,
     /// See [`ServiceConfig::mutation_refresh_cap`].
     mutation_refresh_cap: usize,
     /// The WAL + snapshot machinery when the service runs durable
@@ -601,7 +603,7 @@ impl FriendsService {
             workers,
             default_deadline: config.default_deadline,
             live,
-            mutation_gate: Mutex::new(()),
+            mutation_gate: Mutex::new(SigmaWorkspace::new()),
             mutation_refresh_cap: config.mutation_refresh_cap,
             durability,
         }
@@ -755,7 +757,7 @@ impl FriendsService {
         batch: &MutationBatch,
         horizon: Option<u32>,
     ) -> std::io::Result<MutationReport> {
-        let _writer = self.mutation_gate.lock();
+        let mut writer = self.mutation_gate.lock();
         if batch.is_empty() {
             return Ok(MutationReport {
                 epoch: self.live.epoch(),
@@ -779,24 +781,23 @@ impl FriendsService {
         // the shard thread. (Entries inserted between this scan and the
         // shard's sweep are simply not refreshed — a cold first query, not
         // a correctness issue.)
-        let refreshed: Vec<Vec<(UserId, ProximityModel, Arc<ProximityVec>)>> = {
-            let mut ws = SigmaWorkspace::new();
-            self.shards
-                .iter()
-                .map(|s| {
-                    s.cache
-                        .affected_entries(&prepared.touched_nodes)
-                        .into_iter()
-                        .take(self.mutation_refresh_cap)
-                        .map(|(seeker, model)| {
-                            model.materialize_into(&prepared.next.graph, seeker, &mut ws);
-                            let v = ws.snapshot(prepared.next.graph.num_nodes());
-                            (seeker, model, Arc::new(v))
-                        })
-                        .collect()
-                })
-                .collect()
-        };
+        let ws = &mut *writer;
+        let refreshed: Vec<Vec<(UserId, ProximityModel, Arc<ProximityVec>)>> = self
+            .shards
+            .iter()
+            .map(|s| {
+                s.cache
+                    .affected_entries(&prepared.touched_nodes)
+                    .into_iter()
+                    .take(self.mutation_refresh_cap)
+                    .map(|(seeker, model)| {
+                        model.materialize_into(&prepared.next.graph, seeker, ws);
+                        let v = ws.snapshot(prepared.next.graph.num_nodes());
+                        (seeker, model, Arc::new(v))
+                    })
+                    .collect()
+            })
+            .collect();
         let (ack_tx, ack_rx) = channel::bounded(self.senders.len());
         for tx in &self.senders {
             // A dead shard (worker panic) just drops its queue; its clone

@@ -368,7 +368,8 @@ fn multiplexer_surfaces_deadlines_of_stuck_requests() {
             ..ServiceConfig::default()
         },
     );
-    // Park the single shard behind plenty of work.
+    // Park the single shard behind plenty of work: far more than 5 ms of
+    // it even in a release build, where one of these queries costs ~20 µs.
     let w = QueryWorkload::generate(
         &corpus.graph,
         &corpus.store,
@@ -382,7 +383,7 @@ fn multiplexer_surfaces_deadlines_of_stuck_requests() {
         .queries
         .iter()
         .cycle()
-        .take(256)
+        .take(4096)
         .map(|q| {
             client.submit(
                 QueryRequest::from_query(q.clone())
