@@ -2,17 +2,21 @@
 //! result/statistics types every processor returns.
 
 use friends_data::store::TagStore;
-use friends_data::ItemId;
+use friends_data::{ItemId, TagId, UserId};
 use friends_graph::CsrGraph;
 use friends_index::inverted::{IndexConfig, InvertedIndex};
 use friends_index::postings::PostingConfig;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Block length of the σ-aware posting index. Smaller than the classical
 /// 128-entry default: σ-aware pruning skips at block granularity, and the
 /// per-block tagger ranges and mass maxima tighten considerably with fewer
 /// docs per block, at a modest skip-metadata cost.
 pub const SIGMA_INDEX_BLOCK_LEN: usize = 32;
+
+/// Per tag, the `(item, aggregate weight)` ranking [`Corpus::global_lists`]
+/// hands out.
+type GlobalLists = Vec<Vec<(ItemId, f32)>>;
 
 /// A queryable dataset: the social graph and the tagging store, with users
 /// of the store identified with nodes of the graph.
@@ -29,8 +33,9 @@ pub struct Corpus {
     /// weight, ties by item id) — the candidate lists `GlobalBoundTA`
     /// drives its threshold-algorithm scans from. Store-only data, so the
     /// live write path warms it per epoch off the read path instead of
-    /// every shard re-sorting it on its first planned query.
-    global_lists: OnceLock<Vec<Vec<(ItemId, f32)>>>,
+    /// every shard re-sorting it on its first planned query. Behind an
+    /// `Arc` so an epoch that appended no tagging shares the whole table.
+    global_lists: OnceLock<Arc<GlobalLists>>,
     /// Mutation epoch: 0 for a freshly built (frozen) corpus, bumped by one
     /// for every published mutation batch (see `crate::live`). Purely an
     /// observability/versioning stamp — cache identity stays keyed on the
@@ -67,6 +72,47 @@ impl Corpus {
         c
     }
 
+    /// The epoch after this one: `graph` and `store` are this corpus's with
+    /// one mutation batch applied, `touched_tags` every tag the batch
+    /// appended a tagging to (sorted, as `MutationBatch::touched_tags`
+    /// returns them).
+    ///
+    /// Whatever this corpus has built of its σ-index and global lists is
+    /// carried over with only the touched tags rebuilt from `store`'s rows —
+    /// equal to a cold build over `store`, because both structures build
+    /// each tag from that tag's row alone. What this corpus never built
+    /// stays unbuilt.
+    pub fn next_epoch(&self, graph: CsrGraph, store: TagStore, touched_tags: &[TagId]) -> Self {
+        let next = Corpus::with_epoch(graph, store, self.epoch + 1);
+        if let Some(index) = self.sigma_index.get() {
+            let derived =
+                index.with_terms_rebuilt(touched_tags, |t| sigma_quads(&next.store, t).collect());
+            next.sigma_index
+                .set(derived)
+                .expect("a fresh corpus has no index");
+        }
+        if let Some(lists) = self.global_lists.get() {
+            let lists = if touched_tags.is_empty() {
+                Arc::clone(lists)
+            } else {
+                // The rows are plain `Vec`s (`global_lists` hands out
+                // `&[Vec<_>]`), so untouched ones are copied, not shared.
+                Arc::new(
+                    (0..next.store.num_tags())
+                        .map(|t| match touched_tags.binary_search(&t) {
+                            Ok(_) => global_list(&next.store, t),
+                            Err(_) => lists[t as usize].clone(),
+                        })
+                        .collect(),
+                )
+            };
+            next.global_lists
+                .set(lists)
+                .expect("a fresh corpus has no global lists");
+        }
+        next
+    }
+
     /// The corpus's mutation epoch (0 = frozen seed).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -87,13 +133,11 @@ impl Corpus {
     /// are a load).
     pub fn global_lists(&self) -> &[Vec<(ItemId, f32)>] {
         self.global_lists.get_or_init(|| {
-            (0..self.store.num_tags())
-                .map(|t| {
-                    let mut v = self.store.global_item_scores(t);
-                    v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                    v
-                })
-                .collect()
+            Arc::new(
+                (0..self.store.num_tags())
+                    .map(|t| global_list(&self.store, t))
+                    .collect(),
+            )
         })
     }
 
@@ -102,10 +146,7 @@ impl Corpus {
     pub fn sigma_index(&self) -> &InvertedIndex {
         self.sigma_index.get_or_init(|| {
             let quads = (0..self.store.num_tags()).flat_map(|t| {
-                self.store
-                    .tag_taggings(t)
-                    .iter()
-                    .map(move |tg| (t, tg.item, tg.user, tg.weight))
+                sigma_quads(&self.store, t).map(move |(item, user, weight)| (t, item, user, weight))
             });
             InvertedIndex::build_with_taggers(
                 quads,
@@ -118,6 +159,22 @@ impl Corpus {
             )
         })
     }
+}
+
+/// `tag`'s `(item, tagger, weight)` triples — what its σ-index list is built
+/// from.
+fn sigma_quads(store: &TagStore, tag: TagId) -> impl Iterator<Item = (ItemId, UserId, f32)> + '_ {
+    store
+        .tag_taggings(tag)
+        .iter()
+        .map(|tg| (tg.item, tg.user, tg.weight))
+}
+
+/// `tag`'s global item ranking: descending aggregate weight, ties by item.
+fn global_list(store: &TagStore, tag: TagId) -> Vec<(ItemId, f32)> {
+    let mut v = store.global_item_scores(tag);
+    v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    v
 }
 
 /// Work counters reported by each query execution (Fig 8 and Table 3 read

@@ -4,10 +4,11 @@
 //! Every structure below this module is immutable — the CSR graph, the
 //! posting store, the σ index are built once and only read. [`LiveCorpus`]
 //! turns that immutability into the concurrency mechanism of a *mutable*
-//! corpus: writers never edit in place, they build a complete next
-//! [`Corpus`] off to the side and swap one `Arc` pointer; readers never
-//! block on that work, they pin whatever snapshot was current when their
-//! query started and keep it alive by refcount.
+//! corpus: writers never edit in place, they assemble the next [`Corpus`]
+//! off to the side — sharing with the current one every section the batch
+//! did not touch — and swap one `Arc` pointer; readers never block on that
+//! work, they pin whatever snapshot was current when their query started
+//! and keep it alive by refcount.
 //!
 //! ## Epoch lifecycle
 //!
@@ -15,8 +16,12 @@
 //!   epoch N (frozen)                          epoch N+1
 //!   ┌────────────────┐   prepare (off-lock)   ┌────────────────┐
 //!   │ graph · store  │ ─────────────────────▶ │ graph' · store'│
-//!   │ σ-index (lazy) │   with_edits (keeps    │ σ-index (lazy) │
-//!   └───────┬────────┘   the graph token!)    └───────▲────────┘
+//!   │ σ-index, lists │   copied: one pointer  │ σ-index, lists │
+//!   └───────┬────────┘   per user/tag/term,   └───────▲────────┘
+//!           │            the rows the batch           │
+//!           │            names, one linear            │
+//!           │            CSR pass (same token!)       │
+//!           │            shared: all other rows       │
 //!           │                                         │
 //!           │ readers pin via Arc      sweep caches   │ publish: one
 //!           │ (never blocked)          (invalidate    │ pointer swap
@@ -24,11 +29,12 @@
 //!   retired when the last reader drops ───────────────┘
 //! ```
 //!
-//! 1. **prepare** — build the next corpus from the current snapshot:
+//! 1. **prepare** — assemble the next corpus from the current snapshot:
 //!    [`friends_graph::CsrGraph::with_edits`] (token-preserving) plus
-//!    [`friends_data::store::TagStore::with_appends`], stamped `epoch + 1`,
-//!    and compute the mutation's blast radius (touched nodes, affected
-//!    seekers, touched tags). No lock is held; queries proceed untouched.
+//!    [`friends_data::store::TagStore::with_appends`] plus
+//!    [`Corpus::next_epoch`], stamped `epoch + 1`, and compute the
+//!    mutation's blast radius (touched nodes, affected seekers, touched
+//!    tags). No lock is held; queries proceed untouched.
 //! 2. **sweep** — drop exactly the cache entries the batch can affect
 //!    ([`crate::cache::ProximityCache::invalidate_affected`] for σ, the
 //!    result cache's per-seeker/per-tag sweeps in the serving tier).
@@ -38,6 +44,36 @@
 //!    only for the swap itself; readers hold the read lock only to clone
 //!    the `Arc`. The retired corpus is reclaimed when its last pinned
 //!    reader drops it — no reader ever observes a torn corpus.
+//!
+//! ## What prepare copies, and what it shares
+//!
+//! A write costs what the batch touches, not what the corpus holds:
+//!
+//! * **store** — one `Arc`'d row per user and per tag. Copied: the two
+//!   pointer tables and the rows of the users and tags the batch appends
+//!   to (a sorted merge each). Shared: every other row; everything, for a
+//!   batch without appends.
+//! * **graph** — three flat arrays. Copied: one linear pass that
+//!   recomputes the rows of edited endpoints and block-copies the rest.
+//!   Shared: all three arrays, for a batch without edge edits. The arrays
+//!   stay flat rather than chunked because σ traversals index them in
+//!   their innermost loop; a 0.15 ms sequential copy per write is cheaper
+//!   than a pointer chase per arc on every cold read.
+//! * **σ-index, global lists** — one `Arc`'d posting list per tag; the
+//!   base's with the touched tags rebuilt from the new store rows (built
+//!   in full only when the base never built them). Equal to a cold build
+//!   because each tag's list is built from that tag's row alone.
+//!
+//! Duplicate `(user, item, tag)` weights are summed in input order (stored
+//! weight, then appends in batch order) so that live applies, coalesced
+//! recovery and a one-pass build agree bit for bit for any weights, not
+//! only ones that add exactly.
+//!
+//! What is *not* O(batch) yet is the serving tier's writer-side σ refresh
+//! (`FriendsService::apply_mutations` re-materializes the hottest swept
+//! vectors before it acknowledges): it is whole-graph work per vector and
+//! stays on the ack path until the σ kernel can yield between buckets and
+//! be interleaved with reads on the owning shard.
 //!
 //! ## Writer/reader memory-ordering contract
 //!
@@ -87,8 +123,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A mutation batch resolved against a concrete base snapshot: the fully
-/// built next corpus plus the batch's blast radius. Build one with
+/// A mutation batch resolved against a concrete base snapshot: the next
+/// corpus (sharing with the base whatever the batch left alone) plus the
+/// batch's blast radius. Build one with
 /// [`LiveCorpus::prepare`], sweep caches with it, then
 /// [`LiveCorpus::publish`] it. Cheap to clone behind an `Arc` for fan-out
 /// to per-shard workers.
@@ -178,8 +215,10 @@ impl LiveCorpus {
     }
 
     /// Builds the next snapshot from the current one without publishing
-    /// it: edited graph (token preserved), appended store, epoch + 1, and
-    /// the batch's blast radius. Lock-free with respect to readers.
+    /// it: edited graph (token preserved), appended store, derived
+    /// σ-index and global lists, epoch + 1, and the batch's blast radius —
+    /// at a cost proportional to what the batch touches (see the module
+    /// docs). Lock-free with respect to readers.
     ///
     /// `horizon` bounds the affected-seeker search: pass the model's
     /// decay horizon ([`crate::proximity::decay_horizon`]) or the serving
@@ -200,27 +239,28 @@ impl LiveCorpus {
         horizon: Option<u32>,
     ) -> PreparedMutation {
         let (inserts, removals, appends) = batch.split();
+        // Both calls share with `base` whatever the batch does not name: an
+        // edge-free batch gets the same CSR arrays, an append-free one the
+        // same store rows.
         let graph = base.graph.with_edits(&inserts, &removals);
-        let store = if appends.is_empty() {
-            base.store.clone()
-        } else {
-            base.store.with_appends(&appends)
-        };
+        let store = base.store.with_appends(&appends);
         let touched_nodes = batch.touched_nodes();
+        let touched_tags = batch.touched_tags();
         let affected_seekers = reachable_from(&base.graph, &touched_nodes, horizon);
-        let next = Arc::new(Corpus::with_epoch(graph, store, base.epoch() + 1));
-        // Warm the lazily built corpus structures on the writer's thread:
-        // the first query needing them on each shard would otherwise
-        // rebuild them inline after every epoch switch, stalling that
-        // shard's queue for the whole build while readers still hold the
-        // old snapshot anyway.
+        let next = Arc::new(base.next_epoch(graph, store, &touched_tags));
+        // The σ-index and global lists must be warm before publication:
+        // the first query needing them on each shard would otherwise build
+        // them inline after the epoch switch, stalling that shard's queue
+        // for the whole build. `next_epoch` carried over what `base` had
+        // built (touched tags rebuilt), so these are loads on every epoch
+        // but the first.
         next.sigma_index();
         next.global_lists();
         PreparedMutation {
             next,
             touched_nodes,
             affected_seekers,
-            touched_tags: batch.touched_tags(),
+            touched_tags,
             mutations: batch.len(),
         }
     }
@@ -520,7 +560,7 @@ impl LiveCorpus {
                 Err(_) => corrupt_snapshots += 1,
             }
         }
-        let Some(mut corpus) = base else {
+        let Some(corpus) = base else {
             return Err(RecoverError::NoUsableSnapshot { tried: snaps.len() });
         };
         let snapshot_epoch = corpus.epoch();
@@ -533,31 +573,50 @@ impl LiveCorpus {
             wal_bytes: replay.valid_bytes,
             ..RecoveryReport::default()
         };
-        // Validate the epoch chain record by record, but coalesce the
-        // surviving prefix into ONE rebuild. Sound because a batch's edit
-        // of a pair fully replaces that pair's state (`with_edits` sheds
-        // the old copy whether the batch inserts or removes, and an insert
-        // beats a removal of the same pair within a batch), so each pair's
-        // final state is decided by the last batch touching it; tag
-        // appends concatenate in order. Byte-identical to the sequential
-        // in-memory path because `GraphBuilder::build` canonicalizes
-        // (sorted, deduped, per-node sorted adjacency) — and O(graph +
-        // WAL) instead of O(graph × batches), which is what keeps the
-        // fig15 recovery-time budget linear in WAL length.
-        let mut last_epoch = corpus.epoch();
+        let corpus = Self::replay_onto(corpus, &replay.records, &mut report);
+        report.recovered_epoch = corpus.epoch();
+        report.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+        Ok((corpus, report))
+    }
+
+    /// The replay half of recovery: applies to `base` the records that
+    /// continue its epoch chain (`base.epoch() + 1, + 2, …`; records at or
+    /// below the base's epoch are already in it), counting them in
+    /// `report.replayed`. An epoch gap means a segment is missing — nothing
+    /// after it can be trusted, so replay stops there and sets
+    /// `report.truncated_tail`, exactly like a torn tail.
+    ///
+    /// The chain is validated record by record but applied as ONE
+    /// `with_edits` + `with_appends`. Sound because a batch's edit of a
+    /// pair fully replaces that pair's state (`with_edits` sheds the old
+    /// copy whether the batch inserts or removes, and an insert beats a
+    /// removal of the same pair within a batch), so each pair's final state
+    /// is decided by the last batch touching it; tag appends concatenate in
+    /// order, and `with_appends` sums a key's weights in that order whether
+    /// it sees them in one call or many. Byte-identical to the sequential
+    /// in-memory path because both calls return a function of the final
+    /// edge set and tagging sequence alone — and O(WAL + touched rows)
+    /// rather than one pass per batch, which is what keeps the fig15
+    /// recovery-time budget linear in WAL length. The σ-index and global
+    /// lists are left unbuilt: recovery wants to reach "serving" fast and
+    /// warm lazily.
+    pub fn replay_onto(
+        base: Arc<Corpus>,
+        records: &[(u64, MutationBatch)],
+        report: &mut RecoveryReport,
+    ) -> Arc<Corpus> {
+        let mut last_epoch = base.epoch();
         // canonical pair → Some(weight) = present, None = removed
         let mut net: std::collections::HashMap<(NodeId, NodeId), Option<f32>> =
             std::collections::HashMap::new();
         let mut appends = Vec::new();
         let canon = |u: NodeId, v: NodeId| if u < v { (u, v) } else { (v, u) };
-        for (epoch, batch) in &replay.records {
+        let mut replayed = 0;
+        for (epoch, batch) in records {
             if *epoch <= last_epoch {
                 continue; // already captured by the snapshot
             }
             if *epoch != last_epoch + 1 {
-                // An epoch gap means a segment between the snapshot and
-                // this record is missing — nothing after it can be
-                // trusted. Stop, exactly like a torn tail.
                 report.truncated_tail = true;
                 break;
             }
@@ -572,31 +631,23 @@ impl LiveCorpus {
             }
             appends.extend(tags);
             last_epoch = *epoch;
-            report.replayed += 1;
+            replayed += 1;
         }
-        if report.replayed > 0 {
-            let mut inserts = Vec::new();
-            let mut removals = Vec::new();
-            for (&(u, v), &action) in &net {
-                match action {
-                    Some(w) => inserts.push((u, v, w)),
-                    None => removals.push((u, v)),
-                }
+        if replayed == 0 {
+            return base;
+        }
+        report.replayed += replayed;
+        let mut inserts = Vec::new();
+        let mut removals = Vec::new();
+        for (&(u, v), &action) in &net {
+            match action {
+                Some(w) => inserts.push((u, v, w)),
+                None => removals.push((u, v)),
             }
-            // Rebuild exactly as the in-memory apply path does
-            // (`prepare_from`), skipping the σ/global warming: recovery
-            // wants to reach "serving" fast and warm lazily.
-            let graph = corpus.graph.with_edits(&inserts, &removals);
-            let store = if appends.is_empty() {
-                corpus.store.clone()
-            } else {
-                corpus.store.with_appends(&appends)
-            };
-            corpus = Arc::new(Corpus::with_epoch(graph, store, last_epoch));
         }
-        report.recovered_epoch = corpus.epoch();
-        report.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        Ok((corpus, report))
+        let graph = base.graph.with_edits(&inserts, &removals);
+        let store = base.store.with_appends(&appends);
+        Arc::new(Corpus::with_epoch(graph, store, last_epoch))
     }
 }
 
@@ -1016,6 +1067,95 @@ mod tests {
         assert_ne!(before, after, "append must surface in new-epoch results");
         let still_old = ExactOnline::new(&pinned_old, MODEL).query(&query).items;
         assert_eq!(before, still_old, "pinned epoch must answer unchanged");
+    }
+
+    /// Whether two corpora hold the same allocation for each shareable
+    /// section: `(CSR arrays, user 0's row, tag 1's row, tag 1's posting
+    /// list, the global-list table)`.
+    fn shared_sections(a: &Corpus, b: &Corpus) -> (bool, bool, bool, bool, bool) {
+        (
+            std::ptr::eq(a.graph.neighbors(0), b.graph.neighbors(0)),
+            std::ptr::eq(a.store.user_taggings(0), b.store.user_taggings(0)),
+            std::ptr::eq(a.store.tag_taggings(1), b.store.tag_taggings(1)),
+            std::ptr::eq(
+                a.sigma_index().postings(1).unwrap(),
+                b.sigma_index().postings(1).unwrap(),
+            ),
+            std::ptr::eq(a.global_lists(), b.global_lists()),
+        )
+    }
+
+    #[test]
+    fn an_edge_only_batch_shares_the_store_and_both_indexes() {
+        let base = fixture();
+        base.sigma_index();
+        base.global_lists();
+        let p = LiveCorpus::prepare_from(&base, &edge_batch(2, 3, 1.0), None);
+        assert_eq!(
+            shared_sections(&base, &p.next),
+            (false, true, true, true, true)
+        );
+        assert!(p.touched_tags.is_empty());
+        assert_eq!(p.touched_nodes, vec![2, 3]);
+    }
+
+    #[test]
+    fn a_tagging_only_batch_shares_the_graph_and_untouched_rows() {
+        let base = fixture();
+        base.sigma_index();
+        base.global_lists();
+        // User 2 tags with tag 2: user 0's row, tag 1's row and tag 1's
+        // posting list are untouched; tag 2's are rebuilt.
+        let batch = MutationBatch::new(vec![Mutation::AddTagging(Tagging::unit(2, 5, 2))]);
+        let p = LiveCorpus::prepare_from(&base, &batch, None);
+        assert_eq!(
+            shared_sections(&base, &p.next),
+            (true, true, true, true, false)
+        );
+        let (old, new) = (base.sigma_index(), p.next.sigma_index());
+        assert!(!std::ptr::eq(
+            old.postings(2).unwrap(),
+            new.postings(2).unwrap()
+        ));
+        assert_eq!(new.num_postings(), old.num_postings() + 1);
+        assert!(!std::ptr::eq(
+            base.store.tag_taggings(2),
+            p.next.store.tag_taggings(2)
+        ));
+        assert!(p.touched_nodes.is_empty() && p.affected_seekers.is_empty());
+        assert_eq!(p.touched_tags, vec![2]);
+    }
+
+    #[test]
+    fn removing_an_absent_edge_still_publishes_an_epoch() {
+        let live = LiveCorpus::new(fixture());
+        let batch = MutationBatch::new(vec![Mutation::RemoveEdge { u: 0, v: 6 }]);
+        let p = live.prepare(&batch, None);
+        assert_eq!(p.touched_nodes, vec![0, 6]);
+        assert_eq!(live.apply(&batch, None, None).epoch, 1);
+        assert_same_corpus(
+            &live.snapshot(),
+            &Corpus::with_epoch(fixture().graph.clone(), fixture().store.clone(), 1),
+        );
+    }
+
+    #[test]
+    fn what_the_base_never_built_is_warmed_in_full() {
+        // No index on the base: nothing to carry over, so prepare builds
+        // both structures cold — and they equal a derived epoch's.
+        let cold = LiveCorpus::prepare_from(&fixture(), &edge_batch(2, 3, 1.0), None).next;
+        let warm_base = fixture();
+        warm_base.sigma_index();
+        warm_base.global_lists();
+        let warm = LiveCorpus::prepare_from(&warm_base, &edge_batch(2, 3, 1.0), None).next;
+        assert_eq!(cold.global_lists(), warm.global_lists());
+        for t in 0..4 {
+            let (a, b) = (cold.sigma_index(), warm.sigma_index());
+            assert_eq!(
+                a.postings(t).map(|l| l.to_vec()),
+                b.postings(t).map(|l| l.to_vec())
+            );
+        }
     }
 
     fn tmp_dir(name: &str) -> PathBuf {

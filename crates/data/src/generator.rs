@@ -116,7 +116,21 @@ pub fn generate(graph: &CsrGraph, params: &WorkloadParams, seed: u64) -> TagStor
             }
         }
     }
-    let taggings: Vec<Tagging> = per_user.into_iter().flatten().collect();
+    let mut taggings: Vec<Tagging> = per_user.into_iter().flatten().collect();
+    // Repeated annotations are merged here rather than left to
+    // `TagStore::build`, whose merge follows input order: the benchmark
+    // pins digests of the generated weights, and those were recorded when
+    // a key's duplicates were summed in the order this unstable sort
+    // leaves them. Which order a synthetic corpus sums in is immaterial;
+    // that a seed keeps producing the same bits is not.
+    taggings.sort_unstable_by_key(|t| (t.user, t.tag, t.item));
+    taggings.dedup_by(|next, kept| {
+        let same = (next.user, next.tag, next.item) == (kept.user, kept.tag, kept.item);
+        if same {
+            kept.weight += next.weight;
+        }
+        same
+    });
     TagStore::build(n as u32, params.num_items, params.num_tags, taggings)
 }
 

@@ -1,16 +1,27 @@
-//! The tagging store: a read-optimized column store over
+//! The tagging store: a read-optimized row store over
 //! `(user, item, tag, weight)` annotations with two sort orders.
 //!
-//! * **by user** — `(user, tag, item)` order, for friend-expansion: when the
-//!   expansion visits user `v`, it scans `v`'s postings for the query tags.
-//! * **by tag** — `(tag, item, user)` order, for building inverted indexes
-//!   and the global baseline.
+//! * **by user** — one row per user in `(tag, item)` order, for
+//!   friend-expansion: when the expansion visits user `v`, it scans `v`'s
+//!   postings for the query tags.
+//! * **by tag** — one row per tag in `(item, user)` order, for building
+//!   inverted indexes and the global baseline.
 //!
-//! Duplicate `(user, item, tag)` triples are merged at build time by summing
-//! weights (repeated annotation = stronger signal).
+//! Every row sits behind its own `Arc`, so a store is two pointer tables
+//! and [`TagStore::with_appends`] — the live-graph write path — rebuilds
+//! only the rows a batch names and shares every other row with its
+//! predecessor (cloning a store copies the tables, never a tagging).
+//!
+//! Duplicate `(user, item, tag)` triples are merged by summing weights
+//! (repeated annotation = stronger signal) **in input order**: a key's
+//! weight is the left fold `((w₁ + w₂) + w₃) …` over its occurrences as
+//! they were given, appends after what the store already holds. f32
+//! addition is not associative, so this order is what makes one `build`,
+//! one coalesced `with_appends` and a chain of them agree bit for bit.
 
 use crate::{ItemId, TagId, Tagging, UserId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Immutable social-tagging dataset.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -18,19 +29,77 @@ pub struct TagStore {
     num_users: u32,
     num_items: u32,
     num_tags: u32,
-    /// Sorted by `(user, tag, item)`.
-    by_user: Vec<Tagging>,
-    /// `user_offsets[u] .. user_offsets[u+1]` is `u`'s slice of `by_user`.
-    user_offsets: Vec<usize>,
-    /// Sorted by `(tag, item, user)`.
-    by_tag: Vec<Tagging>,
-    /// `tag_offsets[t] .. tag_offsets[t+1]` is `t`'s slice of `by_tag`.
-    tag_offsets: Vec<usize>,
+    num_taggings: usize,
+    /// `by_user[u]` is `u`'s annotations, sorted by `(tag, item)`.
+    by_user: Vec<Arc<[Tagging]>>,
+    /// `by_tag[t]` is the annotations carrying `t`, sorted by `(item, user)`.
+    by_tag: Vec<Arc<[Tagging]>>,
+}
+
+fn user_order(t: &Tagging) -> (UserId, TagId, ItemId) {
+    (t.user, t.tag, t.item)
+}
+
+fn tag_order(t: &Tagging) -> (TagId, ItemId, UserId) {
+    (t.tag, t.item, t.user)
+}
+
+/// Cuts `sorted` (grouped by `row_of`) into `rows` shared rows; rows no
+/// tagging names share one empty allocation.
+fn split_rows(
+    sorted: &[Tagging],
+    rows: u32,
+    row_of: impl Fn(&Tagging) -> u32,
+) -> Vec<Arc<[Tagging]>> {
+    let empty: Arc<[Tagging]> = Arc::from(Vec::new());
+    let mut out = vec![empty; rows as usize];
+    for run in sorted.chunk_by(|a, b| row_of(a) == row_of(b)) {
+        out[row_of(&run[0]) as usize] = Arc::from(run);
+    }
+    out
+}
+
+/// Merges `adds` (stably sorted by `key`, so equal keys keep batch order)
+/// into `row` (sorted by `key`, keys unique): a key's weight is the row's,
+/// then the adds in order.
+fn merge_row<K: Ord>(
+    row: &[Tagging],
+    adds: &[Tagging],
+    key: impl Fn(&Tagging) -> K,
+) -> Arc<[Tagging]> {
+    let mut out: Vec<Tagging> = Vec::with_capacity(row.len() + adds.len());
+    let mut kept = 0;
+    for a in adds {
+        let k = key(a);
+        let upto = kept + row[kept..].partition_point(|t| key(t) <= k);
+        out.extend_from_slice(&row[kept..upto]);
+        kept = upto;
+        match out.last_mut() {
+            Some(last) if key(last) == k => last.weight += a.weight,
+            _ => out.push(*a),
+        }
+    }
+    out.extend_from_slice(&row[kept..]);
+    Arc::from(out)
+}
+
+/// The id and weight contract of [`TagStore::build`] and
+/// [`TagStore::with_appends`].
+fn check(t: &Tagging, num_users: u32, num_items: u32, num_tags: u32) {
+    assert!(t.user < num_users, "user {} out of range", t.user);
+    assert!(t.item < num_items, "item {} out of range", t.item);
+    assert!(t.tag < num_tags, "tag {} out of range", t.tag);
+    assert!(
+        t.weight.is_finite() && t.weight >= 0.0,
+        "bad weight {}",
+        t.weight
+    );
 }
 
 impl TagStore {
     /// Builds a store. Ids must satisfy `user < num_users`, `item <
-    /// num_items`, `tag < num_tags`; duplicates are merged (weights summed).
+    /// num_items`, `tag < num_tags`; duplicates are merged (weights summed
+    /// in input order).
     ///
     /// # Panics
     /// Panics on out-of-range ids or non-finite weights.
@@ -41,68 +110,61 @@ impl TagStore {
         mut taggings: Vec<Tagging>,
     ) -> Self {
         for t in &taggings {
-            assert!(t.user < num_users, "user {} out of range", t.user);
-            assert!(t.item < num_items, "item {} out of range", t.item);
-            assert!(t.tag < num_tags, "tag {} out of range", t.tag);
-            assert!(
-                t.weight.is_finite() && t.weight >= 0.0,
-                "bad weight {}",
-                t.weight
-            );
+            check(t, num_users, num_items, num_tags);
         }
-        taggings.sort_unstable_by_key(|t| (t.user, t.tag, t.item));
+        // Stable: duplicates stay in input order, which fixes the f32
+        // summation order of the merge below.
+        taggings.sort_by_key(user_order);
         taggings.dedup_by(|next, kept| {
-            if next.user == kept.user && next.tag == kept.tag && next.item == kept.item {
+            if user_order(next) == user_order(kept) {
                 kept.weight += next.weight;
                 true
             } else {
                 false
             }
         });
-        let by_user = taggings;
-
-        let mut user_offsets = vec![0usize; num_users as usize + 1];
-        for t in &by_user {
-            user_offsets[t.user as usize + 1] += 1;
-        }
-        for i in 1..user_offsets.len() {
-            user_offsets[i] += user_offsets[i - 1];
-        }
-
-        let mut by_tag = by_user.clone();
-        by_tag.sort_unstable_by_key(|t| (t.tag, t.item, t.user));
-        let mut tag_offsets = vec![0usize; num_tags as usize + 1];
-        for t in &by_tag {
-            tag_offsets[t.tag as usize + 1] += 1;
-        }
-        for i in 1..tag_offsets.len() {
-            tag_offsets[i] += tag_offsets[i - 1];
-        }
-
+        let by_user = split_rows(&taggings, num_users, |t| t.user);
+        // Keys are unique from here on, so the unstable sort is deterministic.
+        taggings.sort_unstable_by_key(tag_order);
         TagStore {
             num_users,
             num_items,
             num_tags,
+            num_taggings: taggings.len(),
             by_user,
-            user_offsets,
-            by_tag,
-            tag_offsets,
+            by_tag: split_rows(&taggings, num_tags, |t| t.tag),
         }
     }
 
     /// Returns a store with `appends` added — the live-graph posting path.
     /// Universe sizes are unchanged; duplicates of existing annotations
-    /// merge by summing weights, exactly as [`TagStore::build`] would have
-    /// merged them in one pass.
+    /// merge by summing weights (the stored weight, then the appends in
+    /// batch order), exactly as [`TagStore::build`] would have merged them
+    /// in one pass. Only the rows of the users and tags `appends` names are
+    /// rebuilt; every other row is shared with `self`.
     ///
     /// # Panics
     /// Panics on out-of-range ids or non-finite weights (same contract as
     /// [`TagStore::build`]).
     pub fn with_appends(&self, appends: &[Tagging]) -> TagStore {
-        let mut all = Vec::with_capacity(self.by_user.len() + appends.len());
-        all.extend_from_slice(&self.by_user);
-        all.extend_from_slice(appends);
-        TagStore::build(self.num_users, self.num_items, self.num_tags, all)
+        for t in appends {
+            check(t, self.num_users, self.num_items, self.num_tags);
+        }
+        let mut next = self.clone();
+        let mut batch = appends.to_vec();
+        batch.sort_by_key(user_order);
+        for adds in batch.chunk_by(|a, b| a.user == b.user) {
+            let row = &mut next.by_user[adds[0].user as usize];
+            let merged = merge_row(row, adds, user_order);
+            next.num_taggings += merged.len() - row.len();
+            *row = merged;
+        }
+        batch.sort_by_key(tag_order);
+        for adds in batch.chunk_by(|a, b| a.tag == b.tag) {
+            let row = &mut next.by_tag[adds[0].tag as usize];
+            *row = merge_row(row, adds, tag_order);
+        }
+        next
     }
 
     /// Number of users in the universe.
@@ -122,13 +184,12 @@ impl TagStore {
 
     /// Total distinct `(user, item, tag)` annotations.
     pub fn num_taggings(&self) -> usize {
-        self.by_user.len()
+        self.num_taggings
     }
 
     /// All annotations by `user`, sorted by `(tag, item)`.
     pub fn user_taggings(&self, user: UserId) -> &[Tagging] {
-        let u = user as usize;
-        &self.by_user[self.user_offsets[u]..self.user_offsets[u + 1]]
+        &self.by_user[user as usize]
     }
 
     /// `user`'s annotations carrying `tag`, sorted by item.
@@ -141,8 +202,7 @@ impl TagStore {
 
     /// All annotations carrying `tag`, sorted by `(item, user)`.
     pub fn tag_taggings(&self, tag: TagId) -> &[Tagging] {
-        let t = tag as usize;
-        &self.by_tag[self.tag_offsets[t]..self.tag_offsets[t + 1]]
+        &self.by_tag[tag as usize]
     }
 
     /// Aggregated global per-item score for `tag`: `Σ_user weight`, sorted
@@ -200,13 +260,13 @@ impl TagStore {
 
     /// Iterates every stored annotation once (user order).
     pub fn iter(&self) -> impl Iterator<Item = &Tagging> {
-        self.by_user.iter()
+        self.by_user.iter().flat_map(|row| row.iter())
     }
 
     /// Approximate resident memory, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        (self.by_user.len() + self.by_tag.len()) * std::mem::size_of::<Tagging>()
-            + (self.user_offsets.len() + self.tag_offsets.len()) * std::mem::size_of::<usize>()
+        2 * self.num_taggings * std::mem::size_of::<Tagging>()
+            + (self.by_user.len() + self.by_tag.len()) * std::mem::size_of::<Arc<[Tagging]>>()
     }
 }
 
@@ -404,6 +464,36 @@ mod tests {
         assert_eq!(appended.user_tag_taggings(1, 1)[0].weight, 3.0);
         // The original is untouched.
         assert_eq!(s.user_tag_taggings(1, 1)[0].weight, 2.0);
+    }
+
+    #[test]
+    fn with_appends_shares_every_row_it_does_not_name() {
+        let s = small_store();
+        // User 2 and tag 0 get a new annotation; (1,1,1) repeats an old one.
+        let next = s.with_appends(&[Tagging::unit(2, 3, 0), Tagging::unit(1, 1, 1)]);
+        for u in 0..3 {
+            let shared = Arc::ptr_eq(&s.by_user[u], &next.by_user[u]);
+            assert_eq!(shared, u == 0, "user row {u}");
+        }
+        for t in 0..4 {
+            let shared = Arc::ptr_eq(&s.by_tag[t], &next.by_tag[t]);
+            assert_eq!(shared, t >= 2, "tag row {t}");
+        }
+        assert_eq!(next.num_taggings(), s.num_taggings() + 1);
+        // Nothing named, nothing copied — as with a plain clone.
+        for same in [s.with_appends(&[]), s.clone()] {
+            let rows = |x: &TagStore| {
+                x.by_user
+                    .iter()
+                    .chain(&x.by_tag)
+                    .cloned()
+                    .collect::<Vec<_>>()
+            };
+            assert!(rows(&s)
+                .iter()
+                .zip(&rows(&same))
+                .all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
     }
 
     #[test]

@@ -29,8 +29,83 @@ fn arb_store() -> impl Strategy<Value = TagStore> {
         })
 }
 
+/// Every row of both views with weights as bit patterns: two stores are
+/// the same store iff these agree.
+#[allow(clippy::type_complexity)]
+fn rows_bits(s: &TagStore) -> (usize, Vec<Vec<(u32, u32, u32, u32)>>) {
+    let bits = |row: &[Tagging]| -> Vec<(u32, u32, u32, u32)> {
+        row.iter()
+            .map(|t| (t.user, t.item, t.tag, t.weight.to_bits()))
+            .collect()
+    };
+    let users = (0..s.num_users()).map(|u| bits(s.user_taggings(u)));
+    let tags = (0..s.num_tags()).map(|t| bits(s.tag_taggings(t)));
+    (s.num_taggings(), users.chain(tags).collect())
+}
+
+/// Taggings over a universe small enough that most keys repeat three times
+/// or more, with weights `0.1 · k` — none exact in binary, so any change in
+/// the order a key's duplicates are summed in shows in the low bits.
+fn arb_colliding(max_len: usize) -> impl Strategy<Value = Vec<Tagging>> {
+    proptest::collection::vec((0u32..2, 0u32..2, 0u32..2, 1u32..10), 0..max_len).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(user, item, tag, k)| Tagging {
+                user,
+                item,
+                tag,
+                weight: 0.1 * k as f32,
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `with_appends` (row merge) equals `build` (global sort) over the
+    /// store's taggings followed by the appends: both views, bit for bit.
+    #[test]
+    fn with_appends_matches_build(
+        store in arb_store(),
+        raw in proptest::collection::vec((0u32..20, 0u32..30, 0u32..8, 0.01f32..3.0), 0..60),
+    ) {
+        let appends: Vec<Tagging> = raw
+            .into_iter()
+            .map(|(u, i, t, w)| Tagging {
+                user: u % store.num_users(),
+                item: i % store.num_items(),
+                tag: t % store.num_tags(),
+                weight: w,
+            })
+            .collect();
+        let mut all: Vec<Tagging> = store.iter().copied().collect();
+        all.extend_from_slice(&appends);
+        let rebuilt = TagStore::build(store.num_users(), store.num_items(), store.num_tags(), all);
+        let appended = store.with_appends(&appends);
+        prop_assert_eq!(rows_bits(&appended), rows_bits(&rebuilt));
+        prop_assert!(appended.iter().eq(rebuilt.iter()));
+    }
+
+    /// Duplicate weights are summed in input order everywhere: applying
+    /// batches one by one, applying their concatenation once, and building
+    /// from scratch over everything give the same bits — with duplicates
+    /// inside the seed, inside one batch and across batches.
+    #[test]
+    fn duplicate_weights_merge_in_input_order(
+        seed in arb_colliding(12),
+        batches in proptest::collection::vec(arb_colliding(10), 1..5),
+    ) {
+        let base = TagStore::build(2, 2, 2, seed.clone());
+        let mut sequential = base.clone();
+        for b in &batches {
+            sequential = sequential.with_appends(b);
+        }
+        let all: Vec<Tagging> = batches.concat();
+        let coalesced = base.with_appends(&all);
+        let one_pass = TagStore::build(2, 2, 2, [seed, all].concat());
+        prop_assert_eq!(rows_bits(&sequential), rows_bits(&one_pass));
+        prop_assert_eq!(rows_bits(&coalesced), rows_bits(&one_pass));
+    }
 
     /// The two sort orders of the store hold the same multiset: total mass,
     /// counts and per-(user, tag) slices are consistent.
@@ -138,4 +213,31 @@ proptest! {
             prop_assert_eq!(q.k, k);
         }
     }
+}
+
+/// `with_appends` refuses exactly what `build` refuses.
+#[test]
+fn with_appends_panics_where_build_does() {
+    let ok = Tagging::unit(1, 2, 3);
+    let bad = [
+        Tagging { user: 4, ..ok },
+        Tagging { item: 5, ..ok },
+        Tagging { tag: 6, ..ok },
+        Tagging {
+            weight: f32::NAN,
+            ..ok
+        },
+        Tagging { weight: -0.5, ..ok },
+        Tagging {
+            weight: f32::INFINITY,
+            ..ok
+        },
+    ];
+    let store = TagStore::build(4, 5, 6, vec![ok]);
+    for t in bad {
+        let built = std::panic::catch_unwind(|| TagStore::build(4, 5, 6, vec![ok, t]));
+        let appended = std::panic::catch_unwind(|| store.with_appends(&[ok, t]));
+        assert!(built.is_err() && appended.is_err(), "{t:?} was accepted");
+    }
+    assert_eq!(store.with_appends(&[ok]).user_taggings(1)[0].weight, 2.0);
 }

@@ -6,6 +6,7 @@
 //! sorted by target id).
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Node identifier. `u32` bounds graphs at ~4.2 billion nodes, which is far
 /// beyond the scale of the reproduction while halving index memory compared
@@ -18,14 +19,18 @@ pub type NodeId = u32;
 /// `(u, v)` and `(v, u)` so that neighbor scans never need a reverse index.
 /// Adjacency lists are sorted by target id; parallel edges are merged at
 /// build time (keeping the maximum weight) and self-loops are dropped.
+///
+/// The three arrays are flat — traversals index them directly — and sit
+/// behind `Arc`s only so that a clone (an epoch whose batch edits no edge)
+/// shares them instead of copying.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CsrGraph {
     /// `offsets[u] .. offsets[u + 1]` delimits `u`'s slice in `targets`.
-    offsets: Vec<usize>,
+    offsets: Arc<[usize]>,
     /// Concatenated, per-node-sorted adjacency lists.
-    targets: Vec<NodeId>,
+    targets: Arc<[NodeId]>,
     /// `weights[i]` is the weight of the arc `targets[i]`.
-    weights: Vec<f32>,
+    weights: Arc<[f32]>,
     /// Process-unique identity token, assigned at construction and shared by
     /// clones (a clone *is* the same graph). Caches keyed on derived data
     /// (e.g. seeker proximity) include it so entries can never be served for
@@ -42,9 +47,9 @@ impl CsrGraph {
     /// Creates an empty graph with `n` isolated nodes.
     pub fn empty(n: usize) -> Self {
         CsrGraph {
-            offsets: vec![0; n + 1],
-            targets: Vec::new(),
-            weights: Vec::new(),
+            offsets: vec![0; n + 1].into(),
+            targets: Arc::from(Vec::new()),
+            weights: Arc::from(Vec::new()),
             token: next_graph_token(),
         }
     }
@@ -151,19 +156,14 @@ impl CsrGraph {
     /// symmetric storage invariant (both arc copies get the same weight
     /// because `f` is invoked with endpoints ordered `min, max`).
     pub fn map_weights(&mut self, mut f: impl FnMut(NodeId, NodeId, f32) -> f32) {
-        // Offsets are never mutated below; snapshot them to appease borrowck.
-        let offsets = self.offsets.clone();
-        for u in 0..offsets.len() - 1 {
-            for i in offsets[u]..offsets[u + 1] {
-                let v = self.targets[i];
-                let (a, b) = if (u as NodeId) < v {
-                    (u as NodeId, v)
-                } else {
-                    (v, u as NodeId)
-                };
-                self.weights[i] = f(a, b, self.weights[i]);
+        let mut weights = self.weights.to_vec();
+        for u in self.nodes() {
+            let row = self.offsets[u as usize]..self.offsets[u as usize + 1];
+            for (w, &v) in weights[row.clone()].iter_mut().zip(&self.targets[row]) {
+                *w = f(u.min(v), u.max(v), *w);
             }
         }
+        self.weights = weights.into();
         // Weights changed ⇒ derived data (e.g. cached proximity) is stale:
         // re-identify the graph so token-keyed caches miss.
         self.token = next_graph_token();
@@ -173,8 +173,15 @@ impl CsrGraph {
     /// graph's identity token**.
     ///
     /// Inserting an edge that already exists replaces its weight (most
-    /// recent write wins, unlike the builder's max-merge); removing an
-    /// absent edge is a no-op; self-loops are dropped.
+    /// recent write wins, unlike the builder's max-merge); an insert beats
+    /// a removal of the same pair in the same call; removing an absent edge
+    /// is a no-op; self-loops are dropped.
+    ///
+    /// The copy is a linear splice: only the adjacency rows of the edited
+    /// endpoints are recomputed, every other row is block-copied with its
+    /// offsets shifted, and a call that names no edge shares the arrays
+    /// outright. The result equals a [`GraphBuilder`] rebuild of the edited
+    /// edge set, bit for bit.
     ///
     /// Preserving the token is what makes live updates incremental: σ
     /// cache entries for seekers the edit cannot reach keep hitting under
@@ -192,43 +199,111 @@ impl CsrGraph {
         inserts: &[(NodeId, NodeId, f32)],
         removals: &[(NodeId, NodeId)],
     ) -> CsrGraph {
+        let n = self.num_nodes();
         let canon = |u: NodeId, v: NodeId| if u < v { (u, v) } else { (v, u) };
-        // Every edited pair sheds its old copy: removals outright, inserts
-        // so the new weight replaces (not max-merges with) the old one.
-        let mut stale: Vec<(NodeId, NodeId)> = removals.iter().map(|&(u, v)| canon(u, v)).collect();
-        stale.extend(
-            inserts
-                .iter()
-                .filter(|&&(u, v, _)| u != v)
-                .map(|&(u, v, _)| canon(u, v)),
-        );
-        stale.sort_unstable();
-        stale.dedup();
-        let mut b = GraphBuilder::with_capacity(self.num_nodes(), self.num_edges() + inserts.len());
-        for (u, v, w) in self.undirected_edges() {
-            if stale.binary_search(&(u, v)).is_err() {
-                b.add_edge(u, v, w);
+        // One record per edit, removals before inserts: after the stable
+        // sort the last record of a pair decides it — the batch's last
+        // insert of the pair if there is one, a removal otherwise.
+        let mut edits: Vec<((NodeId, NodeId), Option<f32>)> = removals
+            .iter()
+            .map(|&(u, v)| (canon(u, v), None))
+            .chain(
+                inserts
+                    .iter()
+                    .filter(|&&(u, v, _)| u != v)
+                    .map(|&(u, v, w)| (canon(u, v), Some(w))),
+            )
+            .collect();
+        edits.sort_by_key(|e| e.0);
+        // Both directed arcs of every decided pair, grouped by source row.
+        let mut arcs: Vec<(NodeId, NodeId, Option<f32>)> = Vec::with_capacity(2 * edits.len());
+        for pair in edits.chunk_by(|a, b| a.0 == b.0) {
+            let ((u, v), weight) = pair[pair.len() - 1];
+            match weight {
+                Some(w) => check_edge(n, u, v, w),
+                // A self-loop or an out-of-range pair is never stored:
+                // nothing to shed.
+                None if u == v || v as usize >= n => continue,
+                None => {}
             }
+            arcs.push((u, v, weight));
+            arcs.push((v, u, weight));
         }
-        // Within the batch, the last insert of a pair wins.
-        let mut latest: Vec<(NodeId, NodeId, f32)> = Vec::with_capacity(inserts.len());
-        for &(u, v, w) in inserts {
-            if u == v {
-                continue;
+        if arcs.is_empty() {
+            return self.clone();
+        }
+        arcs.sort_unstable_by_key(|a| (a.0, a.1));
+
+        let mut next = Splice {
+            old: self,
+            offsets: Vec::with_capacity(n + 1),
+            targets: Vec::with_capacity(self.targets.len() + arcs.len()),
+            weights: Vec::with_capacity(self.weights.len() + arcs.len()),
+        };
+        let mut copied = 0; // rows `..copied` are already in `next`
+        for row in arcs.chunk_by(|a, b| a.0 == b.0) {
+            let u = row[0].0 as usize;
+            next.copy_rows(copied, u);
+            next.offsets.push(next.targets.len());
+            let mut at = self.offsets[u];
+            let end = self.offsets[u + 1];
+            for &(_, v, weight) in row {
+                let upto = at + self.targets[at..end].partition_point(|&t| t < v);
+                next.copy_arcs(at, upto);
+                // The stale copy of the pair, if any, is shed either way.
+                at = upto + usize::from(upto < end && self.targets[upto] == v);
+                if let Some(w) = weight {
+                    next.targets.push(v);
+                    next.weights.push(w);
+                }
             }
-            let (a, z) = canon(u, v);
-            match latest.iter_mut().find(|e| e.0 == a && e.1 == z) {
-                Some(e) => e.2 = w,
-                None => latest.push((a, z, w)),
-            }
+            next.copy_arcs(at, end);
+            copied = u + 1;
         }
-        for (u, v, w) in latest {
-            b.add_edge(u, v, w);
+        next.copy_rows(copied, n);
+        next.offsets.push(next.targets.len());
+        CsrGraph {
+            offsets: next.offsets.into(),
+            targets: next.targets.into(),
+            weights: next.weights.into(),
+            token: self.token,
         }
-        let mut g = b.build();
-        g.token = self.token;
-        g
     }
+}
+
+/// The arrays [`CsrGraph::with_edits`] is writing, beside the graph it reads.
+struct Splice<'g> {
+    old: &'g CsrGraph,
+    offsets: Vec<usize>,
+    targets: Vec<NodeId>,
+    weights: Vec<f32>,
+}
+
+impl Splice<'_> {
+    /// Appends the old arcs `lo..hi` unchanged.
+    fn copy_arcs(&mut self, lo: usize, hi: usize) {
+        self.targets.extend_from_slice(&self.old.targets[lo..hi]);
+        self.weights.extend_from_slice(&self.old.weights[lo..hi]);
+    }
+
+    /// Appends the old rows `lo..hi` unchanged: one block copy of their
+    /// arcs, their offsets shifted to where the block lands.
+    fn copy_rows(&mut self, lo: usize, hi: usize) {
+        let (from, to) = (self.old.offsets[lo], self.targets.len());
+        self.offsets
+            .extend(self.old.offsets[lo..hi].iter().map(|&o| o - from + to));
+        self.copy_arcs(from, self.old.offsets[hi]);
+    }
+}
+
+/// The endpoint and weight contract shared by [`GraphBuilder::add_edge`]
+/// and [`CsrGraph::with_edits`].
+fn check_edge(n: usize, u: NodeId, v: NodeId, w: f32) {
+    assert!(
+        (u as usize) < n && (v as usize) < n,
+        "edge ({u}, {v}) out of range for {n} nodes"
+    );
+    assert!(w.is_finite() && w >= 0.0, "invalid edge weight {w}");
 }
 
 /// Incremental builder producing a [`CsrGraph`].
@@ -276,12 +351,7 @@ impl GraphBuilder {
     /// negative — social proximity weights are non-negative by construction
     /// and letting a NaN in here would poison every downstream bound.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: f32) {
-        assert!(
-            (u as usize) < self.n && (v as usize) < self.n,
-            "edge ({u}, {v}) out of range for {} nodes",
-            self.n
-        );
-        assert!(w.is_finite() && w >= 0.0, "invalid edge weight {w}");
+        check_edge(self.n, u, v, w);
         if u == v {
             return; // self-loops carry no social information
         }
@@ -318,7 +388,7 @@ impl GraphBuilder {
         for i in 1..=n {
             counts[i] += counts[i - 1];
         }
-        let offsets = counts.clone();
+        let offsets = counts;
         let arcs = self.edges.len() * 2;
         let mut targets = vec![0 as NodeId; arcs];
         let mut weights = vec![0f32; arcs];
@@ -335,23 +405,22 @@ impl GraphBuilder {
         }
         // Edges were sorted by (min, max); per-node lists still need a sort
         // because arcs from the "max endpoint" side arrive out of order.
-        let mut g = CsrGraph {
-            offsets,
-            targets,
-            weights,
-            token: next_graph_token(),
-        };
         for u in 0..n {
-            let lo = g.offsets[u];
-            let hi = g.offsets[u + 1];
+            let lo = offsets[u];
+            let hi = offsets[u + 1];
             let mut idx: Vec<usize> = (lo..hi).collect();
-            idx.sort_unstable_by_key(|&i| g.targets[i]);
-            let ts: Vec<NodeId> = idx.iter().map(|&i| g.targets[i]).collect();
-            let ws: Vec<f32> = idx.iter().map(|&i| g.weights[i]).collect();
-            g.targets[lo..hi].copy_from_slice(&ts);
-            g.weights[lo..hi].copy_from_slice(&ws);
+            idx.sort_unstable_by_key(|&i| targets[i]);
+            let ts: Vec<NodeId> = idx.iter().map(|&i| targets[i]).collect();
+            let ws: Vec<f32> = idx.iter().map(|&i| weights[i]).collect();
+            targets[lo..hi].copy_from_slice(&ts);
+            weights[lo..hi].copy_from_slice(&ws);
         }
-        g
+        CsrGraph {
+            offsets: offsets.into(),
+            targets: targets.into(),
+            weights: weights.into(),
+            token: next_graph_token(),
+        }
     }
 
     /// Convenience: builds directly from an edge list.

@@ -49,6 +49,120 @@ fn build(n: usize, edges: &[(NodeId, NodeId, f32)]) -> CsrGraph {
     b.build()
 }
 
+/// The sort-rebuild that `CsrGraph::with_edits` used to be, kept as its
+/// oracle: every pair the batch names sheds its stored copy, the batch's
+/// last insert of a pair is added back, `GraphBuilder` canonicalizes.
+fn rebuild_with_edits(
+    g: &CsrGraph,
+    inserts: &[(NodeId, NodeId, f32)],
+    removals: &[(NodeId, NodeId)],
+) -> CsrGraph {
+    let canon = |u: NodeId, v: NodeId| (u.min(v), u.max(v));
+    let stale: BTreeSet<(NodeId, NodeId)> = removals
+        .iter()
+        .map(|&(u, v)| canon(u, v))
+        .chain(inserts.iter().map(|&(u, v, _)| canon(u, v)))
+        .collect();
+    let mut b = GraphBuilder::new(g.num_nodes());
+    for (u, v, w) in g.undirected_edges() {
+        if !stale.contains(&(u, v)) {
+            b.add_edge(u, v, w);
+        }
+    }
+    let mut latest: Vec<(NodeId, NodeId, f32)> = Vec::new();
+    for &(u, v, w) in inserts.iter().filter(|e| e.0 != e.1) {
+        let (a, z) = canon(u, v);
+        match latest.iter_mut().find(|e| (e.0, e.1) == (a, z)) {
+            Some(e) => e.2 = w,
+            None => latest.push((a, z, w)),
+        }
+    }
+    for (u, v, w) in latest {
+        b.add_edge(u, v, w);
+    }
+    b.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The spliced `with_edits` equals the sort-rebuild on every observable:
+    /// adjacency, weight bits, degrees, edge count — and keeps the token.
+    /// Few nodes and many ops, so one batch regularly inserts a pair twice
+    /// (last wins), inserts and removes the same pair (insert wins),
+    /// re-weights a stored edge downwards (replace, not max-merge), removes
+    /// absent edges and inserts self-loops, over graphs with isolated nodes
+    /// and with no nodes at all.
+    #[test]
+    fn spliced_with_edits_matches_the_rebuild(
+        n in 0usize..12,
+        raw_edges in proptest::collection::vec((0u32..12, 0u32..12, 0.05f32..1.0), 0..30),
+        ops in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64, 0.05f32..1.0), 0..24),
+    ) {
+        let node = |x: u32| x % n.max(1) as u32;
+        let edges: Vec<(NodeId, NodeId, f32)> = raw_edges
+            .iter()
+            .filter(|_| n > 0)
+            .map(|&(u, v, w)| (node(u), node(v), w))
+            .collect();
+        let g = build(n, &edges);
+        let stored: Vec<(NodeId, NodeId, f32)> = g.undirected_edges().collect();
+        let mut inserts = Vec::new();
+        let mut removals = Vec::new();
+        for &(kind, a, b, w) in &ops {
+            match kind {
+                // With no nodes only removals are legal; they name nothing.
+                _ if n == 0 => removals.push((a, b)),
+                0 => inserts.push((node(a), node(b), w)),
+                1 => removals.push((node(a), node(b))),
+                2 if !stored.is_empty() => {
+                    let (u, v, old) = stored[a as usize % stored.len()];
+                    inserts.push((v, u, old * 0.5));
+                }
+                3 if !stored.is_empty() => {
+                    let (u, v, _) = stored[a as usize % stored.len()];
+                    removals.push((v, u));
+                }
+                _ => inserts.push((node(a), node(a), w)),
+            }
+        }
+        let spliced = g.with_edits(&inserts, &removals);
+        let rebuilt = rebuild_with_edits(&g, &inserts, &removals);
+        prop_assert_eq!(spliced.token(), g.token());
+        prop_assert_eq!(spliced.num_nodes(), rebuilt.num_nodes());
+        prop_assert_eq!(spliced.num_edges(), rebuilt.num_edges());
+        for u in rebuilt.nodes() {
+            prop_assert_eq!(spliced.degree(u), rebuilt.degree(u));
+            prop_assert_eq!(spliced.neighbors(u), rebuilt.neighbors(u), "row {}", u);
+            let bits = |g: &CsrGraph| -> Vec<u32> {
+                g.neighbor_weights(u).iter().map(|w| w.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&spliced), bits(&rebuilt), "weights of row {}", u);
+        }
+    }
+}
+
+/// `with_edits` refuses what `GraphBuilder::add_edge` refuses, and a
+/// removal can name anything.
+#[test]
+fn with_edits_panics_where_the_builder_does() {
+    let g = build(3, &[(0, 1, 0.5)]);
+    for bad in [
+        (0, 3, 0.5),
+        (7, 1, 0.5),
+        (0, 2, f32::NAN),
+        (0, 2, -0.25),
+        (0, 2, f32::INFINITY),
+    ] {
+        let spliced = std::panic::catch_unwind(|| g.with_edits(&[bad], &[]));
+        let built = std::panic::catch_unwind(|| GraphBuilder::from_edges(3, [bad]));
+        assert!(spliced.is_err() && built.is_err(), "{bad:?} was accepted");
+    }
+    let same = g.with_edits(&[], &[(0, 9), (9, 9), (2, 2), (1, 2)]);
+    assert_eq!(same.num_edges(), 1);
+    assert_eq!(same.edge_weight(1, 0), Some(0.5));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 

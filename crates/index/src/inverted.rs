@@ -4,6 +4,7 @@ use crate::postings::{PostingConfig, PostingList};
 use crate::topk::ScoreSortedList;
 use crate::{DocId, Score, TermId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Build-time options for an [`InvertedIndex`].
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -14,10 +15,14 @@ pub struct IndexConfig {
 
 /// An immutable inverted index: `term → PostingList` (doc-sorted) plus a
 /// lazily built score-sorted view for TA-style access.
+///
+/// Every list sits behind its own `Arc`: a clone copies one pointer per
+/// term, and [`InvertedIndex::with_terms_rebuilt`] shares every list it
+/// does not rebuild with the index it came from.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct InvertedIndex {
     config: IndexConfig,
-    lists: Vec<PostingList>,
+    lists: Vec<Arc<PostingList>>,
     num_docs: DocId,
     num_postings: usize,
 }
@@ -41,12 +46,12 @@ impl InvertedIndex {
             per_term[ti].push((d, s));
             num_docs = num_docs.max(d + 1);
         }
-        let lists: Vec<PostingList> = per_term
+        let lists: Vec<Arc<PostingList>> = per_term
             .into_iter()
             .map(|entries| {
                 let l = PostingList::build(entries, config.postings);
                 num_postings += l.len();
-                l
+                Arc::new(l)
             })
             .collect();
         InvertedIndex {
@@ -77,12 +82,12 @@ impl InvertedIndex {
             per_term[ti].push((d, u, w));
             num_docs = num_docs.max(d + 1);
         }
-        let lists: Vec<PostingList> = per_term
+        let lists: Vec<Arc<PostingList>> = per_term
             .into_iter()
             .map(|entries| {
                 let l = PostingList::build_with_taggers(entries, config.postings);
                 num_postings += l.len();
-                l
+                Arc::new(l)
             })
             .collect();
         InvertedIndex {
@@ -91,6 +96,42 @@ impl InvertedIndex {
             num_docs,
             num_postings,
         }
+    }
+
+    /// This σ-aware index with the lists of `terms` rebuilt from
+    /// `quads_of(term)` — all of the term's `(doc, tagger, weight)` triples,
+    /// not a delta — and every other list shared. Because
+    /// [`InvertedIndex::build_with_taggers`] builds each term's list from
+    /// that term's triples alone, the result equals a from-scratch build
+    /// over the updated triples, provided no doc disappeared from a rebuilt
+    /// term (`num_docs` can only grow here; an append-only store
+    /// guarantees it).
+    pub fn with_terms_rebuilt(
+        &self,
+        terms: &[TermId],
+        mut quads_of: impl FnMut(TermId) -> Vec<(DocId, u32, Score)>,
+    ) -> Self {
+        let mut next = self.clone();
+        for &t in terms {
+            let entries = quads_of(t);
+            if let Some(&(d, ..)) = entries.iter().max_by_key(|e| e.0) {
+                next.num_docs = next.num_docs.max(d + 1);
+            }
+            let ti = t as usize;
+            if ti >= next.lists.len() {
+                if entries.is_empty() {
+                    continue; // a from-scratch build never saw this term
+                }
+                let postings = self.config.postings;
+                next.lists.resize_with(ti + 1, || {
+                    Arc::new(PostingList::build_with_taggers(Vec::new(), postings))
+                });
+            }
+            let list = PostingList::build_with_taggers(entries, self.config.postings);
+            next.num_postings = next.num_postings - next.lists[ti].len() + list.len();
+            next.lists[ti] = Arc::new(list);
+        }
+        next
     }
 
     /// Number of terms (including empty ones up to the max seen id).
@@ -110,7 +151,7 @@ impl InvertedIndex {
 
     /// Posting list of `term`, or `None` for out-of-range ids.
     pub fn postings(&self, term: TermId) -> Option<&PostingList> {
-        self.lists.get(term as usize)
+        self.lists.get(term as usize).map(|l| &**l)
     }
 
     /// Materializes the score-sorted view of `term` (TA access path).
@@ -185,6 +226,40 @@ mod tests {
         assert_eq!(l0.to_vec(), vec![(2, 2.0), (5, 1.75)]);
         assert_eq!(l0.taggers_of(1), &[(1, 0.75), (3, 1.0)]);
         assert_eq!(l0.tagger_range(), (1, 7));
+    }
+
+    #[test]
+    fn rebuilt_terms_are_replaced_and_the_rest_shared() {
+        let mut quads = vec![(0u32, 5u32, 3u32, 1.0f32), (0, 2, 7, 2.0), (2, 5, 1, 0.5)];
+        let base = InvertedIndex::build_with_taggers(quads.clone(), IndexConfig::default());
+        // Term 2 gains a doc past the old `num_docs`; term 4 is new, which
+        // also brings an empty term 3 into being.
+        quads.extend([(2, 9, 4, 0.25), (4, 1, 1, 1.0)]);
+        let of = |t: TermId| -> Vec<(DocId, u32, Score)> {
+            let own = quads.iter().filter(|q| q.0 == t);
+            own.map(|&(_, d, u, w)| (d, u, w)).collect()
+        };
+        let derived = base.with_terms_rebuilt(&[2, 4], of);
+        let cold = InvertedIndex::build_with_taggers(quads.clone(), IndexConfig::default());
+        assert_eq!(derived.num_terms(), 5);
+        assert_eq!(derived.num_docs(), 10);
+        assert_eq!(derived.num_postings(), cold.num_postings());
+        for t in 0..5 {
+            let (d, c) = (derived.postings(t).unwrap(), cold.postings(t).unwrap());
+            assert_eq!(d.to_vec(), c.to_vec(), "term {t}");
+            assert_eq!(d.has_taggers(), c.has_taggers());
+        }
+        for t in 0..3 {
+            let shared = Arc::ptr_eq(&base.lists[t], &derived.lists[t]);
+            assert_eq!(shared, t != 2, "term {t}");
+        }
+        // Rebuilding nothing is a pointer-table copy.
+        let same = base.with_terms_rebuilt(&[], of);
+        assert!(base
+            .lists
+            .iter()
+            .zip(&same.lists)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::request::{Job, Outcome, Reply, Request, Ticket};
 use crate::result_cache::{ResultCache, ResultKey};
-use crate::stats::{ServiceStats, ShardState};
+use crate::stats::{MutationTimes, ServiceStats, ShardState};
 use crossbeam::channel;
 use friends_core::cache::{CachePolicy, ProximityCache};
 use friends_core::corpus::{Corpus, SearchResult};
@@ -424,6 +424,13 @@ pub struct MutationReport {
     /// ([`ServiceConfig::durability`]): the record was appended — and,
     /// when `wal.synced`, fsynced — before any shard saw the batch.
     pub wal: Option<WalAppend>,
+    /// Time spent building the next epoch ([`LiveCorpus::prepare`]).
+    pub prepare: Duration,
+    /// Time spent in the writer-side σ refresh — re-materializing the
+    /// `sigma_refreshed` vectors before the broadcast.
+    pub refresh: Duration,
+    /// Time from the first broadcast send to the last shard's ack.
+    pub barrier: Duration,
 }
 
 /// The running service: N worker shards behind MPMC queues. Dropping the
@@ -443,6 +450,9 @@ pub struct FriendsService {
     /// scratch, kept across batches so a warm refresh allocates only the
     /// vectors it installs.
     mutation_gate: Mutex<SigmaWorkspace>,
+    /// Stage times of the batches applied so far (see
+    /// [`ServiceStats::mutation_times`]).
+    mutation_times: Mutex<MutationTimes>,
     /// See [`ServiceConfig::mutation_refresh_cap`].
     mutation_refresh_cap: usize,
     /// The WAL + snapshot machinery when the service runs durable
@@ -604,6 +614,7 @@ impl FriendsService {
             default_deadline: config.default_deadline,
             live,
             mutation_gate: Mutex::new(SigmaWorkspace::new()),
+            mutation_times: Mutex::new(MutationTimes::default()),
             mutation_refresh_cap: config.mutation_refresh_cap,
             durability,
         }
@@ -764,7 +775,9 @@ impl FriendsService {
                 ..MutationReport::default()
             });
         }
+        let started = Instant::now();
         let prepared = Arc::new(self.live.prepare(batch, horizon));
+        let prepare = started.elapsed();
         let epoch = prepared.epoch();
         // The durability point. Everything below — σ refresh, broadcast,
         // acks, publish — happens only once the record (and, under
@@ -782,6 +795,7 @@ impl FriendsService {
         // shard's sweep are simply not refreshed — a cold first query, not
         // a correctness issue.)
         let ws = &mut *writer;
+        let started = Instant::now();
         let refreshed: Vec<Vec<(UserId, ProximityModel, Arc<ProximityVec>)>> = self
             .shards
             .iter()
@@ -798,6 +812,8 @@ impl FriendsService {
                     .collect()
             })
             .collect();
+        let refresh = started.elapsed();
+        let started = Instant::now();
         let (ack_tx, ack_rx) = channel::bounded(self.senders.len());
         for tx in &self.senders {
             // A dead shard (worker panic) just drops its queue; its clone
@@ -816,6 +832,7 @@ impl FriendsService {
             prox += p;
             results += r;
         }
+        let barrier = started.elapsed();
         // Every shard now serves the new snapshot (and swept its caches):
         // installing next-epoch σ under the shared graph token is safe from
         // here on.
@@ -829,6 +846,13 @@ impl FriendsService {
         // Publish as the base for the next prepare (and for `snapshot()`
         // readers).
         self.live.publish(&prepared);
+        {
+            let mut times = self.mutation_times.lock();
+            times.batches += 1;
+            times.prepare += prepare;
+            times.refresh += refresh;
+            times.barrier += barrier;
+        }
         if let Some(d) = &self.durability {
             d.maybe_snapshot(&self.live)?;
         }
@@ -839,6 +863,9 @@ impl FriendsService {
             results_invalidated: results,
             sigma_refreshed,
             wal,
+            prepare,
+            refresh,
+            barrier,
         })
     }
 
@@ -920,6 +947,7 @@ impl FriendsService {
                 .enumerate()
                 .map(|(i, s)| s.snapshot(i))
                 .collect(),
+            mutation_times: *self.mutation_times.lock(),
             wal: self.wal_stats(),
             recovery: self.recovery_report().cloned(),
         }

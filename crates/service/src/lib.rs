@@ -99,7 +99,7 @@ pub use client::{ClientStats, DirectClient, DirectConfig, SearchClient, ServedCl
 pub use multiplexer::Multiplexer;
 pub use request::{Deadline, Outcome, Reply, Request, Ticket};
 pub use result_cache::ResultCache;
-pub use stats::{ServiceStats, ShardStats};
+pub use stats::{MutationTimes, ServiceStats, ShardStats};
 
 // The client API's request/planning types, re-exported so service users
 // need only this crate.

@@ -10,6 +10,7 @@ use friends_core::trace::TraceCollector;
 use friends_data::wal::WalStats;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Live counters owned by one shard, shared between its worker thread and
 /// the service handle (all relaxed atomics — monitoring, not coordination).
@@ -293,11 +294,51 @@ impl ShardStats {
     }
 }
 
+/// Where the writer's side of `apply_mutations` spent its time, summed
+/// over the `batches` applied so far — the stages of a write's ack that are
+/// not the WAL append (`friends_wal_*`) or the pointer swap.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MutationTimes {
+    /// Non-empty batches applied.
+    pub batches: u64,
+    /// Building the next epoch (`LiveCorpus::prepare`).
+    pub prepare: Duration,
+    /// Re-materializing the σ vectors the sweeps are about to drop.
+    pub refresh: Duration,
+    /// First broadcast send to last shard ack.
+    pub barrier: Duration,
+}
+
+impl MutationTimes {
+    /// Publishes the per-batch means as `friends_mutation_*_ms` gauges
+    /// (0 before the first batch).
+    pub fn register_into(&self, registry: &mut MetricsRegistry) {
+        let mean_ms = |total: Duration| total.as_secs_f64() * 1e3 / self.batches.max(1) as f64;
+        registry.gauge(
+            "friends_mutation_prepare_ms",
+            "mean milliseconds per batch building the next epoch",
+            mean_ms(self.prepare),
+        );
+        registry.gauge(
+            "friends_mutation_refresh_ms",
+            "mean milliseconds per batch in the writer-side sigma refresh",
+            mean_ms(self.refresh),
+        );
+        registry.gauge(
+            "friends_mutation_barrier_ms",
+            "mean milliseconds per batch from broadcast to the last shard ack",
+            mean_ms(self.barrier),
+        );
+    }
+}
+
 /// A snapshot of every shard, plus aggregates and — on durable services —
 /// the service-level WAL counters and startup recovery report.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceStats {
     pub shards: Vec<ShardStats>,
+    /// Writer-side stage times of the mutation batches applied so far.
+    pub mutation_times: MutationTimes,
     /// WAL counters; `None` on memory-only services
     /// (`ServiceConfig::durability: None`).
     pub wal: Option<WalStats>,
@@ -352,6 +393,7 @@ impl ServiceStats {
     pub fn registry(&self) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new();
         self.totals().register_into(&mut registry);
+        self.mutation_times.register_into(&mut registry);
         if let Some(wal) = &self.wal {
             register_wal_stats(wal, &mut registry);
         }

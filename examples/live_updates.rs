@@ -5,8 +5,10 @@
 //! every batch it prints the new corpus epoch and what the switch cost —
 //! how many σ cache entries the incremental sweep dropped (only seekers
 //! whose proximity can cross a touched edge), how many the writer
-//! re-materialized before publishing, and how many memoized results were
-//! invalidated per-seeker/per-tag — then finishes with the read path's
+//! re-materialized before publishing, how many memoized results were
+//! invalidated per-seeker/per-tag, and where the write's ack went (building
+//! the next epoch, the σ refresh, the shard barrier) — then finishes with
+//! the registry's per-batch means of those three stages and the read path's
 //! per-stage latency percentiles accumulated across all epochs.
 //!
 //! ```sh
@@ -55,7 +57,11 @@ fn main() {
 
     let batches = muts.batches(32);
     let per_epoch = queries.len() / (batches.len() + 1);
-    println!("epoch | mutations | σ dropped | σ refreshed | results dropped | queries between");
+    println!(
+        "epoch | mutations | σ dropped | σ refreshed | results dropped | queries between \
+         | prepare ms | refresh ms | barrier ms"
+    );
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     for (i, batch) in batches.iter().enumerate() {
         // Queries and writes interleave: each slice runs against the
         // epoch the previous batch published.
@@ -65,17 +71,30 @@ fn main() {
         // over-approximates the sweep to bound its cost on huge graphs).
         let report: MutationReport = client.apply_mutations(batch, None);
         println!(
-            "{:>5} | {:>9} | {:>9} | {:>11} | {:>15} | {:>15}",
+            "{:>5} | {:>9} | {:>9} | {:>11} | {:>15} | {:>15} | {:>10.3} | {:>10.3} | {:>10.3}",
             report.epoch,
             report.mutations,
             report.prox_invalidated,
             report.sigma_refreshed,
             report.results_invalidated,
             slice.len(),
+            ms(report.prepare),
+            ms(report.refresh),
+            ms(report.barrier),
         );
     }
 
-    let totals = client.stats().totals();
+    let stats = client.stats();
+    let registry = stats.registry();
+    println!("\nwrite-path stage means per batch (registry):");
+    for stage in ["prepare", "refresh", "barrier"] {
+        let key = format!("friends_mutation_{stage}_ms");
+        let value = registry
+            .get(&key)
+            .expect("the service exports its write stages");
+        println!("  {key:<28} {value:>8.3}");
+    }
+    let totals = stats.totals();
     assert_eq!(totals.mutation_epoch, batches.len() as u64);
     println!(
         "\nread-path stage latencies across {} epochs:",

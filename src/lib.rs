@@ -102,9 +102,9 @@ pub mod prelude {
         exact_factory, global_bound_factory, ClientStats, DirectClient, DirectConfig,
         DurabilityConfig, FaultKind, FaultPlan, FriendsService, LiveCorpus, LiveDurability, Metric,
         MetricKind, MetricsRegistry, Multiplexer, Mutation, MutationBatch, MutationParams,
-        MutationReport, MutationStream, Outcome, OverloadPolicy, QueryTrace, RecoverError,
-        RecoveryReport, Reply, Request, SearchClient, ServedClient, ServiceConfig, ServiceStats,
-        ShardStats, SyncPolicy, Ticket, TraceConfig, TraceEvent, TraceOutcome, TraceSpan,
-        WalAppend, WalStats,
+        MutationReport, MutationStream, MutationTimes, Outcome, OverloadPolicy, QueryTrace,
+        RecoverError, RecoveryReport, Reply, Request, SearchClient, ServedClient, ServiceConfig,
+        ServiceStats, ShardStats, SyncPolicy, Ticket, TraceConfig, TraceEvent, TraceOutcome,
+        TraceSpan, WalAppend, WalStats,
     };
 }
