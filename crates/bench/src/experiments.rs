@@ -1892,7 +1892,6 @@ pub fn fig14(profile: Profile) -> ExperimentOutput {
                 max_batch: 64,
                 default_deadline: Some(deadline),
                 result_cache_capacity: 4_096,
-                mutation_refresh_cap: 48,
                 ..ServiceConfig::default()
             },
         );
@@ -1904,7 +1903,8 @@ pub fn fig14(profile: Profile) -> ExperimentOutput {
                 friends_service::MutationReport::default(),
             )
         };
-        let stats = client.shutdown().totals();
+        let service_stats = client.shutdown();
+        let stats = service_stats.totals();
         let pct = |x: usize| 100.0 * x as f64 / run.submitted.max(1) as f64;
         t.row(vec![
             mode.into(),
@@ -1949,9 +1949,12 @@ pub fn fig14(profile: Profile) -> ExperimentOutput {
             format!("latency_{mode}"),
             stage_snapshot_json(&stats.latency),
         ));
-        let mut registry = MetricsRegistry::new();
-        stats.register_into(&mut registry);
-        metrics.push((format!("metrics_{mode}"), registry.render_json()));
+        // The whole-service registry: the pooled shard counters plus the
+        // write path's stage times and σ sweep counters.
+        metrics.push((
+            format!("metrics_{mode}"),
+            service_stats.registry().render_json(),
+        ));
     }
     ExperimentOutput {
         text: format!(
@@ -2136,7 +2139,6 @@ pub fn fig15(profile: Profile) -> ExperimentOutput {
                 max_batch: 64,
                 default_deadline: Some(deadline),
                 result_cache_capacity: 4_096,
-                mutation_refresh_cap: 48,
                 durability,
                 ..ServiceConfig::default()
             },

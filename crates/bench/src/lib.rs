@@ -1329,7 +1329,6 @@ mod tests {
             max_batch: 64,
             default_deadline: Some(deadline),
             result_cache_capacity: 4_096,
-            mutation_refresh_cap: 48,
             ..ServiceConfig::default()
         };
 
@@ -1373,7 +1372,7 @@ mod tests {
         );
         assert!(
             report.sigma_refreshed > 0,
-            "the writer-side σ refresh never engaged"
+            "the sweeps never repaired a cached σ vector in place"
         );
         assert!(
             report.results_invalidated > 0,
@@ -1519,7 +1518,6 @@ mod tests {
                     max_batch: 64,
                     default_deadline: Some(deadline),
                     result_cache_capacity: 4_096,
-                    mutation_refresh_cap: 48,
                     durability: durable.then(|| {
                         let mut d = DurabilityConfig::new(&dir);
                         d.sync = SyncPolicy::Always;

@@ -39,7 +39,8 @@
 //! admission still protects every victim: if any would-be victim is hotter
 //! than the newcomer, the insert is rejected instead.
 
-use crate::proximity::{ProximityModel, ProximityVec, SigmaBounds};
+use crate::proximity::{ProximityModel, ProximityVec, SigmaBounds, SigmaRepair};
+use friends_graph::traversal::EdgeEdit;
 use friends_graph::{CsrGraph, NodeId};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -164,9 +165,9 @@ struct Slot {
     /// Bytes charged against the shard's budget for this entry.
     bytes: usize,
     /// The model/bounds behind the key's bits, kept so the live-graph
-    /// refresh path ([`ProximityCache::affected_entries`]) can
-    /// re-materialize the entry on a new epoch — key bits alone cannot be
-    /// mapped back to a [`ProximityModel`].
+    /// sweep ([`ProximityCache::repair_affected`]) can repair the entry for
+    /// a new epoch — key bits alone cannot be mapped back to a
+    /// [`ProximityModel`].
     model: ProximityModel,
     bounds: SigmaBounds,
 }
@@ -176,6 +177,9 @@ struct Shard {
     /// stamp → key, oldest first: the eviction order.
     recency: BTreeMap<u64, Key>,
     tick: u64,
+    /// `tick` when the last live-graph sweep ended: an entry whose stamp is
+    /// newer was hit or inserted since.
+    swept_at: u64,
     /// Sum of `Slot::bytes` over the map.
     bytes: usize,
     /// Present iff the policy enables admission.
@@ -208,9 +212,9 @@ pub struct CacheStats {
     /// Entries dropped because they outlived `CachePolicy::ttl` (each also
     /// counts as a miss on the access that found it stale).
     pub expirations: u64,
-    /// Entries dropped by live-graph invalidation sweeps
-    /// ([`ProximityCache::invalidate_affected`]) — σ the mutated edges
-    /// could reach. Always 0 on a frozen corpus.
+    /// Entries dropped by live-graph sweeps
+    /// ([`ProximityCache::repair_affected`]) — σ the mutated edges could
+    /// reach and the sweep did not repair. Always 0 on a frozen corpus.
     pub invalidated: u64,
     pub entries: usize,
     /// Resident bytes currently charged against the byte budget
@@ -278,11 +282,38 @@ impl CacheStats {
     }
 }
 
+/// What one live-graph sweep ([`ProximityCache::repair_affected`]) did
+/// with the entries the batch's endpoints could reach: `kept + repaired +
+/// dropped` is their number.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SigmaSweep {
+    /// Entries the repair ran on and found unchanged.
+    pub kept: u64,
+    /// Entries repaired in place: at least one node's σ changed.
+    pub repaired: u64,
+    /// Entries dropped.
+    pub dropped: u64,
+    /// Nodes whose σ changed, summed over the `repaired` entries.
+    pub changed_nodes: u64,
+}
+
+impl SigmaSweep {
+    /// Adds another sweep's counts to this one.
+    pub fn merge(&mut self, other: &SigmaSweep) {
+        self.kept += other.kept;
+        self.repaired += other.repaired;
+        self.dropped += other.dropped;
+        self.changed_nodes += other.changed_nodes;
+    }
+}
+
 /// Sharded LRU cache of materialized proximity vectors, shared across batch
 /// workers via `Arc<ProximityCache>`. See the module docs for the optional
 /// admission/TTL policy.
 pub struct ProximityCache {
     shards: Box<[Mutex<Shard>]>,
+    /// Scratch of the repairing sweep, kept across sweeps.
+    repair: Mutex<SigmaRepair>,
     capacity_per_shard: usize,
     byte_budget_per_shard: usize,
     policy: CachePolicy,
@@ -365,11 +396,13 @@ impl ProximityCache {
                         map: HashMap::new(),
                         recency: BTreeMap::new(),
                         tick: 0,
+                        swept_at: 0,
                         bytes: 0,
                         sketch: policy.admission.then(|| FreqSketch::new(sketch_entries)),
                     })
                 })
                 .collect(),
+            repair: Mutex::new(SigmaRepair::new()),
             capacity_per_shard,
             byte_budget_per_shard,
             policy,
@@ -645,84 +678,104 @@ impl ProximityCache {
         self.shards.iter().map(|s| s.lock().bytes).sum()
     }
 
-    /// Drops exactly the entries whose σ the edge mutations touching
-    /// `endpoints` could change, returning how many were dropped. The
-    /// live-graph incremental sweep: run it **before** publishing a graph
-    /// edited with the token-preserving `CsrGraph::with_edits`, so every
-    /// surviving entry is still exact under the new epoch.
+    /// The live-graph sweep: brings the cache from the graph its entries
+    /// were materialized on to `next`, the same graph (same token) after
+    /// `edits` — every pair whose weight differs. Run it **before**
+    /// publishing `next`, so that every surviving entry is exact under the
+    /// new epoch.
     ///
     /// The cached vector itself is the dependency set. Any σ path from an
-    /// entry's seeker that crosses a mutated edge `{u, v}` must first reach
+    /// entry's seeker that crosses an edited pair `{u, v}` must first reach
     /// `u` or `v` through *old* edges, so an entry is affected iff its
     /// seeker is an endpoint or its vector holds positive mass on one —
-    /// `σ(endpoint) = 0` for every endpoint proves the mutation is outside
+    /// `σ(endpoint) = 0` for every endpoint proves the edits are outside
     /// the seeker's reach (for decay models, beyond the decay horizon /
     /// `SigmaBounds` radius that already truncated the vector). Entries of
     /// the `Global` model (key tag 0, σ ≡ 1) are graph-independent and
     /// never swept.
+    ///
+    /// An affected entry is **repaired in place**
+    /// ([`ProximityModel::repair`]) when it is an exact-bounds entry over
+    /// `next`'s graph that was hit or inserted since the previous sweep,
+    /// and dropped otherwise — so the work of a sweep follows the read
+    /// traffic between two writes, not the size of the cache, and a vector
+    /// nobody asked for during a whole epoch does not stay resident on the
+    /// strength of repairs alone. A repair leaves recency and age alone
+    /// (a TTL still bounds how old an entry gets) and re-charges the
+    /// entry's bytes; a reader still holding the vector keeps the old
+    /// epoch's copy.
+    pub fn repair_affected(&self, next: &CsrGraph, edits: &[EdgeEdit]) -> SigmaSweep {
+        self.sweep(&EdgeEdit::endpoints(edits), Some((next, edits)))
+    }
+
+    /// The drop-only form of [`ProximityCache::repair_affected`], for a
+    /// caller that knows the endpoints of the edited pairs but not the
+    /// edits: drops every entry they could reach and returns how many.
     pub fn invalidate_affected(&self, endpoints: &[NodeId]) -> u64 {
+        self.sweep(endpoints, None).dropped
+    }
+
+    fn sweep(&self, endpoints: &[NodeId], repair: Option<(&CsrGraph, &[EdgeEdit])>) -> SigmaSweep {
+        let mut out = SigmaSweep::default();
         if endpoints.is_empty() {
-            return 0;
+            return out;
         }
-        let mut dropped = 0u64;
+        let mut scratch = self.repair.lock();
         for s in self.shards.iter() {
             let mut s = s.lock();
             let shard = &mut *s;
-            let doomed: Vec<(Key, u64)> = shard
-                .map
-                .iter()
-                .filter(|&(&(_, seeker, tag, ..), slot)| {
-                    tag != 0
-                        && endpoints
-                            .iter()
-                            .any(|&e| e == seeker || slot.value.get(e) > 0.0)
-                })
-                .map(|(key, slot)| (*key, slot.stamp))
-                .collect();
+            let mut doomed: Vec<(Key, u64)> = Vec::new();
+            for (key, slot) in shard.map.iter_mut() {
+                let &(token, seeker, tag, ..) = key;
+                let affected = tag != 0
+                    && endpoints
+                        .iter()
+                        .any(|&e| e == seeker || slot.value.get(e) > 0.0);
+                if !affected {
+                    continue;
+                }
+                let changed = repair
+                    .filter(|(next, _)| {
+                        token == next.token()
+                            && slot.bounds.is_exact()
+                            && slot.stamp > shard.swept_at
+                    })
+                    .and_then(|(next, edits)| {
+                        let value = Arc::make_mut(&mut slot.value);
+                        slot.model.repair(next, edits, value, &mut scratch)
+                    });
+                match changed {
+                    None => doomed.push((*key, slot.stamp)),
+                    Some(0) => out.kept += 1,
+                    Some(changed) => {
+                        out.repaired += 1;
+                        out.changed_nodes += changed as u64;
+                        let bytes = slot.value.memory_bytes() + ENTRY_OVERHEAD_BYTES;
+                        shard.bytes = shard.bytes - slot.bytes + bytes;
+                        slot.bytes = bytes;
+                    }
+                }
+            }
             for (key, stamp) in doomed {
                 if let Some(slot) = shard.map.remove(&key) {
                     shard.bytes -= slot.bytes;
                 }
                 shard.recency.remove(&stamp);
-                dropped += 1;
+                out.dropped += 1;
             }
+            // A repair can widen a vector (`Touched` to `Dense`).
+            self.evict_to_byte_budget(shard);
+            shard.swept_at = shard.tick;
         }
-        self.invalidated.fetch_add(dropped, Ordering::Relaxed);
-        dropped
+        self.invalidated.fetch_add(out.dropped, Ordering::Relaxed);
+        out
     }
 
-    /// The `(seeker, model)` pairs an [`ProximityCache::invalidate_affected`]
-    /// sweep over `endpoints` *would* drop, without dropping anything — the
-    /// same affectedness predicate, read-only. The live-graph writer uses
-    /// this before broadcasting a mutation: it re-materializes these
-    /// entries on the next epoch off the read path and re-inserts them
-    /// once every shard has switched, so hot seekers don't pay the σ
-    /// rebuild inline on their first post-epoch query. Only exact-bounds
-    /// entries are reported (bounded entries are degraded-mode transients
-    /// not worth a writer-side rebuild), ordered most-recently-used first
-    /// so a caller refreshing under a budget keeps the hottest seekers
-    /// (recency stamps are per internal shard, so across shards the order
-    /// is approximate).
-    pub fn affected_entries(&self, endpoints: &[NodeId]) -> Vec<(NodeId, ProximityModel)> {
-        if endpoints.is_empty() {
-            return Vec::new();
-        }
-        let mut stamped: Vec<(u64, NodeId, ProximityModel)> = Vec::new();
-        for s in self.shards.iter() {
-            let s = s.lock();
-            for (&(_, seeker, tag, ..), slot) in s.map.iter() {
-                if tag != 0
-                    && slot.bounds == SigmaBounds::EXACT
-                    && endpoints
-                        .iter()
-                        .any(|&e| e == seeker || slot.value.get(e) > 0.0)
-                {
-                    stamped.push((slot.stamp, seeker, slot.model));
-                }
-            }
-        }
-        stamped.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-        stamped.into_iter().map(|(_, s, m)| (s, m)).collect()
+    /// Growth events of the repairing sweep's graph-sized scratch (see
+    /// [`SigmaRepair::allocation_count`]): constant once a sweep has seen
+    /// the graph.
+    pub fn repair_allocation_count(&self) -> u64 {
+        self.repair.lock().allocation_count()
     }
 
     /// Drops every entry (counters are kept).
@@ -1325,6 +1378,56 @@ mod tests {
         );
         assert_eq!(c.invalidate_affected(&[1, 2, 3]), 0);
         assert!(c.get(&g, 1, ProximityModel::Global).is_some());
+    }
+
+    #[test]
+    fn repair_leaves_recency_and_age_alone() {
+        use crate::proximity::SigmaWorkspace;
+        use friends_graph::GraphBuilder;
+        // Two components; the sweep reaches seeker 0's only.
+        let g = GraphBuilder::from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)]);
+        let model = ProximityModel::WeightedDecay { alpha: 0.5 };
+        let cold = |g: &CsrGraph, seeker| {
+            let mut ws = SigmaWorkspace::new();
+            model.materialize_into(g, seeker, &mut ws);
+            Arc::new(ws.snapshot(g.num_nodes()))
+        };
+        let next = g.with_edits(&[(0, 2, 1.0)], &[]);
+        let edit = EdgeEdit {
+            u: 0,
+            v: 2,
+            old: None,
+            new: Some(1.0),
+        };
+        let repaired_one = SigmaSweep {
+            repaired: 1,
+            changed_nodes: 1,
+            ..SigmaSweep::default()
+        };
+
+        let c = ProximityCache::unsharded(2, CachePolicy::default());
+        c.insert(&g, 0, model, cold(&g, 0)); // older
+        c.insert(&g, 3, model, cold(&g, 3)); // newer
+        assert_eq!(c.repair_affected(&next, &[edit]), repaired_one);
+        assert_eq!(c.stats().bytes, c.memory_bytes());
+        // Repaired, not refreshed: seeker 0's entry is still the LRU victim.
+        c.insert(&next, 4, model, cold(&next, 4));
+        assert!(c.get(&next, 0, model).is_none(), "a repair bumped recency");
+        assert!(c.get(&next, 3, model).is_some());
+
+        // A repaired entry still ages out on its insertion clock: 200 ms
+        // before the repair and 200 ms after it outlive a 300 ms TTL.
+        let policy = CachePolicy {
+            admission: false,
+            ttl: Some(Duration::from_millis(300)),
+        };
+        let c = ProximityCache::unsharded(2, policy);
+        c.insert(&g, 0, model, cold(&g, 0));
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(c.repair_affected(&next, &[edit]), repaired_one);
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(c.get(&next, 0, model).is_none(), "a repair reset the age");
+        assert_eq!(c.stats().expirations, 1);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!           │            shared: all other rows       │
 //!           │                                         │
 //!           │ readers pin via Arc      sweep caches   │ publish: one
-//!           │ (never blocked)          (invalidate    │ pointer swap
-//!           ▼                           affected σ)   │ under write lock
+//!           │ (never blocked)          (repair or     │ pointer swap
+//!           ▼                           drop σ)       │ under write lock
 //!   retired when the last reader drops ───────────────┘
 //! ```
 //!
@@ -33,13 +33,18 @@
 //!    [`friends_graph::CsrGraph::with_edits`] (token-preserving) plus
 //!    [`friends_data::store::TagStore::with_appends`] plus
 //!    [`Corpus::next_epoch`], stamped `epoch + 1`, and compute the
-//!    mutation's blast radius (touched nodes, affected seekers, touched
-//!    tags). No lock is held; queries proceed untouched.
-//! 2. **sweep** — drop exactly the cache entries the batch can affect
-//!    ([`crate::cache::ProximityCache::invalidate_affected`] for σ, the
-//!    result cache's per-seeker/per-tag sweeps in the serving tier).
-//!    Because the edited graph keeps its identity token, everything *not*
-//!    swept keeps hitting under the new epoch — that is the entire point.
+//!    mutation's blast radius: the *effective* edge edits (pairs whose
+//!    stored weight really differs — removing an absent edge or inserting
+//!    one at its stored weight touches nothing), their endpoints, the
+//!    affected seekers, the touched tags. No lock is held; queries proceed
+//!    untouched.
+//! 2. **sweep** — bring exactly the cache entries the batch can affect to
+//!    the new epoch ([`crate::cache::ProximityCache::repair_affected`]
+//!    for σ: repair in place what was read since the last sweep, drop the
+//!    rest; the result cache's per-seeker/per-tag sweeps in the serving
+//!    tier). Because the edited graph keeps its identity token,
+//!    everything *not* swept keeps hitting under the new epoch — that is
+//!    the entire point.
 //! 3. **publish** — swap the snapshot pointer. Writers hold the write lock
 //!    only for the swap itself; readers hold the read lock only to clone
 //!    the `Arc`. The retired corpus is reclaimed when its last pinned
@@ -69,11 +74,55 @@
 //! recovery and a one-pass build agree bit for bit for any weights, not
 //! only ones that add exactly.
 //!
-//! What is *not* O(batch) yet is the serving tier's writer-side σ refresh
-//! (`FriendsService::apply_mutations` re-materializes the hottest swept
-//! vectors before it acknowledges): it is whole-graph work per vector and
-//! stays on the ack path until the σ kernel can yield between buckets and
-//! be interleaved with reads on the owning shard.
+//! ## What the sweep repairs, and why the repair is exact
+//!
+//! A cached σ vector of a max-product model (`WeightedDecay`,
+//! `DistanceDecay`) is the supported fixed point of `P[t] = max
+//! fl(relax(P[x], w(x, t)))`, and a 64-mutation batch moves about 1 % of
+//! it. So the sweep does not drop such a vector for the next reader to
+//! rebuild from scratch: it repairs it where it lies, in `O(edits + changed
+//! nodes × degree)` ([`friends_graph::traversal::repair_labels`] through
+//! [`crate::proximity::ProximityModel::repair`]), to the bits a cold
+//! materialization on the next graph writes.
+//!
+//! * **Tightness.** An arc `x → t` is tight when `relax(P[x], w) == P[t] >
+//!   0`: it is, or ties with, the arc `t`'s value came through. Only the
+//!   head of an edited arc that was tight under its old weight and is not
+//!   under its new one can lose its value; an insert or up-weight can only
+//!   raise its head.
+//! * **Decreasing order.** Whether such a suspect keeps its value depends
+//!   on whether some other tight in-arc survives from a node that keeps
+//!   *its* value — a question about nodes with larger values only, since
+//!   `relax` never raises. Settling suspects in decreasing old value
+//!   therefore meets every possible supporter already decided. A suspect
+//!   without support is affected; the heads it is tight to become
+//!   suspects; affected nodes are zeroed and re-settled from their
+//!   unaffected neighbours by the same monotone relaxation the cold kernel
+//!   runs, which ends at the one fixed point whatever the order.
+//! * **Plateaus.** Deep in the sub-normals `relax(p, w) == p` happens: a
+//!   ring of equal values in which every node is "tight" to the next. If
+//!   equal-valued neighbours could vouch for each other, such a ring would
+//!   survive the removal of the arc that fed it. So support demands a
+//!   strictly larger tail (`P[x] > P[t]`), while suspicion passes along
+//!   any tight arc: a plateau that loses its feed is affected as a whole
+//!   and rebuilt from outside. The affected set may over-approximate what
+//!   changes; it never misses a node.
+//!
+//! Only exact-bounds entries of those two models **that were hit or
+//! inserted since the previous sweep** are repaired; bounded (degraded)
+//! entries, PPR and AdamicAdar vectors, and vectors nobody read for a
+//! whole epoch are dropped as before. That keeps a sweep's work, and what
+//! it leaves resident, proportional to the read traffic between two writes
+//! rather than to the cache's size.
+//!
+//! The repair runs where the sweep always ran: on the thread that owns the
+//! cache, between two queries. [`LiveCorpus::apply`] with a cache that
+//! *concurrent* readers also use was never epoch-isolated — between sweep
+//! and publish a reader pins the old snapshot and may be handed an entry
+//! already brought to the next epoch, exactly as it could re-insert an
+//! old-epoch vector right after the sweep dropped it. The serving tier has
+//! no such window: each shard sweeps its private cache at a batch boundary
+//! and switches snapshot in the same step.
 //!
 //! ## Writer/reader memory-ordering contract
 //!
@@ -117,6 +166,7 @@ use friends_data::io as snapio;
 use friends_data::mutations::MutationBatch;
 use friends_data::wal::{StdFs, SyncPolicy, Wal, WalAppend, WalConfig, WalFs, WalStats};
 use friends_data::TagId;
+use friends_graph::traversal::EdgeEdit;
 use friends_graph::{CsrGraph, NodeId};
 use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
@@ -134,8 +184,14 @@ pub struct PreparedMutation {
     /// The next snapshot: edited graph (same token), appended store,
     /// epoch = base epoch + 1.
     pub next: Arc<Corpus>,
-    /// Distinct endpoints of the batch's edge mutations, sorted — what
-    /// [`ProximityCache::invalidate_affected`] tests σ support against.
+    /// The batch's *effective* edge edits: every pair whose stored weight
+    /// differs between the base graph and `next`'s, with both weights.
+    /// Removing an absent edge or inserting one at its stored weight is not
+    /// an edit. What [`ProximityCache::repair_affected`] repairs cached σ
+    /// with — shards never need the base graph.
+    pub edits: Vec<EdgeEdit>,
+    /// Distinct endpoints of `edits`, sorted — what the sweeps test σ
+    /// support against.
     pub touched_nodes: Vec<NodeId>,
     /// Every seeker whose σ (and therefore rankings) the batch could
     /// change, sorted: the nodes old-graph-reachable from any touched
@@ -174,7 +230,8 @@ pub struct MutationOutcome {
     /// Mutations applied.
     pub mutations: usize,
     /// σ cache entries dropped by the incremental sweep (0 when no cache
-    /// was passed, or when the batch was outside every cached reach set).
+    /// was passed, when the batch was outside every cached reach set, or
+    /// when every entry it could reach was repaired in place).
     pub prox_invalidated: u64,
 }
 
@@ -244,7 +301,8 @@ impl LiveCorpus {
         // same store rows.
         let graph = base.graph.with_edits(&inserts, &removals);
         let store = base.store.with_appends(&appends);
-        let touched_nodes = batch.touched_nodes();
+        let edits = effective_edits(&base.graph, &graph, &inserts, &removals);
+        let touched_nodes = EdgeEdit::endpoints(&edits);
         let touched_tags = batch.touched_tags();
         let affected_seekers = reachable_from(&base.graph, &touched_nodes, horizon);
         let next = Arc::new(base.next_epoch(graph, store, &touched_tags));
@@ -258,6 +316,7 @@ impl LiveCorpus {
         next.global_lists();
         PreparedMutation {
             next,
+            edits,
             touched_nodes,
             affected_seekers,
             touched_tags,
@@ -290,7 +349,10 @@ impl LiveCorpus {
         let _writer = self.write_gate.lock();
         let prepared = self.prepare(batch, horizon);
         let prox_invalidated = cache
-            .map(|c| c.invalidate_affected(&prepared.touched_nodes))
+            .map(|c| {
+                c.repair_affected(&prepared.next.graph, &prepared.edits)
+                    .dropped
+            })
             .unwrap_or(0);
         self.publish(&prepared);
         MutationOutcome {
@@ -745,7 +807,10 @@ impl LiveDurability {
         let prepared = live.prepare(batch, horizon);
         let receipt = self.log_batch(prepared.epoch(), batch)?;
         let prox_invalidated = cache
-            .map(|c| c.invalidate_affected(&prepared.touched_nodes))
+            .map(|c| {
+                c.repair_affected(&prepared.next.graph, &prepared.edits)
+                    .dropped
+            })
             .unwrap_or(0);
         live.publish(&prepared);
         self.maybe_snapshot(live)?;
@@ -795,6 +860,36 @@ pub fn register_wal_stats(s: &WalStats, reg: &mut MetricsRegistry) {
         "WAL segments currently on disk",
         s.segments as f64,
     );
+}
+
+/// The pairs the batch names whose stored weight differs between `base` and
+/// `next = base.with_edits(inserts, removals)`, each once, with both
+/// weights. Asking `next` what it stores keeps this in step with
+/// `with_edits`' own rules (last insert wins, an insert beats a removal,
+/// self-loops and out-of-range removals name nothing).
+fn effective_edits(
+    base: &CsrGraph,
+    next: &CsrGraph,
+    inserts: &[(NodeId, NodeId, f32)],
+    removals: &[(NodeId, NodeId)],
+) -> Vec<EdgeEdit> {
+    let n = base.num_nodes();
+    let mut pairs: Vec<(NodeId, NodeId)> = removals
+        .iter()
+        .copied()
+        .chain(inserts.iter().map(|&(u, v, _)| (u, v)))
+        .filter(|&(u, v)| u != v && (u.max(v) as usize) < n)
+        .map(|(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+        .into_iter()
+        .filter_map(|(u, v)| {
+            let (old, new) = (base.edge_weight(u, v), next.edge_weight(u, v));
+            (old.map(f32::to_bits) != new.map(f32::to_bits)).then_some(EdgeEdit { u, v, old, new })
+        })
+        .collect()
 }
 
 /// Multi-source BFS over `graph` from `sources`, depth-limited by
@@ -983,7 +1078,9 @@ mod tests {
             cache.insert(&corpus.graph, seeker, MODEL, Arc::new(v));
         }
         assert_eq!(cache.len(), 2);
-        // An edge inside community {3,4,5}: community {0,1,2}'s σ survives.
+        // An edge inside community {3,4,5}: community {0,1,2}'s σ is not
+        // looked at, seeker 3's is repaired where it lies.
+        let untouched = cache.get(&corpus.graph, 0, MODEL).expect("resident");
         let out = live.apply(
             &MutationBatch::new(vec![Mutation::InsertEdge {
                 u: 3,
@@ -993,13 +1090,68 @@ mod tests {
             None,
             Some(&cache),
         );
-        assert_eq!(out.prox_invalidated, 1);
+        assert_eq!(out.prox_invalidated, 0);
         let now = live.snapshot();
+        let kept = cache.get(&now.graph, 0, MODEL).expect("unaffected σ");
         assert!(
-            cache.get(&now.graph, 0, MODEL).is_some(),
+            Arc::ptr_eq(&kept, &untouched),
             "unaffected σ must keep hitting under the new epoch"
         );
-        assert!(cache.get(&now.graph, 3, MODEL).is_none());
+        let repaired = cache.get(&now.graph, 3, MODEL).expect("repaired σ");
+        assert_eq!(*repaired, sigma_vec(&now.graph, 3));
+        assert_ne!(*repaired, sigma_vec(&corpus.graph, 3));
+        // Joining the communities reaches both entries, both read since
+        // the last sweep: both repaired.
+        let bridge = MutationBatch::new(vec![Mutation::InsertEdge {
+            u: 2,
+            v: 3,
+            weight: 1.0,
+        }]);
+        assert_eq!(live.apply(&bridge, None, Some(&cache)).prox_invalidated, 0);
+        // Only seeker 3 is read before the next batch: seeker 0's entry,
+        // unread for a whole epoch, is dropped rather than repaired.
+        let now = live.snapshot();
+        let repaired = cache.get(&now.graph, 3, MODEL).expect("repaired σ");
+        assert_eq!(*repaired, sigma_vec(&now.graph, 3));
+        drop(repaired);
+        let cut = MutationBatch::new(vec![Mutation::RemoveEdge { u: 3, v: 2 }]);
+        assert_eq!(live.apply(&cut, None, Some(&cache)).prox_invalidated, 1);
+        let now = live.snapshot();
+        assert!(cache.get(&now.graph, 0, MODEL).is_none());
+        let repaired = cache.get(&now.graph, 3, MODEL).expect("repaired σ");
+        assert_eq!(*repaired, sigma_vec(&now.graph, 3));
+    }
+
+    #[test]
+    fn a_batch_of_no_op_edits_publishes_an_epoch_and_sweeps_nothing() {
+        let corpus = fixture();
+        let live = LiveCorpus::new(Arc::clone(&corpus));
+        let cache = ProximityCache::new(64);
+        for seeker in 0..7u32 {
+            let v = sigma_vec(&corpus.graph, seeker);
+            cache.insert(&corpus.graph, seeker, MODEL, Arc::new(v));
+        }
+        // An absent edge removed, a stored edge re-inserted at its weight,
+        // a self-loop.
+        let batch = MutationBatch::new(vec![
+            Mutation::RemoveEdge { u: 0, v: 6 },
+            Mutation::InsertEdge {
+                u: 2,
+                v: 0,
+                weight: 0.5,
+            },
+            Mutation::InsertEdge {
+                u: 4,
+                v: 4,
+                weight: 1.0,
+            },
+        ]);
+        let p = live.prepare(&batch, None);
+        assert!(p.edits.is_empty() && p.affected_seekers.is_empty());
+        let out = live.apply(&batch, None, Some(&cache));
+        assert_eq!((out.epoch, out.prox_invalidated), (1, 0));
+        assert_eq!(cache.len(), 7);
+        assert_eq!(cache.stats().invalidated, 0);
     }
 
     #[test]
@@ -1131,7 +1283,9 @@ mod tests {
         let live = LiveCorpus::new(fixture());
         let batch = MutationBatch::new(vec![Mutation::RemoveEdge { u: 0, v: 6 }]);
         let p = live.prepare(&batch, None);
-        assert_eq!(p.touched_nodes, vec![0, 6]);
+        // Nothing changed, so nothing is touched and no seeker is affected.
+        assert!(p.edits.is_empty() && p.touched_nodes.is_empty());
+        assert!(p.affected_seekers.is_empty());
         assert_eq!(live.apply(&batch, None, None).epoch, 1);
         assert_same_corpus(
             &live.snapshot(),

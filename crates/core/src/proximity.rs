@@ -20,7 +20,10 @@
 //! processors.
 
 use friends_graph::ppr::{forward_push_into, PushWorkspace};
-use friends_graph::traversal::{bfs_stamped, decay_labels, BfsWorkspace, ProximityLabels};
+use friends_graph::traversal::{
+    bfs_stamped, decay_labels, repair_labels, BfsWorkspace, EdgeEdit, ProximityLabels,
+    RepairScratch,
+};
 use friends_graph::{CsrGraph, NodeId};
 use friends_index::topk::SigmaBound;
 
@@ -412,6 +415,257 @@ impl ProximityModel {
         }
         ws.finish(seeker);
     }
+
+    /// Repairs, in place, a cached [`SigmaBounds::EXACT`] vector of this
+    /// model after the graph it was materialized on was edited into `next`
+    /// (`edits`: every pair whose weight differs). On `Some(changed)` the
+    /// vector `==` what [`SigmaWorkspace::snapshot`] builds after a cold
+    /// [`ProximityModel::materialize_into`] on `next` — values bit for bit,
+    /// `non_seeker_max`, the `Dense`/`Touched` choice — and `changed` nodes
+    /// hold a different value than before. The cost follows what the edits
+    /// change, not the graph ([`repair_labels`]).
+    ///
+    /// `None` means the vector could not be repaired and is now
+    /// unspecified: drop it. That is the answer for every model but the two
+    /// whose σ is a best-path fixed point (`WeightedDecay`,
+    /// `DistanceDecay`), for a vector that is not a lossless dense-model
+    /// snapshot over `next`'s nodes, and for a `DistanceDecay` repair that
+    /// reached the hop depth where successive `alpha^h` round to the same
+    /// sub-normal value, so that a value no longer names its hop count.
+    pub fn repair(
+        &self,
+        next: &CsrGraph,
+        edits: &[EdgeEdit],
+        vec: &mut ProximityVec,
+        scratch: &mut SigmaRepair,
+    ) -> Option<usize> {
+        let n = next.num_nodes();
+        if edits.iter().any(|e| e.u.max(e.v) as usize >= n) {
+            return None;
+        }
+        // `(σ > 0 count, largest σ off the seeker)`: what decides the
+        // representation and what `Sigma::max_excluding` serves.
+        fn support_stats(
+            seeker: NodeId,
+            sigma: impl Iterator<Item = (NodeId, f64)>,
+        ) -> (usize, f64) {
+            sigma
+                .filter(|&(_, s)| s > 0.0)
+                .fold((0, 0.0), |(count, max), (u, s)| {
+                    (count + 1, if u == seeker { max } else { max.max(s) })
+                })
+        }
+        match vec {
+            ProximityVec::Dense {
+                values,
+                seeker,
+                non_seeker_max,
+            } if values.len() == n && (*seeker as usize) < n => {
+                let seeker = *seeker;
+                if !self.repair_values(next, seeker, edits, values, scratch) {
+                    return None;
+                }
+                let kernel = &scratch.kernel;
+                let changed = kernel.changed().len();
+                // What the changed nodes alone say: whether one fell to 0
+                // (the reach may have halved), whether one holding the
+                // maximum fell, and the largest new value off the seeker.
+                let (mut lost, mut dethroned, mut raised) = (false, false, 0.0f64);
+                for &u in kernel.changed().iter().filter(|&&u| u != seeker) {
+                    let (old, new) = (kernel.old_value(u), values[u as usize]);
+                    lost |= new == 0.0;
+                    dethroned |= old == *non_seeker_max && new < old;
+                    raised = raised.max(new);
+                }
+                if !(lost || dethroned) {
+                    *non_seeker_max = non_seeker_max.max(raised);
+                } else {
+                    let (nonzero, max) = support_stats(seeker, (0..).zip(values.iter().copied()));
+                    *non_seeker_max = max;
+                    if snapshots_touched(nonzero, n, 0.0) {
+                        let entries = (0..)
+                            .zip(values.iter().copied())
+                            .filter(|&(_, s)| s > 0.0)
+                            .collect();
+                        *vec = ProximityVec::Touched {
+                            entries,
+                            seeker,
+                            non_seeker_max: max,
+                            residual: 0.0,
+                        };
+                    }
+                }
+                Some(changed)
+            }
+            ProximityVec::Touched {
+                entries,
+                seeker,
+                non_seeker_max,
+                residual,
+            } if *residual == 0.0
+                && (*seeker as usize) < n
+                && entries.last().is_none_or(|&(u, _)| (u as usize) < n) =>
+            {
+                let seeker = *seeker;
+                // Scatter the support over the all-zero scratch array,
+                // repair there, gather what is non-zero now, re-zero.
+                if scratch.dense.len() < n {
+                    scratch.dense.resize(n, 0.0);
+                    scratch.allocations += 1;
+                }
+                for &(u, s) in entries.iter() {
+                    scratch.dense[u as usize] = s;
+                }
+                let mut dense = std::mem::take(&mut scratch.dense);
+                let sound = self.repair_values(next, seeker, edits, &mut dense[..n], scratch);
+                let changed = scratch.kernel.changed().len();
+                let mut nodes = std::mem::take(&mut scratch.nodes);
+                nodes.clear();
+                nodes.extend(entries.iter().map(|&(u, _)| u));
+                nodes.extend_from_slice(scratch.kernel.changed());
+                if sound && changed > 0 {
+                    nodes.sort_unstable();
+                    nodes.dedup();
+                    let sigma = || nodes.iter().map(|&u| (u, dense[u as usize]));
+                    let (nonzero, max) = support_stats(seeker, sigma());
+                    if snapshots_touched(nonzero, n, 0.0) {
+                        entries.clear();
+                        entries.extend(sigma().filter(|&(_, s)| s > 0.0));
+                        *non_seeker_max = max;
+                    } else {
+                        *vec = ProximityVec::Dense {
+                            values: dense[..n].to_vec(),
+                            seeker,
+                            non_seeker_max: max,
+                        };
+                    }
+                }
+                for &u in &nodes {
+                    dense[u as usize] = 0.0;
+                }
+                scratch.dense = dense;
+                scratch.nodes = nodes;
+                sound.then_some(changed)
+            }
+            _ => None,
+        }
+    }
+
+    /// Runs [`repair_labels`] over `values` with this model's one-arc step;
+    /// `false` when the model has none, or the step met a value it cannot
+    /// place (see [`ProximityModel::repair`]) and `values` is now garbage.
+    fn repair_values(
+        &self,
+        next: &CsrGraph,
+        seeker: NodeId,
+        edits: &[EdgeEdit],
+        values: &mut [f64],
+        scratch: &mut SigmaRepair,
+    ) -> bool {
+        let kernel = &mut scratch.kernel;
+        match *self {
+            ProximityModel::WeightedDecay { alpha } => {
+                let mut decay = edge_decay(alpha);
+                repair_labels(next, seeker, |p, w| p * decay(w), edits, values, kernel);
+                true
+            }
+            ProximityModel::DistanceDecay { alpha } => {
+                let levels = &mut scratch.levels;
+                levels.reset_for(alpha);
+                let mut sound = true;
+                let step = |p: f64, _: f32| {
+                    levels.below(p).unwrap_or_else(|| {
+                        sound = false;
+                        0.0
+                    })
+                };
+                repair_labels(next, seeker, step, edits, values, kernel);
+                sound
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The `alpha^h` values [`ProximityModel::DistanceDecay`] writes, by hop
+/// count `h`, grown as deep as lookups reach: the model's one-arc step for
+/// [`repair_labels`] is "the next level down", so that repaired values stay
+/// the `powi` bits a cold materialization writes.
+#[derive(Debug, Default)]
+struct DecayLevels {
+    alpha: f64,
+    /// `table[h] = alpha.powi(h)`, non-increasing, grown until it passes
+    /// the smallest value asked about (or reaches `0.0`).
+    table: Vec<f64>,
+}
+
+impl DecayLevels {
+    fn reset_for(&mut self, alpha: f64) {
+        if self.alpha.to_bits() != alpha.to_bits() || self.table.is_empty() {
+            self.alpha = alpha;
+            self.table.clear();
+            self.table.push(1.0);
+        }
+    }
+
+    /// Grows the table to hold level `h`.
+    fn reach(&mut self, h: usize) {
+        while self.table.len() <= h {
+            let next = i32::try_from(self.table.len()).map_or(0.0, |h| self.alpha.powi(h));
+            self.table.push(next);
+        }
+    }
+
+    /// The level below `p`'s: `alpha^(h+1)` for `p == alpha^h`, `0.0` past
+    /// the decay horizon. `None` when `p` is not a level, or when `p` or
+    /// the answer shares its bits with a neighbouring level (sub-normal
+    /// rounding) and so stands for more than one hop count.
+    fn below(&mut self, p: f64) -> Option<f64> {
+        while self
+            .table
+            .last()
+            .is_some_and(|&last| last >= p && last > 0.0)
+        {
+            self.reach(self.table.len());
+        }
+        let h = self.table.partition_point(|&level| level > p);
+        self.reach(h + 2);
+        let (here, below, after) = (self.table[h], self.table[h + 1], self.table[h + 2]);
+        let distinct = here == p && below < here && (after < below || below == 0.0);
+        distinct.then_some(below)
+    }
+}
+
+/// Scratch of [`ProximityModel::repair`], reusable across vectors, models
+/// and graphs; once it has seen a graph's size a repair allocates nothing
+/// but what a changed representation needs.
+#[derive(Debug, Default)]
+pub struct SigmaRepair {
+    kernel: RepairScratch,
+    /// All zeros between repairs; `Touched` vectors are repaired in it.
+    dense: Vec<f64>,
+    /// Nodes of `dense` a `Touched` repair may have left non-zero.
+    nodes: Vec<NodeId>,
+    levels: DecayLevels,
+    allocations: u64,
+}
+
+impl SigmaRepair {
+    /// Creates an empty scratch; buffers are sized on first use.
+    pub fn new() -> Self {
+        SigmaRepair::default()
+    }
+
+    /// Growth events of the graph-sized arrays (a warm repair loop must
+    /// keep this constant).
+    pub fn allocation_count(&self) -> u64 {
+        self.allocations + self.kernel.allocation_count()
+    }
+
+    /// The nodes whose σ the most recent successful repair changed.
+    pub fn changed(&self) -> &[NodeId] {
+        self.kernel.changed()
+    }
 }
 
 /// The per-edge multiplier of the [`ProximityModel::WeightedDecay`] model:
@@ -607,14 +861,8 @@ impl SigmaWorkspace {
         }
     }
 
-    /// Whether a dense-model epoch snapshots as [`ProximityVec::Touched`]:
-    /// `(node, σ)` pairs cost 16 bytes to the flat array's 8 per node, so
-    /// only when at most half the graph was reached — or when the
-    /// materialization was lossy (residual > 0), regardless of reach:
-    /// `Dense` has no residual field, and a truncated σ served as
-    /// `residual_bound() == 0.0` would be a false exactness certificate.
     fn snapshots_touched(&self, n: usize) -> bool {
-        self.nonzero * 2 <= n || self.residual > 0.0
+        snapshots_touched(self.nonzero, n, self.residual)
     }
 
     /// [`ProximityVec::memory_bytes`] of what [`SigmaWorkspace::snapshot`]
@@ -647,6 +895,17 @@ impl SigmaWorkspace {
             },
         }
     }
+}
+
+/// Whether a dense-model σ with `nonzero` positive entries over `n` nodes
+/// is stored as [`ProximityVec::Touched`]: `(node, σ)` pairs cost 16 bytes
+/// to the flat array's 8 per node, so only when at most half the graph was
+/// reached — or when the materialization was lossy (residual > 0),
+/// regardless of reach: `Dense` has no residual field, and a truncated σ
+/// served as `residual_bound() == 0.0` would be a false exactness
+/// certificate.
+fn snapshots_touched(nonzero: usize, n: usize, residual: f64) -> bool {
+    nonzero * 2 <= n || residual > 0.0
 }
 
 /// An owned proximity vector in the cheapest faithful representation:
@@ -1429,6 +1688,158 @@ mod tests {
             snap.residual_bound().to_bits(),
             ws.residual_bound().to_bits()
         );
+    }
+
+    /// Cold snapshot of `model` on `g`, and the edits between two graphs
+    /// that differ in the named pairs.
+    fn cold(model: ProximityModel, g: &CsrGraph, seeker: NodeId) -> ProximityVec {
+        let mut ws = SigmaWorkspace::new();
+        model.materialize_into(g, seeker, &mut ws);
+        ws.snapshot(g.num_nodes())
+    }
+
+    fn edits(old: &CsrGraph, new: &CsrGraph, pairs: &[(NodeId, NodeId)]) -> Vec<EdgeEdit> {
+        pairs
+            .iter()
+            .map(|&(u, v)| EdgeEdit {
+                u,
+                v,
+                old: old.edge_weight(u, v),
+                new: new.edge_weight(u, v),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn repair_switches_representation_with_the_reach() {
+        // Two 6-rings: joined, seeker 0 reaches all 12 nodes (Dense); cut
+        // apart, half of them (Touched) — and back.
+        let ring = |o: u32| (0..6).map(move |i| (o + i, o + (i + 1) % 6, 1.0));
+        let apart = GraphBuilder::from_edges(12, ring(0).chain(ring(6)));
+        let joined = apart.with_edits(&[(2, 8, 0.5)], &[]);
+        let mut scratch = SigmaRepair::new();
+        for model in [
+            ProximityModel::WeightedDecay { alpha: 0.5 },
+            ProximityModel::DistanceDecay { alpha: 0.5 },
+        ] {
+            let mut vec = cold(model, &joined, 0);
+            assert!(matches!(vec, ProximityVec::Dense { .. }));
+            let cut = edits(&joined, &apart, &[(2, 8)]);
+            assert_eq!(model.repair(&apart, &cut, &mut vec, &mut scratch), Some(6));
+            assert!(matches!(vec, ProximityVec::Touched { .. }));
+            assert_eq!(vec, cold(model, &apart, 0));
+            let join = edits(&apart, &joined, &[(2, 8)]);
+            assert_eq!(
+                model.repair(&joined, &join, &mut vec, &mut scratch),
+                Some(6)
+            );
+            assert_eq!(vec, cold(model, &joined, 0));
+            // An edit out of the seeker's reach changes nothing.
+            let mut vec = cold(model, &apart, 0);
+            let far = apart.with_edits(&[], &[(7, 8)]);
+            let cut = edits(&apart, &far, &[(7, 8)]);
+            assert_eq!(model.repair(&far, &cut, &mut vec, &mut scratch), Some(0));
+            assert_eq!(vec, cold(model, &far, 0));
+        }
+        assert_eq!(scratch.allocation_count(), 2, "the two graph-sized arrays");
+    }
+
+    #[test]
+    fn repair_refuses_what_it_cannot_keep_exact() {
+        let g = chain();
+        let next = g.with_edits(&[(0, 3, 1.0)], &[]);
+        let e = edits(&g, &next, &[(0, 3)]);
+        let mut scratch = SigmaRepair::new();
+        // Models without a best-path fixed point.
+        for model in [
+            ProximityModel::FriendsOnly,
+            ProximityModel::AdamicAdar,
+            ProximityModel::Ppr {
+                alpha: 0.2,
+                epsilon: 1e-4,
+            },
+        ] {
+            let mut vec = cold(model, &g, 0);
+            assert_eq!(model.repair(&next, &e, &mut vec, &mut scratch), None);
+        }
+        // A lossy snapshot, a vector over another node count, an edit that
+        // names a node the graph does not have.
+        let model = ProximityModel::WeightedDecay { alpha: 0.5 };
+        let mut ws = SigmaWorkspace::new();
+        model.materialize_bounded(&g, 0, &mut ws, SigmaBounds::with_min_mass(0.3));
+        let mut lossy = ws.snapshot(4);
+        assert!(lossy.residual_bound() > 0.0);
+        assert_eq!(model.repair(&next, &e, &mut lossy, &mut scratch), None);
+        let mut short = ProximityVec::Dense {
+            values: vec![1.0, 0.5],
+            seeker: 0,
+            non_seeker_max: 0.5,
+        };
+        assert_eq!(model.repair(&next, &e, &mut short, &mut scratch), None);
+        let mut vec = cold(model, &g, 0);
+        let outside = [EdgeEdit {
+            u: 0,
+            v: 9,
+            old: None,
+            new: Some(1.0),
+        }];
+        assert_eq!(model.repair(&next, &outside, &mut vec, &mut scratch), None);
+        // The scratch array of `Touched` repairs is all zeros again.
+        assert!(scratch.dense.iter().all(|&s| s == 0.0));
+    }
+
+    /// `DistanceDecay` repairs walk the `alpha^h` table. Past the decay
+    /// horizon everything is 0 and stays exact; where two successive powers
+    /// round to one sub-normal value a value stops naming its hop count,
+    /// and the repair must say so instead of guessing.
+    #[test]
+    fn distance_decay_repair_is_exact_to_the_horizon_and_refuses_plateaus() {
+        let path = |n: usize| {
+            GraphBuilder::from_edges(n, (0..n - 1).map(|i| (i as u32, i as u32 + 1, 1.0)))
+        };
+        let mut scratch = SigmaRepair::new();
+        // alpha 0.3: strictly decreasing down to the horizon (618 hops).
+        let model = ProximityModel::DistanceDecay { alpha: 0.3 };
+        let g = path(2000);
+        assert!((decay_horizon(0.3) as usize) < 1000);
+        for (inserts, removals) in [
+            (vec![(0, 1500, 1.0)], vec![]), // a shortcut beyond the horizon
+            (vec![(3, 900, 1.0)], vec![(500, 501)]), // every level past 4 shifts
+            (vec![], vec![(610, 611)]),     // a cut just inside the horizon
+        ] {
+            let next = g.with_edits(&inserts, &removals);
+            let pairs: Vec<(u32, u32)> = inserts
+                .iter()
+                .map(|&(u, v, _)| (u, v))
+                .chain(removals.iter().copied())
+                .collect();
+            let mut vec = cold(model, &g, 0);
+            let changed = model.repair(&next, &edits(&g, &next, &pairs), &mut vec, &mut scratch);
+            assert!(changed.is_some_and(|c| c > 0));
+            assert_eq!(vec, cold(model, &next, 0));
+        }
+        // alpha 0.9: the powers collide before they reach 0.
+        let alpha = 0.9f64;
+        let horizon = decay_horizon(alpha) as i32;
+        let plateau = (1..horizon)
+            .find(|&h| alpha.powi(h) == alpha.powi(h + 1))
+            .expect("0.9^h rounds to a repeated sub-normal before it underflows");
+        let model = ProximityModel::DistanceDecay { alpha };
+        let g = path(plateau as usize + 50);
+        let cut = g.with_edits(&[], &[(20, 21)]);
+        let mut vec = cold(model, &g, 0);
+        let e = edits(&g, &cut, &[(20, 21)]);
+        assert_eq!(
+            model.repair(&cut, &e, &mut vec, &mut scratch),
+            None,
+            "zeroing the chain past hop 20 walks through the plateau"
+        );
+        // The same model over shallow reach never asks about a deep level.
+        let mut vec = cold(model, &cut, 0);
+        let next = cut.with_edits(&[(2, 10, 1.0)], &[]);
+        let e = edits(&cut, &next, &[(2, 10)]);
+        assert_eq!(model.repair(&next, &e, &mut vec, &mut scratch), Some(14));
+        assert_eq!(vec, cold(model, &next, 0));
     }
 
     #[test]

@@ -4,13 +4,17 @@
 //! workspaces count their growth events explicitly, so this is a
 //! deterministic test, not a heap-profiler heuristic.
 
+use friends_core::cache::ProximityCache;
 use friends_core::corpus::Corpus;
+use friends_core::live::LiveCorpus;
 use friends_core::processors::{
     ExactOnline, ExpansionConfig, FriendExpansion, Processor, ScoringStrategy,
 };
 use friends_core::proximity::{ProximityModel, SigmaBounds, SigmaWorkspace};
 use friends_data::datasets::{DatasetSpec, Scale};
+use friends_data::mutations::{MutationParams, MutationStream};
 use friends_data::queries::{QueryParams, QueryWorkload};
+use std::sync::Arc;
 
 fn fixture() -> (Corpus, QueryWorkload) {
     let ds = DatasetSpec::delicious_like(Scale::Tiny).build(41);
@@ -142,4 +146,53 @@ fn weighted_decay_kernel_steady_state_is_allocation_free() {
         }
     }
     assert_eq!(ws.allocation_count(), warm);
+}
+
+#[test]
+fn repairing_sweep_steady_state_is_allocation_free() {
+    // The live-graph sweep repairs cached vectors in the cache's own
+    // scratch: the first sweep sizes it to the graph, and no later batch —
+    // inserts, removals, both repairable models, every seeker re-read in
+    // between — grows it again.
+    let (corpus, w) = fixture();
+    let live = LiveCorpus::new(Arc::new(corpus));
+    let cache = Arc::new(ProximityCache::new(4 * w.queries.len()));
+    let models = [
+        ProximityModel::WeightedDecay { alpha: 0.5 },
+        ProximityModel::WeightedDecay { alpha: 0.9 },
+        ProximityModel::DistanceDecay { alpha: 0.5 },
+    ];
+    let base = live.snapshot();
+    let batches = MutationStream::generate(
+        &base.graph,
+        &base.store,
+        &MutationParams {
+            count: 12 * 16,
+            ..MutationParams::default()
+        },
+        23,
+    )
+    .batches(16);
+    let mut warm = None;
+    let mut repaired = 0;
+    for batch in &batches {
+        let snap = live.snapshot();
+        for model in models {
+            let mut p = ExactOnline::with_cache(&snap, model, Arc::clone(&cache));
+            for q in &w.queries {
+                p.query(q);
+            }
+        }
+        let prepared = live.prepare(batch, None);
+        let sweep = cache.repair_affected(&prepared.next.graph, &prepared.edits);
+        live.publish(&prepared);
+        repaired += sweep.repaired;
+        let count = cache.repair_allocation_count();
+        assert_eq!(
+            *warm.get_or_insert(count),
+            count,
+            "a warm sweep grew its scratch"
+        );
+    }
+    assert!(repaired > 0, "no sweep repaired anything");
 }

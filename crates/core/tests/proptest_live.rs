@@ -10,6 +10,12 @@
 //!   *exactly* the entries whose σ support crosses a touched endpoint: a
 //!   differential count against dense σ, which also pins the acceptance
 //!   property that a batch outside every cached reach set drops nothing.
+//! * **Repair exactness** — after [`ProximityCache::repair_affected`] every
+//!   resident entry `==` the cold snapshot on the next graph as a
+//!   `ProximityVec`, the sweep's counts add up to the entries the reach
+//!   predicate marks, the byte charge is the sum of the residents', and
+//!   only exact decay-model entries read since the previous sweep are
+//!   repaired rather than dropped.
 //! * **Snapshot isolation** — every answer computed against a pinned
 //!   snapshot while a writer races equals the frozen answer of *some*
 //!   published epoch, and pinned epochs never change under the reader.
@@ -18,14 +24,14 @@ use friends_core::cache::ProximityCache;
 use friends_core::corpus::Corpus;
 use friends_core::live::LiveCorpus;
 use friends_core::processors::{ExactOnline, Processor};
-use friends_core::proximity::{ProximityModel, SigmaWorkspace};
+use friends_core::proximity::{ProximityModel, ProximityVec, SigmaBounds, SigmaWorkspace};
 use friends_data::mutations::{Mutation, MutationBatch};
 use friends_data::queries::Query;
 use friends_data::store::TagStore;
 use friends_data::Tagging;
 use friends_graph::{GraphBuilder, NodeId};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const MODEL: ProximityModel = ProximityModel::WeightedDecay { alpha: 0.5 };
@@ -246,6 +252,112 @@ proptest! {
         prop_assert_eq!(cache.len() as u64, 2 * USERS as u64 - expected);
         if endpoints.is_empty() {
             prop_assert_eq!(dropped, 0);
+        }
+    }
+
+    /// The repairing sweep against a mirror of what it must do. Entries of
+    /// six kinds per seeker — two repairable decay models, the same model
+    /// under lossy bounds, PPR, AdamicAdar, Global — are offered, a random
+    /// subset is read between batches, and after every sweep the mirror
+    /// says which entries are resident: unmarked ones untouched, marked
+    /// exact decay entries read (or inserted) since the last sweep
+    /// repaired, everything else marked dropped. Counts, length and byte
+    /// charge are checked against the mirror without reading the cache;
+    /// every read, and a full read at the end, compares the resident
+    /// vector with the cold snapshot on that epoch's graph.
+    #[test]
+    fn repairing_sweep_leaves_cold_snapshots(
+        (edges, taggings) in arb_seed(),
+        batches in proptest::collection::vec(
+            proptest::collection::vec(arb_mutation(), 1..5), 1..6),
+        reads in proptest::collection::vec(
+            proptest::collection::vec((0u32..USERS, 0usize..6), 0..40), 6),
+    ) {
+        let bounded = SigmaBounds::with_min_mass(0.2);
+        let kinds: [(ProximityModel, SigmaBounds); 6] = [
+            (MODEL, SigmaBounds::EXACT),
+            (ProximityModel::DistanceDecay { alpha: 0.8 }, SigmaBounds::EXACT),
+            (MODEL, bounded),
+            (ProximityModel::Ppr { alpha: 0.2, epsilon: 1e-4 }, SigmaBounds::EXACT),
+            (ProximityModel::AdamicAdar, SigmaBounds::EXACT),
+            (ProximityModel::Global, SigmaBounds::EXACT),
+        ];
+        let cold = |graph: &friends_graph::CsrGraph, seeker: u32, kind: usize| -> ProximityVec {
+            let (model, bounds) = kinds[kind];
+            let mut ws = SigmaWorkspace::new();
+            model.materialize_bounded(graph, seeker, &mut ws, bounds);
+            ws.snapshot(graph.num_nodes())
+        };
+        let n = USERS as usize;
+        let live = LiveCorpus::new(Arc::new(seed_corpus(&edges, &taggings)));
+        let cache = ProximityCache::new(4 * 6 * n);
+        let overhead = {
+            let probe = ProximityCache::new(4);
+            let graph = &live.snapshot().graph;
+            probe.insert(graph, 0, MODEL, Arc::new(ProximityVec::AllOnes));
+            probe.memory_bytes()
+        };
+        // (seeker, kind) → read or inserted since the last sweep.
+        let mut resident: BTreeMap<(u32, usize), bool> = BTreeMap::new();
+        for (round, muts) in batches.into_iter().enumerate() {
+            let snap = live.snapshot();
+            // Reads hit what is resident and insert what is not.
+            for &(seeker, kind) in &reads[round % reads.len()] {
+                let (model, bounds) = kinds[kind];
+                match cache.get_bounded(&snap.graph, seeker, model, bounds) {
+                    Some(v) => {
+                        prop_assert!(resident.contains_key(&(seeker, kind)));
+                        prop_assert_eq!(&*v, &cold(&snap.graph, seeker, kind),
+                            "round {} seeker {} kind {}", round, seeker, kind);
+                    }
+                    None => {
+                        prop_assert!(!resident.contains_key(&(seeker, kind)));
+                        let v = Arc::new(cold(&snap.graph, seeker, kind));
+                        cache.insert_bounded(&snap.graph, seeker, model, bounds, v);
+                    }
+                }
+                resident.insert((seeker, kind), true);
+            }
+            let prepared = live.prepare(&MutationBatch::new(muts), None);
+            let endpoints: BTreeSet<u32> = prepared.touched_nodes.iter().copied().collect();
+            let mut marked = 0u64;
+            let mut expect_dropped = 0u64;
+            resident.retain(|&(seeker, kind), read| {
+                let old = cold(&snap.graph, seeker, kind);
+                let hit = kind != 5
+                    && endpoints.iter().any(|&e| e == seeker || old.get(e) > 0.0);
+                marked += hit as u64;
+                let keep = !hit || (kind < 2 && *read);
+                expect_dropped += !keep as u64;
+                keep
+            });
+            let sweep = cache.repair_affected(&prepared.next.graph, &prepared.edits);
+            live.publish(&prepared);
+            if !endpoints.is_empty() {
+                resident.values_mut().for_each(|read| *read = false);
+            }
+            prop_assert_eq!(sweep.kept + sweep.repaired + sweep.dropped, marked);
+            prop_assert_eq!(sweep.dropped, expect_dropped);
+            prop_assert_eq!(sweep.repaired == 0, sweep.changed_nodes == 0);
+            prop_assert_eq!(cache.len(), resident.len());
+            let next = &prepared.next.graph;
+            let charges: usize = resident
+                .keys()
+                .map(|&(seeker, kind)| cold(next, seeker, kind).memory_bytes() + overhead)
+                .sum();
+            prop_assert_eq!(cache.memory_bytes(), charges);
+        }
+        let snap = live.snapshot();
+        for seeker in 0..USERS {
+            for (kind, &(model, bounds)) in kinds.iter().enumerate() {
+                let got = cache.get_bounded(&snap.graph, seeker, model, bounds);
+                prop_assert_eq!(got.is_some(), resident.contains_key(&(seeker, kind)));
+                if let Some(v) = got {
+                    prop_assert_eq!(&*v, &cold(&snap.graph, seeker, kind),
+                        "final: seeker {} kind {}", seeker, kind);
+                    prop_assert_eq!(v.residual_bound(), cold(&snap.graph, seeker, kind).residual_bound());
+                }
+            }
         }
     }
 

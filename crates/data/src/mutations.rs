@@ -59,8 +59,9 @@ impl MutationBatch {
         self.mutations.len()
     }
 
-    /// Whether the batch is empty (applying it is a no-op that still
-    /// publishes a new epoch).
+    /// Whether the batch is empty. `LiveCorpus::apply` still publishes a
+    /// new epoch for an empty batch; the serving tier's `apply_mutations`
+    /// returns the current epoch without publishing one.
     pub fn is_empty(&self) -> bool {
         self.mutations.is_empty()
     }

@@ -720,6 +720,283 @@ pub fn decay_labels<F: FnMut(f32) -> f64>(
     }
 }
 
+/// One undirected pair whose stored weight a batch of graph edits changed:
+/// `old` is its weight on the graph a proximity vector was computed on,
+/// `new` its weight on the graph [`repair_labels`] repairs the vector to
+/// (`None` = no such edge). A pair whose two weights agree is not an edit.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct EdgeEdit {
+    pub u: NodeId,
+    pub v: NodeId,
+    pub old: Option<f32>,
+    pub new: Option<f32>,
+}
+
+impl EdgeEdit {
+    /// The distinct endpoints of `edits`, sorted: the nodes a proximity
+    /// vector must reach for the edits to matter to it.
+    pub fn endpoints(edits: &[EdgeEdit]) -> Vec<NodeId> {
+        let mut nodes: Vec<NodeId> = edits.iter().flat_map(|e| [e.u, e.v]).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
+}
+
+/// What phase A of [`repair_labels`] has decided about a node.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Support {
+    #[default]
+    Unquestioned,
+    /// Lost a tight in-arc; waiting on the suspect heap.
+    Suspect,
+    /// A suspect that still has a tight in-arc from an unaffected node.
+    Kept,
+    /// A suspect with no surviving support: its old value is void.
+    Affected,
+}
+
+/// One packed per-node record of a [`RepairScratch`], valid for the run
+/// whose stamp it carries.
+#[derive(Clone, Copy, Debug, Default)]
+struct RepairCell {
+    /// The node's value before this run first overwrote it.
+    old: f64,
+    stamp: u32,
+    support: Support,
+    overwritten: bool,
+}
+
+/// Reusable stamped scratch of [`repair_labels`]; after a run it holds the
+/// run's changed-node set ([`RepairScratch::changed`]).
+#[derive(Debug, Default)]
+pub struct RepairScratch {
+    cells: Vec<RepairCell>,
+    run: u32,
+    /// Suspects by decreasing old value in phase A, raised nodes by
+    /// decreasing new value in phase B; empty between the two.
+    heap: BinaryHeap<(OrdF64, NodeId)>,
+    affected: Vec<NodeId>,
+    /// Nodes whose value this run overwrote, in first-write order.
+    overwritten: Vec<NodeId>,
+    changed: Vec<NodeId>,
+    allocations: u64,
+}
+
+impl RepairScratch {
+    /// Creates an empty scratch; buffers are sized on first use.
+    pub fn new() -> Self {
+        RepairScratch::default()
+    }
+
+    /// The nodes whose value the most recent run changed (old and new bits
+    /// differ), in no particular order.
+    pub fn changed(&self) -> &[NodeId] {
+        &self.changed
+    }
+
+    /// The value `u` held before the most recent run; `u` must be one of
+    /// its [`RepairScratch::changed`] nodes.
+    pub fn old_value(&self, u: NodeId) -> f64 {
+        let c = &self.cells[u as usize];
+        debug_assert!(c.stamp == self.run && c.overwritten, "{u} did not change");
+        c.old
+    }
+
+    /// Number of times the per-node record array grew (the heap and the
+    /// node lists amortize and keep their capacity, as in
+    /// [`ProximityLabels`]).
+    pub fn allocation_count(&self) -> u64 {
+        self.allocations
+    }
+
+    fn begin(&mut self, n: usize) {
+        if self.cells.len() < n {
+            self.cells.resize(n, RepairCell::default());
+            self.allocations += 1;
+        }
+        if self.run == u32::MAX {
+            self.cells.iter_mut().for_each(|c| c.stamp = 0);
+            self.run = 0;
+        }
+        self.run += 1;
+        self.heap.clear();
+        self.affected.clear();
+        self.overwritten.clear();
+        self.changed.clear();
+    }
+
+    #[inline]
+    fn cell(&mut self, u: NodeId) -> &mut RepairCell {
+        let c = &mut self.cells[u as usize];
+        if c.stamp != self.run {
+            *c = RepairCell {
+                stamp: self.run,
+                ..RepairCell::default()
+            };
+        }
+        c
+    }
+
+    #[inline]
+    fn support(&self, u: NodeId) -> Support {
+        let c = &self.cells[u as usize];
+        if c.stamp == self.run {
+            c.support
+        } else {
+            Support::Unquestioned
+        }
+    }
+
+    #[inline]
+    fn suspect(&mut self, u: NodeId, value: f64) {
+        let c = self.cell(u);
+        if c.support == Support::Unquestioned {
+            c.support = Support::Suspect;
+            self.heap.push((OrdF64(value), u));
+        }
+    }
+
+    /// Overwrites `values[u]`, remembering what it held before the run.
+    #[inline]
+    fn write(&mut self, values: &mut [f64], u: NodeId, value: f64) {
+        let c = self.cell(u);
+        if !c.overwritten {
+            c.overwritten = true;
+            c.old = values[u as usize];
+            self.overwritten.push(u);
+        }
+        values[u as usize] = value;
+    }
+}
+
+/// Repairs, in place, a best-path proximity vector from `seeker` after the
+/// graph it was computed on was edited into `g`: on return `values` holds
+/// what a from-scratch labelling of `g` would, **bit for bit**, at a cost of
+/// `O(edits + changed nodes × degree)` heap steps instead of `O(n + m)`.
+///
+/// `values[u]` must be the fixed point [`decay_labels`] computes on the old
+/// graph — `1.0` at the seeker, `max fl(relax(values[x], w(x, u)))` over
+/// in-arcs elsewhere, `0.0` where unreached — with no floor. `relax(p, w)`
+/// is the model's one-arc step: non-decreasing in `p`, never above `p`, and
+/// `0.0` for `p == 0.0` is never asked (zero-valued tails are skipped).
+/// `edits` lists every pair whose weight differs between the two graphs.
+///
+/// **Phase A — lost support.** An arc `x → t` is *tight* when
+/// `relax(values[x], w) == values[t] > 0`. The head of every edited arc that
+/// was tight under its old weight and is not under its new one becomes a
+/// suspect. Suspects are settled in decreasing old value, so that every node
+/// that could support one (a tight in-arc with a strictly larger tail) has
+/// been decided before it: a suspect with such an arc from a node not found
+/// affected keeps its value; otherwise it is *affected*, and every head it
+/// is tight to becomes a suspect. Support demands the strictly larger tail;
+/// suspicion does not. On a plateau (`relax(p, w) == p`, sub-normal
+/// products) a node therefore cannot vouch for an equal-valued neighbour —
+/// which would let a cycle of them keep each other alive with no path to
+/// the seeker left — but does pass suspicion on to it, so a plateau that
+/// loses its support is affected as a whole: the affected set may be
+/// larger than the set of nodes that change, never smaller.
+///
+/// **Phase B — settle.** Affected nodes are zeroed and re-seeded from their
+/// best in-neighbour, heads a new or up-weighted arc improves are raised,
+/// and raised nodes relax their arcs in decreasing value until nothing
+/// improves. Every surviving value has a chain of tight arcs back to the
+/// seeker in `g`, so it is a lower bound of the new fixed point, and every
+/// arc that could be violated has a raised tail on the heap; `relax` being
+/// monotone, the loop ends at that fixed point.
+pub fn repair_labels<F: FnMut(f64, f32) -> f64>(
+    g: &CsrGraph,
+    seeker: NodeId,
+    mut relax: F,
+    edits: &[EdgeEdit],
+    values: &mut [f64],
+    scratch: &mut RepairScratch,
+) {
+    assert_eq!(values.len(), g.num_nodes(), "one value per node");
+    scratch.begin(values.len());
+    for e in edits {
+        let Some(old) = e.old else { continue };
+        for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+            let (pa, pb) = (values[a as usize], values[b as usize]);
+            if pa > 0.0
+                && pb > 0.0
+                && b != seeker
+                && relax(pa, old) == pb
+                && !e.new.is_some_and(|new| relax(pa, new) == pb)
+            {
+                scratch.suspect(b, pb);
+            }
+        }
+    }
+    while let Some((OrdF64(p), t)) = scratch.heap.pop() {
+        let supported = g.edges(t).any(|(x, w)| {
+            let px = values[x as usize];
+            px > p && scratch.support(x) != Support::Affected && relax(px, w) == p
+        });
+        if supported {
+            scratch.cell(t).support = Support::Kept;
+            continue;
+        }
+        scratch.cell(t).support = Support::Affected;
+        scratch.affected.push(t);
+        for (y, w) in g.edges(t) {
+            let py = values[y as usize];
+            if py > 0.0 && y != seeker && relax(p, w) == py {
+                scratch.suspect(y, py);
+            }
+        }
+    }
+
+    for i in 0..scratch.affected.len() {
+        let t = scratch.affected[i];
+        scratch.write(values, t, 0.0);
+    }
+    for i in 0..scratch.affected.len() {
+        let t = scratch.affected[i];
+        let best = g
+            .edges(t)
+            .filter(|&(x, _)| values[x as usize] > 0.0)
+            .map(|(x, w)| relax(values[x as usize], w))
+            .fold(0.0, f64::max);
+        if best > 0.0 {
+            values[t as usize] = best;
+            scratch.heap.push((OrdF64(best), t));
+        }
+    }
+    for e in edits {
+        let Some(new) = e.new else { continue };
+        for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+            let pa = values[a as usize];
+            if pa > 0.0 {
+                let raised = relax(pa, new);
+                if raised > values[b as usize] {
+                    scratch.write(values, b, raised);
+                    scratch.heap.push((OrdF64(raised), b));
+                }
+            }
+        }
+    }
+    while let Some((OrdF64(p), u)) = scratch.heap.pop() {
+        if values[u as usize] != p {
+            continue; // raised again since this entry was pushed
+        }
+        for (y, w) in g.edges(u) {
+            let raised = relax(p, w);
+            if raised > values[y as usize] {
+                scratch.write(values, y, raised);
+                scratch.heap.push((OrdF64(raised), y));
+            }
+        }
+    }
+    let (cells, changed) = (&scratch.cells, &mut scratch.changed);
+    changed.extend(
+        scratch
+            .overwritten
+            .iter()
+            .filter(|&&u| cells[u as usize].old.to_bits() != values[u as usize].to_bits()),
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,8 +6,9 @@ use friends_graph::csr::{CsrGraph, GraphBuilder, NodeId};
 use friends_graph::landmarks::{LandmarkOracle, LandmarkStrategy};
 use friends_graph::ppr::{forward_push_fresh, power_iteration};
 use friends_graph::traversal::{
-    bfs_distances, bidirectional_hops, decay_labels, dijkstra, ProximityLabels, ProximityOrder,
-    ProximityScan, ProximityWorkspace, UNREACHABLE, UNREACHABLE_F,
+    bfs_distances, bidirectional_hops, decay_labels, dijkstra, repair_labels, EdgeEdit,
+    ProximityLabels, ProximityOrder, ProximityScan, ProximityWorkspace, RepairScratch, UNREACHABLE,
+    UNREACHABLE_F,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -364,6 +365,195 @@ proptest! {
                 prop_assert!(ub >= t, "ub {} < true {} for {}", ub, t, v);
             }
         }
+    }
+}
+
+/// Edge weights of the repair proptest: few values, so equal-product paths
+/// and equally good parents are the rule, plus an arc that carries nothing.
+const QUANTA: [f32; 5] = [0.0, 0.25, 0.5, 0.5, 1.0];
+
+/// One op of a repair batch, resolved against the graph the batch applies
+/// to: `(kind, a, b, weight index)`.
+type RepairOp = (u8, u32, u32, usize);
+
+/// A small graph over quantised weights, a seeker, and a chain of batches.
+#[allow(clippy::type_complexity)]
+fn arb_repair_case() -> impl Strategy<
+    Value = (
+        usize,
+        NodeId,
+        Vec<(NodeId, NodeId, usize)>,
+        Vec<Vec<RepairOp>>,
+    ),
+> {
+    (1usize..20).prop_flat_map(|n| {
+        let node = 0..n as NodeId;
+        let edges =
+            proptest::collection::vec((node.clone(), node.clone(), 0..QUANTA.len()), 0..(n * 2));
+        let op = (0u8..7, 0u32..64, 0u32..64, 0..QUANTA.len());
+        let batches = proptest::collection::vec(proptest::collection::vec(op, 0..6), 1..6);
+        (Just(n), node, edges, batches)
+    })
+}
+
+/// Resolves a batch against `g`: random inserts and removals (absent pairs
+/// included), up- and down-weights and removals of stored edges (which
+/// disconnect and, a batch later, reconnect), inserts at the stored weight
+/// (no-ops), and edits at the seeker.
+#[allow(clippy::type_complexity)]
+fn resolve_ops(
+    g: &CsrGraph,
+    seeker: NodeId,
+    ops: &[RepairOp],
+) -> (Vec<(NodeId, NodeId, f32)>, Vec<(NodeId, NodeId)>) {
+    let n = g.num_nodes() as u32;
+    let stored: Vec<(NodeId, NodeId, f32)> = g.undirected_edges().collect();
+    let (mut inserts, mut removals) = (Vec::new(), Vec::new());
+    for &(kind, a, b, wi) in ops {
+        let pick = (!stored.is_empty()).then(|| stored[a as usize % stored.len().max(1)]);
+        match (kind, pick) {
+            (0, _) => inserts.push((a % n, b % n, QUANTA[wi])),
+            (1, _) => removals.push((a % n, b % n)),
+            (2, Some((u, v, w))) => inserts.push((v, u, (w * 2.0).min(1.0))),
+            (3, Some((u, v, w))) => inserts.push((u, v, w * 0.5)),
+            (4, Some((u, v, _))) => removals.push((u, v)),
+            (5, Some((u, v, w))) => inserts.push((u, v, w)),
+            _ => inserts.push((seeker, b % n, QUANTA[wi])),
+        }
+    }
+    (inserts, removals)
+}
+
+/// Every pair the batch names whose weight differs between the two graphs.
+fn edits_between(
+    old: &CsrGraph,
+    new: &CsrGraph,
+    inserts: &[(NodeId, NodeId, f32)],
+    removals: &[(NodeId, NodeId)],
+) -> Vec<EdgeEdit> {
+    let pairs: BTreeSet<(NodeId, NodeId)> = removals
+        .iter()
+        .copied()
+        .chain(inserts.iter().map(|&(u, v, _)| (u, v)))
+        .filter(|&(u, v)| u != v)
+        .map(|(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    pairs
+        .into_iter()
+        .map(|(u, v)| EdgeEdit {
+            u,
+            v,
+            old: old.edge_weight(u, v),
+            new: new.edge_weight(u, v),
+        })
+        .filter(|e| e.old != e.new)
+        .collect()
+}
+
+/// Drives one vector through the chain of batches with `repair_labels` and
+/// checks it, after every batch, against `cold` on that batch's graph.
+fn check_repair_chain(
+    n: usize,
+    seeker: NodeId,
+    edges: &[(NodeId, NodeId, usize)],
+    batches: &[Vec<RepairOp>],
+    relax: impl Fn(f64, f32) -> f64,
+    cold: impl Fn(&CsrGraph) -> Vec<f64>,
+) -> Result<(), TestCaseError> {
+    let weighted: Vec<(NodeId, NodeId, f32)> =
+        edges.iter().map(|&(u, v, wi)| (u, v, QUANTA[wi])).collect();
+    let mut g = build(n, &weighted);
+    let mut values = cold(&g);
+    let mut scratch = RepairScratch::new();
+    for ops in batches {
+        let (inserts, removals) = resolve_ops(&g, seeker, ops);
+        let next = g.with_edits(&inserts, &removals);
+        let edits = edits_between(&g, &next, &inserts, &removals);
+        let before = values.clone();
+        repair_labels(&next, seeker, &relax, &edits, &mut values, &mut scratch);
+        let want = cold(&next);
+        for u in 0..n {
+            prop_assert_eq!(
+                values[u].to_bits(),
+                want[u].to_bits(),
+                "node {}: repaired {} cold {} (edits {:?})",
+                u,
+                values[u],
+                want[u],
+                edits
+            );
+        }
+        let differing: BTreeSet<NodeId> = (0..n as NodeId)
+            .filter(|&u| before[u as usize].to_bits() != values[u as usize].to_bits())
+            .collect();
+        let changed: BTreeSet<NodeId> = scratch.changed().iter().copied().collect();
+        prop_assert_eq!(
+            scratch.changed().len(),
+            changed.len(),
+            "a node listed twice"
+        );
+        prop_assert_eq!(&changed, &differing);
+        // With nothing edited there is nothing to repair.
+        repair_labels(&next, seeker, &relax, &[], &mut values, &mut scratch);
+        prop_assert!(scratch.changed().is_empty());
+        for u in 0..n {
+            prop_assert_eq!(
+                values[u].to_bits(),
+                want[u].to_bits(),
+                "idle repair moved {}",
+                u
+            );
+        }
+        g = next;
+    }
+    prop_assert_eq!(scratch.allocation_count(), 1);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `repair_labels` under the product step of `decay_labels`: after every
+    /// batch the repaired vector is the cold labelling of that batch's
+    /// graph, bit for bit at every node, for a multiplier that always
+    /// leaves the binade, the boundary one, and one that does not — and for
+    /// `alpha = 1`, where a full-weight arc hands its value on unchanged:
+    /// the plateaus (here whole cycles of equal values, the seeker's 1.0
+    /// among them) that sub-normal products form in deep graphs, which must
+    /// fall as one when the arc feeding them goes.
+    #[test]
+    fn repaired_products_equal_cold_labels(
+        (n, seeker, edges, batches) in arb_repair_case(),
+        alpha in prop_oneof![Just(0.3f64), Just(0.5f64), Just(0.9f64), Just(1.0f64)],
+    ) {
+        let decay = move |w: f32| alpha * (w as f64).clamp(0.0, 1.0);
+        check_repair_chain(n, seeker, &edges, &batches, |p, w| p * decay(w), |g| {
+            let mut labels = ProximityLabels::new();
+            decay_labels(g, seeker, decay, 0.0, &mut labels);
+            labels.to_dense(n)
+        })?;
+    }
+
+    /// `repair_labels` under a level-table step (`alpha^h → alpha^(h+1)`,
+    /// whatever the arc weighs): the repaired vector is `alpha.powi(hops)`
+    /// of a fresh BFS, bit for bit.
+    #[test]
+    fn repaired_levels_equal_bfs_powers(
+        (n, seeker, edges, batches) in arb_repair_case(),
+        alpha in prop_oneof![Just(0.3f64), Just(0.8f64)],
+    ) {
+        let table: Vec<f64> = (0..=n as i32 + 1).map(|h| alpha.powi(h)).collect();
+        let step = |p: f64, _: f32| {
+            let h = table.partition_point(|&level| level > p);
+            assert_eq!(table[h].to_bits(), p.to_bits(), "{p} is not a level");
+            table[h + 1]
+        };
+        check_repair_chain(n, seeker, &edges, &batches, step, |g| {
+            bfs_distances(g, seeker)
+                .iter()
+                .map(|&h| if h == UNREACHABLE { 0.0 } else { alpha.powi(h as i32) })
+                .collect()
+        })?;
     }
 }
 

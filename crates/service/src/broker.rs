@@ -5,7 +5,7 @@ use crate::request::{Job, Outcome, Reply, Request, Ticket};
 use crate::result_cache::{ResultCache, ResultKey};
 use crate::stats::{MutationTimes, ServiceStats, ShardState};
 use crossbeam::channel;
-use friends_core::cache::{CachePolicy, ProximityCache};
+use friends_core::cache::{CachePolicy, ProximityCache, SigmaSweep};
 use friends_core::corpus::{Corpus, SearchResult};
 use friends_core::latency::Stage;
 use friends_core::live::{
@@ -15,7 +15,7 @@ use friends_core::plan::{
     strategy_index, PlanCounters, PlannedExecutor, Planner, ProcessorRegistry, STRATEGY_LABELS,
 };
 use friends_core::processors::{ExactOnline, GlobalBoundTA, Processor, ScoringStrategy};
-use friends_core::proximity::{ProximityModel, ProximityVec, SigmaBounds, SigmaWorkspace};
+use friends_core::proximity::{ProximityModel, SigmaBounds};
 use friends_core::trace::{QueryTrace, TraceCollector, TraceConfig, TraceOutcome, TraceRecord};
 use friends_data::mutations::MutationBatch;
 use friends_data::queries::Query;
@@ -158,11 +158,6 @@ pub struct ServiceConfig {
     /// relaxed `fetch_add` per request); set `sample_every: 0` to keep
     /// only forced, slow and deadline-missed traces.
     pub trace: TraceConfig,
-    /// Per-shard budget on the σ entries `apply_mutations` re-materializes
-    /// on the writer thread per batch (most-recently-used first; the rest
-    /// rebuild lazily on their next query). Bounds the writer's CPU per
-    /// epoch; 0 disables the refresh.
-    pub mutation_refresh_cap: usize,
     /// Crash safety for the live graph: when set, startup recovers from
     /// the directory's newest valid snapshot + WAL replay (an empty
     /// directory is seeded from the start corpus), and every mutation
@@ -197,7 +192,6 @@ impl Default for ServiceConfig {
             overload: None,
             fault: None,
             trace: TraceConfig::default(),
-            mutation_refresh_cap: 64,
             durability: None,
         }
     }
@@ -384,10 +378,18 @@ enum WorkItem {
 /// plus the ack the publisher collects (per-shard invalidation counts).
 struct MutationJob {
     prepared: Arc<PreparedMutation>,
-    ack: channel::Sender<(u64, u64)>,
+    ack: channel::Sender<ShardAck>,
     /// The batch's WAL receipt (`None` on memory-only services) — carried
     /// so racing queries' traces can show the durability point.
     wal: Option<WalAppend>,
+}
+
+/// What a shard reports back once it has swept its caches for a batch.
+struct ShardAck {
+    sigma: SigmaSweep,
+    results_invalidated: u64,
+    /// Time the σ sweep took on the shard's thread.
+    repair: Duration,
 }
 
 /// The mutation a shard applied most recently, remembered for exactly one
@@ -410,15 +412,17 @@ pub struct MutationReport {
     pub epoch: u64,
     /// Mutations in the batch.
     pub mutations: usize,
-    /// σ cache entries dropped by the incremental sweeps, summed over
-    /// shards.
+    /// What the shards' σ sweeps did with the cached vectors the batch
+    /// could reach, summed over shards.
+    pub sigma: SigmaSweep,
+    /// σ cache entries the sweeps dropped (`sigma.dropped`).
     pub prox_invalidated: u64,
     /// Memoized rankings dropped by the per-seeker/per-tag sweeps, summed
     /// over shards.
     pub results_invalidated: u64,
-    /// σ entries the writer re-materialized on the new epoch and
-    /// re-installed after every shard switched — read-path misses the
-    /// sweep would otherwise have caused.
+    /// σ entries the sweeps repaired in place for the new epoch
+    /// (`sigma.kept + sigma.repaired`) — read-path misses a drop-only
+    /// sweep would have caused.
     pub sigma_refreshed: u64,
     /// The batch's WAL receipt. `Some` iff the service runs durable
     /// ([`ServiceConfig::durability`]): the record was appended — and,
@@ -426,8 +430,9 @@ pub struct MutationReport {
     pub wal: Option<WalAppend>,
     /// Time spent building the next epoch ([`LiveCorpus::prepare`]).
     pub prepare: Duration,
-    /// Time spent in the writer-side σ refresh — re-materializing the
-    /// `sigma_refreshed` vectors before the broadcast.
+    /// Time the shards spent in their σ sweeps (repairing the
+    /// `sigma_refreshed` vectors, dropping the rest), summed over shards;
+    /// it elapses inside `barrier`.
     pub refresh: Duration,
     /// Time from the first broadcast send to the last shard's ack.
     pub barrier: Duration,
@@ -446,15 +451,11 @@ pub struct FriendsService {
     /// against it and publishes to it after every shard acks.
     live: LiveCorpus,
     /// Serializes `apply_mutations` callers (prepare must see the latest
-    /// published snapshot). What it guards is the writer's σ-refresh
-    /// scratch, kept across batches so a warm refresh allocates only the
-    /// vectors it installs.
-    mutation_gate: Mutex<SigmaWorkspace>,
+    /// published snapshot).
+    mutation_gate: Mutex<()>,
     /// Stage times of the batches applied so far (see
     /// [`ServiceStats::mutation_times`]).
     mutation_times: Mutex<MutationTimes>,
-    /// See [`ServiceConfig::mutation_refresh_cap`].
-    mutation_refresh_cap: usize,
     /// The WAL + snapshot machinery when the service runs durable
     /// ([`ServiceConfig::durability`]).
     durability: Option<Arc<LiveDurability>>,
@@ -613,9 +614,8 @@ impl FriendsService {
             workers,
             default_deadline: config.default_deadline,
             live,
-            mutation_gate: Mutex::new(SigmaWorkspace::new()),
+            mutation_gate: Mutex::new(()),
             mutation_times: Mutex::new(MutationTimes::default()),
-            mutation_refresh_cap: config.mutation_refresh_cap,
             durability,
         }
     }
@@ -731,11 +731,12 @@ impl FriendsService {
     /// Each shard applies at its next **batch boundary** — queries drained
     /// before the boundary run under the old snapshot, queries after it
     /// under the new one, and no query ever straddles epochs (snapshot
-    /// isolation). Invalidation is incremental: the σ sweep drops only
-    /// entries whose reach set crosses a touched node
-    /// ([`ProximityCache::invalidate_affected`]), the result sweep only
-    /// affected seekers and touched tags
-    /// ([`ResultCache::invalidate_partial`]); surviving entries keep
+    /// isolation). Invalidation is incremental: the σ sweep looks only at
+    /// entries whose reach set crosses an endpoint of an effective edit —
+    /// repairing in place those read since the previous batch, dropping
+    /// the rest ([`ProximityCache::repair_affected`]) — the result sweep
+    /// drops only affected seekers and touched tags
+    /// ([`ResultCache::invalidate_partial`]); everything else keeps
     /// hitting because the edited graph keeps its identity token.
     ///
     /// `horizon` bounds the affected-seeker search (pass the proximity
@@ -768,7 +769,7 @@ impl FriendsService {
         batch: &MutationBatch,
         horizon: Option<u32>,
     ) -> std::io::Result<MutationReport> {
-        let mut writer = self.mutation_gate.lock();
+        let _writer = self.mutation_gate.lock();
         if batch.is_empty() {
             return Ok(MutationReport {
                 epoch: self.live.epoch(),
@@ -779,40 +780,13 @@ impl FriendsService {
         let prepared = Arc::new(self.live.prepare(batch, horizon));
         let prepare = started.elapsed();
         let epoch = prepared.epoch();
-        // The durability point. Everything below — σ refresh, broadcast,
-        // acks, publish — happens only once the record (and, under
+        // The durability point. Everything below — broadcast, sweeps, acks,
+        // publish — happens only once the record (and, under
         // `SyncPolicy::Always`, its fsync) is on disk.
         let wal = match &self.durability {
             Some(d) => Some(d.log_batch(epoch, batch)?),
             None => None,
         };
-        // Writer-side σ refresh: collect the entries each shard's sweep is
-        // about to drop and re-materialize them against the next epoch
-        // *here*, while every shard still serves the old snapshot. They are
-        // re-installed after the last ack, so hot seekers hit warm σ on
-        // their first post-epoch query instead of rebuilding it inline on
-        // the shard thread. (Entries inserted between this scan and the
-        // shard's sweep are simply not refreshed — a cold first query, not
-        // a correctness issue.)
-        let ws = &mut *writer;
-        let started = Instant::now();
-        let refreshed: Vec<Vec<(UserId, ProximityModel, Arc<ProximityVec>)>> = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.cache
-                    .affected_entries(&prepared.touched_nodes)
-                    .into_iter()
-                    .take(self.mutation_refresh_cap)
-                    .map(|(seeker, model)| {
-                        model.materialize_into(&prepared.next.graph, seeker, ws);
-                        let v = ws.snapshot(prepared.next.graph.num_nodes());
-                        (seeker, model, Arc::new(v))
-                    })
-                    .collect()
-            })
-            .collect();
-        let refresh = started.elapsed();
         let started = Instant::now();
         let (ack_tx, ack_rx) = channel::bounded(self.senders.len());
         for tx in &self.senders {
@@ -826,23 +800,16 @@ impl FriendsService {
             }));
         }
         drop(ack_tx);
-        let mut prox = 0u64;
+        let mut sigma = SigmaSweep::default();
         let mut results = 0u64;
-        while let Ok((p, r)) = ack_rx.recv() {
-            prox += p;
-            results += r;
+        let mut refresh = Duration::ZERO;
+        while let Ok(ack) = ack_rx.recv() {
+            sigma.merge(&ack.sigma);
+            results += ack.results_invalidated;
+            refresh += ack.repair;
         }
         let barrier = started.elapsed();
-        // Every shard now serves the new snapshot (and swept its caches):
-        // installing next-epoch σ under the shared graph token is safe from
-        // here on.
-        let mut sigma_refreshed = 0u64;
-        for (state, entries) in self.shards.iter().zip(refreshed) {
-            for (seeker, model, v) in entries {
-                state.cache.insert(&prepared.next.graph, seeker, model, v);
-                sigma_refreshed += 1;
-            }
-        }
+        // Every shard now serves the new snapshot (and swept its caches).
         // Publish as the base for the next prepare (and for `snapshot()`
         // readers).
         self.live.publish(&prepared);
@@ -852,6 +819,7 @@ impl FriendsService {
             times.prepare += prepare;
             times.refresh += refresh;
             times.barrier += barrier;
+            times.sigma.merge(&sigma);
         }
         if let Some(d) = &self.durability {
             d.maybe_snapshot(&self.live)?;
@@ -859,9 +827,10 @@ impl FriendsService {
         Ok(MutationReport {
             epoch,
             mutations: batch.len(),
-            prox_invalidated: prox,
+            sigma,
+            prox_invalidated: sigma.dropped,
             results_invalidated: results,
-            sigma_refreshed,
+            sigma_refreshed: sigma.kept + sigma.repaired,
             wal,
             prepare,
             refresh,
@@ -1133,8 +1102,14 @@ where
         if let Some(m) = pending {
             // Sweep-then-swap, in that order: the edited graph keeps its
             // token, so any entry not swept here will keep hitting under
-            // the new snapshot (see `friends_core::live`).
-            let prox = state.cache.invalidate_affected(&m.prepared.touched_nodes);
+            // the new snapshot (see `friends_core::live`). No query of
+            // this shard is in flight, so the repair has every vector to
+            // itself.
+            let started = Instant::now();
+            let sigma = state
+                .cache
+                .repair_affected(&m.prepared.next.graph, &m.prepared.edits);
+            let repair = started.elapsed();
             let results = state
                 .results
                 .as_ref()
@@ -1152,12 +1127,16 @@ where
             *raced = Some(RacedMutation {
                 epoch: m.prepared.epoch(),
                 mutations: m.prepared.mutations,
-                prox_invalidated: prox,
+                prox_invalidated: sigma.dropped,
                 results_invalidated: results,
                 wal: m.wal,
             });
             let next = Arc::clone(&m.prepared.next);
-            let _ = m.ack.send((prox, results));
+            let _ = m.ack.send(ShardAck {
+                sigma,
+                results_invalidated: results,
+                repair,
+            });
             return Some(next);
         }
     }
@@ -2055,6 +2034,124 @@ mod tests {
         assert_eq!(totals.mutation_epoch, 1, "{totals:?}");
     }
 
+    /// The repairing sweep end to end: 24 epochs of generated writes on a
+    /// service whose σ and result caches stay warm (every query is read
+    /// twice between batches, so every batch repairs σ and sweeps memoized
+    /// rankings), each epoch's served rankings compared with direct
+    /// execution on a corpus rebuilt from the bare edge and tagging lists —
+    /// sharing nothing with the lineage.
+    #[test]
+    fn repaired_epochs_serve_what_a_from_scratch_rebuild_answers() {
+        use friends_data::mutations::{MutationParams, MutationStream};
+        let (corpus, w) = fixture();
+        let svc = FriendsService::start(
+            Arc::clone(&corpus),
+            ServiceConfig {
+                shards: 2,
+                result_cache_capacity: 256,
+                ..ServiceConfig::default()
+            },
+            exact_factory(MODEL),
+        );
+        let batches = MutationStream::generate(
+            &corpus.graph,
+            &corpus.store,
+            &MutationParams {
+                count: 24 * 8,
+                ..MutationParams::default()
+            },
+            17,
+        )
+        .batches(8);
+        assert!(batches.len() >= 20);
+        let mut edges: std::collections::BTreeMap<(u32, u32), f32> = corpus
+            .graph
+            .undirected_edges()
+            .map(|(u, v, w)| ((u, v), w))
+            .collect();
+        let mut taggings: Vec<friends_data::Tagging> = corpus.store.iter().copied().collect();
+        let mut repaired = 0;
+        let _ = svc.run_batch(&w.queries);
+        for batch in &batches {
+            let report = svc.apply_mutations(batch, None);
+            repaired += report.sigma.repaired;
+            let (inserts, removals, appends) = batch.split();
+            for (u, v) in removals {
+                edges.remove(&(u.min(v), u.max(v)));
+            }
+            for (u, v, w) in inserts {
+                edges.insert((u.min(v), u.max(v)), w);
+            }
+            taggings.extend(appends);
+            let store = &corpus.store;
+            let rebuilt = Corpus::new(
+                friends_graph::GraphBuilder::from_edges(
+                    corpus.graph.num_nodes(),
+                    edges.iter().map(|(&(u, v), &w)| (u, v, w)),
+                ),
+                friends_data::store::TagStore::build(
+                    store.num_users(),
+                    store.num_items(),
+                    store.num_tags(),
+                    taggings.clone(),
+                ),
+            );
+            let mut direct = ExactOnline::new(&rebuilt, MODEL);
+            let want: Vec<_> = w.queries.iter().map(|q| direct.query(q).items).collect();
+            // Executed on repaired σ, then served from the memo.
+            for pass in ["executed", "memoized"] {
+                for ((q, r), want) in w.queries.iter().zip(svc.run_batch(&w.queries)).zip(&want) {
+                    assert_eq!(&r.items, want, "epoch {} {pass}: {q:?}", report.epoch);
+                }
+            }
+        }
+        assert!(repaired >= 20, "the sweeps repaired {repaired} vectors");
+        let totals = svc.shutdown().totals();
+        assert!(
+            totals.result_served > 0 && totals.cache.hits > 0,
+            "{totals:?}"
+        );
+    }
+
+    #[test]
+    fn a_batch_of_no_op_edits_publishes_an_epoch_and_invalidates_nothing() {
+        let (corpus, w) = fixture();
+        let svc = FriendsService::start(
+            Arc::clone(&corpus),
+            ServiceConfig {
+                shards: 2,
+                result_cache_capacity: 256,
+                ..ServiceConfig::default()
+            },
+            exact_factory(MODEL),
+        );
+        let before = svc.run_batch(&w.queries);
+        let (u, v, weight) = corpus.graph.undirected_edges().next().expect("an edge");
+        let absent = (0..corpus.graph.num_nodes() as u32)
+            .find(|&x| x != u && !corpus.graph.has_edge(u, x))
+            .expect("a non-neighbour");
+        let report = svc.apply_mutations(
+            &MutationBatch::new(vec![
+                Mutation::RemoveEdge { u, v: absent },
+                Mutation::InsertEdge { u: v, v: u, weight },
+            ]),
+            None,
+        );
+        assert_eq!((report.epoch, svc.epoch()), (1, 1));
+        assert_eq!(report.sigma, SigmaSweep::default());
+        assert_eq!(
+            (report.prox_invalidated, report.results_invalidated),
+            (0, 0)
+        );
+        let served = svc.stats().totals().result_served;
+        let after = svc.run_batch(&w.queries);
+        for (a, b) in before.iter().zip(&after) {
+            assert_eq!(a.items, b.items);
+        }
+        let totals = svc.shutdown().totals();
+        assert_eq!(totals.result_served, served + w.len() as u64, "{totals:?}");
+    }
+
     #[test]
     fn queries_racing_a_mutation_carry_trace_events() {
         let (corpus, _) = fixture();
@@ -2119,12 +2216,48 @@ mod tests {
             None,
         );
         // The delicious-like graph is well connected: some cached seeker
-        // is reachable from the endpoints.
-        assert!(report.prox_invalidated > 0, "{report:?}");
+        // is reachable from the endpoints — and, read a moment ago, its σ
+        // is repaired where it lies rather than dropped.
+        assert!(report.sigma.repaired > 0, "{report:?}");
+        assert_eq!(
+            report.sigma_refreshed,
+            report.sigma.kept + report.sigma.repaired
+        );
+        assert_eq!(report.prox_invalidated, report.sigma.dropped);
         assert!(report.results_invalidated > 0, "{report:?}");
-        let totals = svc.shutdown().totals();
-        assert_eq!(totals.cache.invalidated, report.prox_invalidated);
-        assert_eq!(totals.results.invalidated, report.results_invalidated);
+        // A second batch finds nothing read since the first one's sweep:
+        // what it can reach it drops.
+        let second = svc.apply_mutations(
+            &MutationBatch::new(vec![Mutation::RemoveEdge { u: 0, v: 1 }]),
+            None,
+        );
+        assert!(second.prox_invalidated > 0, "{second:?}");
+        assert_eq!(second.sigma_refreshed, 0, "{second:?}");
+        let stats = svc.shutdown();
+        let registry = stats.registry();
+        let counter = |name: &str| registry.get(name).expect("exported") as u64;
+        assert_eq!(
+            counter("friends_mutation_sigma_repaired_total"),
+            report.sigma.repaired
+        );
+        assert_eq!(
+            counter("friends_mutation_sigma_dropped_total"),
+            report.prox_invalidated + second.prox_invalidated
+        );
+        assert_eq!(
+            counter("friends_mutation_sigma_kept_total"),
+            report.sigma.kept
+        );
+        assert!(registry.get("friends_mutation_sigma_changed_nodes") >= Some(1.0));
+        let totals = stats.totals();
+        assert_eq!(
+            totals.cache.invalidated,
+            report.prox_invalidated + second.prox_invalidated
+        );
+        assert_eq!(
+            totals.results.invalidated,
+            report.results_invalidated + second.results_invalidated
+        );
         // Incremental means *not* a full stamp: the result-cache epoch is
         // untouched, so nothing shows up as an expiration.
         assert_eq!(totals.results.expirations, 0, "{totals:?}");

@@ -1,7 +1,7 @@
 //! Per-shard observability: the counters a serving loop watches.
 
 use crate::result_cache::ResultCache;
-use friends_core::cache::{CacheStats, ProximityCache};
+use friends_core::cache::{CacheStats, ProximityCache, SigmaSweep};
 use friends_core::latency::{StageLatencies, StageSnapshot};
 use friends_core::live::{register_wal_stats, RecoveryReport};
 use friends_core::metrics::MetricsRegistry;
@@ -303,10 +303,14 @@ pub struct MutationTimes {
     pub batches: u64,
     /// Building the next epoch (`LiveCorpus::prepare`).
     pub prepare: Duration,
-    /// Re-materializing the σ vectors the sweeps are about to drop.
+    /// The shards' σ sweeps (in-place repairs and drops), summed over
+    /// shards; elapses inside `barrier`.
     pub refresh: Duration,
     /// First broadcast send to last shard ack.
     pub barrier: Duration,
+    /// What those sweeps did with the cached vectors the batches could
+    /// reach.
+    pub sigma: SigmaSweep,
 }
 
 impl MutationTimes {
@@ -321,8 +325,28 @@ impl MutationTimes {
         );
         registry.gauge(
             "friends_mutation_refresh_ms",
-            "mean milliseconds per batch in the writer-side sigma refresh",
+            "mean milliseconds per batch the shards spent repairing and dropping cached sigma",
             mean_ms(self.refresh),
+        );
+        registry.counter(
+            "friends_mutation_sigma_kept_total",
+            "cached sigma vectors a batch could reach that its repair left unchanged",
+            self.sigma.kept,
+        );
+        registry.counter(
+            "friends_mutation_sigma_repaired_total",
+            "cached sigma vectors repaired in place for a new epoch",
+            self.sigma.repaired,
+        );
+        registry.counter(
+            "friends_mutation_sigma_dropped_total",
+            "cached sigma vectors a batch could reach that were dropped",
+            self.sigma.dropped,
+        );
+        registry.gauge(
+            "friends_mutation_sigma_changed_nodes",
+            "mean nodes whose sigma changed per repaired vector",
+            self.sigma.changed_nodes as f64 / self.sigma.repaired.max(1) as f64,
         );
         registry.gauge(
             "friends_mutation_barrier_ms",

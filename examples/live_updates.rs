@@ -3,13 +3,15 @@
 //! Streams generated mutations through [`ServedClient::apply_mutations`]
 //! in epoch batches while the same client keeps answering queries. After
 //! every batch it prints the new corpus epoch and what the switch cost —
-//! how many σ cache entries the incremental sweep dropped (only seekers
-//! whose proximity can cross a touched edge), how many the writer
-//! re-materialized before publishing, how many memoized results were
-//! invalidated per-seeker/per-tag, and where the write's ack went (building
-//! the next epoch, the σ refresh, the shard barrier) — then finishes with
-//! the registry's per-batch means of those three stages and the read path's
-//! per-stage latency percentiles accumulated across all epochs.
+//! what the σ sweep did with the cached vectors the batch could reach
+//! (left as they were, repaired in place — with the mean number of nodes a
+//! repair changed — or dropped because nobody had read them since the
+//! previous batch), how many memoized results were invalidated
+//! per-seeker/per-tag, and where the write's ack went (building the next
+//! epoch, the shards' σ repair, the shard barrier around it) — then
+//! finishes with the registry's per-batch means of those stages, its σ
+//! sweep counters, and the read path's per-stage latency percentiles
+//! accumulated across all epochs.
 //!
 //! ```sh
 //! cargo run --release --example live_updates
@@ -58,8 +60,8 @@ fn main() {
     let batches = muts.batches(32);
     let per_epoch = queries.len() / (batches.len() + 1);
     println!(
-        "epoch | mutations | σ dropped | σ refreshed | results dropped | queries between \
-         | prepare ms | refresh ms | barrier ms"
+        "epoch | mutations | σ kept | σ repaired | mean Δ | σ dropped | results dropped \
+         | queries between | prepare ms | repair ms | barrier ms"
     );
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     for (i, batch) in batches.iter().enumerate() {
@@ -70,12 +72,16 @@ fn main() {
         // `None` horizon: exact reach-based invalidation (a horizon
         // over-approximates the sweep to bound its cost on huge graphs).
         let report: MutationReport = client.apply_mutations(batch, None);
+        let sigma = report.sigma;
         println!(
-            "{:>5} | {:>9} | {:>9} | {:>11} | {:>15} | {:>15} | {:>10.3} | {:>10.3} | {:>10.3}",
+            "{:>5} | {:>9} | {:>6} | {:>10} | {:>6.1} | {:>9} | {:>15} | {:>15} | {:>10.3} \
+             | {:>9.3} | {:>10.3}",
             report.epoch,
             report.mutations,
-            report.prox_invalidated,
-            report.sigma_refreshed,
+            sigma.kept,
+            sigma.repaired,
+            sigma.changed_nodes as f64 / sigma.repaired.max(1) as f64,
+            sigma.dropped,
             report.results_invalidated,
             slice.len(),
             ms(report.prepare),
@@ -86,13 +92,20 @@ fn main() {
 
     let stats = client.stats();
     let registry = stats.registry();
-    println!("\nwrite-path stage means per batch (registry):");
-    for stage in ["prepare", "refresh", "barrier"] {
-        let key = format!("friends_mutation_{stage}_ms");
+    println!("\nwrite-path stage means per batch and σ sweep totals (registry):");
+    for key in [
+        "friends_mutation_prepare_ms",
+        "friends_mutation_refresh_ms",
+        "friends_mutation_barrier_ms",
+        "friends_mutation_sigma_kept_total",
+        "friends_mutation_sigma_repaired_total",
+        "friends_mutation_sigma_dropped_total",
+        "friends_mutation_sigma_changed_nodes",
+    ] {
         let value = registry
-            .get(&key)
+            .get(key)
             .expect("the service exports its write stages");
-        println!("  {key:<28} {value:>8.3}");
+        println!("  {key:<40} {value:>10.3}");
     }
     let totals = stats.totals();
     assert_eq!(totals.mutation_epoch, batches.len() as u64);
