@@ -3,8 +3,8 @@
 //!
 //! Three ways to answer the same stream, per model:
 //!
-//! * `batch`   — the pre-PR path: `par_batch_with_cache`, a flat chunk
-//!   split over one shared sharded cache (deprecated, kept as baseline);
+//! * `direct`  — a `DirectClient`: one shared queue over one shared sharded
+//!   cache, no affinity, no coalescing (the baseline);
 //! * `service` — a transient planner-backed `ServedClient`:
 //!   seeker-affinity shard routing, batched dispatch with
 //!   duplicate-request coalescing, private admission-controlled caches;
@@ -16,17 +16,12 @@
 //! `fig11_service_gate` test pins the serving-scale speedup through the
 //! client API.
 
-// The `batch` arm IS the deprecated path — this kernel measures it.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use friends_bench::serving_corpus;
-use friends_core::batch::par_batch_with_cache;
-use friends_core::cache::ProximityCache;
-use friends_core::processors::ExactOnline;
+use friends_core::cache::CachePolicy;
 use friends_core::proximity::ProximityModel;
 use friends_data::requests::{RequestParams, RequestStream};
-use friends_service::{SearchClient, ServedClient, ServiceConfig};
+use friends_service::{DirectClient, DirectConfig, SearchClient, ServedClient, ServiceConfig};
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
@@ -54,14 +49,22 @@ fn bench(c: &mut Criterion) {
             epsilon: 1e-4,
         },
     ] {
-        group.bench_with_input(BenchmarkId::new("batch", model.name()), &queries, |b, q| {
-            let cache = Arc::new(ProximityCache::new(corpus.num_users() as usize));
-            b.iter(|| {
-                std::hint::black_box(par_batch_with_cache(q, shards, &cache, |shared| {
-                    ExactOnline::with_cache(&corpus, model, shared)
-                }))
-            })
-        });
+        group.bench_with_input(
+            BenchmarkId::new("direct", model.name()),
+            &queries,
+            |b, q| {
+                let client = DirectClient::start(
+                    Arc::clone(&corpus),
+                    DirectConfig {
+                        threads: shards,
+                        cache_capacity: corpus.num_users() as usize,
+                        cache_policy: CachePolicy::default(),
+                        ..DirectConfig::default()
+                    },
+                );
+                b.iter(|| std::hint::black_box(client.search(q, model)))
+            },
+        );
         for (label, result_cache) in [("service", 0usize), ("service_memo", 4096)] {
             group.bench_with_input(BenchmarkId::new(label, model.name()), &queries, |b, q| {
                 let client = ServedClient::start(

@@ -44,7 +44,9 @@ fn bench(c: &mut Criterion) {
                 Arc::clone(&corpus),
                 ServiceConfig {
                     shards: 2,
-                    coalesce: false,
+                    // One request per dispatch cycle: the stream's repeats
+                    // each execute, as they would arriving apart.
+                    max_batch: 1,
                     ..ServiceConfig::default()
                 },
             );

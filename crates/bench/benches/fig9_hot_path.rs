@@ -1,30 +1,24 @@
 //! Fig 9 kernel: the zero-allocation query hot path under Zipf-skewed
 //! seeker traffic.
 //!
-//! Four σ paths over the same batch, per sparse-support-friendly model:
+//! Three σ paths over the same batch, per sparse-support-friendly model,
+//! each through a standing [`DirectClient`] pool:
 //!
-//! * `dense`      — legacy per-query `O(n)` materialize + full posting scan;
+//! * `dense`      — the baseline registry entry: per-query `O(n)`
+//!   materialize + full posting scan;
 //! * `workspace`  — epoch-stamped `SigmaWorkspace` (sparse support where the
 //!   model allows), zero per-query `O(n)` allocations;
 //! * `cached`     — workspace plus the sharded seeker-proximity cache shared
-//!   across `par_batch` workers;
-//! * `client`     — the same cached path through the unified
-//!   [`DirectClient`] API (a standing worker pool instead of per-batch
-//!   thread spawning).
+//!   across the pool's workers.
 //!
 //! `report --exp fig9` prints the same comparison with throughput numbers
 //! and the correctness cross-check.
 
-// The dense/workspace/cached arms ARE the deprecated paths — this kernel
-// exists to measure them against the client.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use friends_bench::{zipf_seeker_workload, DenseMaterializeExact};
-use friends_core::batch::{par_batch, par_batch_with_cache};
-use friends_core::cache::ProximityCache;
+use friends_bench::{
+    registry_with_dense_baseline, search_with, zipf_seeker_workload, DENSE_MATERIALIZE,
+};
 use friends_core::corpus::Corpus;
-use friends_core::processors::ExactOnline;
 use friends_core::proximity::ProximityModel;
 use friends_data::datasets::{DatasetSpec, Scale};
 use friends_service::{DirectClient, DirectConfig, SearchClient};
@@ -46,40 +40,29 @@ fn bench(c: &mut Criterion) {
             epsilon: 1e-4,
         },
     ] {
-        group.bench_with_input(BenchmarkId::new("dense", model.name()), &w, |b, w| {
-            b.iter(|| {
-                std::hint::black_box(par_batch(&w.queries, threads, || {
-                    DenseMaterializeExact::new(&corpus, model)
-                }))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("workspace", model.name()), &w, |b, w| {
-            b.iter(|| {
-                std::hint::black_box(par_batch(&w.queries, threads, || {
-                    ExactOnline::new(&corpus, model)
-                }))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("cached", model.name()), &w, |b, w| {
-            let cache = Arc::new(ProximityCache::new(corpus.num_users() as usize));
-            b.iter(|| {
-                std::hint::black_box(par_batch_with_cache(
-                    &w.queries,
-                    threads,
-                    &cache,
-                    |shared| ExactOnline::with_cache(&corpus, model, shared),
-                ))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("client", model.name()), &w, |b, w| {
-            let client = DirectClient::start(
+        let pool = |cache_capacity| {
+            DirectClient::with_registry(
                 Arc::clone(&corpus),
                 DirectConfig {
                     threads,
-                    cache_capacity: corpus.num_users() as usize,
+                    cache_capacity,
                     ..DirectConfig::default()
                 },
-            );
+                registry_with_dense_baseline(),
+            )
+        };
+        group.bench_with_input(BenchmarkId::new("dense", model.name()), &w, |b, w| {
+            let client = pool(0);
+            b.iter(|| {
+                std::hint::black_box(search_with(&client, &w.queries, model, DENSE_MATERIALIZE))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("workspace", model.name()), &w, |b, w| {
+            let client = pool(0);
+            b.iter(|| std::hint::black_box(client.search(&w.queries, model)))
+        });
+        group.bench_with_input(BenchmarkId::new("cached", model.name()), &w, |b, w| {
+            let client = pool(corpus.num_users() as usize);
             b.iter(|| std::hint::black_box(client.search(&w.queries, model)))
         });
     }

@@ -153,8 +153,7 @@ fn main() {
              pins the low-selectivity speedup at serving scale",
             "fig11: ServedClient (planner-backed seeker-affinity shards + \
              request coalescing + TinyLFU-admission shard caches + result \
-             memoization) vs the deprecated flat par_batch_with_cache \
-             split; the ignored fig11_service_gate test pins the >=1.3x \
+             memoization) vs a shared-queue DirectClient; the ignored fig11_service_gate test pins the >=1.3x \
              serving-scale win with zero deadline misses through the \
              client API",
             "per-experiment 'metrics' objects carry result-cache counters \

@@ -778,14 +778,14 @@ pub fn table3(profile: Profile) -> String {
 // ------------------------------------------------------------------ Fig 9
 
 /// Fig 9: the query hot path under Zipf-skewed seeker traffic — batch
-/// throughput of the legacy dense-materialize `par_batch` path vs the
-/// unified client API: a cache-less [`DirectClient`] (the epoch-stamped
-/// workspace path), a cached `DirectClient` (shared seeker-proximity
-/// cache), and a [`ServedClient`] over the seeker-affinity broker. Client
-/// pools are standing (started outside the timed region — that is the
-/// point of the API); the deprecated baseline pays its per-batch thread
-/// spawn as it always did. Rankings are asserted identical across all four
-/// paths while measuring.
+/// throughput of the dense-materialize baseline
+/// ([`crate::DenseMaterializeExact`], a registry entry a cache-less client
+/// is told to use) vs the standard paths of the client API: a
+/// cache-less [`DirectClient`] (the epoch-stamped workspace path), a cached
+/// `DirectClient` (shared seeker-proximity cache), and a [`ServedClient`]
+/// over the seeker-affinity broker. Client pools are standing (started
+/// outside the timed region — that is the point of the API). Rankings are
+/// asserted identical across all four paths while measuring.
 pub fn fig9(profile: Profile) -> ExperimentOutput {
     let c = Arc::new(corpus_for(&DatasetSpec::delicious_like(profile.scale())));
     let (count, threads) = match profile {
@@ -802,14 +802,17 @@ pub fn fig9(profile: Profile) -> ExperimentOutput {
         },
         ProximityModel::AdamicAdar,
     ];
-    let workspace_client = DirectClient::start(
+    let cacheless = DirectConfig {
+        threads,
+        cache_capacity: 0, // pure workspace path
+        ..DirectConfig::default()
+    };
+    let dense_client = DirectClient::with_registry(
         Arc::clone(&c),
-        DirectConfig {
-            threads,
-            cache_capacity: 0, // pure workspace path
-            ..DirectConfig::default()
-        },
+        cacheless,
+        crate::registry_with_dense_baseline(),
     );
+    let workspace_client = DirectClient::start(Arc::clone(&c), cacheless);
     let served_client = ServedClient::start(
         Arc::clone(&c),
         ServiceConfig {
@@ -831,11 +834,8 @@ pub fn fig9(profile: Profile) -> ExperimentOutput {
     // histograms merge into one aggregate for the latency table.
     let mut cached_lat = StageSnapshot::default();
     for model in models {
-        #[allow(deprecated)] // the pre-refactor baseline the figure measures
         let (dense_r, dense_d) = timed(|| {
-            friends_core::batch::par_batch(&w.queries, threads, || {
-                crate::DenseMaterializeExact::new(&c, model)
-            })
+            crate::search_with(&dense_client, &w.queries, model, crate::DENSE_MATERIALIZE)
         });
         let (ws_r, ws_d) = timed(|| workspace_client.search(&w.queries, model));
         // A fresh cached client per model: the hit rate below is this
@@ -875,8 +875,7 @@ pub fn fig9(profile: Profile) -> ExperimentOutput {
             format!("{:.0}%", 100.0 * cached_stats.cache.hit_rate()),
         ]);
     }
-    // Per-stage percentiles of the three client paths (the dense baseline
-    // predates the client stack and records nothing).
+    // Per-stage percentiles of the three standard client paths.
     let ws_lat = workspace_client.latencies();
     let svc_lat = served_client.latencies();
     let mut lt = stage_table();
@@ -1150,15 +1149,15 @@ pub fn fig10(profile: Profile) -> ExperimentOutput {
 // ----------------------------------------------------------------- Fig 11
 
 /// Fig 11: the serving tier — a [`ServedClient`] (seeker-affinity broker
-/// with coalescing and result memoization) vs the deprecated flat
-/// `par_batch_with_cache` chunk split, on a Zipf(1.1) request stream with
+/// with coalescing and result memoization) vs a [`DirectClient`] (one
+/// shared queue and cache: no affinity, no coalescing, no memoization), on
+/// a Zipf(1.1) request stream with
 /// per-seeker repeat queries (the [`friends_data::requests`] traffic shape).
 /// The service coalesces duplicate in-flight requests, serves cross-cycle
 /// repeats out of the result cache, keeps each seeker's σ on one shard's
 /// private admission-controlled cache, and sheds nothing at the default
 /// deadline. Rankings are asserted identical while measuring.
 pub fn fig11(profile: Profile) -> ExperimentOutput {
-    use friends_core::cache::ProximityCache;
     use friends_data::requests::{RequestParams, RequestStream};
 
     // The serving regime (see [`crate::serving_corpus`]): heavy tags, so
@@ -1182,7 +1181,7 @@ pub fn fig11(profile: Profile) -> ExperimentOutput {
     let queries = stream.queries();
     let mut t = TextTable::new(&[
         "model",
-        "batch q/s",
+        "direct q/s",
         "service q/s",
         "speedup",
         "coalesced %",
@@ -1200,14 +1199,18 @@ pub fn fig11(profile: Profile) -> ExperimentOutput {
             epsilon: 1e-4,
         },
     ] {
-        // Pre-PR baseline: flat chunk split over a shared sharded cache.
-        let cache = Arc::new(ProximityCache::new(c.num_users() as usize));
-        #[allow(deprecated)] // the comparison anchor the figure measures
-        let (base_r, base_d) = timed(|| {
-            friends_core::batch::par_batch_with_cache(&queries, workers, &cache, |shared| {
-                ExactOnline::with_cache(&c, model, shared)
-            })
-        });
+        // The baseline: one shared queue over one shared sharded cache.
+        let base_client = DirectClient::start(
+            Arc::clone(&c),
+            DirectConfig {
+                threads: workers,
+                cache_capacity: c.num_users() as usize,
+                cache_policy: friends_core::cache::CachePolicy::default(),
+                ..DirectConfig::default()
+            },
+        );
+        let (base_r, base_d) = timed(|| base_client.search(&queries, model));
+        base_client.shutdown();
         // The serving path: affinity routing + coalescing + private caches
         // + cross-cycle result memoization, behind the client API.
         let client = ServedClient::start(
@@ -1273,7 +1276,7 @@ pub fn fig11(profile: Profile) -> ExperimentOutput {
     }
     ExperimentOutput {
         text: format!(
-            "Fig 11 — serving tier: seeker-affinity ServedClient vs flat cached batch \
+            "Fig 11 — serving tier: seeker-affinity ServedClient vs shared-queue DirectClient \
              (Zipf(1.1) repeat-query stream, {users} users, {count} requests, {workers} shards)\n{}\nPer-stage service latency\n{}",
             t.render(),
             lt.render()
@@ -1569,7 +1572,7 @@ pub fn drive_open_loop(
 /// degraded mode holds p99 inside the deadline with bounded residuals while
 /// exact mode sheds ≥ 20%.
 pub fn fig13(profile: Profile) -> ExperimentOutput {
-    use friends_data::requests::{OpenLoopParams, OpenLoopStream, RequestParams, RequestStream};
+    use friends_data::requests::{OpenLoopParams, OpenLoopStream, RequestParams};
     use friends_service::OverloadPolicy;
 
     let (users, count, probe_count, deadline) = match profile {
@@ -1590,41 +1593,9 @@ pub fn fig13(profile: Profile) -> ExperimentOutput {
         ..RequestParams::default()
     };
 
-    // Closed-loop capacity of the *exact* service over this query shape,
-    // with coalescing off: a flood coalesces duplicates across the whole
-    // stream — merging far more than any bounded in-flight window ever
-    // sees — which would overstate sustainable capacity several-fold. The
-    // open-loop schedule then offers 1.5× the honest number.
-    let probe = RequestStream::generate(
-        &c.graph,
-        &c.store,
-        &RequestParams {
-            count: probe_count,
-            ..shape.clone()
-        },
-        SEED ^ 0xF13,
-    )
-    .queries();
-    let cap_client = ServedClient::start(
-        Arc::clone(&c),
-        ServiceConfig {
-            shards,
-            coalesce: false,
-            default_deadline: None,
-            ..ServiceConfig::default()
-        },
-    );
-    let requests: Vec<QueryRequest> = probe
-        .iter()
-        .map(|q| {
-            QueryRequest::from_query(q.clone())
-                .with_model(model)
-                .without_deadline()
-        })
-        .collect();
-    let (_, cap_d) = timed(|| cap_client.run_batch(requests));
-    cap_client.shutdown();
-    let capacity = probe.len() as f64 / cap_d.as_secs_f64();
+    // The open-loop schedule offers 1.5× the *exact* service's closed-loop
+    // capacity over this query shape.
+    let capacity = crate::probe_capacity(&c, shards, model, &shape, probe_count, SEED ^ 0xF13);
     let rate = 1.5 * capacity;
     let stream = OpenLoopStream::generate(
         &c.graph,
@@ -1776,7 +1747,7 @@ pub fn drive_live_open_loop(
 /// and zero full-stamp expirations.
 pub fn fig14(profile: Profile) -> ExperimentOutput {
     use friends_data::mutations::{MutationBatch, MutationParams, MutationStream};
-    use friends_data::requests::{OpenLoopParams, OpenLoopStream, RequestParams, RequestStream};
+    use friends_data::requests::{OpenLoopParams, OpenLoopStream, RequestParams};
 
     let (users, count, probe_count, deadline) = match profile {
         Profile::Quick => (2_000, 1_500, 400, Duration::from_millis(50)),
@@ -1792,38 +1763,7 @@ pub fn fig14(profile: Profile) -> ExperimentOutput {
         ..RequestParams::default()
     };
 
-    // Closed-loop capacity probe, coalescing off — same honesty argument
-    // as fig13.
-    let probe = RequestStream::generate(
-        &c.graph,
-        &c.store,
-        &RequestParams {
-            count: probe_count,
-            ..shape.clone()
-        },
-        SEED ^ 0xF14,
-    )
-    .queries();
-    let cap_client = ServedClient::start(
-        Arc::clone(&c),
-        ServiceConfig {
-            shards,
-            coalesce: false,
-            default_deadline: None,
-            ..ServiceConfig::default()
-        },
-    );
-    let requests: Vec<QueryRequest> = probe
-        .iter()
-        .map(|q| {
-            QueryRequest::from_query(q.clone())
-                .with_model(model)
-                .without_deadline()
-        })
-        .collect();
-    let (_, cap_d) = timed(|| cap_client.run_batch(requests));
-    cap_client.shutdown();
-    let capacity = probe.len() as f64 / cap_d.as_secs_f64();
+    let capacity = crate::probe_capacity(&c, shards, model, &shape, probe_count, SEED ^ 0xF14);
     // 30% of closed-loop capacity: the writer (sweeps, epoch prepare,
     // capped σ refresh) shares the same cores as the shards, so the
     // headroom is what absorbs its work — this measures mutation cost at a
@@ -1988,7 +1928,7 @@ pub fn fig14(profile: Profile) -> ExperimentOutput {
 pub fn fig15(profile: Profile) -> ExperimentOutput {
     use friends_core::live::{DurabilityConfig, LiveCorpus};
     use friends_data::mutations::{MutationBatch, MutationParams, MutationStream};
-    use friends_data::requests::{OpenLoopParams, OpenLoopStream, RequestParams, RequestStream};
+    use friends_data::requests::{OpenLoopParams, OpenLoopStream, RequestParams};
     use friends_data::wal::SyncPolicy;
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -2024,38 +1964,8 @@ pub fn fig15(profile: Profile) -> ExperimentOutput {
         ..RequestParams::default()
     };
 
-    // Closed-loop capacity probe, coalescing off — same honesty argument
-    // as fig13/fig14; one probe prices every arm's pacing identically.
-    let probe = RequestStream::generate(
-        &c.graph,
-        &c.store,
-        &RequestParams {
-            count: probe_count,
-            ..shape.clone()
-        },
-        SEED ^ 0xF15,
-    )
-    .queries();
-    let cap_client = ServedClient::start(
-        Arc::clone(&c),
-        ServiceConfig {
-            shards,
-            coalesce: false,
-            default_deadline: None,
-            ..ServiceConfig::default()
-        },
-    );
-    let requests: Vec<QueryRequest> = probe
-        .iter()
-        .map(|q| {
-            QueryRequest::from_query(q.clone())
-                .with_model(model)
-                .without_deadline()
-        })
-        .collect();
-    let (_, cap_d) = timed(|| cap_client.run_batch(requests));
-    cap_client.shutdown();
-    let capacity = probe.len() as f64 / cap_d.as_secs_f64();
+    // One probe prices every arm's pacing identically.
+    let capacity = crate::probe_capacity(&c, shards, model, &shape, probe_count, SEED ^ 0xF15);
     let rate = 0.3 * capacity;
     let stream = OpenLoopStream::generate(
         &c.graph,

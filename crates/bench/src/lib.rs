@@ -2,16 +2,21 @@
 //! that regenerates every table and figure of the evaluation (see
 //! `EXPERIMENTS.md` for the experiment ↔ code index).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod explain;
 
 use friends_core::cache::ProximityCache;
 use friends_core::corpus::{Corpus, QueryStats, SearchResult};
+use friends_core::plan::{ProcessorRegistry, QueryRequest};
 use friends_core::processors::Processor;
 use friends_core::proximity::{ProximityModel, Sigma, SigmaWorkspace};
 use friends_data::queries::{Query, QueryWorkload};
+use friends_data::requests::{RequestParams, RequestStream};
 use friends_data::zipf::Zipf;
 use friends_index::accumulate::DenseAccumulator;
+use friends_service::{SearchClient, ServedClient, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -98,8 +103,8 @@ pub fn selectivity_workload(
     QueryWorkload { queries }
 }
 
-/// The pre-refactor `ExactOnline` hot path, kept as the benchmark baseline:
-/// a fresh dense `O(n)` σ vector per query
+/// The dense-materialize benchmark baseline (registered as
+/// [`DENSE_MATERIALIZE`]): a fresh dense `O(n)` σ vector per query
 /// ([`ProximityModel::materialize`]) and a full posting-list scan per tag.
 /// `fig9_hot_path` measures the workspace/sparse/cached paths against this.
 pub struct DenseMaterializeExact<'a> {
@@ -154,6 +159,83 @@ impl Processor for DenseMaterializeExact<'_> {
             residual: 0.0,
         }
     }
+}
+
+/// Registry name of the [`DenseMaterializeExact`] baseline entry.
+pub const DENSE_MATERIALIZE: &str = "dense-materialize";
+
+/// The standard registry plus the [`DenseMaterializeExact`] baseline under
+/// [`DENSE_MATERIALIZE`], so a client can run the fig9 baseline arm by
+/// naming it in [`QueryRequest::with_processor`].
+pub fn registry_with_dense_baseline() -> Arc<ProcessorRegistry> {
+    let mut registry = ProcessorRegistry::standard();
+    registry.register(DENSE_MATERIALIZE, |corpus, model, _cache| {
+        Box::new(DenseMaterializeExact::new(corpus, model))
+    });
+    Arc::new(registry)
+}
+
+/// [`SearchClient::search`] with a processor override: floods `queries`
+/// under `model` through the `processor` registry entry, deadline-free,
+/// and unwraps the results in input order.
+pub fn search_with(
+    client: &dyn SearchClient,
+    queries: &[Query],
+    model: ProximityModel,
+    processor: &'static str,
+) -> Vec<SearchResult> {
+    let requests = queries
+        .iter()
+        .map(|q| {
+            QueryRequest::from_query(q.clone())
+                .with_model(model)
+                .with_processor(processor)
+                .without_deadline()
+        })
+        .collect();
+    client
+        .run_batch(requests)
+        .into_iter()
+        .map(|r| r.outcome.expect_done("search_with"))
+        .collect()
+}
+
+/// Closed-loop capacity (requests/s) of an exact `shards`-shard service:
+/// floods a `count`-request probe stream of the given `shape` and divides
+/// by the elapsed time. The probe runs one request per dispatch cycle, so
+/// every request is its own execution: a flood drained in wide cycles
+/// coalesces duplicates across the whole stream — merging far more than any
+/// bounded in-flight window ever sees — which would overstate sustainable
+/// capacity several-fold.
+pub fn probe_capacity(
+    corpus: &Arc<Corpus>,
+    shards: usize,
+    model: ProximityModel,
+    shape: &RequestParams,
+    count: usize,
+    seed: u64,
+) -> f64 {
+    let probe = RequestStream::generate(
+        &corpus.graph,
+        &corpus.store,
+        &RequestParams {
+            count,
+            ..shape.clone()
+        },
+        seed,
+    )
+    .queries();
+    let client = ServedClient::start(
+        Arc::clone(corpus),
+        ServiceConfig {
+            shards,
+            max_batch: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let (_, elapsed) = timed(|| client.search(&probe, model));
+    client.shutdown();
+    probe.len() as f64 / elapsed.as_secs_f64()
 }
 
 /// The serving-regime corpus fig11 measures on: a 10k-scale social graph
@@ -635,20 +717,34 @@ mod tests {
     }
 
     /// The fig9 acceptance gate: ≥ 2× batch throughput for sparse-support
-    /// models against the dense-materialize path on Zipf-skewed traffic at
-    /// serving scale (10k users; the dense path's `O(n)` per-query tax is
-    /// what the refactor removes). Best-of-3 trials absorb scheduler noise.
+    /// models against the dense-materialize baseline on Zipf-skewed traffic
+    /// at serving scale (10k users; the baseline pays an `O(n)` tax per
+    /// query), both through a 4-thread [`DirectClient`] — cache-less for
+    /// the baseline entry, a fresh shared cache per trial for the standard
+    /// one. Best-of-3 trials absorb scheduler noise.
     /// Timing assertions are machine-sensitive, so the test is `#[ignore]`d
     /// for CI; run it via `cargo test --release -p friends-bench -- --ignored`.
     #[test]
     #[ignore]
-    #[allow(deprecated)] // the gate measures the legacy paths against each other
     fn fig9_speedup_gate() {
         let _serial = serialize_timing_gate();
-        use friends_core::processors::ExactOnline;
+        use friends_service::{DirectClient, DirectConfig};
         let ds = DatasetSpec::delicious_like(Scale::Custom(10_000)).build(42);
-        let corpus = Corpus::new(ds.graph, ds.store);
+        let corpus = Arc::new(Corpus::new(ds.graph, ds.store));
         let w = zipf_seeker_workload(&corpus, 2_000, 10, 1.4, 7);
+        let pool = |cache_capacity| {
+            DirectClient::with_registry(
+                Arc::clone(&corpus),
+                DirectConfig {
+                    threads: 4,
+                    cache_capacity,
+                    cache_policy: friends_core::cache::CachePolicy::default(),
+                    ..DirectConfig::default()
+                },
+                registry_with_dense_baseline(),
+            )
+        };
+        let dense_client = pool(0);
         // Cache-worthy models must win ≥ 2× through the shared cache.
         // FriendsOnly bypasses the cache by policy (a hit costs about as
         // much as materializing), so its bar is the workspace path at a
@@ -667,19 +763,10 @@ mod tests {
         ] {
             let best = (0..3)
                 .map(|_| {
-                    let (_, dense) = timed(|| {
-                        friends_core::batch::par_batch(&w.queries, 4, || {
-                            DenseMaterializeExact::new(&corpus, model)
-                        })
-                    });
-                    let cache = std::sync::Arc::new(friends_core::cache::ProximityCache::new(
-                        corpus.num_users() as usize,
-                    ));
-                    let (_, cached) = timed(|| {
-                        friends_core::batch::par_batch_with_cache(&w.queries, 4, &cache, |shared| {
-                            ExactOnline::with_cache(&corpus, model, shared)
-                        })
-                    });
+                    let (_, dense) =
+                        timed(|| search_with(&dense_client, &w.queries, model, DENSE_MATERIALIZE));
+                    let cached_client = pool(corpus.num_users() as usize);
+                    let (_, cached) = timed(|| cached_client.search(&w.queries, model));
                     dense.as_secs_f64() / cached.as_secs_f64()
                 })
                 .fold(0.0f64, f64::max);
@@ -792,25 +879,19 @@ mod tests {
     /// users), a [`friends_service::ServedClient`] — planner-backed
     /// seeker-affinity broker, coalescing duplicate in-flight requests
     /// onto one execution and keeping each seeker's σ on one shard's
-    /// private admission-controlled cache — must beat the pre-PR
-    /// `par_batch_with_cache` chunk split by ≥ 1.3× for both a dense-decay
-    /// and a sparse-support model, with byte-identical rankings and zero
+    /// private admission-controlled cache — must beat a
+    /// [`friends_service::DirectClient`] (no affinity, no coalescing, one
+    /// shared cache) by ≥ 1.3× for both a dense-decay and a sparse-support
+    /// model, with byte-identical rankings and zero
     /// deadline misses at the default deadline. Best-of-3 trials absorb
     /// scheduler noise; machine-sensitive, so `#[ignore]`d for CI like
     /// fig9/fig10 (run via
     /// `cargo test --release -p friends-bench -- --ignored`).
     #[test]
     #[ignore]
-    #[allow(deprecated)] // the baseline side is the deprecated batch path
     fn fig11_service_gate() {
         let _serial = serialize_timing_gate();
-        use friends_core::batch::par_batch_with_cache;
-        use friends_core::cache::ProximityCache;
-        use friends_core::plan::QueryRequest;
-        use friends_core::processors::ExactOnline;
-        use friends_data::requests::{RequestParams, RequestStream};
-        use friends_service::{SearchClient, ServedClient, ServiceConfig};
-        use std::sync::Arc;
+        use friends_service::{DirectClient, DirectConfig};
 
         let corpus = Arc::new(serving_corpus(10_000, 42));
         corpus.sigma_index(); // shared lazy build, outside every timed region
@@ -835,12 +916,17 @@ mod tests {
         ] {
             let best = (0..3)
                 .map(|_| {
-                    let cache = Arc::new(ProximityCache::new(corpus.num_users() as usize));
-                    let (base_r, base_d) = timed(|| {
-                        par_batch_with_cache(&queries, workers, &cache, |shared| {
-                            ExactOnline::with_cache(&corpus, model, shared)
-                        })
-                    });
+                    let base_client = DirectClient::start(
+                        Arc::clone(&corpus),
+                        DirectConfig {
+                            threads: workers,
+                            cache_capacity: corpus.num_users() as usize,
+                            cache_policy: friends_core::cache::CachePolicy::default(),
+                            ..DirectConfig::default()
+                        },
+                    );
+                    let (base_r, base_d) = timed(|| base_client.search(&queries, model));
+                    base_client.shutdown();
                     let client = ServedClient::start(
                         Arc::clone(&corpus),
                         ServiceConfig {
@@ -859,7 +945,7 @@ mod tests {
                     let (replies, svc_d) = timed(|| client.run_batch(requests));
                     let stats = client.shutdown().totals();
                     eprintln!(
-                        "fig11 {}: batch {:.0} q/s, service {:.0} q/s ({} executed, {} coalesced, \
+                        "fig11 {}: direct {:.0} q/s, service {:.0} q/s ({} executed, {} coalesced, \
                          {:.0}% hits, max batch {})",
                         model.name(),
                         queries.len() as f64 / base_d.as_secs_f64(),
@@ -889,7 +975,7 @@ mod tests {
                 .fold(0.0f64, f64::max);
             assert!(
                 best >= 1.3,
-                "{}: ServedClient only {best:.2}x over par_batch_with_cache",
+                "{}: ServedClient only {best:.2}x over DirectClient",
                 model.name()
             );
         }
@@ -1072,11 +1158,8 @@ mod tests {
     fn fig13_overload_gate() {
         let _serial = serialize_timing_gate();
         use crate::experiments::drive_open_loop;
-        use friends_core::plan::QueryRequest;
-        use friends_data::requests::{
-            OpenLoopParams, OpenLoopStream, RequestParams, RequestStream,
-        };
-        use friends_service::{OverloadPolicy, SearchClient, ServedClient, ServiceConfig};
+        use friends_data::requests::{OpenLoopParams, OpenLoopStream};
+        use friends_service::OverloadPolicy;
 
         let corpus = Arc::new(overload_corpus(20_000, 42));
         corpus.sigma_index(); // shared lazy build, outside every timed region
@@ -1088,40 +1171,7 @@ mod tests {
             seeker_theta: 1.1,
             ..RequestParams::default()
         };
-        // Closed-loop capacity of the exact service, coalescing off: a
-        // flood merges duplicates across the whole stream, overstating
-        // sustainable capacity several-fold, so the honest number comes
-        // from per-request execution.
-        let probe = RequestStream::generate(
-            &corpus.graph,
-            &corpus.store,
-            &RequestParams {
-                count: 800,
-                ..shape.clone()
-            },
-            19,
-        )
-        .queries();
-        let cap_client = ServedClient::start(
-            Arc::clone(&corpus),
-            ServiceConfig {
-                shards,
-                coalesce: false,
-                default_deadline: None,
-                ..ServiceConfig::default()
-            },
-        );
-        let requests: Vec<QueryRequest> = probe
-            .iter()
-            .map(|q| {
-                QueryRequest::from_query(q.clone())
-                    .with_model(model)
-                    .without_deadline()
-            })
-            .collect();
-        let (_, cap_d) = timed(|| cap_client.run_batch(requests));
-        cap_client.shutdown();
-        let capacity = probe.len() as f64 / cap_d.as_secs_f64();
+        let capacity = probe_capacity(&corpus, shards, model, &shape, 800, 19);
         let stream = OpenLoopStream::generate(
             &corpus.graph,
             &corpus.store,
@@ -1239,12 +1289,8 @@ mod tests {
     fn fig14_live_graph_gate() {
         let _serial = serialize_timing_gate();
         use crate::experiments::{drive_live_open_loop, drive_open_loop};
-        use friends_core::plan::QueryRequest;
         use friends_data::mutations::{MutationBatch, MutationParams, MutationStream};
-        use friends_data::requests::{
-            OpenLoopParams, OpenLoopStream, RequestParams, RequestStream,
-        };
-        use friends_service::{SearchClient, ServedClient, ServiceConfig};
+        use friends_data::requests::{OpenLoopParams, OpenLoopStream};
 
         let corpus = Arc::new(overload_corpus(20_000, 42));
         corpus.sigma_index(); // shared lazy build, outside every timed region
@@ -1257,40 +1303,10 @@ mod tests {
             seeker_theta: 1.1,
             ..RequestParams::default()
         };
-        // Closed-loop capacity of the exact service, coalescing off (same
-        // honesty argument as the fig13 gate), then pace reads at 30% of
-        // it: the writer shares the cores, and this gate measures mutation
+        // Pace reads at 30% of the exact service's closed-loop capacity:
+        // the writer shares the cores, and this gate measures mutation
         // cost at a sustainable rate, not compounded with overload.
-        let probe = RequestStream::generate(
-            &corpus.graph,
-            &corpus.store,
-            &RequestParams {
-                count: 800,
-                ..shape.clone()
-            },
-            19,
-        )
-        .queries();
-        let cap_client = ServedClient::start(
-            Arc::clone(&corpus),
-            ServiceConfig {
-                shards,
-                coalesce: false,
-                default_deadline: None,
-                ..ServiceConfig::default()
-            },
-        );
-        let requests: Vec<QueryRequest> = probe
-            .iter()
-            .map(|q| {
-                QueryRequest::from_query(q.clone())
-                    .with_model(model)
-                    .without_deadline()
-            })
-            .collect();
-        let (_, cap_d) = timed(|| cap_client.run_batch(requests));
-        cap_client.shutdown();
-        let capacity = probe.len() as f64 / cap_d.as_secs_f64();
+        let capacity = probe_capacity(&corpus, shards, model, &shape, 800, 19);
         let rate = 0.3 * capacity;
         let stream = OpenLoopStream::generate(
             &corpus.graph,
@@ -1418,13 +1434,9 @@ mod tests {
         let _serial = serialize_timing_gate();
         use crate::experiments::drive_live_open_loop;
         use friends_core::live::{DurabilityConfig, LiveCorpus};
-        use friends_core::plan::QueryRequest;
         use friends_data::mutations::{MutationBatch, MutationParams, MutationStream};
-        use friends_data::requests::{
-            OpenLoopParams, OpenLoopStream, RequestParams, RequestStream,
-        };
+        use friends_data::requests::{OpenLoopParams, OpenLoopStream};
         use friends_data::wal::SyncPolicy;
-        use friends_service::{SearchClient, ServedClient, ServiceConfig};
 
         fn scratch(tag: &str) -> std::path::PathBuf {
             let mut dir = std::env::temp_dir();
@@ -1444,36 +1456,7 @@ mod tests {
             seeker_theta: 1.1,
             ..RequestParams::default()
         };
-        let probe = RequestStream::generate(
-            &corpus.graph,
-            &corpus.store,
-            &RequestParams {
-                count: 800,
-                ..shape.clone()
-            },
-            23,
-        )
-        .queries();
-        let cap_client = ServedClient::start(
-            Arc::clone(&corpus),
-            ServiceConfig {
-                shards,
-                coalesce: false,
-                default_deadline: None,
-                ..ServiceConfig::default()
-            },
-        );
-        let requests: Vec<QueryRequest> = probe
-            .iter()
-            .map(|q| {
-                QueryRequest::from_query(q.clone())
-                    .with_model(model)
-                    .without_deadline()
-            })
-            .collect();
-        let (_, cap_d) = timed(|| cap_client.run_batch(requests));
-        cap_client.shutdown();
-        let capacity = probe.len() as f64 / cap_d.as_secs_f64();
+        let capacity = probe_capacity(&corpus, shards, model, &shape, 800, 23);
         let rate = 0.3 * capacity;
         let stream = OpenLoopStream::generate(
             &corpus.graph,

@@ -7,7 +7,7 @@
 //! materialized [`ProximityVec`] therefore converts the dominant per-query
 //! cost (a graph traversal) into an `Arc` clone for every repeated seeker.
 //!
-//! The cache is sharded by key hash so `par_batch` workers contend only
+//! The cache is sharded by key hash so a `DirectClient`'s workers contend only
 //! 1/`shards` of the time; each shard is an exact LRU (hash map + recency
 //! index, both `O(log n)` worst case per touch). `friends_service` workers
 //! instead use [`ProximityCache::unsharded`] — one shard owned by one

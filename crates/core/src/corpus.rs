@@ -27,7 +27,7 @@ pub struct Corpus {
     /// Lazily built σ-aware posting index (tag → doc-sorted list with
     /// per-entry tagger groups and per-block tagger ranges), shared by every
     /// processor running block-max scoring over this corpus. Built once on
-    /// first use — `par_batch` workers share it through `&Corpus`.
+    /// first use — every worker shares it through `&Corpus`.
     sigma_index: OnceLock<InvertedIndex>,
     /// Lazily built per-tag global item rankings (descending aggregate
     /// weight, ties by item id) — the candidate lists `GlobalBoundTA`

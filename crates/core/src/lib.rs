@@ -41,7 +41,8 @@
 //! assert!(result.items.len() <= 5);
 //! ```
 
-pub mod batch;
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod corpus;
 pub mod eval;
@@ -53,8 +54,6 @@ pub mod processors;
 pub mod proximity;
 pub mod trace;
 
-#[allow(deprecated)]
-pub use batch::{par_batch, par_batch_with_cache};
 pub use cache::{CachePolicy, CacheStats, ProximityCache};
 pub use corpus::{Corpus, QueryStats, SearchResult};
 pub use latency::{LatencyRecorder, LatencySnapshot, Stage, StageLatencies, StageSnapshot};

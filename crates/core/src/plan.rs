@@ -9,10 +9,8 @@
 //! * [`QueryRequest`] — the one request type every client speaks: query +
 //!   proximity model + optional strategy hint, deadline, processor override
 //!   and caller correlation tag.
-//! * [`ProcessorRegistry`] — named processor constructors (the
-//!   generalization of the old `exact_factory` / `global_bound_factory`
-//!   pair). Callers never name a processor *type*; deployments can register
-//!   their own entries.
+//! * [`ProcessorRegistry`] — named processor constructors. Callers never
+//!   name a processor *type*; deployments can register their own entries.
 //! * [`Planner`] — maps `(model, corpus stats, request)` to a registry
 //!   entry plus a [`ScoringStrategy`]. Every strategy of every registered
 //!   processor returns byte-identical rankings (pinned by the differential
@@ -182,11 +180,10 @@ pub type ProcessorBuilder = dyn for<'c> Fn(&'c Corpus, ProximityModel, Option<Ar
     + Send
     + Sync;
 
-/// Named processor constructors — the generalization of the old
-/// `exact_factory` / `global_bound_factory` pair. Entry 0 is the planner's
-/// default; [`ProcessorRegistry::standard`] puts [`ExactOnline`] there (it
-/// is the exact reference implementation, and its adaptive strategies cover
-/// the scan / support-probe / block-max trade-off).
+/// Named processor constructors. Entry 0 is the planner's default;
+/// [`ProcessorRegistry::standard`] puts [`ExactOnline`] there (it is the
+/// exact reference implementation, and its adaptive strategies cover the
+/// scan / support-probe / block-max trade-off).
 pub struct ProcessorRegistry {
     entries: Vec<(&'static str, Box<ProcessorBuilder>)>,
 }

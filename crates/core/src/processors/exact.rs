@@ -71,7 +71,7 @@ impl<'a> ExactOnline<'a> {
     }
 
     /// Like [`ExactOnline::new`], sharing a seeker-proximity cache (typically
-    /// across `par_batch` workers). Models whose materialization is about as
+    /// across a client's workers). Models whose materialization is about as
     /// cheap as a cache hit ([`ProximityModel::cache_worthy`] is false)
     /// bypass the cache entirely — no shard lock is ever taken for them.
     pub fn with_cache(

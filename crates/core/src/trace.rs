@@ -83,8 +83,6 @@ pub enum TraceEvent {
         processor: &'static str,
         strategy: &'static str,
     },
-    /// The shard runs a fixed engine; no per-query planning happened.
-    FixedEngine,
     /// σ cache probe outcome (absent when the model bypasses the cache).
     ProximityCache { hit: bool },
     /// Result-memoization probe outcome.
@@ -127,7 +125,6 @@ impl TraceEvent {
                 processor,
                 strategy,
             } => format!("planned processor={processor} strategy={strategy}"),
-            TraceEvent::FixedEngine => "fixed engine (no per-query planning)".to_owned(),
             TraceEvent::ProximityCache { hit: true } => "proximity-cache hit".to_owned(),
             TraceEvent::ProximityCache { hit: false } => {
                 "proximity-cache miss (materialized)".to_owned()
@@ -308,11 +305,9 @@ pub struct TraceRecord {
     /// σ / scoring wall-clock, from the execution's [`QueryStats`].
     pub sigma_ns: u64,
     pub scoring_ns: u64,
-    /// Planner decision (`(processor, strategy)`); `None` when the shard
-    /// runs a fixed engine or the request never executed.
+    /// Planner decision (`(processor, strategy)`); `None` when the request
+    /// never executed.
     pub plan: Option<(&'static str, &'static str)>,
-    /// The shard runs a fixed engine (mutually exclusive with `plan`).
-    pub fixed_engine: bool,
     /// σ cache probe outcome; `None` when no probe happened.
     pub sigma_cached: Option<bool>,
     /// Result-memoization probe outcome; `None` when memoization is off.
@@ -355,7 +350,6 @@ impl TraceRecord {
             sigma_ns: 0,
             scoring_ns: 0,
             plan: None,
-            fixed_engine: false,
             sigma_cached: None,
             result_cached: None,
             coalesced: false,
@@ -427,8 +421,6 @@ impl TraceRecord {
                     processor,
                     strategy,
                 });
-            } else if self.fixed_engine {
-                plan.events.push(TraceEvent::FixedEngine);
             }
             if let Some(kind) = self.fault {
                 plan.events.push(TraceEvent::Fault { kind });

@@ -18,6 +18,8 @@
 //! assert_eq!(ds.graph.num_nodes() as u32, ds.store.num_users());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod crc;
 pub mod datasets;
 pub mod generator;

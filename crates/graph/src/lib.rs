@@ -30,6 +30,8 @@
 //! assert!(dist.iter().all(|&d| d != friends_graph::traversal::UNREACHABLE));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod community;
 pub mod components;
 pub mod csr;

@@ -24,6 +24,8 @@
 //! assert_eq!(topk.into_sorted_vec()[0].0, 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod accumulate;
 pub mod inverted;
 pub mod postings;

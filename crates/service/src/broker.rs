@@ -1,7 +1,7 @@
-//! The broker: shard routing, worker loops, batched dispatch, coalescing,
+//! The broker: shard routing, the worker loop, batched dispatch, coalescing,
 //! result memoization, deadline shedding and drain-based shutdown.
 
-use crate::request::{Job, Outcome, Reply, Request, Ticket};
+use crate::request::{Job, Outcome, Reply, Ticket};
 use crate::result_cache::{ResultCache, ResultKey};
 use crate::stats::{MutationTimes, ServiceStats, ShardState};
 use crossbeam::channel;
@@ -12,10 +12,9 @@ use friends_core::live::{
     DurabilityConfig, LiveCorpus, LiveDurability, PreparedMutation, RecoveryReport,
 };
 use friends_core::plan::{
-    strategy_index, PlanCounters, PlannedExecutor, Planner, ProcessorRegistry, STRATEGY_LABELS,
+    strategy_index, PlannedExecutor, Planner, ProcessorRegistry, QueryRequest, STRATEGY_LABELS,
 };
-use friends_core::processors::{ExactOnline, GlobalBoundTA, Processor, ScoringStrategy};
-use friends_core::proximity::{ProximityModel, SigmaBounds};
+use friends_core::proximity::SigmaBounds;
 use friends_core::trace::{QueryTrace, TraceCollector, TraceConfig, TraceOutcome, TraceRecord};
 use friends_data::mutations::MutationBatch;
 use friends_data::queries::Query;
@@ -109,12 +108,9 @@ pub enum FaultKind {
 }
 
 /// Broker tuning. The defaults are the serving posture: one shard per
-/// hardware thread, admission-controlled caches, coalescing on, a generous
-/// default deadline. Result memoization is opt-in (`result_cache_capacity`)
+/// hardware thread, admission-controlled caches, a generous default
+/// deadline. Result memoization is opt-in (`result_cache_capacity`)
 /// because it changes what "executed" means for observability.
-///
-/// No longer `Copy`: [`ServiceConfig::durability`] carries a directory
-/// path — clone explicitly where needed.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker shard count (≥ 1). Requests route by `hash(seeker) % shards`.
@@ -144,10 +140,6 @@ pub struct ServiceConfig {
     pub default_deadline: Option<Duration>,
     /// Most requests drained into one dispatch cycle.
     pub max_batch: usize,
-    /// Whether duplicate in-flight `(query, model, strategy)` requests
-    /// are executed once and fanned out. Disabling is only useful for
-    /// measurement.
-    pub coalesce: bool,
     /// Overload controller policy; `None` (the default) disables degraded
     /// serving — requests execute under their own bounds only.
     pub overload: Option<OverloadPolicy>,
@@ -188,7 +180,6 @@ impl Default for ServiceConfig {
             },
             default_deadline: Some(Duration::from_secs(5)),
             max_batch: 256,
-            coalesce: true,
             overload: None,
             fault: None,
             trace: TraceConfig::default(),
@@ -212,112 +203,13 @@ impl ServiceConfig {
     }
 }
 
-/// What a worker hands the processor factory besides the corpus: the shard
-/// index and the shard's private cache.
-pub struct ShardContext {
-    pub shard: usize,
-    /// The shard-private cache. Single-owner by construction (only this
-    /// worker ever touches it), so every access is an uncontended lock.
-    pub cache: Arc<ProximityCache>,
-}
-
-/// Builds one processor per worker, borrowing the service-owned corpus.
-/// Blanket-implemented for closures of the matching shape; see
-/// [`exact_factory`] / [`global_bound_factory`] for ready-made ones.
-///
-/// This is the *fixed-factory* form — one processor type and model for the
-/// whole service. The planner-backed form
-/// ([`FriendsService::start_planned`], what
-/// [`crate::ServedClient`] uses) instead chooses a registry entry per
-/// request.
-pub trait ProcessorFactory:
-    for<'c> Fn(&'c Corpus, ShardContext) -> Box<dyn Processor + 'c> + Send + Sync + 'static
-{
-}
-
-impl<T> ProcessorFactory for T where
-    T: for<'c> Fn(&'c Corpus, ShardContext) -> Box<dyn Processor + 'c> + Send + Sync + 'static
-{
-}
-
-/// Factory for [`ExactOnline`] under `model`, wired to the shard cache.
-pub fn exact_factory(model: ProximityModel) -> impl ProcessorFactory {
-    move |corpus: &Corpus, ctx: ShardContext| {
-        Box::new(ExactOnline::with_cache(corpus, model, ctx.cache)) as Box<dyn Processor + '_>
-    }
-}
-
-/// Factory for [`GlobalBoundTA`] under `model`, wired to the shard cache.
-pub fn global_bound_factory(model: ProximityModel) -> impl ProcessorFactory {
-    move |corpus: &Corpus, ctx: ShardContext| {
-        Box::new(GlobalBoundTA::with_cache(corpus, model, ctx.cache)) as Box<dyn Processor + '_>
-    }
-}
-
-/// What a worker executes requests with: either the fixed processor its
-/// factory built, or a planned executor choosing per request.
-enum ShardEngine<'c> {
-    Fixed(Box<dyn Processor + 'c>),
-    Planned(PlannedExecutor<'c>),
-}
-
-impl ShardEngine<'_> {
-    fn run(
-        &mut self,
-        query: &Query,
-        model: Option<ProximityModel>,
-        strategy: ScoringStrategy,
-        processor: Option<&'static str>,
-        bounds: SigmaBounds,
-    ) -> SearchResult {
-        match self {
-            // Fixed engines ignore the model/processor fields: their
-            // processor was chosen (with its model) at start.
-            ShardEngine::Fixed(p) => {
-                p.set_bounds(bounds);
-                p.set_strategy(strategy);
-                p.query(query)
-            }
-            ShardEngine::Planned(e) => e.execute(
-                query,
-                model.unwrap_or(ProximityModel::Global),
-                strategy,
-                processor,
-                bounds,
-            ),
-        }
-    }
-
-    /// The planner decision this engine would make for the request —
-    /// `(processor name, strategy label)` — recovered on the trace cold
-    /// path (planning is deterministic and cheap, so re-planning beats
-    /// threading the decision through the hot path). `None` for fixed
-    /// engines, which never plan.
-    fn plan_of(
-        &self,
-        query: &Query,
-        model: Option<ProximityModel>,
-        strategy: ScoringStrategy,
-        processor: Option<&'static str>,
-        bounds: SigmaBounds,
-    ) -> Option<(&'static str, &'static str)> {
-        match self {
-            ShardEngine::Fixed(_) => None,
-            ShardEngine::Planned(e) => {
-                let plan = e.plan(
-                    query,
-                    model.unwrap_or(ProximityModel::Global),
-                    strategy,
-                    processor,
-                    bounds,
-                );
-                Some((
-                    plan.processor_name,
-                    STRATEGY_LABELS[strategy_index(plan.strategy)],
-                ))
-            }
-        }
-    }
+/// What a worker reads of its owner's configuration.
+#[derive(Clone, Copy)]
+pub(crate) struct WorkerConfig {
+    /// Most requests drained into one dispatch cycle.
+    pub max_batch: usize,
+    pub overload: Option<OverloadPolicy>,
+    pub fault: Option<FaultPlan>,
 }
 
 /// Stable label of an injected fault for trace events.
@@ -329,54 +221,19 @@ fn fault_name(kind: FaultKind) -> &'static str {
     }
 }
 
-/// Builds and retains this request's trace when the collector wants one —
-/// the cold path guard every reply site goes through. Returns the `Arc`
-/// the [`Reply`] carries; `None` (the common case) costs nothing beyond
-/// the `wants` check.
-#[allow(clippy::too_many_arguments)]
-fn maybe_trace(
-    state: &ShardState,
-    shard: usize,
-    query: &Query,
-    job: &Job,
-    sampled: bool,
-    outcome: TraceOutcome,
-    queue_wait: Duration,
-    raced: Option<RacedMutation>,
-    fill: impl FnOnce(&mut TraceRecord),
-) -> Option<Arc<QueryTrace>> {
-    let e2e = job.submitted.elapsed();
-    let missed = outcome == TraceOutcome::DeadlineMissed;
-    if !state.traces.wants(job.trace, sampled, e2e, missed) {
-        return None;
-    }
-    let mut rec = TraceRecord::new(shard, query, job.tag, job.trace);
-    rec.sampled = sampled;
-    rec.outcome = outcome;
-    rec.e2e = e2e;
-    rec.queue_wait = queue_wait;
-    if let Some(m) = raced {
-        rec.mutation = Some((m.epoch, m.mutations));
-        rec.invalidated = Some((m.prox_invalidated, m.results_invalidated));
-        rec.wal = m.wal.map(|w| (w.bytes, w.synced));
-    }
-    fill(&mut rec);
-    Some(state.traces.retain(rec))
-}
-
-/// What flows down a shard's queue: queries, or a mutation batch to apply
-/// at the next batch boundary. FIFO order is the sequencing guarantee —
-/// every query runs entirely under the snapshot that was current when the
-/// worker reached it, so each answer is *some* epoch's frozen answer
-/// (snapshot isolation; `tests/proptest_live.rs` pins this).
-enum WorkItem {
+/// What flows down a queue: queries, or a mutation batch to apply at the
+/// next batch boundary. FIFO order is the sequencing guarantee — every
+/// query runs entirely under the snapshot that was current when the worker
+/// reached it, so each answer is *some* epoch's frozen answer (snapshot
+/// isolation; `tests/proptest_live.rs` pins this).
+pub(crate) enum WorkItem {
     Query(Job),
     Mutation(MutationJob),
 }
 
 /// One shard's share of a broadcast mutation: the prepared next snapshot
 /// plus the ack the publisher collects (per-shard invalidation counts).
-struct MutationJob {
+pub(crate) struct MutationJob {
     prepared: Arc<PreparedMutation>,
     ack: channel::Sender<ShardAck>,
     /// The batch's WAL receipt (`None` on memory-only services) — carried
@@ -438,6 +295,102 @@ pub struct MutationReport {
     pub barrier: Duration,
 }
 
+/// A work queue: unbounded when `capacity` is 0.
+pub(crate) fn work_queue(
+    capacity: usize,
+) -> (channel::Sender<WorkItem>, channel::Receiver<WorkItem>) {
+    if capacity == 0 {
+        channel::unbounded()
+    } else {
+        channel::bounded(capacity)
+    }
+}
+
+/// Spawns one worker draining `rx`. The worker serves one snapshot per
+/// *era*: its executor borrows the era's corpus, `rebuild` re-creates it
+/// after a contained panic (the old instance's scratch state is suspect,
+/// the shared cache and counters survive untouched), and a mutation ends
+/// the era — [`worker_loop`] returns the next snapshot and a fresh executor
+/// is built over it. Controller state and the armed fault outlive eras.
+///
+/// `shard` is what the worker's replies and traces report; several workers
+/// may share one `rx` and `state` (a `DirectClient` pool).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn spawn_worker(
+    name: String,
+    shard: usize,
+    mut corpus: Arc<Corpus>,
+    rx: channel::Receiver<WorkItem>,
+    state: Arc<ShardState>,
+    registry: Arc<ProcessorRegistry>,
+    planner: Planner,
+    config: WorkerConfig,
+) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            let mut ctl = WorkerCtl::new(config.fault);
+            let mut raced: Option<RacedMutation> = None;
+            loop {
+                let next = {
+                    let rebuild = || {
+                        PlannedExecutor::new(
+                            corpus.as_ref(),
+                            state.cache.clone(),
+                            Arc::clone(&registry),
+                            planner,
+                            Arc::clone(&state.plans),
+                        )
+                    };
+                    worker_loop(&rebuild, &rx, &state, shard, &config, &mut ctl, &mut raced)
+                };
+                match next {
+                    Some(snapshot) => corpus = snapshot,
+                    None => return,
+                }
+            }
+        })
+        .expect("spawn worker thread")
+}
+
+/// Enqueues one request on `sender`, returning the [`Ticket`] to wait on.
+/// `shard` is what the ticket reports until a worker answers.
+pub(crate) fn enqueue(
+    sender: &channel::Sender<WorkItem>,
+    state: &ShardState,
+    shard: usize,
+    request: QueryRequest,
+    default_deadline: Option<Duration>,
+) -> Ticket {
+    let (tx, rx) = channel::bounded(1);
+    let now = Instant::now();
+    let deadline = request.deadline.resolve(now, default_deadline);
+    let tag = request.tag;
+    state.submitted.fetch_add(1, Ordering::Relaxed);
+    let depth = state.depth.fetch_add(1, Ordering::Relaxed) + 1;
+    state.max_depth.fetch_max(depth, Ordering::Relaxed);
+    let job = Job {
+        request,
+        deadline,
+        submitted: now,
+        reply: tx.clone(),
+    };
+    if sender.send(WorkItem::Query(job)).is_err() {
+        // Every worker is gone. Resolve the ticket rather than leaving the
+        // caller to block forever.
+        state.depth.fetch_sub(1, Ordering::Relaxed);
+        state.failed.fetch_add(1, Ordering::Relaxed);
+        let _ = tx.send(Reply::failed(shard, tag));
+    }
+    Ticket {
+        shard,
+        rx,
+        deadline,
+        tag,
+        stash: None,
+    }
+}
+
 /// The running service: N worker shards behind MPMC queues. Dropping the
 /// handle without [`FriendsService::shutdown`] also drains (workers finish
 /// queued work before exiting), but `shutdown` additionally joins and
@@ -462,53 +415,18 @@ pub struct FriendsService {
 }
 
 impl FriendsService {
-    /// Starts `config.shards` workers over `corpus`. Each worker builds its
-    /// own processor through `factory` (one call per shard, so build cost —
-    /// e.g. `GlobalBoundTA`'s candidate lists — is paid per shard).
-    pub fn start<F: ProcessorFactory>(
-        corpus: Arc<Corpus>,
-        config: ServiceConfig,
-        factory: F,
-    ) -> Self {
-        let factory = Arc::new(factory);
-        Self::start_with(corpus, config, move |corpus, ctx, _state| {
-            ShardEngine::Fixed(factory(corpus, ctx))
-        })
-    }
-
-    /// Starts a **planner-backed** service: every request carries its own
-    /// proximity model (and optional strategy hint / processor override),
-    /// and each worker's [`PlannedExecutor`] maps it to a `registry` entry
-    /// via `planner`. This is the engine behind [`crate::ServedClient`];
-    /// planner decisions surface in [`crate::ShardStats::plans`].
+    /// Starts `config.shards` workers over `corpus`. Every request carries
+    /// its own proximity model (and optional strategy hint / processor
+    /// override), and each worker's [`PlannedExecutor`] maps it to a
+    /// `registry` entry via `planner`. This is the engine behind
+    /// [`crate::ServedClient`]; planner decisions surface in
+    /// [`crate::ShardStats::plans`].
     pub fn start_planned(
         corpus: Arc<Corpus>,
         config: ServiceConfig,
         registry: Arc<ProcessorRegistry>,
         planner: Planner,
     ) -> Self {
-        Self::start_with(corpus, config, move |corpus, ctx, state| {
-            ShardEngine::Planned(PlannedExecutor::new(
-                corpus,
-                Some(ctx.cache),
-                Arc::clone(&registry),
-                planner,
-                state
-                    .plans
-                    .as_ref()
-                    .map(Arc::clone)
-                    .expect("planned shards carry counters"),
-            ))
-        })
-    }
-
-    fn start_with<E>(corpus: Arc<Corpus>, config: ServiceConfig, make_engine: E) -> Self
-    where
-        E: for<'c> Fn(&'c Corpus, ShardContext, &ShardState) -> ShardEngine<'c>
-            + Send
-            + Sync
-            + 'static,
-    {
         // Recovery happens before any worker spawns: with durability
         // configured, the disk state (newest valid snapshot + WAL replay)
         // is newer truth than the `corpus` argument, which only seeds an
@@ -527,16 +445,11 @@ impl FriendsService {
         // on memory-only or freshly-seeded services).
         let corpus = live.snapshot();
         let shards = config.shards.max(1);
-        let make_engine = Arc::new(make_engine);
         let mut senders = Vec::with_capacity(shards);
         let mut states = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (tx, rx) = if config.queue_capacity == 0 {
-                channel::unbounded()
-            } else {
-                channel::bounded(config.queue_capacity)
-            };
+            let (tx, rx) = work_queue(config.queue_capacity);
             let cache = Arc::new(ProximityCache::with_limits(
                 config.cache_capacity,
                 config.cache_bytes,
@@ -549,64 +462,27 @@ impl FriendsService {
                     config.result_cache_policy,
                 ))
             });
-            // Counters are a few atomics; every shard gets a set (fixed
-            // engines simply never record into them).
-            let plans = Some(Arc::new(PlanCounters::default()));
-            let traces = Arc::new(TraceCollector::new(shard, config.trace));
-            let state = Arc::new(ShardState::new(Arc::clone(&cache), results, plans, traces));
-            let corpus = Arc::clone(&corpus);
-            let make_engine = Arc::clone(&make_engine);
-            let worker_state = Arc::clone(&state);
-            let config = config.clone(); // per-worker copy (no longer Copy)
-            let handle = std::thread::Builder::new()
-                .name(format!("friends-svc-{shard}"))
-                .spawn(move || {
-                    // The worker serves one snapshot per *era*: the engine
-                    // borrows the era's corpus, `rebuild` re-creates it
-                    // after a contained panic (the old instance's scratch
-                    // state is suspect, the shared cache and counters
-                    // survive untouched), and a mutation ends the era —
-                    // the loop comes back with the next snapshot and a
-                    // fresh engine built over it. Controller state and the
-                    // armed fault outlive eras.
-                    let mut corpus = corpus;
-                    let mut ctl = WorkerCtl {
-                        level: 0,
-                        calm: 0,
-                        ewma_job_us: 0.0,
-                        fault: config.fault,
-                        attempts: 0,
-                    };
-                    let mut raced: Option<RacedMutation> = None;
-                    loop {
-                        let next = {
-                            let rebuild = || {
-                                let ctx = ShardContext {
-                                    shard,
-                                    cache: Arc::clone(&worker_state.cache),
-                                };
-                                make_engine(corpus.as_ref(), ctx, &worker_state)
-                            };
-                            worker_loop(
-                                &rebuild,
-                                &rx,
-                                &worker_state,
-                                shard,
-                                &config,
-                                &mut ctl,
-                                &mut raced,
-                            )
-                        };
-                        match next {
-                            Some(snapshot) => corpus = snapshot,
-                            None => return,
-                        }
-                    }
-                })
-                .expect("spawn service worker");
+            let state = Arc::new(ShardState::new(
+                Some(cache),
+                results,
+                TraceCollector::new(shard, config.trace),
+            ));
+            workers.push(spawn_worker(
+                format!("friends-svc-{shard}"),
+                shard,
+                Arc::clone(&corpus),
+                rx,
+                Arc::clone(&state),
+                Arc::clone(&registry),
+                planner,
+                WorkerConfig {
+                    max_batch: config.max_batch,
+                    overload: config.overload,
+                    fault: config.fault,
+                },
+            ));
             senders.push(tx);
             states.push(state);
-            workers.push(handle);
         }
         FriendsService {
             senders,
@@ -633,81 +509,17 @@ impl FriendsService {
         (h.finish() as usize) % self.senders.len()
     }
 
-    /// Enqueues one request, returning the [`Ticket`] to wait on.
-    pub fn submit(&self, request: Request) -> Ticket {
+    /// Enqueues one request on its seeker's shard, returning the
+    /// [`Ticket`] to wait on.
+    pub fn submit(&self, request: QueryRequest) -> Ticket {
         let shard = self.shard_of(request.query.seeker);
-        let (tx, rx) = channel::bounded(1);
-        let now = Instant::now();
-        let deadline = request.deadline.resolve(now, self.default_deadline);
-        let state = &self.shards[shard];
-        state.submitted.fetch_add(1, Ordering::Relaxed);
-        let depth = state.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        state.max_depth.fetch_max(depth, Ordering::Relaxed);
-        let job = Job {
-            query: request.query,
-            strategy: request.strategy,
-            model: request.model,
-            processor: request.processor,
-            bounds: request.bounds,
-            deadline,
-            submitted: now,
-            reply: tx.clone(),
-            tag: request.tag,
-            trace: request.trace,
-        };
-        if self.senders[shard].send(WorkItem::Query(job)).is_err() {
-            // The worker died (processor panic). Resolve the ticket rather
-            // than leaving the caller to block forever.
-            state.depth.fetch_sub(1, Ordering::Relaxed);
-            state.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(Reply {
-                outcome: Outcome::Failed,
-                shard,
-                queue_wait: Duration::ZERO,
-                coalesced: false,
-                result_cached: false,
-                degraded: false,
-                residual: 0.0,
-                tag: request.tag,
-                trace: None,
-            });
-        }
-        Ticket {
+        enqueue(
+            &self.senders[shard],
+            &self.shards[shard],
             shard,
-            rx,
-            deadline,
-            tag: request.tag,
-            stash: None,
-        }
-    }
-
-    /// Floods every query in (affinity-routed), then collects replies in
-    /// input order — the serving-tier equivalent of
-    /// [`friends_core::batch::par_batch`].
-    pub fn submit_batch(&self, queries: &[Query]) -> Vec<Reply> {
-        let tickets: Vec<Ticket> = queries
-            .iter()
-            .map(|q| self.submit(Request::new(q.clone())))
-            .collect();
-        tickets.into_iter().map(Ticket::wait).collect()
-    }
-
-    /// [`FriendsService::submit_batch`] for deadline-free clients: unwraps
-    /// every reply into its [`SearchResult`].
-    ///
-    /// # Panics
-    /// Panics if a worker died mid-batch — batch clients submit without
-    /// deadlines ([`crate::request::Deadline::Unbounded`]), so requests are
-    /// never shed here.
-    pub fn run_batch(&self, queries: &[Query]) -> Vec<SearchResult> {
-        let tickets: Vec<Ticket> = queries
-            .iter()
-            .map(|q| self.submit(Request::new(q.clone()).without_deadline()))
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| t.wait().outcome.expect_done("run_batch"))
-            .collect()
+            request,
+            self.default_deadline,
+        )
     }
 
     /// Bumps every shard's result-cache epoch, logically dropping all
@@ -942,18 +754,28 @@ impl Drop for FriendsService {
     }
 }
 
-/// The coalescing/memoization identity of a job: query, model parameter
+/// The coalescing/memoization identity of a request: query, model parameter
 /// bits, strategy hint, processor override and **effective** σ-bounds bits
-/// (the job's own bounds after any controller tightening). Two jobs with
-/// equal keys are interchangeable executions; jobs at different degradation
-/// levels never coalesce and never share memoized rankings.
-fn group_key(job: &Job, query: Query) -> ResultKey {
+/// (the request's own bounds after any controller tightening). Two requests
+/// with equal keys are interchangeable executions; requests at different
+/// degradation levels never coalesce and never share memoized rankings.
+/// The key takes ownership of the request's query (no clone): `run_group`
+/// executes from the key, and duplicate keys are simply dropped.
+fn group_key(request: &mut QueryRequest) -> ResultKey {
+    let query = std::mem::replace(
+        &mut request.query,
+        Query {
+            seeker: 0,
+            tags: Vec::new(),
+            k: 0,
+        },
+    );
     (
         query,
-        job.model.map(|m| m.key_bits()),
-        job.strategy,
-        job.processor,
-        job.bounds.key_bits(),
+        request.model.key_bits(),
+        request.strategy,
+        request.processor,
+        request.bounds.key_bits(),
     )
 }
 
@@ -965,28 +787,37 @@ struct WorkerCtl {
     level: u8,
     /// Consecutive calm batches observed at the current level.
     calm: u32,
-    /// EWMA of observed per-job execution latency, in microseconds
-    /// (0.0 until the first batch completes).
-    ewma_job_us: f64,
+    /// EWMA of observed per-job execution latency, in microseconds;
+    /// `None` until the first batch completes.
+    ewma_job_us: Option<f64>,
     /// Armed fault, disarmed after it fires.
     fault: Option<FaultPlan>,
-    /// Execution attempts on this shard (the fault ordinal clock).
+    /// Execution attempts on this worker (the fault ordinal clock).
     attempts: u64,
 }
 
 impl WorkerCtl {
+    fn new(fault: Option<FaultPlan>) -> Self {
+        WorkerCtl {
+            level: 0,
+            calm: 0,
+            ewma_job_us: None,
+            fault,
+            attempts: 0,
+        }
+    }
+
     /// Steps the hysteresis machine for one drained batch: up immediately
     /// under pressure (deep queue, or the EWMA projects this batch past its
     /// tightest remaining deadline budget), down one level only after
     /// `cooldown_batches` consecutive calm batches.
     fn observe_batch(&mut self, policy: &OverloadPolicy, depth_after: usize, batch: &[Job]) {
         let mut pressure = depth_after >= policy.depth_high;
-        if !pressure && self.ewma_job_us > 0.0 {
-            // Keep fractional microseconds: `from_micros(x as u64)` used to
-            // truncate sub-µs projections to zero, so a fast corpus
-            // (per-job EWMA < 1 µs) never projected past any slack and the
-            // deadline arm of the controller was blind.
-            let projected = Duration::from_secs_f64(self.ewma_job_us * batch.len() as f64 * 1e-6);
+        if let (false, Some(ewma_job_us)) = (pressure, self.ewma_job_us) {
+            // Fractional microseconds matter: on a fast corpus the per-job
+            // EWMA is below 1 µs, and a projection rounded to whole
+            // microseconds would never exceed any slack.
+            let projected = Duration::from_secs_f64(ewma_job_us * batch.len() as f64 * 1e-6);
             let now = Instant::now();
             if let Some(min_slack) = batch
                 .iter()
@@ -1013,6 +844,16 @@ impl WorkerCtl {
         }
     }
 
+    /// Folds one dispatch cycle (`jobs` requests in `elapsed`) into the
+    /// per-job latency EWMA.
+    fn record_dispatch(&mut self, elapsed: Duration, jobs: usize) {
+        let per_job = elapsed.as_secs_f64() * 1e6 / jobs as f64;
+        self.ewma_job_us = Some(match self.ewma_job_us {
+            None => per_job,
+            Some(ewma) => 0.75 * ewma + 0.25 * per_job,
+        });
+    }
+
     /// The fault to apply to this execution attempt, if one fires now.
     fn take_fault(&mut self) -> Option<FaultKind> {
         self.attempts += 1;
@@ -1028,24 +869,24 @@ impl WorkerCtl {
 
 /// One worker era: block for the first item, opportunistically drain up to
 /// `max_batch - 1` more, step the overload controller, dispatch the batch,
-/// repeat. `rebuild` re-creates the engine after a contained panic.
+/// repeat. `rebuild` re-creates the executor after a contained panic.
 ///
 /// A [`WorkItem::Mutation`] is a **batch boundary**: draining stops at it,
 /// the queries drained before it dispatch under the era's snapshot, the
 /// worker sweeps its caches, acks, and returns the next snapshot — ending
-/// the era (the caller builds a fresh engine over it and re-enters).
+/// the era (the caller builds a fresh executor over it and re-enters).
 /// Returns `None` when the queue disconnects (shutdown).
 fn worker_loop<'c, R>(
     rebuild: &R,
     rx: &channel::Receiver<WorkItem>,
     state: &ShardState,
     shard: usize,
-    config: &ServiceConfig,
+    config: &WorkerConfig,
     ctl: &mut WorkerCtl,
     raced: &mut Option<RacedMutation>,
 ) -> Option<Arc<Corpus>>
 where
-    R: Fn() -> ShardEngine<'c>,
+    R: Fn() -> PlannedExecutor<'c>,
 {
     let mut engine = rebuild();
     let mut batch: Vec<Job> = Vec::new();
@@ -1080,24 +921,25 @@ where
             if let Some(policy) = &config.overload {
                 ctl.observe_batch(policy, depth_after, &batch);
             }
-            let started = Instant::now();
+            // The mutation race marker sticks to exactly one dispatch
+            // cycle: the queries drained here were queued while the epoch
+            // changed under them.
+            let cycle = Cycle {
+                state,
+                shard,
+                started: Instant::now(),
+                raced: raced.take(),
+            };
             dispatch(
                 &mut engine,
                 rebuild,
                 &mut batch,
                 &mut groups,
-                state,
-                shard,
+                &cycle,
                 config,
                 ctl,
-                raced,
             );
-            let per_job = started.elapsed().as_micros() as f64 / drained as f64;
-            ctl.ewma_job_us = if ctl.ewma_job_us == 0.0 {
-                per_job
-            } else {
-                0.75 * ctl.ewma_job_us + 0.25 * per_job
-            };
+            ctl.record_dispatch(cycle.started.elapsed(), drained);
         }
         if let Some(m) = pending {
             // Sweep-then-swap, in that order: the edited graph keeps its
@@ -1108,7 +950,9 @@ where
             let started = Instant::now();
             let sigma = state
                 .cache
-                .repair_affected(&m.prepared.next.graph, &m.prepared.edits);
+                .as_ref()
+                .map(|c| c.repair_affected(&m.prepared.next.graph, &m.prepared.edits))
+                .unwrap_or_default();
             let repair = started.elapsed();
             let results = state
                 .results
@@ -1142,399 +986,147 @@ where
     }
 }
 
-/// Runs one query inside the panic-containment region. `Err` means the
-/// engine panicked: its scratch state is suspect and the caller must
-/// rebuild before the next execution.
-fn run_contained(
-    engine: &mut ShardEngine<'_>,
-    query: &Query,
-    model: Option<ProximityModel>,
-    strategy: ScoringStrategy,
-    processor: Option<&'static str>,
-    bounds: SigmaBounds,
-    fault: Option<FaultKind>,
-) -> Result<SearchResult, ()> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        match fault {
-            Some(FaultKind::Panic) => panic!("injected fault: panic"),
-            Some(FaultKind::Delay(d)) => std::thread::sleep(d),
-            Some(FaultKind::Error) | None => {}
-        }
-        engine.run(query, model, strategy, processor, bounds)
-    }))
-    .map_err(drop)
+/// What every reply of one dispatch cycle shares.
+struct Cycle<'a> {
+    state: &'a ShardState,
+    shard: usize,
+    /// When the cycle began: queue wait ends here, and deadlines are judged
+    /// against it.
+    started: Instant,
+    /// The mutation this worker applied right before the cycle, if any.
+    raced: Option<RacedMutation>,
 }
 
-/// Replies `Outcome::Failed` for one job and counts it. `fault` is the
-/// injected fault's label (or `None` for a real contained panic); `query`
-/// is passed separately because the coalescing path moves the query out of
-/// the job and into the group key.
-#[allow(clippy::too_many_arguments)]
-fn reply_failed(
-    job: &Job,
-    query: &Query,
-    state: &ShardState,
-    shard: usize,
-    started: Instant,
-    degraded: bool,
-    sampled: bool,
-    fault: Option<&'static str>,
-    bounds: SigmaBounds,
-    raced: Option<RacedMutation>,
-) {
-    state.failed.fetch_add(1, Ordering::Relaxed);
-    let queue_wait = started - job.submitted;
-    let trace = maybe_trace(
-        state,
-        shard,
-        query,
-        job,
-        sampled,
-        TraceOutcome::Failed,
-        queue_wait,
-        raced,
-        |rec| {
-            rec.fault = fault;
-            if degraded {
-                rec.degraded = Some((bounds.max_radius, bounds.min_mass));
+impl Cycle<'_> {
+    /// The one reply path. Stamps the queue wait, records what every
+    /// answered request records, retains the request's trace when the
+    /// collector wants one — the cold path; `None` (the common case) costs
+    /// nothing beyond the `wants` check, and `fill` adds what only the call
+    /// site knows — and answers the ticket. `query` is passed separately
+    /// because coalescing moves it out of the job and into the group key;
+    /// `bounds` are the effective σ bounds the group ran under.
+    fn reply(
+        &self,
+        job: &Job,
+        query: &Query,
+        sampled: bool,
+        bounds: SigmaBounds,
+        mut reply: Reply,
+        fill: impl FnOnce(&mut TraceRecord),
+    ) {
+        let state = self.state;
+        reply.queue_wait = self.started - job.submitted;
+        let e2e = job.submitted.elapsed();
+        let outcome = match &reply.outcome {
+            Outcome::Done(result) => {
+                state.latency.record(Stage::EndToEnd, e2e);
+                if reply.degraded {
+                    state.record_degraded(reply.residual);
+                }
+                TraceOutcome::Done {
+                    items: result.items.len(),
+                }
             }
-        },
-    );
-    let _ = job.reply.send(Reply {
-        outcome: Outcome::Failed,
-        shard,
-        queue_wait,
-        coalesced: false,
-        result_cached: false,
-        degraded,
-        residual: 0.0,
-        tag: job.tag,
-        trace,
-    });
+            Outcome::DeadlineMissed => TraceOutcome::DeadlineMissed,
+            Outcome::Failed => TraceOutcome::Failed,
+        };
+        let missed = outcome == TraceOutcome::DeadlineMissed;
+        if state.traces.wants(job.request.trace, sampled, e2e, missed) {
+            let mut rec = TraceRecord::new(self.shard, query, job.request.tag, job.request.trace);
+            rec.sampled = sampled;
+            rec.outcome = outcome;
+            rec.e2e = e2e;
+            rec.queue_wait = reply.queue_wait;
+            rec.coalesced = reply.coalesced;
+            if reply.degraded {
+                rec.degraded = Some((bounds.max_radius, bounds.min_mass));
+                rec.residual = reply.residual;
+            }
+            if let Some(m) = self.raced {
+                rec.mutation = Some((m.epoch, m.mutations));
+                rec.invalidated = Some((m.prox_invalidated, m.results_invalidated));
+                rec.wal = m.wal.map(|w| (w.bytes, w.synced));
+            }
+            fill(&mut rec);
+            reply.trace = Some(state.traces.retain(rec));
+        }
+        let _ = job.reply.send(reply);
+    }
 }
 
 /// Executes one drained batch: tighten bounds to the controller's level,
-/// group duplicates, shed expired jobs, serve memoized rankings, run each
-/// unique live query once (inside panic containment), fan results out.
-/// Execution order within a cycle follows the group map (not arrival
-/// order) — results are per-query deterministic either way, and replies
-/// route by ticket.
-#[allow(clippy::too_many_arguments)]
+/// group duplicates, then run each group. Execution order within a cycle
+/// follows the group map (not arrival order) — results are per-query
+/// deterministic either way, and replies route by ticket.
 fn dispatch<'c, R>(
-    engine: &mut ShardEngine<'c>,
+    engine: &mut PlannedExecutor<'c>,
     rebuild: &R,
     batch: &mut Vec<Job>,
     groups: &mut HashMap<ResultKey, Vec<Job>>,
-    state: &ShardState,
-    shard: usize,
-    config: &ServiceConfig,
+    cycle: &Cycle<'_>,
+    config: &WorkerConfig,
     ctl: &mut WorkerCtl,
-    raced: &mut Option<RacedMutation>,
 ) where
-    R: Fn() -> ShardEngine<'c>,
+    R: Fn() -> PlannedExecutor<'c>,
 {
-    let started = Instant::now();
-    // The mutation race marker sticks to exactly one dispatch cycle: the
-    // queries drained here were queued while the epoch changed under them.
-    let raced = raced.take();
-    groups.clear();
     // Compose the controller's level bounds into each job. Deadline-free
     // jobs are exempt: a caller that opted out of shedding opted out of
     // approximation too, and keeps byte-identical exact answers.
-    if let Some(policy) = &config.overload {
-        if ctl.level > 0 {
-            let level_bounds = policy.bounds_for(ctl.level);
-            for job in batch.iter_mut() {
-                if job.deadline.is_some() {
-                    job.bounds = job.bounds.tighten(level_bounds);
-                }
-            }
-        }
-    }
-    if !config.coalesce {
-        // Measurement mode: every job executes individually, reusing the
-        // drained buffer (no per-job wrappers). Memoization still applies —
-        // it is a different axis than coalescing.
-        for job in batch.drain(..) {
-            // The head-sampling decision — tracing's only hot-path cost.
-            let sampled = state.traces.should_sample();
-            // Queue wait is a property of queuing: every dispatched job has
-            // one, shed or served.
-            state
-                .latency
-                .record(Stage::QueueWait, started - job.submitted);
-            if job.deadline.is_some_and(|d| started > d) {
-                state.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                let trace = maybe_trace(
-                    state,
-                    shard,
-                    &job.query,
-                    &job,
-                    sampled,
-                    TraceOutcome::DeadlineMissed,
-                    started - job.submitted,
-                    raced,
-                    |rec| rec.shed = true,
-                );
-                let _ = job.reply.send(Reply {
-                    outcome: Outcome::DeadlineMissed,
-                    shard,
-                    queue_wait: started - job.submitted,
-                    coalesced: false,
-                    result_cached: false,
-                    degraded: false,
-                    residual: 0.0,
-                    tag: job.tag,
-                    trace,
-                });
-                continue;
-            }
-            let degraded = !job.bounds.is_exact();
-            let memo = state.results.as_ref().map(|rc| {
-                // The key (a query clone) is only built when memoization
-                // can use it — measurement mode without a result cache
-                // stays wrapper- and allocation-free per job.
-                (group_key(&job, job.query.clone()), rc.epoch())
-            });
-            let memo_attempted = memo.is_some();
-            if let Some((key, _)) = &memo {
-                let rc = state.results.as_ref().expect("memo key implies cache");
-                if let Some((items, residual)) = rc.get(key) {
-                    state.result_served.fetch_add(1, Ordering::Relaxed);
-                    if degraded {
-                        state.record_degraded(residual);
-                    }
-                    // Memo hits have an end-to-end latency but no σ or
-                    // scoring execution of their own.
-                    state
-                        .latency
-                        .record(Stage::EndToEnd, job.submitted.elapsed());
-                    let trace = maybe_trace(
-                        state,
-                        shard,
-                        &job.query,
-                        &job,
-                        sampled,
-                        TraceOutcome::Done { items: items.len() },
-                        started - job.submitted,
-                        raced,
-                        |rec| {
-                            rec.result_cached = Some(true);
-                            if degraded {
-                                rec.degraded = Some((job.bounds.max_radius, job.bounds.min_mass));
-                                rec.residual = residual;
-                            }
-                        },
-                    );
-                    let _ = job.reply.send(Reply {
-                        outcome: Outcome::Done(SearchResult {
-                            items: (*items).clone(),
-                            stats: Default::default(),
-                            residual,
-                        }),
-                        shard,
-                        queue_wait: started - job.submitted,
-                        coalesced: false,
-                        result_cached: true,
-                        degraded,
-                        residual,
-                        tag: job.tag,
-                        trace,
-                    });
-                    continue;
-                }
-            }
-            let fault = ctl.take_fault();
-            if matches!(fault, Some(FaultKind::Error)) {
-                reply_failed(
-                    &job,
-                    &job.query,
-                    state,
-                    shard,
-                    started,
-                    degraded,
-                    sampled,
-                    fault.map(fault_name),
-                    job.bounds,
-                    raced,
-                );
-                continue;
-            }
-            let run = run_contained(
-                engine,
-                &job.query,
-                job.model,
-                job.strategy,
-                job.processor,
-                job.bounds,
-                fault,
-            );
-            let result = match run {
-                Ok(result) => result,
-                Err(()) => {
-                    state.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    *engine = rebuild();
-                    reply_failed(
-                        &job,
-                        &job.query,
-                        state,
-                        shard,
-                        started,
-                        degraded,
-                        sampled,
-                        fault.map(fault_name),
-                        job.bounds,
-                        raced,
-                    );
-                    continue;
-                }
-            };
-            if let Some((key, observed_epoch)) = memo {
-                let rc = state.results.as_ref().expect("memo key implies cache");
-                rc.insert(
-                    key,
-                    Arc::new(result.items.clone()),
-                    result.residual,
-                    observed_epoch,
-                );
-            }
-            state.executed.fetch_add(1, Ordering::Relaxed);
-            let residual = result.residual;
-            if degraded {
-                state.record_degraded(residual);
-            }
-            // σ/scoring are per-execution stages, reported by the processor
-            // through `QueryStats`; end-to-end closes at reply time.
-            state.latency.record_ns(Stage::Sigma, result.stats.sigma_ns);
-            state
-                .latency
-                .record_ns(Stage::Scoring, result.stats.scoring_ns);
-            state
-                .latency
-                .record(Stage::EndToEnd, job.submitted.elapsed());
-            let trace = maybe_trace(
-                state,
-                shard,
-                &job.query,
-                &job,
-                sampled,
-                TraceOutcome::Done {
-                    items: result.items.len(),
-                },
-                started - job.submitted,
-                raced,
-                |rec| {
-                    rec.fill_execution(&result.stats);
-                    match engine.plan_of(
-                        &job.query,
-                        job.model,
-                        job.strategy,
-                        job.processor,
-                        job.bounds,
-                    ) {
-                        Some(p) => rec.plan = Some(p),
-                        None => rec.fixed_engine = true,
-                    }
-                    rec.result_cached = memo_attempted.then_some(false);
-                    rec.fault = fault.map(fault_name);
-                    if degraded {
-                        rec.degraded = Some((job.bounds.max_radius, job.bounds.min_mass));
-                        rec.residual = residual;
-                    }
-                },
-            );
-            let _ = job.reply.send(Reply {
-                outcome: Outcome::Done(result),
-                shard,
-                queue_wait: started - job.submitted,
-                coalesced: false,
-                result_cached: false,
-                degraded,
-                residual,
-                tag: job.tag,
-                trace,
-            });
-        }
-        return;
-    }
+    let level_bounds = match &config.overload {
+        Some(policy) if ctl.level > 0 => Some(policy.bounds_for(ctl.level)),
+        _ => None,
+    };
+    groups.clear();
     for mut job in batch.drain(..) {
-        // The key takes ownership of the job's query (no clone): run_group
-        // executes from the key, and duplicate keys are simply dropped.
-        let query = std::mem::replace(
-            &mut job.query,
-            Query {
-                seeker: 0,
-                tags: Vec::new(),
-                k: 0,
-            },
-        );
-        let key = group_key(&job, query);
-        groups.entry(key).or_default().push(job);
+        if let (Some(level_bounds), Some(_)) = (level_bounds, job.deadline) {
+            job.request.bounds = job.request.bounds.tighten(level_bounds);
+        }
+        groups
+            .entry(group_key(&mut job.request))
+            .or_default()
+            .push(job);
     }
     for (key, jobs) in groups.drain() {
-        run_group(
-            engine, rebuild, key, jobs, state, shard, started, ctl, raced,
-        );
+        run_group(engine, rebuild, key, jobs, cycle, ctl);
     }
 }
 
 /// Sheds expired members of one duplicate-request group, answers the
 /// survivors from the result cache when possible, otherwise executes the
 /// query once (inside panic containment) and fans the result out.
-#[allow(clippy::too_many_arguments)]
 fn run_group<'c, R>(
-    engine: &mut ShardEngine<'c>,
+    engine: &mut PlannedExecutor<'c>,
     rebuild: &R,
     key: ResultKey,
     jobs: Vec<Job>,
-    state: &ShardState,
-    shard: usize,
-    started: Instant,
+    cycle: &Cycle<'_>,
     ctl: &mut WorkerCtl,
-    raced: Option<RacedMutation>,
 ) where
-    R: Fn() -> ShardEngine<'c>,
+    R: Fn() -> PlannedExecutor<'c>,
 {
-    // Every job in the group shares the key, hence the effective bounds.
-    let degraded = key.4 != SigmaBounds::EXACT.key_bits();
+    let (state, shard) = (cycle.state, cycle.shard);
+    // Every job in the group shares the key — hence the model (read off
+    // the first job below) and the effective bounds.
+    let (query, _, strategy, processor, bounds_bits) = &key;
     let bounds = SigmaBounds {
-        max_radius: key.4 .0,
-        min_mass: f64::from_bits(key.4 .1),
+        max_radius: bounds_bits.0,
+        min_mass: f64::from_bits(bounds_bits.1),
     };
-    // Shed what already expired in the queue; execute for the rest. The
-    // group key owns the query (coalescing moved it out of each job), so
-    // every trace site below reads it from `key.0`.
+    let degraded = !bounds.is_exact();
+    // Shed what already expired in the queue; execute for the rest.
     let mut live: Vec<(Job, bool)> = Vec::with_capacity(jobs.len());
     for job in jobs {
         // The head-sampling decision — tracing's only hot-path cost.
         let sampled = state.traces.should_sample();
+        // Queue wait is a property of queuing: every dispatched job has
+        // one, shed or served.
         state
             .latency
-            .record(Stage::QueueWait, started - job.submitted);
-        if job.deadline.is_some_and(|d| started > d) {
+            .record(Stage::QueueWait, cycle.started - job.submitted);
+        if job.deadline.is_some_and(|d| cycle.started > d) {
             state.deadline_misses.fetch_add(1, Ordering::Relaxed);
-            let trace = maybe_trace(
-                state,
-                shard,
-                &key.0,
-                &job,
-                sampled,
-                TraceOutcome::DeadlineMissed,
-                started - job.submitted,
-                raced,
-                |rec| rec.shed = true,
-            );
-            let _ = job.reply.send(Reply {
-                outcome: Outcome::DeadlineMissed,
-                shard,
-                queue_wait: started - job.submitted,
-                coalesced: false,
-                result_cached: false,
-                degraded: false,
-                residual: 0.0,
-                tag: job.tag,
-                trace,
-            });
+            let reply = Reply::deadline_missed(shard, job.request.tag);
+            cycle.reply(&job, query, sampled, bounds, reply, |rec| rec.shed = true);
         } else {
             live.push((job, sampled));
         }
@@ -1551,98 +1143,56 @@ fn run_group<'c, R>(
             .result_served
             .fetch_add(live.len() as u64, Ordering::Relaxed);
         for (job, sampled) in live {
-            if degraded {
-                state.record_degraded(residual);
-            }
-            state
-                .latency
-                .record(Stage::EndToEnd, job.submitted.elapsed());
-            let trace = maybe_trace(
-                state,
-                shard,
-                &key.0,
-                &job,
-                sampled,
-                TraceOutcome::Done { items: items.len() },
-                started - job.submitted,
-                raced,
-                |rec| {
-                    rec.result_cached = Some(true);
-                    if degraded {
-                        rec.degraded = Some((bounds.max_radius, bounds.min_mass));
-                        rec.residual = residual;
-                    }
-                },
-            );
-            let _ = job.reply.send(Reply {
-                outcome: Outcome::Done(SearchResult {
-                    items: (*items).clone(),
-                    stats: Default::default(),
-                    residual,
-                }),
-                shard,
-                queue_wait: started - job.submitted,
-                coalesced: false,
-                result_cached: true,
-                degraded,
+            // Memo hits have an end-to-end latency but no σ or scoring
+            // execution (and no stats) of their own.
+            let result = SearchResult {
+                items: (*items).clone(),
+                stats: Default::default(),
                 residual,
-                tag: job.tag,
-                trace,
+            };
+            let mut reply = Reply::done(shard, job.request.tag, result);
+            reply.result_cached = true;
+            reply.degraded = degraded;
+            cycle.reply(&job, query, sampled, bounds, reply, |rec| {
+                rec.result_cached = Some(true)
             });
         }
         return;
     }
+    let model = live[0].0.request.model;
     let fault = ctl.take_fault();
-    if matches!(fault, Some(FaultKind::Error)) {
+    // An injected `Error` fails the group without executing. A panic
+    // (injected or real) is contained: the whole group was riding this
+    // execution, so it fails too, the executor is rebuilt (its scratch
+    // state is suspect) and the worker keeps serving the other groups.
+    let run = match fault {
+        Some(FaultKind::Error) => None,
+        _ => {
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                match fault {
+                    Some(FaultKind::Panic) => panic!("injected fault: panic"),
+                    Some(FaultKind::Delay(d)) => std::thread::sleep(d),
+                    _ => {}
+                }
+                engine.execute(query, model, *strategy, *processor, bounds)
+            }));
+            if run.is_err() {
+                state.worker_restarts.fetch_add(1, Ordering::Relaxed);
+                *engine = rebuild();
+            }
+            run.ok()
+        }
+    };
+    let Some(result) = run else {
+        state.failed.fetch_add(live.len() as u64, Ordering::Relaxed);
         for (job, sampled) in &live {
-            reply_failed(
-                job,
-                &key.0,
-                state,
-                shard,
-                started,
-                degraded,
-                *sampled,
-                fault.map(fault_name),
-                bounds,
-                raced,
-            );
+            let mut reply = Reply::failed(shard, job.request.tag);
+            reply.degraded = degraded;
+            cycle.reply(job, query, *sampled, bounds, reply, |rec| {
+                rec.fault = fault.map(fault_name)
+            });
         }
         return;
-    }
-    let (query, _, strategy, processor, _) = &key;
-    let run = run_contained(
-        engine,
-        query,
-        live[0].0.model,
-        *strategy,
-        *processor,
-        bounds,
-        fault,
-    );
-    let result = match run {
-        Ok(result) => result,
-        Err(()) => {
-            // Contained panic: the whole group was riding this execution —
-            // fail it, rebuild the engine, keep serving the other groups.
-            state.worker_restarts.fetch_add(1, Ordering::Relaxed);
-            *engine = rebuild();
-            for (job, sampled) in &live {
-                reply_failed(
-                    job,
-                    &key.0,
-                    state,
-                    shard,
-                    started,
-                    degraded,
-                    *sampled,
-                    fault.map(fault_name),
-                    bounds,
-                    raced,
-                );
-            }
-            return;
-        }
     };
     state.executed.fetch_add(1, Ordering::Relaxed);
     state
@@ -1654,6 +1204,7 @@ fn run_group<'c, R>(
     state
         .latency
         .record_ns(Stage::Scoring, result.stats.scoring_ns);
+    let stats = result.stats;
     let residual = result.residual;
     // Clone the ranking for memoization before the fan-out consumes the
     // result; the insert itself waits until after the loop (it takes the
@@ -1672,48 +1223,20 @@ fn run_group<'c, R>(
         } else {
             remaining.as_ref().expect("result still held").clone()
         };
-        if degraded {
-            state.record_degraded(residual);
-        }
-        state
-            .latency
-            .record(Stage::EndToEnd, job.submitted.elapsed());
-        let trace = maybe_trace(
-            state,
-            shard,
-            &key.0,
-            &job,
-            sampled,
-            TraceOutcome::Done {
-                items: r.items.len(),
-            },
-            started - job.submitted,
-            raced,
-            |rec| {
-                rec.fill_execution(&r.stats);
-                rec.coalesced = i != 0;
-                match engine.plan_of(&key.0, job.model, *strategy, *processor, bounds) {
-                    Some(p) => rec.plan = Some(p),
-                    None => rec.fixed_engine = true,
-                }
-                rec.result_cached = state.results.is_some().then_some(false);
-                rec.fault = fault.map(fault_name);
-                if degraded {
-                    rec.degraded = Some((bounds.max_radius, bounds.min_mass));
-                    rec.residual = residual;
-                }
-            },
-        );
-        let _ = job.reply.send(Reply {
-            outcome: Outcome::Done(r),
-            shard,
-            queue_wait: started - job.submitted,
-            coalesced: i != 0,
-            result_cached: false,
-            degraded,
-            residual,
-            tag: job.tag,
-            trace,
+        let mut reply = Reply::done(shard, job.request.tag, r);
+        reply.coalesced = i != 0;
+        reply.degraded = degraded;
+        cycle.reply(&job, query, sampled, bounds, reply, |rec| {
+            rec.fill_execution(&stats);
+            // Planning is deterministic and cheap, so re-planning on this
+            // cold path beats threading the decision through the hot one.
+            let plan = engine.plan(query, model, *strategy, *processor, bounds);
+            rec.plan = Some((
+                plan.processor_name,
+                STRATEGY_LABELS[strategy_index(plan.strategy)],
+            ));
+            rec.result_cached = state.results.is_some().then_some(false);
+            rec.fault = fault.map(fault_name);
         });
     }
     if let Some(rc) = &state.results {
@@ -1727,37 +1250,11 @@ fn run_group<'c, R>(
     }
 }
 
-/// Runs `queries` through a transient service over `corpus` — the thin
-/// service-client form of [`friends_core::batch::par_batch_with_cache`]:
-/// start, flood, drain, shutdown. Results come back in input order and are
-/// byte-identical to direct execution (routing affects *where* a query
-/// runs, never its answer).
-#[deprecated(
-    note = "use `ServedClient` (a `SearchClient` over a standing planner-backed service); \
-            this path is pinned byte-identical to it by the client proptests"
-)]
-pub fn par_batch_served<F: ProcessorFactory>(
-    corpus: &Arc<Corpus>,
-    queries: &[Query],
-    shards: usize,
-    factory: F,
-) -> Vec<SearchResult> {
-    let config = ServiceConfig {
-        shards,
-        default_deadline: None,
-        ..ServiceConfig::default()
-    };
-    let service = FriendsService::start(Arc::clone(corpus), config, factory);
-    let out = service.run_batch(queries);
-    service.shutdown();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)]
-    use friends_core::batch::par_batch;
+    use friends_core::processors::{ExactOnline, Processor, ScoringStrategy};
+    use friends_core::proximity::ProximityModel;
     use friends_data::datasets::{DatasetSpec, Scale};
     use friends_data::mutations::Mutation;
     use friends_data::queries::{QueryParams, QueryWorkload};
@@ -1779,35 +1276,68 @@ mod tests {
 
     const MODEL: ProximityModel = ProximityModel::WeightedDecay { alpha: 0.5 };
 
+    /// A service over `corpus` with the standard registry and planner.
+    fn start(corpus: &Arc<Corpus>, config: ServiceConfig) -> FriendsService {
+        FriendsService::start_planned(
+            Arc::clone(corpus),
+            config,
+            Arc::new(ProcessorRegistry::standard()),
+            Planner::default(),
+        )
+    }
+
+    /// `q` under the fixture's model, with the service's default deadline.
+    fn request(q: &Query) -> QueryRequest {
+        QueryRequest::from_query(q.clone()).with_model(MODEL)
+    }
+
+    /// Floods `queries` in deadline-free, then unwraps the results in
+    /// input order.
+    fn run(svc: &FriendsService, queries: &[Query]) -> Vec<SearchResult> {
+        let tickets: Vec<Ticket> = queries
+            .iter()
+            .map(|q| svc.submit(request(q).without_deadline()))
+            .collect();
+        tickets
+            .into_iter()
+            .map(|t| t.wait().outcome.expect_done("run"))
+            .collect()
+    }
+
     #[test]
-    #[allow(deprecated)]
     fn service_matches_direct_execution() {
         let (corpus, w) = fixture();
-        let direct = par_batch(&w.queries, 1, || ExactOnline::new(&corpus, MODEL));
-        let served = par_batch_served(&corpus, &w.queries, 3, exact_factory(MODEL));
-        assert_eq!(direct.len(), served.len());
-        for (a, b) in direct.iter().zip(&served) {
-            assert_eq!(a.items, b.items);
+        let svc = start(
+            &corpus,
+            ServiceConfig {
+                shards: 3,
+                ..ServiceConfig::default()
+            },
+        );
+        let served = run(&svc, &w.queries);
+        let mut direct = ExactOnline::new(&corpus, MODEL);
+        assert_eq!(served.len(), w.len());
+        for (q, b) in w.queries.iter().zip(&served) {
+            assert_eq!(direct.query(q).items, b.items);
         }
     }
 
     #[test]
     fn affinity_routes_each_seeker_to_one_shard() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 4,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         assert_eq!(svc.num_shards(), 4);
         for q in &w.queries {
             let s = svc.shard_of(q.seeker);
             assert!(s < 4);
             assert_eq!(s, svc.shard_of(q.seeker), "routing must be stable");
-            let t = svc.submit(Request::new(q.clone()));
+            let t = svc.submit(request(q));
             assert_eq!(t.shard(), s);
             let reply = t.wait();
             assert_eq!(reply.shard, s);
@@ -1824,13 +1354,12 @@ mod tests {
     #[test]
     fn duplicate_requests_coalesce_onto_one_execution() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let q = Query {
             seeker: 7,
@@ -1847,12 +1376,12 @@ mod tests {
             .iter()
             .cycle()
             .take(256)
-            .map(|p| svc.submit(Request::new(p.clone()).without_deadline()))
+            .map(|p| svc.submit(request(p).without_deadline()))
             .collect();
         // Flood 32 identical requests; collect replies afterwards so they
         // are all in flight together.
-        let queries = vec![q.clone(); 32];
-        let replies = svc.submit_batch(&queries);
+        let tickets: Vec<Ticket> = (0..32).map(|_| svc.submit(request(&q))).collect();
+        let replies: Vec<Reply> = tickets.into_iter().map(Ticket::wait).collect();
         // The cycled plug repeats queries too, so its replies also carry
         // coalesced flags — tally them all against the shard counter.
         let mut coalesced = 0;
@@ -1877,53 +1406,28 @@ mod tests {
         assert_eq!(stats.executed + stats.coalesced, 32 + 256);
         assert!(
             dup_coalesced > 0 && coalesced == stats.coalesced as usize,
-            "flooded duplicates must coalesce: {stats:?}"
+            "flooded duplicates must be coalesced — {stats:?}"
         );
-    }
-
-    #[test]
-    fn coalescing_can_be_disabled() {
-        let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
-            ServiceConfig {
-                shards: 1,
-                coalesce: false,
-                ..ServiceConfig::default()
-            },
-            exact_factory(MODEL),
-        );
-        let q = Query {
-            seeker: 7,
-            tags: vec![0],
-            k: 5,
-        };
-        let replies = svc.submit_batch(&vec![q; 16]);
-        assert!(replies.iter().all(|r| !r.coalesced));
-        let stats = svc.shutdown().totals();
-        assert_eq!(stats.executed, 16);
-        assert_eq!(stats.coalesced, 0);
     }
 
     #[test]
     fn result_cache_serves_repeats_across_cycles() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 result_cache_capacity: 256,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
-        let first = svc.run_batch(&w.queries);
+        let first = run(&svc, &w.queries);
         // Second pass arrives in later dispatch cycles: coalescing cannot
         // help, memoization must.
         let tickets: Vec<Ticket> = w
             .queries
             .iter()
-            .map(|q| svc.submit(Request::new(q.clone()).without_deadline()))
+            .map(|q| svc.submit(request(q).without_deadline()))
             .collect();
         let replies: Vec<Reply> = tickets.into_iter().map(Ticket::wait).collect();
         for ((a, b), q) in first.iter().zip(&replies).zip(&w.queries) {
@@ -1950,27 +1454,26 @@ mod tests {
     #[test]
     fn invalidate_results_forces_reexecution() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 result_cache_capacity: 64,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let q = Query {
             seeker: 3,
             tags: vec![0, 1],
             k: 5,
         };
-        let a = svc.run_batch(std::slice::from_ref(&q));
-        let b = svc.run_batch(std::slice::from_ref(&q));
+        let a = run(&svc, std::slice::from_ref(&q));
+        let b = run(&svc, std::slice::from_ref(&q));
         assert_eq!(a[0].items, b[0].items);
         let before = svc.stats().totals();
         assert_eq!(before.result_served, 1, "{before:?}");
         svc.invalidate_results();
-        let c = svc.run_batch(std::slice::from_ref(&q));
+        let c = run(&svc, std::slice::from_ref(&q));
         assert_eq!(a[0].items, c[0].items, "re-execution must agree");
         let after = svc.shutdown().totals();
         assert_eq!(
@@ -1984,17 +1487,16 @@ mod tests {
     #[test]
     fn apply_mutations_switches_every_shard_to_the_new_epoch() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 3,
                 result_cache_capacity: 64,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         // Warm both cache layers under epoch 0.
-        let before = svc.run_batch(&w.queries);
+        let before = run(&svc, &w.queries);
         for (q, r) in w.queries.iter().zip(&before) {
             let d = ExactOnline::new(&corpus, MODEL).query(q);
             assert_eq!(r.items, d.items);
@@ -2023,7 +1525,7 @@ mod tests {
         // entry the incremental sweep left alone — must equal from-scratch
         // execution on the new snapshot. This is the sweep-soundness claim
         // end to end.
-        let after = svc.run_batch(&w.queries);
+        let after = run(&svc, &w.queries);
         for (q, r) in w.queries.iter().zip(&after) {
             let d = ExactOnline::new(&now, MODEL).query(q);
             assert_eq!(r.items, d.items, "stale answer under epoch 1: {q:?}");
@@ -2044,14 +1546,13 @@ mod tests {
     fn repaired_epochs_serve_what_a_from_scratch_rebuild_answers() {
         use friends_data::mutations::{MutationParams, MutationStream};
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 result_cache_capacity: 256,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let batches = MutationStream::generate(
             &corpus.graph,
@@ -2071,7 +1572,7 @@ mod tests {
             .collect();
         let mut taggings: Vec<friends_data::Tagging> = corpus.store.iter().copied().collect();
         let mut repaired = 0;
-        let _ = svc.run_batch(&w.queries);
+        let _ = run(&svc, &w.queries);
         for batch in &batches {
             let report = svc.apply_mutations(batch, None);
             repaired += report.sigma.repaired;
@@ -2100,7 +1601,7 @@ mod tests {
             let want: Vec<_> = w.queries.iter().map(|q| direct.query(q).items).collect();
             // Executed on repaired σ, then served from the memo.
             for pass in ["executed", "memoized"] {
-                for ((q, r), want) in w.queries.iter().zip(svc.run_batch(&w.queries)).zip(&want) {
+                for ((q, r), want) in w.queries.iter().zip(run(&svc, &w.queries)).zip(&want) {
                     assert_eq!(&r.items, want, "epoch {} {pass}: {q:?}", report.epoch);
                 }
             }
@@ -2116,16 +1617,15 @@ mod tests {
     #[test]
     fn a_batch_of_no_op_edits_publishes_an_epoch_and_invalidates_nothing() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 result_cache_capacity: 256,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
-        let before = svc.run_batch(&w.queries);
+        let before = run(&svc, &w.queries);
         let (u, v, weight) = corpus.graph.undirected_edges().next().expect("an edge");
         let absent = (0..corpus.graph.num_nodes() as u32)
             .find(|&x| x != u && !corpus.graph.has_edge(u, x))
@@ -2144,7 +1644,7 @@ mod tests {
             (0, 0)
         );
         let served = svc.stats().totals().result_served;
-        let after = svc.run_batch(&w.queries);
+        let after = run(&svc, &w.queries);
         for (a, b) in before.iter().zip(&after) {
             assert_eq!(a.items, b.items);
         }
@@ -2155,13 +1655,12 @@ mod tests {
     #[test]
     fn queries_racing_a_mutation_carry_trace_events() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let q = Query {
             seeker: 2,
@@ -2169,7 +1668,7 @@ mod tests {
             k: 5,
         };
         // Warm a σ entry so the sweep has something to drop.
-        let _ = svc.run_batch(std::slice::from_ref(&q));
+        let _ = run(&svc, std::slice::from_ref(&q));
         let report = svc.apply_mutations(
             &MutationBatch::new(vec![Mutation::InsertEdge {
                 u: 2,
@@ -2180,7 +1679,7 @@ mod tests {
         );
         assert_eq!(report.epoch, 1);
         // The first dispatch cycle after the boundary carries the marker.
-        let reply = svc.submit(Request::new(q).with_trace()).wait();
+        let reply = svc.submit(request(&q).with_trace()).wait();
         let trace = reply.trace.expect("forced trace");
         let rendered = trace.render();
         assert!(
@@ -2197,16 +1696,15 @@ mod tests {
     #[test]
     fn incremental_sweep_counts_surface_in_stats() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 result_cache_capacity: 256,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
-        let _ = svc.run_batch(&w.queries); // warm σ + memoized rankings
+        let _ = run(&svc, &w.queries); // warm σ + memoized rankings
         let report = svc.apply_mutations(
             &MutationBatch::new(vec![Mutation::InsertEdge {
                 u: 0,
@@ -2266,13 +1764,12 @@ mod tests {
     #[test]
     fn expired_requests_are_shed_not_executed() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         // A deadline that has effectively already passed: the request
         // expires while queued (the worker needs a moment to pick it up).
@@ -2285,10 +1782,10 @@ mod tests {
         // waits in the queue past its deadline.
         let mut tickets = Vec::new();
         for _ in 0..64 {
-            tickets.push(svc.submit(Request::new(q.clone())));
+            tickets.push(svc.submit(request(&q)));
         }
         let doomed = svc.submit(
-            Request::new(Query {
+            request(&Query {
                 seeker: 5,
                 tags: vec![1],
                 k: 5,
@@ -2315,14 +1812,13 @@ mod tests {
     #[test]
     fn wait_deadline_returns_at_the_deadline_not_after_execution() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 max_batch: 1, // one job per dispatch cycle: the queue drains slowly
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         // Park the single worker behind a pile of work. The pile and the
         // budget below are sized so the queue cannot drain inside the
@@ -2333,13 +1829,13 @@ mod tests {
             .iter()
             .cycle()
             .take(2048)
-            .map(|q| svc.submit(Request::new(q.clone()).without_deadline()))
+            .map(|q| svc.submit(request(q).without_deadline()))
             .collect();
         // …then submit a short-deadline request. Its deadline will pass
         // while the earlier work is still executing.
         let budget = Duration::from_millis(1);
         let doomed = svc.submit(
-            Request::new(Query {
+            request(&Query {
                 seeker: 9,
                 tags: vec![0],
                 k: 5,
@@ -2367,16 +1863,15 @@ mod tests {
     #[test]
     fn wait_deadline_returns_results_when_in_time() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let t = svc.submit(
-            Request::new(Query {
+            request(&Query {
                 seeker: 2,
                 tags: vec![0],
                 k: 5,
@@ -2390,16 +1885,15 @@ mod tests {
     #[test]
     fn tickets_poll_and_try_take_without_blocking() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let mut t = svc.submit(
-            Request::new(Query {
+            request(&Query {
                 seeker: 4,
                 tags: vec![0],
                 k: 5,
@@ -2422,19 +1916,14 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_work() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
-        let tickets: Vec<Ticket> = w
-            .queries
-            .iter()
-            .map(|q| svc.submit(Request::new(q.clone())))
-            .collect();
+        let tickets: Vec<Ticket> = w.queries.iter().map(|q| svc.submit(request(q))).collect();
         // Shut down immediately: every already-submitted request must still
         // be answered (drain, not abort).
         let stats = svc.shutdown();
@@ -2453,15 +1942,15 @@ mod tests {
     fn strategy_hint_is_honored_and_exact() {
         let (corpus, w) = fixture();
         corpus.sigma_index(); // shared build
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 ..ServiceConfig::default()
             },
-            exact_factory(ProximityModel::DistanceDecay { alpha: 0.4 }),
         );
-        let mut direct = ExactOnline::new(&corpus, ProximityModel::DistanceDecay { alpha: 0.4 });
+        let model = ProximityModel::DistanceDecay { alpha: 0.4 };
+        let mut direct = ExactOnline::new(&corpus, model);
         for q in w.queries.iter().take(8) {
             let want = direct.query(q).items;
             for strategy in [
@@ -2470,7 +1959,7 @@ mod tests {
                 ScoringStrategy::BlockMax,
             ] {
                 let reply = svc
-                    .submit(Request::new(q.clone()).with_strategy(strategy))
+                    .submit(request(q).with_model(model).with_strategy(strategy))
                     .wait();
                 assert_eq!(
                     reply.outcome.result().expect("done").items,
@@ -2485,24 +1974,22 @@ mod tests {
     #[test]
     fn planned_service_plans_per_request_model() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start_planned(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 ..ServiceConfig::default()
             },
-            Arc::new(ProcessorRegistry::standard()),
-            Planner::default(),
         );
         let mut exact_wd = ExactOnline::new(&corpus, MODEL);
         let mut exact_global = ExactOnline::new(&corpus, ProximityModel::Global);
         for q in w.queries.iter().take(8) {
             let want = exact_wd.query(q).items;
-            let got = svc.submit(Request::new(q.clone()).with_model(MODEL)).wait();
+            let got = svc.submit(request(q)).wait();
             assert_eq!(got.outcome.result().expect("done").items, want);
-            // No model → the planner's Global default.
+            // No model → the request type's Global default.
             let want = exact_global.query(q).items;
-            let got = svc.submit(Request::new(q.clone())).wait();
+            let got = svc.submit(QueryRequest::from_query(q.clone())).wait();
             assert_eq!(got.outcome.result().expect("done").items, want);
         }
         let totals = svc.shutdown().totals();
@@ -2513,16 +2000,15 @@ mod tests {
     #[test]
     fn shard_caches_fill_under_affinity() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
-        svc.run_batch(&w.queries);
-        svc.run_batch(&w.queries); // second pass: repeat seekers hit
+        run(&svc, &w.queries);
+        run(&svc, &w.queries); // second pass: repeat seekers hit
         let stats = svc.shutdown();
         let totals = stats.totals();
         assert!(totals.cache.insertions > 0, "{totals:?}");
@@ -2533,17 +2019,6 @@ mod tests {
         assert!(totals.cache.entries <= distinct.len());
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn global_bound_factory_serves() {
-        let (corpus, w) = fixture();
-        let direct = par_batch(&w.queries, 1, || GlobalBoundTA::new(&corpus, MODEL));
-        let served = par_batch_served(&corpus, &w.queries, 2, global_bound_factory(MODEL));
-        for (a, b) in direct.iter().zip(&served) {
-            assert_eq!(a.items, b.items);
-        }
-    }
-
     /// The fault-injection satellite: a panic in the Nth execution is
     /// contained — the in-flight request replies `Failed` promptly (no
     /// hung ticket), the engine is rebuilt once, and every other request
@@ -2551,27 +2026,23 @@ mod tests {
     #[test]
     fn injected_panic_fails_only_the_in_flight_request() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
-                coalesce: false, // one execution attempt per request
                 fault: Some(FaultPlan {
                     nth: 3,
                     kind: FaultKind::Panic,
                 }),
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let mut failed = Vec::new();
         for (i, q) in w.queries.iter().take(10).enumerate() {
             // Waiting each ticket serializes execution, so the fault
             // ordinal maps 1:1 onto the stream position.
             let start = Instant::now();
-            let reply = svc
-                .submit(Request::new(q.clone()).without_deadline())
-                .wait();
+            let reply = svc.submit(request(q).without_deadline()).wait();
             assert!(
                 start.elapsed() < Duration::from_secs(5),
                 "ticket hung after the injected panic"
@@ -2603,27 +2074,22 @@ mod tests {
     #[test]
     fn injected_error_fails_cleanly_without_restart() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
-                coalesce: false,
                 fault: Some(FaultPlan {
                     nth: 2,
                     kind: FaultKind::Error,
                 }),
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let replies: Vec<Reply> = w
             .queries
             .iter()
             .take(6)
-            .map(|q| {
-                svc.submit(Request::new(q.clone()).without_deadline())
-                    .wait()
-            })
+            .map(|q| svc.submit(request(q).without_deadline()).wait())
             .collect();
         assert!(matches!(replies[1].outcome, Outcome::Failed));
         assert_eq!(
@@ -2644,8 +2110,8 @@ mod tests {
     #[test]
     fn injected_delay_stalls_but_completes() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 fault: Some(FaultPlan {
@@ -2654,12 +2120,11 @@ mod tests {
                 }),
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let start = Instant::now();
         let reply = svc
             .submit(
-                Request::new(Query {
+                request(&Query {
                     seeker: 3,
                     tags: vec![0],
                     k: 5,
@@ -2686,8 +2151,8 @@ mod tests {
             cooldown_batches: 2,
             ..OverloadPolicy::default()
         };
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 max_batch: 4, // small cycles keep the flooded queue deep
@@ -2695,7 +2160,6 @@ mod tests {
                 default_deadline: Some(Duration::from_secs(30)),
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         // Flood: far more than depth_high in flight at once. Every request
         // carries the default deadline, so the controller may degrade it.
@@ -2704,7 +2168,7 @@ mod tests {
             .iter()
             .cycle()
             .take(512)
-            .map(|q| svc.submit(Request::new(q.clone())))
+            .map(|q| svc.submit(request(q)))
             .collect();
         let mut saw_degraded = false;
         for t in tickets {
@@ -2730,7 +2194,7 @@ mod tests {
         };
         let mut last = None;
         for _ in 0..8 {
-            last = Some(svc.submit(Request::new(q.clone())).wait());
+            last = Some(svc.submit(request(&q)).wait());
         }
         let last = last.expect("eight replies");
         assert!(
@@ -2748,39 +2212,42 @@ mod tests {
         assert!(totals.max_residual >= 0.0 && totals.max_residual.is_finite());
     }
 
-    /// The timing-truncation drill: `from_micros((ewma * len) as u64)` used
-    /// to round a sub-µs cost projection down to zero, so on a fast corpus
-    /// (per-job EWMA < 1 µs) the deadline arm of the controller compared
-    /// `0 > slack` and never fired. With fractional microseconds kept, a
-    /// 0.4 µs EWMA across even a 2-job batch projects 0.8 µs, which must
-    /// register as pressure against (near-)zero remaining slack.
+    /// The sampling half of the sub-microsecond drill: a 600 ns one-job
+    /// dispatch (a memo hit) must leave a non-zero EWMA. Sampled in whole
+    /// microseconds it read `0`, which the controller also took for "no
+    /// sample yet" — the deadline arm never saw a memo-hot shard's cost.
+    #[test]
+    fn a_sub_microsecond_dispatch_leaves_a_nonzero_ewma() {
+        let mut ctl = WorkerCtl::new(None);
+        assert_eq!(ctl.ewma_job_us, None);
+        ctl.record_dispatch(Duration::from_nanos(600), 1);
+        let first = ctl.ewma_job_us.expect("sampled");
+        assert!((first - 0.6).abs() < 1e-9, "{first}");
+        // Later samples blend in at a quarter weight.
+        ctl.record_dispatch(Duration::from_nanos(4_200), 3);
+        let second = ctl.ewma_job_us.expect("sampled");
+        assert!(
+            (second - (0.75 * 0.6 + 0.25 * 1.4)).abs() < 1e-9,
+            "{second}"
+        );
+    }
+
+    /// The projection half: the cost projection keeps its fractional
+    /// microseconds, so a 0.4 µs EWMA across even a 2-job batch projects
+    /// 0.8 µs, which must register as pressure against (near-)zero
+    /// remaining slack.
     #[test]
     fn sub_microsecond_costs_still_project_pressure() {
         let policy = OverloadPolicy::default();
-        let mut ctl = WorkerCtl {
-            level: 0,
-            calm: 0,
-            ewma_job_us: 0.4,
-            fault: None,
-            attempts: 0,
-        };
+        let mut ctl = WorkerCtl::new(None);
+        ctl.record_dispatch(Duration::from_nanos(400), 1);
         let (tx, _rx) = channel::bounded(4);
         let due = Instant::now() + Duration::from_nanos(100);
         let make_job = || Job {
-            query: Query {
-                seeker: 0,
-                tags: vec![0],
-                k: 1,
-            },
-            strategy: ScoringStrategy::Auto,
-            model: None,
-            processor: None,
-            bounds: SigmaBounds::EXACT,
+            request: QueryRequest::new(0, vec![0], 1),
             deadline: Some(due),
             submitted: Instant::now(),
             reply: tx.clone(),
-            tag: 0,
-            trace: false,
         };
         let batch = vec![make_job(), make_job()];
         // Depth 0 is far below depth_high: only the cost projection can
@@ -2792,14 +2259,9 @@ mod tests {
             "sub-µs EWMA × batch length must still project past near-zero slack"
         );
         // And at a large batch: 1 ns per job × 512 jobs = 0.512 µs, still
-        // inside the regime the truncation zeroed out entirely.
-        let mut ctl2 = WorkerCtl {
-            level: 0,
-            calm: 0,
-            ewma_job_us: 0.001,
-            fault: None,
-            attempts: 0,
-        };
+        // entirely below one microsecond.
+        let mut ctl2 = WorkerCtl::new(None);
+        ctl2.record_dispatch(Duration::from_nanos(512), 512);
         let batch512: Vec<Job> = (0..512).map(|_| make_job()).collect();
         ctl2.observe_batch(&policy, 0, &batch512);
         assert_eq!(ctl2.level, 1, "1 ns × 512 must trip against ~0 slack");
@@ -2810,8 +2272,8 @@ mod tests {
     #[test]
     fn deadline_free_requests_stay_exact_under_overload() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 max_batch: 4,
@@ -2824,14 +2286,13 @@ mod tests {
                 default_deadline: None, // every request is deadline-free
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let tickets: Vec<Ticket> = w
             .queries
             .iter()
             .cycle()
             .take(512)
-            .map(|q| svc.submit(Request::new(q.clone())))
+            .map(|q| svc.submit(request(q)))
             .collect();
         for t in tickets {
             let r = t.wait();
@@ -2849,14 +2310,13 @@ mod tests {
     #[test]
     fn degraded_rankings_never_alias_exact_in_the_result_cache() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 result_cache_capacity: 64,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let q = Query {
             seeker: 5,
@@ -2866,33 +2326,21 @@ mod tests {
         let bounds = Planner::degraded_bounds(2);
         // Degraded execution populates the cache under the degraded key.
         let a = svc
-            .submit(
-                Request::new(q.clone())
-                    .without_deadline()
-                    .with_bounds(bounds),
-            )
+            .submit(request(&q).without_deadline().with_bounds(bounds))
             .wait();
         assert!(a.degraded && !a.result_cached);
         // The exact request must execute (miss), not read the degraded
         // entry.
-        let b = svc
-            .submit(Request::new(q.clone()).without_deadline())
-            .wait();
+        let b = svc.submit(request(&q).without_deadline()).wait();
         assert!(!b.degraded && !b.result_cached, "{b:?}");
         assert_eq!(b.residual, 0.0);
         // Repeats hit their own entries, degradation marker preserved.
         let a2 = svc
-            .submit(
-                Request::new(q.clone())
-                    .without_deadline()
-                    .with_bounds(bounds),
-            )
+            .submit(request(&q).without_deadline().with_bounds(bounds))
             .wait();
         assert!(a2.degraded && a2.result_cached, "{a2:?}");
         assert_eq!(a2.residual, a.residual);
-        let b2 = svc
-            .submit(Request::new(q.clone()).without_deadline())
-            .wait();
+        let b2 = svc.submit(request(&q).without_deadline()).wait();
         assert!(!b2.degraded && b2.result_cached, "{b2:?}");
         let mut direct = ExactOnline::new(&corpus, MODEL);
         assert_eq!(
@@ -2940,7 +2388,7 @@ mod tests {
             durability: Some(DurabilityConfig::new(&dir)),
             ..ServiceConfig::default()
         };
-        let svc = FriendsService::start(Arc::clone(&corpus), config.clone(), exact_factory(MODEL));
+        let svc = start(&corpus, config.clone());
         let fresh = svc.recovery_report().expect("durable service").clone();
         assert_eq!(fresh.recovered_epoch, 0, "{fresh:?}");
         assert!(!fresh.degraded(), "{fresh:?}");
@@ -2960,7 +2408,7 @@ mod tests {
 
         // Restart over the same directory, passing the *stale* seed: the
         // disk state must win.
-        let svc2 = FriendsService::start(Arc::clone(&corpus), config, exact_factory(MODEL));
+        let svc2 = start(&corpus, config);
         let report = svc2.recovery_report().expect("durable service").clone();
         assert_eq!(report.recovered_epoch, 3, "{report:?}");
         assert_eq!(report.replayed, 3, "{report:?}");
@@ -2971,7 +2419,7 @@ mod tests {
         assert_eq!(svc2.epoch(), 3);
         let recovered = svc2.snapshot();
         assert!(recovered.graph.has_edge(0, 3) && recovered.graph.has_edge(2, 5));
-        let after = svc2.run_batch(&w.queries);
+        let after = run(&svc2, &w.queries);
         for (q, r) in w.queries.iter().zip(&after) {
             let d = ExactOnline::new(&expect, MODEL).query(q);
             assert_eq!(r.items, d.items, "recovered answer diverged: {q:?}");
@@ -2987,26 +2435,25 @@ mod tests {
     fn durable_service_surfaces_wal_metrics_and_trace_events() {
         let (corpus, _) = fixture();
         let dir = durability_dir("metrics");
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 durability: Some(DurabilityConfig::new(&dir)),
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let q = Query {
             seeker: 2,
             tags: vec![0],
             k: 5,
         };
-        let _ = svc.run_batch(std::slice::from_ref(&q));
+        let _ = run(&svc, std::slice::from_ref(&q));
         let report = svc.apply_mutations(&edge_batch(2, 3), None);
         let wal = report.wal.expect("durable service returns a WAL receipt");
         // The first post-boundary dispatch cycle's traces show the
         // durability point alongside the epoch switch.
-        let reply = svc.submit(Request::new(q).with_trace()).wait();
+        let reply = svc.submit(request(&q).with_trace()).wait();
         let rendered = reply.trace.expect("forced trace").render();
         assert!(
             rendered.contains(&format!("wal append {} bytes (fsynced)", wal.bytes)),
@@ -3036,7 +2483,7 @@ mod tests {
             durability: Some(dcfg),
             ..ServiceConfig::default()
         };
-        let svc = FriendsService::start(Arc::clone(&corpus), config.clone(), exact_factory(MODEL));
+        let svc = start(&corpus, config.clone());
         for (u, v) in [(0, 3), (1, 4), (2, 5), (3, 6), (4, 7)] {
             svc.apply_mutations(&edge_batch(u, v), None);
         }
@@ -3048,7 +2495,7 @@ mod tests {
         );
         svc.shutdown();
 
-        let svc2 = FriendsService::start(Arc::clone(&corpus), config, exact_factory(MODEL));
+        let svc2 = start(&corpus, config);
         let report = svc2.recovery_report().expect("durable service").clone();
         assert_eq!(report.recovered_epoch, 5, "{report:?}");
         assert!(report.snapshot_epoch >= 2, "{report:?}");
@@ -3066,24 +2513,19 @@ mod tests {
     #[test]
     fn degraded_scores_stay_within_the_reported_residual() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let mut direct = ExactOnline::new(&corpus, MODEL);
         for level in [1u8, 2] {
             let bounds = Planner::degraded_bounds(level);
             for q in w.queries.iter().take(12) {
                 let reply = svc
-                    .submit(
-                        Request::new(q.clone())
-                            .without_deadline()
-                            .with_bounds(bounds),
-                    )
+                    .submit(request(q).without_deadline().with_bounds(bounds))
                     .wait();
                 assert!(reply.degraded);
                 let got = reply.outcome.result().expect("done");

@@ -5,9 +5,8 @@
 //! strategy hint, deadline, tag) and hand it to any [`SearchClient`]:
 //!
 //! * [`DirectClient`] — in-process execution on a standing worker pool
-//!   with one **shared** sharded proximity cache, the successor of
-//!   `par_batch` / `par_batch_with_cache`. No affinity, no coalescing:
-//!   the lightest way to run personalized queries concurrently.
+//!   with one **shared** sharded proximity cache. No affinity, no
+//!   coalescing: the lightest way to run personalized queries concurrently.
 //! * [`ServedClient`] — a planner-backed [`FriendsService`]: seeker
 //!   affinity, batched dispatch, duplicate coalescing, shard-private
 //!   caches, optional result memoization. The serving tier behind the same
@@ -20,27 +19,25 @@
 //! name a processor type, and every plan returns byte-identical rankings
 //! (pinned by `tests/proptest_client.rs`).
 
-use crate::broker::{FriendsService, ServiceConfig};
-use crate::request::{Job, Outcome, Reply, Request, Ticket};
-use crate::stats::ServiceStats;
+use crate::broker::{
+    enqueue, spawn_worker, work_queue, FaultPlan, FriendsService, ServiceConfig, WorkItem,
+    WorkerConfig,
+};
+use crate::request::{Reply, Ticket};
+use crate::stats::{ServiceStats, ShardState};
 use crossbeam::channel;
 use friends_core::cache::{CachePolicy, CacheStats, ProximityCache};
 use friends_core::corpus::{Corpus, SearchResult};
-use friends_core::latency::{Stage, StageLatencies, StageSnapshot};
+use friends_core::latency::StageSnapshot;
 use friends_core::metrics::MetricsRegistry;
-use friends_core::plan::{
-    strategy_index, PlanCounters, PlanHistogram, PlannedExecutor, Planner, ProcessorRegistry,
-    QueryRequest, STRATEGY_LABELS,
-};
+use friends_core::plan::{PlanHistogram, Planner, ProcessorRegistry, QueryRequest};
 use friends_core::proximity::ProximityModel;
-use friends_core::trace::{QueryTrace, TraceCollector, TraceConfig, TraceOutcome, TraceRecord};
+use friends_core::trace::{QueryTrace, TraceCollector, TraceConfig};
 use friends_data::mutations::MutationBatch;
 use friends_data::queries::Query;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The one query surface of the system. Implementations differ in *where
 /// and how* a request executes (in-process pool vs serving tier), never in
@@ -64,8 +61,7 @@ pub trait SearchClient {
     }
 
     /// Batch convenience for deadline-free workloads: runs every query
-    /// under `model` and unwraps the results, in input order — the
-    /// drop-in replacement for the deprecated `par_batch*` entry points.
+    /// under `model` and unwraps the results, in input order.
     ///
     /// # Panics
     /// Panics if a worker died mid-batch (requests are submitted without
@@ -239,22 +235,16 @@ impl ClientStats {
 }
 
 /// In-process [`SearchClient`]: a standing pool of planner-backed workers
-/// over one shared proximity cache. Subsumes the deprecated
-/// `par_batch` / `par_batch_with_cache` entry points — same executors, same
-/// shared-cache semantics, but non-blocking submission, per-request models
-/// and deadlines, and no per-batch thread spawning.
+/// over one shared proximity cache — non-blocking submission, per-request
+/// models and deadlines, no per-batch thread spawning. The pool runs the
+/// broker's worker loop: one queue and one [`ShardState`] shared by every
+/// worker, no result cache, and one request per dispatch cycle so a worker
+/// never drains work its idle siblings could take.
 pub struct DirectClient {
-    sender: Option<channel::Sender<Job>>,
+    /// `None` only while shutting down (dropping it disconnects the queue).
+    sender: Option<channel::Sender<WorkItem>>,
+    state: Arc<ShardState>,
     workers: Vec<JoinHandle<()>>,
-    cache: Option<Arc<ProximityCache>>,
-    plans: Arc<PlanCounters>,
-    submitted: Arc<AtomicU64>,
-    executed: Arc<AtomicU64>,
-    deadline_misses: Arc<AtomicU64>,
-    failed: Arc<AtomicU64>,
-    worker_restarts: Arc<AtomicU64>,
-    latency: Arc<StageLatencies>,
-    traces: Arc<TraceCollector>,
     default_deadline: Option<Duration>,
 }
 
@@ -270,16 +260,23 @@ impl DirectClient {
         config: DirectConfig,
         registry: Arc<ProcessorRegistry>,
     ) -> Self {
+        Self::spawn(corpus, config, registry, None)
+    }
+
+    /// [`DirectClient::with_registry`] with a test-only fault armed on
+    /// every worker (see [`FaultPlan`]).
+    fn spawn(
+        corpus: Arc<Corpus>,
+        config: DirectConfig,
+        registry: Arc<ProcessorRegistry>,
+        fault: Option<FaultPlan>,
+    ) -> Self {
         let threads = if config.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             config.threads
         };
-        let (tx, rx) = if config.queue_capacity == 0 {
-            channel::unbounded()
-        } else {
-            channel::bounded(config.queue_capacity)
-        };
+        let (tx, rx) = work_queue(config.queue_capacity);
         let cache = (config.cache_capacity > 0).then(|| {
             Arc::new(ProximityCache::with_limits(
                 config.cache_capacity,
@@ -288,71 +285,35 @@ impl DirectClient {
                 config.cache_policy,
             ))
         });
-        let plans = Arc::new(PlanCounters::default());
-        let executed = Arc::new(AtomicU64::new(0));
-        let deadline_misses = Arc::new(AtomicU64::new(0));
-        let failed = Arc::new(AtomicU64::new(0));
-        let worker_restarts = Arc::new(AtomicU64::new(0));
-        let latency = Arc::new(StageLatencies::new());
         // One pool-wide collector (the workers compete on one queue, so
         // there is no per-shard affinity to preserve in the trace ids).
-        let traces = Arc::new(TraceCollector::new(0, config.trace));
-        let mut workers = Vec::with_capacity(threads);
-        for worker in 0..threads {
-            let corpus = Arc::clone(&corpus);
-            let registry = Arc::clone(&registry);
-            let cache = cache.clone();
-            let plans = Arc::clone(&plans);
-            let executed = Arc::clone(&executed);
-            let deadline_misses = Arc::clone(&deadline_misses);
-            let failed = Arc::clone(&failed);
-            let worker_restarts = Arc::clone(&worker_restarts);
-            let latency = Arc::clone(&latency);
-            let traces = Arc::clone(&traces);
-            let rx = rx.clone();
-            let planner = config.planner;
-            let handle = std::thread::Builder::new()
-                .name(format!("friends-direct-{worker}"))
-                .spawn(move || {
-                    // Rebuilt after a contained panic (shared cache and
-                    // counters survive; only the executor's scratch does
-                    // not).
-                    let rebuild = || {
-                        PlannedExecutor::new(
-                            corpus.as_ref(),
-                            cache.clone(),
-                            Arc::clone(&registry),
-                            planner,
-                            Arc::clone(&plans),
-                        )
-                    };
-                    direct_worker_loop(
-                        &rebuild,
-                        &rx,
-                        &executed,
-                        &deadline_misses,
-                        &failed,
-                        &worker_restarts,
-                        &latency,
-                        &traces,
-                        worker,
-                    );
-                })
-                .expect("spawn direct-client worker");
-            workers.push(handle);
-        }
+        let state = Arc::new(ShardState::new(
+            cache,
+            None,
+            TraceCollector::new(0, config.trace),
+        ));
+        let workers = (0..threads)
+            .map(|worker| {
+                spawn_worker(
+                    format!("friends-direct-{worker}"),
+                    worker,
+                    Arc::clone(&corpus),
+                    rx.clone(),
+                    Arc::clone(&state),
+                    Arc::clone(&registry),
+                    config.planner,
+                    WorkerConfig {
+                        max_batch: 1,
+                        overload: None,
+                        fault,
+                    },
+                )
+            })
+            .collect();
         DirectClient {
             sender: Some(tx),
+            state,
             workers,
-            cache,
-            plans,
-            submitted: Arc::new(AtomicU64::new(0)),
-            executed,
-            deadline_misses,
-            failed,
-            worker_restarts,
-            latency,
-            traces,
             default_deadline: config.default_deadline,
         }
     }
@@ -364,252 +325,63 @@ impl DirectClient {
 
     /// A live snapshot of the pool's counters.
     pub fn stats(&self) -> ClientStats {
+        let s = self.state.snapshot(0);
         ClientStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            traces_dropped: self.traces.dropped(),
-            cache: self.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
-            plans: self.plans.snapshot(),
+            submitted: s.submitted,
+            executed: s.executed,
+            deadline_misses: s.deadline_misses,
+            failed: s.failed,
+            worker_restarts: s.worker_restarts,
+            traces_dropped: s.traces_dropped,
+            cache: s.cache,
+            plans: s.plans,
         }
     }
 
     /// Drain-based shutdown: closes the queue, lets workers finish what is
     /// already enqueued, joins them, and returns the final stats.
     pub fn shutdown(mut self) -> ClientStats {
+        self.join();
+        self.stats()
+    }
+
+    fn join(&mut self) {
         self.sender = None; // disconnects; workers drain then exit
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        self.stats()
     }
 }
 
 impl Drop for DirectClient {
     fn drop(&mut self) {
-        self.sender = None;
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.join();
     }
 }
 
 impl SearchClient for DirectClient {
     fn submit(&self, request: QueryRequest) -> Ticket {
-        let (tx, rx) = channel::bounded(1);
-        let now = Instant::now();
-        let deadline = request.deadline.resolve(now, self.default_deadline);
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        let job = Job {
-            query: request.query,
-            strategy: request.strategy,
-            model: Some(request.model),
-            processor: request.processor,
-            bounds: request.bounds,
-            deadline,
-            submitted: now,
-            reply: tx.clone(),
-            tag: request.tag,
-            trace: request.trace,
-        };
-        let dead = match &self.sender {
-            Some(sender) => sender.send(job).is_err(),
-            None => true,
-        };
-        if dead {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(Reply {
-                outcome: Outcome::Failed,
-                shard: 0,
-                queue_wait: Duration::ZERO,
-                coalesced: false,
-                result_cached: false,
-                degraded: false,
-                residual: 0.0,
-                tag: request.tag,
-                trace: None,
-            });
-        }
-        Ticket {
-            shard: 0,
-            rx,
-            deadline,
-            tag: request.tag,
-            stash: None,
-        }
+        let sender = self.sender.as_ref().expect("queue open until shutdown");
+        enqueue(sender, &self.state, 0, request, self.default_deadline)
     }
 
     fn latencies(&self) -> StageSnapshot {
-        self.latency.snapshot()
+        self.state.latency.snapshot()
     }
 
     fn traces(&self) -> Vec<Arc<QueryTrace>> {
-        self.traces.drain_sampled()
+        self.state.traces.drain_sampled()
     }
 
     fn slow_queries(&self) -> Vec<Arc<QueryTrace>> {
-        self.traces.drain_retained()
+        self.state.traces.drain_retained()
     }
 
     fn metrics(&self) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new();
         self.stats().register_into(&mut registry);
-        self.latency.snapshot().register_into(&mut registry);
+        self.latencies().register_into(&mut registry);
         registry
-    }
-}
-
-/// The direct pool's cold-path trace guard: build and retain the trace
-/// only when the collector wants one (see `broker::maybe_trace` for the
-/// serving-tier twin).
-fn direct_trace(
-    traces: &TraceCollector,
-    worker: usize,
-    job: &Job,
-    sampled: bool,
-    outcome: TraceOutcome,
-    queue_wait: Duration,
-    fill: impl FnOnce(&mut TraceRecord),
-) -> Option<Arc<QueryTrace>> {
-    let e2e = job.submitted.elapsed();
-    let missed = outcome == TraceOutcome::DeadlineMissed;
-    if !traces.wants(job.trace, sampled, e2e, missed) {
-        return None;
-    }
-    let mut rec = TraceRecord::new(worker, &job.query, job.tag, job.trace);
-    rec.sampled = sampled;
-    rec.outcome = outcome;
-    rec.e2e = e2e;
-    rec.queue_wait = queue_wait;
-    fill(&mut rec);
-    Some(traces.retain(rec))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn direct_worker_loop<'c, R>(
-    rebuild: &R,
-    rx: &channel::Receiver<Job>,
-    executed: &AtomicU64,
-    deadline_misses: &AtomicU64,
-    failed: &AtomicU64,
-    worker_restarts: &AtomicU64,
-    latency: &StageLatencies,
-    traces: &TraceCollector,
-    worker: usize,
-) where
-    R: Fn() -> PlannedExecutor<'c>,
-{
-    let mut executor = rebuild();
-    loop {
-        let job = match rx.recv() {
-            Ok(job) => job,
-            Err(channel::RecvError) => return, // queue fully drained
-        };
-        // The head-sampling decision — tracing's only hot-path cost.
-        let sampled = traces.should_sample();
-        let started = Instant::now();
-        latency.record(Stage::QueueWait, started - job.submitted);
-        if job.deadline.is_some_and(|d| started > d) {
-            deadline_misses.fetch_add(1, Ordering::Relaxed);
-            let trace = direct_trace(
-                traces,
-                worker,
-                &job,
-                sampled,
-                TraceOutcome::DeadlineMissed,
-                started - job.submitted,
-                |rec| rec.shed = true,
-            );
-            let _ = job.reply.send(Reply {
-                outcome: Outcome::DeadlineMissed,
-                shard: worker,
-                queue_wait: started - job.submitted,
-                coalesced: false,
-                result_cached: false,
-                degraded: false,
-                residual: 0.0,
-                tag: job.tag,
-                trace,
-            });
-            continue;
-        }
-        let model = job.model.unwrap_or(ProximityModel::Global);
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            executor.execute(&job.query, model, job.strategy, job.processor, job.bounds)
-        }));
-        let result = match run {
-            Ok(result) => result,
-            Err(_) => {
-                // Contained panic: fail only the in-flight request, rebuild
-                // the executor, keep draining the queue.
-                worker_restarts.fetch_add(1, Ordering::Relaxed);
-                executor = rebuild();
-                failed.fetch_add(1, Ordering::Relaxed);
-                let trace = direct_trace(
-                    traces,
-                    worker,
-                    &job,
-                    sampled,
-                    TraceOutcome::Failed,
-                    started - job.submitted,
-                    |_| {},
-                );
-                let _ = job.reply.send(Reply {
-                    outcome: Outcome::Failed,
-                    shard: worker,
-                    queue_wait: started - job.submitted,
-                    coalesced: false,
-                    result_cached: false,
-                    degraded: false,
-                    residual: 0.0,
-                    tag: job.tag,
-                    trace,
-                });
-                continue;
-            }
-        };
-        executed.fetch_add(1, Ordering::Relaxed);
-        latency.record_ns(Stage::Sigma, result.stats.sigma_ns);
-        latency.record_ns(Stage::Scoring, result.stats.scoring_ns);
-        latency.record(Stage::EndToEnd, job.submitted.elapsed());
-        let degraded = !job.bounds.is_exact();
-        let residual = result.residual;
-        let trace = direct_trace(
-            traces,
-            worker,
-            &job,
-            sampled,
-            TraceOutcome::Done {
-                items: result.items.len(),
-            },
-            started - job.submitted,
-            |rec| {
-                rec.fill_execution(&result.stats);
-                let plan =
-                    executor.plan(&job.query, model, job.strategy, job.processor, job.bounds);
-                rec.plan = Some((
-                    plan.processor_name,
-                    STRATEGY_LABELS[strategy_index(plan.strategy)],
-                ));
-                if degraded {
-                    rec.degraded = Some((job.bounds.max_radius, job.bounds.min_mass));
-                    rec.residual = residual;
-                }
-            },
-        );
-        let _ = job.reply.send(Reply {
-            outcome: Outcome::Done(result),
-            shard: worker,
-            queue_wait: started - job.submitted,
-            coalesced: false,
-            result_cached: false,
-            degraded,
-            residual,
-            tag: job.tag,
-            trace,
-        });
     }
 }
 
@@ -645,7 +417,7 @@ impl ServedClient {
     }
 
     /// The underlying service, for its broker-level API (shard routing,
-    /// raw [`Request`] submission).
+    /// snapshots, durability).
     pub fn service(&self) -> &FriendsService {
         &self.service
     }
@@ -705,7 +477,7 @@ impl ServedClient {
 
 impl SearchClient for ServedClient {
     fn submit(&self, request: QueryRequest) -> Ticket {
-        self.service.submit(Request::from(request))
+        self.service.submit(request)
     }
 
     fn latencies(&self) -> StageSnapshot {
@@ -728,10 +500,13 @@ impl SearchClient for ServedClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FaultKind, Outcome};
     use friends_core::plan::GLOBAL_BOUND_TA;
     use friends_core::processors::{ExactOnline, GlobalBoundTA, Processor};
     use friends_data::datasets::{DatasetSpec, Scale};
     use friends_data::queries::{QueryParams, QueryWorkload};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Instant;
 
     fn fixture() -> (Arc<Corpus>, QueryWorkload) {
         let ds = DatasetSpec::delicious_like(Scale::Tiny).build(8);
@@ -883,6 +658,212 @@ mod tests {
             stats.submitted,
             "{stats:?}"
         );
+    }
+
+    /// A request mix with every way a request can end: a repeat that
+    /// arrives after its first execution finished (a memo hit where results
+    /// are memoized), a cycled flood whose duplicates are in flight
+    /// together, and a zero-budget request that expires in the queue. The
+    /// armed fault supplies the failure. Returns every ticket's reply.
+    fn mixed_traffic(client: &dyn SearchClient, w: &QueryWorkload) -> Vec<Reply> {
+        let request = |q: &Query| QueryRequest::from_query(q.clone()).with_model(MODEL);
+        let mut replies = vec![client.run(request(&w.queries[0]).without_deadline())];
+        let mut tickets: Vec<Ticket> = w
+            .queries
+            .iter()
+            .cycle()
+            .take(256)
+            .map(|q| client.submit(request(q).without_deadline()))
+            .collect();
+        tickets.push(client.submit(request(&w.queries[1]).with_deadline(Duration::ZERO)));
+        replies.extend(tickets.into_iter().map(Ticket::wait));
+        replies
+    }
+
+    /// Checks the replies against `[submitted, executed, coalesced,
+    /// result_served, deadline_misses, failed]`: every ticket resolved,
+    /// every request in exactly one counter.
+    fn assert_balanced(replies: &[Reply], counters: [u64; 6], context: &str) {
+        let [submitted, executed, coalesced, result_served, deadline_misses, failed] = counters;
+        let count =
+            |pred: fn(&Outcome) -> bool| replies.iter().filter(|r| pred(&r.outcome)).count() as u64;
+        assert_eq!(submitted, replies.len() as u64, "{context}");
+        assert_eq!(
+            submitted,
+            executed + coalesced + result_served + deadline_misses + failed,
+            "{context}: {counters:?}"
+        );
+        assert_eq!(
+            count(|o| matches!(o, Outcome::Done(_))),
+            executed + coalesced + result_served,
+            "{context}"
+        );
+        assert_eq!(
+            count(|o| matches!(o, Outcome::DeadlineMissed)),
+            deadline_misses,
+            "{context}"
+        );
+        assert_eq!(count(|o| matches!(o, Outcome::Failed)), failed, "{context}");
+        assert!(
+            deadline_misses == 1 && failed >= 1,
+            "{context}: {counters:?}"
+        );
+    }
+
+    /// Both clients run the one worker loop, so after a drained shutdown
+    /// the same identity holds for both — in the stats and in the registry
+    /// keys reporting reads — under an injected panic and an injected
+    /// error alike.
+    #[test]
+    fn counters_balance_on_the_one_loop_for_both_clients() {
+        let (corpus, w) = fixture();
+        for kind in [FaultKind::Panic, FaultKind::Error] {
+            let fault = Some(FaultPlan { nth: 2, kind });
+            let context = format!("{kind:?}");
+
+            let served = ServedClient::start(
+                Arc::clone(&corpus),
+                ServiceConfig {
+                    shards: 2,
+                    result_cache_capacity: 256,
+                    fault,
+                    ..ServiceConfig::default()
+                },
+            );
+            let replies = mixed_traffic(&served, &w);
+            let registry = served.shutdown().registry();
+            let read = |name: &str| {
+                let key = format!("friends_service_{name}_total");
+                registry.get(&key).expect("exported") as u64
+            };
+            let counters = [
+                "submitted",
+                "executed",
+                "coalesced",
+                "result_served",
+                "deadline_misses",
+                "failed",
+            ]
+            .map(read);
+            assert_balanced(&replies, counters, &format!("served, {context}"));
+            assert!(counters[2] > 0 && counters[3] > 0, "{counters:?}");
+
+            let direct = DirectClient::spawn(
+                Arc::clone(&corpus),
+                DirectConfig {
+                    threads: 2,
+                    ..DirectConfig::default()
+                },
+                Arc::new(ProcessorRegistry::standard()),
+                fault,
+            );
+            let replies = mixed_traffic(&direct, &w);
+            let stats = direct.shutdown();
+            let mut registry = MetricsRegistry::new();
+            stats.register_into(&mut registry);
+            let read = |name: &str| {
+                let key = format!("friends_client_{name}_total");
+                registry.get(&key).expect("exported") as u64
+            };
+            let counters = [
+                read("submitted"),
+                read("executed"),
+                0,
+                0,
+                read("deadline_misses"),
+                read("failed"),
+            ];
+            assert_eq!(
+                counters,
+                [
+                    stats.submitted,
+                    stats.executed,
+                    0,
+                    0,
+                    stats.deadline_misses,
+                    stats.failed
+                ]
+            );
+            assert_balanced(&replies, counters, &format!("direct, {context}"));
+        }
+    }
+
+    /// A registry entry whose every query waits until `PARTIES` executions
+    /// are inside it at the same time (a cyclic barrier with a timeout, so
+    /// a broken pool fails the test instead of hanging it).
+    struct Rendezvous {
+        arrived: Arc<AtomicUsize>,
+        timed_out: Arc<AtomicBool>,
+    }
+
+    const PARTIES: usize = 4;
+
+    impl Processor for Rendezvous {
+        fn name(&self) -> &'static str {
+            "rendezvous"
+        }
+
+        fn query(&mut self, _q: &Query) -> SearchResult {
+            let ticket = self.arrived.fetch_add(1, Ordering::SeqCst);
+            let full = (ticket / PARTIES + 1) * PARTIES;
+            let started = Instant::now();
+            while self.arrived.load(Ordering::SeqCst) < full {
+                // One timeout fails the run: later queries pass through.
+                if self.timed_out.load(Ordering::SeqCst)
+                    || started.elapsed() > Duration::from_secs(10)
+                {
+                    self.timed_out.store(true, Ordering::SeqCst);
+                    break;
+                }
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            SearchResult::default()
+        }
+    }
+
+    /// The pool's topology, pinned: one shared queue and one request per
+    /// dispatch cycle, so a flood keeps every worker busy until it is
+    /// gone. A worker that drained a batch of its own would sit in the
+    /// rendezvous holding work its idle siblings need to get there.
+    #[test]
+    fn direct_client_spreads_a_flood_over_all_its_workers() {
+        let (corpus, _) = fixture();
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let timed_out = Arc::new(AtomicBool::new(false));
+        let mut registry = ProcessorRegistry::standard();
+        let (a, t) = (Arc::clone(&arrived), Arc::clone(&timed_out));
+        registry.register("rendezvous", move |_, _, _| {
+            Box::new(Rendezvous {
+                arrived: Arc::clone(&a),
+                timed_out: Arc::clone(&t),
+            })
+        });
+        let client = DirectClient::with_registry(
+            Arc::clone(&corpus),
+            DirectConfig {
+                threads: PARTIES,
+                ..DirectConfig::default()
+            },
+            Arc::new(registry),
+        );
+        let tickets: Vec<Ticket> = (0..64)
+            .map(|i| {
+                client.submit(
+                    QueryRequest::new(i % 7, vec![0], 1 + i as usize)
+                        .with_processor("rendezvous")
+                        .without_deadline(),
+                )
+            })
+            .collect();
+        for t in tickets {
+            assert!(t.wait().outcome.result().is_some());
+        }
+        assert!(
+            !timed_out.load(Ordering::SeqCst),
+            "a worker held queued work while its siblings idled"
+        );
+        assert_eq!(arrived.load(Ordering::SeqCst), 64);
+        client.shutdown();
     }
 
     #[test]

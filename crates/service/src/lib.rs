@@ -11,7 +11,7 @@
 //! strategy hint, deadline, correlation tag — and hand it to either client:
 //!
 //! * [`DirectClient`] — in-process worker pool over one shared proximity
-//!   cache; the successor of `par_batch` / `par_batch_with_cache`.
+//!   cache.
 //! * [`ServedClient`] — wraps a planner-backed [`FriendsService`]: seeker
 //!   affinity, batched dispatch, coalescing, shard-private caches, result
 //!   memoization.
@@ -82,6 +82,8 @@
 //! `friends-core`. Non-blocking tickets plus the [`Multiplexer`] provide
 //! the async-client ergonomics on top.
 
+#![forbid(unsafe_code)]
+
 mod broker;
 mod client;
 mod multiplexer;
@@ -89,15 +91,12 @@ mod request;
 mod result_cache;
 mod stats;
 
-#[allow(deprecated)]
-pub use broker::par_batch_served;
 pub use broker::{
-    exact_factory, global_bound_factory, FaultKind, FaultPlan, FriendsService, MutationReport,
-    OverloadPolicy, ProcessorFactory, ServiceConfig, ShardContext,
+    FaultKind, FaultPlan, FriendsService, MutationReport, OverloadPolicy, ServiceConfig,
 };
 pub use client::{ClientStats, DirectClient, DirectConfig, SearchClient, ServedClient};
 pub use multiplexer::Multiplexer;
-pub use request::{Deadline, Outcome, Reply, Request, Ticket};
+pub use request::{Deadline, Outcome, Reply, Ticket};
 pub use result_cache::ResultCache;
 pub use stats::{MutationTimes, ServiceStats, ShardStats};
 

@@ -16,7 +16,7 @@
 //! (see [`friends_core::plan::QueryRequest::with_tag`]); the reply also
 //! carries it.
 
-use crate::request::{Outcome, Reply, Ticket};
+use crate::request::{Reply, Ticket};
 use std::time::{Duration, Instant};
 
 /// Upper bound on the park interval between sweeps. Parking is adaptive:
@@ -84,17 +84,7 @@ impl Multiplexer {
                 // (and its receiver) discards that late reply.
                 return Some((
                     ticket.tag(),
-                    Reply {
-                        outcome: Outcome::DeadlineMissed,
-                        shard: ticket.shard(),
-                        queue_wait: Duration::ZERO,
-                        coalesced: false,
-                        result_cached: false,
-                        degraded: false,
-                        residual: 0.0,
-                        tag: ticket.tag(),
-                        trace: None,
-                    },
+                    Reply::deadline_missed(ticket.shard(), ticket.tag()),
                 ));
             }
         }
@@ -178,12 +168,12 @@ impl Iterator for Multiplexer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::{exact_factory, FriendsService, ServiceConfig};
-    use crate::request::Request;
+    use crate::client::{SearchClient, ServedClient};
+    use crate::ServiceConfig;
     use friends_core::corpus::Corpus;
+    use friends_core::plan::QueryRequest;
     use friends_core::proximity::ProximityModel;
     use friends_data::datasets::{DatasetSpec, Scale};
-    use friends_data::queries::Query;
     use std::sync::Arc;
 
     #[test]
@@ -200,22 +190,23 @@ mod tests {
     fn completions_carry_tags_and_drain_fully() {
         let ds = DatasetSpec::delicious_like(Scale::Tiny).build(8);
         let corpus = Arc::new(Corpus::new(ds.graph, ds.store));
-        let svc = FriendsService::start(
+        let svc = ServedClient::start(
             Arc::clone(&corpus),
             ServiceConfig {
                 shards: 2,
                 ..ServiceConfig::default()
             },
-            exact_factory(ProximityModel::WeightedDecay { alpha: 0.5 }),
         );
         let mut m = Multiplexer::new();
         for i in 0..20u64 {
-            let q = Query {
-                seeker: (i % 7) as u32,
-                tags: vec![(i % 3) as u32],
-                k: 5,
-            };
-            m.push(svc.submit(Request::new(q).without_deadline().with_tag(i)));
+            m.push(
+                svc.submit(
+                    QueryRequest::new((i % 7) as u32, vec![(i % 3) as u32], 5)
+                        .with_model(ProximityModel::WeightedDecay { alpha: 0.5 })
+                        .without_deadline()
+                        .with_tag(i),
+                ),
+            );
         }
         assert_eq!(m.len(), 20);
         let done = m.drain();

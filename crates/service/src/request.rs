@@ -3,122 +3,11 @@
 use crossbeam::channel;
 use friends_core::corpus::SearchResult;
 use friends_core::plan::QueryRequest;
-use friends_core::processors::ScoringStrategy;
-use friends_core::proximity::{ProximityModel, SigmaBounds};
 use friends_core::trace::QueryTrace;
-use friends_data::queries::Query;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use friends_core::plan::Deadline;
-
-/// A service request: the query plus serving metadata. Build one with
-/// [`Request::new`] and the `with_*` setters, or convert a
-/// [`QueryRequest`] (the unified client API's request type) via `From`.
-#[derive(Clone, Debug)]
-pub struct Request {
-    pub query: Query,
-    /// Per-request scoring-strategy hint, forwarded to the processor via
-    /// [`friends_core::processors::Processor::set_strategy`]. Every
-    /// strategy returns byte-identical rankings, so the hint is purely a
-    /// cost decision. Defaults to `Auto`.
-    pub strategy: ScoringStrategy,
-    /// See [`Deadline`]; defaults to the service's configured budget.
-    pub deadline: Deadline,
-    /// Proximity model for planner-backed services
-    /// ([`crate::FriendsService::start_planned`]); `None` means the
-    /// planner's default ([`ProximityModel::Global`]). Fixed-factory
-    /// services ignore it (their processor's model is set at start).
-    pub model: Option<ProximityModel>,
-    /// Expert override for planner-backed services: force a registry entry
-    /// by name. Fixed-factory services ignore it.
-    pub processor: Option<&'static str>,
-    /// Approximation bounds on σ materialization — [`SigmaBounds::EXACT`]
-    /// (the default) is lossless. Under overload the broker may tighten
-    /// these further (never loosen); the reply reports the effective
-    /// degradation in [`Reply::degraded`] / [`Reply::residual`].
-    pub bounds: SigmaBounds,
-    /// Caller correlation tag, echoed in the [`Reply`].
-    pub tag: u64,
-    /// Force-sample this request's trace: the reply carries a full
-    /// [`QueryTrace`] and the trace lands in the shard's slow-query log
-    /// regardless of latency or head sampling.
-    pub trace: bool,
-}
-
-impl Request {
-    /// A request with the default strategy (`Auto`) and the service's
-    /// default deadline.
-    pub fn new(query: Query) -> Self {
-        Request {
-            query,
-            strategy: ScoringStrategy::default(),
-            deadline: Deadline::Default,
-            model: None,
-            processor: None,
-            bounds: SigmaBounds::EXACT,
-            tag: 0,
-            trace: false,
-        }
-    }
-
-    /// Sets the scoring-strategy hint.
-    pub fn with_strategy(mut self, strategy: ScoringStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Sets an explicit deadline budget (overriding the service default).
-    pub fn with_deadline(mut self, budget: Duration) -> Self {
-        self.deadline = Deadline::Budget(budget);
-        self
-    }
-
-    /// Opts out of deadlines entirely: the request is never shed.
-    pub fn without_deadline(mut self) -> Self {
-        self.deadline = Deadline::Unbounded;
-        self
-    }
-
-    /// Sets the proximity model (planner-backed services only).
-    pub fn with_model(mut self, model: ProximityModel) -> Self {
-        self.model = Some(model);
-        self
-    }
-
-    /// Sets approximation bounds (see [`Request::bounds`]).
-    pub fn with_bounds(mut self, bounds: SigmaBounds) -> Self {
-        self.bounds = bounds;
-        self
-    }
-
-    /// Sets the caller correlation tag.
-    pub fn with_tag(mut self, tag: u64) -> Self {
-        self.tag = tag;
-        self
-    }
-
-    /// Force-samples this request's trace (see [`Request::trace`]).
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-}
-
-impl From<QueryRequest> for Request {
-    fn from(r: QueryRequest) -> Self {
-        Request {
-            query: r.query,
-            strategy: r.strategy,
-            deadline: r.deadline,
-            model: Some(r.model),
-            processor: r.processor,
-            bounds: r.bounds,
-            tag: r.tag,
-            trace: r.trace,
-        }
-    }
-}
 
 /// How a request ended.
 #[derive(Clone, Debug)]
@@ -145,7 +34,7 @@ impl Outcome {
     }
 
     /// Unwraps the result, panicking on a miss or failure — for clients
-    /// (like the batch shim) that run without deadlines.
+    /// that run without deadlines.
     pub fn expect_done(self, context: &str) -> SearchResult {
         match self {
             Outcome::Done(r) => r,
@@ -186,6 +75,42 @@ pub struct Reply {
 }
 
 impl Reply {
+    /// A reply with every serving annotation at "nothing happened": no
+    /// queue wait, no flags, no trace. The three constructors below fill
+    /// in what their outcome implies; reply sites overwrite the rest in
+    /// place.
+    fn new(outcome: Outcome, shard: usize, tag: u64) -> Self {
+        Reply {
+            outcome,
+            shard,
+            queue_wait: Duration::ZERO,
+            coalesced: false,
+            result_cached: false,
+            degraded: false,
+            residual: 0.0,
+            tag,
+            trace: None,
+        }
+    }
+
+    /// The reply of a request whose deadline passed unanswered.
+    pub(crate) fn deadline_missed(shard: usize, tag: u64) -> Self {
+        Reply::new(Outcome::DeadlineMissed, shard, tag)
+    }
+
+    /// The reply of a request whose execution (or worker) was lost.
+    pub(crate) fn failed(shard: usize, tag: u64) -> Self {
+        Reply::new(Outcome::Failed, shard, tag)
+    }
+
+    /// The reply carrying `result`, echoing its residual certificate.
+    pub(crate) fn done(shard: usize, tag: u64, result: SearchResult) -> Self {
+        let residual = result.residual;
+        let mut reply = Reply::new(Outcome::Done(result), shard, tag);
+        reply.residual = residual;
+        reply
+    }
+
     /// The retained trace's id, if the request was traced.
     pub fn trace_id(&self) -> Option<u64> {
         self.trace.as_ref().map(|t| t.id)
@@ -226,7 +151,7 @@ impl Ticket {
             }
             Err(channel::TryRecvError::Empty) => false,
             Err(channel::TryRecvError::Disconnected) => {
-                self.stash = Some(self.failed());
+                self.stash = Some(Reply::failed(self.shard, self.tag));
                 true
             }
         }
@@ -251,7 +176,7 @@ impl Ticket {
         }
         match self.rx.recv() {
             Ok(reply) => reply,
-            Err(channel::RecvError) => self.failed(),
+            Err(channel::RecvError) => Reply::failed(self.shard, self.tag),
         }
     }
 
@@ -272,22 +197,14 @@ impl Ticket {
         loop {
             let now = Instant::now();
             if now >= deadline {
-                return Reply {
-                    outcome: Outcome::DeadlineMissed,
-                    shard: self.shard,
-                    queue_wait: Duration::ZERO,
-                    coalesced: false,
-                    result_cached: false,
-                    degraded: false,
-                    residual: 0.0,
-                    tag: self.tag,
-                    trace: None,
-                };
+                return Reply::deadline_missed(self.shard, self.tag);
             }
             match self.rx.recv_timeout(deadline - now) {
                 Ok(reply) => return reply,
                 Err(channel::RecvTimeoutError::Timeout) => continue,
-                Err(channel::RecvTimeoutError::Disconnected) => return self.failed(),
+                Err(channel::RecvTimeoutError::Disconnected) => {
+                    return Reply::failed(self.shard, self.tag)
+                }
             }
         }
     }
@@ -306,33 +223,13 @@ impl Ticket {
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
     }
-
-    fn failed(&self) -> Reply {
-        Reply {
-            outcome: Outcome::Failed,
-            shard: self.shard,
-            queue_wait: Duration::ZERO,
-            coalesced: false,
-            result_cached: false,
-            degraded: false,
-            residual: 0.0,
-            tag: self.tag,
-            trace: None,
-        }
-    }
 }
 
 /// Internal queue entry: one request plus its reply channel and timing.
 pub(crate) struct Job {
-    pub query: Query,
-    pub strategy: ScoringStrategy,
-    pub model: Option<ProximityModel>,
-    pub processor: Option<&'static str>,
-    pub bounds: SigmaBounds,
+    pub request: QueryRequest,
+    /// The request's deadline, resolved at submission.
     pub deadline: Option<Instant>,
     pub submitted: Instant,
     pub reply: channel::Sender<Reply>,
-    pub tag: u64,
-    /// Force-sample the trace (from [`Request::trace`]).
-    pub trace: bool,
 }

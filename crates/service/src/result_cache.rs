@@ -31,6 +31,7 @@
 
 use friends_core::cache::{CachePolicy, CacheStats, FreqSketch};
 use friends_core::processors::ScoringStrategy;
+use friends_core::proximity::ProximityModel;
 use friends_data::queries::Query;
 use friends_data::ItemId;
 use parking_lot::Mutex;
@@ -40,9 +41,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The memoization key: the query, the model's exact parameter bits (`None`
-/// for fixed-factory services, whose model is implicit), the strategy hint,
-/// the processor override and the *effective* σ-bounds bits the execution
+/// The memoization key: the query, the model's exact parameter bits, the
+/// strategy hint, the processor override and the *effective* σ-bounds bits the execution
 /// ran under. Identical to the broker's coalescing key — whatever would
 /// have coalesced in flight hits here across cycles. Keying on bounds is a
 /// soundness requirement, not an optimization: a degraded ranking must
@@ -50,7 +50,7 @@ use std::time::Instant;
 /// one).
 pub(crate) type ResultKey = (
     Query,
-    Option<(u8, u64, u64)>,
+    (u8, u64, u64),
     ScoringStrategy,
     Option<&'static str>,
     (u32, u64),
@@ -154,10 +154,9 @@ impl ResultCache {
     /// model, plus entries whose query mentions a tag in `tags` (sorted).
     ///
     /// Seeker matching skips the `Global` model (`σ ≡ 1` is
-    /// graph-independent) but conservatively includes `None` model bits —
-    /// a fixed-factory service's implicit model is unknown here. Tag
-    /// matching is model-blind: appended postings change every ranking
-    /// that reads that tag. Returns the number of entries dropped.
+    /// graph-independent). Tag matching is model-blind: appended postings
+    /// change every ranking that reads that tag. Returns the number of
+    /// entries dropped.
     pub fn invalidate_partial(&self, seekers: &[u32], tags: &[u32]) -> u64 {
         if seekers.is_empty() && tags.is_empty() {
             return 0;
@@ -168,7 +167,7 @@ impl ResultCache {
             .map
             .iter()
             .filter(|(key, _)| {
-                let sigma_dependent = key.1.is_none_or(|(tag, _, _)| tag != 0);
+                let sigma_dependent = key.1 != ProximityModel::Global.key_bits();
                 (sigma_dependent && seekers.binary_search(&key.0.seeker).is_ok())
                     || key.0.tags.iter().any(|t| tags.binary_search(t).is_ok())
             })
@@ -343,7 +342,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use friends_core::proximity::{ProximityModel, SigmaBounds};
+    use friends_core::proximity::SigmaBounds;
 
     fn key(seeker: u32, tag: u32) -> ResultKey {
         (
@@ -352,7 +351,7 @@ mod tests {
                 tags: vec![tag],
                 k: 5,
             },
-            Some(ProximityModel::FriendsOnly.key_bits()),
+            ProximityModel::FriendsOnly.key_bits(),
             ScoringStrategy::Auto,
             None,
             SigmaBounds::EXACT.key_bits(),
@@ -388,7 +387,7 @@ mod tests {
         other.2 = ScoringStrategy::BlockMax;
         assert!(c.get(&other).is_none(), "strategy must not alias");
         let mut other = key(1, 0);
-        other.1 = Some(ProximityModel::AdamicAdar.key_bits());
+        other.1 = ProximityModel::AdamicAdar.key_bits();
         assert!(c.get(&other).is_none(), "model must not alias");
     }
 
@@ -525,7 +524,7 @@ mod tests {
         // entries reading that tag must go; other tags survive.
         let c = ResultCache::new(8, POLICY);
         let mut global = key(1, 0);
-        global.1 = Some(ProximityModel::Global.key_bits());
+        global.1 = ProximityModel::Global.key_bits();
         c.insert(global.clone(), ranking(1), 0.0, c.epoch());
         c.insert(key(2, 5), ranking(2), 0.0, c.epoch());
         let dropped = c.invalidate_partial(&[], &[0]);
@@ -537,19 +536,21 @@ mod tests {
     #[test]
     fn partial_invalidation_skips_global_for_edge_only_batches() {
         // An edge mutation cannot move σ ≡ 1: Global entries survive even
-        // when their seeker is in the affected set. None model bits
-        // (fixed-factory, model unknown) are conservatively swept.
+        // when their seeker is in the affected set; every other model's
+        // entries for that seeker are swept.
         let c = ResultCache::new(8, POLICY);
         let mut global = key(1, 0);
-        global.1 = Some(ProximityModel::Global.key_bits());
-        let mut implicit = key(1, 1);
-        implicit.1 = None;
+        global.1 = ProximityModel::Global.key_bits();
+        let personalized = key(1, 1);
         c.insert(global.clone(), ranking(1), 0.0, c.epoch());
-        c.insert(implicit.clone(), ranking(2), 0.0, c.epoch());
+        c.insert(personalized.clone(), ranking(2), 0.0, c.epoch());
         let dropped = c.invalidate_partial(&[1], &[]);
         assert_eq!(dropped, 1);
         assert!(c.get(&global).is_some(), "Global is graph-independent");
-        assert!(c.get(&implicit).is_none(), "implicit model must be swept");
+        assert!(
+            c.get(&personalized).is_none(),
+            "σ-dependent entry must be swept"
+        );
     }
 
     #[test]

@@ -12,8 +12,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Live counters owned by one shard, shared between its worker thread and
-/// the service handle (all relaxed atomics — monitoring, not coordination).
+/// Live counters of one queue, shared between the worker(s) draining it and
+/// the handle that submits to it — a service shard and its one worker, or a
+/// `DirectClient` and its whole pool (all relaxed atomics — monitoring, not
+/// coordination).
 pub(crate) struct ShardState {
     pub depth: AtomicUsize,
     pub max_depth: AtomicUsize,
@@ -38,25 +40,25 @@ pub(crate) struct ShardState {
     pub mutation_batches: AtomicU64,
     /// Epoch of the snapshot this shard currently serves from.
     pub mutation_epoch: AtomicU64,
-    pub cache: Arc<ProximityCache>,
+    /// The proximity cache the queue's executors share; `None` runs
+    /// cache-less.
+    pub cache: Option<Arc<ProximityCache>>,
     /// Present when the service memoizes results.
     pub results: Option<Arc<ResultCache>>,
-    /// Present when the service is planner-backed.
-    pub plans: Option<Arc<PlanCounters>>,
+    pub plans: Arc<PlanCounters>,
     /// Per-stage latency histograms (queue wait, σ materialization,
     /// scoring, end-to-end) — lock-free, recorded by the worker loop.
     pub latency: StageLatencies,
     /// Per-shard trace retention: head sampling, the sampled ring, and
     /// the slow-query log.
-    pub traces: Arc<TraceCollector>,
+    pub traces: TraceCollector,
 }
 
 impl ShardState {
     pub fn new(
-        cache: Arc<ProximityCache>,
+        cache: Option<Arc<ProximityCache>>,
         results: Option<Arc<ResultCache>>,
-        plans: Option<Arc<PlanCounters>>,
-        traces: Arc<TraceCollector>,
+        traces: TraceCollector,
     ) -> Self {
         ShardState {
             depth: AtomicUsize::new(0),
@@ -77,7 +79,7 @@ impl ShardState {
             mutation_epoch: AtomicU64::new(0),
             cache,
             results,
-            plans,
+            plans: Arc::default(),
             latency: StageLatencies::new(),
             traces,
         }
@@ -109,21 +111,16 @@ impl ShardState {
             mutations_applied: self.mutations_applied.load(Ordering::Relaxed),
             mutation_batches: self.mutation_batches.load(Ordering::Relaxed),
             mutation_epoch: self.mutation_epoch.load(Ordering::Relaxed),
-            cache: self.cache.stats(),
+            cache: self.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
             results: self.results.as_ref().map(|r| r.stats()).unwrap_or_default(),
-            plans: self
-                .plans
-                .as_ref()
-                .map(|p| p.snapshot())
-                .unwrap_or_default(),
+            plans: self.plans.snapshot(),
             latency: self.latency.snapshot(),
             traces_dropped: self.traces.dropped(),
         }
     }
 }
 
-/// A snapshot of one shard's counters. No longer `Copy`: the latency
-/// snapshot carries histogram buckets — clone explicitly where needed.
+/// A snapshot of one shard's counters.
 ///
 /// **Deprecated for reporting**: reading counter fields directly from
 /// reporting/export code is deprecated — call
@@ -180,8 +177,7 @@ pub struct ShardStats {
     /// The shard-private result-memoization cache's counters (all zero
     /// when disabled).
     pub results: CacheStats,
-    /// Planner decisions on this shard (all zero for fixed-factory
-    /// services, which never plan).
+    /// Planner decisions on this shard.
     pub plans: PlanHistogram,
     /// Per-stage latency histograms. Queue wait and end-to-end count
     /// *requests* (every dispatched / every answered one); σ and scoring

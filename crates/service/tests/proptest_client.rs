@@ -1,8 +1,7 @@
 //! Client-exactness property suite: for random corpora and request
-//! streams, [`DirectClient`], [`ServedClient`] **and the deprecated
-//! `par_batch*` wrappers** return byte-identical results (same item ids,
-//! bit-equal scores) to direct processor execution, for every proximity
-//! model × scoring strategy. The reference re-derives the planner's exact
+//! streams, [`DirectClient`] and [`ServedClient`] return byte-identical
+//! results (same item ids, bit-equal scores) to direct processor execution,
+//! for every proximity model × scoring strategy. The reference re-derives the planner's exact
 //! decision per query, so planning is pinned deterministic too. A separate
 //! test drives ≥ 64 in-flight requests with mixed deadlines through the
 //! [`Multiplexer`].
@@ -224,46 +223,6 @@ proptest! {
                 }
             }
             client.shutdown();
-        }
-    }
-
-    /// The deprecated wrappers are pinned byte-identical to the client
-    /// path: old callers lose nothing by migrating, and the wrappers can
-    /// stay thin forever.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_client_path((corpus, queries) in arb_corpus_and_stream()) {
-        use friends_core::batch::{par_batch, par_batch_with_cache};
-        use friends_core::cache::ProximityCache;
-        use friends_service::{exact_factory, par_batch_served};
-
-        let client = DirectClient::start(
-            Arc::clone(&corpus),
-            DirectConfig { threads: 2, ..DirectConfig::default() },
-        );
-        for model in all_models() {
-            let via_client = client.search(&queries, model);
-            let old_batch = par_batch(&queries, 2, || ExactOnline::new(&corpus, model));
-            assert_streams_identical(
-                &old_batch.iter().map(|r| r.items.clone()).collect::<Vec<_>>(),
-                &via_client,
-                &format!("par_batch {}", model.name()),
-            )?;
-            let cache = Arc::new(ProximityCache::new(64));
-            let old_cached = par_batch_with_cache(&queries, 2, &cache, |c| {
-                ExactOnline::with_cache(&corpus, model, c)
-            });
-            assert_streams_identical(
-                &old_cached.iter().map(|r| r.items.clone()).collect::<Vec<_>>(),
-                &via_client,
-                &format!("par_batch_with_cache {}", model.name()),
-            )?;
-            let old_served = par_batch_served(&corpus, &queries, 3, exact_factory(model));
-            assert_streams_identical(
-                &old_served.iter().map(|r| r.items.clone()).collect::<Vec<_>>(),
-                &via_client,
-                &format!("par_batch_served {}", model.name()),
-            )?;
         }
     }
 }

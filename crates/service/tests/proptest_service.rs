@@ -1,19 +1,13 @@
 //! Routing-exactness property suite: for random corpora and request
 //! streams, the service returns **byte-identical** results (same item ids,
-//! bit-equal scores) to direct single-processor execution and to
-//! `par_batch`, for every proximity model × processor — including under
-//! forced shard counts of 1 (fully serialized) and far more shards than
+//! bit-equal scores) to direct single-processor execution, for every
+//! proximity model × processor — including under forced shard counts of 1 (fully serialized) and far more shards than
 //! distinct seekers (maximally spread). Affinity routing, batching and
 //! coalescing may change *where and how often* a query executes, never its
 //! answer.
 
-// This suite deliberately pins the deprecated batch entry points — they
-// must stay byte-identical to the service for as long as they exist.
-#![allow(deprecated)]
-
-use friends_core::batch::par_batch;
-use friends_core::corpus::Corpus;
-use friends_core::plan::QueryRequest;
+use friends_core::corpus::{Corpus, SearchResult};
+use friends_core::plan::{Planner, ProcessorRegistry, QueryRequest, GLOBAL_BOUND_TA};
 use friends_core::processors::{
     ExactOnline, ExpansionConfig, FriendExpansion, GlobalBoundTA, Processor,
 };
@@ -23,8 +17,7 @@ use friends_data::store::TagStore;
 use friends_data::Tagging;
 use friends_graph::GraphBuilder;
 use friends_service::{
-    exact_factory, global_bound_factory, par_batch_served, FaultKind, FaultPlan, FriendsService,
-    Outcome, Request, SearchClient, ServedClient, ServiceConfig, ShardContext,
+    FaultKind, FaultPlan, Outcome, SearchClient, ServedClient, ServiceConfig, Ticket,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -108,9 +101,38 @@ fn arb_bounds() -> impl Strategy<Value = SigmaBounds> {
         })
 }
 
+/// Floods `queries` (each turned into a deadline-free request by
+/// `request`) through a transient `shards`-shard service over `registry`,
+/// and returns the results in input order.
+fn serve(
+    corpus: &Arc<Corpus>,
+    queries: &[Query],
+    shards: usize,
+    registry: ProcessorRegistry,
+    request: impl Fn(&Query) -> QueryRequest,
+) -> Vec<SearchResult> {
+    let client = ServedClient::with_registry(
+        Arc::clone(corpus),
+        ServiceConfig {
+            shards,
+            ..ServiceConfig::default()
+        },
+        Arc::new(registry),
+        Planner::default(),
+    );
+    let tickets: Vec<Ticket> = queries
+        .iter()
+        .map(|q| client.submit(request(q).without_deadline()))
+        .collect();
+    tickets
+        .into_iter()
+        .map(|t| t.wait().outcome.expect_done("serve"))
+        .collect()
+}
+
 fn assert_streams_identical(
     want: &[Vec<(u32, f32)>],
-    got: &[friends_core::corpus::SearchResult],
+    got: &[SearchResult],
     label: &str,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(want.len(), got.len(), "{}: stream length", label);
@@ -144,17 +166,15 @@ proptest! {
             let want: Vec<Vec<(u32, f32)>> =
                 queries.iter().map(|q| direct.query(q).items).collect();
             for shards in SHARD_COUNTS {
-                let served = par_batch_served(&corpus, &queries, shards, exact_factory(model));
+                let served = serve(&corpus, &queries, shards, ProcessorRegistry::standard(), |q| {
+                    QueryRequest::from_query(q.clone()).with_model(model)
+                });
                 assert_streams_identical(
                     &want,
                     &served,
                     &format!("exact-online {} shards={shards}", model.name()),
                 )?;
             }
-            // And the pre-existing batch path agrees too (the service is a
-            // drop-in for it).
-            let batch = par_batch(&queries, 2, || ExactOnline::new(&corpus, model));
-            assert_streams_identical(&want, &batch, &format!("par_batch {}", model.name()))?;
         }
     }
 
@@ -170,8 +190,11 @@ proptest! {
             let want: Vec<Vec<(u32, f32)>> =
                 queries.iter().map(|q| direct.query(q).items).collect();
             for shards in SHARD_COUNTS {
-                let served =
-                    par_batch_served(&corpus, &queries, shards, global_bound_factory(model));
+                let served = serve(&corpus, &queries, shards, ProcessorRegistry::standard(), |q| {
+                    QueryRequest::from_query(q.clone())
+                        .with_model(model)
+                        .with_processor(GLOBAL_BOUND_TA)
+                });
                 assert_streams_identical(
                     &want,
                     &served,
@@ -181,7 +204,7 @@ proptest! {
         }
     }
 
-    /// A custom factory (FriendExpansion — a processor with no strategy
+    /// A registered entry (FriendExpansion — a processor with no strategy
     /// hints and no cache use) serves byte-identically too: the broker does
     /// not depend on processor internals.
     #[test]
@@ -189,9 +212,12 @@ proptest! {
         let mut direct = FriendExpansion::new(&corpus, ExpansionConfig::default());
         let want: Vec<Vec<(u32, f32)>> = queries.iter().map(|q| direct.query(q).items).collect();
         for shards in SHARD_COUNTS {
-            let served = par_batch_served(&corpus, &queries, shards, |c: &Corpus, _ctx: ShardContext| {
+            let mut registry = ProcessorRegistry::standard();
+            registry.register("friend-expansion", |c, _model, _cache| {
                 Box::new(FriendExpansion::new(c, ExpansionConfig::default()))
-                    as Box<dyn Processor + '_>
+            });
+            let served = serve(&corpus, &queries, shards, registry, |q| {
+                QueryRequest::from_query(q.clone()).with_processor("friend-expansion")
             });
             assert_streams_identical(&want, &served, &format!("friend-expansion shards={shards}"))?;
         }
@@ -291,19 +317,23 @@ fn midstream_panic_loses_only_the_in_flight_request() {
     let corpus = Arc::new(Corpus::new(graph, store));
     let model = ProximityModel::WeightedDecay { alpha: 0.5 };
 
-    let svc = FriendsService::start(
+    let svc = ServedClient::start(
         Arc::clone(&corpus),
         ServiceConfig {
-            shards: 1,       // one FIFO queue: the fault ordinal is the stream position
-            coalesce: false, // every request is its own execution attempt
+            shards: 1,    // one FIFO queue: the fault ordinal is the stream position
+            max_batch: 1, // every request is its own dispatch cycle and execution attempt
             fault: Some(FaultPlan {
                 nth: 5,
                 kind: FaultKind::Panic,
             }),
             ..ServiceConfig::default()
         },
-        exact_factory(model),
     );
+    let request = |q: &Query| {
+        QueryRequest::from_query(q.clone())
+            .with_model(model)
+            .without_deadline()
+    };
 
     // Flood the entire stream before collecting anything, so the fault
     // fires with dozens of requests in flight.
@@ -314,10 +344,7 @@ fn midstream_panic_loses_only_the_in_flight_request() {
             k: 5,
         })
         .collect();
-    let tickets: Vec<_> = queries
-        .iter()
-        .map(|q| svc.submit(Request::new(q.clone()).without_deadline()))
-        .collect();
+    let tickets: Vec<_> = queries.iter().map(|q| svc.submit(request(q))).collect();
     let replies: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
 
     let failed: Vec<usize> = replies
@@ -334,9 +361,7 @@ fn midstream_panic_loses_only_the_in_flight_request() {
     }
 
     // The shard rebuilt its engine once and keeps serving fresh requests.
-    let after = svc
-        .submit(Request::new(queries[0].clone()).without_deadline())
-        .wait();
+    let after = svc.submit(request(&queries[0])).wait();
     assert!(
         after.outcome.result().is_some(),
         "service must keep serving"

@@ -6,9 +6,8 @@
 
 use friends_core::corpus::Corpus;
 use friends_data::datasets::{DatasetSpec, Scale};
-use friends_data::queries::Query;
 use friends_service::{
-    exact_factory, FaultKind, FaultPlan, FriendsService, Request, ServiceConfig, TraceConfig,
+    FaultKind, FaultPlan, QueryRequest, SearchClient, ServedClient, ServiceConfig, TraceConfig,
     TraceOutcome,
 };
 use std::sync::Arc;
@@ -35,23 +34,13 @@ fn delayed_request_lands_in_the_slow_query_log_with_its_span_tree() {
         },
         ..ServiceConfig::default()
     };
-    let svc = FriendsService::start(
-        Arc::clone(&corpus),
-        config,
-        exact_factory(friends_core::proximity::ProximityModel::Global),
-    );
+    let svc = ServedClient::start(Arc::clone(&corpus), config);
     // Sequential distinct queries: each waits for its reply before the next
     // submits, so every request executes alone (no coalescing, no queue
     // buildup) and the fault ordinal maps 1:1 onto submission order.
     let mut slow_reply_trace_id = None;
     for i in 0..6u32 {
-        let reply = svc
-            .submit(Request::new(Query {
-                seeker: i % 4,
-                tags: vec![i % 3],
-                k: 5,
-            }))
-            .wait();
+        let reply = svc.submit(QueryRequest::new(i % 4, vec![i % 3], 5)).wait();
         assert!(reply.outcome.result().is_some(), "request {i} must serve");
         if i == 2 {
             // The 3rd execution (nth: 3) carries the injected delay; its

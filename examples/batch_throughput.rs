@@ -1,7 +1,8 @@
-//! Serving-style throughput: answer a whole query log four ways — the
-//! deprecated flat `par_batch` chunk split, an in-process [`DirectClient`]
-//! pool, and a [`ServedClient`] over the seeker-affinity broker (with and
-//! without result memoization) — and verify the answers never change.
+//! Serving-style throughput: answer a whole query log sequentially with
+//! one [`ExactOnline`] (the oracle), through an in-process [`DirectClient`]
+//! pool, and through a [`ServedClient`] over the seeker-affinity broker
+//! (with and without result memoization) — and verify the answers never
+//! change.
 //!
 //! ```sh
 //! cargo run --release --example batch_throughput
@@ -34,29 +35,18 @@ fn main() {
 
     let model = ProximityModel::WeightedDecay { alpha: 0.5 };
 
-    // The historical baseline: the deprecated chunk-split batch path.
-    // Kept here as the comparison anchor — byte-identical by contract.
-    #[allow(deprecated)]
-    let want = par_batch(&workload.queries, 1, || ExactOnline::new(&corpus, model));
-
     println!("{:<22} {:>12} {:>12}", "path", "elapsed ms", "queries/s");
-    {
-        #[allow(deprecated)]
-        let (results, elapsed) = {
-            let start = Instant::now();
-            let r = par_batch(&workload.queries, 4, || ExactOnline::new(&corpus, model));
-            (r, start.elapsed())
-        };
-        for (a, b) in want.iter().zip(&results) {
-            assert_eq!(a.items, b.items, "legacy path must not change answers");
-        }
-        println!(
-            "{:<22} {:>12.1} {:>12.0}   (deprecated)",
-            "par_batch x4",
-            elapsed.as_secs_f64() * 1e3,
-            workload.len() as f64 / elapsed.as_secs_f64()
-        );
-    }
+    // The oracle: one processor, one thread, no cache.
+    let start = Instant::now();
+    let mut exact = ExactOnline::new(&corpus, model);
+    let want: Vec<SearchResult> = workload.queries.iter().map(|q| exact.query(q)).collect();
+    let elapsed = start.elapsed();
+    println!(
+        "{:<22} {:>12.1} {:>12.0}",
+        "ExactOnline (oracle)",
+        elapsed.as_secs_f64() * 1e3,
+        workload.len() as f64 / elapsed.as_secs_f64()
+    );
 
     // The in-process client: same executors behind the unified API, plus a
     // shared proximity cache and non-blocking submission.

@@ -59,8 +59,9 @@
 //! The same requests serve unchanged — byte-identical rankings — through a
 //! [`ServedClient`](prelude::ServedClient) over the sharded
 //! seeker-affinity broker; see `crates/README.md` for the request
-//! lifecycle and the migration table from the deprecated `par_batch*`
-//! entry points.
+//! lifecycle.
+
+#![forbid(unsafe_code)]
 
 pub use friends_core as core;
 pub use friends_data as data;
@@ -70,8 +71,6 @@ pub use friends_service as service;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use friends_core::batch::{par_batch, par_batch_with_cache};
     pub use friends_core::cache::{CachePolicy, CacheStats, ProximityCache};
     pub use friends_core::corpus::{Corpus, QueryStats, SearchResult};
     pub use friends_core::eval::{
@@ -96,15 +95,12 @@ pub mod prelude {
     pub use friends_data::{ItemId, TagId, Tagging, UserId};
     pub use friends_graph::{CsrGraph, GraphBuilder, NodeId};
     pub use friends_index::inverted::{IndexConfig, InvertedIndex};
-    #[allow(deprecated)]
-    pub use friends_service::par_batch_served;
     pub use friends_service::{
-        exact_factory, global_bound_factory, ClientStats, DirectClient, DirectConfig,
-        DurabilityConfig, FaultKind, FaultPlan, FriendsService, LiveCorpus, LiveDurability, Metric,
-        MetricKind, MetricsRegistry, Multiplexer, Mutation, MutationBatch, MutationParams,
-        MutationReport, MutationStream, MutationTimes, Outcome, OverloadPolicy, QueryTrace,
-        RecoverError, RecoveryReport, Reply, Request, SearchClient, ServedClient, ServiceConfig,
-        ServiceStats, ShardStats, SyncPolicy, Ticket, TraceConfig, TraceEvent, TraceOutcome,
-        TraceSpan, WalAppend, WalStats,
+        ClientStats, DirectClient, DirectConfig, DurabilityConfig, FaultKind, FaultPlan,
+        FriendsService, LiveCorpus, LiveDurability, Metric, MetricKind, MetricsRegistry,
+        Multiplexer, Mutation, MutationBatch, MutationParams, MutationReport, MutationStream,
+        MutationTimes, Outcome, OverloadPolicy, QueryTrace, RecoverError, RecoveryReport, Reply,
+        SearchClient, ServedClient, ServiceConfig, ServiceStats, ShardStats, SyncPolicy, Ticket,
+        TraceConfig, TraceEvent, TraceOutcome, TraceSpan, WalAppend, WalStats,
     };
 }

@@ -1,7 +1,7 @@
 //! End-to-end integration of the unified client API through the facade
 //! prelude: one `QueryRequest` surface over `DirectClient` and
-//! `ServedClient`, non-blocking tickets, the multiplexer, result
-//! memoization, and parity with the deprecated batch entry points.
+//! `ServedClient`, non-blocking tickets, the multiplexer and result
+//! memoization.
 
 use friends::prelude::*;
 use std::sync::Arc;
@@ -60,31 +60,6 @@ fn one_request_surface_two_backends_same_answers() {
         "planner decisions must be recorded"
     );
     direct.shutdown();
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_prelude_entry_points_agree_with_clients() {
-    let (corpus, w) = fixture();
-    let client = DirectClient::start(Arc::clone(&corpus), DirectConfig::default());
-    let via_client = client.search(&w.queries, MODEL);
-    let legacy = par_batch(&w.queries, 3, || ExactOnline::new(&corpus, MODEL));
-    let cache = Arc::new(ProximityCache::new(128));
-    let legacy_cached = par_batch_with_cache(&w.queries, 3, &cache, |c| {
-        ExactOnline::with_cache(&corpus, MODEL, c)
-    });
-    let legacy_served = par_batch_served(&corpus, &w.queries, 2, exact_factory(MODEL));
-    for (((a, b), c), d) in via_client
-        .iter()
-        .zip(&legacy)
-        .zip(&legacy_cached)
-        .zip(&legacy_served)
-    {
-        assert_eq!(a.items, b.items);
-        assert_eq!(a.items, c.items);
-        assert_eq!(a.items, d.items);
-    }
-    client.shutdown();
 }
 
 #[test]
