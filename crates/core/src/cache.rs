@@ -1288,9 +1288,10 @@ mod tests {
     fn bounded_entries_do_not_alias_exact_ones() {
         // The degraded-serving contract: σ materialized under tighter
         // bounds lives under its own key — an exact request never sees it,
-        // and distinct bounds never see each other's entries.
+        // and distinct bounds never see each other's entries. One shard:
+        // both entries must co-reside whatever shards their keys hash to.
         let g = graph();
-        let c = ProximityCache::new(8);
+        let c = ProximityCache::with_shards(8, 1);
         let m = ProximityModel::DistanceDecay { alpha: 0.5 };
         let b2 = SigmaBounds::with_radius(2);
         let b3 = SigmaBounds::with_radius(3);

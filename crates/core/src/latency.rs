@@ -25,17 +25,19 @@
 //!
 //! [`StageLatencies`] bundles one recorder per request-lifecycle stage:
 //!
-//! * **queue wait** — submission to dispatch (time spent queued);
+//! * **queue wait** — submission to dispatch (time spent queued), for
+//!   every *queued* request;
 //! * **σ materialization** — resolving the seeker's proximity vector
 //!   (cache probe + materialization), reported by the processor;
 //! * **scoring** — posting traversal and top-k maintenance, reported by
 //!   the processor;
 //! * **end-to-end** — submission to reply.
 //!
-//! Stage counts are independent: coalesced and memo-served requests have a
-//! queue wait and an end-to-end latency but no σ/scoring execution of
-//! their own, so the execution stages count *executions* while the
-//! lifecycle stages count *requests*.
+//! Stage counts are independent: coalesced and memo-served requests have an
+//! end-to-end latency but no σ/scoring execution of their own, so the
+//! execution stages count *executions* while the lifecycle stages count
+//! *requests* — end-to-end every answered one, queue wait every queued one
+//! (a memo hit answered on the submitting thread never queues).
 //!
 //! Snapshots are plain data, mergeable in any grouping (merge is a
 //! bucket-wise sum, so it is associative and commutative); aggregation
@@ -281,7 +283,8 @@ impl LatencySnapshot {
 /// stages every serving-tier report and gate reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Submission → dispatch (time spent queued).
+    /// Submission → dispatch (time spent queued); counts every *queued*
+    /// request.
     QueueWait,
     /// Resolving the seeker's σ vector (cache probe + materialization).
     Sigma,
@@ -311,7 +314,9 @@ impl Stage {
     }
 }
 
-/// One [`LatencyRecorder`] per lifecycle stage.
+/// One [`LatencyRecorder`] per lifecycle stage. Queue wait counts every
+/// *queued* request, end-to-end every answered one, σ and scoring every
+/// execution.
 #[derive(Debug, Default)]
 pub struct StageLatencies {
     queue_wait: LatencyRecorder,

@@ -116,6 +116,9 @@ pub enum TraceEvent {
     /// That racing batch's WAL receipt: it was appended (and, when
     /// `synced`, fsynced) *before* any shard acknowledged it.
     WalAppend { bytes: u64, synced: bool },
+    /// The submitting thread answered the request itself (a result-cache
+    /// hit): it was never queued and never dispatched.
+    AnsweredAtSubmit,
 }
 
 impl TraceEvent {
@@ -167,6 +170,7 @@ impl TraceEvent {
                 let fsync = if *synced { "fsynced" } else { "buffered" };
                 format!("wal append {bytes} bytes ({fsync})")
             }
+            TraceEvent::AnsweredAtSubmit => "answered at submit: no queue, no dispatch".to_owned(),
         }
     }
 }
@@ -331,6 +335,9 @@ pub struct TraceRecord {
     /// `(bytes, synced)` of that racing batch's WAL append — present only
     /// when the service runs durable.
     pub wal: Option<(u64, bool)>,
+    /// Answered on the submitting thread: the trace has a `submit` span
+    /// where a queued request has its `queue` span.
+    pub at_submit: bool,
 }
 
 impl TraceRecord {
@@ -361,6 +368,7 @@ impl TraceRecord {
             mutation: None,
             invalidated: None,
             wal: None,
+            at_submit: false,
         }
     }
 
@@ -377,33 +385,43 @@ impl TraceRecord {
     /// the reply already carries: queue `[0, queue_wait]`; plan = the
     /// slack between queue exit and σ start (dispatch overhead, injected
     /// delays); σ and scoring from the processor's own nanosecond
-    /// counters; reply at `e2e`.
+    /// counters; reply at `e2e`. A request answered at submit has a
+    /// `submit` span `[0, e2e]` instead of its queue span.
     pub fn finish(self, id: u64, slow: bool) -> QueryTrace {
         let mut spans = Vec::with_capacity(5);
-        let mut queue = TraceSpan {
-            name: "queue",
-            start: Duration::ZERO,
-            end: self.queue_wait,
-            events: Vec::new(),
-        };
-        if self.coalesced {
-            queue.events.push(TraceEvent::Coalesced);
+        if self.at_submit {
+            spans.push(TraceSpan {
+                name: "submit",
+                start: Duration::ZERO,
+                end: self.e2e,
+                events: vec![TraceEvent::AnsweredAtSubmit],
+            });
+        } else {
+            let mut queue = TraceSpan {
+                name: "queue",
+                start: Duration::ZERO,
+                end: self.queue_wait,
+                events: Vec::new(),
+            };
+            if self.coalesced {
+                queue.events.push(TraceEvent::Coalesced);
+            }
+            if self.shed {
+                queue.events.push(TraceEvent::Shed);
+            }
+            if let Some((epoch, mutations)) = self.mutation {
+                queue.events.push(TraceEvent::Mutation { epoch, mutations });
+            }
+            if let Some((sigma, results)) = self.invalidated {
+                queue
+                    .events
+                    .push(TraceEvent::Invalidation { sigma, results });
+            }
+            if let Some((bytes, synced)) = self.wal {
+                queue.events.push(TraceEvent::WalAppend { bytes, synced });
+            }
+            spans.push(queue);
         }
-        if self.shed {
-            queue.events.push(TraceEvent::Shed);
-        }
-        if let Some((epoch, mutations)) = self.mutation {
-            queue.events.push(TraceEvent::Mutation { epoch, mutations });
-        }
-        if let Some((sigma, results)) = self.invalidated {
-            queue
-                .events
-                .push(TraceEvent::Invalidation { sigma, results });
-        }
-        if let Some((bytes, synced)) = self.wal {
-            queue.events.push(TraceEvent::WalAppend { bytes, synced });
-        }
-        spans.push(queue);
 
         let executed = self.stats.is_some();
         if executed || self.fault.is_some() {
@@ -786,6 +804,22 @@ mod tests {
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
         assert_eq!(names, ["queue", "reply"]);
         assert!(trace.render().contains("shed"));
+    }
+
+    #[test]
+    fn a_request_answered_at_submit_has_no_queue_or_execution_spans() {
+        let c = TraceCollector::new(0, TraceConfig::default());
+        let mut rec = record(&c, true, 2);
+        rec.queue_wait = Duration::ZERO;
+        rec.result_cached = Some(true);
+        rec.at_submit = true;
+        let trace = c.retain(rec);
+        let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["submit", "reply"]);
+        assert_eq!(trace.span("submit").unwrap().end, trace.e2e);
+        let rendered = trace.render();
+        assert!(rendered.contains("answered at submit"), "{rendered}");
+        assert!(rendered.contains("result-cache hit"), "{rendered}");
     }
 
     #[test]

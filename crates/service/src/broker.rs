@@ -2,7 +2,7 @@
 //! result memoization, deadline shedding and drain-based shutdown.
 
 use crate::request::{Job, Outcome, Reply, Ticket};
-use crate::result_cache::{ResultCache, ResultKey};
+use crate::result_cache::{KeyMap, ResultCache, ResultKey};
 use crate::stats::{MutationTimes, ServiceStats, ShardState};
 use crossbeam::channel;
 use friends_core::cache::{CachePolicy, ProximityCache, SigmaSweep};
@@ -19,9 +19,8 @@ use friends_core::trace::{QueryTrace, TraceCollector, TraceConfig, TraceOutcome,
 use friends_data::mutations::MutationBatch;
 use friends_data::queries::Query;
 use friends_data::wal::{WalAppend, WalStats};
-use friends_data::UserId;
+use friends_data::{ItemId, UserId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
@@ -353,20 +352,28 @@ pub(crate) fn spawn_worker(
         .expect("spawn worker thread")
 }
 
-/// Enqueues one request on `sender`, returning the [`Ticket`] to wait on.
-/// `shard` is what the ticket reports until a worker answers.
+/// Enqueues one request on `sender`, returning the [`Ticket`] to wait on —
+/// unless the shard memoizes results and already holds this request's
+/// ranking: then the submitting thread answers it ([`answer_at_submit`])
+/// and the ticket comes back completed. `shard` is what the ticket reports
+/// until a worker answers.
 pub(crate) fn enqueue(
     sender: &channel::Sender<WorkItem>,
     state: &ShardState,
     shard: usize,
-    request: QueryRequest,
+    mut request: QueryRequest,
     default_deadline: Option<Duration>,
 ) -> Ticket {
-    let (tx, rx) = channel::bounded(1);
     let now = Instant::now();
     let deadline = request.deadline.resolve(now, default_deadline);
-    let tag = request.tag;
     state.submitted.fetch_add(1, Ordering::Relaxed);
+    if let Some(results) = &state.results {
+        if let Some(ticket) = answer_at_submit(state, results, shard, &mut request, now, deadline) {
+            return ticket;
+        }
+    }
+    let (tx, rx) = channel::bounded(1);
+    let tag = request.tag;
     let depth = state.depth.fetch_add(1, Ordering::Relaxed) + 1;
     state.max_depth.fetch_max(depth, Ordering::Relaxed);
     let job = Job {
@@ -384,11 +391,58 @@ pub(crate) fn enqueue(
     }
     Ticket {
         shard,
-        rx,
+        rx: Some(rx),
         deadline,
         tag,
         stash: None,
     }
+}
+
+/// The submit-side result-cache probe: on a hit the submitting thread
+/// answers the request itself — no queue, no channel, no worker wake-up —
+/// and returns its completed ticket. On a miss the request is handed back
+/// as it came (its query moves into the probe key and back, uncloned) for
+/// the queue, where the worker re-checks before executing it.
+///
+/// Sound because only the shard's worker inserts or sweeps, at its batch
+/// boundaries, and `apply_mutations` acks only after every shard has
+/// swept: a hit is one epoch's answer, and a submit that starts after the
+/// ack cannot see a swept ranking. A request already past its deadline is
+/// not probed — the worker sheds it, and a memo hit must not turn a miss
+/// into `Done`. Out of line so the memo-less submit path stays as it was.
+#[inline(never)]
+fn answer_at_submit(
+    state: &ShardState,
+    results: &ResultCache,
+    shard: usize,
+    request: &mut QueryRequest,
+    submitted: Instant,
+    deadline: Option<Instant>,
+) -> Option<Ticket> {
+    if deadline.is_some_and(|d| d <= submitted) {
+        return None;
+    }
+    let key = group_key(request);
+    let Some((items, residual)) = results.get(&key) else {
+        request.query = key.into_query();
+        return None;
+    };
+    state.result_served.fetch_add(1, Ordering::Relaxed);
+    let bounds = key.bounds();
+    let mut reply = memo_reply(shard, request.tag, &items, residual, !bounds.is_exact());
+    record_reply(
+        state,
+        key.query(),
+        request.trace,
+        submitted,
+        bounds,
+        &mut reply,
+        |rec| {
+            rec.result_cached = Some(true);
+            rec.at_submit = true;
+        },
+    );
+    Some(Ticket::answered(reply, deadline))
 }
 
 /// The running service: N worker shards behind MPMC queues. Dropping the
@@ -760,7 +814,8 @@ impl Drop for FriendsService {
 /// with equal keys are interchangeable executions; requests at different
 /// degradation levels never coalesce and never share memoized rankings.
 /// The key takes ownership of the request's query (no clone): `run_group`
-/// executes from the key, and duplicate keys are simply dropped.
+/// executes from the key, duplicate keys are simply dropped, and a
+/// submit-side probe that misses hands the query back.
 fn group_key(request: &mut QueryRequest) -> ResultKey {
     let query = std::mem::replace(
         &mut request.query,
@@ -770,12 +825,12 @@ fn group_key(request: &mut QueryRequest) -> ResultKey {
             k: 0,
         },
     );
-    (
+    ResultKey::new(
         query,
-        request.model.key_bits(),
+        request.model,
         request.strategy,
         request.processor,
-        request.bounds.key_bits(),
+        request.bounds,
     )
 }
 
@@ -890,7 +945,7 @@ where
 {
     let mut engine = rebuild();
     let mut batch: Vec<Job> = Vec::new();
-    let mut groups: HashMap<ResultKey, Vec<Job>> = HashMap::new();
+    let mut groups: KeyMap<ResultKey, Vec<Job>> = KeyMap::default();
     loop {
         let mut pending: Option<MutationJob> = None;
         match rx.recv() {
@@ -998,60 +1053,110 @@ struct Cycle<'a> {
 }
 
 impl Cycle<'_> {
-    /// The one reply path. Stamps the queue wait, records what every
-    /// answered request records, retains the request's trace when the
-    /// collector wants one — the cold path; `None` (the common case) costs
-    /// nothing beyond the `wants` check, and `fill` adds what only the call
-    /// site knows — and answers the ticket. `query` is passed separately
-    /// because coalescing moves it out of the job and into the group key;
-    /// `bounds` are the effective σ bounds the group ran under.
+    /// The worker's one reply path: stamps the queue wait, records what
+    /// every answered request records ([`record_reply`], adding the
+    /// mutation this cycle raced to the trace) and answers the ticket.
+    /// `query` is passed separately because coalescing moves it out of the
+    /// job and into the group key; `bounds` are the effective σ bounds the
+    /// group ran under.
     fn reply(
         &self,
         job: &Job,
         query: &Query,
-        sampled: bool,
         bounds: SigmaBounds,
         mut reply: Reply,
         fill: impl FnOnce(&mut TraceRecord),
     ) {
-        let state = self.state;
         reply.queue_wait = self.started - job.submitted;
-        let e2e = job.submitted.elapsed();
-        let outcome = match &reply.outcome {
-            Outcome::Done(result) => {
-                state.latency.record(Stage::EndToEnd, e2e);
-                if reply.degraded {
-                    state.record_degraded(reply.residual);
+        let raced = self.raced;
+        record_reply(
+            self.state,
+            query,
+            job.request.trace,
+            job.submitted,
+            bounds,
+            &mut reply,
+            |rec| {
+                if let Some(m) = raced {
+                    rec.mutation = Some((m.epoch, m.mutations));
+                    rec.invalidated = Some((m.prox_invalidated, m.results_invalidated));
+                    rec.wal = m.wal.map(|w| (w.bytes, w.synced));
                 }
-                TraceOutcome::Done {
-                    items: result.items.len(),
-                }
-            }
-            Outcome::DeadlineMissed => TraceOutcome::DeadlineMissed,
-            Outcome::Failed => TraceOutcome::Failed,
-        };
-        let missed = outcome == TraceOutcome::DeadlineMissed;
-        if state.traces.wants(job.request.trace, sampled, e2e, missed) {
-            let mut rec = TraceRecord::new(self.shard, query, job.request.tag, job.request.trace);
-            rec.sampled = sampled;
-            rec.outcome = outcome;
-            rec.e2e = e2e;
-            rec.queue_wait = reply.queue_wait;
-            rec.coalesced = reply.coalesced;
-            if reply.degraded {
-                rec.degraded = Some((bounds.max_radius, bounds.min_mass));
-                rec.residual = reply.residual;
-            }
-            if let Some(m) = self.raced {
-                rec.mutation = Some((m.epoch, m.mutations));
-                rec.invalidated = Some((m.prox_invalidated, m.results_invalidated));
-                rec.wal = m.wal.map(|w| (w.bytes, w.synced));
-            }
-            fill(&mut rec);
-            reply.trace = Some(state.traces.retain(rec));
-        }
+                fill(rec);
+            },
+        );
         let _ = job.reply.send(reply);
     }
+}
+
+/// What every answered request records, wherever it was answered — in a
+/// worker's dispatch cycle ([`Cycle::reply`]) or on the submitting thread
+/// ([`answer_at_submit`]): its end-to-end latency, a degraded completion's
+/// residual, and its trace when the collector wants one. The trace is the
+/// cold path: the head-sampling decision (one relaxed `fetch_add`) and the
+/// `wants` check are all an untraced request pays, and `fill` adds what
+/// only the call site knows. `bounds` are the effective σ bounds the
+/// answer was computed under.
+fn record_reply(
+    state: &ShardState,
+    query: &Query,
+    forced: bool,
+    submitted: Instant,
+    bounds: SigmaBounds,
+    reply: &mut Reply,
+    fill: impl FnOnce(&mut TraceRecord),
+) {
+    let sampled = state.traces.should_sample();
+    let e2e = submitted.elapsed();
+    let outcome = match &reply.outcome {
+        Outcome::Done(result) => {
+            state.latency.record(Stage::EndToEnd, e2e);
+            if reply.degraded {
+                state.record_degraded(reply.residual);
+            }
+            TraceOutcome::Done {
+                items: result.items.len(),
+            }
+        }
+        Outcome::DeadlineMissed => TraceOutcome::DeadlineMissed,
+        Outcome::Failed => TraceOutcome::Failed,
+    };
+    let missed = outcome == TraceOutcome::DeadlineMissed;
+    if state.traces.wants(forced, sampled, e2e, missed) {
+        let mut rec = TraceRecord::new(reply.shard, query, reply.tag, forced);
+        rec.sampled = sampled;
+        rec.outcome = outcome;
+        rec.e2e = e2e;
+        rec.queue_wait = reply.queue_wait;
+        rec.coalesced = reply.coalesced;
+        if reply.degraded {
+            rec.degraded = Some((bounds.max_radius, bounds.min_mass));
+            rec.residual = reply.residual;
+        }
+        fill(&mut rec);
+        reply.trace = Some(state.traces.retain(rec));
+    }
+}
+
+/// The reply of a result-cache hit: a copy of the memoized ranking — the
+/// one allocation a hit makes — with its residual certificate and empty
+/// execution stats (nothing executed).
+fn memo_reply(
+    shard: usize,
+    tag: u64,
+    items: &[(ItemId, f32)],
+    residual: f64,
+    degraded: bool,
+) -> Reply {
+    let result = SearchResult {
+        items: items.to_vec(),
+        stats: Default::default(),
+        residual,
+    };
+    let mut reply = Reply::done(shard, tag, result);
+    reply.result_cached = true;
+    reply.degraded = degraded;
+    reply
 }
 
 /// Executes one drained batch: tighten bounds to the controller's level,
@@ -1062,7 +1167,7 @@ fn dispatch<'c, R>(
     engine: &mut PlannedExecutor<'c>,
     rebuild: &R,
     batch: &mut Vec<Job>,
-    groups: &mut HashMap<ResultKey, Vec<Job>>,
+    groups: &mut KeyMap<ResultKey, Vec<Job>>,
     cycle: &Cycle<'_>,
     config: &WorkerConfig,
     ctl: &mut WorkerCtl,
@@ -1092,8 +1197,10 @@ fn dispatch<'c, R>(
 }
 
 /// Sheds expired members of one duplicate-request group, answers the
-/// survivors from the result cache when possible, otherwise executes the
-/// query once (inside panic containment) and fans the result out.
+/// survivors from the result cache when possible (the re-check: another
+/// cycle may have memoized the ranking since their submit-side probe
+/// missed), otherwise executes the query once (inside panic containment)
+/// and fans the result out.
 fn run_group<'c, R>(
     engine: &mut PlannedExecutor<'c>,
     rebuild: &R,
@@ -1107,17 +1214,12 @@ fn run_group<'c, R>(
     let (state, shard) = (cycle.state, cycle.shard);
     // Every job in the group shares the key — hence the model (read off
     // the first job below) and the effective bounds.
-    let (query, _, strategy, processor, bounds_bits) = &key;
-    let bounds = SigmaBounds {
-        max_radius: bounds_bits.0,
-        min_mass: f64::from_bits(bounds_bits.1),
-    };
+    let query = key.query();
+    let bounds = key.bounds();
     let degraded = !bounds.is_exact();
     // Shed what already expired in the queue; execute for the rest.
-    let mut live: Vec<(Job, bool)> = Vec::with_capacity(jobs.len());
+    let mut live: Vec<Job> = Vec::with_capacity(jobs.len());
     for job in jobs {
-        // The head-sampling decision — tracing's only hot-path cost.
-        let sampled = state.traces.should_sample();
         // Queue wait is a property of queuing: every dispatched job has
         // one, shed or served.
         state
@@ -1126,9 +1228,9 @@ fn run_group<'c, R>(
         if job.deadline.is_some_and(|d| cycle.started > d) {
             state.deadline_misses.fetch_add(1, Ordering::Relaxed);
             let reply = Reply::deadline_missed(shard, job.request.tag);
-            cycle.reply(&job, query, sampled, bounds, reply, |rec| rec.shed = true);
+            cycle.reply(&job, query, bounds, reply, |rec| rec.shed = true);
         } else {
-            live.push((job, sampled));
+            live.push(job);
         }
     }
     if live.is_empty() {
@@ -1137,29 +1239,21 @@ fn run_group<'c, R>(
     // Epoch read at the miss: if an invalidation lands while the query
     // executes, the insert below is dropped rather than caching a
     // pre-invalidation ranking as fresh.
-    let observed_epoch = state.results.as_ref().map(|rc| rc.epoch());
-    if let Some((items, residual)) = state.results.as_ref().and_then(|rc| rc.get(&key)) {
+    let memo = state.results.as_ref().map(|rc| (rc, rc.epoch()));
+    if let Some((items, residual)) = memo.and_then(|(rc, _)| rc.recheck(&key)) {
         state
             .result_served
             .fetch_add(live.len() as u64, Ordering::Relaxed);
-        for (job, sampled) in live {
-            // Memo hits have an end-to-end latency but no σ or scoring
-            // execution (and no stats) of their own.
-            let result = SearchResult {
-                items: (*items).clone(),
-                stats: Default::default(),
-                residual,
-            };
-            let mut reply = Reply::done(shard, job.request.tag, result);
-            reply.result_cached = true;
-            reply.degraded = degraded;
-            cycle.reply(&job, query, sampled, bounds, reply, |rec| {
+        for job in live {
+            let reply = memo_reply(shard, job.request.tag, &items, residual, degraded);
+            cycle.reply(&job, query, bounds, reply, |rec| {
                 rec.result_cached = Some(true)
             });
         }
         return;
     }
-    let model = live[0].0.request.model;
+    let model = live[0].request.model;
+    let (strategy, processor) = (key.strategy(), key.processor());
     let fault = ctl.take_fault();
     // An injected `Error` fails the group without executing. A panic
     // (injected or real) is contained: the whole group was riding this
@@ -1174,7 +1268,7 @@ fn run_group<'c, R>(
                     Some(FaultKind::Delay(d)) => std::thread::sleep(d),
                     _ => {}
                 }
-                engine.execute(query, model, *strategy, *processor, bounds)
+                engine.execute(query, model, strategy, processor, bounds)
             }));
             if run.is_err() {
                 state.worker_restarts.fetch_add(1, Ordering::Relaxed);
@@ -1185,10 +1279,10 @@ fn run_group<'c, R>(
     };
     let Some(result) = run else {
         state.failed.fetch_add(live.len() as u64, Ordering::Relaxed);
-        for (job, sampled) in &live {
+        for job in &live {
             let mut reply = Reply::failed(shard, job.request.tag);
             reply.degraded = degraded;
-            cycle.reply(job, query, *sampled, bounds, reply, |rec| {
+            cycle.reply(job, query, bounds, reply, |rec| {
                 rec.fault = fault.map(fault_name)
             });
         }
@@ -1206,16 +1300,20 @@ fn run_group<'c, R>(
         .record_ns(Stage::Scoring, result.stats.scoring_ns);
     let stats = result.stats;
     let residual = result.residual;
-    // Clone the ranking for memoization before the fan-out consumes the
-    // result; the insert itself waits until after the loop (it takes the
-    // key, whose query the trace sites still borrow).
-    let memo_items = state
-        .results
-        .as_ref()
-        .map(|_| Arc::new(result.items.clone()));
+    // Memoize before the fan-out: a repeat submitted after any of these
+    // replies is then answered at submit. The cache takes the key; the
+    // trace sites below borrow the query from the key it hands back.
+    let memoized;
+    let query = match memo {
+        Some((rc, epoch)) => {
+            memoized = rc.insert(key, Arc::new(result.items.clone()), residual, epoch);
+            memoized.query()
+        }
+        None => key.query(),
+    };
     let count = live.len();
     let mut remaining = Some(result);
-    for (i, (job, sampled)) in live.into_iter().enumerate() {
+    for (i, job) in live.into_iter().enumerate() {
         // Waiters beyond the first are coalesced onto the single
         // execution; the last reply moves the original result.
         let r = if i + 1 == count {
@@ -1226,11 +1324,11 @@ fn run_group<'c, R>(
         let mut reply = Reply::done(shard, job.request.tag, r);
         reply.coalesced = i != 0;
         reply.degraded = degraded;
-        cycle.reply(&job, query, sampled, bounds, reply, |rec| {
+        cycle.reply(&job, query, bounds, reply, |rec| {
             rec.fill_execution(&stats);
             // Planning is deterministic and cheap, so re-planning on this
             // cold path beats threading the decision through the hot one.
-            let plan = engine.plan(query, model, *strategy, *processor, bounds);
+            let plan = engine.plan(query, model, strategy, processor, bounds);
             rec.plan = Some((
                 plan.processor_name,
                 STRATEGY_LABELS[strategy_index(plan.strategy)],
@@ -1238,15 +1336,6 @@ fn run_group<'c, R>(
             rec.result_cached = state.results.is_some().then_some(false);
             rec.fault = fault.map(fault_name);
         });
-    }
-    if let Some(rc) = &state.results {
-        let epoch = observed_epoch.expect("epoch read with the cache present");
-        rc.insert(
-            key,
-            memo_items.expect("cloned with the cache present"),
-            residual,
-            epoch,
-        );
     }
 }
 
@@ -2347,6 +2436,186 @@ mod tests {
             b2.outcome.result().expect("done").items,
             direct.query(&q).items
         );
+        svc.shutdown();
+    }
+
+    /// A one-shard service that memoizes results, with head sampling off.
+    fn memoizing(
+        max_batch: usize,
+        fault: Option<FaultPlan>,
+    ) -> (FriendsService, Arc<Corpus>, QueryWorkload) {
+        let (corpus, w) = fixture();
+        let svc = start(
+            &corpus,
+            ServiceConfig {
+                shards: 1,
+                max_batch,
+                fault,
+                result_cache_capacity: 256,
+                trace: TraceConfig {
+                    sample_every: 0,
+                    ..TraceConfig::default()
+                },
+                ..ServiceConfig::default()
+            },
+        );
+        (svc, corpus, w)
+    }
+
+    /// Whether the submitting thread answered the ticket's request: such a
+    /// ticket never owned a reply channel.
+    fn answered_at_submit(ticket: &Ticket) -> bool {
+        ticket.rx.is_none()
+    }
+
+    #[test]
+    fn a_memoized_request_past_its_deadline_is_shed_not_answered_at_submit() {
+        let (svc, _, w) = memoizing(256, None);
+        let q = &w.queries[0];
+        let _ = run(&svc, std::slice::from_ref(q)); // memoized
+        let hit = svc.submit(request(q));
+        assert!(answered_at_submit(&hit));
+        assert!(hit.wait().result_cached);
+        let doomed = svc.submit(request(q).with_deadline(Duration::ZERO));
+        assert!(!answered_at_submit(&doomed), "an expired request is queued");
+        let reply = doomed.wait();
+        assert!(
+            matches!(reply.outcome, Outcome::DeadlineMissed),
+            "{:?}",
+            reply.outcome
+        );
+        let totals = svc.shutdown().totals();
+        assert_eq!(
+            (totals.result_served, totals.deadline_misses),
+            (1, 1),
+            "{totals:?}"
+        );
+    }
+
+    /// The `degraded_rankings_never_alias_exact_in_the_result_cache`
+    /// contract where hits are answered: on the submitting thread.
+    #[test]
+    fn degraded_and_exact_rankings_never_alias_at_submit() {
+        let (svc, corpus, _) = memoizing(256, None);
+        let q = Query {
+            seeker: 5,
+            tags: vec![0, 1],
+            k: 10,
+        };
+        let bounds = Planner::degraded_bounds(2);
+        let degraded = || request(&q).without_deadline().with_bounds(bounds);
+        let exact = || request(&q).without_deadline();
+        let first = svc.submit(degraded()).wait();
+        assert!(first.degraded && !first.result_cached);
+        // Only the degraded ranking is memoized: the exact request must
+        // miss at submit and execute.
+        let t = svc.submit(exact());
+        assert!(!answered_at_submit(&t));
+        let b = t.wait();
+        assert!(
+            !b.degraded && !b.result_cached && b.residual == 0.0,
+            "{b:?}"
+        );
+        // Both memoized now: each answers its own kind at submit.
+        let t = svc.submit(degraded());
+        assert!(answered_at_submit(&t));
+        let a2 = t.wait();
+        assert!(a2.degraded && a2.result_cached, "{a2:?}");
+        assert_eq!(a2.residual, first.residual);
+        let t = svc.submit(exact());
+        assert!(answered_at_submit(&t));
+        let b2 = t.wait();
+        assert!(
+            !b2.degraded && b2.result_cached && b2.residual == 0.0,
+            "{b2:?}"
+        );
+        assert_eq!(
+            b2.outcome.result().expect("done").items,
+            ExactOnline::new(&corpus, MODEL).query(&q).items
+        );
+        let totals = svc.shutdown().totals();
+        // Degraded completions count whichever path answered them.
+        assert_eq!(totals.degraded, 2, "{totals:?}");
+    }
+
+    /// Hits at submit count as `result_served` and keep the identity
+    /// `submitted = executed + coalesced + result_served + misses +
+    /// failed`; they never reach a dispatch cycle, so they add no batch and
+    /// no queue-wait sample. The result cache counts every probed request
+    /// once — including one that missed at submit and then hit the
+    /// worker's re-check.
+    #[test]
+    fn submit_side_hits_balance_the_counters_and_skip_the_queue() {
+        // One request per dispatch cycle, and a first execution stalled
+        // long enough for two duplicates to queue behind it: they land in
+        // different cycles, so the second one hits the re-check.
+        let stall = FaultPlan {
+            nth: 1,
+            kind: FaultKind::Delay(Duration::from_millis(200)),
+        };
+        let (svc, _, w) = memoizing(1, Some(stall));
+        // k = 7: no workload query (all k = 10) shares its key.
+        let q = Query {
+            seeker: 11,
+            tags: vec![2],
+            k: 7,
+        };
+        let plug = svc.submit(request(&w.queries[0]));
+        let first = svc.submit(request(&q));
+        let second = svc.submit(request(&q));
+        assert!(!answered_at_submit(&first) && !answered_at_submit(&second));
+        assert!(!plug.wait().result_cached && !first.wait().result_cached);
+        assert!(second.wait().result_cached, "the re-check must serve it");
+        let _ = run(&svc, &w.queries);
+        let before = svc.stats().totals();
+        let tickets: Vec<Ticket> = w.queries.iter().map(|p| svc.submit(request(p))).collect();
+        assert!(tickets.iter().all(answered_at_submit));
+        for t in tickets {
+            let reply = t.wait();
+            assert!(reply.result_cached && reply.queue_wait == Duration::ZERO);
+        }
+        let after = svc.shutdown().totals();
+        let n = w.len() as u64;
+        assert_eq!(after.result_served, before.result_served + n, "{after:?}");
+        assert_eq!(after.batches, before.batches, "{after:?}");
+        assert_eq!(
+            after.latency.queue_wait.count(),
+            before.latency.queue_wait.count()
+        );
+        assert_eq!(after.latency.e2e.count(), before.latency.e2e.count() + n);
+        assert_eq!(after.results.hits, before.results.hits + n);
+        assert_eq!(
+            after.results.hits + after.results.misses,
+            after.submitted,
+            "every request probed once: {after:?}"
+        );
+        assert_eq!(
+            after.executed
+                + after.coalesced
+                + after.result_served
+                + after.deadline_misses
+                + after.failed,
+            after.submitted,
+            "{after:?}"
+        );
+    }
+
+    #[test]
+    fn a_traced_request_answered_at_submit_explains_itself() {
+        let (svc, _, w) = memoizing(256, None);
+        let q = &w.queries[3];
+        let _ = run(&svc, std::slice::from_ref(q));
+        let t = svc.submit(request(q).with_trace());
+        assert!(answered_at_submit(&t));
+        let reply = t.wait();
+        let trace = reply.trace.as_ref().expect("forced trace");
+        let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["submit", "reply"], "no queue, no dispatch spans");
+        let explain = reply.explain().expect("traced");
+        assert!(explain.contains("answered at submit"), "{explain}");
+        assert!(explain.contains("result-cache hit"), "{explain}");
+        let retained = svc.slow_queries();
+        assert!(retained.iter().any(|t| Some(t.id) == reply.trace_id()));
         svc.shutdown();
     }
 

@@ -64,7 +64,10 @@
 //!   `(query, model, strategy) → ranking` cache with the same TinyLFU
 //!   admission as the proximity cache serves repeats that arrive in
 //!   *different* dispatch cycles, invalidated in one stroke by a corpus
-//!   epoch counter ([`FriendsService::invalidate_results`]).
+//!   epoch counter ([`FriendsService::invalidate_results`]) or per
+//!   seeker/tag by a mutation batch. `submit` probes it on the submitting
+//!   thread: a hit comes back as an already-answered [`Ticket`], with no
+//!   queue hop and no worker wake-up.
 //! * **Admission-controlled private caches** — every shard owns an
 //!   unsharded [`friends_core::cache::ProximityCache`] with TinyLFU-style
 //!   admission (and optional TTL): uncontended for its owner, and scan

@@ -130,13 +130,27 @@ impl Reply {
 /// block.
 pub struct Ticket {
     pub(crate) shard: usize,
-    pub(crate) rx: channel::Receiver<Reply>,
+    /// Where a worker sends the reply; `None` for a request answered on
+    /// the submitting thread, whose reply sits in `stash` from the start.
+    pub(crate) rx: Option<channel::Receiver<Reply>>,
     pub(crate) deadline: Option<Instant>,
     pub(crate) tag: u64,
     pub(crate) stash: Option<Reply>,
 }
 
 impl Ticket {
+    /// A ticket whose request was answered at submission: it owns no
+    /// channel, and every take returns `reply` at once.
+    pub(crate) fn answered(reply: Reply, deadline: Option<Instant>) -> Self {
+        Ticket {
+            shard: reply.shard,
+            rx: None,
+            deadline,
+            tag: reply.tag,
+            stash: Some(reply),
+        }
+    }
+
     /// Whether the reply has arrived (buffering it for
     /// [`Ticket::try_take`]). Never blocks. A dead worker counts as
     /// arrived (the buffered reply is [`Outcome::Failed`]).
@@ -144,13 +158,13 @@ impl Ticket {
         if self.stash.is_some() {
             return true;
         }
-        match self.rx.try_recv() {
-            Ok(reply) => {
+        match self.rx.as_ref().map(channel::Receiver::try_recv) {
+            Some(Ok(reply)) => {
                 self.stash = Some(reply);
                 true
             }
-            Err(channel::TryRecvError::Empty) => false,
-            Err(channel::TryRecvError::Disconnected) => {
+            Some(Err(channel::TryRecvError::Empty)) => false,
+            None | Some(Err(channel::TryRecvError::Disconnected)) => {
                 self.stash = Some(Reply::failed(self.shard, self.tag));
                 true
             }
@@ -174,9 +188,9 @@ impl Ticket {
         if let Some(reply) = self.stash.take() {
             return reply;
         }
-        match self.rx.recv() {
-            Ok(reply) => reply,
-            Err(channel::RecvError) => Reply::failed(self.shard, self.tag),
+        match self.rx.as_ref().map(channel::Receiver::recv) {
+            Some(Ok(reply)) => reply,
+            None | Some(Err(channel::RecvError)) => Reply::failed(self.shard, self.tag),
         }
     }
 
@@ -191,7 +205,7 @@ impl Ticket {
         if let Some(reply) = self.stash.take() {
             return reply;
         }
-        let Some(deadline) = self.deadline else {
+        let (Some(deadline), Some(rx)) = (self.deadline, &self.rx) else {
             return self.wait();
         };
         loop {
@@ -199,7 +213,7 @@ impl Ticket {
             if now >= deadline {
                 return Reply::deadline_missed(self.shard, self.tag);
             }
-            match self.rx.recv_timeout(deadline - now) {
+            match rx.recv_timeout(deadline - now) {
                 Ok(reply) => return reply,
                 Err(channel::RecvTimeoutError::Timeout) => continue,
                 Err(channel::RecvTimeoutError::Disconnected) => {

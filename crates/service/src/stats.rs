@@ -47,7 +47,8 @@ pub(crate) struct ShardState {
     pub results: Option<Arc<ResultCache>>,
     pub plans: Arc<PlanCounters>,
     /// Per-stage latency histograms (queue wait, σ materialization,
-    /// scoring, end-to-end) — lock-free, recorded by the worker loop.
+    /// scoring, end-to-end) — lock-free, recorded by the worker loop and
+    /// by result-cache hits answered at submit.
     pub latency: StageLatencies,
     /// Per-shard trace retention: head sampling, the sampled ring, and
     /// the slow-query log.
@@ -144,7 +145,9 @@ pub struct ShardStats {
     /// Requests answered by another identical request's execution.
     pub coalesced: u64,
     /// Requests answered out of the result-memoization cache (no
-    /// execution, no coalescing). Always 0 when the cache is disabled.
+    /// execution, no coalescing) — on the submitting thread, or by the
+    /// worker's re-check of a request that missed there. Always 0 when the
+    /// cache is disabled.
     pub result_served: u64,
     /// Requests shed because their deadline passed while queued.
     pub deadline_misses: u64,
@@ -159,7 +162,7 @@ pub struct ShardStats {
     /// Largest score-space residual certificate reported by any degraded
     /// reply (0.0 when nothing degraded).
     pub max_residual: f64,
-    /// Dispatch cycles run.
+    /// Dispatch cycles run. Requests answered at submit never reach one.
     pub batches: u64,
     /// Largest batch drained in one dispatch cycle.
     pub max_batch: usize,
@@ -179,10 +182,10 @@ pub struct ShardStats {
     pub results: CacheStats,
     /// Planner decisions on this shard.
     pub plans: PlanHistogram,
-    /// Per-stage latency histograms. Queue wait and end-to-end count
-    /// *requests* (every dispatched / every answered one); σ and scoring
-    /// count *executions* — coalesced and memo-served requests ride an
-    /// execution they did not pay for.
+    /// Per-stage latency histograms. Queue wait counts every *queued*
+    /// request (a hit answered at submit never queued) and end-to-end every
+    /// answered one; σ and scoring count *executions* — coalesced and
+    /// memo-served requests ride an execution they did not pay for.
     pub latency: StageSnapshot,
     /// Traces lost on contended trace-ring slots (0 in practice: the ring
     /// is shard-private and contention needs a concurrent drain).
