@@ -1,5 +1,5 @@
-//! A sharded, LRU seeker-proximity cache with optional admission control
-//! and TTL expiry.
+//! The seeker-proximity cache, and the cache engine ([`AdmissionLru`]) it
+//! shares with `friends_service`'s result cache.
 //!
 //! Real query traffic is heavily skewed toward repeat seekers (the Zipf
 //! workload of Fig 7 / `fig9_hot_path`), and `σ(seeker, ·)` depends only on
@@ -7,47 +7,36 @@
 //! materialized [`ProximityVec`] therefore converts the dominant per-query
 //! cost (a graph traversal) into an `Arc` clone for every repeated seeker.
 //!
-//! The cache is sharded by key hash so a `DirectClient`'s workers contend only
-//! 1/`shards` of the time; each shard is an exact LRU (hash map + recency
-//! index, both `O(log n)` worst case per touch). `friends_service` workers
-//! instead use [`ProximityCache::unsharded`] — one shard owned by one
-//! worker, so the lock is always uncontended.
-//!
-//! [`CachePolicy`] adds two serving-era behaviors on top of plain LRU:
-//!
-//! * **TinyLFU-style admission** — each shard keeps a 4-bit count-min
-//!   sketch of key access frequencies (periodically halved, so estimates
-//!   age). When a full shard would evict its LRU victim for a new key, the
-//!   insert is *rejected* unless the new key has been asked for more often
-//!   than the victim: one-hit wonders cannot wash a skewed working set out
-//!   of a small cache.
-//! * **TTL** — entries older than the configured lifetime are treated as
-//!   misses and dropped on access: the invalidation hook a mutable graph
-//!   will need (σ staleness is bounded by the TTL).
+//! [`ProximityCache`] is sharded by key hash so a `DirectClient`'s workers
+//! contend only 1/`shards` of the time; `friends_service` workers each own
+//! a one-shard cache, so the lock is always uncontended. Each shard is one
+//! [`AdmissionLru`]: LRU plus the [`CachePolicy`] behaviors — TinyLFU
+//! admission, so one-hit wonders cannot wash a skewed working set out of a
+//! small cache, and a TTL bounding σ staleness in wall-clock time.
 //!
 //! ## Byte budgets
 //!
-//! Capacity can be stated in **entries** (the legacy knob) or in **bytes**
+//! Capacity can be stated in **entries** or in **bytes**
 //! ([`ProximityCache::with_byte_budget`]); both limits are enforced when
-//! both are set. Byte accounting charges each entry its
-//! [`ProximityVec::memory_bytes`] plus a fixed bookkeeping overhead, so the
-//! budget tracks what the cache actually holds: thousands of small
-//! reach-proportional `Touched` snapshots fit in the space a few dozen dense
-//! vectors used to occupy — which is exactly what lifts the hit rate on
-//! Zipf-tail seekers, whose σ is small but numerous. Eviction stays LRU
-//! (evicting as many victims as the incoming entry needs), and TinyLFU
-//! admission still protects every victim: if any would-be victim is hotter
-//! than the newcomer, the insert is rejected instead.
+//! both are set. Each entry is charged its [`ProximityVec::memory_bytes`]
+//! plus a fixed bookkeeping overhead, so the budget tracks what the cache
+//! actually holds: thousands of small reach-proportional `Touched` snapshots
+//! fit in the space a few dozen dense vectors used to occupy — which is
+//! exactly what lifts the hit rate on Zipf-tail seekers, whose σ is small
+//! but numerous. Admission then weighs frequency per charged byte, so a
+//! dense snapshot must be proportionally hotter than the entries it evicts.
+
+mod lru;
+
+pub use lru::{AdmissionLru, KeyHasher, KeyMap, Sweep};
 
 use crate::proximity::{ProximityModel, ProximityVec, SigmaBounds, SigmaRepair};
 use friends_graph::traversal::EdgeEdit;
 use friends_graph::{CsrGraph, NodeId};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// `(graph, seeker, model, bounds)` identity: the graph contributes its
 /// process-unique token (so one cache shared across corpora can never serve
@@ -55,19 +44,46 @@ use std::time::{Duration, Instant};
 /// parameter bits (so e.g. `Ppr{eps=1e-4}` and `Ppr{eps=1e-5}` never
 /// alias), and the `SigmaBounds` their exact bits — a σ materialized under
 /// degraded bounds must never be served for an exact request, nor vice
-/// versa.
-type Key = (u64, NodeId, u8, u64, u64, u32, u64);
-
-fn key_of(graph: &CsrGraph, seeker: NodeId, model: ProximityModel, bounds: SigmaBounds) -> Key {
-    let (tag, a, b) = model.key_bits();
-    let (radius, mass) = bounds.key_bits();
-    (graph.token(), seeker, tag, a, b, radius, mass)
+/// versa. Hashed once, when it is built.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct SigmaKey {
+    /// SipHash of the fields below; first, so unequal keys differ fast.
+    hash: u64,
+    graph: u64,
+    seeker: NodeId,
+    model: (u8, u64, u64),
+    bounds: (u32, u64),
 }
 
-fn hash_key(key: &Key) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
+impl SigmaKey {
+    fn new(graph: &CsrGraph, seeker: NodeId, model: ProximityModel, bounds: SigmaBounds) -> Self {
+        let (graph, model, bounds) = (graph.token(), model.key_bits(), bounds.key_bits());
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        (graph, seeker, model.0, model.1, model.2, bounds.0, bounds.1).hash(&mut h);
+        SigmaKey {
+            hash: h.finish(),
+            graph,
+            seeker,
+            model,
+            bounds,
+        }
+    }
+}
+
+impl Hash for SigmaKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// A cached vector plus the model/bounds behind its key's bits, kept so the
+/// live-graph sweep ([`ProximityCache::repair_affected`]) can repair it for
+/// a new epoch — key bits alone cannot be mapped back to a
+/// [`ProximityModel`].
+struct SigmaEntry {
+    sigma: Arc<ProximityVec>,
+    model: ProximityModel,
+    bounds: SigmaBounds,
 }
 
 /// Optional cache behaviors layered over the LRU core; the default policy
@@ -83,13 +99,10 @@ pub struct CachePolicy {
 }
 
 /// A 4-bit count-min sketch over key hashes — the frequency memory behind
-/// TinyLFU admission. Counters saturate at 15 and are halved once the number
-/// of recorded accesses reaches the sample period, so the sketch tracks
-/// *recent* popularity rather than all-time counts.
-///
-/// Public as a building block: `friends_service`'s result-memoization cache
-/// reuses it for the same admission policy over `(query, strategy)` keys.
-pub struct FreqSketch {
+/// [`AdmissionLru`]'s TinyLFU admission. Counters saturate at 15 and are
+/// halved once the number of recorded accesses reaches the sample period,
+/// so the sketch tracks *recent* popularity rather than all-time counts.
+struct FreqSketch {
     /// Two 4-bit counters per byte; `width` nibble slots per row, 4 rows.
     table: Vec<u8>,
     width_mask: u64,
@@ -100,14 +113,16 @@ pub struct FreqSketch {
 impl FreqSketch {
     const ROWS: u64 = 4;
 
-    /// A sketch sized for a cache of `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        let width = (capacity.max(8) * 8).next_power_of_two() as u64;
+    /// A sketch sized for a cache of `entries` entries, clamped to
+    /// `[8, 2^20]` so no capacity can overflow the sizing arithmetic.
+    fn new(entries: usize) -> Self {
+        let entries = entries.clamp(8, 1 << 20) as u64;
+        let width = (entries * 8).next_power_of_two();
         FreqSketch {
             table: vec![0u8; (width * Self::ROWS / 2) as usize],
             width_mask: width - 1,
             ops: 0,
-            sample_period: (capacity.max(8) as u64) * 10,
+            sample_period: entries * 10,
         }
     }
 
@@ -132,7 +147,7 @@ impl FreqSketch {
 
     /// Records one access of `hash`, halving every counter at the end of
     /// each sample period (the aging step).
-    pub fn record(&mut self, hash: u64) {
+    fn record(&mut self, hash: u64) {
         for row in 0..Self::ROWS {
             let s = self.slot(hash, row);
             self.bump(s);
@@ -149,7 +164,7 @@ impl FreqSketch {
     }
 
     /// Count-min frequency estimate of `hash`.
-    pub fn estimate(&self, hash: u64) -> u8 {
+    fn estimate(&self, hash: u64) -> u8 {
         (0..Self::ROWS)
             .map(|row| self.read(self.slot(hash, row)))
             .min()
@@ -157,40 +172,16 @@ impl FreqSketch {
     }
 }
 
-struct Slot {
-    value: Arc<ProximityVec>,
-    /// Recency stamp; also the key into the shard's recency index.
-    stamp: u64,
-    inserted_at: Instant,
-    /// Bytes charged against the shard's budget for this entry.
-    bytes: usize,
-    /// The model/bounds behind the key's bits, kept so the live-graph
-    /// sweep ([`ProximityCache::repair_affected`]) can repair the entry for
-    /// a new epoch — key bits alone cannot be mapped back to a
-    /// [`ProximityModel`].
-    model: ProximityModel,
-    bounds: SigmaBounds,
-}
-
-struct Shard {
-    map: HashMap<Key, Slot>,
-    /// stamp → key, oldest first: the eviction order.
-    recency: BTreeMap<u64, Key>,
-    tick: u64,
-    /// `tick` when the last live-graph sweep ended: an entry whose stamp is
-    /// newer was hit or inserted since.
-    swept_at: u64,
-    /// Sum of `Slot::bytes` over the map.
-    bytes: usize,
-    /// Present iff the policy enables admission.
-    sketch: Option<FreqSketch>,
-}
-
 /// Fixed per-entry bookkeeping charge (key, slot, map/recency nodes) added
 /// to [`ProximityVec::memory_bytes`] when charging a byte budget, so even
 /// zero-byte values (`AllOnes`) cannot make a budget admit unboundedly many
 /// entries.
 const ENTRY_OVERHEAD_BYTES: usize = 96;
+
+/// The byte charge of one cached vector.
+fn charge_of(sigma: &ProximityVec) -> usize {
+    sigma.memory_bytes() + ENTRY_OVERHEAD_BYTES
+}
 
 /// Aggregate counters, cheap enough to read in a serving loop.
 ///
@@ -207,14 +198,16 @@ pub struct CacheStats {
     pub insertions: u64,
     pub evictions: u64,
     /// Inserts refused by TinyLFU admission (the key was colder than the
-    /// would-be eviction victim). Always 0 without `CachePolicy::admission`.
+    /// would-be eviction victim) or by the byte budget (the entry alone
+    /// exceeds it).
     pub rejections: u64,
-    /// Entries dropped because they outlived `CachePolicy::ttl` (each also
-    /// counts as a miss on the access that found it stale).
+    /// Entries dropped because they outlived `CachePolicy::ttl`: found
+    /// stale on access (also a miss) or evicted stale.
     pub expirations: u64,
-    /// Entries dropped by live-graph sweeps
-    /// ([`ProximityCache::repair_affected`]) — σ the mutated edges could
-    /// reach and the sweep did not repair. Always 0 on a frozen corpus.
+    /// Entries dropped by sweeps ([`ProximityCache::repair_affected`], the
+    /// result cache's partial invalidation) — what a live-graph mutation
+    /// could change and the sweep did not repair. Always 0 on a frozen
+    /// corpus.
     pub invalidated: u64,
     pub entries: usize,
     /// Resident bytes currently charged against the byte budget
@@ -311,19 +304,9 @@ impl SigmaSweep {
 /// workers via `Arc<ProximityCache>`. See the module docs for the optional
 /// admission/TTL policy.
 pub struct ProximityCache {
-    shards: Box<[Mutex<Shard>]>,
+    shards: Box<[Mutex<AdmissionLru<SigmaKey, SigmaEntry>>]>,
     /// Scratch of the repairing sweep, kept across sweeps.
     repair: Mutex<SigmaRepair>,
-    capacity_per_shard: usize,
-    byte_budget_per_shard: usize,
-    policy: CachePolicy,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    rejections: AtomicU64,
-    expirations: AtomicU64,
-    invalidated: AtomicU64,
 }
 
 impl ProximityCache {
@@ -333,27 +316,13 @@ impl ProximityCache {
 
     /// Creates a cache holding at most `capacity` proximity vectors overall.
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, Self::DEFAULT_SHARDS, CachePolicy::default())
+        Self::with_shards(capacity, Self::DEFAULT_SHARDS)
     }
 
     /// Creates a cache with an explicit shard count (rounded up to ≥ 1; the
     /// per-shard capacity is `ceil(capacity / shards)`, minimum 1).
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        Self::with_policy(capacity, shards, CachePolicy::default())
-    }
-
-    /// Creates a single-shard cache — the shape `friends_service` workers
-    /// own privately: exactly one thread ever takes the (then uncontended)
-    /// lock, so a hit costs a hash lookup plus two `O(log n)` recency
-    /// updates and nothing else.
-    pub fn unsharded(capacity: usize, policy: CachePolicy) -> Self {
-        Self::with_policy(capacity, 1, policy)
-    }
-
-    /// Entry-capacity constructor: total capacity, shard count and policy
-    /// (no byte budget).
-    pub fn with_policy(capacity: usize, shards: usize, policy: CachePolicy) -> Self {
-        Self::with_limits(capacity, usize::MAX, shards, policy)
+        Self::with_limits(capacity, usize::MAX, shards, CachePolicy::default())
     }
 
     /// Byte-budgeted cache: holds whatever number of vectors fits in
@@ -370,65 +339,26 @@ impl ProximityCache {
     /// enforced; pass `usize::MAX` to disable one), shard count, policy.
     pub fn with_limits(capacity: usize, bytes: usize, shards: usize, policy: CachePolicy) -> Self {
         let shards = shards.max(1);
-        let capacity_per_shard = if capacity == usize::MAX {
-            usize::MAX
-        } else {
-            capacity.div_ceil(shards).max(1)
+        let per_shard = |limit: usize| match limit {
+            usize::MAX => usize::MAX,
+            limit => limit.div_ceil(shards).max(1),
         };
-        let byte_budget_per_shard = if bytes == usize::MAX {
-            usize::MAX
-        } else {
-            bytes.div_ceil(shards).max(1)
-        };
-        // Sketch sizing needs a finite entry estimate: under a pure byte
-        // budget, assume reach-proportional entries of ~1 KiB.
-        let sketch_entries = if capacity_per_shard != usize::MAX {
-            capacity_per_shard
-        } else if byte_budget_per_shard != usize::MAX {
-            (byte_budget_per_shard / 1024).clamp(8, 1 << 20)
-        } else {
-            1024
-        };
+        let (entries, bytes) = (per_shard(capacity), per_shard(bytes));
         ProximityCache {
             shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        recency: BTreeMap::new(),
-                        tick: 0,
-                        swept_at: 0,
-                        bytes: 0,
-                        sketch: policy.admission.then(|| FreqSketch::new(sketch_entries)),
-                    })
-                })
+                .map(|_| Mutex::new(AdmissionLru::new(entries, bytes, policy)))
                 .collect(),
             repair: Mutex::new(SigmaRepair::new()),
-            capacity_per_shard,
-            byte_budget_per_shard,
-            policy,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            rejections: AtomicU64::new(0),
-            expirations: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
-    fn shard_of(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[(hash as usize) % self.shards.len()]
+    fn shard_of(&self, key: &SigmaKey) -> &Mutex<AdmissionLru<SigmaKey, SigmaEntry>> {
+        &self.shards[(key.hash as usize) % self.shards.len()]
     }
 
     /// Looks up `σ(seeker, ·)` on `graph` under `model`, refreshing its
-    /// recency. One hash lookup and two `O(log n)` recency updates, all
-    /// under the shard lock — the whole cost of a hit. Under a TTL policy,
-    /// an entry past its lifetime is dropped and reported as a miss.
+    /// recency: one hash of the key plus [`AdmissionLru::get`] under the
+    /// shard lock.
     pub fn get(
         &self,
         graph: &CsrGraph,
@@ -448,51 +378,13 @@ impl ProximityCache {
         model: ProximityModel,
         bounds: SigmaBounds,
     ) -> Option<Arc<ProximityVec>> {
-        let key = key_of(graph, seeker, model, bounds);
-        let hash = hash_key(&key);
-        let mut guard = self.shard_of(hash).lock();
-        let shard = &mut *guard;
-        if let Some(sketch) = shard.sketch.as_mut() {
-            sketch.record(hash);
-        }
-        if let Some(slot) = shard.map.get_mut(&key) {
-            if self
-                .policy
-                .ttl
-                .is_some_and(|ttl| slot.inserted_at.elapsed() > ttl)
-            {
-                let stamp = slot.stamp;
-                if let Some(slot) = shard.map.remove(&key) {
-                    shard.bytes -= slot.bytes;
-                }
-                shard.recency.remove(&stamp);
-                self.expirations.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            shard.tick += 1;
-            shard.recency.remove(&slot.stamp);
-            slot.stamp = shard.tick;
-            shard.recency.insert(shard.tick, key);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            Some(Arc::clone(&slot.value))
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            None
-        }
+        let key = SigmaKey::new(graph, seeker, model, bounds);
+        let mut shard = self.shard_of(&key).lock();
+        shard.get(&key, true).map(|entry| Arc::clone(&entry.sigma))
     }
 
-    /// Inserts (or refreshes) a materialized vector, evicting least
-    /// recently used entries of the target shard until both the entry
-    /// capacity and the byte budget hold — unless the admission policy
-    /// finds the new key colder than a would-be victim, in which case the
-    /// insert is rejected and **every** resident entry survives (victims
-    /// are selected before anything is removed). A value larger than the
-    /// whole shard budget is rejected outright, also without touching
-    /// residents. Refreshing an existing key re-charges its bytes and then
-    /// enforces the budget the same way; a refresh that cannot fit even
-    /// alone drops the entry (counted as a rejection) rather than leaving
-    /// the shard over budget.
+    /// Inserts (or refreshes) a materialized vector under the eviction and
+    /// admission rules of [`AdmissionLru::insert_with`].
     pub fn insert(
         &self,
         graph: &CsrGraph,
@@ -532,139 +424,22 @@ impl ProximityCache {
         value_bytes: usize,
         make: impl FnOnce() -> Arc<ProximityVec>,
     ) {
-        let make = || {
-            let value = make();
-            debug_assert_eq!(value.memory_bytes(), value_bytes, "misstated charge");
-            value
-        };
-        let key = key_of(graph, seeker, model, bounds);
-        let hash = hash_key(&key);
-        let new_bytes = value_bytes + ENTRY_OVERHEAD_BYTES;
-        let mut guard = self.shard_of(hash).lock();
-        let shard = &mut *guard;
-        if new_bytes > self.byte_budget_per_shard {
-            // Even an empty shard could not hold it: reject before any
-            // resident is considered for eviction. A resident version of
-            // the key can no longer be honest either — drop it.
-            if let Some(slot) = shard.map.remove(&key) {
-                shard.recency.remove(&slot.stamp);
-                shard.bytes -= slot.bytes;
-            }
-            self.rejections.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if let Some(slot) = shard.map.get_mut(&key) {
-            shard.bytes = shard.bytes - slot.bytes + new_bytes;
-            slot.bytes = new_bytes;
-            slot.value = make();
-            slot.inserted_at = Instant::now();
-            shard.tick += 1;
-            shard.recency.remove(&slot.stamp);
-            slot.stamp = shard.tick;
-            shard.recency.insert(shard.tick, key);
-            // A wider refresh (e.g. a dense vector over a Touched one) can
-            // push the shard over budget: evict other LRU entries until it
-            // fits again. The refreshed key itself carries the newest
-            // stamp, so it is never its own victim.
-            self.evict_to_byte_budget(shard);
-            return;
-        }
-        // Select victims *before* removing anything: walk the recency order,
-        // and if any live victim is hotter than the newcomer, reject the
-        // insert with the shard untouched.
-        let mut planned: Vec<(u64, Key)> = Vec::new();
-        let mut freed_bytes = 0usize;
-        for (&stamp, &victim_key) in shard.recency.iter() {
-            let over_entries = shard.map.len() - planned.len() >= self.capacity_per_shard;
-            let over_bytes =
-                (shard.bytes - freed_bytes).saturating_add(new_bytes) > self.byte_budget_per_shard;
-            if !over_entries && !over_bytes {
-                break;
-            }
-            // An expired victim is unconditionally evictable: its sketch
-            // estimate may still be high, but it can never be served
-            // again, so it must not win the admission comparison and
-            // wedge the shard full of stale entries.
-            let slot = shard.map.get(&victim_key).expect("recency/map in sync");
-            let victim_expired = self
-                .policy
-                .ttl
-                .is_some_and(|ttl| slot.inserted_at.elapsed() > ttl);
-            if !victim_expired {
-                if let Some(sketch) = shard.sketch.as_ref() {
-                    // Size-aware TinyLFU gate: admit only keys whose
-                    // frequency *per charged byte* strictly beats every LRU
-                    // victim the insert would displace — a dense ~80 KB
-                    // snapshot must be proportionally hotter than the small
-                    // `Touched` entries it wants to evict. Compared
-                    // cross-multiplied (`freq/charge` without division);
-                    // for equal charges this is exactly the classic
-                    // frequency comparison.
-                    let est_new = sketch.estimate(hash) as u128;
-                    let est_victim = sketch.estimate(hash_key(&victim_key)) as u128;
-                    if est_new * slot.bytes as u128 <= est_victim * new_bytes as u128 {
-                        self.rejections.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            }
-            freed_bytes += slot.bytes;
-            planned.push((stamp, victim_key));
-        }
-        for (stamp, victim_key) in planned {
-            shard.recency.remove(&stamp);
-            let slot = shard.map.remove(&victim_key).expect("planned victim");
-            shard.bytes -= slot.bytes;
-            let victim_expired = self
-                .policy
-                .ttl
-                .is_some_and(|ttl| slot.inserted_at.elapsed() > ttl);
-            if victim_expired {
-                self.expirations.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard.tick += 1;
-        let stamp = shard.tick;
-        shard.map.insert(
-            key,
-            Slot {
-                value: make(),
-                stamp,
-                inserted_at: Instant::now(),
-                bytes: new_bytes,
+        let key = SigmaKey::new(graph, seeker, model, bounds);
+        let charge = value_bytes + ENTRY_OVERHEAD_BYTES;
+        self.shard_of(&key).lock().insert_with(key, charge, || {
+            let sigma = make();
+            debug_assert_eq!(sigma.memory_bytes(), value_bytes, "misstated charge");
+            SigmaEntry {
+                sigma,
                 model,
                 bounds,
-            },
-        );
-        shard.recency.insert(stamp, key);
-        shard.bytes += new_bytes;
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Evicts LRU entries (no admission gate: used by the refresh path,
-    /// whose overwrite is deliberate) until the shard fits its byte budget
-    /// again. The `len > 1` guard keeps the just-refreshed entry — which
-    /// holds the newest stamp and is therefore the last possible victim —
-    /// resident; a value too large to ever fit was already rejected before
-    /// this runs.
-    fn evict_to_byte_budget(&self, shard: &mut Shard) {
-        while shard.map.len() > 1 && shard.bytes > self.byte_budget_per_shard {
-            let Some((&oldest, &victim_key)) = shard.recency.iter().next() else {
-                break;
-            };
-            shard.recency.remove(&oldest);
-            if let Some(slot) = shard.map.remove(&victim_key) {
-                shard.bytes -= slot.bytes;
             }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        });
     }
 
     /// Number of cached vectors.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Whether the cache holds nothing.
@@ -675,7 +450,7 @@ impl ProximityCache {
     /// Resident bytes charged against the byte budget (value bytes plus
     /// per-entry overhead, summed over all shards).
     pub fn memory_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().bytes).sum()
+        self.stats().bytes
     }
 
     /// The live-graph sweep: brings the cache from the graph its entries
@@ -721,53 +496,38 @@ impl ProximityCache {
             return out;
         }
         let mut scratch = self.repair.lock();
-        for s in self.shards.iter() {
-            let mut s = s.lock();
-            let shard = &mut *s;
-            let mut doomed: Vec<(Key, u64)> = Vec::new();
-            for (key, slot) in shard.map.iter_mut() {
-                let &(token, seeker, tag, ..) = key;
-                let affected = tag != 0
+        for shard in self.shards.iter() {
+            let dropped = shard.lock().sweep(|key, entry, read| {
+                let affected = key.model.0 != 0
                     && endpoints
                         .iter()
-                        .any(|&e| e == seeker || slot.value.get(e) > 0.0);
+                        .any(|&e| e == key.seeker || entry.sigma.get(e) > 0.0);
                 if !affected {
-                    continue;
+                    return Sweep::Keep;
                 }
                 let changed = repair
                     .filter(|(next, _)| {
-                        token == next.token()
-                            && slot.bounds.is_exact()
-                            && slot.stamp > shard.swept_at
+                        key.graph == next.token() && entry.bounds.is_exact() && read
                     })
                     .and_then(|(next, edits)| {
-                        let value = Arc::make_mut(&mut slot.value);
-                        slot.model.repair(next, edits, value, &mut scratch)
+                        let sigma = Arc::make_mut(&mut entry.sigma);
+                        entry.model.repair(next, edits, sigma, &mut scratch)
                     });
                 match changed {
-                    None => doomed.push((*key, slot.stamp)),
-                    Some(0) => out.kept += 1,
+                    None => Sweep::Drop,
+                    Some(0) => {
+                        out.kept += 1;
+                        Sweep::Keep
+                    }
                     Some(changed) => {
                         out.repaired += 1;
                         out.changed_nodes += changed as u64;
-                        let bytes = slot.value.memory_bytes() + ENTRY_OVERHEAD_BYTES;
-                        shard.bytes = shard.bytes - slot.bytes + bytes;
-                        slot.bytes = bytes;
+                        Sweep::Recharge(charge_of(&entry.sigma))
                     }
                 }
-            }
-            for (key, stamp) in doomed {
-                if let Some(slot) = shard.map.remove(&key) {
-                    shard.bytes -= slot.bytes;
-                }
-                shard.recency.remove(&stamp);
-                out.dropped += 1;
-            }
-            // A repair can widen a vector (`Touched` to `Dense`).
-            self.evict_to_byte_budget(shard);
-            shard.swept_at = shard.tick;
+            });
+            out.dropped += dropped;
         }
-        self.invalidated.fetch_add(out.dropped, Ordering::Relaxed);
         out
     }
 
@@ -780,43 +540,24 @@ impl ProximityCache {
 
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
-        for s in self.shards.iter() {
-            let mut s = s.lock();
-            s.map.clear();
-            s.recency.clear();
-            s.bytes = 0;
+        for shard in self.shards.iter() {
+            shard.lock().clear();
         }
     }
 
     /// Aggregate counters.
     pub fn stats(&self) -> CacheStats {
-        let (mut entries, mut bytes) = (0usize, 0usize);
-        for s in self.shards.iter() {
-            let s = s.lock();
-            entries += s.map.len();
-            bytes += s.bytes;
+        let mut stats = CacheStats::default();
+        for shard in self.shards.iter() {
+            stats.merge(&shard.lock().stats());
         }
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            rejections: self.rejections.load(Ordering::Relaxed),
-            expirations: self.expirations.load(Ordering::Relaxed),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
-            entries,
-            bytes,
-        }
+        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn charge_of(value: &ProximityVec) -> usize {
-        value.memory_bytes() + ENTRY_OVERHEAD_BYTES
-    }
 
     fn vec_for(u: NodeId) -> Arc<ProximityVec> {
         Arc::new(ProximityVec::Sparse(vec![(u, 1.0)]))
@@ -901,7 +642,7 @@ mod tests {
             admission: true,
             ttl: None,
         };
-        let c = ProximityCache::unsharded(2, policy);
+        let c = ProximityCache::with_limits(2, usize::MAX, 1, policy);
         // Make seekers 1 and 2 hot: several lookups each feed the sketch.
         for _ in 0..6 {
             let _ = c.get(&g, 1, MODEL);
@@ -928,7 +669,7 @@ mod tests {
             admission: true,
             ttl: None,
         };
-        let c = ProximityCache::unsharded(1, policy);
+        let c = ProximityCache::with_limits(1, usize::MAX, 1, policy);
         let _ = c.get(&g, 1, MODEL); // one access for the resident…
         c.insert(&g, 1, MODEL, vec_for(1));
         for _ in 0..8 {
@@ -947,7 +688,7 @@ mod tests {
             admission: false,
             ttl: Some(std::time::Duration::from_millis(20)),
         };
-        let c = ProximityCache::unsharded(8, policy);
+        let c = ProximityCache::with_limits(8, usize::MAX, 1, policy);
         c.insert(&g, 1, MODEL, vec_for(1));
         assert!(c.get(&g, 1, MODEL).is_some(), "fresh entry must hit");
         std::thread::sleep(std::time::Duration::from_millis(30));
@@ -970,7 +711,7 @@ mod tests {
             admission: true,
             ttl: Some(std::time::Duration::from_millis(15)),
         };
-        let c = ProximityCache::unsharded(2, policy);
+        let c = ProximityCache::with_limits(2, usize::MAX, 1, policy);
         for _ in 0..8 {
             let _ = c.get(&g, 1, MODEL); // make 1 and 2 very hot
             let _ = c.get(&g, 2, MODEL);
@@ -993,7 +734,6 @@ mod tests {
     fn default_policy_preserves_plain_lru_counters() {
         let g = graph();
         let c = ProximityCache::new(8);
-        assert_eq!(c.policy(), CachePolicy::default());
         let _ = c.get(&g, 1, MODEL);
         c.insert(&g, 1, MODEL, vec_for(1));
         let _ = c.get(&g, 1, MODEL);
@@ -1203,6 +943,29 @@ mod tests {
     }
 
     #[test]
+    fn expired_victims_of_a_widening_refresh_count_as_expirations() {
+        // Whatever path evicts it, a victim past its TTL is an expiration:
+        // room-making on insert, a widening refresh and a repairing sweep
+        // share one eviction routine.
+        let g = CsrGraph::empty(20_000);
+        let narrow = charge_of(&touched_vec(0, 4));
+        let policy = CachePolicy {
+            admission: false,
+            ttl: Some(Duration::from_millis(20)),
+        };
+        let c = ProximityCache::with_byte_budget(4 * narrow, 1, policy);
+        for u in 0..4 {
+            c.insert(&g, u, MODEL, touched_vec(u, 4));
+        }
+        std::thread::sleep(Duration::from_millis(30));
+        c.insert(&g, 3, MODEL, touched_vec(3, 2 * 4 + 8)); // ~2 entries wide
+        let s = c.stats();
+        assert!(s.bytes <= 4 * narrow, "{s:?}");
+        assert_eq!((s.evictions, s.expirations), (0, 2), "{s:?}");
+        assert!(c.get(&g, 3, MODEL).is_some(), "refresh restarts the clock");
+    }
+
+    #[test]
     fn byte_accounting_tracks_refresh_and_clear() {
         let g = CsrGraph::empty(20_000);
         let c = ProximityCache::with_byte_budget(1 << 20, 1, CachePolicy::default());
@@ -1310,6 +1073,8 @@ mod tests {
 
     #[test]
     fn freq_sketch_tracks_and_ages() {
+        // Sizing saturates: no capacity overflows the width arithmetic.
+        assert_eq!(FreqSketch::new(usize::MAX).sample_period, 10 << 20);
         let mut sk = FreqSketch::new(16);
         for _ in 0..10 {
             sk.record(0xABCD);
@@ -1406,7 +1171,7 @@ mod tests {
             ..SigmaSweep::default()
         };
 
-        let c = ProximityCache::unsharded(2, CachePolicy::default());
+        let c = ProximityCache::with_limits(2, usize::MAX, 1, CachePolicy::default());
         c.insert(&g, 0, model, cold(&g, 0)); // older
         c.insert(&g, 3, model, cold(&g, 3)); // newer
         assert_eq!(c.repair_affected(&next, &[edit]), repaired_one);
@@ -1422,7 +1187,7 @@ mod tests {
             admission: false,
             ttl: Some(Duration::from_millis(300)),
         };
-        let c = ProximityCache::unsharded(2, policy);
+        let c = ProximityCache::with_limits(2, usize::MAX, 1, policy);
         c.insert(&g, 0, model, cold(&g, 0));
         std::thread::sleep(Duration::from_millis(200));
         assert_eq!(c.repair_affected(&next, &[edit]), repaired_one);

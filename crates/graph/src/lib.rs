@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub mod community;
-pub mod components;
 pub mod csr;
 pub mod generators;
 pub mod landmarks;

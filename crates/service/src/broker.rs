@@ -2,10 +2,10 @@
 //! result memoization, deadline shedding and drain-based shutdown.
 
 use crate::request::{Job, Outcome, Reply, Ticket};
-use crate::result_cache::{KeyMap, ResultCache, ResultKey};
+use crate::result_cache::{ResultCache, ResultKey};
 use crate::stats::{MutationTimes, ServiceStats, ShardState};
 use crossbeam::channel;
-use friends_core::cache::{CachePolicy, ProximityCache, SigmaSweep};
+use friends_core::cache::{CachePolicy, KeyMap, ProximityCache, SigmaSweep};
 use friends_core::corpus::{Corpus, SearchResult};
 use friends_core::latency::Stage;
 use friends_core::live::{
@@ -574,20 +574,6 @@ impl FriendsService {
             request,
             self.default_deadline,
         )
-    }
-
-    /// Bumps every shard's result-cache epoch, logically dropping all
-    /// memoized rankings at once — the blunt full-stamp fallback when a
-    /// corpus change's blast radius is unknown. [`apply_mutations`] is the
-    /// incremental path and does **not** go through this.
-    ///
-    /// [`apply_mutations`]: FriendsService::apply_mutations
-    pub fn invalidate_results(&self) {
-        for s in &self.shards {
-            if let Some(rc) = &s.results {
-                rc.invalidate();
-            }
-        }
     }
 
     /// Applies a live-graph mutation batch across the whole service:
@@ -1236,11 +1222,8 @@ fn run_group<'c, R>(
     if live.is_empty() {
         return;
     }
-    // Epoch read at the miss: if an invalidation lands while the query
-    // executes, the insert below is dropped rather than caching a
-    // pre-invalidation ranking as fresh.
-    let memo = state.results.as_ref().map(|rc| (rc, rc.epoch()));
-    if let Some((items, residual)) = memo.and_then(|(rc, _)| rc.recheck(&key)) {
+    let memo = state.results.as_deref();
+    if let Some((items, residual)) = memo.and_then(|rc| rc.recheck(&key)) {
         state
             .result_served
             .fetch_add(live.len() as u64, Ordering::Relaxed);
@@ -1305,8 +1288,8 @@ fn run_group<'c, R>(
     // trace sites below borrow the query from the key it hands back.
     let memoized;
     let query = match memo {
-        Some((rc, epoch)) => {
-            memoized = rc.insert(key, Arc::new(result.items.clone()), residual, epoch);
+        Some(rc) => {
+            memoized = rc.insert(key, Arc::new(result.items.clone()), residual);
             memoized.query()
         }
         None => key.query(),
@@ -1538,39 +1521,6 @@ mod tests {
             totals.submitted,
             "{totals:?}"
         );
-    }
-
-    #[test]
-    fn invalidate_results_forces_reexecution() {
-        let (corpus, _) = fixture();
-        let svc = start(
-            &corpus,
-            ServiceConfig {
-                shards: 1,
-                result_cache_capacity: 64,
-                ..ServiceConfig::default()
-            },
-        );
-        let q = Query {
-            seeker: 3,
-            tags: vec![0, 1],
-            k: 5,
-        };
-        let a = run(&svc, std::slice::from_ref(&q));
-        let b = run(&svc, std::slice::from_ref(&q));
-        assert_eq!(a[0].items, b[0].items);
-        let before = svc.stats().totals();
-        assert_eq!(before.result_served, 1, "{before:?}");
-        svc.invalidate_results();
-        let c = run(&svc, std::slice::from_ref(&q));
-        assert_eq!(a[0].items, c[0].items, "re-execution must agree");
-        let after = svc.shutdown().totals();
-        assert_eq!(
-            after.result_served, before.result_served,
-            "the invalidated entry must not serve: {after:?}"
-        );
-        assert_eq!(after.executed, before.executed + 1, "{after:?}");
-        assert!(after.results.expirations > 0, "{after:?}");
     }
 
     #[test]
@@ -1845,8 +1795,8 @@ mod tests {
             totals.results.invalidated,
             report.results_invalidated + second.results_invalidated
         );
-        // Incremental means *not* a full stamp: the result-cache epoch is
-        // untouched, so nothing shows up as an expiration.
+        // Sweeps drop what they drop as invalidations; without a TTL
+        // nothing shows up as an expiration.
         assert_eq!(totals.results.expirations, 0, "{totals:?}");
     }
 
@@ -2466,6 +2416,28 @@ mod tests {
     /// ticket never owned a reply channel.
     fn answered_at_submit(ticket: &Ticket) -> bool {
         ticket.rx.is_none()
+    }
+
+    #[test]
+    fn an_unbounded_result_cache_answers_a_repeat_at_submit() {
+        // `usize::MAX` rankings under the default (admitting) policy: the
+        // admission sketch's sizing must saturate, not overflow.
+        let (corpus, w) = fixture();
+        let svc = start(
+            &corpus,
+            ServiceConfig {
+                shards: 1,
+                result_cache_capacity: usize::MAX,
+                ..ServiceConfig::default()
+            },
+        );
+        let q = &w.queries[0];
+        let first = run(&svc, std::slice::from_ref(q));
+        let hit = svc.submit(request(q));
+        assert!(answered_at_submit(&hit));
+        let reply = hit.wait();
+        assert_eq!(reply.outcome.result().expect("done").items, first[0].items);
+        svc.shutdown();
     }
 
     #[test]

@@ -427,12 +427,6 @@ impl ServedClient {
         self.service.stats()
     }
 
-    /// Invalidates all memoized rankings (see
-    /// [`FriendsService::invalidate_results`]).
-    pub fn invalidate_results(&self) {
-        self.service.invalidate_results();
-    }
-
     /// Applies a live-graph mutation batch across every shard with
     /// incremental cache invalidation — see
     /// [`FriendsService::apply_mutations`].

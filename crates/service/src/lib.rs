@@ -61,11 +61,11 @@
 //!   [`friends_data::requests`]); coalescing converts that repetition into
 //!   throughput.
 //! * **Cross-request result memoization** — an optional per-shard
-//!   `(query, model, strategy) → ranking` cache with the same TinyLFU
-//!   admission as the proximity cache serves repeats that arrive in
-//!   *different* dispatch cycles, invalidated in one stroke by a corpus
-//!   epoch counter ([`FriendsService::invalidate_results`]) or per
-//!   seeker/tag by a mutation batch. `submit` probes it on the submitting
+//!   `(query, model, strategy) → ranking` cache on the proximity cache's
+//!   engine ([`friends_core::cache::AdmissionLru`], TinyLFU admission
+//!   included) serves repeats that arrive in *different* dispatch cycles,
+//!   invalidated per seeker/tag by each mutation batch's sweep on the
+//!   shard's own thread. `submit` probes it on the submitting
 //!   thread: a hit comes back as an already-answered [`Ticket`], with no
 //!   queue hop and no worker wake-up.
 //! * **Admission-controlled private caches** — every shard owns an
@@ -100,7 +100,6 @@ pub use broker::{
 pub use client::{ClientStats, DirectClient, DirectConfig, SearchClient, ServedClient};
 pub use multiplexer::Multiplexer;
 pub use request::{Deadline, Outcome, Reply, Ticket};
-pub use result_cache::ResultCache;
 pub use stats::{MutationTimes, ServiceStats, ShardStats};
 
 // The client API's request/planning types, re-exported so service users
