@@ -2112,8 +2112,7 @@ pub fn fig15(profile: Profile) -> ExperimentOutput {
         d.snapshot_every = 0;
         d
     };
-    let (live, dur) =
-        LiveCorpus::open_durable(Arc::clone(&c), rcfg).expect("scratch durability dir");
+    let live = LiveCorpus::open_durable(Arc::clone(&c), rcfg).expect("scratch durability dir");
     let rmuts = MutationStream::generate(
         &c.graph,
         &c.store,
@@ -2133,10 +2132,10 @@ pub fn fig15(profile: Profile) -> ExperimentOutput {
         while applied < target {
             let b = rbatches.next().expect("curve exceeds mutation stream");
             applied += b.len();
-            dur.apply_durable(&live, &b, None, None)
-                .expect("durable apply");
+            live.commit(&b, None, |_, _| ()).expect("durable commit");
         }
-        dur.sync().expect("flush WAL tail before recovery reads it");
+        live.sync_wal()
+            .expect("flush WAL tail before recovery reads it");
         let (recovered, rep) = LiveCorpus::recover(&rdir).expect("recover scratch dir");
         assert_eq!(
             recovered.epoch(),

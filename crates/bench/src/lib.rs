@@ -1550,7 +1550,7 @@ mod tests {
             d.snapshot_every = 0;
             d
         };
-        let (live, dur) =
+        let live =
             LiveCorpus::open_durable(Arc::clone(&corpus), rcfg).expect("scratch durability dir");
         let rmuts = MutationStream::generate(
             &corpus.graph,
@@ -1564,10 +1564,9 @@ mod tests {
             23,
         );
         for b in rmuts.batches(WRITE_BATCH) {
-            dur.apply_durable(&live, &b, None, None)
-                .expect("durable apply");
+            live.commit(&b, None, |_, _| ()).expect("durable commit");
         }
-        dur.sync().expect("flush WAL tail");
+        live.sync_wal().expect("flush WAL tail");
         let (recovered, report) = LiveCorpus::recover(&dir).expect("recover");
         eprintln!("fig15 recovery: {report:?}");
         assert_eq!(

@@ -6,9 +6,8 @@
 //! A/B ratios within one run are what the evaluation reads.
 
 use std::fmt::Display;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-pub use std::hint::black_box;
 
 /// Mirrors `criterion::profiler`: the hook external profilers (e.g. the
 /// vendored `pprof` stand-in) implement to run around each benchmark.
@@ -45,14 +44,6 @@ impl Criterion {
             name: name.into(),
             sample_size: 10,
         }
-    }
-
-    pub fn bench_function<F>(&mut self, name: &str, f: F)
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let group = name.to_owned();
-        run_one(&group, "", 10, self.profiler.as_deref_mut(), f);
     }
 }
 

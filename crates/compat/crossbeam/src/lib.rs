@@ -1,9 +1,7 @@
-//! Vendored stand-in for `crossbeam`: the `thread::scope` subset, layered on
-//! `std::thread::scope` (stabilized after crossbeam's API was designed), and
-//! the `channel` subset (`unbounded` / `bounded` MPMC channels) backed by a
-//! mutex-and-condvar ring. Like upstream, `scope` returns `Err` instead of
-//! unwinding when a spawned thread panics, and receivers drain every message
-//! already sent before reporting disconnection.
+//! Vendored stand-in for `crossbeam`: the `channel` subset (`unbounded` /
+//! `bounded` MPMC channels) backed by a mutex-and-condvar ring. Like
+//! upstream, receivers drain every message already sent before reporting
+//! disconnection. (Scoped threads come from `std::thread::scope`.)
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -209,16 +207,6 @@ pub mod channel {
                 state = guard;
             }
         }
-
-        /// Number of messages currently queued.
-        pub fn len(&self) -> usize {
-            lock(&self.chan).queue.len()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
     }
 
     impl<T> Clone for Receiver<T> {
@@ -244,40 +232,6 @@ pub mod channel {
     }
 }
 
-pub mod thread {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    /// Scope handle passed to [`scope`]'s closure and to every spawned
-    /// thread's closure (crossbeam lets children spawn siblings).
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            inner.spawn(move || f(&Scope { inner }))
-        }
-    }
-
-    /// Runs `f` with a scope in which borrowing-from-the-stack threads can be
-    /// spawned; joins them all before returning. A panic in any spawned
-    /// thread surfaces as `Err` with the panic payload.
-    #[allow(clippy::type_complexity)]
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn std::any::Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        catch_unwind(AssertUnwindSafe(|| {
-            std::thread::scope(|s| f(&Scope { inner: s }))
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel;
@@ -289,11 +243,9 @@ mod tests {
         for i in 0..10 {
             tx.send(i).unwrap();
         }
-        assert_eq!(rx.len(), 10);
         for i in 0..10 {
             assert_eq!(rx.recv(), Ok(i));
         }
-        assert!(rx.is_empty());
         assert_eq!(rx.try_recv(), Err(channel::TryRecvError::Empty));
     }
 
@@ -372,32 +324,5 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..300).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scoped_threads_borrow_stack_data() {
-        let data = [1, 2, 3, 4];
-        let sum = std::sync::atomic::AtomicUsize::new(0);
-        super::thread::scope(|s| {
-            for chunk in data.chunks(2) {
-                let sum = &sum;
-                s.spawn(move |_| {
-                    sum.fetch_add(
-                        chunk.iter().sum::<usize>(),
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(sum.into_inner(), 10);
-    }
-
-    #[test]
-    fn child_panic_becomes_err() {
-        let r = super::thread::scope(|s| {
-            s.spawn(|_| panic!("boom"));
-        });
-        assert!(r.is_err());
     }
 }

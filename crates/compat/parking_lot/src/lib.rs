@@ -15,12 +15,6 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|poison| poison.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -43,18 +37,6 @@ impl<T: ?Sized> Mutex<T> {
             }),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.inner.fmt(f)
     }
 }
 
@@ -85,12 +67,6 @@ impl<T> RwLock<T> {
             inner: std::sync::RwLock::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|poison| poison.into_inner())
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -107,12 +83,6 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +91,7 @@ mod tests {
     fn mutex_round_trip() {
         let m = Mutex::new(1);
         *m.lock() += 41;
-        assert_eq!(m.into_inner(), 42);
+        assert_eq!(*m.lock(), 42);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Implements the strategy combinators and macros this workspace uses —
 //! ranges, tuples, `Just`, `any`, `prop_map` / `prop_flat_map`,
 //! `collection::{vec, btree_set}`, `prop_oneof!`, and the `proptest!` /
-//! `prop_assert*!` macros — over the vendored `rand`. Cases are generated
+//! `prop_assert!` / `prop_assert_eq!` macros — over the vendored `rand`. Cases are generated
 //! from a deterministic per-test seed, so failures reproduce exactly.
 //! Shrinking is intentionally omitted: a failing case reports its index and
 //! message, and re-running the test replays the identical inputs.
@@ -103,13 +103,6 @@ pub mod strategy {
     impl<V> Strategy for BoxedStrategy<V> {
         type Value = V;
         fn generate(&self, rng: &mut TestRng) -> V {
-            (**self).generate(rng)
-        }
-    }
-
-    impl<S: Strategy + ?Sized> Strategy for &S {
-        type Value = S::Value;
-        fn generate(&self, rng: &mut TestRng) -> S::Value {
             (**self).generate(rng)
         }
     }
@@ -219,7 +212,7 @@ pub mod strategy {
     tuple_strategy!(A, B, C, D, E, F2, G);
     tuple_strategy!(A, B, C, D, E, F2, G, H);
 
-    /// Types with a canonical full-range strategy (see [`super::arbitrary::any`]).
+    /// Types with a canonical full-range strategy (see [`any`]).
     pub trait Arbitrary: Sized {
         fn arbitrary(rng: &mut TestRng) -> Self;
     }
@@ -361,14 +354,10 @@ pub mod collection {
     }
 }
 
-pub mod arbitrary {
-    pub use super::strategy::{any, Any, Arbitrary};
-}
-
 pub mod prelude {
-    pub use super::strategy::{any, Arbitrary, BoxedStrategy, Just, Strategy, Union};
+    pub use super::strategy::{any, Just, Strategy};
     pub use super::test_runner::{Config as ProptestConfig, TestCaseError};
-    pub use super::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
+    pub use super::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }
 
 /// Fails the current case (returns `Err(TestCaseError)` from the enclosing
@@ -396,18 +385,6 @@ macro_rules! prop_assert_eq {
     ($left:expr, $right:expr, $($fmt:tt)*) => {{
         let (l, r) = (&$left, &$right);
         $crate::prop_assert!(*l == *r, $($fmt)*);
-    }};
-}
-
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(*l != *r, "assertion failed: {:?} != {:?}", l, r);
-    }};
-    ($left:expr, $right:expr, $($fmt:tt)*) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(*l != *r, $($fmt)*);
     }};
 }
 
@@ -524,7 +501,7 @@ mod tests {
             v.sort_unstable();
             prop_assert!(a < 100 && b < 100);
             prop_assert_eq!(v.len(), v.len());
-            prop_assert_ne!(a + 1, a);
+            prop_assert!(a + 1 != a);
         }
     }
 }

@@ -11,10 +11,6 @@
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;
 
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, 1)` with 53 random bits.
     fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

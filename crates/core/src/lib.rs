@@ -58,8 +58,8 @@ pub use cache::{CachePolicy, CacheStats, ProximityCache};
 pub use corpus::{Corpus, QueryStats, SearchResult};
 pub use latency::{LatencyRecorder, LatencySnapshot, Stage, StageLatencies, StageSnapshot};
 pub use live::{
-    register_wal_stats, DurabilityConfig, LiveCorpus, LiveDurability, MutationOutcome,
-    PreparedMutation, RecoverError, RecoveryReport,
+    register_wal_stats, DurabilityConfig, LiveCorpus, PreparedMutation, RecoverError,
+    RecoveryReport,
 };
 pub use metrics::{Metric, MetricKind, MetricsRegistry};
 pub use plan::{

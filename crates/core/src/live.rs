@@ -50,6 +50,25 @@
 //!    the `Arc`. The retired corpus is reclaimed when its last pinned
 //!    reader drops it — no reader ever observes a torn corpus.
 //!
+//! ## The one write path
+//!
+//! [`LiveCorpus::commit`] runs those steps for every writer — a test, the
+//! recovery-curve experiment, the serving tier's mutation barrier:
+//!
+//! 1. take the writer gate (the one lock that orders writes and snapshots);
+//! 2. prepare the next epoch;
+//! 3. on a durable corpus ([`LiveCorpus::open_durable`]), append the batch
+//!    to the WAL as one record — the **durability point**: on an error the
+//!    call returns before anything is swept or published;
+//! 4. run the caller's sweep with the prepared epoch and the WAL receipt;
+//! 5. publish;
+//! 6. write a snapshot if [`DurabilityConfig::snapshot_every`] says one is
+//!    due, and return the sweep's value.
+//!
+//! Every batch, the empty one included, is one WAL record and one epoch;
+//! recovery therefore lands on a prefix of the acknowledged batches
+//! (`tests/proptest_recovery.rs` kills the WAL writer at every byte).
+//!
 //! ## What prepare copies, and what it shares
 //!
 //! A write costs what the batch touches, not what the corpus holds:
@@ -116,13 +135,14 @@
 //! rather than to the cache's size.
 //!
 //! The repair runs where the sweep always ran: on the thread that owns the
-//! cache, between two queries. [`LiveCorpus::apply`] with a cache that
-//! *concurrent* readers also use was never epoch-isolated — between sweep
-//! and publish a reader pins the old snapshot and may be handed an entry
-//! already brought to the next epoch, exactly as it could re-insert an
-//! old-epoch vector right after the sweep dropped it. The serving tier has
-//! no such window: each shard sweeps its private cache at a batch boundary
-//! and switches snapshot in the same step.
+//! cache, between two queries. A [`LiveCorpus::commit`] whose sweep
+//! repairs a cache that *concurrent* readers also use is not
+//! epoch-isolated — between sweep and publish a reader pins the old
+//! snapshot and may be handed an entry already brought to the next epoch,
+//! exactly as it could re-insert an old-epoch vector right after the sweep
+//! dropped it. The serving tier has no such window: each shard sweeps its
+//! private cache at a batch boundary and switches snapshot in the same
+//! step.
 //!
 //! ## Writer/reader memory-ordering contract
 //!
@@ -136,8 +156,8 @@
 //!   pointer by an instant — it is a non-blocking observability hint, not
 //!   a synchronization primitive. Correctness never depends on it.
 //! * Ordering between *writers* is the caller's job for the raw
-//!   `prepare`/`publish` pair (a broker applies batches from one thread);
-//!   [`LiveCorpus::apply`] enforces it internally with a writer gate.
+//!   `prepare`/`publish` pair; [`LiveCorpus::commit`] enforces it with its
+//!   writer gate.
 //! * A query must execute against **one** pinned snapshot end to end —
 //!   pin once, thread the same `Arc` through σ materialization and
 //!   scoring. That is what makes every answer byte-identical to *some*
@@ -159,7 +179,6 @@
 //! never swept; tag appends touch no σ at all — they invalidate per-tag
 //! in the result layer instead.
 
-use crate::cache::ProximityCache;
 use crate::corpus::Corpus;
 use crate::metrics::MetricsRegistry;
 use friends_data::io as snapio;
@@ -172,13 +191,13 @@ use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A mutation batch resolved against a concrete base snapshot: the next
 /// corpus (sharing with the base whatever the batch left alone) plus the
-/// batch's blast radius. Build one with
-/// [`LiveCorpus::prepare`], sweep caches with it, then
-/// [`LiveCorpus::publish`] it. Cheap to clone behind an `Arc` for fan-out
-/// to per-shard workers.
+/// batch's blast radius. [`LiveCorpus::commit`] builds one and hands it to
+/// its sweep; [`LiveCorpus::prepare`] builds one without committing it.
+/// Cheap to clone behind an `Arc` for fan-out to per-shard workers.
 #[derive(Debug)]
 pub struct PreparedMutation {
     /// The next snapshot: edited graph (same token), appended store,
@@ -187,8 +206,8 @@ pub struct PreparedMutation {
     /// The batch's *effective* edge edits: every pair whose stored weight
     /// differs between the base graph and `next`'s, with both weights.
     /// Removing an absent edge or inserting one at its stored weight is not
-    /// an edit. What [`ProximityCache::repair_affected`] repairs cached σ
-    /// with — shards never need the base graph.
+    /// an edit. What [`crate::cache::ProximityCache::repair_affected`]
+    /// repairs cached σ with — shards never need the base graph.
     pub edits: Vec<EdgeEdit>,
     /// Distinct endpoints of `edits`, sorted — what the sweeps test σ
     /// support against.
@@ -203,6 +222,8 @@ pub struct PreparedMutation {
     pub touched_tags: Vec<TagId>,
     /// Number of mutations in the batch.
     pub mutations: usize,
+    /// Wall time spent building all of the above.
+    pub prepare_time: Duration,
 }
 
 impl PreparedMutation {
@@ -210,50 +231,50 @@ impl PreparedMutation {
     pub fn epoch(&self) -> u64 {
         self.next.epoch()
     }
-
-    /// Whether the batch can affect `seeker`'s graph-dependent rankings.
-    pub fn seeker_affected(&self, seeker: NodeId) -> bool {
-        self.affected_seekers.binary_search(&seeker).is_ok()
-    }
-
-    /// Whether the batch appended postings for `tag`.
-    pub fn tag_affected(&self, tag: TagId) -> bool {
-        self.touched_tags.binary_search(&tag).is_ok()
-    }
-}
-
-/// What [`LiveCorpus::apply`] reports back.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MutationOutcome {
-    /// The epoch the batch published.
-    pub epoch: u64,
-    /// Mutations applied.
-    pub mutations: usize,
-    /// σ cache entries dropped by the incremental sweep (0 when no cache
-    /// was passed, when the batch was outside every cached reach set, or
-    /// when every entry it could reach was repaired in place).
-    pub prox_invalidated: u64,
 }
 
 /// An epoch-versioned corpus: snapshot reads that never block on writers,
-/// atomic batch publication, refcount reclamation of retired epochs. See
+/// atomic batch publication, refcount reclamation of retired epochs, and —
+/// when opened durable — a WAL record per batch and periodic snapshots. See
 /// the module docs for the lifecycle and the memory-ordering contract.
 pub struct LiveCorpus {
     current: RwLock<Arc<Corpus>>,
     /// Non-blocking epoch hint (Release on publish / Acquire on read).
     epoch_hint: AtomicU64,
-    /// Serializes whole `apply` calls — prepare must see the latest
-    /// snapshot, so two writers must not interleave prepare/publish.
+    /// The one lock that orders writers: held across a whole `commit`
+    /// (prepare must see the latest snapshot, the WAL must see epochs in
+    /// order) and across `snapshot_now` (which must capture a settled
+    /// epoch).
     write_gate: Mutex<()>,
+    /// WAL and snapshot state; `None` for a memory-only corpus.
+    durable: Option<Durable>,
+}
+
+/// The durable side of a [`LiveCorpus`], private to it: only
+/// [`LiveCorpus::commit`] appends, only the snapshot path rotates.
+struct Durable {
+    config: DurabilityConfig,
+    /// Locked on its own (not only under the writer gate) so WAL counters
+    /// and explicit syncs never wait for a write's sweep.
+    wal: Mutex<Wal>,
+    report: RecoveryReport,
+    /// Batches committed since the last snapshot (written under the gate).
+    batches_since_snapshot: AtomicU64,
 }
 
 impl LiveCorpus {
-    /// Starts the lineage at `corpus` (usually a frozen epoch-0 seed).
+    /// Starts a memory-only lineage at `corpus` (usually a frozen epoch-0
+    /// seed).
     pub fn new(corpus: Arc<Corpus>) -> Self {
+        Self::with_durability(corpus, None)
+    }
+
+    fn with_durability(corpus: Arc<Corpus>, durable: Option<Durable>) -> Self {
         LiveCorpus {
             epoch_hint: AtomicU64::new(corpus.epoch()),
             current: RwLock::new(corpus),
             write_gate: Mutex::new(()),
+            durable,
         }
     }
 
@@ -284,7 +305,8 @@ impl LiveCorpus {
     /// which is sound for every model.
     ///
     /// Callers of the raw `prepare`/`publish` pair are the single-writer
-    /// side of the contract: do not interleave two prepares.
+    /// side of the contract: do not interleave two prepares, and log
+    /// nothing — [`LiveCorpus::commit`] is the write path.
     pub fn prepare(&self, batch: &MutationBatch, horizon: Option<u32>) -> PreparedMutation {
         Self::prepare_from(&self.snapshot(), batch, horizon)
     }
@@ -295,6 +317,7 @@ impl LiveCorpus {
         batch: &MutationBatch,
         horizon: Option<u32>,
     ) -> PreparedMutation {
+        let started = Instant::now();
         let (inserts, removals, appends) = batch.split();
         // Both calls share with `base` whatever the batch does not name: an
         // edge-free batch gets the same CSR arrays, an append-free one the
@@ -321,6 +344,7 @@ impl LiveCorpus {
             affected_seekers,
             touched_tags,
             mutations: batch.len(),
+            prepare_time: started.elapsed(),
         }
     }
 
@@ -335,31 +359,44 @@ impl LiveCorpus {
         self.epoch_hint.store(epoch, Ordering::Release);
     }
 
-    /// The single-owner convenience path: prepare, sweep `cache`, publish
-    /// — serialized against concurrent `apply` calls by the writer gate.
-    /// Readers are never blocked (the gate is not on their path). Use the
-    /// raw `prepare`/`publish` pair instead when result caches or
-    /// per-shard structures must be swept too (the serving tier does).
-    pub fn apply(
+    /// The write path: under the writer gate, prepare the next epoch, append
+    /// `batch` to the WAL (durable corpora only), run `sweep`, publish, and
+    /// snapshot if one is due; returns what `sweep` returned.
+    ///
+    /// `sweep` receives the prepared epoch and the batch's WAL receipt
+    /// (`None` in memory) and must bring every cache the caller owns to the
+    /// new epoch before it returns — after the publish, readers trust every
+    /// surviving entry. A single cache sweeps with
+    /// `|p, _| cache.repair_affected(&p.next.graph, &p.edits)`; the serving
+    /// tier broadcasts `p` to its shards and waits for their acks.
+    ///
+    /// `Err` from the WAL append means the batch is not durable: `sweep`
+    /// did not run and nothing was published. `Err` after the append can
+    /// only come from snapshot maintenance; the batch is then already
+    /// durable and published, and only the sweep's value is lost. Readers
+    /// never wait on the gate.
+    pub fn commit<R>(
         &self,
         batch: &MutationBatch,
         horizon: Option<u32>,
-        cache: Option<&ProximityCache>,
-    ) -> MutationOutcome {
+        sweep: impl FnOnce(&Arc<PreparedMutation>, Option<WalAppend>) -> R,
+    ) -> std::io::Result<R> {
         let _writer = self.write_gate.lock();
-        let prepared = self.prepare(batch, horizon);
-        let prox_invalidated = cache
-            .map(|c| {
-                c.repair_affected(&prepared.next.graph, &prepared.edits)
-                    .dropped
-            })
-            .unwrap_or(0);
+        let prepared = Arc::new(self.prepare(batch, horizon));
+        let wal = match &self.durable {
+            Some(d) => Some(d.wal.lock().append(prepared.epoch(), batch)?),
+            None => None,
+        };
+        let swept = sweep(&prepared, wal);
         self.publish(&prepared);
-        MutationOutcome {
-            epoch: prepared.epoch(),
-            mutations: prepared.mutations,
-            prox_invalidated,
+        if let Some(d) = &self.durable {
+            let every = d.config.snapshot_every;
+            let due = d.batches_since_snapshot.fetch_add(1, Ordering::Relaxed) + 1;
+            if every > 0 && due >= every {
+                d.snapshot(&prepared.next)?;
+            }
         }
+        Ok(swept)
     }
 }
 
@@ -378,8 +415,8 @@ pub struct DurabilityConfig {
     pub sync: SyncPolicy,
     /// WAL segment size before rotation.
     pub segment_bytes: u64,
-    /// Write a snapshot automatically every this many applied batches
-    /// (0 = only on explicit [`LiveDurability::snapshot_now`] calls).
+    /// Write a snapshot automatically every this many committed batches
+    /// (0 = only on explicit [`LiveCorpus::snapshot_now`] calls).
     pub snapshot_every: u64,
     /// Snapshots retained after pruning (≥ 1). Keep ≥ 2 so recovery can
     /// fall back to an older snapshot when the newest is corrupt — the WAL
@@ -525,27 +562,18 @@ impl From<RecoverError> for std::io::Error {
     }
 }
 
-/// The durable side of a [`LiveCorpus`]: the WAL handle, snapshot
-/// scheduling, and the recovery report from startup. Produced by
-/// [`LiveCorpus::open_durable`]; the serving tier logs every batch here
-/// *before* acknowledging it.
-pub struct LiveDurability {
-    config: DurabilityConfig,
-    wal: Mutex<Wal>,
-    report: RecoveryReport,
-    batches_since_snapshot: AtomicU64,
-}
-
 impl LiveCorpus {
     /// Opens (or initializes) a durable corpus at `config.dir`. An empty
     /// directory is seeded with a snapshot of `seed` at its epoch; a
     /// non-empty one is recovered — `seed` is then ignored, because the
     /// disk state is newer truth. The WAL is repaired (torn tail
-    /// truncated, unusable segments removed) and reopened for appending.
+    /// truncated, unusable segments removed) and reopened for appending;
+    /// from then on every [`LiveCorpus::commit`] logs its batch before
+    /// publishing it.
     pub fn open_durable(
         seed: Arc<Corpus>,
         config: DurabilityConfig,
-    ) -> std::io::Result<(LiveCorpus, LiveDurability)> {
+    ) -> std::io::Result<LiveCorpus> {
         Self::open_durable_with_fs(seed, config, Arc::new(StdFs))
     }
 
@@ -556,7 +584,7 @@ impl LiveCorpus {
         seed: Arc<Corpus>,
         config: DurabilityConfig,
         fs: Arc<dyn WalFs>,
-    ) -> std::io::Result<(LiveCorpus, LiveDurability)> {
+    ) -> std::io::Result<LiveCorpus> {
         assert!(
             config.keep_snapshots >= 1,
             "must retain at least 1 snapshot"
@@ -582,16 +610,47 @@ impl LiveCorpus {
             Self::recover_corpus(&config.dir)?
         };
         let wal = Wal::open_with(&config.wal_dir(), config.wal_config(), fs)?;
-        let live = LiveCorpus::new(corpus);
-        Ok((
-            live,
-            LiveDurability {
-                config,
-                wal: Mutex::new(wal),
-                report,
-                batches_since_snapshot: AtomicU64::new(0),
-            },
-        ))
+        let durable = Durable {
+            config,
+            wal: Mutex::new(wal),
+            report,
+            batches_since_snapshot: AtomicU64::new(0),
+        };
+        Ok(Self::with_durability(corpus, Some(durable)))
+    }
+
+    /// The startup recovery report of a durable corpus (all-zero counts
+    /// when the directory was freshly initialized); `None` in memory.
+    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
+        self.durable.as_ref().map(|d| &d.report)
+    }
+
+    /// Current WAL counters; `None` in memory.
+    pub fn wal_stats(&self) -> Option<WalStats> {
+        self.durable.as_ref().map(|d| d.wal.lock().stats())
+    }
+
+    /// Forces an fsync of the active WAL segment — a durable shutdown
+    /// barrier under [`SyncPolicy::EveryN`]/[`SyncPolicy::Never`]. No-op
+    /// in memory.
+    pub fn sync_wal(&self) -> std::io::Result<()> {
+        match &self.durable {
+            Some(d) => d.wal.lock().sync(),
+            None => Ok(()),
+        }
+    }
+
+    /// Writes a snapshot of the current epoch now (atomic temp-file +
+    /// rename), prunes to `keep_snapshots`, seals the active WAL segment,
+    /// and retires segments wholly covered by the *oldest retained*
+    /// snapshot. Holds the writer gate, so the snapshot captures a settled
+    /// epoch. Returns the snapshotted epoch, or `None` in memory.
+    pub fn snapshot_now(&self) -> std::io::Result<Option<u64>> {
+        let Some(d) = &self.durable else {
+            return Ok(None);
+        };
+        let _writer = self.write_gate.lock();
+        d.snapshot(&self.snapshot()).map(Some)
     }
 
     /// Pure read-side recovery: loads the newest valid snapshot under
@@ -720,50 +779,11 @@ fn io_error(e: snapio::IoError) -> std::io::Error {
     }
 }
 
-impl LiveDurability {
-    /// The startup recovery report (all-zero when the directory was
-    /// freshly initialized).
-    pub fn report(&self) -> &RecoveryReport {
-        &self.report
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &DurabilityConfig {
-        &self.config
-    }
-
-    /// Current WAL counters.
-    pub fn wal_stats(&self) -> WalStats {
-        self.wal.lock().stats()
-    }
-
-    /// Appends one batch to the WAL as a single group-committed record.
-    /// This is the durability point: call it *after* [`LiveCorpus::prepare`]
-    /// (so `epoch` is the one the batch will publish) and **before**
-    /// publishing or acknowledging. On error, do not publish — the batch
-    /// is not durable.
-    pub fn log_batch(&self, epoch: u64, batch: &MutationBatch) -> std::io::Result<WalAppend> {
-        let receipt = self.wal.lock().append(epoch, batch)?;
-        self.batches_since_snapshot.fetch_add(1, Ordering::Relaxed);
-        Ok(receipt)
-    }
-
-    /// Snapshots now if `snapshot_every` is due. Returns the snapshot
-    /// epoch when one was written.
-    pub fn maybe_snapshot(&self, live: &LiveCorpus) -> std::io::Result<Option<u64>> {
-        let every = self.config.snapshot_every;
-        if every == 0 || self.batches_since_snapshot.load(Ordering::Relaxed) < every {
-            return Ok(None);
-        }
-        self.snapshot_now(live).map(Some)
-    }
-
-    /// Writes a snapshot of the current epoch (atomic temp-file + rename),
-    /// prunes to `keep_snapshots`, seals the active WAL segment, and
-    /// retires segments wholly covered by the *oldest retained* snapshot.
-    /// Returns the snapshotted epoch.
-    pub fn snapshot_now(&self, live: &LiveCorpus) -> std::io::Result<u64> {
-        let snap = live.snapshot();
+impl Durable {
+    /// Saves `snap` (the published epoch; the caller holds the writer
+    /// gate), prunes old snapshots and retires the WAL they cover. Returns
+    /// the snapshotted epoch.
+    fn snapshot(&self, snap: &Corpus) -> std::io::Result<u64> {
         let epoch = snap.epoch();
         snapio::save_with_epoch(
             &snapio::snapshot_path(&self.config.dir, epoch),
@@ -785,54 +805,11 @@ impl LiveDurability {
         wal.retire_through(oldest_retained)?;
         Ok(epoch)
     }
-
-    /// Forces an fsync of the active WAL segment (useful at shutdown under
-    /// [`SyncPolicy::EveryN`]/[`SyncPolicy::Never`]).
-    pub fn sync(&self) -> std::io::Result<()> {
-        self.wal.lock().sync()
-    }
-
-    /// The WAL-first version of [`LiveCorpus::apply`]: prepare, append the
-    /// batch to the WAL (durability point), sweep `cache`, publish, then
-    /// auto-snapshot if due. On a WAL write error nothing is published —
-    /// the corpus stays at the previous epoch and the error surfaces.
-    pub fn apply_durable(
-        &self,
-        live: &LiveCorpus,
-        batch: &MutationBatch,
-        horizon: Option<u32>,
-        cache: Option<&ProximityCache>,
-    ) -> std::io::Result<(MutationOutcome, WalAppend)> {
-        let _writer = live.write_gate.lock();
-        let prepared = live.prepare(batch, horizon);
-        let receipt = self.log_batch(prepared.epoch(), batch)?;
-        let prox_invalidated = cache
-            .map(|c| {
-                c.repair_affected(&prepared.next.graph, &prepared.edits)
-                    .dropped
-            })
-            .unwrap_or(0);
-        live.publish(&prepared);
-        self.maybe_snapshot(live)?;
-        Ok((
-            MutationOutcome {
-                epoch: prepared.epoch(),
-                mutations: prepared.mutations,
-                prox_invalidated,
-            },
-            receipt,
-        ))
-    }
-
-    /// Publishes WAL counters as `friends_wal_*` metrics.
-    pub fn register_into(&self, reg: &mut MetricsRegistry) {
-        register_wal_stats(&self.wal_stats(), reg);
-    }
 }
 
 /// Publishes a [`WalStats`] snapshot as `friends_wal_*` metrics — the one
-/// place the WAL's registry keys are defined, shared by
-/// [`LiveDurability::register_into`] and the serving tier's stats export.
+/// place the WAL's registry keys are defined (the serving tier's stats
+/// export calls it).
 pub fn register_wal_stats(s: &WalStats, reg: &mut MetricsRegistry) {
     reg.counter(
         "friends_wal_appends_total",
@@ -931,6 +908,7 @@ fn reachable_from(graph: &CsrGraph, sources: &[NodeId], horizon: Option<u32>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ProximityCache;
     use crate::processors::{ExactOnline, Processor};
     use crate::proximity::{ProximityModel, ProximityVec, SigmaWorkspace};
     use friends_data::mutations::Mutation;
@@ -969,6 +947,19 @@ mod tests {
 
     const MODEL: ProximityModel = ProximityModel::WeightedDecay { alpha: 0.5 };
 
+    /// Commits `batch` with nothing to sweep; returns the published epoch.
+    fn commit(live: &LiveCorpus, batch: &MutationBatch) -> u64 {
+        live.commit(batch, None, |p, _| p.epoch()).unwrap()
+    }
+
+    /// Commits `batch`, sweeping `cache`; returns the σ entries dropped.
+    fn commit_sweeping(live: &LiveCorpus, batch: &MutationBatch, cache: &ProximityCache) -> u64 {
+        live.commit(batch, None, |p, _| {
+            cache.repair_affected(&p.next.graph, &p.edits).dropped
+        })
+        .unwrap()
+    }
+
     fn sigma_vec(graph: &CsrGraph, seeker: u32) -> ProximityVec {
         let mut ws = SigmaWorkspace::new();
         MODEL.materialize_into(graph, seeker, &mut ws);
@@ -980,16 +971,8 @@ mod tests {
         let live = LiveCorpus::new(fixture());
         let pinned = live.snapshot();
         assert_eq!(pinned.epoch(), 0);
-        let out = live.apply(
-            &MutationBatch::new(vec![Mutation::InsertEdge {
-                u: 2,
-                v: 3,
-                weight: 1.0,
-            }]),
-            None,
-            None,
-        );
-        assert_eq!(out.epoch, 1);
+        let epoch = commit(&live, &edge_batch(2, 3, 1.0));
+        assert_eq!(epoch, 1);
         assert_eq!(live.epoch(), 1);
         // The pinned snapshot still answers from epoch 0.
         assert_eq!(pinned.epoch(), 0);
@@ -1004,15 +987,7 @@ mod tests {
         let live = LiveCorpus::new(fixture());
         let pinned = live.snapshot();
         let weak = Arc::downgrade(&pinned);
-        live.apply(
-            &MutationBatch::new(vec![Mutation::InsertEdge {
-                u: 0,
-                v: 6,
-                weight: 1.0,
-            }]),
-            None,
-            None,
-        );
+        commit(&live, &edge_batch(0, 6, 1.0));
         assert!(weak.upgrade().is_some(), "pinned epoch must stay resident");
         drop(pinned);
         assert!(
@@ -1040,9 +1015,7 @@ mod tests {
         // Both communities are old-graph-reachable from the endpoints;
         // isolated node 6 is not.
         assert_eq!(p.affected_seekers, vec![0, 1, 2, 3, 4, 5]);
-        assert!(p.seeker_affected(5) && !p.seeker_affected(6));
         assert_eq!(p.touched_tags, vec![3]);
-        assert!(p.tag_affected(3) && !p.tag_affected(1));
     }
 
     #[test]
@@ -1081,16 +1054,7 @@ mod tests {
         // An edge inside community {3,4,5}: community {0,1,2}'s σ is not
         // looked at, seeker 3's is repaired where it lies.
         let untouched = cache.get(&corpus.graph, 0, MODEL).expect("resident");
-        let out = live.apply(
-            &MutationBatch::new(vec![Mutation::InsertEdge {
-                u: 3,
-                v: 5,
-                weight: 1.0,
-            }]),
-            None,
-            Some(&cache),
-        );
-        assert_eq!(out.prox_invalidated, 0);
+        assert_eq!(commit_sweeping(&live, &edge_batch(3, 5, 1.0), &cache), 0);
         let now = live.snapshot();
         let kept = cache.get(&now.graph, 0, MODEL).expect("unaffected σ");
         assert!(
@@ -1102,12 +1066,7 @@ mod tests {
         assert_ne!(*repaired, sigma_vec(&corpus.graph, 3));
         // Joining the communities reaches both entries, both read since
         // the last sweep: both repaired.
-        let bridge = MutationBatch::new(vec![Mutation::InsertEdge {
-            u: 2,
-            v: 3,
-            weight: 1.0,
-        }]);
-        assert_eq!(live.apply(&bridge, None, Some(&cache)).prox_invalidated, 0);
+        assert_eq!(commit_sweeping(&live, &edge_batch(2, 3, 1.0), &cache), 0);
         // Only seeker 3 is read before the next batch: seeker 0's entry,
         // unread for a whole epoch, is dropped rather than repaired.
         let now = live.snapshot();
@@ -1115,7 +1074,7 @@ mod tests {
         assert_eq!(*repaired, sigma_vec(&now.graph, 3));
         drop(repaired);
         let cut = MutationBatch::new(vec![Mutation::RemoveEdge { u: 3, v: 2 }]);
-        assert_eq!(live.apply(&cut, None, Some(&cache)).prox_invalidated, 1);
+        assert_eq!(commit_sweeping(&live, &cut, &cache), 1);
         let now = live.snapshot();
         assert!(cache.get(&now.graph, 0, MODEL).is_none());
         let repaired = cache.get(&now.graph, 3, MODEL).expect("repaired σ");
@@ -1148,16 +1107,16 @@ mod tests {
         ]);
         let p = live.prepare(&batch, None);
         assert!(p.edits.is_empty() && p.affected_seekers.is_empty());
-        let out = live.apply(&batch, None, Some(&cache));
-        assert_eq!((out.epoch, out.prox_invalidated), (1, 0));
+        assert_eq!(commit_sweeping(&live, &batch, &cache), 0);
+        assert_eq!(live.epoch(), 1);
         assert_eq!(cache.len(), 7);
         assert_eq!(cache.stats().invalidated, 0);
     }
 
     #[test]
     fn surviving_entries_are_exact_under_the_new_epoch() {
-        // The soundness claim behind token reuse, end to end: after an
-        // apply, every cache entry still resident equals a from-scratch
+        // The soundness claim behind token reuse, end to end: after a
+        // commit, every cache entry still resident equals a from-scratch
         // materialization on the new graph.
         let corpus = fixture();
         let live = LiveCorpus::new(Arc::clone(&corpus));
@@ -1166,18 +1125,15 @@ mod tests {
             let v = sigma_vec(&corpus.graph, seeker);
             cache.insert(&corpus.graph, seeker, MODEL, Arc::new(v));
         }
-        live.apply(
-            &MutationBatch::new(vec![
-                Mutation::InsertEdge {
-                    u: 4,
-                    v: 6,
-                    weight: 0.8,
-                },
-                Mutation::RemoveEdge { u: 3, v: 4 },
-            ]),
-            None,
-            Some(&cache),
-        );
+        let batch = MutationBatch::new(vec![
+            Mutation::InsertEdge {
+                u: 4,
+                v: 6,
+                weight: 0.8,
+            },
+            Mutation::RemoveEdge { u: 3, v: 4 },
+        ]);
+        commit_sweeping(&live, &batch, &cache);
         let now = live.snapshot();
         for seeker in 0..7u32 {
             if let Some(cached) = cache.get(&now.graph, seeker, MODEL) {
@@ -1203,16 +1159,13 @@ mod tests {
             k: 10,
         };
         let before = ExactOnline::new(&corpus, MODEL).query(&query).items;
-        live.apply(
-            &MutationBatch::new(vec![Mutation::AddTagging(Tagging {
-                user: 1,
-                item: 5,
-                tag: 1,
-                weight: 3.0,
-            })]),
-            None,
-            None,
-        );
+        let append = MutationBatch::new(vec![Mutation::AddTagging(Tagging {
+            user: 1,
+            item: 5,
+            tag: 1,
+            weight: 3.0,
+        })]);
+        commit(&live, &append);
         let pinned_old = corpus; // epoch-0 Arc still held
         let now = live.snapshot();
         let after = ExactOnline::new(&now, MODEL).query(&query).items;
@@ -1286,7 +1239,7 @@ mod tests {
         // Nothing changed, so nothing is touched and no seeker is affected.
         assert!(p.edits.is_empty() && p.touched_nodes.is_empty());
         assert!(p.affected_seekers.is_empty());
-        assert_eq!(live.apply(&batch, None, None).epoch, 1);
+        assert_eq!(commit(&live, &batch), 1);
         assert_same_corpus(
             &live.snapshot(),
             &Corpus::with_epoch(fixture().graph.clone(), fixture().store.clone(), 1),
@@ -1350,7 +1303,7 @@ mod tests {
     fn durable_apply_survives_restart() {
         let dir = tmp_dir("restart");
         let seed = fixture();
-        let (live, dur) =
+        let live =
             LiveCorpus::open_durable(Arc::clone(&seed), DurabilityConfig::new(&dir)).unwrap();
         let shadow = LiveCorpus::new(Arc::clone(&seed));
         for (i, b) in [
@@ -1365,12 +1318,15 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let (out, receipt) = dur.apply_durable(&live, b, None, None).unwrap();
-            assert_eq!(out.epoch, i as u64 + 1);
-            assert!(receipt.synced, "Always policy must sync every batch");
-            shadow.apply(b, None, None);
+            let (epoch, receipt) = live.commit(b, None, |p, wal| (p.epoch(), wal)).unwrap();
+            assert_eq!(epoch, i as u64 + 1);
+            assert!(
+                receipt.expect("durable corpus").synced,
+                "Always policy must sync every batch"
+            );
+            commit(&shadow, b);
         }
-        drop((live, dur));
+        drop(live);
         let (recovered, report) = LiveCorpus::recover(&dir).unwrap();
         assert_eq!(report.snapshot_epoch, 0);
         assert_eq!(report.replayed, 4);
@@ -1384,21 +1340,17 @@ mod tests {
     fn reopen_resumes_the_epoch_chain() {
         let dir = tmp_dir("resume");
         let seed = fixture();
-        let (live, dur) =
+        let live =
             LiveCorpus::open_durable(Arc::clone(&seed), DurabilityConfig::new(&dir)).unwrap();
-        dur.apply_durable(&live, &edge_batch(0, 3, 1.0), None, None)
-            .unwrap();
-        drop((live, dur));
+        commit(&live, &edge_batch(0, 3, 1.0));
+        drop(live);
         // Second process lifetime: recovery feeds the same lineage.
-        let (live, dur) =
+        let live =
             LiveCorpus::open_durable(Arc::clone(&seed), DurabilityConfig::new(&dir)).unwrap();
         assert_eq!(live.epoch(), 1, "reopen must resume at the durable epoch");
-        assert_eq!(dur.report().replayed, 1);
-        let (out, _) = dur
-            .apply_durable(&live, &edge_batch(1, 4, 1.0), None, None)
-            .unwrap();
-        assert_eq!(out.epoch, 2);
-        drop((live, dur));
+        assert_eq!(live.recovery_report().unwrap().replayed, 1);
+        assert_eq!(commit(&live, &edge_batch(1, 4, 1.0)), 2);
+        drop(live);
         let (recovered, report) = LiveCorpus::recover(&dir).unwrap();
         assert_eq!(report.replayed, 2);
         assert!(recovered.snapshot().graph.has_edge(0, 3));
@@ -1413,13 +1365,15 @@ mod tests {
             snapshot_every: 3,
             ..DurabilityConfig::new(&dir)
         };
-        let (live, dur) = LiveCorpus::open_durable(fixture(), cfg).unwrap();
+        let live = LiveCorpus::open_durable(fixture(), cfg).unwrap();
         for i in 0..7u32 {
-            dur.apply_durable(&live, &edge_batch(i % 7, (i + 2) % 7, 0.5), None, None)
-                .unwrap();
+            commit(&live, &edge_batch(i % 7, (i + 2) % 7, 0.5));
         }
-        assert!(dur.wal_stats().retired_segments > 0, "snapshot must retire");
-        drop((live, dur));
+        assert!(
+            live.wal_stats().unwrap().retired_segments > 0,
+            "snapshot must retire"
+        );
+        drop(live);
         let (recovered, report) = LiveCorpus::recover(&dir).unwrap();
         assert!(report.snapshot_epoch >= 3, "recovery starts at a snapshot");
         assert_eq!(report.recovered_epoch, 7);
@@ -1440,14 +1394,14 @@ mod tests {
             keep_snapshots: 2,
             ..DurabilityConfig::new(&dir)
         };
-        let (live, dur) = LiveCorpus::open_durable(fixture(), cfg).unwrap();
+        let live = LiveCorpus::open_durable(fixture(), cfg).unwrap();
         let shadow = LiveCorpus::new(fixture());
         for i in 0..5u32 {
             let b = edge_batch(i % 7, (i + 3) % 7, 1.0);
-            dur.apply_durable(&live, &b, None, None).unwrap();
-            shadow.apply(&b, None, None);
+            commit(&live, &b);
+            commit(&shadow, &b);
         }
-        drop((live, dur));
+        drop(live);
         // Corrupt the newest snapshot's payload.
         let snaps = snapio::list_snapshots(&dir).unwrap();
         let newest = &snaps.last().unwrap().1;
@@ -1506,15 +1460,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(move || {
                 for i in 0..50u32 {
-                    writer.apply(
-                        &MutationBatch::new(vec![Mutation::InsertEdge {
-                            u: i % 7,
-                            v: (i + 1) % 7,
-                            weight: 0.5,
-                        }]),
-                        None,
-                        None,
-                    );
+                    commit(&writer, &edge_batch(i % 7, (i + 1) % 7, 0.5));
                 }
             });
             for _ in 0..4 {

@@ -128,17 +128,6 @@ impl MetricsRegistry {
         self.push(MetricKind::Gauge, name, help, &[], value);
     }
 
-    /// Registers a labeled gauge.
-    pub fn gauge_with(
-        &mut self,
-        name: &str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-        value: f64,
-    ) {
-        self.push(MetricKind::Gauge, name, help, labels, value);
-    }
-
     /// Looks one sample up by its full key (see [`Metric::key`]) — the
     /// lookup reporting code uses instead of reaching into the stats
     /// structs' fields.

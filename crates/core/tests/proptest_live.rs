@@ -63,7 +63,7 @@ impl Mirror {
         Mirror { edges, taggings }
     }
 
-    fn apply(&mut self, batch: &MutationBatch) {
+    fn push(&mut self, batch: &MutationBatch) {
         let canon = |u: NodeId, v: NodeId| if u < v { (u, v) } else { (v, u) };
         let (inserts, removals, appends) = batch.split();
         for (u, v) in removals {
@@ -183,9 +183,14 @@ proptest! {
                 }
             }
             let batch = MutationBatch::new(muts);
-            let out = live.apply(&batch, None, Some(&cache));
-            mirror.apply(&batch);
-            prop_assert_eq!(out.epoch, epoch as u64 + 1);
+            let published = live
+                .commit(&batch, None, |p, _| {
+                    cache.repair_affected(&p.next.graph, &p.edits);
+                    p.epoch()
+                })
+                .unwrap();
+            mirror.push(&batch);
+            prop_assert_eq!(published, epoch as u64 + 1);
             let snap = live.snapshot();
             let rebuilt = mirror.rebuild();
             prop_assert_eq!(snap.graph.num_edges(), rebuilt.graph.num_edges());
@@ -196,7 +201,7 @@ proptest! {
                 let b = fresh.query(q);
                 prop_assert_eq!(
                     &a.items, &b.items,
-                    "epoch {} diverged from rebuild for {:?}", out.epoch, q
+                    "epoch {} diverged from rebuild for {:?}", published, q
                 );
             }
         }
@@ -380,7 +385,7 @@ proptest! {
                 let mut lineage = vec![];
                 for muts in batches {
                     let batch = MutationBatch::new(muts);
-                    writer_live.apply(&batch, None, None);
+                    writer_live.commit(&batch, None, |_, _| ()).unwrap();
                     lineage.push(writer_live.snapshot());
                 }
                 lineage

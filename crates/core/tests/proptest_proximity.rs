@@ -12,7 +12,7 @@ use friends_core::proximity::{edge_decay, ProximityModel, SigmaBounds, SigmaWork
 use friends_data::queries::Query;
 use friends_data::store::TagStore;
 use friends_data::{TagId, Tagging};
-use friends_graph::traversal::{bfs_distances, ProximityOrder, UNREACHABLE};
+use friends_graph::traversal::{bfs_distances, ProximityScan, ProximityWorkspace, UNREACHABLE};
 use friends_graph::{CsrGraph, GraphBuilder};
 use friends_index::topk::TopK;
 use proptest::prelude::*;
@@ -39,7 +39,8 @@ fn unbounded_sigma(g: &CsrGraph, model: ProximityModel, seeker: u32) -> Vec<f64>
             .collect(),
         ProximityModel::WeightedDecay { alpha } => {
             let mut v = vec![0.0f64; n];
-            for (u, p) in ProximityOrder::new(g, seeker, edge_decay(alpha)) {
+            let mut ws = ProximityWorkspace::new();
+            for (u, p) in ProximityScan::new(g, seeker, edge_decay(alpha), &mut ws) {
                 v[u as usize] = p;
             }
             v

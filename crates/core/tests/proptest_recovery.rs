@@ -8,7 +8,7 @@
 
 use friends_core::processors::{ExactOnline, Processor};
 use friends_core::proximity::ProximityModel;
-use friends_core::{Corpus, DurabilityConfig, LiveCorpus, LiveDurability};
+use friends_core::{Corpus, DurabilityConfig, LiveCorpus};
 use friends_data::io as snapio;
 use friends_data::mutations::{MutationBatch, MutationParams, MutationStream};
 use friends_data::queries::Query;
@@ -83,7 +83,7 @@ fn shadow_states(batches: &[MutationBatch]) -> Vec<Arc<Corpus>> {
     let live = LiveCorpus::new(seed_corpus());
     let mut states = vec![live.snapshot()];
     for b in batches {
-        live.apply(b, None, None);
+        live.commit(b, None, |_, _| ()).unwrap();
         states.push(live.snapshot());
     }
     states
@@ -140,21 +140,30 @@ fn assert_identical(recovered: &Arc<Corpus>, expected: &Arc<Corpus>, ctx: &str) 
 }
 
 /// Runs the workload against a durable corpus whose WAL writer is rigged
-/// with `mode`; returns how many batches were acknowledged (applied
-/// without error) before the injected failure.
+/// with `mode`; returns how many batches were acknowledged (committed
+/// without error) before the injected failure. A failed commit must have
+/// published nothing: the corpus still serves the last acked epoch.
 fn run_with_fault(dir: &PathBuf, mode: FailMode, sync: SyncPolicy) -> usize {
     let fs = Arc::new(FailingFs::new(mode));
     let cfg = DurabilityConfig {
         sync,
         ..DurabilityConfig::new(dir)
     };
-    let (live, dur): (LiveCorpus, LiveDurability) =
-        LiveCorpus::open_durable_with_fs(seed_corpus(), cfg, fs).unwrap();
+    let live = LiveCorpus::open_durable_with_fs(seed_corpus(), cfg, fs).unwrap();
     let mut acked = 0;
     for b in workload() {
-        match dur.apply_durable(&live, &b, None, None) {
-            Ok(_) => acked += 1,
-            Err(_) => break, // the process "died" here
+        match live.commit(&b, None, |_, _| ()) {
+            Ok(()) => acked += 1,
+            Err(_) => {
+                // The process "died" here, at the durability point.
+                assert_eq!(
+                    live.epoch(),
+                    acked as u64,
+                    "a failed commit published past the durability point"
+                );
+                assert_eq!(live.snapshot().epoch(), acked as u64);
+                break;
+            }
         }
     }
     acked
@@ -172,14 +181,14 @@ fn kill_at_every_byte_offset_recovers_the_acked_prefix() {
     let dir = tmp_dir("probe");
     let probe_fs = Arc::new(FailingFs::new(FailMode::CrashAfter(u64::MAX)));
     {
-        let (live, dur) = LiveCorpus::open_durable_with_fs(
+        let live = LiveCorpus::open_durable_with_fs(
             seed_corpus(),
             DurabilityConfig::new(&dir),
             probe_fs.clone() as Arc<dyn friends_data::wal::WalFs>,
         )
         .unwrap();
         for b in &batches {
-            dur.apply_durable(&live, b, None, None).unwrap();
+            live.commit(b, None, |_, _| ()).unwrap();
         }
     }
     let total = probe_fs.stream_position();
@@ -282,9 +291,9 @@ proptest! {
                 keep_snapshots: 2,
                 ..DurabilityConfig::new(&dir)
             };
-            let (live, dur) = LiveCorpus::open_durable(seed_corpus(), cfg).unwrap();
+            let live = LiveCorpus::open_durable(seed_corpus(), cfg).unwrap();
             for b in &batches {
-                dur.apply_durable(&live, b, None, None).unwrap();
+                live.commit(b, None, |_, _| ()).unwrap();
             }
         }
         let snaps = snapio::list_snapshots(&dir).unwrap();

@@ -32,6 +32,7 @@
 use crate::crc::crc32;
 use crate::store::TagStore;
 use crate::Tagging;
+use bytes::BufMut;
 use friends_graph::{CsrGraph, GraphBuilder};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -125,37 +126,29 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_u32_le(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32_le(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn encode_graph(graph: &CsrGraph) -> Vec<u8> {
     let mut buf = Vec::with_capacity(8 + graph.num_edges() * 12);
-    put_u32_le(&mut buf, graph.num_nodes() as u32);
-    put_u32_le(&mut buf, graph.num_edges() as u32);
+    buf.put_u32_le(graph.num_nodes() as u32);
+    buf.put_u32_le(graph.num_edges() as u32);
     for (u, v, w) in graph.undirected_edges() {
-        put_u32_le(&mut buf, u);
-        put_u32_le(&mut buf, v);
-        put_f32_le(&mut buf, w);
+        buf.put_u32_le(u);
+        buf.put_u32_le(v);
+        buf.put_f32_le(w);
     }
     buf
 }
 
 fn encode_store(store: &TagStore) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + store.num_taggings() * 16);
-    put_u32_le(&mut buf, store.num_users());
-    put_u32_le(&mut buf, store.num_items());
-    put_u32_le(&mut buf, store.num_tags());
-    put_u32_le(&mut buf, store.num_taggings() as u32);
+    buf.put_u32_le(store.num_users());
+    buf.put_u32_le(store.num_items());
+    buf.put_u32_le(store.num_tags());
+    buf.put_u32_le(store.num_taggings() as u32);
     for t in store.iter() {
-        put_u32_le(&mut buf, t.user);
-        put_u32_le(&mut buf, t.item);
-        put_u32_le(&mut buf, t.tag);
-        put_f32_le(&mut buf, t.weight);
+        buf.put_u32_le(t.user);
+        buf.put_u32_le(t.item);
+        buf.put_u32_le(t.tag);
+        buf.put_f32_le(t.weight);
     }
     buf
 }
@@ -213,8 +206,8 @@ fn decode_store(r: &mut Reader<'_>) -> Result<TagStore, IoError> {
 
 /// Writes `payload` as a checksummed v2 section: `len | crc | payload`.
 fn put_section(out: &mut Vec<u8>, payload: &[u8]) {
-    put_u32_le(out, payload.len() as u32);
-    put_u32_le(out, crc32(payload));
+    out.put_u32_le(payload.len() as u32);
+    out.put_u32_le(crc32(payload));
     out.extend_from_slice(payload);
 }
 
@@ -247,13 +240,13 @@ pub fn save_with_epoch(
 ) -> Result<(), IoError> {
     let mut buf: Vec<u8> =
         Vec::with_capacity(32 + graph.num_edges() * 12 + store.num_taggings() * 16);
-    put_u32_le(&mut buf, MAGIC);
-    put_u32_le(&mut buf, VERSION);
+    buf.put_u32_le(MAGIC);
+    buf.put_u32_le(VERSION);
     buf.extend_from_slice(&epoch.to_le_bytes());
     // Header CRC over magic‖version‖epoch: the epoch drives recovery
     // decisions, so it must not be trusted unchecked.
     let header_crc = crc32(&buf[..16]);
-    put_u32_le(&mut buf, header_crc);
+    buf.put_u32_le(header_crc);
     put_section(&mut buf, &encode_graph(graph));
     put_section(&mut buf, &encode_store(store));
     write_atomic(path, &buf)?;
@@ -428,8 +421,8 @@ mod tests {
         let path = tmp("v1compat");
         // Hand-roll a v1 file: unsectioned, no CRCs.
         let mut buf = Vec::new();
-        put_u32_le(&mut buf, MAGIC);
-        put_u32_le(&mut buf, VERSION_V1);
+        buf.put_u32_le(MAGIC);
+        buf.put_u32_le(VERSION_V1);
         buf.extend_from_slice(&encode_graph(&ds.graph));
         buf.extend_from_slice(&encode_store(&ds.store));
         std::fs::write(&path, &buf).unwrap();

@@ -59,9 +59,8 @@ impl MutationBatch {
         self.mutations.len()
     }
 
-    /// Whether the batch is empty. `LiveCorpus::apply` still publishes a
-    /// new epoch for an empty batch; the serving tier's `apply_mutations`
-    /// returns the current epoch without publishing one.
+    /// Whether the batch is empty. An empty batch still commits like any
+    /// other: one WAL record and one epoch (`LiveCorpus::commit`).
     pub fn is_empty(&self) -> bool {
         self.mutations.is_empty()
     }

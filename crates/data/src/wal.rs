@@ -27,7 +27,7 @@
 //!
 //! ## Group commit and segments
 //!
-//! One `apply` batch = one record = one `write` (+ one `fsync` under
+//! One committed batch = one record = one `write` (+ one `fsync` under
 //! [`SyncPolicy::Always`]) — the fsync amortizes over the whole batch,
 //! which is what makes durable writes affordable at serving rates.
 //! Segments are named `wal-{first_epoch:016x}.log` so their sort order is
@@ -46,6 +46,7 @@
 
 use crate::mutations::{Mutation, MutationBatch};
 use crate::Tagging;
+use bytes::BufMut;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -152,41 +153,29 @@ impl WalReplay {
 // Batch + record codec
 // ---------------------------------------------------------------------------
 
-fn put_u32_le(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64_le(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32_le(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Serializes a batch into the WAL payload form (count + tagged entries).
 pub fn encode_batch(batch: &MutationBatch) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + batch.len() * 17);
-    put_u32_le(&mut out, batch.len() as u32);
+    out.put_u32_le(batch.len() as u32);
     for m in &batch.mutations {
         match *m {
             Mutation::InsertEdge { u, v, weight } => {
                 out.push(0);
-                put_u32_le(&mut out, u);
-                put_u32_le(&mut out, v);
-                put_f32_le(&mut out, weight);
+                out.put_u32_le(u);
+                out.put_u32_le(v);
+                out.put_f32_le(weight);
             }
             Mutation::RemoveEdge { u, v } => {
                 out.push(1);
-                put_u32_le(&mut out, u);
-                put_u32_le(&mut out, v);
+                out.put_u32_le(u);
+                out.put_u32_le(v);
             }
             Mutation::AddTagging(t) => {
                 out.push(2);
-                put_u32_le(&mut out, t.user);
-                put_u32_le(&mut out, t.item);
-                put_u32_le(&mut out, t.tag);
-                put_f32_le(&mut out, t.weight);
+                out.put_u32_le(t.user);
+                out.put_u32_le(t.item);
+                out.put_u32_le(t.tag);
+                out.put_f32_le(t.weight);
             }
         }
     }
@@ -274,9 +263,9 @@ pub fn encode_record(epoch: u64, batch: &MutationBatch, out: &mut Vec<u8>) -> us
     let mut crc = crate::crc::Crc32::new();
     crc.update(&epoch.to_le_bytes());
     crc.update(&payload);
-    put_u32_le(out, payload.len() as u32);
-    put_u32_le(out, crc.finish());
-    put_u64_le(out, epoch);
+    out.put_u32_le(payload.len() as u32);
+    out.put_u32_le(crc.finish());
+    out.put_u64_le(epoch);
     out.extend_from_slice(&payload);
     HEADER + payload.len()
 }

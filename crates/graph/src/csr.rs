@@ -339,11 +339,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edge insertions so far (before dedup).
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}` with weight `w`.
     ///
     /// # Panics

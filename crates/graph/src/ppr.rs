@@ -200,12 +200,6 @@ pub fn forward_push_into(
     out.sort_unstable_by_key(|&(u, _)| u);
 }
 
-/// Convenience wrapper allocating a fresh workspace.
-pub fn forward_push_fresh(g: &CsrGraph, src: NodeId, alpha: f64, epsilon: f64) -> SparseVec {
-    let mut ws = PushWorkspace::new(g.num_nodes());
-    forward_push(g, src, alpha, epsilon, &mut ws)
-}
-
 /// Monte-Carlo PPR: runs `walks` α-restarting weighted random walks from
 /// `src` and returns the empirical endpoint distribution (sparse, sorted).
 pub fn monte_carlo(g: &CsrGraph, src: NodeId, alpha: f64, walks: usize, seed: u64) -> SparseVec {
@@ -293,7 +287,7 @@ mod tests {
     fn push_close_to_power_iteration() {
         let g = generators::barabasi_albert(300, 3, 4);
         let exact = power_iteration(&g, 0, 0.2, 100);
-        let approx = forward_push_fresh(&g, 0, 0.2, 1e-6);
+        let approx = forward_push(&g, 0, 0.2, 1e-6, &mut PushWorkspace::new(g.num_nodes()));
         let err = l1_error(&approx, &exact);
         assert!(err < 0.02, "L1 error {err}");
     }
@@ -303,7 +297,7 @@ mod tests {
         let g = generators::watts_strogatz(200, 6, 0.2, 7);
         let eps = 1e-4;
         let exact = power_iteration(&g, 3, 0.15, 200);
-        let approx = forward_push_fresh(&g, 3, 0.15, eps);
+        let approx = forward_push(&g, 3, 0.15, eps, &mut PushWorkspace::new(g.num_nodes()));
         let mut est = vec![0.0; 200];
         for &(u, p) in &approx {
             est[u as usize] = p;
@@ -318,7 +312,7 @@ mod tests {
     #[test]
     fn push_estimates_underestimate_total_mass() {
         let g = generators::erdos_renyi(150, 0.04, 5);
-        let approx = forward_push_fresh(&g, 2, 0.2, 1e-5);
+        let approx = forward_push(&g, 2, 0.2, 1e-5, &mut PushWorkspace::new(g.num_nodes()));
         let sum: f64 = approx.iter().map(|&(_, p)| p).sum();
         assert!(sum <= 1.0 + 1e-9);
         assert!(sum > 0.5, "push should have converted most mass, got {sum}");
@@ -345,7 +339,7 @@ mod tests {
         let component = 50u32;
         let edges = (0..component).map(|i| (i, (i + 1) % component, 1.0));
         let g = GraphBuilder::from_edges(10_000, edges);
-        let v = forward_push_fresh(&g, 0, 0.2, 1e-5);
+        let v = forward_push(&g, 0, 0.2, 1e-5, &mut PushWorkspace::new(g.num_nodes()));
         assert!(!v.is_empty() && v.len() <= component as usize);
         assert!(v.iter().all(|&(u, _)| u < component));
     }
@@ -353,7 +347,7 @@ mod tests {
     #[test]
     fn push_sparse_output_sorted_unique() {
         let g = generators::watts_strogatz(80, 4, 0.3, 11);
-        let v = forward_push_fresh(&g, 10, 0.15, 1e-4);
+        let v = forward_push(&g, 10, 0.15, 1e-4, &mut PushWorkspace::new(g.num_nodes()));
         for w in v.windows(2) {
             assert!(w[0].0 < w[1].0);
         }

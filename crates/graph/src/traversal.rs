@@ -1,40 +1,28 @@
-//! Graph traversals: BFS hop distances, weighted shortest paths (Dijkstra)
-//! and bidirectional BFS for point-to-point hop distance.
+//! Graph traversals: BFS hop distances and multiplicative path proximity.
 //!
-//! Social proximity in `friends-core` is a *decreasing* function of distance,
-//! so both hop counts (for decay proximity) and weighted lengths (for
-//! strength-aware decay) are provided.
+//! Social proximity in `friends-core` is a *decreasing* function of
+//! distance: hop counts feed distance decay, and products of per-edge
+//! multipliers feed strength-aware decay.
 //!
 //! Multiplicative path proximity has two kernels returning bit-identical
-//! values: [`ProximityScan`] / [`ProximityOrder`] yield nodes in decreasing
-//! proximity from a heap (for callers that stop early on `peek_bound`), and
+//! values: [`ProximityScan`] yields nodes in decreasing proximity from a
+//! heap (for callers that stop early on `peek_bound`), and
 //! [`decay_labels`] labels every node in `O(n + m)` in no particular order
-//! (for callers that want the whole vector).
+//! (for callers that want the whole vector). [`repair_labels`] brings a
+//! labelled vector to an edited graph in place.
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::OrdF64;
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
 /// Sentinel hop distance for unreachable nodes.
 pub const UNREACHABLE: u32 = u32::MAX;
 
-/// Sentinel weighted distance for unreachable nodes.
-pub const UNREACHABLE_F: f64 = f64::INFINITY;
-
 /// Hop distances from `src` to every node (`UNREACHABLE` if disconnected).
 pub fn bfs_distances(g: &CsrGraph, src: NodeId) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; g.num_nodes()];
     bfs_into(g, src, u32::MAX, &mut dist);
-    dist
-}
-
-/// Hop distances from `src`, exploring at most `max_hops` levels.
-/// Nodes beyond the horizon keep `UNREACHABLE`.
-pub fn bfs_limited(g: &CsrGraph, src: NodeId, max_hops: u32) -> Vec<u32> {
-    let mut dist = vec![UNREACHABLE; g.num_nodes()];
-    bfs_into(g, src, max_hops, &mut dist);
     dist
 }
 
@@ -65,89 +53,6 @@ pub fn bfs_into(g: &CsrGraph, src: NodeId, max_hops: u32, dist: &mut [u32]) -> u
         }
     }
     reached
-}
-
-/// Single-source weighted shortest paths.
-///
-/// `length` maps an edge weight (friendship *strength*) to a traversal
-/// *length*; the common choice in the reproduction is `|w| 1.0 / w.max(eps)`
-/// so strong ties are short. Lengths must be non-negative.
-pub fn dijkstra(g: &CsrGraph, src: NodeId, mut length: impl FnMut(f32) -> f64) -> Vec<f64> {
-    let n = g.num_nodes();
-    let mut dist = vec![UNREACHABLE_F; n];
-    if n == 0 {
-        return dist;
-    }
-    let mut heap: BinaryHeap<Reverse<(OrdF64, NodeId)>> = BinaryHeap::new();
-    dist[src as usize] = 0.0;
-    heap.push(Reverse((OrdF64(0.0), src)));
-    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
-        if d > dist[u as usize] {
-            continue; // stale entry
-        }
-        for (v, w) in g.edges(u) {
-            let l = length(w);
-            debug_assert!(l >= 0.0, "negative edge length");
-            let nd = d + l;
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(Reverse((OrdF64(nd), v)));
-            }
-        }
-    }
-    dist
-}
-
-/// Hop distance between `s` and `t` via bidirectional BFS, or `None` if
-/// disconnected. Typically explores `O(b^(d/2))` nodes instead of `O(b^d)`.
-pub fn bidirectional_hops(g: &CsrGraph, s: NodeId, t: NodeId) -> Option<u32> {
-    if s == t {
-        return Some(0);
-    }
-    let n = g.num_nodes();
-    let mut ds = vec![UNREACHABLE; n];
-    let mut dt = vec![UNREACHABLE; n];
-    ds[s as usize] = 0;
-    dt[t as usize] = 0;
-    let mut qs = VecDeque::from([s]);
-    let mut qt = VecDeque::from([t]);
-    let mut best = UNREACHABLE;
-    while !qs.is_empty() && !qt.is_empty() {
-        // Expand the smaller frontier one full level.
-        let expand_s = qs.len() <= qt.len();
-        let (q, dist_this, dist_other) = if expand_s {
-            (&mut qs, &mut ds, &dt)
-        } else {
-            (&mut qt, &mut dt, &ds)
-        };
-        let level = dist_this[q.front().map(|&u| u as usize).unwrap()];
-        // If even the optimistic meet-up can't beat `best`, stop.
-        if best != UNREACHABLE && 2 * level + 1 >= best {
-            break;
-        }
-        let mut next = VecDeque::new();
-        while let Some(&u) = q.front() {
-            if dist_this[u as usize] != level {
-                break;
-            }
-            q.pop_front();
-            for &v in g.neighbors(u) {
-                if dist_this[v as usize] == UNREACHABLE {
-                    dist_this[v as usize] = level + 1;
-                    if dist_other[v as usize] != UNREACHABLE {
-                        best = best.min(level + 1 + dist_other[v as usize]);
-                    }
-                    next.push_back(v);
-                }
-            }
-        }
-        q.extend(next);
-    }
-    if best == UNREACHABLE {
-        None
-    } else {
-        Some(best)
-    }
 }
 
 /// Reusable epoch-stamped scratch for [`bfs_stamped`]: distances are valid
@@ -233,7 +138,7 @@ impl BfsWorkspace {
 }
 
 /// BFS from `src` into an epoch-stamped workspace: the allocation-free
-/// equivalent of [`bfs_limited`] for hot query paths. Returns the number of
+/// equivalent of [`bfs_into`] for hot query paths. Returns the number of
 /// reached nodes; distances are read back through [`BfsWorkspace::dist`].
 pub fn bfs_stamped(g: &CsrGraph, src: NodeId, max_hops: u32, ws: &mut BfsWorkspace) -> usize {
     ws.begin(g.num_nodes());
@@ -293,10 +198,6 @@ impl ProximityWorkspace {
     /// Number of times the workspace grew its buffers.
     pub fn allocation_count(&self) -> u64 {
         self.allocations
-    }
-
-    fn begin(&mut self, src: NodeId, n: usize) {
-        self.begin_with_floor(src, n, 0.0);
     }
 
     fn begin_with_floor(&mut self, src: NodeId, n: usize, floor: f64) {
@@ -387,46 +288,9 @@ impl ProximityWorkspace {
 /// `(node, proximity)` pairs such that the proximity of each yielded node is
 /// an upper bound on that of every node yielded later. Implemented as a
 /// Dijkstra over `-log prox`, surfaced through an iterator so the caller can
-/// stop as soon as its termination bound fires.
-///
-/// `ProximityOrder` owns its scratch state; query loops that run many
-/// traversals should hold a [`ProximityWorkspace`] and use
-/// [`ProximityScan`] instead, which borrows the workspace and allocates
-/// nothing once warm.
-pub struct ProximityOrder<'g, F> {
-    g: &'g CsrGraph,
-    decay: F,
-    ws: ProximityWorkspace,
-}
-
-impl<'g, F: FnMut(f32) -> f64> ProximityOrder<'g, F> {
-    /// Starts a proximity-ordered traversal from `src`. `decay` maps an edge
-    /// weight to a per-edge proximity multiplier in `(0, 1]`.
-    pub fn new(g: &'g CsrGraph, src: NodeId, decay: F) -> Self {
-        let mut ws = ProximityWorkspace::new();
-        ws.begin(src, g.num_nodes());
-        ProximityOrder { g, decay, ws }
-    }
-
-    /// Proximity of the next node the iterator would yield, if any. This is
-    /// exactly the upper bound on all not-yet-yielded nodes.
-    pub fn peek_bound(&self) -> Option<f64> {
-        self.ws.bound()
-    }
-}
-
-impl<F: FnMut(f32) -> f64> Iterator for ProximityOrder<'_, F> {
-    type Item = (NodeId, f64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.ws.step(self.g, &mut self.decay)
-    }
-}
-
-/// The allocation-free counterpart of [`ProximityOrder`]: identical
-/// iteration order and bounds, borrowing a caller-owned
+/// stop as soon as its termination bound fires. It borrows a caller-owned
 /// [`ProximityWorkspace`] whose buffers are recycled across traversals via
-/// epoch stamps.
+/// epoch stamps, so a warm scan allocates nothing.
 pub struct ProximityScan<'g, 'w, F> {
     g: &'g CsrGraph,
     decay: F,
@@ -434,7 +298,8 @@ pub struct ProximityScan<'g, 'w, F> {
 }
 
 impl<'g, 'w, F: FnMut(f32) -> f64> ProximityScan<'g, 'w, F> {
-    /// Starts a traversal from `src`, recycling `ws`'s buffers.
+    /// Starts a traversal from `src`, recycling `ws`'s buffers. `decay`
+    /// maps an edge weight to a per-edge proximity multiplier in `(0, 1]`.
     pub fn new(g: &'g CsrGraph, src: NodeId, decay: F, ws: &'w mut ProximityWorkspace) -> Self {
         Self::with_floor(g, src, decay, 0.0, ws)
     }
@@ -1007,6 +872,11 @@ mod tests {
         GraphBuilder::from_edges(n, (0..n - 1).map(|i| (i as NodeId, i as NodeId + 1, 1.0)))
     }
 
+    /// A whole [`ProximityScan`] from `src` on a fresh workspace.
+    fn scan(g: &CsrGraph, src: NodeId, decay: impl FnMut(f32) -> f64) -> Vec<(NodeId, f64)> {
+        ProximityScan::new(g, src, decay, &mut ProximityWorkspace::new()).collect()
+    }
+
     #[test]
     fn bfs_on_path() {
         let g = path_graph(6);
@@ -1026,7 +896,8 @@ mod tests {
     #[test]
     fn bfs_limited_respects_horizon() {
         let g = path_graph(10);
-        let d = bfs_limited(&g, 0, 3);
+        let mut d = vec![UNREACHABLE; 10];
+        assert_eq!(bfs_into(&g, 0, 3, &mut d), 4);
         assert_eq!(d[3], 3);
         assert_eq!(d[4], UNREACHABLE);
     }
@@ -1040,66 +911,9 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_prefers_strong_ties() {
-        // 0 -(w=1.0)- 1 -(w=1.0)- 2   vs   0 -(w=0.1)- 2
-        let g = GraphBuilder::from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 0.1)]);
-        let d = dijkstra(&g, 0, |w| 1.0 / w as f64);
-        // Two strong hops cost 2.0; the weak direct tie costs 10.0.
-        assert!((d[2] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dijkstra_unreachable_is_inf() {
-        let g = GraphBuilder::from_edges(3, [(0, 1, 1.0)]);
-        let d = dijkstra(&g, 0, |_| 1.0);
-        assert_eq!(d[2], UNREACHABLE_F);
-    }
-
-    #[test]
-    fn dijkstra_matches_bfs_on_unit_lengths() {
-        let g = generators::erdos_renyi(150, 0.05, 3);
-        let bfs = bfs_distances(&g, 0);
-        let dij = dijkstra(&g, 0, |_| 1.0);
-        for u in 0..150usize {
-            if bfs[u] == UNREACHABLE {
-                assert_eq!(dij[u], UNREACHABLE_F);
-            } else {
-                assert!((dij[u] - bfs[u] as f64).abs() < 1e-9, "node {u}");
-            }
-        }
-    }
-
-    #[test]
-    fn bidirectional_matches_bfs() {
-        let g = generators::watts_strogatz(120, 4, 0.2, 4);
-        let d0 = bfs_distances(&g, 7);
-        for t in [0u32, 13, 50, 99, 119] {
-            let got = bidirectional_hops(&g, 7, t);
-            if d0[t as usize] == UNREACHABLE {
-                assert_eq!(got, None);
-            } else {
-                assert_eq!(got, Some(d0[t as usize]), "target {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn bidirectional_same_node() {
-        let g = path_graph(3);
-        assert_eq!(bidirectional_hops(&g, 1, 1), Some(0));
-    }
-
-    #[test]
-    fn bidirectional_disconnected() {
-        let g = GraphBuilder::from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]);
-        assert_eq!(bidirectional_hops(&g, 0, 3), None);
-    }
-
-    #[test]
     fn proximity_order_is_monotone_decreasing() {
         let g = generators::barabasi_albert(200, 3, 8);
-        let it = ProximityOrder::new(&g, 0, |_| 0.5);
-        let seq: Vec<f64> = it.map(|(_, p)| p).collect();
+        let seq: Vec<f64> = scan(&g, 0, |_| 0.5).into_iter().map(|(_, p)| p).collect();
         assert!(!seq.is_empty());
         for w in seq.windows(2) {
             assert!(w[0] >= w[1] - 1e-12);
@@ -1109,7 +923,7 @@ mod tests {
     #[test]
     fn proximity_order_unit_decay_on_path() {
         let g = path_graph(4);
-        let order: Vec<(NodeId, f64)> = ProximityOrder::new(&g, 0, |_| 0.5).collect();
+        let order = scan(&g, 0, |_| 0.5);
         assert_eq!(order.len(), 4);
         assert_eq!(order[0], (0, 1.0));
         assert_eq!(order[1].0, 1);
@@ -1122,7 +936,7 @@ mod tests {
         // Direct weak edge vs two strong hops; multiplicative proximity
         // should pick whichever product is larger.
         let g = GraphBuilder::from_edges(3, [(0, 2, 0.2), (0, 1, 0.9), (1, 2, 0.9)]);
-        let order: Vec<(NodeId, f64)> = ProximityOrder::new(&g, 0, |w| w as f64).collect();
+        let order = scan(&g, 0, |w| w as f64);
         let p2 = order.iter().find(|&&(u, _)| u == 2).unwrap().1;
         // Weights are f32, so 0.9 is not exactly representable; allow slack.
         assert!((p2 - 0.81).abs() < 1e-6, "expected 0.9*0.9, got {p2}");
@@ -1131,7 +945,8 @@ mod tests {
     #[test]
     fn proximity_peek_bound_is_upper_bound() {
         let g = generators::watts_strogatz(100, 4, 0.1, 5);
-        let mut it = ProximityOrder::new(&g, 0, |_| 0.7);
+        let mut ws = ProximityWorkspace::new();
+        let mut it = ProximityScan::new(&g, 0, |_| 0.7, &mut ws);
         let mut yielded = Vec::new();
         loop {
             let bound = it.peek_bound();
@@ -1150,8 +965,7 @@ mod tests {
     fn proximity_order_empty_graph() {
         let g = CsrGraph::empty(0);
         // Constructing on an empty graph must not panic and yields nothing.
-        let mut it = ProximityOrder::new(&g, 0, |_| 0.5);
-        assert!(it.next().is_none());
+        assert!(scan(&g, 0, |_| 0.5).is_empty());
     }
 
     #[test]
@@ -1188,11 +1002,11 @@ mod tests {
 
     #[test]
     fn proximity_scan_equals_proximity_order() {
+        // A warm, reused workspace scans exactly like a fresh one.
         let g = generators::barabasi_albert(250, 3, 11);
         let mut ws = ProximityWorkspace::new();
         for src in [0u32, 42, 0, 199] {
-            let want: Vec<(NodeId, f64)> =
-                ProximityOrder::new(&g, src, |w| 0.6 * w as f64).collect();
+            let want = scan(&g, src, |w| 0.6 * w as f64);
             let got: Vec<(NodeId, f64)> =
                 ProximityScan::new(&g, src, |w| 0.6 * w as f64, &mut ws).collect();
             assert_eq!(want, got, "src {src}");
@@ -1280,7 +1094,7 @@ mod tests {
             21,
         );
         let decay = |w: f32| 0.8 * (w as f64).clamp(0.0, 1.0);
-        let want = |src| -> Vec<(NodeId, f64)> { ProximityOrder::new(&g, src, decay).collect() };
+        let want = |src| scan(&g, src, decay);
         let mut labels = ProximityLabels::new();
         decay_labels(&g, 5, decay, 0.0, &mut labels);
         let capacities: Vec<usize> = labels.buckets.iter().map(Vec::capacity).collect();

@@ -4,14 +4,15 @@
 
 use friends_graph::csr::{CsrGraph, GraphBuilder, NodeId};
 use friends_graph::landmarks::{LandmarkOracle, LandmarkStrategy};
-use friends_graph::ppr::{forward_push_fresh, power_iteration};
+use friends_graph::ppr::{forward_push, power_iteration, PushWorkspace};
 use friends_graph::traversal::{
-    bfs_distances, bidirectional_hops, decay_labels, dijkstra, repair_labels, EdgeEdit,
-    ProximityLabels, ProximityOrder, ProximityScan, ProximityWorkspace, RepairScratch, UNREACHABLE,
-    UNREACHABLE_F,
+    bfs_distances, decay_labels, repair_labels, EdgeEdit, ProximityLabels, ProximityScan,
+    ProximityWorkspace, RepairScratch, UNREACHABLE,
 };
+use friends_graph::OrdF64;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Strategy: a random small graph as (n, edge list with weights).
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId, f32)>)> {
@@ -38,6 +39,33 @@ fn arb_weighted() -> impl Strategy<Value = (usize, NodeId, Vec<(NodeId, NodeId, 
         let edges = proptest::collection::vec((0..n as NodeId, 0..n as NodeId, weight), 0..(n * 3));
         (Just(n), 0..n as NodeId, edges)
     })
+}
+
+/// Single-source shortest path lengths under `length(weight)`, infinite
+/// when unreachable: the independent additive oracle the multiplicative
+/// proximity kernels are checked against.
+fn dijkstra(g: &CsrGraph, src: NodeId, mut length: impl FnMut(f32) -> f64) -> Vec<f64> {
+    let mut dist = vec![f64::INFINITY; g.num_nodes()];
+    let mut heap = BinaryHeap::from([Reverse((OrdF64(0.0), src))]);
+    dist[src as usize] = 0.0;
+    while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
+        if d > dist[u as usize] {
+            continue; // stale entry
+        }
+        for (v, w) in g.edges(u) {
+            let nd = d + length(w);
+            if nd < dist[v as usize] {
+                dist[v as usize] = nd;
+                heap.push(Reverse((OrdF64(nd), v)));
+            }
+        }
+    }
+    dist
+}
+
+/// A whole [`ProximityScan`] from `src` on a fresh workspace.
+fn scan(g: &CsrGraph, src: NodeId, decay: impl FnMut(f32) -> f64) -> Vec<(NodeId, f64)> {
+    ProximityScan::new(g, src, decay, &mut ProximityWorkspace::new()).collect()
 }
 
 fn build(n: usize, edges: &[(NodeId, NodeId, f32)]) -> CsrGraph {
@@ -192,7 +220,7 @@ proptest! {
     }
 
     /// BFS distances satisfy the triangle property along every edge and are
-    /// exactly reproduced by unit-length Dijkstra and bidirectional BFS.
+    /// exactly reproduced by the unit-length Dijkstra oracle.
     #[test]
     fn traversals_agree((n, edges) in arb_graph()) {
         let g = build(n, &edges);
@@ -209,30 +237,21 @@ proptest! {
         let dij = dijkstra(&g, 0, |_| 1.0);
         for u in 0..n {
             if d[u] == UNREACHABLE {
-                prop_assert_eq!(dij[u], UNREACHABLE_F);
+                prop_assert_eq!(dij[u], f64::INFINITY);
             } else {
                 prop_assert!((dij[u] - d[u] as f64).abs() < 1e-9);
             }
         }
-        for t in 0..n as NodeId {
-            let bi = bidirectional_hops(&g, 0, t);
-            if d[t as usize] == UNREACHABLE {
-                prop_assert_eq!(bi, None);
-            } else {
-                prop_assert_eq!(bi, Some(d[t as usize]));
-            }
-        }
     }
 
-    /// ProximityOrder yields every reachable node exactly once, in
+    /// ProximityScan yields every reachable node exactly once, in
     /// non-increasing proximity, and its proximities match an independent
     /// Dijkstra over -log(decay).
     #[test]
     fn proximity_order_is_dijkstra((n, edges) in arb_graph()) {
         let g = build(n, &edges);
         let alpha = 0.7f64;
-        let order: Vec<(NodeId, f64)> =
-            ProximityOrder::new(&g, 0, |w| alpha * w as f64).collect();
+        let order = scan(&g, 0, |w| alpha * w as f64);
         // Non-increasing.
         for w in order.windows(2) {
             prop_assert!(w[0].1 >= w[1].1 - 1e-12);
@@ -268,7 +287,7 @@ proptest! {
         let decay = move |w: f32| alpha * (w as f64).clamp(0.0, 1.0);
         let mut labels = ProximityLabels::new();
         for src in [src, 0, src] {
-            let order: Vec<(NodeId, f64)> = ProximityOrder::new(&g, src, decay).collect();
+            let order = scan(&g, src, decay);
             let residual = decay_labels(&g, src, decay, 0.0, &mut labels);
             prop_assert_eq!(residual, 0.0);
             let reached: BTreeSet<NodeId> = order.iter().map(|&(u, _)| u).collect();
@@ -297,7 +316,7 @@ proptest! {
         let g = build(n, &edges);
         let decay = move |w: f32| alpha * (w as f64).clamp(0.0, 1.0);
         let mut truth = vec![0.0f64; n];
-        for (u, p) in ProximityOrder::new(&g, src, decay) {
+        for (u, p) in scan(&g, src, decay) {
             truth[u as usize] = p;
         }
         let mut labels = ProximityLabels::new();
@@ -333,7 +352,7 @@ proptest! {
         prop_assert!(exact.iter().all(|&x| x >= -1e-12));
 
         let eps = 1e-4;
-        let approx = forward_push_fresh(&g, 0, alpha, eps);
+        let approx = forward_push(&g, 0, alpha, eps, &mut PushWorkspace::new(n));
         let asum: f64 = approx.iter().map(|&(_, p)| p).sum();
         prop_assert!(asum <= 1.0 + 1e-9);
         let mut dense = vec![0.0f64; n];

@@ -1,7 +1,6 @@
 //! Inverted index mapping term ids to posting lists.
 
 use crate::postings::{PostingConfig, PostingList};
-use crate::topk::ScoreSortedList;
 use crate::{DocId, Score, TermId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -13,8 +12,7 @@ pub struct IndexConfig {
     pub postings: PostingConfig,
 }
 
-/// An immutable inverted index: `term → PostingList` (doc-sorted) plus a
-/// lazily built score-sorted view for TA-style access.
+/// An immutable inverted index: `term → PostingList` (doc-sorted).
 ///
 /// Every list sits behind its own `Arc`: a clone copies one pointer per
 /// term, and [`InvertedIndex::with_terms_rebuilt`] shares every list it
@@ -154,11 +152,6 @@ impl InvertedIndex {
         self.lists.get(term as usize).map(|l| &**l)
     }
 
-    /// Materializes the score-sorted view of `term` (TA access path).
-    pub fn score_sorted(&self, term: TermId) -> Option<ScoreSortedList> {
-        self.postings(term).map(ScoreSortedList::from_postings)
-    }
-
     /// Build configuration.
     pub fn config(&self) -> IndexConfig {
         self.config
@@ -196,15 +189,6 @@ mod tests {
         assert_eq!(l0.to_vec(), vec![(2, 2.0), (5, 2.5)]);
         assert!(idx.postings(1).unwrap().is_empty());
         assert!(idx.postings(7).is_none());
-    }
-
-    #[test]
-    fn score_sorted_view_consistent() {
-        let idx = sample();
-        let s = idx.score_sorted(0).unwrap();
-        assert_eq!(s.at(0), Some((5, 2.5)));
-        assert_eq!(s.at(1), Some((2, 2.0)));
-        assert_eq!(s.score_of(2), 2.0);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! Information-retrieval substrate for the `friends` workspace: compressed
 //! posting lists with skip pointers, an inverted index keyed by term id, and
-//! the classical top-k machinery (score-sorted lists, Fagin's TA, NRA and a
-//! WAND-style document-at-a-time traversal).
+//! the top-k machinery: a bounded result heap, exhaustive term- and
+//! document-at-a-time oracles, WAND, and the σ-aware block-max WAND the
+//! personalized processors run on.
 //!
 //! The network-aware processors in `friends-core` are built by *re-deriving*
-//! these textbook algorithms under personalized scores; having the textbook
-//! versions in the same workspace gives the evaluation its baselines.
+//! WAND's pruning under personalized scores; the textbook version stays as
+//! the non-personalized (`global`) baseline.
 //!
 //! ```
 //! use friends_index::inverted::{InvertedIndex, IndexConfig};

@@ -507,11 +507,6 @@ impl<'a> PostingCursor<'a> {
         }
     }
 
-    /// Index of the block the cursor currently sits in.
-    pub fn block_index(&self) -> usize {
-        self.block
-    }
-
     /// The `(tagger, weight)` group of the current entry (empty for lists
     /// without tagger groups).
     ///

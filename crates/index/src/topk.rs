@@ -1,14 +1,16 @@
-//! Top-k machinery: a bounded result heap, score-sorted lists, Fagin's
-//! Threshold Algorithm (TA), No-Random-Access (NRA) and a WAND-style
-//! document-at-a-time traversal over doc-sorted posting lists.
+//! Top-k machinery: a bounded result heap, a WAND-style document-at-a-time
+//! traversal over doc-sorted posting lists, and its σ-aware block-max
+//! generalization ([`BlockMaxWand`]).
 //!
-//! These are the classical, *non-personalized* algorithms; `friends-core`
-//! re-derives their termination conditions under seeker-dependent scores.
+//! [`wand_topk`] is the classical, *non-personalized* algorithm;
+//! [`BlockMaxWand`] re-derives its termination conditions under
+//! seeker-dependent scores. The exhaustive oracles live in
+//! [`crate::accumulate`].
 
 use crate::postings::PostingList;
 use crate::{DocId, Score};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// A candidate result. Ordering: higher score first, then smaller doc id —
 /// the canonical tie-break used across the workspace so all processors
@@ -95,190 +97,15 @@ impl TopK {
     }
 }
 
-/// A posting list materialized in *descending score* order, with random
-/// access by doc id — the access structure TA requires.
-#[derive(Clone, Debug)]
-pub struct ScoreSortedList {
-    /// `(doc, score)` sorted by score desc, doc asc.
-    by_score: Vec<(DocId, Score)>,
-    /// `(doc, score)` sorted by doc for random access.
-    by_doc: Vec<(DocId, Score)>,
-}
-
-impl ScoreSortedList {
-    /// Builds from arbitrary `(doc, score)` pairs (duplicates summed).
-    pub fn build(entries: Vec<(DocId, Score)>) -> Self {
-        let mut by_doc = entries;
-        by_doc.sort_unstable_by_key(|&(d, _)| d);
-        by_doc.dedup_by(|next, kept| {
-            if next.0 == kept.0 {
-                kept.1 += next.1;
-                true
-            } else {
-                false
-            }
-        });
-        let mut by_score = by_doc.clone();
-        by_score.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        ScoreSortedList { by_score, by_doc }
-    }
-
-    /// Builds from an existing doc-sorted [`PostingList`].
-    pub fn from_postings(list: &PostingList) -> Self {
-        Self::build(list.to_vec())
-    }
-
-    /// Entry at `rank` in descending score order.
-    pub fn at(&self, rank: usize) -> Option<(DocId, Score)> {
-        self.by_score.get(rank).copied()
-    }
-
-    /// Random-access score of `doc` (0.0 if absent — the standard missing-
-    /// entry convention for sum aggregation).
-    pub fn score_of(&self, doc: DocId) -> Score {
-        match self.by_doc.binary_search_by_key(&doc, |&(d, _)| d) {
-            Ok(i) => self.by_doc[i].1,
-            Err(_) => 0.0,
-        }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.by_score.len()
-    }
-
-    /// Whether the list has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.by_score.is_empty()
-    }
-}
-
-/// Statistics reported by the early-termination algorithms, used by Fig 8.
+/// What [`wand_topk`] and [`BlockMaxWand`] report about their work.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AccessStats {
     /// Postings read sequentially (sorted access).
     pub sorted_accesses: usize,
-    /// Random-access score probes (for [`BlockMaxWand`]: σ-range bound
-    /// evaluations).
+    /// σ-range bound evaluations ([`BlockMaxWand`] only).
     pub random_accesses: usize,
-    /// Depth reached in the deepest list.
-    pub max_depth: usize,
     /// Whole blocks skipped without decoding ([`BlockMaxWand`] only).
     pub blocks_skipped: usize,
-}
-
-/// Fagin's Threshold Algorithm over score-sorted lists with sum aggregation.
-///
-/// Reads all lists in lock-step depth order; for every newly seen doc it
-/// probes the other lists by random access to complete the score; stops when
-/// the k-th best completed score meets the threshold `Σ_j s_j(depth)`.
-pub fn ta_topk(lists: &[ScoreSortedList], k: usize) -> (Vec<(DocId, Score)>, AccessStats) {
-    let mut topk = TopK::new(k);
-    let mut stats = AccessStats::default();
-    if lists.is_empty() || k == 0 {
-        return (topk.into_sorted_vec(), stats);
-    }
-    let max_len = lists.iter().map(|l| l.len()).max().unwrap_or(0);
-    let mut seen: HashMap<DocId, ()> = HashMap::new();
-    for depth in 0..max_len {
-        let mut threshold = 0.0f32;
-        let mut any = false;
-        for (li, list) in lists.iter().enumerate() {
-            if let Some((doc, s)) = list.at(depth) {
-                any = true;
-                stats.sorted_accesses += 1;
-                threshold += s;
-                if seen.insert(doc, ()).is_none() {
-                    // Complete the aggregate via random access elsewhere.
-                    let mut total = s;
-                    for (lj, other) in lists.iter().enumerate() {
-                        if lj != li {
-                            stats.random_accesses += 1;
-                            total += other.score_of(doc);
-                        }
-                    }
-                    topk.offer(doc, total);
-                }
-            }
-        }
-        stats.max_depth = depth + 1;
-        if !any {
-            break;
-        }
-        // TA stop test: k results held and none below the frontier can win.
-        if topk.len() >= k && topk.threshold() >= threshold {
-            break;
-        }
-    }
-    (topk.into_sorted_vec(), stats)
-}
-
-/// No-Random-Access algorithm (NRA) with sum aggregation.
-///
-/// Maintains `[lower, upper]` score intervals per seen doc; terminates when
-/// the k-th best lower bound dominates every other doc's upper bound and the
-/// unseen-doc bound. Returns the exact top-k set (scores are the exact
-/// aggregates, completed lazily at the end for reporting convenience).
-pub fn nra_topk(lists: &[ScoreSortedList], k: usize) -> (Vec<(DocId, Score)>, AccessStats) {
-    let mut stats = AccessStats::default();
-    if lists.is_empty() || k == 0 {
-        return (Vec::new(), stats);
-    }
-    #[derive(Clone, Copy, Default)]
-    struct Interval {
-        lower: f32,
-        /// Bitmask of lists this doc has been seen in (≤ 64 lists supported,
-        /// plenty for multi-tag queries).
-        seen_mask: u64,
-    }
-    assert!(lists.len() <= 64, "NRA supports at most 64 lists");
-    let mut cand: HashMap<DocId, Interval> = HashMap::new();
-    let max_len = lists.iter().map(|l| l.len()).max().unwrap_or(0);
-    let mut frontier: Vec<f32> = lists.iter().map(|l| l.at(0).map_or(0.0, |e| e.1)).collect();
-    let mut stop_depth = max_len;
-    for depth in 0..max_len {
-        for (li, list) in lists.iter().enumerate() {
-            if let Some((doc, s)) = list.at(depth) {
-                stats.sorted_accesses += 1;
-                let e = cand.entry(doc).or_default();
-                e.lower += s;
-                e.seen_mask |= 1 << li;
-            }
-            frontier[li] = list.at(depth).map_or(0.0, |e| e.1);
-        }
-        stats.max_depth = depth + 1;
-        // Upper bound for a doc = lower + Σ frontier over unseen lists.
-        // k-th best lower bound:
-        let mut lowers: Vec<f32> = cand.values().map(|i| i.lower).collect();
-        if lowers.len() < k {
-            continue;
-        }
-        lowers.sort_unstable_by(|a, b| b.total_cmp(a));
-        let kth_lower = lowers[k - 1];
-        let unseen_ub: f32 = frontier.iter().sum();
-        let all_dominated = cand.values().all(|i| {
-            let mut ub = i.lower;
-            for (li, f) in frontier.iter().enumerate() {
-                if i.seen_mask & (1 << li) == 0 {
-                    ub += f;
-                }
-            }
-            ub <= kth_lower || i.lower >= kth_lower
-        });
-        if all_dominated && unseen_ub <= kth_lower {
-            stop_depth = depth + 1;
-            break;
-        }
-    }
-    let _ = stop_depth;
-    // Complete exact scores for the final ranking (bounded extra work, keeps
-    // the reported scores comparable across algorithms).
-    let mut topk = TopK::new(k);
-    for (&doc, _) in cand.iter() {
-        let total: f32 = lists.iter().map(|l| l.score_of(doc)).sum();
-        topk.offer(doc, total);
-    }
-    (topk.into_sorted_vec(), stats)
 }
 
 /// WAND-style document-at-a-time top-k over doc-sorted posting lists with
@@ -878,28 +705,10 @@ impl BlockMaxWand {
     }
 }
 
-/// Brute-force exact top-k over score-sorted lists (reference oracle for
-/// tests and accuracy figures).
-pub fn brute_force_topk(lists: &[ScoreSortedList], k: usize) -> Vec<(DocId, Score)> {
-    let mut agg: HashMap<DocId, f32> = HashMap::new();
-    for l in lists {
-        for rank in 0.. {
-            match l.at(rank) {
-                Some((d, s)) => *agg.entry(d).or_insert(0.0) += s,
-                None => break,
-            }
-        }
-    }
-    let mut topk = TopK::new(k);
-    for (d, s) in agg {
-        topk.offer(d, s);
-    }
-    topk.into_sorted_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accumulate::taat_topk;
     use crate::postings::PostingConfig;
     use rand::prelude::*;
     use rand::rngs::StdRng;
@@ -956,67 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn score_sorted_list_access() {
-        let l = ScoreSortedList::build(vec![(4, 1.0), (2, 3.0), (7, 2.0), (2, 1.0)]);
-        assert_eq!(l.len(), 3);
-        assert_eq!(l.at(0), Some((2, 4.0))); // duplicates summed
-        assert_eq!(l.at(1), Some((7, 2.0)));
-        assert_eq!(l.score_of(4), 1.0);
-        assert_eq!(l.score_of(99), 0.0);
-        assert_eq!(l.at(3), None);
-    }
-
-    #[test]
-    fn ta_matches_brute_force_randomized() {
-        for seed in 0..10u64 {
-            let raw = random_lists(3, 400, 0.2, seed);
-            let lists: Vec<ScoreSortedList> = raw.into_iter().map(ScoreSortedList::build).collect();
-            for k in [1usize, 5, 20] {
-                let (got, _) = ta_topk(&lists, k);
-                let want = brute_force_topk(&lists, k);
-                assert_eq!(got.len(), want.len());
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.0, w.0, "seed {seed} k {k}");
-                    assert!((g.1 - w.1).abs() < 1e-4);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ta_early_termination_saves_accesses() {
-        // Skewed lists: huge gap between best and rest ⇒ TA must stop early.
-        let mut entries: Vec<(DocId, Score)> = (0..5000u32).map(|d| (d, 0.001)).collect();
-        entries.push((9999, 100.0));
-        let l1 = ScoreSortedList::build(entries.clone());
-        let l2 = ScoreSortedList::build(entries);
-        let (top, stats) = ta_topk(&[l1, l2], 1);
-        assert_eq!(top[0].0, 9999);
-        assert!(
-            stats.max_depth < 100,
-            "TA should terminate early, depth {}",
-            stats.max_depth
-        );
-    }
-
-    #[test]
-    fn nra_matches_brute_force_randomized() {
-        for seed in 20..28u64 {
-            let raw = random_lists(4, 200, 0.25, seed);
-            let lists: Vec<ScoreSortedList> = raw.into_iter().map(ScoreSortedList::build).collect();
-            for k in [1usize, 3, 10] {
-                let (got, _) = nra_topk(&lists, k);
-                let want = brute_force_topk(&lists, k);
-                assert_eq!(
-                    got.iter().map(|h| h.0).collect::<Vec<_>>(),
-                    want.iter().map(|h| h.0).collect::<Vec<_>>(),
-                    "seed {seed} k {k}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn wand_matches_brute_force_randomized() {
         for seed in 40..48u64 {
             let raw = random_lists(3, 300, 0.3, seed);
@@ -1025,11 +773,9 @@ mod tests {
                 .map(|v| PostingList::build(v.clone(), PostingConfig::default()))
                 .collect();
             let refs: Vec<&PostingList> = lists_pl.iter().collect();
-            let sorted: Vec<ScoreSortedList> =
-                raw.into_iter().map(ScoreSortedList::build).collect();
             for k in [1usize, 7, 25] {
                 let (got, _) = wand_topk(&refs, k);
-                let want = brute_force_topk(&sorted, k);
+                let want = taat_topk(&refs, k);
                 assert_eq!(
                     got.iter().map(|h| h.0).collect::<Vec<_>>(),
                     want.iter().map(|h| h.0).collect::<Vec<_>>(),
@@ -1279,8 +1025,6 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert!(ta_topk(&[], 5).0.is_empty());
-        assert!(nra_topk(&[], 5).0.is_empty());
         assert!(wand_topk(&[], 5).0.is_empty());
         let mut bmw = BlockMaxWand::new();
         assert!(bmw.search(&[], &UnitSigma, 5, SigmaAccum::F32).0.is_empty());
@@ -1289,16 +1033,14 @@ mod tests {
             .search(&[&empty_pl], &UnitSigma, 5, SigmaAccum::F64)
             .0
             .is_empty());
-        let empty = ScoreSortedList::build(vec![]);
-        assert!(empty.is_empty());
-        let (r, _) = ta_topk(&[empty], 3);
+        let (r, _) = wand_topk(&[&empty_pl], 3);
         assert!(r.is_empty());
     }
 
     #[test]
     fn k_larger_than_candidates() {
-        let l = ScoreSortedList::build(vec![(1, 1.0), (2, 2.0)]);
-        let (r, _) = ta_topk(&[l], 10);
+        let l = PostingList::build(vec![(1, 1.0), (2, 2.0)], PostingConfig::default());
+        let (r, _) = wand_topk(&[&l], 10);
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].0, 2);
     }
@@ -1306,10 +1048,9 @@ mod tests {
     #[test]
     fn single_list_fast_paths() {
         let entries: Vec<(DocId, Score)> = (0..100).map(|d| (d, (d % 13) as f32)).collect();
-        let pl = PostingList::build(entries.clone(), PostingConfig::default());
-        let sl = ScoreSortedList::build(entries);
+        let pl = PostingList::build(entries, PostingConfig::default());
         let (w, _) = wand_topk(&[&pl], 5);
-        let bf = brute_force_topk(&[sl], 5);
+        let bf = taat_topk(&[&pl], 5);
         assert_eq!(
             w.iter().map(|h| h.0).collect::<Vec<_>>(),
             bf.iter().map(|h| h.0).collect::<Vec<_>>()

@@ -8,9 +8,7 @@ use crossbeam::channel;
 use friends_core::cache::{CachePolicy, KeyMap, ProximityCache, SigmaSweep};
 use friends_core::corpus::{Corpus, SearchResult};
 use friends_core::latency::Stage;
-use friends_core::live::{
-    DurabilityConfig, LiveCorpus, LiveDurability, PreparedMutation, RecoveryReport,
-};
+use friends_core::live::{DurabilityConfig, LiveCorpus, PreparedMutation, RecoveryReport};
 use friends_core::plan::{
     strategy_index, PlannedExecutor, Planner, ProcessorRegistry, QueryRequest, STRATEGY_LABELS,
 };
@@ -454,18 +452,14 @@ pub struct FriendsService {
     shards: Vec<Arc<ShardState>>,
     workers: Vec<JoinHandle<()>>,
     default_deadline: Option<Duration>,
-    /// The service-level snapshot lineage: `apply_mutations` prepares
-    /// against it and publishes to it after every shard acks.
+    /// The service-level snapshot lineage — WAL and snapshots included
+    /// when the service runs durable ([`ServiceConfig::durability`]):
+    /// `apply_mutations` commits through it, publishing after every shard
+    /// acks.
     live: LiveCorpus,
-    /// Serializes `apply_mutations` callers (prepare must see the latest
-    /// published snapshot).
-    mutation_gate: Mutex<()>,
     /// Stage times of the batches applied so far (see
     /// [`ServiceStats::mutation_times`]).
     mutation_times: Mutex<MutationTimes>,
-    /// The WAL + snapshot machinery when the service runs durable
-    /// ([`ServiceConfig::durability`]).
-    durability: Option<Arc<LiveDurability>>,
 }
 
 impl FriendsService {
@@ -487,13 +481,10 @@ impl FriendsService {
         // empty directory. Startup panics when the directory is unusable —
         // serving from a stale seed while writes go nowhere would be a
         // silent data-loss mode.
-        let (live, durability) = match config.durability.clone() {
-            Some(dcfg) => {
-                let (live, dur) = LiveCorpus::open_durable(Arc::clone(&corpus), dcfg)
-                    .expect("durable service startup: snapshot/WAL directory unusable");
-                (live, Some(Arc::new(dur)))
-            }
-            None => (LiveCorpus::new(Arc::clone(&corpus)), None),
+        let live = match config.durability.clone() {
+            Some(dcfg) => LiveCorpus::open_durable(Arc::clone(&corpus), dcfg)
+                .expect("durable service startup: snapshot/WAL directory unusable"),
+            None => LiveCorpus::new(Arc::clone(&corpus)),
         };
         // Workers serve the recovered snapshot (identical to the argument
         // on memory-only or freshly-seeded services).
@@ -544,9 +535,7 @@ impl FriendsService {
             workers,
             default_deadline: config.default_deadline,
             live,
-            mutation_gate: Mutex::new(()),
             mutation_times: Mutex::new(MutationTimes::default()),
-            durability,
         }
     }
 
@@ -607,86 +596,67 @@ impl FriendsService {
     }
 
     /// [`FriendsService::apply_mutations`] with the durability error
-    /// surfaced. On a durable service the batch is appended to the WAL
-    /// (group commit, fsynced per [`DurabilityConfig::sync`]) *after*
-    /// prepare and **before** any shard sees it: `Err` means nothing was
+    /// surfaced. The batch goes through [`LiveCorpus::commit`]: on a
+    /// durable service it is appended to the WAL (group commit, fsynced
+    /// per [`DurabilityConfig::sync`]) *after* prepare and **before** any
+    /// shard sees it, so `Err` from the append means nothing was
     /// broadcast, published or acknowledged — the corpus stays at the
     /// previous epoch and the caller may retry. `Err` after the WAL write
     /// can only come from snapshot maintenance
     /// ([`DurabilityConfig::snapshot_every`]); the batch itself is then
     /// already durable and published, and the report is lost only to the
-    /// caller.
+    /// caller. Every batch, an empty one too, publishes one epoch.
     pub fn try_apply_mutations(
         &self,
         batch: &MutationBatch,
         horizon: Option<u32>,
     ) -> std::io::Result<MutationReport> {
-        let _writer = self.mutation_gate.lock();
-        if batch.is_empty() {
-            return Ok(MutationReport {
-                epoch: self.live.epoch(),
-                ..MutationReport::default()
-            });
-        }
-        let started = Instant::now();
-        let prepared = Arc::new(self.live.prepare(batch, horizon));
-        let prepare = started.elapsed();
-        let epoch = prepared.epoch();
-        // The durability point. Everything below — broadcast, sweeps, acks,
-        // publish — happens only once the record (and, under
-        // `SyncPolicy::Always`, its fsync) is on disk.
-        let wal = match &self.durability {
-            Some(d) => Some(d.log_batch(epoch, batch)?),
-            None => None,
-        };
-        let started = Instant::now();
-        let (ack_tx, ack_rx) = channel::bounded(self.senders.len());
-        for tx in &self.senders {
-            // A dead shard (worker panic) just drops its queue; its clone
-            // of the ack sender goes with it, so the recv loop below still
-            // terminates.
-            let _ = tx.send(WorkItem::Mutation(MutationJob {
-                prepared: Arc::clone(&prepared),
-                ack: ack_tx.clone(),
+        self.live.commit(batch, horizon, |prepared, wal| {
+            let started = Instant::now();
+            let (ack_tx, ack_rx) = channel::bounded(self.senders.len());
+            for tx in &self.senders {
+                // A dead shard (worker panic) just drops its queue; its
+                // clone of the ack sender goes with it, so the recv loop
+                // below still terminates.
+                let _ = tx.send(WorkItem::Mutation(MutationJob {
+                    prepared: Arc::clone(prepared),
+                    ack: ack_tx.clone(),
+                    wal,
+                }));
+            }
+            drop(ack_tx);
+            let mut sigma = SigmaSweep::default();
+            let mut results = 0u64;
+            let mut refresh = Duration::ZERO;
+            while let Ok(ack) = ack_rx.recv() {
+                sigma.merge(&ack.sigma);
+                results += ack.results_invalidated;
+                refresh += ack.repair;
+            }
+            // Every shard now serves the new snapshot (and swept its
+            // caches); `commit` publishes once this returns.
+            let barrier = started.elapsed();
+            let prepare = prepared.prepare_time;
+            {
+                let mut times = self.mutation_times.lock();
+                times.batches += 1;
+                times.prepare += prepare;
+                times.refresh += refresh;
+                times.barrier += barrier;
+                times.sigma.merge(&sigma);
+            }
+            MutationReport {
+                epoch: prepared.epoch(),
+                mutations: prepared.mutations,
+                sigma,
+                prox_invalidated: sigma.dropped,
+                results_invalidated: results,
+                sigma_refreshed: sigma.kept + sigma.repaired,
                 wal,
-            }));
-        }
-        drop(ack_tx);
-        let mut sigma = SigmaSweep::default();
-        let mut results = 0u64;
-        let mut refresh = Duration::ZERO;
-        while let Ok(ack) = ack_rx.recv() {
-            sigma.merge(&ack.sigma);
-            results += ack.results_invalidated;
-            refresh += ack.repair;
-        }
-        let barrier = started.elapsed();
-        // Every shard now serves the new snapshot (and swept its caches).
-        // Publish as the base for the next prepare (and for `snapshot()`
-        // readers).
-        self.live.publish(&prepared);
-        {
-            let mut times = self.mutation_times.lock();
-            times.batches += 1;
-            times.prepare += prepare;
-            times.refresh += refresh;
-            times.barrier += barrier;
-            times.sigma.merge(&sigma);
-        }
-        if let Some(d) = &self.durability {
-            d.maybe_snapshot(&self.live)?;
-        }
-        Ok(MutationReport {
-            epoch,
-            mutations: batch.len(),
-            sigma,
-            prox_invalidated: sigma.dropped,
-            results_invalidated: results,
-            sigma_refreshed: sigma.kept + sigma.repaired,
-            wal,
-            prepare,
-            refresh,
-            barrier,
+                prepare,
+                refresh,
+                barrier,
+            }
         })
     }
 
@@ -694,12 +664,12 @@ impl FriendsService {
     /// disk and replayed before serving. `None` on memory-only services.
     /// All-zero fields mean the directory was freshly initialized.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.durability.as_ref().map(|d| d.report())
+        self.live.recovery_report()
     }
 
     /// Current WAL counters; `None` on memory-only services.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.durability.as_ref().map(|d| d.wal_stats())
+        self.live.wal_stats()
     }
 
     /// Forces an fsync of the active WAL segment — a durable shutdown
@@ -707,25 +677,14 @@ impl FriendsService {
     /// [`friends_data::wal::SyncPolicy::Never`]. No-op on memory-only
     /// services.
     pub fn sync_wal(&self) -> std::io::Result<()> {
-        match &self.durability {
-            Some(d) => d.sync(),
-            None => Ok(()),
-        }
+        self.live.sync_wal()
     }
 
-    /// Writes a snapshot of the current epoch now (atomic temp-file +
-    /// rename), prunes old snapshots and retires covered WAL segments.
-    /// Returns the snapshotted epoch, or `None` on memory-only services.
+    /// Writes a snapshot of the current, settled epoch now
+    /// ([`LiveCorpus::snapshot_now`]). Returns the snapshotted epoch, or
+    /// `None` on memory-only services.
     pub fn snapshot_now(&self) -> std::io::Result<Option<u64>> {
-        match &self.durability {
-            Some(d) => {
-                // Hold the writer gate so the snapshot captures a settled
-                // epoch (no batch mid-broadcast).
-                let _writer = self.mutation_gate.lock();
-                d.snapshot_now(&self.live).map(Some)
-            }
-            None => Ok(None),
-        }
+        self.live.snapshot_now()
     }
 
     /// Pins the service's current published snapshot (see
@@ -2665,6 +2624,38 @@ mod tests {
             let d = ExactOnline::new(&expect, MODEL).query(q);
             assert_eq!(r.items, d.items, "recovered answer diverged: {q:?}");
         }
+        svc2.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The one write rule, at the service tier: an empty batch is a WAL
+    /// record and an epoch like any other — every shard switches to it and
+    /// a restart recovers it.
+    #[test]
+    fn an_empty_batch_is_one_epoch_and_survives_restart() {
+        let (corpus, _) = fixture();
+        let dir = durability_dir("empty");
+        let config = ServiceConfig {
+            shards: 2,
+            durability: Some(DurabilityConfig::new(&dir)),
+            ..ServiceConfig::default()
+        };
+        let svc = start(&corpus, config.clone());
+        svc.apply_mutations(&edge_batch(0, 3), None);
+        let report = svc.apply_mutations(&MutationBatch::default(), None);
+        assert_eq!(report.epoch, 2, "{report:?}");
+        assert!(report.wal.is_some(), "{report:?}");
+        assert_eq!(svc.epoch(), 2);
+        for shard in svc.stats().shards {
+            assert_eq!(shard.mutation_epoch, 2, "{shard:?}");
+        }
+        svc.shutdown();
+
+        let svc2 = start(&corpus, config);
+        let recovered = svc2.recovery_report().expect("durable service").clone();
+        assert_eq!(recovered.recovered_epoch, 2, "{recovered:?}");
+        assert_eq!(recovered.replayed, 2, "{recovered:?}");
+        assert_eq!(svc2.epoch(), 2);
         svc2.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

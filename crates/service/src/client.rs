@@ -24,13 +24,13 @@ use crate::broker::{
     WorkerConfig,
 };
 use crate::request::{Reply, Ticket};
-use crate::stats::{ServiceStats, ShardState};
+use crate::stats::{ServiceStats, ShardState, ShardStats};
 use crossbeam::channel;
-use friends_core::cache::{CachePolicy, CacheStats, ProximityCache};
+use friends_core::cache::{CachePolicy, ProximityCache};
 use friends_core::corpus::{Corpus, SearchResult};
 use friends_core::latency::StageSnapshot;
 use friends_core::metrics::MetricsRegistry;
-use friends_core::plan::{PlanHistogram, Planner, ProcessorRegistry, QueryRequest};
+use friends_core::plan::{Planner, ProcessorRegistry, QueryRequest};
 use friends_core::proximity::ProximityModel;
 use friends_core::trace::{QueryTrace, TraceCollector, TraceConfig};
 use friends_data::mutations::MutationBatch;
@@ -171,69 +171,6 @@ impl DirectConfig {
     }
 }
 
-/// Aggregate counters of a [`DirectClient`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClientStats {
-    /// Requests submitted.
-    pub submitted: u64,
-    /// Requests executed (everything not shed).
-    pub executed: u64,
-    /// Requests shed because their deadline passed while queued.
-    pub deadline_misses: u64,
-    /// Requests answered [`Outcome::Failed`] — a contained executor panic
-    /// lost the in-flight request.
-    pub failed: u64,
-    /// Times a worker's executor was rebuilt after a contained panic.
-    pub worker_restarts: u64,
-    /// Traces lost on contended trace-ring slots.
-    pub traces_dropped: u64,
-    /// The shared proximity cache's counters (all zero when cache-less).
-    pub cache: CacheStats,
-    /// Planner decisions across all workers.
-    pub plans: PlanHistogram,
-}
-
-impl ClientStats {
-    /// Registers every counter under the unified naming convention
-    /// (`friends_client_*` for the pool counters; caches and planner
-    /// decisions share the service's `friends_proximity_cache_*` /
-    /// `friends_plan_*` names).
-    pub fn register_into(&self, registry: &mut MetricsRegistry) {
-        registry.counter(
-            "friends_client_submitted_total",
-            "requests submitted to the pool",
-            self.submitted,
-        );
-        registry.counter(
-            "friends_client_executed_total",
-            "requests executed",
-            self.executed,
-        );
-        registry.counter(
-            "friends_client_deadline_misses_total",
-            "requests shed past their deadline",
-            self.deadline_misses,
-        );
-        registry.counter(
-            "friends_client_failed_total",
-            "requests answered Failed after a contained panic",
-            self.failed,
-        );
-        registry.counter(
-            "friends_client_worker_restarts_total",
-            "executor rebuilds after contained panics",
-            self.worker_restarts,
-        );
-        registry.counter(
-            "friends_client_traces_dropped_total",
-            "traces lost on contended trace-ring slots",
-            self.traces_dropped,
-        );
-        self.cache.register_into(registry, "proximity_cache");
-        self.plans.register_into(registry);
-    }
-}
-
 /// In-process [`SearchClient`]: a standing pool of planner-backed workers
 /// over one shared proximity cache — non-blocking submission, per-request
 /// models and deadlines, no per-batch thread spawning. The pool runs the
@@ -318,29 +255,16 @@ impl DirectClient {
         }
     }
 
-    /// Number of worker threads.
-    pub fn num_threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// A live snapshot of the pool's counters.
-    pub fn stats(&self) -> ClientStats {
-        let s = self.state.snapshot(0);
-        ClientStats {
-            submitted: s.submitted,
-            executed: s.executed,
-            deadline_misses: s.deadline_misses,
-            failed: s.failed,
-            worker_restarts: s.worker_restarts,
-            traces_dropped: s.traces_dropped,
-            cache: s.cache,
-            plans: s.plans,
-        }
+    /// A live snapshot of the pool's counters: the one queue's
+    /// [`ShardStats`] (shard 0), filled by every worker. The pool neither
+    /// coalesces nor memoizes, so those counters stay 0.
+    pub fn stats(&self) -> ShardStats {
+        self.state.snapshot(0)
     }
 
     /// Drain-based shutdown: closes the queue, lets workers finish what is
     /// already enqueued, joins them, and returns the final stats.
-    pub fn shutdown(mut self) -> ClientStats {
+    pub fn shutdown(mut self) -> ShardStats {
         self.join();
         self.stats()
     }
@@ -380,7 +304,6 @@ impl SearchClient for DirectClient {
     fn metrics(&self) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new();
         self.stats().register_into(&mut registry);
-        self.latencies().register_into(&mut registry);
         registry
     }
 }
@@ -756,17 +679,18 @@ mod tests {
             let mut registry = MetricsRegistry::new();
             stats.register_into(&mut registry);
             let read = |name: &str| {
-                let key = format!("friends_client_{name}_total");
+                let key = format!("friends_service_{name}_total");
                 registry.get(&key).expect("exported") as u64
             };
             let counters = [
-                read("submitted"),
-                read("executed"),
-                0,
-                0,
-                read("deadline_misses"),
-                read("failed"),
-            ];
+                "submitted",
+                "executed",
+                "coalesced",
+                "result_served",
+                "deadline_misses",
+                "failed",
+            ]
+            .map(read);
             assert_eq!(
                 counters,
                 [
@@ -894,7 +818,11 @@ mod tests {
             assert_eq!(reference.query(q).items, b.items);
         }
         let stats = client.shutdown();
-        assert_eq!(stats.cache, CacheStats::default(), "cache must be unused");
+        assert_eq!(
+            stats.cache,
+            friends_core::cache::CacheStats::default(),
+            "cache must be unused"
+        );
     }
 
     #[test]

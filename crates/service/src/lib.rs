@@ -97,7 +97,7 @@ mod stats;
 pub use broker::{
     FaultKind, FaultPlan, FriendsService, MutationReport, OverloadPolicy, ServiceConfig,
 };
-pub use client::{ClientStats, DirectClient, DirectConfig, SearchClient, ServedClient};
+pub use client::{DirectClient, DirectConfig, SearchClient, ServedClient};
 pub use multiplexer::Multiplexer;
 pub use request::{Deadline, Outcome, Reply, Ticket};
 pub use stats::{MutationTimes, ServiceStats, ShardStats};
@@ -110,12 +110,11 @@ pub use friends_core::plan::{
 pub use friends_core::proximity::SigmaBounds;
 
 // The live-graph write path: mutation batches (generated or hand-built)
-// and the epoch-snapshot machinery behind `apply_mutations` — plus the
-// durability layer behind `ServiceConfig::durability` (checksummed
+// and the `LiveCorpus` whose one `commit` runs `apply_mutations` — with
+// the durability behind `ServiceConfig::durability` (checksummed
 // snapshots, mutation WAL, replay recovery).
 pub use friends_core::live::{
-    DurabilityConfig, LiveCorpus, LiveDurability, MutationOutcome, PreparedMutation, RecoverError,
-    RecoveryReport,
+    DurabilityConfig, LiveCorpus, PreparedMutation, RecoverError, RecoveryReport,
 };
 pub use friends_data::mutations::{Mutation, MutationBatch, MutationParams, MutationStream};
 pub use friends_data::wal::{SyncPolicy, WalAppend, WalStats};

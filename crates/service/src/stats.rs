@@ -298,7 +298,7 @@ impl ShardStats {
 /// not the WAL append (`friends_wal_*`) or the pointer swap.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MutationTimes {
-    /// Non-empty batches applied.
+    /// Batches applied.
     pub batches: u64,
     /// Building the next epoch (`LiveCorpus::prepare`).
     pub prepare: Duration,

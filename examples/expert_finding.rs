@@ -12,6 +12,7 @@
 //! cargo run --release --example expert_finding
 //! ```
 
+use friends::graph::traversal::{bfs_distances, UNREACHABLE};
 use friends::prelude::*;
 use std::sync::Arc;
 
@@ -61,6 +62,7 @@ fn main() {
         corpus.graph.degree(seeker)
     );
 
+    let hop_counts = bfs_distances(&corpus.graph, seeker);
     for model in [
         ProximityModel::Global,
         ProximityModel::FriendsOnly,
@@ -76,9 +78,10 @@ fn main() {
             println!("  (none reachable)");
         }
         for (rank, (v, score)) in experts.iter().enumerate() {
-            let hops = friends_graph::traversal::bidirectional_hops(&corpus.graph, seeker, *v)
-                .map(|h| h.to_string())
-                .unwrap_or_else(|| "∞".into());
+            let hops = match hop_counts[*v as usize] {
+                UNREACHABLE => "∞".to_string(),
+                h => h.to_string(),
+            };
             println!(
                 "  #{:<2} user {:<6} score {:.4}  ({} hops away, {} annotations on topic)",
                 rank + 1,

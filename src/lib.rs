@@ -7,7 +7,7 @@
 //! * [`graph`] — social-graph substrate (CSR storage, generators,
 //!   traversals, PPR, landmarks, communities);
 //! * [`index`] — IR substrate (compressed postings, inverted index,
-//!   TA/NRA/WAND);
+//!   block-max WAND);
 //! * [`data`] — tagging store, synthetic datasets, query workloads and
 //!   timed request streams;
 //! * [`core`] — the network-aware query processors, proximity models, and
@@ -60,6 +60,12 @@
 //! [`ServedClient`](prelude::ServedClient) over the sharded
 //! seeker-affinity broker; see `crates/README.md` for the request
 //! lifecycle.
+//!
+//! Live writes take one path, [`LiveCorpus::commit`](prelude::LiveCorpus::commit):
+//! prepare the next epoch, append it to the WAL when the corpus was opened
+//! durable, run the caller's cache sweep, publish.
+//! [`ServedClient::apply_mutations`](prelude::ServedClient::apply_mutations)
+//! is that call with the shard broadcast as its sweep.
 
 #![forbid(unsafe_code)]
 
@@ -96,11 +102,11 @@ pub mod prelude {
     pub use friends_graph::{CsrGraph, GraphBuilder, NodeId};
     pub use friends_index::inverted::{IndexConfig, InvertedIndex};
     pub use friends_service::{
-        ClientStats, DirectClient, DirectConfig, DurabilityConfig, FaultKind, FaultPlan,
-        FriendsService, LiveCorpus, LiveDurability, Metric, MetricKind, MetricsRegistry,
-        Multiplexer, Mutation, MutationBatch, MutationParams, MutationReport, MutationStream,
-        MutationTimes, Outcome, OverloadPolicy, QueryTrace, RecoverError, RecoveryReport, Reply,
-        SearchClient, ServedClient, ServiceConfig, ServiceStats, ShardStats, SyncPolicy, Ticket,
-        TraceConfig, TraceEvent, TraceOutcome, TraceSpan, WalAppend, WalStats,
+        DirectClient, DirectConfig, DurabilityConfig, FaultKind, FaultPlan, FriendsService,
+        LiveCorpus, Metric, MetricKind, MetricsRegistry, Multiplexer, Mutation, MutationBatch,
+        MutationParams, MutationReport, MutationStream, MutationTimes, Outcome, OverloadPolicy,
+        QueryTrace, RecoverError, RecoveryReport, Reply, SearchClient, ServedClient, ServiceConfig,
+        ServiceStats, ShardStats, SyncPolicy, Ticket, TraceConfig, TraceEvent, TraceOutcome,
+        TraceSpan, WalAppend, WalStats,
     };
 }
