@@ -16,6 +16,9 @@
 //!   [magic u32le] [version=2 u32le] [epoch u64le] [header crc u32le]
 //!   [graph section:  len u32le | crc u32le | payload]
 //!   [store section:  len u32le | crc u32le | payload]
+//!   graph payload := [nodes u32le] [m u32le] ([u u32le] [v u32le] [w f32le])×m
+//!   store payload := [users u32le] [items u32le] [tags u32le] [count u32le]
+//!                    ([user u32le] [item u32le] [tag u32le] [w f32le])×count
 //! ```
 //!
 //! Each section's payload carries its own CRC32 ([`crate::crc`]) so a torn
@@ -23,14 +26,29 @@
 //! header records the epoch the snapshot captures. Writes go through a
 //! temp file + atomic rename, so a crash mid-save never leaves a truncated
 //! file at the target path — the old file (if any) survives intact.
-//! [`load`] still reads v1 files (no CRCs, epoch 0).
+//! [`load`] still reads v1 files (the same two payloads back to back, no
+//! sections, no CRCs, epoch 0). A length or count too large for its u32
+//! field makes [`save`] fail with [`IoError::TooLarge`] before it writes.
+//!
+//! ## Validate, don't re-sort
+//!
+//! [`save`] writes the taggings in [`TagStore::iter`] order: strictly
+//! increasing `(user, tag, item)`, each key once. [`load`] requires that
+//! order and does not sort: it checks every id, weight and key against its
+//! predecessor while building the store with
+//! [`TagStore::from_sorted`] (user rows are cut straight from the records;
+//! tag rows come from O(n) counting passes). A section must hold exactly
+//! its count × record size (12 B per edge, 16 B per tagging); the count is
+//! checked against the section length before anything is sized by it.
 //!
 //! Every [`IoError::Corrupt`] carries the absolute byte offset where
 //! validation failed, so corruption reports are actionable (`dd` straight
-//! to the bad record).
+//! to the bad record): out-of-range ids and bad weights name the record,
+//! and `"taggings out of order"` names the first record whose key is not
+//! below its successor's.
 
 use crate::crc::crc32;
-use crate::store::TagStore;
+use crate::store::{contract_violation, TagStore};
 use crate::Tagging;
 use bytes::BufMut;
 use friends_graph::{CsrGraph, GraphBuilder};
@@ -40,9 +58,10 @@ use std::path::{Path, PathBuf};
 const MAGIC: u32 = 0x46524E44; // "FRND"
 const VERSION_V1: u32 = 1;
 const VERSION: u32 = 2;
-/// Smallest legal record in either section (edge: 12 B, tagging: 16 B) —
-/// bounds the counts a decoder will believe from a length field.
-const MIN_RECORD: usize = 12;
+/// Encoded edge: `u`, `v`, `weight`.
+const EDGE_BYTES: usize = 12;
+/// Encoded tagging: `user`, `item`, `tag`, `weight`.
+const TAGGING_BYTES: usize = 16;
 
 /// Errors raised by [`save`] / [`load`].
 #[derive(Debug)]
@@ -54,6 +73,9 @@ pub enum IoError {
     /// The payload ended early or contained out-of-range values; `offset`
     /// is the absolute byte position where validation failed.
     Corrupt { what: &'static str, offset: u64 },
+    /// [`save`] refused, before writing a byte: `what` (a section length
+    /// or a record count) is `len`, more than its u32 field can hold.
+    TooLarge { what: &'static str, len: u64 },
 }
 
 impl IoError {
@@ -70,6 +92,9 @@ impl std::fmt::Display for IoError {
             IoError::Corrupt { what, offset } => {
                 write!(f, "corrupt dataset file: {what} at byte {offset}")
             }
+            IoError::TooLarge { what, len } => {
+                write!(f, "cannot save: {what} is {len}, over the u32 limit")
+            }
         }
     }
 }
@@ -80,6 +105,20 @@ impl From<std::io::Error> for IoError {
     fn from(e: std::io::Error) -> Self {
         IoError::Io(e)
     }
+}
+
+/// `len` as the u32 a length or count field stores, or
+/// [`IoError::TooLarge`] — never a silently truncated value.
+fn field_u32(len: usize, what: &'static str) -> Result<u32, IoError> {
+    u32::try_from(len).map_err(|_| IoError::TooLarge {
+        what,
+        len: len as u64,
+    })
+}
+
+/// The little-endian u32 at `at` in a record.
+fn le_u32(record: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([record[at], record[at + 1], record[at + 2], record[at + 3]])
 }
 
 /// Offset-tracking little-endian reader; every failure names the absolute
@@ -113,102 +152,139 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// `count` records of `size` bytes as one slice. The count is checked
+    /// against the bytes left before anything is sized by it.
+    fn records(
+        &mut self,
+        count: u32,
+        size: usize,
+        what: &'static str,
+    ) -> Result<&'a [u8], IoError> {
+        match (count as usize).checked_mul(size) {
+            Some(n) => self.take(n, what),
+            None => Err(IoError::corrupt(what, self.offset())),
+        }
+    }
+
     fn u32(&mut self, what: &'static str) -> Result<u32, IoError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+        Ok(le_u32(self.take(4, what)?, 0))
     }
 
     fn u64(&mut self, what: &'static str) -> Result<u64, IoError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    fn f32(&mut self, what: &'static str) -> Result<f32, IoError> {
-        Ok(f32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+    /// Errors with `what` unless every byte has been consumed.
+    fn expect_end(&self, what: &'static str) -> Result<(), IoError> {
+        match self.remaining() {
+            0 => Ok(()),
+            _ => Err(IoError::corrupt(what, self.offset())),
+        }
     }
 }
 
-fn encode_graph(graph: &CsrGraph) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + graph.num_edges() * 12);
-    buf.put_u32_le(graph.num_nodes() as u32);
-    buf.put_u32_le(graph.num_edges() as u32);
+fn encode_graph(graph: &CsrGraph) -> Result<Vec<u8>, IoError> {
+    let mut buf = Vec::with_capacity(8 + graph.num_edges() * EDGE_BYTES);
+    buf.put_u32_le(field_u32(graph.num_nodes(), "graph node count")?);
+    buf.put_u32_le(field_u32(graph.num_edges(), "graph edge count")?);
     for (u, v, w) in graph.undirected_edges() {
         buf.put_u32_le(u);
         buf.put_u32_le(v);
         buf.put_f32_le(w);
     }
-    buf
+    Ok(buf)
 }
 
-fn encode_store(store: &TagStore) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + store.num_taggings() * 16);
+fn encode_store(store: &TagStore) -> Result<Vec<u8>, IoError> {
+    let mut buf = Vec::with_capacity(16 + store.num_taggings() * TAGGING_BYTES);
     buf.put_u32_le(store.num_users());
     buf.put_u32_le(store.num_items());
     buf.put_u32_le(store.num_tags());
-    buf.put_u32_le(store.num_taggings() as u32);
+    buf.put_u32_le(field_u32(store.num_taggings(), "tagging count")?);
     for t in store.iter() {
         buf.put_u32_le(t.user);
         buf.put_u32_le(t.item);
         buf.put_u32_le(t.tag);
         buf.put_f32_le(t.weight);
     }
-    buf
+    Ok(buf)
 }
 
 fn decode_graph(r: &mut Reader<'_>) -> Result<CsrGraph, IoError> {
     let n = r.u32("truncated graph header")? as usize;
-    let m = r.u32("truncated graph header")? as usize;
-    if m > r.remaining() / MIN_RECORD + 1 {
-        return Err(IoError::corrupt("edge count exceeds payload", r.offset()));
-    }
-    let mut b = GraphBuilder::with_capacity(n, m);
-    for _ in 0..m {
-        let at = r.offset();
-        let u = r.u32("truncated edge")?;
-        let v = r.u32("truncated edge")?;
-        let w = r.f32("truncated edge")?;
+    let m = r.u32("truncated graph header")?;
+    let at = r.offset();
+    let body = r.records(m, EDGE_BYTES, "edge count exceeds payload")?;
+    let mut b = GraphBuilder::with_capacity(n, m as usize);
+    for (i, e) in body.chunks_exact(EDGE_BYTES).enumerate() {
+        let (u, v, w) = (le_u32(e, 0), le_u32(e, 4), f32::from_bits(le_u32(e, 8)));
         if u as usize >= n || v as usize >= n || !w.is_finite() || w < 0.0 {
-            return Err(IoError::corrupt("edge out of range", at));
+            return Err(IoError::corrupt(
+                "edge out of range",
+                at + (i * EDGE_BYTES) as u64,
+            ));
         }
         b.add_edge(u, v, w);
     }
     Ok(b.build())
 }
 
-fn decode_store(r: &mut Reader<'_>) -> Result<TagStore, IoError> {
+/// A decoded store section whose order is not yet checked: the universe
+/// sizes, the taggings as the file lists them, and the file offset of the
+/// first one.
+struct StoreRecords {
+    users: u32,
+    items: u32,
+    tags: u32,
+    taggings: Vec<Tagging>,
+    at: u64,
+}
+
+fn decode_store(r: &mut Reader<'_>) -> Result<StoreRecords, IoError> {
     let users = r.u32("truncated store header")?;
     let items = r.u32("truncated store header")?;
     let tags = r.u32("truncated store header")?;
-    let count = r.u32("truncated store header")? as usize;
-    if count > r.remaining() / 16 + 1 {
-        return Err(IoError::corrupt(
-            "tagging count exceeds payload",
-            r.offset(),
-        ));
-    }
-    let mut taggings = Vec::with_capacity(count);
-    for _ in 0..count {
-        let at = r.offset();
+    let count = r.u32("truncated store header")?;
+    let at = r.offset();
+    let body = r.records(count, TAGGING_BYTES, "tagging count exceeds payload")?;
+    let mut taggings = Vec::with_capacity(count as usize);
+    for (i, c) in body.chunks_exact(TAGGING_BYTES).enumerate() {
         let t = Tagging {
-            user: r.u32("truncated tagging")?,
-            item: r.u32("truncated tagging")?,
-            tag: r.u32("truncated tagging")?,
-            weight: r.f32("truncated tagging")?,
+            user: le_u32(c, 0),
+            item: le_u32(c, 4),
+            tag: le_u32(c, 8),
+            weight: f32::from_bits(le_u32(c, 12)),
         };
-        if t.user >= users || t.item >= items || t.tag >= tags {
-            return Err(IoError::corrupt("tagging out of range", at));
-        }
-        if !t.weight.is_finite() || t.weight < 0.0 {
-            return Err(IoError::corrupt("bad weight", at));
+        if let Some(what) = contract_violation(&t, users, items, tags) {
+            return Err(IoError::corrupt(what, at + (i * TAGGING_BYTES) as u64));
         }
         taggings.push(t);
     }
-    Ok(TagStore::build(users, items, tags, taggings))
+    Ok(StoreRecords {
+        users,
+        items,
+        tags,
+        taggings,
+        at,
+    })
+}
+
+impl StoreRecords {
+    /// The store, built without sorting: `save` writes taggings in
+    /// [`TagStore::iter`] order, so this only checks that order.
+    fn into_store(self) -> Result<TagStore, IoError> {
+        let at = self.at;
+        TagStore::from_sorted(self.users, self.items, self.tags, self.taggings)
+            .map_err(|i| IoError::corrupt("taggings out of order", at + (i * TAGGING_BYTES) as u64))
+    }
 }
 
 /// Writes `payload` as a checksummed v2 section: `len | crc | payload`.
-fn put_section(out: &mut Vec<u8>, payload: &[u8]) {
-    out.put_u32_le(payload.len() as u32);
+fn put_section(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), IoError> {
+    out.put_u32_le(field_u32(payload.len(), "section length")?);
     out.put_u32_le(crc32(payload));
     out.extend_from_slice(payload);
+    Ok(())
 }
 
 /// Reads one v2 section, verifying its CRC before yielding the payload.
@@ -238,8 +314,9 @@ pub fn save_with_epoch(
     store: &TagStore,
     epoch: u64,
 ) -> Result<(), IoError> {
-    let mut buf: Vec<u8> =
-        Vec::with_capacity(32 + graph.num_edges() * 12 + store.num_taggings() * 16);
+    let mut buf: Vec<u8> = Vec::with_capacity(
+        32 + graph.num_edges() * EDGE_BYTES + store.num_taggings() * TAGGING_BYTES,
+    );
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(VERSION);
     buf.extend_from_slice(&epoch.to_le_bytes());
@@ -247,8 +324,8 @@ pub fn save_with_epoch(
     // decisions, so it must not be trusted unchecked.
     let header_crc = crc32(&buf[..16]);
     buf.put_u32_le(header_crc);
-    put_section(&mut buf, &encode_graph(graph));
-    put_section(&mut buf, &encode_store(store));
+    put_section(&mut buf, &encode_graph(graph)?)?;
+    put_section(&mut buf, &encode_store(store)?)?;
     write_atomic(path, &buf)?;
     Ok(())
 }
@@ -289,7 +366,16 @@ pub fn load(path: &Path) -> Result<(CsrGraph, TagStore), IoError> {
 pub fn load_with_epoch(path: &Path) -> Result<(CsrGraph, TagStore, u64), IoError> {
     let mut raw = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut raw)?;
-    let mut r = Reader::new(&raw, 0);
+    let (graph, records, epoch) = parse(&raw)?;
+    // The file buffer goes before the store's by-tag pass, which is where
+    // peak memory is.
+    drop(raw);
+    Ok((graph, records.into_store()?, epoch))
+}
+
+/// Decodes a whole file: the graph, the store's records and the epoch.
+fn parse(raw: &[u8]) -> Result<(CsrGraph, StoreRecords, u64), IoError> {
+    let mut r = Reader::new(raw, 0);
     if r.remaining() < 8 {
         return Err(IoError::BadHeader);
     }
@@ -303,9 +389,7 @@ pub fn load_with_epoch(path: &Path) -> Result<(CsrGraph, TagStore, u64), IoError
             // Legacy: unsectioned, no CRCs, no epoch.
             let graph = decode_graph(&mut r)?;
             let store = decode_store(&mut r)?;
-            if r.remaining() != 0 {
-                return Err(IoError::corrupt("trailing bytes", r.offset()));
-            }
+            r.expect_end("trailing bytes")?;
             Ok((graph, store, 0))
         }
         VERSION => {
@@ -315,25 +399,14 @@ pub fn load_with_epoch(path: &Path) -> Result<(CsrGraph, TagStore, u64), IoError
             if crc32(&raw[..16]) != header_crc {
                 return Err(IoError::corrupt("header crc mismatch", at));
             }
+            // Each section must hold exactly its count × record size.
             let mut gs = take_section(&mut r, "truncated graph section")?;
             let graph = decode_graph(&mut gs)?;
-            if gs.remaining() != 0 {
-                return Err(IoError::corrupt(
-                    "trailing graph section bytes",
-                    gs.offset(),
-                ));
-            }
+            gs.expect_end("trailing graph section bytes")?;
             let mut ss = take_section(&mut r, "truncated store section")?;
             let store = decode_store(&mut ss)?;
-            if ss.remaining() != 0 {
-                return Err(IoError::corrupt(
-                    "trailing store section bytes",
-                    ss.offset(),
-                ));
-            }
-            if r.remaining() != 0 {
-                return Err(IoError::corrupt("trailing bytes", r.offset()));
-            }
+            ss.expect_end("trailing store section bytes")?;
+            r.expect_end("trailing bytes")?;
             Ok((graph, store, epoch))
         }
         _ => Err(IoError::BadHeader),
@@ -395,14 +468,89 @@ mod tests {
         let (g, s) = load(&path).unwrap();
         assert_eq!(g.num_nodes(), ds.graph.num_nodes());
         assert_eq!(g.num_edges(), ds.graph.num_edges());
+        let bits = |w: &[f32]| w.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
         for u in g.nodes() {
-            assert_eq!(g.neighbors(u), ds.graph.neighbors(u));
+            assert_eq!(g.neighbors(u), ds.graph.neighbors(u), "arcs of {u}");
+            assert_eq!(
+                bits(g.neighbor_weights(u)),
+                bits(ds.graph.neighbor_weights(u)),
+                "arc weights of {u}"
+            );
         }
-        assert_eq!(s.num_taggings(), ds.store.num_taggings());
-        assert_eq!(s.num_items(), ds.store.num_items());
-        // Spot-check a user slice.
-        assert_eq!(s.user_taggings(7), ds.store.user_taggings(7));
+        assert_eq!(
+            (s.num_users(), s.num_items(), s.num_tags(), s.num_taggings()),
+            (
+                ds.store.num_users(),
+                ds.store.num_items(),
+                ds.store.num_tags(),
+                ds.store.num_taggings()
+            )
+        );
+        let rows = |row: &[Tagging]| {
+            row.iter()
+                .map(|t| (t.user, t.item, t.tag, t.weight.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for u in 0..s.num_users() {
+            assert_eq!(
+                rows(s.user_taggings(u)),
+                rows(ds.store.user_taggings(u)),
+                "user row {u}"
+            );
+        }
+        for t in 0..s.num_tags() {
+            assert_eq!(
+                rows(s.tag_taggings(t)),
+                rows(ds.store.tag_taggings(t)),
+                "tag row {t}"
+            );
+        }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// File offsets of a v2 file's store-section crc field and payload.
+    fn store_layout(bytes: &[u8]) -> (usize, usize) {
+        let graph_len = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
+        let crc_at = 20 + 8 + graph_len + 4;
+        (crc_at, crc_at + 4)
+    }
+
+    #[test]
+    fn swapped_taggings_are_corrupt_at_the_first_swapped_record() {
+        let ds = DatasetSpec::delicious_like(Scale::Tiny).build(5);
+        let path = tmp("swap");
+        save(&path, &ds.graph, &ds.store).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (crc_at, payload) = store_layout(&bytes);
+        let rec = |i: usize| payload + 16 + i * TAGGING_BYTES;
+        let i = ds.store.num_taggings() / 2;
+        let (a, b) = (rec(i), rec(i + 1));
+        let first: Vec<u8> = bytes[a..b].to_vec();
+        bytes.copy_within(b..b + TAGGING_BYTES, a);
+        bytes[b..b + TAGGING_BYTES].copy_from_slice(&first);
+        let crc = crc32(&bytes[payload..]);
+        bytes[crc_at..payload].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match load(&path) {
+            Err(IoError::Corrupt { what, offset }) => {
+                assert_eq!(what, "taggings out of order");
+                assert_eq!(offset as usize, a);
+            }
+            other => panic!("expected out-of-order error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn length_fields_refuse_to_truncate() {
+        assert_eq!(field_u32(u32::MAX as usize, "x").unwrap(), u32::MAX);
+        #[cfg(target_pointer_width = "64")]
+        match field_u32(u32::MAX as usize + 1, "section length") {
+            Err(IoError::TooLarge { what, len }) => {
+                assert_eq!((what, len), ("section length", 1 << 32));
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
     }
 
     #[test]
@@ -423,8 +571,8 @@ mod tests {
         let mut buf = Vec::new();
         buf.put_u32_le(MAGIC);
         buf.put_u32_le(VERSION_V1);
-        buf.extend_from_slice(&encode_graph(&ds.graph));
-        buf.extend_from_slice(&encode_store(&ds.store));
+        buf.extend_from_slice(&encode_graph(&ds.graph).unwrap());
+        buf.extend_from_slice(&encode_store(&ds.store).unwrap());
         std::fs::write(&path, &buf).unwrap();
         let (g, s, epoch) = load_with_epoch(&path).unwrap();
         assert_eq!(epoch, 0, "v1 files predate epochs");

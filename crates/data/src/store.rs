@@ -12,6 +12,12 @@
 //! only the rows a batch names and shares every other row with its
 //! predecessor (cloning a store copies the tables, never a tagging).
 //!
+//! Both views come from one assembler over unique keys in `(user, tag,
+//! item)` order: user rows are cut straight from that order, tag rows
+//! come from O(n) counting passes. [`TagStore::build`] sorts and merges
+//! its input into that order first; [`TagStore::from_sorted`] — the
+//! snapshot loader's path — only checks that its input already is.
+//!
 //! Duplicate `(user, item, tag)` triples are merged by summing weights
 //! (repeated annotation = stronger signal) **in input order**: a key's
 //! weight is the left fold `((w₁ + w₂) + w₃) …` over its occurrences as
@@ -59,6 +65,59 @@ fn split_rows(
     out
 }
 
+/// Stable counting sort of `src` into `dst`, of the same length, by
+/// `key(t) < buckets`.
+fn counting_sort(
+    src: &[Tagging],
+    dst: &mut [Tagging],
+    buckets: usize,
+    key: impl Fn(&Tagging) -> usize,
+) {
+    let mut next = vec![0usize; buckets + 1];
+    for t in src {
+        next[key(t) + 1] += 1;
+    }
+    for b in 1..=buckets {
+        next[b] += next[b - 1];
+    }
+    for t in src {
+        let slot = &mut next[key(t)];
+        dst[*slot] = *t;
+        *slot += 1;
+    }
+}
+
+/// Reorders `taggings` from `(user, tag, item)` to `(tag, item, user)`
+/// order in O(n): one stable counting pass by tag, then, inside each tag's
+/// run, stable counting passes on the item's bytes, low to high, as many
+/// as the run's largest item needs. Each pass keeps the previous order
+/// among its ties, so users stay ascending within a `(tag, item)` run; a
+/// run's passes stay in cache, and no count table is sized by the item
+/// universe.
+fn into_tag_order(mut taggings: Vec<Tagging>, num_tags: u32) -> Vec<Tagging> {
+    // The clone only supplies an initialised buffer; every slot is overwritten.
+    let mut by_tag = taggings.clone();
+    counting_sort(&taggings, &mut by_tag, num_tags as usize, |t| {
+        t.tag as usize
+    });
+    for run in by_tag.chunk_by_mut(|a, b| a.tag == b.tag) {
+        let spare = &mut taggings[..run.len()];
+        let top = run.iter().map(|t| t.item).max().unwrap_or(0);
+        // Passes alternate between the run and `spare`.
+        let (mut from, mut to) = (&mut *run, &mut *spare);
+        let mut shift = 0;
+        while shift < 32 && top >> shift != 0 {
+            counting_sort(from, to, 256, |t| ((t.item >> shift) & 0xFF) as usize);
+            std::mem::swap(&mut from, &mut to);
+            shift += 8;
+        }
+        if shift % 16 != 0 {
+            run.copy_from_slice(spare);
+        }
+    }
+    by_tag
+}
+
 /// Merges `adds` (stably sorted by `key`, so equal keys keep batch order)
 /// into `row` (sorted by `key`, keys unique): a key's weight is the row's,
 /// then the adds in order.
@@ -83,17 +142,29 @@ fn merge_row<K: Ord>(
     Arc::from(out)
 }
 
-/// The id and weight contract of [`TagStore::build`] and
-/// [`TagStore::with_appends`].
+/// Which part of the id and weight contract of [`TagStore::build`],
+/// [`TagStore::from_sorted`] and [`TagStore::with_appends`] `t` breaks,
+/// if any: ids must satisfy `user < num_users`, `item < num_items`, `tag <
+/// num_tags`, and weights must be finite and non-negative.
+pub(crate) fn contract_violation(
+    t: &Tagging,
+    num_users: u32,
+    num_items: u32,
+    num_tags: u32,
+) -> Option<&'static str> {
+    if t.user >= num_users || t.item >= num_items || t.tag >= num_tags {
+        Some("tagging out of range")
+    } else if !(t.weight.is_finite() && t.weight >= 0.0) {
+        Some("bad weight")
+    } else {
+        None
+    }
+}
+
 fn check(t: &Tagging, num_users: u32, num_items: u32, num_tags: u32) {
-    assert!(t.user < num_users, "user {} out of range", t.user);
-    assert!(t.item < num_items, "item {} out of range", t.item);
-    assert!(t.tag < num_tags, "tag {} out of range", t.tag);
-    assert!(
-        t.weight.is_finite() && t.weight >= 0.0,
-        "bad weight {}",
-        t.weight
-    );
+    if let Some(what) = contract_violation(t, num_users, num_items, num_tags) {
+        panic!("{what}: {t:?}");
+    }
 }
 
 impl TagStore {
@@ -123,16 +194,48 @@ impl TagStore {
                 false
             }
         });
+        Self::assemble(num_users, num_items, num_tags, taggings)
+    }
+
+    /// Builds a store from taggings already in the order [`TagStore::iter`]
+    /// yields — strictly increasing `(user, tag, item)`, so keys are unique
+    /// — without sorting: the snapshot loader's path, since every save
+    /// writes that order. The result equals [`TagStore::build`] over the
+    /// same taggings.
+    ///
+    /// # Errors
+    /// `Err(i)` names the first record that breaks the id and weight
+    /// contract of [`TagStore::build`] or whose key is not below record
+    /// `i + 1`'s.
+    pub fn from_sorted(
+        num_users: u32,
+        num_items: u32,
+        num_tags: u32,
+        taggings: Vec<Tagging>,
+    ) -> Result<Self, usize> {
+        for (i, t) in taggings.iter().enumerate() {
+            if contract_violation(t, num_users, num_items, num_tags).is_some() {
+                return Err(i);
+            }
+            if i > 0 && user_order(&taggings[i - 1]) >= user_order(t) {
+                return Err(i - 1);
+            }
+        }
+        Ok(Self::assemble(num_users, num_items, num_tags, taggings))
+    }
+
+    /// Both views from unique-keyed taggings in `(user, tag, item)` order.
+    fn assemble(num_users: u32, num_items: u32, num_tags: u32, taggings: Vec<Tagging>) -> Self {
         let by_user = split_rows(&taggings, num_users, |t| t.user);
-        // Keys are unique from here on, so the unstable sort is deterministic.
-        taggings.sort_unstable_by_key(tag_order);
+        let num_taggings = taggings.len();
+        let by_tag = split_rows(&into_tag_order(taggings, num_tags), num_tags, |t| t.tag);
         TagStore {
             num_users,
             num_items,
             num_tags,
-            num_taggings: taggings.len(),
+            num_taggings,
             by_user,
-            by_tag: split_rows(&taggings, num_tags, |t| t.tag),
+            by_tag,
         }
     }
 
@@ -494,6 +597,25 @@ mod tests {
                 .zip(&rows(&same))
                 .all(|(a, b)| Arc::ptr_eq(a, b)));
         }
+    }
+
+    #[test]
+    fn from_sorted_names_the_first_bad_record() {
+        let sorted: Vec<Tagging> = small_store().iter().copied().collect();
+        let from = |v: Vec<Tagging>| TagStore::from_sorted(3, 5, 4, v).map(|s| s.num_taggings());
+        assert_eq!(from(sorted.clone()), Ok(5));
+        let mut swapped = sorted.clone();
+        swapped.swap(1, 2);
+        assert_eq!(from(swapped), Err(1));
+        let mut repeated = sorted.clone();
+        repeated[3] = repeated[2];
+        assert_eq!(from(repeated), Err(2));
+        let mut out_of_range = sorted.clone();
+        out_of_range[4].item = 5;
+        assert_eq!(from(out_of_range), Err(4));
+        let mut nan = sorted;
+        nan[0].weight = f32::NAN;
+        assert_eq!(from(nan), Err(0));
     }
 
     #[test]

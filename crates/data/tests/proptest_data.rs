@@ -59,8 +59,76 @@ fn arb_colliding(max_len: usize) -> impl Strategy<Value = Vec<Tagging>> {
     })
 }
 
+/// Taggings with many repeated keys in random order, over an item
+/// universe that is either small or wide enough that item ids need more
+/// than 16 bits; the universe sizes come first.
+fn arb_unsorted() -> impl Strategy<Value = (u32, u32, u32, Vec<Tagging>)> {
+    (
+        1u32..20,
+        1u32..30,
+        1u32..8,
+        any::<bool>(),
+        proptest::collection::vec((0u32..20, 0u32..30, 0u32..8, 1u32..10), 0..200),
+    )
+        .prop_map(|(users, items, tags, wide, raw)| {
+            let stride = if wide { 9_973 } else { 1 };
+            let taggings = raw
+                .into_iter()
+                .map(|(u, i, t, k)| Tagging {
+                    user: u % users,
+                    item: (i % items) * stride,
+                    tag: t % tags,
+                    weight: 0.1 * k as f32,
+                })
+                .collect();
+            (users, items * stride, tags, taggings)
+        })
+}
+
+/// What `build` must return, by comparison sorts: the taggings stably
+/// sorted by `(user, tag, item)` with duplicates summed in input order,
+/// cut into user rows, and the same taggings sorted by `(tag, item, user)`
+/// cut into tag rows — in [`rows_bits`] form.
+#[allow(clippy::type_complexity)]
+fn reference_rows(
+    users: u32,
+    tags: u32,
+    mut taggings: Vec<Tagging>,
+) -> (usize, Vec<Vec<(u32, u32, u32, u32)>>) {
+    taggings.sort_by_key(|t| (t.user, t.tag, t.item));
+    let mut merged: Vec<Tagging> = Vec::new();
+    for t in taggings {
+        match merged.last_mut() {
+            Some(m) if (m.user, m.tag, m.item) == (t.user, t.tag, t.item) => m.weight += t.weight,
+            _ => merged.push(t),
+        }
+    }
+    let bits = |t: &Tagging| (t.user, t.item, t.tag, t.weight.to_bits());
+    let mut rows = vec![Vec::new(); (users + tags) as usize];
+    for t in &merged {
+        rows[t.user as usize].push(bits(t));
+    }
+    let mut by_tag = merged.clone();
+    by_tag.sort_by_key(|t| (t.tag, t.item, t.user));
+    for t in &by_tag {
+        rows[(users + t.tag) as usize].push(bits(t));
+    }
+    (merged.len(), rows)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `build` equals the comparison-sort reference row for row, both
+    /// views, weights bit for bit; `from_sorted` over the built store's
+    /// own order rebuilds the same store.
+    #[test]
+    fn build_matches_sort_reference((users, items, tags, taggings) in arb_unsorted()) {
+        let built = TagStore::build(users, items, tags, taggings.clone());
+        prop_assert_eq!(rows_bits(&built), reference_rows(users, tags, taggings));
+        let resorted = TagStore::from_sorted(users, items, tags, built.iter().copied().collect());
+        prop_assert_eq!(rows_bits(&resorted.unwrap()), rows_bits(&built));
+    }
 
     /// `with_appends` (row merge) equals `build` (global sort) over the
     /// store's taggings followed by the appends: both views, bit for bit.
