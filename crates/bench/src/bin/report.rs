@@ -201,8 +201,8 @@ fn main() {
             .collect();
         // The serving tier's counters over a FIXED synthetic probe
         // workload (Tiny corpus, 300 requests twice through a
-        // planner-backed ServedClient, 16-entry caches) — a behavioral
-        // fingerprint of the admission/TTL/LRU policy, the result
+        // planner-backed ServedClient, tiny caches) — a behavioral
+        // fingerprint of the admission/LRU policy, the result
         // memoization and the planner, deliberately independent of
         // whichever experiments ran above so it is diffable across PRs.
         // Not a measurement of this run's experiments.

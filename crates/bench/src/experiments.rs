@@ -1628,7 +1628,6 @@ pub fn fig13(profile: Profile) -> ExperimentOutput {
             Some(OverloadPolicy {
                 depth_high: 16,
                 depth_low: 4,
-                ..OverloadPolicy::default()
             }),
         ),
     ] {

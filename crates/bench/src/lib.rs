@@ -502,8 +502,9 @@ pub fn service_probe() -> friends_service::ShardStats {
         Arc::clone(&corpus),
         ServiceConfig {
             shards: 2,
-            // Tiny capacities so admission and eviction both have to act.
-            cache_capacity: 16,
+            // Tiny caches so admission and eviction both have to act: the
+            // σ budget holds about 16 of this corpus's vectors.
+            cache_bytes: 64 << 10,
             result_cache_capacity: 16,
             ..ServiceConfig::default()
         },
@@ -1223,7 +1224,6 @@ mod tests {
                 overload: Some(OverloadPolicy {
                     depth_high: 16,
                     depth_low: 4,
-                    ..OverloadPolicy::default()
                 }),
                 ..ServiceConfig::default()
             },

@@ -3,7 +3,8 @@
 //! crate exposes, so benches wire the profiler hook exactly as they would
 //! against crates.io. The build environment has no registry access and no
 //! in-process sampling signal support, so this stub does **not** fabricate
-//! profiles — it implements the [`criterion::profiler::Profiler`] hook,
+//! profiles — it implements the
+//! [`criterion::profiler::Profiler`](::criterion::profiler::Profiler) hook,
 //! announces where a real flamegraph would land, and otherwise stays out of
 //! the timing path. Swapping in the real `pprof` is a Cargo.toml change
 //! only.

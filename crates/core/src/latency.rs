@@ -12,9 +12,9 @@
 //!
 //! ## Bucket scheme
 //!
-//! Values are nanoseconds. The first [`SUB`] buckets are identity buckets
-//! (one per nanosecond); above that, each power-of-two octave splits into
-//! [`SUB`] linear sub-buckets, so the bucket holding a value `v` is never
+//! Values are nanoseconds. The first `SUB` (16) buckets are identity
+//! buckets (one per nanosecond); above that, each power-of-two octave splits
+//! into `SUB` linear sub-buckets, so the bucket holding a value `v` is never
 //! wider than `v / SUB`. Every quantile read from the histogram therefore
 //! brackets the exact sample quantile within a relative error of
 //! `1/SUB = 6.25%` (pinned by `tests/proptest_latency.rs`). Values at or

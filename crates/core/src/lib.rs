@@ -63,8 +63,8 @@ pub use live::{
 };
 pub use metrics::{Metric, MetricKind, MetricsRegistry};
 pub use plan::{
-    Deadline, Plan, PlanCounters, PlanHistogram, PlannedExecutor, Planner, PlannerConfig,
-    ProcessorRegistry, QueryRequest,
+    Deadline, Plan, PlanCounters, PlanHistogram, PlannedExecutor, Planner, ProcessorRegistry,
+    QueryRequest,
 };
 pub use processors::Processor;
 pub use proximity::{ProximityVec, Sigma, SigmaWorkspace};

@@ -413,28 +413,25 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// WAL fsync cadence — the crash-consistency contract knob.
     pub sync: SyncPolicy,
-    /// WAL segment size before rotation.
-    pub segment_bytes: u64,
     /// Write a snapshot automatically every this many committed batches
     /// (0 = only on explicit [`LiveCorpus::snapshot_now`] calls).
     pub snapshot_every: u64,
-    /// Snapshots retained after pruning (≥ 1). Keep ≥ 2 so recovery can
-    /// fall back to an older snapshot when the newest is corrupt — the WAL
-    /// is only retired through the *oldest* retained snapshot's epoch,
-    /// which is exactly what makes that fallback replayable.
-    pub keep_snapshots: usize,
 }
 
+/// Snapshots retained after pruning. Two, so recovery can fall back to an
+/// older snapshot when the newest is corrupt — the WAL is only retired
+/// through the *oldest* retained snapshot's epoch, which is exactly what
+/// makes that fallback replayable.
+const KEEP_SNAPSHOTS: usize = 2;
+
 impl DurabilityConfig {
-    /// Durable defaults rooted at `dir`: sync every batch, 8 MiB segments,
-    /// no automatic snapshots, two snapshots retained.
+    /// Durable defaults rooted at `dir`: sync every batch, no automatic
+    /// snapshots. WAL segments rotate at [`WalConfig`]'s default size.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             sync: SyncPolicy::Always,
-            segment_bytes: 8 << 20,
             snapshot_every: 0,
-            keep_snapshots: 2,
         }
     }
 
@@ -445,7 +442,7 @@ impl DurabilityConfig {
     fn wal_config(&self) -> WalConfig {
         WalConfig {
             sync: self.sync,
-            segment_bytes: self.segment_bytes,
+            ..WalConfig::default()
         }
     }
 }
@@ -585,10 +582,6 @@ impl LiveCorpus {
         config: DurabilityConfig,
         fs: Arc<dyn WalFs>,
     ) -> std::io::Result<LiveCorpus> {
-        assert!(
-            config.keep_snapshots >= 1,
-            "must retain at least 1 snapshot"
-        );
         std::fs::create_dir_all(&config.dir)?;
         let snaps = snapio::list_snapshots(&config.dir)?;
         let (corpus, report) = if snaps.is_empty() {
@@ -641,9 +634,9 @@ impl LiveCorpus {
     }
 
     /// Writes a snapshot of the current epoch now (atomic temp-file +
-    /// rename), prunes to `keep_snapshots`, seals the active WAL segment,
-    /// and retires segments wholly covered by the *oldest retained*
-    /// snapshot. Holds the writer gate, so the snapshot captures a settled
+    /// rename), prunes to the newest two snapshots, seals the active WAL
+    /// segment, and retires segments wholly covered by the *oldest
+    /// retained* snapshot. Holds the writer gate, so the snapshot captures a settled
     /// epoch. Returns the snapshotted epoch, or `None` in memory.
     pub fn snapshot_now(&self) -> std::io::Result<Option<u64>> {
         let Some(d) = &self.durable else {
@@ -794,8 +787,7 @@ impl Durable {
         .map_err(io_error)?;
         self.batches_since_snapshot.store(0, Ordering::Relaxed);
         let snaps = snapio::list_snapshots(&self.config.dir)?;
-        let keep = self.config.keep_snapshots.max(1);
-        let excess = snaps.len().saturating_sub(keep);
+        let excess = snaps.len().saturating_sub(KEEP_SNAPSHOTS);
         for (_, path) in &snaps[..excess] {
             std::fs::remove_file(path)?;
         }
@@ -1391,7 +1383,6 @@ mod tests {
         let dir = tmp_dir("fallback");
         let cfg = DurabilityConfig {
             snapshot_every: 2,
-            keep_snapshots: 2,
             ..DurabilityConfig::new(&dir)
         };
         let live = LiveCorpus::open_durable(fixture(), cfg).unwrap();

@@ -23,7 +23,9 @@
 
 use crate::cache::ProximityCache;
 use crate::corpus::{Corpus, SearchResult};
-use crate::processors::{ExactOnline, GlobalBoundTA, Processor, ScoringStrategy};
+use crate::processors::{
+    ExactOnline, GlobalBoundTA, Processor, ScoringStrategy, BLOCKMAX_MIN_POSTINGS,
+};
 use crate::proximity::{ProximityModel, SigmaBounds};
 use friends_data::queries::Query;
 use friends_data::{TagId, UserId};
@@ -277,23 +279,6 @@ impl Default for ProcessorRegistry {
     }
 }
 
-/// Planner thresholds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlannerConfig {
-    /// Above this many postings per query, a pruning-capable model is
-    /// routed to block-max instead of a full scan (mirrors `ExactOnline`'s
-    /// internal gate).
-    pub blockmax_min_postings: usize,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            blockmax_min_postings: 512,
-        }
-    }
-}
-
 /// One planning decision: which registry entry executes the request, under
 /// which scoring strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -314,16 +299,9 @@ pub struct Plan {
 /// what lets the property suites pin client execution byte-identical to a
 /// directly-constructed processor running the same plan.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Planner {
-    config: PlannerConfig,
-}
+pub struct Planner;
 
 impl Planner {
-    /// A planner with explicit thresholds.
-    pub fn new(config: PlannerConfig) -> Self {
-        Planner { config }
-    }
-
     /// The σ bounds the planner associates with a degradation level — the
     /// shared vocabulary an overload controller steps through. Level 0 is
     /// exact; each higher level tightens both the traversal radius and the
@@ -356,7 +334,7 @@ impl Planner {
     /// * `FriendsOnly` whose support (`degree + 1`, known exactly without
     ///   materializing) reads less than the posting volume → `SupportProbe`;
     /// * `DistanceDecay` (tight envelope bounds — the pruning-capable
-    ///   regime) over more than `blockmax_min_postings` postings →
+    ///   regime) over more than `BLOCKMAX_MIN_POSTINGS` (512) postings →
     ///   `BlockMax`;
     /// * `Global` (no support, nothing to prune) → `PostingScan`;
     /// * everything else → `Auto`, deferring to the processor's gate, which
@@ -413,9 +391,7 @@ impl Planner {
                     plan(ScoringStrategy::PostingScan)
                 }
             }
-            ProximityModel::DistanceDecay { .. }
-                if posting_total > self.config.blockmax_min_postings =>
-            {
+            ProximityModel::DistanceDecay { .. } if posting_total > BLOCKMAX_MIN_POSTINGS => {
                 plan(ScoringStrategy::BlockMax)
             }
             ProximityModel::DistanceDecay { .. } | ProximityModel::Global => {
@@ -708,7 +684,7 @@ mod tests {
     fn planner_honors_hints_and_overrides() {
         let c = corpus();
         let r = ProcessorRegistry::standard();
-        let planner = Planner::default();
+        let planner = Planner;
         let q = Query {
             seeker: 1,
             tags: vec![0, 1],
@@ -754,7 +730,7 @@ mod tests {
     fn planner_pins_certificate_routes_under_bounds() {
         let c = corpus();
         let r = ProcessorRegistry::standard();
-        let planner = Planner::default();
+        let planner = Planner;
         let q = Query {
             seeker: 1,
             tags: vec![0, 1],
@@ -796,7 +772,7 @@ mod tests {
     fn planner_strategy_choices_match_documented_rules() {
         let c = corpus();
         let r = ProcessorRegistry::standard();
-        let planner = Planner::default();
+        let planner = Planner;
         // A heavy query (every tag) and a seeker with a small neighborhood.
         let all_tags: Vec<u32> = (0..c.store.num_tags()).collect();
         let heavy = Query {
@@ -853,7 +829,7 @@ mod tests {
             &c,
             None,
             Arc::new(ProcessorRegistry::standard()),
-            Planner::default(),
+            Planner,
             Arc::clone(&counters),
         );
         let q = Query {
@@ -885,7 +861,7 @@ mod tests {
             &c,
             None,
             Arc::new(ProcessorRegistry::standard()),
-            Planner::default(),
+            Planner,
             Arc::new(PlanCounters::default()),
         );
         let q = Query {

@@ -29,8 +29,9 @@ use std::sync::Arc;
 
 /// Above this many postings per query, a pruning-capable model routes to
 /// block-max instead of a full scan (when no cheaper support probe exists).
-/// Below it, the scan's lower constant factor wins.
-const BLOCKMAX_MIN_POSTINGS: usize = 512;
+/// Below it, the scan's lower constant factor wins. The planner reads the
+/// same threshold when it commits a `DistanceDecay` request to `BlockMax`.
+pub(crate) const BLOCKMAX_MIN_POSTINGS: usize = 512;
 
 /// Exact network-aware top-k by full evaluation.
 pub struct ExactOnline<'a> {

@@ -9,6 +9,7 @@ mod hybrid;
 
 pub use cluster::{ClusterConfig, ClusterIndex};
 pub use exact::ExactOnline;
+pub(crate) use exact::BLOCKMAX_MIN_POSTINGS;
 pub use expansion::{ExpansionConfig, FriendExpansion};
 pub use global::GlobalProcessor;
 pub use globalbound::GlobalBoundTA;

@@ -288,7 +288,6 @@ proptest! {
         {
             let cfg = DurabilityConfig {
                 snapshot_every: 4,
-                keep_snapshots: 2,
                 ..DurabilityConfig::new(&dir)
             };
             let live = LiveCorpus::open_durable(seed_corpus(), cfg).unwrap();

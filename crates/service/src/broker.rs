@@ -26,17 +26,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The overload controller's policy: when to degrade, how fast to recover,
-/// and which σ bounds each degradation level applies. `None` in
-/// [`ServiceConfig::overload`] disables the controller entirely (requests
-/// run under their own bounds only).
+/// The overload controller's policy: the queue depths at which to degrade
+/// and to count a batch as calm. `None` in [`ServiceConfig::overload`]
+/// disables the controller entirely (requests run under their own bounds
+/// only).
 ///
 /// The controller is a per-worker hysteresis state machine over three
 /// signals — queue depth, the worker's observed per-job latency (EWMA) and
 /// the tightest remaining deadline budget in the drained batch. It steps
 /// Exact → level 1 → level 2 immediately under pressure and steps back one
-/// level only after `cooldown_batches` consecutive calm batches, so the
-/// service does not flap at the boundary. Shedding (deadline misses) is
+/// level only after `COOLDOWN_BATCHES` (4) consecutive calm batches, so the
+/// service does not flap at the boundary. Level `n` tightens each request's
+/// bounds by [`Planner::degraded_bounds`]`(n)`. Shedding (deadline misses) is
 /// unchanged and remains the last resort when even degraded execution
 /// cannot keep up. Deadline-free requests are never degraded — a batch
 /// client that opted out of shedding opted out of approximation too.
@@ -47,34 +48,17 @@ pub struct OverloadPolicy {
     /// Depth at or below which a batch counts as calm (toward stepping
     /// back down). Keep well under `depth_high` for hysteresis.
     pub depth_low: usize,
-    /// Consecutive calm batches required to step one level down.
-    pub cooldown_batches: u32,
-    /// σ bounds applied at degradation level 1 (composed with each
-    /// request's own bounds via [`SigmaBounds::tighten`]).
-    pub level1: SigmaBounds,
-    /// σ bounds applied at degradation level 2 (the deepest level).
-    pub level2: SigmaBounds,
 }
+
+/// Consecutive calm batches the overload controller waits before it steps
+/// one degradation level down.
+const COOLDOWN_BATCHES: u32 = 4;
 
 impl Default for OverloadPolicy {
     fn default() -> Self {
         OverloadPolicy {
             depth_high: 64,
             depth_low: 8,
-            cooldown_batches: 4,
-            level1: Planner::degraded_bounds(1),
-            level2: Planner::degraded_bounds(2),
-        }
-    }
-}
-
-impl OverloadPolicy {
-    /// The σ bounds of a degradation level under this policy.
-    pub fn bounds_for(&self, level: u8) -> SigmaBounds {
-        match level {
-            0 => SigmaBounds::EXACT,
-            1 => self.level1,
-            _ => self.level2,
         }
     }
 }
@@ -104,6 +88,14 @@ pub enum FaultKind {
     Error,
 }
 
+/// Policy of both shard-private caches (σ and results): TinyLFU admission,
+/// so one-shot seekers cannot wash a skewed working set out, and no TTL —
+/// the live-graph sweeps are what keeps entries current.
+const SHARD_CACHE_POLICY: CachePolicy = CachePolicy {
+    admission: true,
+    ttl: None,
+};
+
 /// Broker tuning. The defaults are the serving posture: one shard per
 /// hardware thread, admission-controlled caches, a generous default
 /// deadline. Result memoization is opt-in (`result_cache_capacity`)
@@ -115,23 +107,14 @@ pub struct ServiceConfig {
     /// Per-shard queue bound; 0 means unbounded. A bounded queue makes
     /// `submit` exert backpressure instead of buffering without limit.
     pub queue_capacity: usize,
-    /// Capacity of each shard's private proximity cache, in entries.
-    pub cache_capacity: usize,
-    /// Byte budget of each shard's private proximity cache
-    /// (`usize::MAX` disables; both limits are enforced when set). State
-    /// the budget in bytes to let reach-proportional `Touched` snapshots
-    /// pack thousands deep where dense vectors fit dozens — entry counts
-    /// cannot tell the two apart.
+    /// Byte budget of each shard's private proximity cache, its only
+    /// limit (`usize::MAX` disables it). A byte budget lets
+    /// reach-proportional `Touched` snapshots pack thousands deep where
+    /// dense vectors fit dozens — entry counts cannot tell the two apart.
     pub cache_bytes: usize,
-    /// Policy of the shard-private caches (TinyLFU admission on by
-    /// default; no TTL).
-    pub cache_policy: CachePolicy,
     /// Capacity of each shard's private result-memoization cache, in
     /// rankings; 0 disables memoization (the default).
     pub result_cache_capacity: usize,
-    /// Policy of the result caches (TinyLFU admission on by default; the
-    /// TTL doubles as a staleness bound alongside epoch invalidation).
-    pub result_cache_policy: CachePolicy,
     /// Deadline budget applied to requests that don't carry their own;
     /// `None` disables shedding for them.
     pub default_deadline: Option<Duration>,
@@ -161,41 +144,16 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_capacity: 0,
-            // Byte budget is the primary limit (σ entries vary by orders of
-            // magnitude between Touched and Dense snapshots); the entry cap
-            // is a disabled fallback.
-            cache_capacity: usize::MAX,
+            // A byte budget, not an entry cap: σ entries vary by orders of
+            // magnitude between Touched and Dense snapshots.
             cache_bytes: 64 << 20,
-            cache_policy: CachePolicy {
-                admission: true,
-                ttl: None,
-            },
             result_cache_capacity: 0,
-            result_cache_policy: CachePolicy {
-                admission: true,
-                ttl: None,
-            },
             default_deadline: Some(Duration::from_secs(5)),
             max_batch: 256,
             overload: None,
             fault: None,
             trace: TraceConfig::default(),
             durability: None,
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// A config whose proximity-cache byte budget is sized from the corpus
-    /// instead of the fixed default: enough for a `Touched` σ snapshot of a
-    /// few hundred bytes per user (so affinity-routed repeat traffic fits
-    /// entirely), clamped to `[1 MiB, 256 MiB]` across all shards.
-    pub fn sized_for(corpus: &Corpus) -> Self {
-        let users = corpus.graph.num_nodes();
-        let budget = (users.saturating_mul(512)).clamp(1 << 20, 256 << 20);
-        ServiceConfig {
-            cache_bytes: budget,
-            ..ServiceConfig::default()
         }
     }
 }
@@ -320,7 +278,6 @@ pub(crate) fn spawn_worker(
     rx: channel::Receiver<WorkItem>,
     state: Arc<ShardState>,
     registry: Arc<ProcessorRegistry>,
-    planner: Planner,
     config: WorkerConfig,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
@@ -335,7 +292,7 @@ pub(crate) fn spawn_worker(
                             corpus.as_ref(),
                             state.cache.clone(),
                             Arc::clone(&registry),
-                            planner,
+                            Planner,
                             Arc::clone(&state.plans),
                         )
                     };
@@ -466,14 +423,13 @@ impl FriendsService {
     /// Starts `config.shards` workers over `corpus`. Every request carries
     /// its own proximity model (and optional strategy hint / processor
     /// override), and each worker's [`PlannedExecutor`] maps it to a
-    /// `registry` entry via `planner`. This is the engine behind
+    /// `registry` entry via the [`Planner`]. This is the engine behind
     /// [`crate::ServedClient`]; planner decisions surface in
     /// [`crate::ShardStats::plans`].
     pub fn start_planned(
         corpus: Arc<Corpus>,
         config: ServiceConfig,
         registry: Arc<ProcessorRegistry>,
-        planner: Planner,
     ) -> Self {
         // Recovery happens before any worker spawns: with durability
         // configured, the disk state (newest valid snapshot + WAL replay)
@@ -495,16 +451,15 @@ impl FriendsService {
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
             let (tx, rx) = work_queue(config.queue_capacity);
-            let cache = Arc::new(ProximityCache::with_limits(
-                config.cache_capacity,
+            let cache = Arc::new(ProximityCache::with_byte_budget(
                 config.cache_bytes,
                 1, // shard-private: exactly one worker ever takes the lock
-                config.cache_policy,
+                SHARD_CACHE_POLICY,
             ));
             let results = (config.result_cache_capacity > 0).then(|| {
                 Arc::new(ResultCache::new(
                     config.result_cache_capacity,
-                    config.result_cache_policy,
+                    SHARD_CACHE_POLICY,
                 ))
             });
             let state = Arc::new(ShardState::new(
@@ -519,7 +474,6 @@ impl FriendsService {
                 rx,
                 Arc::clone(&state),
                 Arc::clone(&registry),
-                planner,
                 WorkerConfig {
                     max_batch: config.max_batch,
                     overload: config.overload,
@@ -576,8 +530,8 @@ impl FriendsService {
     /// entries whose reach set crosses an endpoint of an effective edit —
     /// repairing in place those read since the previous batch, dropping
     /// the rest ([`ProximityCache::repair_affected`]) — the result sweep
-    /// drops only affected seekers and touched tags
-    /// ([`ResultCache::invalidate_partial`]); everything else keeps
+    /// drops only memoized rankings of affected seekers and touched tags;
+    /// everything else keeps
     /// hitting because the edited graph keeps its identity token.
     ///
     /// `horizon` bounds the affected-seeker search (pass the proximity
@@ -810,7 +764,7 @@ impl WorkerCtl {
     /// Steps the hysteresis machine for one drained batch: up immediately
     /// under pressure (deep queue, or the EWMA projects this batch past its
     /// tightest remaining deadline budget), down one level only after
-    /// `cooldown_batches` consecutive calm batches.
+    /// `COOLDOWN_BATCHES` consecutive calm batches.
     fn observe_batch(&mut self, policy: &OverloadPolicy, depth_after: usize, batch: &[Job]) {
         let mut pressure = depth_after >= policy.depth_high;
         if let (false, Some(ewma_job_us)) = (pressure, self.ewma_job_us) {
@@ -833,7 +787,7 @@ impl WorkerCtl {
             self.calm = 0;
         } else if depth_after <= policy.depth_low {
             self.calm += 1;
-            if self.calm >= policy.cooldown_batches && self.level > 0 {
+            if self.calm >= COOLDOWN_BATCHES && self.level > 0 {
                 self.level -= 1;
                 self.calm = 0;
             }
@@ -930,15 +884,7 @@ where
                 started: Instant::now(),
                 raced: raced.take(),
             };
-            dispatch(
-                &mut engine,
-                rebuild,
-                &mut batch,
-                &mut groups,
-                &cycle,
-                config,
-                ctl,
-            );
+            dispatch(&mut engine, rebuild, &mut batch, &mut groups, &cycle, ctl);
             ctl.record_dispatch(cycle.started.elapsed(), drained);
         }
         if let Some(m) = pending {
@@ -1114,18 +1060,15 @@ fn dispatch<'c, R>(
     batch: &mut Vec<Job>,
     groups: &mut KeyMap<ResultKey, Vec<Job>>,
     cycle: &Cycle<'_>,
-    config: &WorkerConfig,
     ctl: &mut WorkerCtl,
 ) where
     R: Fn() -> PlannedExecutor<'c>,
 {
-    // Compose the controller's level bounds into each job. Deadline-free
-    // jobs are exempt: a caller that opted out of shedding opted out of
-    // approximation too, and keeps byte-identical exact answers.
-    let level_bounds = match &config.overload {
-        Some(policy) if ctl.level > 0 => Some(policy.bounds_for(ctl.level)),
-        _ => None,
-    };
+    // Compose the controller's level bounds into each job (the level only
+    // leaves 0 under an overload policy). Deadline-free jobs are exempt: a
+    // caller that opted out of shedding opted out of approximation too,
+    // and keeps byte-identical exact answers.
+    let level_bounds = (ctl.level > 0).then(|| Planner::degraded_bounds(ctl.level));
     groups.clear();
     for mut job in batch.drain(..) {
         if let (Some(level_bounds), Some(_)) = (level_bounds, job.deadline) {
@@ -1307,13 +1250,12 @@ mod tests {
 
     const MODEL: ProximityModel = ProximityModel::WeightedDecay { alpha: 0.5 };
 
-    /// A service over `corpus` with the standard registry and planner.
+    /// A service over `corpus` with the standard registry.
     fn start(corpus: &Arc<Corpus>, config: ServiceConfig) -> FriendsService {
         FriendsService::start_planned(
             Arc::clone(corpus),
             config,
             Arc::new(ProcessorRegistry::standard()),
-            Planner::default(),
         )
     }
 
@@ -2146,8 +2088,6 @@ mod tests {
         let policy = OverloadPolicy {
             depth_high: 8,
             depth_low: 2,
-            cooldown_batches: 2,
-            ..OverloadPolicy::default()
         };
         let svc = start(
             &corpus,
@@ -2184,17 +2124,18 @@ mod tests {
         let mid = svc.stats().totals();
         assert!(mid.degraded > 0, "{mid:?}");
         // Recovery: sequential singletons are calm batches (depth 0 after
-        // each drain); after a few, the level must be back at exact.
+        // each drain); two cooldowns step level 2 back to exact, so the
+        // singleton after them must be served exact.
         let q = Query {
             seeker: 2,
             tags: vec![0],
             k: 5,
         };
         let mut last = None;
-        for _ in 0..8 {
+        for _ in 0..2 * COOLDOWN_BATCHES + 1 {
             last = Some(svc.submit(request(&q)).wait());
         }
-        let last = last.expect("eight replies");
+        let last = last.expect("calm replies");
         assert!(
             !last.degraded,
             "calm traffic must recover exact serving: {last:?}"
@@ -2278,8 +2219,6 @@ mod tests {
                 overload: Some(OverloadPolicy {
                     depth_high: 8,
                     depth_low: 2,
-                    cooldown_batches: 2,
-                    ..OverloadPolicy::default()
                 }),
                 default_deadline: None, // every request is deadline-free
                 ..ServiceConfig::default()
@@ -2375,6 +2314,35 @@ mod tests {
     /// ticket never owned a reply channel.
     fn answered_at_submit(ticket: &Ticket) -> bool {
         ticket.rx.is_none()
+    }
+
+    /// Both shard caches admit through TinyLFU: once they are full, a
+    /// flood of one-shot seekers is refused entry instead of evicting what
+    /// is resident. A plain LRU would insert every one and reject none.
+    #[test]
+    fn both_shard_caches_refuse_one_shot_seekers_once_full() {
+        let (corpus, _) = fixture();
+        let svc = start(
+            &corpus,
+            ServiceConfig {
+                shards: 1,
+                cache_bytes: 16 << 10, // a few dense σ vectors of this corpus
+                result_cache_capacity: 4,
+                ..ServiceConfig::default()
+            },
+        );
+        let one_shot: Vec<Query> = (0..64)
+            .map(|seeker| Query {
+                seeker,
+                tags: vec![0],
+                k: 5,
+            })
+            .collect();
+        run(&svc, &one_shot);
+        let totals = svc.shutdown().totals();
+        assert_eq!(totals.executed, 64, "{totals:?}");
+        assert!(totals.cache.rejections > 0, "{:?}", totals.cache);
+        assert!(totals.results.rejections > 0, "{:?}", totals.results);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! Both return non-blocking [`Ticket`]s; a [`crate::Multiplexer`] drives
 //! many in-flight tickets from one loop. Behind the trait, the
-//! [`Planner`] maps every request to a
+//! [`friends_core::plan::Planner`] maps every request to a
 //! [`ProcessorRegistry`] entry plus a scoring strategy — callers never
 //! name a processor type, and every plan returns byte-identical rankings
 //! (pinned by `tests/proptest_client.rs`).
@@ -30,7 +30,7 @@ use friends_core::cache::{CachePolicy, ProximityCache};
 use friends_core::corpus::{Corpus, SearchResult};
 use friends_core::latency::StageSnapshot;
 use friends_core::metrics::MetricsRegistry;
-use friends_core::plan::{Planner, ProcessorRegistry, QueryRequest};
+use friends_core::plan::{ProcessorRegistry, QueryRequest};
 use friends_core::proximity::ProximityModel;
 use friends_core::trace::{QueryTrace, TraceCollector, TraceConfig};
 use friends_data::mutations::MutationBatch;
@@ -84,31 +84,20 @@ pub trait SearchClient {
     }
 
     /// Per-stage latency histograms (queue wait, σ materialization,
-    /// scoring, end-to-end) accumulated so far. Implementations without
-    /// recording return an empty snapshot.
-    fn latencies(&self) -> StageSnapshot {
-        StageSnapshot::default()
-    }
+    /// scoring, end-to-end) accumulated so far.
+    fn latencies(&self) -> StageSnapshot;
 
     /// Drains head-sampled traces accumulated so far (destructive: each
-    /// trace is returned once). Implementations without tracing return
-    /// nothing.
-    fn traces(&self) -> Vec<Arc<QueryTrace>> {
-        Vec::new()
-    }
+    /// trace is returned once).
+    fn traces(&self) -> Vec<Arc<QueryTrace>>;
 
     /// Drains the slow-query log — forced (`with_trace()`), slow and
     /// deadline-missed traces, each with its full span tree.
-    fn slow_queries(&self) -> Vec<Arc<QueryTrace>> {
-        Vec::new()
-    }
+    fn slow_queries(&self) -> Vec<Arc<QueryTrace>>;
 
     /// The client's counters as a unified [`MetricsRegistry`] snapshot
-    /// (the `friends_*` naming convention). Implementations without
-    /// recording return an empty registry.
-    fn metrics(&self) -> MetricsRegistry {
-        MetricsRegistry::new()
-    }
+    /// (the `friends_*` naming convention).
+    fn metrics(&self) -> MetricsRegistry;
 }
 
 /// [`DirectClient`] tuning.
@@ -131,11 +120,6 @@ pub struct DirectConfig {
     /// Deadline budget for requests that don't carry their own; `None`
     /// disables shedding for them.
     pub default_deadline: Option<Duration>,
-    /// The planner mapping requests to registry entries.
-    pub planner: Planner,
-    /// Trace retention (shared across the pool): head-sampling rate, ring
-    /// capacities and the slow-query threshold.
-    pub trace: TraceConfig,
 }
 
 impl Default for DirectConfig {
@@ -152,21 +136,6 @@ impl Default for DirectConfig {
                 ttl: None,
             },
             default_deadline: Some(Duration::from_secs(5)),
-            planner: Planner::default(),
-            trace: TraceConfig::default(),
-        }
-    }
-}
-
-impl DirectConfig {
-    /// A config whose shared-cache byte budget is sized from the corpus
-    /// (~512 bytes of σ cache per user, clamped to `[1 MiB, 256 MiB]`).
-    pub fn sized_for(corpus: &Corpus) -> Self {
-        let users = corpus.graph.num_nodes();
-        let budget = (users.saturating_mul(512)).clamp(1 << 20, 256 << 20);
-        DirectConfig {
-            cache_bytes: budget,
-            ..DirectConfig::default()
         }
     }
 }
@@ -174,9 +143,9 @@ impl DirectConfig {
 /// In-process [`SearchClient`]: a standing pool of planner-backed workers
 /// over one shared proximity cache — non-blocking submission, per-request
 /// models and deadlines, no per-batch thread spawning. The pool runs the
-/// broker's worker loop: one queue and one [`ShardState`] shared by every
-/// worker, no result cache, and one request per dispatch cycle so a worker
-/// never drains work its idle siblings could take.
+/// broker's worker loop: one queue and one set of shard counters shared by
+/// every worker, no result cache, and one request per dispatch cycle so a
+/// worker never drains work its idle siblings could take.
 pub struct DirectClient {
     /// `None` only while shutting down (dropping it disconnects the queue).
     sender: Option<channel::Sender<WorkItem>>,
@@ -227,7 +196,7 @@ impl DirectClient {
         let state = Arc::new(ShardState::new(
             cache,
             None,
-            TraceCollector::new(0, config.trace),
+            TraceCollector::new(0, TraceConfig::default()),
         ));
         let workers = (0..threads)
             .map(|worker| {
@@ -238,7 +207,6 @@ impl DirectClient {
                     rx.clone(),
                     Arc::clone(&state),
                     Arc::clone(&registry),
-                    config.planner,
                     WorkerConfig {
                         max_batch: 1,
                         overload: None,
@@ -319,23 +287,17 @@ pub struct ServedClient {
 impl ServedClient {
     /// Starts a planner-backed service with the standard registry.
     pub fn start(corpus: Arc<Corpus>, config: ServiceConfig) -> Self {
-        Self::with_registry(
-            corpus,
-            config,
-            Arc::new(ProcessorRegistry::standard()),
-            Planner::default(),
-        )
+        Self::with_registry(corpus, config, Arc::new(ProcessorRegistry::standard()))
     }
 
-    /// Starts a planner-backed service over a custom registry and planner.
+    /// Starts a planner-backed service over a custom registry.
     pub fn with_registry(
         corpus: Arc<Corpus>,
         config: ServiceConfig,
         registry: Arc<ProcessorRegistry>,
-        planner: Planner,
     ) -> Self {
         ServedClient {
-            service: FriendsService::start_planned(corpus, config, registry, planner),
+            service: FriendsService::start_planned(corpus, config, registry),
         }
     }
 

@@ -104,9 +104,7 @@ pub use stats::{MutationTimes, ServiceStats, ShardStats};
 
 // The client API's request/planning types, re-exported so service users
 // need only this crate.
-pub use friends_core::plan::{
-    Plan, PlanHistogram, Planner, PlannerConfig, ProcessorRegistry, QueryRequest,
-};
+pub use friends_core::plan::{Plan, PlanHistogram, Planner, ProcessorRegistry, QueryRequest};
 pub use friends_core::proximity::SigmaBounds;
 
 // The live-graph write path: mutation batches (generated or hand-built)

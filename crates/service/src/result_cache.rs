@@ -18,8 +18,8 @@
 //! sweeps only the entries a mutation batch can actually change —
 //! per-seeker (the seeker's σ vector may cross a new/removed edge — see
 //! `friends_core::live`) and per-tag (the batch appended postings under one
-//! of the query's tags). Everything else keeps serving hits. The optional
-//! [`CachePolicy::ttl`] bounds staleness in wall-clock time as well.
+//! of the query's tags). Everything else keeps serving hits. The broker
+//! sets no [`CachePolicy::ttl`]: the sweeps alone keep entries current.
 //!
 //! Rankings are memoized, not statistics: a cached reply carries the exact
 //! `(item, score)` list of the original execution (byte-identical — the

@@ -99,7 +99,7 @@ fn reference_stream(
     model: ProximityModel,
     hint: ScoringStrategy,
 ) -> Vec<Vec<(u32, f32)>> {
-    let planner = Planner::default();
+    let planner = Planner;
     let registry = ProcessorRegistry::standard();
     // One direct processor per concrete strategy, so per-query plans can
     // differ (Auto resolves per query) while scratch reuse mirrors a real

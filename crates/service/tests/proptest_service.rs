@@ -7,7 +7,7 @@
 //! answer.
 
 use friends_core::corpus::{Corpus, SearchResult};
-use friends_core::plan::{Planner, ProcessorRegistry, QueryRequest, GLOBAL_BOUND_TA};
+use friends_core::plan::{ProcessorRegistry, QueryRequest, GLOBAL_BOUND_TA};
 use friends_core::processors::{
     ExactOnline, ExpansionConfig, FriendExpansion, GlobalBoundTA, Processor,
 };
@@ -118,7 +118,6 @@ fn serve(
             ..ServiceConfig::default()
         },
         Arc::new(registry),
-        Planner::default(),
     );
     let tickets: Vec<Ticket> = queries
         .iter()

@@ -30,8 +30,9 @@ fn main() {
         Arc::clone(&corpus),
         ServiceConfig {
             shards: 2,
-            // Tiny caches so admission and eviction both show up.
-            cache_capacity: 16,
+            // Tiny caches so admission and eviction both show up: the σ
+            // budget holds about 16 of this corpus's vectors.
+            cache_bytes: 64 << 10,
             result_cache_capacity: 16,
             ..ServiceConfig::default()
         },

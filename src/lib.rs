@@ -84,7 +84,7 @@ pub mod prelude {
     };
     pub use friends_core::latency::{LatencySnapshot, Stage, StageSnapshot};
     pub use friends_core::plan::{
-        Deadline, Plan, PlanHistogram, Planner, PlannerConfig, ProcessorRegistry, QueryRequest,
+        Deadline, Plan, PlanHistogram, Planner, ProcessorRegistry, QueryRequest,
     };
     pub use friends_core::processors::{
         ClusterConfig, ClusterIndex, ExactOnline, ExpansionConfig, FriendExpansion, GlobalBoundTA,
