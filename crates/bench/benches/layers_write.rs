@@ -17,11 +17,19 @@
 //! steps and ends on the graph it began on: `sigma_repair` carries one
 //! cached vector along with `ProximityModel::repair`, `sigma_rebuild`
 //! materializes and snapshots it from scratch on each step's graph, and
-//! `sigma_sweep` is `ProximityCache::repair_affected` over 64 and over 699
-//! resident vectors, each read again before every step (an unread entry is
-//! dropped, not repaired) — `DistanceDecay 0.3` on the heavy-tag corpus,
+//! `sigma_reread` advances a `ProximityCache` holding 64 or 699 resident
+//! vectors across each step and reads every one of them again, so each
+//! read repairs its vector — `DistanceDecay 0.3` on the heavy-tag corpus,
 //! `WeightedDecay 0.5` on the light-tag one, as the serving benchmark
 //! pairs them.
+//!
+//! On the light-tag corpus (the `live_durable` shape), `sigma_composed/d`
+//! is one repair of a cached vector across d consecutive batches folded
+//! into one edit list (each pair's first old and last new weight, pairs
+//! whose weights agree dropped) and `sigma_cold/d` a cold σ on the graph d
+//! batches on, each over eight hot seekers per sample; the folded lengths
+//! go to stderr. Where the two rows cross is the break-even that sets the
+//! σ cache's edit history (`MAX_FOLDED_EDITS` in `friends_core::cache`).
 //!
 //! End-to-end numbers come from the serving benchmark, not from here:
 //! see `benchmark/README.md`.
@@ -35,6 +43,7 @@ use friends_core::proximity::{ProximityModel, ProximityVec, SigmaRepair, SigmaWo
 use friends_data::mutations::{MutationBatch, MutationParams, MutationStream};
 use friends_graph::traversal::EdgeEdit;
 use friends_graph::CsrGraph;
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -44,29 +53,56 @@ const BATCHES: usize = 8;
 /// The hot seeker the single-vector rows follow (rank 3 of the Zipf order).
 const SEEKER: u32 = 3;
 
+/// Batches folded by the `sigma_composed` rows.
+const COMPOSED: [usize; 8] = [1, 2, 4, 8, 16, 32, 48, 64];
+
+/// The effective edits of `batches` applied one after another from
+/// `base`, each batch's list, and the graph after each batch.
+fn lineage(base: &Arc<Corpus>, batches: &[MutationBatch]) -> Vec<(CsrGraph, Arc<[EdgeEdit]>)> {
+    let mut epoch = Arc::clone(base);
+    batches
+        .iter()
+        .map(|batch| {
+            let prepared = LiveCorpus::prepare_from(&epoch, batch, None);
+            epoch = Arc::clone(&prepared.next);
+            (prepared.next.graph.clone(), prepared.edits)
+        })
+        .collect()
+}
+
+/// Folds per-batch edit lists into one: each pair's first `old` and last
+/// `new` weight, pairs whose two weights agree dropped.
+fn fold(lists: &[(CsrGraph, Arc<[EdgeEdit]>)]) -> Vec<EdgeEdit> {
+    let mut folded: BTreeMap<(u32, u32), EdgeEdit> = BTreeMap::new();
+    for e in lists.iter().flat_map(|(_, edits)| edits.iter()) {
+        folded
+            .entry((e.u, e.v))
+            .and_modify(|f| f.new = e.new)
+            .or_insert(*e);
+    }
+    folded
+        .into_values()
+        .filter(|e| e.old.map(f32::to_bits) != e.new.map(f32::to_bits))
+        .collect()
+}
+
 /// The lineage of `batches` from `base`, as the steps of a round trip: each
 /// step is the graph it arrives at and the effective edits that lead there
 /// — the eight batches forwards, then each undone in turn.
-fn round_trip(base: &Arc<Corpus>, batches: &[MutationBatch]) -> Vec<(CsrGraph, Vec<EdgeEdit>)> {
-    let mut graphs = vec![base.graph.clone()];
-    let mut edits = Vec::new();
-    let mut epoch = Arc::clone(base);
-    for batch in batches {
-        let prepared = LiveCorpus::prepare_from(&epoch, batch, None);
-        graphs.push(prepared.next.graph.clone());
-        edits.push(prepared.edits);
-        epoch = prepared.next;
-    }
+fn round_trip(base: &Arc<Corpus>, batches: &[MutationBatch]) -> Vec<(CsrGraph, Arc<[EdgeEdit]>)> {
+    let out = lineage(base, batches);
     let undone = |e: &EdgeEdit| EdgeEdit {
         old: e.new,
         new: e.old,
         ..*e
     };
-    let out = (0..batches.len()).map(|i| (graphs[i + 1].clone(), edits[i].clone()));
-    let back = (0..batches.len())
-        .rev()
-        .map(|i| (graphs[i].clone(), edits[i].iter().map(undone).collect()));
-    out.chain(back).collect()
+    let mut back: Vec<_> = std::iter::once(base.graph.clone())
+        .chain(out.iter().map(|(g, _)| g.clone()))
+        .zip(&out)
+        .map(|(g, (_, edits))| (g, edits.iter().map(undone).collect()))
+        .collect();
+    back.reverse();
+    out.into_iter().chain(back).collect()
 }
 
 fn cold(model: ProximityModel, g: &CsrGraph, seeker: u32, ws: &mut SigmaWorkspace) -> ProximityVec {
@@ -175,27 +211,73 @@ fn bench(c: &mut Criterion) {
             },
         );
         for resident in [64u32, 699] {
-            let cache = ProximityCache::new(resident as usize);
+            let cache = ProximityCache::with_shards(resident as usize, 1);
             for seeker in 0..resident {
                 let v = cold(model, &base.graph, seeker, &mut ws);
                 cache.insert(&base.graph, seeker, model, Arc::new(v));
             }
-            let row = format!("sigma_sweep/{resident}");
+            let row = format!("sigma_reread/{resident}");
             group.bench_with_input(BenchmarkId::new(row, shape), &steps, |b, steps| {
                 b.iter(|| {
                     for (graph, edits) in steps {
+                        cache.advance(edits);
                         for seeker in 0..resident {
                             black_box(cache.get(graph, seeker, model));
                         }
-                        let sweep = cache.repair_affected(graph, edits);
-                        assert_eq!(sweep.dropped, 0);
-                        black_box(sweep);
                     }
                 })
             });
         }
+        if shape == "light-tags" {
+            composed(&mut group, &base, model, &mut ws, &mut scratch);
+        }
     }
     group.finish();
+}
+
+/// The `sigma_composed/d` and `sigma_cold/d` rows (see the module docs).
+fn composed(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    base: &Arc<Corpus>,
+    model: ProximityModel,
+    ws: &mut SigmaWorkspace,
+    scratch: &mut SigmaRepair,
+) {
+    let batches = MutationStream::generate(
+        &base.graph,
+        &base.store,
+        &MutationParams {
+            count: COMPOSED[COMPOSED.len() - 1] * BATCH,
+            user_theta: 1.1,
+            ..MutationParams::default()
+        },
+        42 ^ 0x5EED,
+    )
+    .batches(BATCH);
+    let steps = lineage(base, &batches);
+    let vecs: Vec<ProximityVec> = (SEEKER..SEEKER + 8)
+        .map(|seeker| cold(model, &base.graph, seeker, ws))
+        .collect();
+    for d in COMPOSED {
+        let (graph, folded) = (&steps[d - 1].0, fold(&steps[..d]));
+        eprintln!("sigma_composed/{d}: {} folded edits", folded.len());
+        group.bench_function(BenchmarkId::new("sigma_composed", d), |b| {
+            b.iter(|| {
+                for v in &vecs {
+                    let mut v = v.clone();
+                    let changed = model.repair(graph, &folded, &mut v, scratch);
+                    black_box(changed.expect("a decay model over a shallow graph"));
+                }
+            })
+        });
+        group.bench_function(BenchmarkId::new("sigma_cold", d), |b| {
+            b.iter(|| {
+                for seeker in SEEKER..SEEKER + 8 {
+                    black_box(cold(model, graph, seeker, ws));
+                }
+            })
+        });
+    }
 }
 
 // Default: plain wall-clock harness. With `--features flamegraph`, the

@@ -1721,7 +1721,7 @@ pub fn drive_live_open_loop(
                 let r = client.apply_mutations(batch, horizon);
                 sum.epoch = r.epoch;
                 sum.mutations += r.mutations;
-                sum.prox_invalidated += r.prox_invalidated;
+                sum.sigma.merge(&r.sigma);
                 sum.results_invalidated += r.results_invalidated;
                 sum.sigma_refreshed += r.sigma_refreshed;
             }
@@ -1739,8 +1739,9 @@ pub fn drive_live_open_loop(
 /// **live** with a mutation stream — Zipf-skewed edge inserts/removals plus
 /// tagging appends — applied through `apply_mutations` at 15% of the query
 /// rate (the fig14 regime floor is 10%). Every batch is a batch-boundary
-/// epoch switch on every shard: incremental σ sweeps plus per-seeker /
-/// per-tag result-cache invalidation, never a full stamp. The gate
+/// epoch switch on every shard: the σ cache records the batch's edits and
+/// repairs stale σ when read, plus per-seeker / per-tag result-cache
+/// invalidation, never a full stamp. The gate
 /// (`fig14_live_graph_gate`) pins the Full-profile claim: live read p99
 /// within 2× the frozen baseline, with nonzero incremental invalidations
 /// and zero full-stamp expirations.
@@ -1813,7 +1814,7 @@ pub fn fig14(profile: Profile) -> ExperimentOutput {
         "writes/s",
         "epochs",
         "mutations",
-        "σ dropped",
+        "σ rebuilt",
         "σ refreshed",
         "results dropped",
         "done %",
@@ -1855,7 +1856,7 @@ pub fn fig14(profile: Profile) -> ExperimentOutput {
             },
             report.epoch.to_string(),
             report.mutations.to_string(),
-            report.prox_invalidated.to_string(),
+            (report.sigma.dropped + report.sigma.too_far_behind).to_string(),
             report.sigma_refreshed.to_string(),
             report.results_invalidated.to_string(),
             format!("{:.1}%", pct(run.done)),
@@ -1867,13 +1868,13 @@ pub fn fig14(profile: Profile) -> ExperimentOutput {
             format!("live_{mode}"),
             format!(
                 "{{\"offered_qps\": {rate:.0}, \"write_rate\": {write_rate:.0}, \
-                 \"epochs\": {}, \"mutations\": {}, \"prox_invalidated\": {}, \
+                 \"epochs\": {}, \"mutations\": {}, \"sigma_rebuilt\": {}, \
                  \"sigma_refreshed\": {}, \"results_invalidated\": {}, \"done\": {}, \
                  \"missed\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
                  \"result_expirations\": {}}}",
                 report.epoch,
                 report.mutations,
-                report.prox_invalidated,
+                report.sigma.dropped + report.sigma.too_far_behind,
                 report.sigma_refreshed,
                 report.results_invalidated,
                 run.done,
@@ -1889,7 +1890,7 @@ pub fn fig14(profile: Profile) -> ExperimentOutput {
             stage_snapshot_json(&stats.latency),
         ));
         // The whole-service registry: the pooled shard counters plus the
-        // write path's stage times and σ sweep counters.
+        // write path's stage times and stale-σ counters.
         metrics.push((
             format!("metrics_{mode}"),
             service_stats.registry().render_json(),

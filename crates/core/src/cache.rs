@@ -28,15 +28,17 @@
 
 mod lru;
 
-pub use lru::{AdmissionLru, KeyHasher, KeyMap, Sweep};
+pub use lru::{AdmissionLru, KeyHasher, KeyMap};
 
 use crate::proximity::{ProximityModel, ProximityVec, SigmaBounds, SigmaRepair};
 use friends_graph::traversal::EdgeEdit;
 use friends_graph::{CsrGraph, NodeId};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// `(graph, seeker, model, bounds)` identity: the graph contributes its
 /// process-unique token (so one cache shared across corpora can never serve
@@ -76,15 +78,25 @@ impl Hash for SigmaKey {
     }
 }
 
-/// A cached vector plus the model/bounds behind its key's bits, kept so the
-/// live-graph sweep ([`ProximityCache::repair_affected`]) can repair it for
-/// a new epoch — key bits alone cannot be mapped back to a
-/// [`ProximityModel`].
+/// A cached vector, the graph version it is exact for, and the model/bounds
+/// behind its key's bits, kept so a read can repair it for a later version
+/// — key bits alone cannot be mapped back to a [`ProximityModel`].
 struct SigmaEntry {
     sigma: Arc<ProximityVec>,
+    version: u64,
     model: ProximityModel,
     bounds: SigmaBounds,
 }
+
+/// Most composed edge edits (`E`) a stale vector is repaired across; the
+/// edit history holds no more, so a vector further behind is rebuilt. Set at
+/// the break-even where one repair across the folded edits costs what a
+/// cold σ does: `layers_write`'s `sigma_composed`/`sigma_cold` rows
+/// (overload BA 10 k, `WeightedDecay 0.5`, 2-vCPU Xeon, per vector) read
+/// 1.09–1.15 ms against 1.15–1.20 ms at 1 385 folded edits (32 batches of
+/// the serving benchmark's 64-mutation writes) and 1.44–1.51 ms against
+/// 1.15–1.32 ms at 2 071 (48 batches), a crossing near 1 400–1 600 edits.
+const MAX_FOLDED_EDITS: usize = 1_400;
 
 /// Optional cache behaviors layered over the LRU core; the default policy
 /// (`admission` off, no `ttl`) is the pre-existing plain-LRU behavior.
@@ -204,10 +216,10 @@ pub struct CacheStats {
     /// Entries dropped because they outlived `CachePolicy::ttl`: found
     /// stale on access (also a miss) or evicted stale.
     pub expirations: u64,
-    /// Entries dropped by sweeps ([`ProximityCache::repair_affected`], the
-    /// result cache's partial invalidation) — what a live-graph mutation
-    /// could change and the sweep did not repair. Always 0 on a frozen
-    /// corpus.
+    /// Entries dropped because a live-graph mutation could change them: by
+    /// sweeps ([`ProximityCache::invalidate_affected`], the result cache's
+    /// partial invalidation) or, in the σ cache, by a read that could not
+    /// repair a stale entry. Always 0 on a frozen corpus.
     pub invalidated: u64,
     pub entries: usize,
     /// Resident bytes currently charged against the byte budget
@@ -251,7 +263,7 @@ impl CacheStats {
         );
         registry.counter(
             &name("invalidated_total"),
-            "entries dropped by live-graph invalidation sweeps",
+            "entries dropped because a live-graph mutation could change them",
             self.invalidated,
         );
         registry.gauge(&name("entries"), "resident entries", self.entries as f64);
@@ -275,38 +287,220 @@ impl CacheStats {
     }
 }
 
-/// What one live-graph sweep ([`ProximityCache::repair_affected`]) did
-/// with the entries the batch's endpoints could reach: `kept + repaired +
-/// dropped` is their number.
+/// What reads did with **stale** σ entries — entries a lookup found
+/// resident but exact for an older graph version than the cache's
+/// ([`ProximityCache::advance`]): `kept + repaired + dropped +
+/// too_far_behind` is their number. The last two were rebuilt by the
+/// reader and count as misses in [`CacheStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SigmaSweep {
-    /// Entries the repair ran on and found unchanged.
+    /// Served as they were: the edits missed are outside the vector's
+    /// reach, or its repair changed no node.
     pub kept: u64,
-    /// Entries repaired in place: at least one node's σ changed.
+    /// Repaired in place: at least one node's σ changed.
     pub repaired: u64,
-    /// Entries dropped.
+    /// Reached by the edits, but their model or bounds admit no repair:
+    /// dropped.
     pub dropped: u64,
+    /// Behind by more batches than the edit history holds: dropped.
+    pub too_far_behind: u64,
     /// Nodes whose σ changed, summed over the `repaired` entries.
     pub changed_nodes: u64,
+    /// Length of the composed edit lists the stale entries were checked
+    /// (and repaired) against, summed.
+    pub folded_edits: u64,
+    /// Time spent bringing stale entries forward.
+    pub time: Duration,
 }
 
 impl SigmaSweep {
-    /// Adds another sweep's counts to this one.
+    /// Adds another count to this one.
     pub fn merge(&mut self, other: &SigmaSweep) {
         self.kept += other.kept;
         self.repaired += other.repaired;
         self.dropped += other.dropped;
+        self.too_far_behind += other.too_far_behind;
         self.changed_nodes += other.changed_nodes;
+        self.folded_edits += other.folded_edits;
+        self.time += other.time;
     }
+
+    /// What happened since `earlier`, a previous reading of the same
+    /// counters.
+    pub fn since(&self, earlier: &SigmaSweep) -> SigmaSweep {
+        SigmaSweep {
+            kept: self.kept - earlier.kept,
+            repaired: self.repaired - earlier.repaired,
+            dropped: self.dropped - earlier.dropped,
+            too_far_behind: self.too_far_behind - earlier.too_far_behind,
+            changed_nodes: self.changed_nodes - earlier.changed_nodes,
+            folded_edits: self.folded_edits - earlier.folded_edits,
+            time: self.time - earlier.time,
+        }
+    }
+
+    /// Registers the counts as `{prefix}_{kept,repaired,dropped,
+    /// too_far_behind,folded_edits}_total` and the `{prefix}_changed_nodes`
+    /// mean per repaired vector.
+    pub fn register_into(&self, registry: &mut crate::metrics::MetricsRegistry, prefix: &str) {
+        for (name, help, value) in [
+            ("kept", "stale sigma vectors served unchanged", self.kept),
+            (
+                "repaired",
+                "stale sigma vectors repaired when read",
+                self.repaired,
+            ),
+            (
+                "dropped",
+                "stale sigma vectors no repair applies to",
+                self.dropped,
+            ),
+            (
+                "too_far_behind",
+                "stale sigma vectors past the edit history",
+                self.too_far_behind,
+            ),
+            (
+                "folded_edits",
+                "composed edits stale sigma was checked against",
+                self.folded_edits,
+            ),
+        ] {
+            registry.counter(&format!("{prefix}_{name}_total"), help, value);
+        }
+        registry.gauge(
+            &format!("{prefix}_changed_nodes"),
+            "mean nodes whose sigma changed per repaired vector",
+            self.changed_nodes as f64 / self.repaired.max(1) as f64,
+        );
+    }
+}
+
+/// The edit history of a [`ProximityCache`] and the state that brings stale
+/// entries forward across it. Only reads that find a stale entry, and
+/// [`ProximityCache::advance`], take its lock.
+#[derive(Default)]
+struct History {
+    /// `(version, edits)` of the latest edge-editing batches, oldest first,
+    /// versions consecutive: `edits` turns version `version - 1` into
+    /// `version`.
+    ring: VecDeque<(u64, Arc<[EdgeEdit]>)>,
+    /// Edits held in `ring`, at most [`MAX_FOLDED_EDITS`].
+    held: usize,
+    /// The composed edits of the latest fold.
+    folded: Vec<EdgeEdit>,
+    scratch: SigmaRepair,
+    stale: SigmaSweep,
+}
+
+impl History {
+    /// Brings a stale `entry` from its version to `version`: folds the
+    /// edits in between, keeps the vector if they are out of its reach and
+    /// repairs it otherwise. `false` (the entry must go) when the history
+    /// does not reach back far enough, or the edits reach a vector no
+    /// repair applies to.
+    #[cold]
+    #[inline(never)]
+    fn bring_forward(
+        &mut self,
+        key: &SigmaKey,
+        entry: &mut SigmaEntry,
+        graph: &CsrGraph,
+        version: u64,
+    ) -> bool {
+        let started = Instant::now();
+        let brought = self.fold(entry.version, version) && self.repair(key, entry, graph);
+        if brought {
+            entry.version = version;
+        }
+        self.stale.time += started.elapsed();
+        brought
+    }
+
+    /// Composes the batches `from + 1 ..= to` into `folded`, keeping each
+    /// pair's first `old` and last `new` weight and dropping pairs whose
+    /// two weights agree; `false` when the ring no longer holds them all.
+    fn fold(&mut self, from: u64, to: u64) -> bool {
+        let first = self.ring.front().map_or(u64::MAX, |&(v, _)| v);
+        if from >= to || from + 1 < first || to - first >= self.ring.len() as u64 {
+            self.stale.too_far_behind += 1;
+            return false;
+        }
+        let folded = &mut self.folded;
+        folded.clear();
+        let batches = (from + 1 - first) as usize..=(to - first) as usize;
+        self.ring
+            .range(batches)
+            .for_each(|(_, edits)| folded.extend_from_slice(edits));
+        // Stable: a pair's edits stay in batch order (one per batch).
+        folded.sort_by_key(|e| (e.u, e.v));
+        folded.dedup_by(|later, kept| {
+            let same = (later.u, later.v) == (kept.u, kept.v);
+            if same {
+                kept.new = later.new;
+            }
+            same
+        });
+        folded.retain(|e| e.old.map(f32::to_bits) != e.new.map(f32::to_bits));
+        self.stale.folded_edits += folded.len() as u64;
+        true
+    }
+
+    /// Brings `entry` across `folded`: kept if no folded pair is in its
+    /// reach, repaired in place otherwise; `false` if no repair applies.
+    fn repair(&mut self, key: &SigmaKey, entry: &mut SigmaEntry, graph: &CsrGraph) -> bool {
+        let endpoints = self.folded.iter().flat_map(|e| [e.u, e.v]);
+        if !reaches(key, &entry.sigma, endpoints) {
+            self.stale.kept += 1;
+            return true;
+        }
+        let changed = entry.bounds.is_exact().then(|| {
+            let sigma = Arc::make_mut(&mut entry.sigma);
+            entry
+                .model
+                .repair(graph, &self.folded, sigma, &mut self.scratch)
+        });
+        match changed.flatten() {
+            None => {
+                self.stale.dropped += 1;
+                false
+            }
+            Some(0) => {
+                self.stale.kept += 1;
+                true
+            }
+            Some(changed) => {
+                self.stale.repaired += 1;
+                self.stale.changed_nodes += changed as u64;
+                true
+            }
+        }
+    }
+}
+
+/// Whether a cached vector can see a change at any of `nodes` (endpoints of
+/// edited pairs): its seeker is one, or it holds positive mass on one — the
+/// vector is its own dependency set (`friends_core::live` says why).
+/// `Global` entries (key tag 0, σ ≡ 1) are graph-independent.
+fn reaches(key: &SigmaKey, sigma: &ProximityVec, mut nodes: impl Iterator<Item = NodeId>) -> bool {
+    key.model.0 != 0 && nodes.any(|u| u == key.seeker || sigma.get(u) > 0.0)
 }
 
 /// Sharded LRU cache of materialized proximity vectors, shared across batch
 /// workers via `Arc<ProximityCache>`. See the module docs for the optional
 /// admission/TTL policy.
+///
+/// On a live graph the cache is versioned: [`ProximityCache::advance`]
+/// records each batch's edits, every entry remembers the version it is
+/// exact for, and a lookup that finds an older one brings it forward before
+/// serving it (see [`ProximityCache::get_bounded`]).
 pub struct ProximityCache {
     shards: Box<[Mutex<AdmissionLru<SigmaKey, SigmaEntry>>]>,
-    /// Scratch of the repairing sweep, kept across sweeps.
-    repair: Mutex<SigmaRepair>,
+    /// The graph version readers pass: the number of edge-editing batches
+    /// advanced across. Stored with `Release` after the batch is in the
+    /// history, loaded with `Acquire` by lookups and inserts.
+    version: AtomicU64,
+    history: Mutex<History>,
 }
 
 impl ProximityCache {
@@ -348,7 +542,8 @@ impl ProximityCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(AdmissionLru::new(entries, bytes, policy)))
                 .collect(),
-            repair: Mutex::new(SigmaRepair::new()),
+            version: AtomicU64::new(0),
+            history: Mutex::new(History::default()),
         }
     }
 
@@ -371,6 +566,18 @@ impl ProximityCache {
     /// [`ProximityCache::get`] under explicit [`SigmaBounds`]: the bounds
     /// are part of the key, so degraded and exact σ never alias. `get` is
     /// the `SigmaBounds::EXACT` shorthand.
+    ///
+    /// `graph` must be at the cache's version (the one the latest
+    /// [`ProximityCache::advance`] moved to). An entry exact for that
+    /// version is served as it is — the one extra cost of a hit is an
+    /// integer compare. An older entry is brought forward first: the edits
+    /// of the batches it missed are folded into one list (each pair's first
+    /// old and last new weight, pairs whose weights agree dropped), and the
+    /// vector is kept if none of them is in its reach, else repaired in
+    /// place once ([`ProximityModel::repair`]) to the bits a cold
+    /// materialization on `graph` writes. A stale entry that cannot be
+    /// brought forward — further behind than the edit history holds, or of
+    /// a model or bounds without a repair — is dropped and misses.
     pub fn get_bounded(
         &self,
         graph: &CsrGraph,
@@ -380,7 +587,23 @@ impl ProximityCache {
     ) -> Option<Arc<ProximityVec>> {
         let key = SigmaKey::new(graph, seeker, model, bounds);
         let mut shard = self.shard_of(&key).lock();
-        shard.get(&key, true).map(|entry| Arc::clone(&entry.sigma))
+        let version = self.version.load(Ordering::Acquire);
+        let entry = shard.get(&key, true)?;
+        if entry.version == version {
+            return Some(Arc::clone(&entry.sigma));
+        }
+        if self
+            .history
+            .lock()
+            .bring_forward(&key, entry, graph, version)
+        {
+            let sigma = Arc::clone(&entry.sigma);
+            shard.recharge(&key, charge_of(&sigma));
+            Some(sigma)
+        } else {
+            shard.invalidate(&key);
+            None
+        }
     }
 
     /// Inserts (or refreshes) a materialized vector under the eviction and
@@ -426,11 +649,13 @@ impl ProximityCache {
     ) {
         let key = SigmaKey::new(graph, seeker, model, bounds);
         let charge = value_bytes + ENTRY_OVERHEAD_BYTES;
+        let version = self.version.load(Ordering::Acquire);
         self.shard_of(&key).lock().insert_with(key, charge, || {
             let sigma = make();
             debug_assert_eq!(sigma.memory_bytes(), value_bytes, "misstated charge");
             SigmaEntry {
                 sigma,
+                version,
                 model,
                 bounds,
             }
@@ -453,89 +678,64 @@ impl ProximityCache {
         self.stats().bytes
     }
 
-    /// The live-graph sweep: brings the cache from the graph its entries
-    /// were materialized on to `next`, the same graph (same token) after
-    /// `edits` — every pair whose weight differs. Run it **before**
-    /// publishing `next`, so that every surviving entry is exact under the
-    /// new epoch.
+    /// Moves the cache to the next graph version, in O(1): `edits` — every
+    /// pair whose weight differs between the graph readers passed so far
+    /// and the one they pass from now on — joins the edit history, and no
+    /// entry is touched; each is brought forward when it is next read (see
+    /// [`ProximityCache::get_bounded`]). Call it when the readers switch
+    /// graphs, with no read in between: the serving tier's shards advance
+    /// their private caches at the batch boundary where they switch
+    /// snapshots. A batch that edits no pair changes no σ and leaves the
+    /// version as it is.
     ///
-    /// The cached vector itself is the dependency set. Any σ path from an
-    /// entry's seeker that crosses an edited pair `{u, v}` must first reach
-    /// `u` or `v` through *old* edges, so an entry is affected iff its
-    /// seeker is an endpoint or its vector holds positive mass on one —
-    /// `σ(endpoint) = 0` for every endpoint proves the edits are outside
-    /// the seeker's reach (for decay models, beyond the decay horizon /
-    /// `SigmaBounds` radius that already truncated the vector). Entries of
-    /// the `Global` model (key tag 0, σ ≡ 1) are graph-independent and
-    /// never swept.
-    ///
-    /// An affected entry is **repaired in place**
-    /// ([`ProximityModel::repair`]) when it is an exact-bounds entry over
-    /// `next`'s graph that was hit or inserted since the previous sweep,
-    /// and dropped otherwise — so the work of a sweep follows the read
-    /// traffic between two writes, not the size of the cache, and a vector
-    /// nobody asked for during a whole epoch does not stay resident on the
-    /// strength of repairs alone. A repair leaves recency and age alone
-    /// (a TTL still bounds how old an entry gets) and re-charges the
-    /// entry's bytes; a reader still holding the vector keeps the old
-    /// epoch's copy.
-    pub fn repair_affected(&self, next: &CsrGraph, edits: &[EdgeEdit]) -> SigmaSweep {
-        self.sweep(&EdgeEdit::endpoints(edits), Some((next, edits)))
+    /// The history keeps the latest batches up to `MAX_FOLDED_EDITS`
+    /// edits in all; an entry that missed more is rebuilt when read.
+    pub fn advance(&self, edits: &Arc<[EdgeEdit]>) {
+        if edits.is_empty() {
+            return;
+        }
+        let mut history = self.history.lock();
+        let version = self.version.load(Ordering::Relaxed) + 1;
+        history.held += edits.len();
+        history.ring.push_back((version, Arc::clone(edits)));
+        while history.held > MAX_FOLDED_EDITS {
+            let (_, oldest) = history
+                .ring
+                .pop_front()
+                .expect("held edits are in the ring");
+            history.held -= oldest.len();
+        }
+        self.version.store(version, Ordering::Release);
     }
 
-    /// The drop-only form of [`ProximityCache::repair_affected`], for a
-    /// caller that knows the endpoints of the edited pairs but not the
-    /// edits: drops every entry they could reach and returns how many.
+    /// Drops every entry that `endpoints` (of edited pairs) could reach and
+    /// returns how many — the eager, drop-only alternative to
+    /// [`ProximityCache::advance`] for a caller that knows the endpoints
+    /// but not the edits.
     pub fn invalidate_affected(&self, endpoints: &[NodeId]) -> u64 {
-        self.sweep(endpoints, None).dropped
-    }
-
-    fn sweep(&self, endpoints: &[NodeId], repair: Option<(&CsrGraph, &[EdgeEdit])>) -> SigmaSweep {
-        let mut out = SigmaSweep::default();
         if endpoints.is_empty() {
-            return out;
+            return 0;
         }
-        let mut scratch = self.repair.lock();
-        for shard in self.shards.iter() {
-            let dropped = shard.lock().sweep(|key, entry, read| {
-                let affected = key.model.0 != 0
-                    && endpoints
-                        .iter()
-                        .any(|&e| e == key.seeker || entry.sigma.get(e) > 0.0);
-                if !affected {
-                    return Sweep::Keep;
-                }
-                let changed = repair
-                    .filter(|(next, _)| {
-                        key.graph == next.token() && entry.bounds.is_exact() && read
-                    })
-                    .and_then(|(next, edits)| {
-                        let sigma = Arc::make_mut(&mut entry.sigma);
-                        entry.model.repair(next, edits, sigma, &mut scratch)
-                    });
-                match changed {
-                    None => Sweep::Drop,
-                    Some(0) => {
-                        out.kept += 1;
-                        Sweep::Keep
-                    }
-                    Some(changed) => {
-                        out.repaired += 1;
-                        out.changed_nodes += changed as u64;
-                        Sweep::Recharge(charge_of(&entry.sigma))
-                    }
-                }
-            });
-            out.dropped += dropped;
-        }
-        out
+        self.shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .lock()
+                    .retain(|key, entry| !reaches(key, &entry.sigma, endpoints.iter().copied()))
+            })
+            .sum()
     }
 
-    /// Growth events of the repairing sweep's graph-sized scratch (see
-    /// [`SigmaRepair::allocation_count`]): constant once a sweep has seen
+    /// What reads have done with stale entries so far.
+    pub fn stale_hits(&self) -> SigmaSweep {
+        self.history.lock().stale
+    }
+
+    /// Growth events of the read-side repair's graph-sized scratch (see
+    /// [`SigmaRepair::allocation_count`]): constant once a repair has seen
     /// the graph.
     pub fn repair_allocation_count(&self) -> u64 {
-        self.repair.lock().allocation_count()
+        self.history.lock().scratch.allocation_count()
     }
 
     /// Drops every entry (counters are kept).
@@ -545,12 +745,17 @@ impl ProximityCache {
         }
     }
 
-    /// Aggregate counters.
+    /// Aggregate counters. A stale hit that had to be dropped counts as a
+    /// miss, not a hit.
     pub fn stats(&self) -> CacheStats {
         let mut stats = CacheStats::default();
         for shard in self.shards.iter() {
             stats.merge(&shard.lock().stats());
         }
+        let stale = self.stale_hits();
+        let rebuilt = stale.dropped + stale.too_far_behind;
+        stats.hits -= rebuilt;
+        stats.misses += rebuilt;
         stats
     }
 }
@@ -945,8 +1150,8 @@ mod tests {
     #[test]
     fn expired_victims_of_a_widening_refresh_count_as_expirations() {
         // Whatever path evicts it, a victim past its TTL is an expiration:
-        // room-making on insert, a widening refresh and a repairing sweep
-        // share one eviction routine.
+        // room-making on insert, a widening refresh and a read repair's
+        // re-charge share one eviction routine.
         let g = CsrGraph::empty(20_000);
         let narrow = charge_of(&touched_vec(0, 4));
         let policy = CachePolicy {
@@ -1146,18 +1351,11 @@ mod tests {
         assert!(c.get(&g, 1, ProximityModel::Global).is_some());
     }
 
-    #[test]
-    fn repair_leaves_recency_and_age_alone() {
-        use crate::proximity::SigmaWorkspace;
+    /// `WeightedDecay 0.5` on two components, `{0, 1, 2}` and `{3, 4}`,
+    /// and the batch that adds `{0, 2}`.
+    fn two_components() -> (CsrGraph, CsrGraph, Arc<[EdgeEdit]>) {
         use friends_graph::GraphBuilder;
-        // Two components; the sweep reaches seeker 0's only.
         let g = GraphBuilder::from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)]);
-        let model = ProximityModel::WeightedDecay { alpha: 0.5 };
-        let cold = |g: &CsrGraph, seeker| {
-            let mut ws = SigmaWorkspace::new();
-            model.materialize_into(g, seeker, &mut ws);
-            Arc::new(ws.snapshot(g.num_nodes()))
-        };
         let next = g.with_edits(&[(0, 2, 1.0)], &[]);
         let edit = EdgeEdit {
             u: 0,
@@ -1165,35 +1363,78 @@ mod tests {
             old: None,
             new: Some(1.0),
         };
-        let repaired_one = SigmaSweep {
-            repaired: 1,
-            changed_nodes: 1,
-            ..SigmaSweep::default()
-        };
+        (g, next, Arc::from([edit]))
+    }
 
+    const DECAY: ProximityModel = ProximityModel::WeightedDecay { alpha: 0.5 };
+
+    fn cold(g: &CsrGraph, seeker: NodeId) -> Arc<ProximityVec> {
+        let mut ws = crate::proximity::SigmaWorkspace::new();
+        DECAY.materialize_into(g, seeker, &mut ws);
+        Arc::new(ws.snapshot(g.num_nodes()))
+    }
+
+    #[test]
+    fn repair_leaves_recency_and_age_alone() {
+        let (g, next, edits) = two_components();
         let c = ProximityCache::with_limits(2, usize::MAX, 1, CachePolicy::default());
-        c.insert(&g, 0, model, cold(&g, 0)); // older
-        c.insert(&g, 3, model, cold(&g, 3)); // newer
-        assert_eq!(c.repair_affected(&next, &[edit]), repaired_one);
-        assert_eq!(c.stats().bytes, c.memory_bytes());
-        // Repaired, not refreshed: seeker 0's entry is still the LRU victim.
-        c.insert(&next, 4, model, cold(&next, 4));
-        assert!(c.get(&next, 0, model).is_none(), "a repair bumped recency");
-        assert!(c.get(&next, 3, model).is_some());
+        c.insert(&g, 0, DECAY, cold(&g, 0)); // older
+        c.insert(&g, 3, DECAY, cold(&g, 3)); // newer
+        c.advance(&edits);
+        // Advancing touched no entry: seeker 0's is still the LRU victim.
+        c.insert(&next, 4, DECAY, cold(&next, 4));
+        assert!(c.get(&next, 0, DECAY).is_none(), "advance bumped recency");
+        assert!(c.get(&next, 3, DECAY).is_some());
 
-        // A repaired entry still ages out on its insertion clock: 200 ms
-        // before the repair and 200 ms after it outlive a 300 ms TTL.
+        // A repair on read re-charges the entry but keeps its insertion
+        // clock: 200 ms before the repair and 200 ms after it outlive a
+        // 300 ms TTL.
         let policy = CachePolicy {
             admission: false,
             ttl: Some(Duration::from_millis(300)),
         };
         let c = ProximityCache::with_limits(2, usize::MAX, 1, policy);
-        c.insert(&g, 0, model, cold(&g, 0));
+        c.insert(&g, 0, DECAY, cold(&g, 0));
         std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(c.repair_affected(&next, &[edit]), repaired_one);
+        c.advance(&edits);
+        let repaired = c.get(&next, 0, DECAY).expect("repaired on read");
+        assert_eq!(repaired, cold(&next, 0));
+        assert_eq!(c.memory_bytes(), charge_of(&repaired));
+        let stale = c.stale_hits();
+        assert_eq!(
+            (stale.repaired, stale.changed_nodes, stale.folded_edits),
+            (1, 1, 1)
+        );
         std::thread::sleep(Duration::from_millis(200));
-        assert!(c.get(&next, 0, model).is_none(), "a repair reset the age");
+        assert!(c.get(&next, 0, DECAY).is_none(), "a repair reset the age");
         assert_eq!(c.stats().expirations, 1);
+    }
+
+    #[test]
+    fn a_read_past_the_edit_history_rebuilds() {
+        let (g, next, edits) = two_components();
+        let c = ProximityCache::with_limits(8, usize::MAX, 1, CachePolicy::default());
+        c.insert(&g, 0, DECAY, cold(&g, 0));
+        c.insert(&g, 3, DECAY, cold(&g, 3));
+        // One batch wider than the history holds: it is forgotten as soon
+        // as it is recorded, and every entry is now too far behind.
+        let wide: Arc<[EdgeEdit]> = edits
+            .iter()
+            .copied()
+            .cycle()
+            .take(MAX_FOLDED_EDITS + 1)
+            .collect();
+        c.advance(&wide);
+        assert!(c.get(&next, 3, DECAY).is_none());
+        let s = c.stats();
+        assert_eq!(c.stale_hits().too_far_behind, 1);
+        assert_eq!((s.hits, s.misses, s.invalidated, s.entries), (0, 1, 1, 1));
+        // A rebuilt entry is exact at the new version; a batch that edits
+        // nothing leaves every entry fresh.
+        c.insert(&next, 3, DECAY, cold(&next, 3));
+        c.advance(&Arc::from([]));
+        assert!(c.get(&next, 3, DECAY).is_some());
+        assert_eq!(c.stats().hits, 1);
     }
 
     #[test]

@@ -44,17 +44,6 @@ fn hash_of<Q: Hash + ?Sized>(key: &Q) -> u64 {
     BuildHasherDefault::<KeyHasher>::default().hash_one(key)
 }
 
-/// What [`AdmissionLru::sweep`] does with one entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Sweep {
-    /// Leave it as it is.
-    Keep,
-    /// Keep it, now charged this many bytes (the closure changed its value).
-    Recharge(usize),
-    /// Drop it (counted as invalidated).
-    Drop,
-}
-
 /// "No neighbour" in the recency list.
 const NIL: usize = usize::MAX;
 
@@ -64,8 +53,6 @@ struct Slot<K, V> {
     /// Bytes charged against the byte budget.
     charge: usize,
     inserted_at: Instant,
-    /// Hit or inserted since the previous sweep.
-    read: bool,
     /// Neighbours in the recency list (`NIL` at either end).
     older: usize,
     newer: usize,
@@ -123,7 +110,9 @@ impl<K: Hash + Eq + Clone, V> AdmissionLru<K, V> {
     /// With `probe` set the lookup counts as a request for `key`: the
     /// admission sketch records it, and it counts as a hit or a miss.
     /// Without it (a re-check of a request already probed) neither happens.
-    pub fn get<Q>(&mut self, key: &Q, probe: bool) -> Option<&V>
+    /// A caller that changes the value's size says so with
+    /// [`AdmissionLru::recharge`].
+    pub fn get<Q>(&mut self, key: &Q, probe: bool) -> Option<&mut V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
@@ -148,7 +137,38 @@ impl<K: Hash + Eq + Clone, V> AdmissionLru<K, V> {
         }
         let i = found?;
         self.touch(i);
-        Some(&self.slots[i].value)
+        Some(&mut self.slots[i].value)
+    }
+
+    /// Re-charges a resident `key` at `charge` bytes (its value changed
+    /// size in place), then evicts least recently used entries until the
+    /// byte budget holds again, keeping at least the newest.
+    pub fn recharge<Q>(&mut self, key: &Q, charge: usize)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        if let Some(&i) = self.map.get(key) {
+            let slot = &mut self.slots[i];
+            self.stats.bytes = self.stats.bytes - slot.charge + charge;
+            slot.charge = charge;
+            self.evict_over_budget();
+        }
+    }
+
+    /// Drops `key` if it is resident (counted as invalidated); returns
+    /// whether it was.
+    pub fn invalidate<Q>(&mut self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let Some(&i) = self.map.get(key) else {
+            return false;
+        };
+        self.remove(i);
+        self.stats.invalidated += 1;
+        true
     }
 
     /// Inserts (or refreshes) `key`, charged `charge` bytes; `make` builds
@@ -218,7 +238,6 @@ impl<K: Hash + Eq + Clone, V> AdmissionLru<K, V> {
             value: make(),
             charge,
             inserted_at: Instant::now(),
-            read: true,
             older: NIL,
             newer: NIL,
         });
@@ -229,32 +248,20 @@ impl<K: Hash + Eq + Clone, V> AdmissionLru<K, V> {
         true
     }
 
-    /// Passes every entry to `f` — its key, its value, and whether it was
-    /// hit or inserted since the previous sweep — and applies the verdict,
-    /// leaving recency and TTL clocks alone. Entries a re-charge pushed
-    /// over the byte budget are then evicted, least recently used first.
-    /// Returns the number dropped.
-    pub fn sweep(&mut self, mut f: impl FnMut(&K, &mut V, bool) -> Sweep) -> u64 {
+    /// Keeps the entries `keep` accepts and drops the rest (counted as
+    /// invalidated), leaving recency and TTL clocks alone. Returns the
+    /// number dropped.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> u64 {
         let mut dropped = 0;
         // Back to front: a removal moves the last slot, already visited,
         // into the hole.
         for i in (0..self.slots.len()).rev() {
-            let slot = &mut self.slots[i];
-            let read = std::mem::take(&mut slot.read);
-            match f(&slot.key, &mut slot.value, read) {
-                Sweep::Keep => {}
-                Sweep::Recharge(charge) => {
-                    self.stats.bytes = self.stats.bytes - slot.charge + charge;
-                    slot.charge = charge;
-                }
-                Sweep::Drop => {
-                    self.remove(i);
-                    dropped += 1;
-                }
+            if !keep(&self.slots[i].key, &self.slots[i].value) {
+                self.remove(i);
+                dropped += 1;
             }
         }
         self.stats.invalidated += dropped;
-        self.evict_over_budget();
         dropped
     }
 
@@ -328,7 +335,6 @@ impl<K: Hash + Eq + Clone, V> AdmissionLru<K, V> {
 
     /// Marks slot `i` as the most recently used.
     fn touch(&mut self, i: usize) {
-        self.slots[i].read = true;
         if self.newest != i {
             let (older, newer) = (self.slots[i].older, self.slots[i].newer);
             self.link(older, newer);

@@ -1,5 +1,5 @@
 //! The live-graph write path: epoch-snapshot publication with incremental
-//! cache invalidation.
+//! cache maintenance.
 //!
 //! Every structure below this module is immutable — the CSR graph, the
 //! posting store, the σ index are built once and only read. [`LiveCorpus`]
@@ -23,9 +23,9 @@
 //!           │            CSR pass (same token!)       │
 //!           │            shared: all other rows       │
 //!           │                                         │
-//!           │ readers pin via Arc      sweep caches   │ publish: one
-//!           │ (never blocked)          (repair or     │ pointer swap
-//!           ▼                           drop σ)       │ under write lock
+//!           │ readers pin via Arc      advance σ,     │ publish: one
+//!           │ (never blocked)          sweep results  │ pointer swap
+//!           ▼                                         │ under write lock
 //!   retired when the last reader drops ───────────────┘
 //! ```
 //!
@@ -38,13 +38,13 @@
 //!    one at its stored weight touches nothing), their endpoints, the
 //!    affected seekers, the touched tags. No lock is held; queries proceed
 //!    untouched.
-//! 2. **sweep** — bring exactly the cache entries the batch can affect to
-//!    the new epoch ([`crate::cache::ProximityCache::repair_affected`]
-//!    for σ: repair in place what was read since the last sweep, drop the
-//!    rest; the result cache's per-seeker/per-tag sweeps in the serving
-//!    tier). Because the edited graph keeps its identity token,
-//!    everything *not* swept keeps hitting under the new epoch — that is
-//!    the entire point.
+//! 2. **sweep** — make every cache entry the batch can affect safe under
+//!    the new epoch: σ caches record the batch's edits in O(1)
+//!    ([`crate::cache::ProximityCache::advance`]) and repair a stale vector
+//!    when it is next read; the serving tier's result caches drop the
+//!    rankings of affected seekers and touched tags. Because the edited
+//!    graph keeps its identity token, everything else keeps hitting under
+//!    the new epoch — that is the entire point.
 //! 3. **publish** — swap the snapshot pointer. Writers hold the write lock
 //!    only for the swap itself; readers hold the read lock only to clone
 //!    the `Arc`. The retired corpus is reclaimed when its last pinned
@@ -93,56 +93,40 @@
 //! recovery and a one-pass build agree bit for bit for any weights, not
 //! only ones that add exactly.
 //!
-//! ## What the sweep repairs, and why the repair is exact
+//! ## What a read repairs, and why the repair is exact
 //!
 //! A cached σ vector of a max-product model (`WeightedDecay`,
 //! `DistanceDecay`) is the supported fixed point of `P[t] = max
 //! fl(relax(P[x], w(x, t)))`, and a 64-mutation batch moves about 1 % of
-//! it. So the sweep does not drop such a vector for the next reader to
-//! rebuild from scratch: it repairs it where it lies, in `O(edits + changed
-//! nodes × degree)` ([`friends_graph::traversal::repair_labels`] through
+//! it. So a write does not drop such a vector for the next reader to
+//! rebuild from scratch. The cache keeps the batches' edits, and the next
+//! read of a stale vector folds the edits it missed into one list and
+//! repairs the vector where it lies, in `O(edits + changed nodes × degree)`
+//! ([`friends_graph::traversal::repair_labels`] through
 //! [`crate::proximity::ProximityModel::repair`]), to the bits a cold
-//! materialization on the next graph writes.
+//! materialization on the reader's graph writes. One repair across several
+//! batches is sound because `repair_labels` accepts any two graphs on one
+//! node set, given every pair whose weight differs between them — which is
+//! what the fold keeps.
 //!
-//! * **Tightness.** An arc `x → t` is tight when `relax(P[x], w) == P[t] >
-//!   0`: it is, or ties with, the arc `t`'s value came through. Only the
-//!   head of an edited arc that was tight under its old weight and is not
-//!   under its new one can lose its value; an insert or up-weight can only
-//!   raise its head.
-//! * **Decreasing order.** Whether such a suspect keeps its value depends
-//!   on whether some other tight in-arc survives from a node that keeps
-//!   *its* value — a question about nodes with larger values only, since
-//!   `relax` never raises. Settling suspects in decreasing old value
-//!   therefore meets every possible supporter already decided. A suspect
-//!   without support is affected; the heads it is tight to become
-//!   suspects; affected nodes are zeroed and re-settled from their
-//!   unaffected neighbours by the same monotone relaxation the cold kernel
-//!   runs, which ends at the one fixed point whatever the order.
-//! * **Plateaus.** Deep in the sub-normals `relax(p, w) == p` happens: a
-//!   ring of equal values in which every node is "tight" to the next. If
-//!   equal-valued neighbours could vouch for each other, such a ring would
-//!   survive the removal of the arc that fed it. So support demands a
-//!   strictly larger tail (`P[x] > P[t]`), while suspicion passes along
-//!   any tight arc: a plateau that loses its feed is affected as a whole
-//!   and rebuilt from outside. The affected set may over-approximate what
-//!   changes; it never misses a node.
+//! Why the repair is exact — tight arcs, suspects settled in decreasing
+//! old value, plateaus that must fall as a whole — is set out on
+//! `repair_labels`.
 //!
-//! Only exact-bounds entries of those two models **that were hit or
-//! inserted since the previous sweep** are repaired; bounded (degraded)
-//! entries, PPR and AdamicAdar vectors, and vectors nobody read for a
-//! whole epoch are dropped as before. That keeps a sweep's work, and what
-//! it leaves resident, proportional to the read traffic between two writes
-//! rather than to the cache's size.
+//! Only exact-bounds entries of those two models are repaired; a stale
+//! bounded (degraded) entry, PPR or AdamicAdar vector the edits reach is
+//! dropped, and so is a vector further behind than the cache's edit
+//! history. Repair work therefore follows the reads, not the writes: a
+//! vector nobody asks for again costs nothing.
 //!
-//! The repair runs where the sweep always ran: on the thread that owns the
-//! cache, between two queries. A [`LiveCorpus::commit`] whose sweep
-//! repairs a cache that *concurrent* readers also use is not
-//! epoch-isolated — between sweep and publish a reader pins the old
-//! snapshot and may be handed an entry already brought to the next epoch,
-//! exactly as it could re-insert an old-epoch vector right after the sweep
-//! dropped it. The serving tier has no such window: each shard sweeps its
-//! private cache at a batch boundary and switches snapshot in the same
-//! step.
+//! A σ cache serves readers at its latest version, so it must advance when
+//! its readers switch snapshots, with no read in between. A
+//! [`LiveCorpus::commit`] that advances a cache *concurrent* readers also
+//! use is not epoch-isolated — between advance and publish a reader pins
+//! the old snapshot and may be handed a vector brought to the next epoch.
+//! The serving tier has no such window: each shard advances its private
+//! cache at a batch boundary and switches snapshot in the same step, on the
+//! one thread that reads the cache.
 //!
 //! ## Writer/reader memory-ordering contract
 //!
@@ -164,7 +148,7 @@
 //!   epoch's frozen-corpus answer (snapshot isolation, pinned by
 //!   `tests/proptest_live.rs`).
 //!
-//! ## Why the sweep is sound (and minimal)
+//! ## Why keeping an unreached vector is sound (and minimal)
 //!
 //! For an edge mutation on `{u, v}`: any σ walk from a seeker `s` that
 //! crosses the mutated edge must first arrive at `u` or `v` through edges
@@ -173,11 +157,11 @@
 //! cached vector is its own dependency (reach) set, truncated by the
 //! model's decay horizon / [`crate::proximity::SigmaBounds`] radius
 //! exactly where contributions become zero. Batches compose: every
-//! endpoint of every edge in the batch is tested at once, so chains of
-//! new edges are covered (the first new edge on any walk is reached the
-//! old way). `Global`-model entries (σ ≡ 1) are graph-independent and
-//! never swept; tag appends touch no σ at all — they invalidate per-tag
-//! in the result layer instead.
+//! endpoint of every folded edit is tested at once, so chains of new
+//! edges are covered (the first new edge on any walk is reached the old
+//! way). `Global`-model entries (σ ≡ 1) are graph-independent and never
+//! affected; tag appends touch no σ at all — they invalidate per-tag in
+//! the result layer instead.
 
 use crate::corpus::Corpus;
 use crate::metrics::MetricsRegistry;
@@ -204,14 +188,13 @@ pub struct PreparedMutation {
     /// epoch = base epoch + 1.
     pub next: Arc<Corpus>,
     /// The batch's *effective* edge edits: every pair whose stored weight
-    /// differs between the base graph and `next`'s, with both weights.
-    /// Removing an absent edge or inserting one at its stored weight is not
-    /// an edit. What [`crate::cache::ProximityCache::repair_affected`]
-    /// repairs cached σ with — shards never need the base graph.
-    pub edits: Vec<EdgeEdit>,
-    /// Distinct endpoints of `edits`, sorted — what the sweeps test σ
-    /// support against.
-    pub touched_nodes: Vec<NodeId>,
+    /// differs between the base graph and `next`'s, with both weights, one
+    /// per pair in `(u, v)` order with `u < v`. Removing an absent edge or
+    /// inserting one at its stored weight is not an edit. Shared, so each
+    /// shard's σ cache records it in O(1)
+    /// ([`crate::cache::ProximityCache::advance`]) and repairs cached σ
+    /// with it when read — no shard ever needs the base graph.
+    pub edits: Arc<[EdgeEdit]>,
     /// Every seeker whose σ (and therefore rankings) the batch could
     /// change, sorted: the nodes old-graph-reachable from any touched
     /// node, depth-limited by the horizon passed to `prepare`. The
@@ -325,9 +308,8 @@ impl LiveCorpus {
         let graph = base.graph.with_edits(&inserts, &removals);
         let store = base.store.with_appends(&appends);
         let edits = effective_edits(&base.graph, &graph, &inserts, &removals);
-        let touched_nodes = EdgeEdit::endpoints(&edits);
         let touched_tags = batch.touched_tags();
-        let affected_seekers = reachable_from(&base.graph, &touched_nodes, horizon);
+        let affected_seekers = reachable_from(&base.graph, &EdgeEdit::endpoints(&edits), horizon);
         let next = Arc::new(base.next_epoch(graph, store, &touched_tags));
         // The σ-index and global lists must be warm before publication:
         // the first query needing them on each shard would otherwise build
@@ -339,8 +321,7 @@ impl LiveCorpus {
         next.global_lists();
         PreparedMutation {
             next,
-            edits,
-            touched_nodes,
+            edits: edits.into(),
             affected_seekers,
             touched_tags,
             mutations: batch.len(),
@@ -364,11 +345,12 @@ impl LiveCorpus {
     /// snapshot if one is due; returns what `sweep` returned.
     ///
     /// `sweep` receives the prepared epoch and the batch's WAL receipt
-    /// (`None` in memory) and must bring every cache the caller owns to the
-    /// new epoch before it returns — after the publish, readers trust every
-    /// surviving entry. A single cache sweeps with
-    /// `|p, _| cache.repair_affected(&p.next.graph, &p.edits)`; the serving
-    /// tier broadcasts `p` to its shards and waits for their acks.
+    /// (`None` in memory) and must make every cache the caller owns safe
+    /// under the new epoch before it returns — after the publish, readers
+    /// trust every entry. A single σ cache does so with
+    /// `|p, _| cache.advance(&p.edits)`, and repairs what it must when read;
+    /// the serving tier broadcasts `p` to its shards and waits for their
+    /// acks.
     ///
     /// `Err` from the WAL append means the batch is not durable: `sweep`
     /// did not run and nothing was published. `Err` after the append can
@@ -900,7 +882,7 @@ fn reachable_from(graph: &CsrGraph, sources: &[NodeId], horizon: Option<u32>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ProximityCache;
+    use crate::cache::{ProximityCache, SigmaSweep};
     use crate::processors::{ExactOnline, Processor};
     use crate::proximity::{ProximityModel, ProximityVec, SigmaWorkspace};
     use friends_data::mutations::Mutation;
@@ -944,12 +926,10 @@ mod tests {
         live.commit(batch, None, |p, _| p.epoch()).unwrap()
     }
 
-    /// Commits `batch`, sweeping `cache`; returns the σ entries dropped.
-    fn commit_sweeping(live: &LiveCorpus, batch: &MutationBatch, cache: &ProximityCache) -> u64 {
-        live.commit(batch, None, |p, _| {
-            cache.repair_affected(&p.next.graph, &p.edits).dropped
-        })
-        .unwrap()
+    /// Commits `batch`, advancing `cache` across it.
+    fn commit_advancing(live: &LiveCorpus, batch: &MutationBatch, cache: &ProximityCache) {
+        live.commit(batch, None, |p, _| cache.advance(&p.edits))
+            .unwrap()
     }
 
     fn sigma_vec(graph: &CsrGraph, seeker: u32) -> ProximityVec {
@@ -1003,7 +983,7 @@ mod tests {
             None,
         );
         assert_eq!(p.epoch(), 1);
-        assert_eq!(p.touched_nodes, vec![2, 3]);
+        assert_eq!(EdgeEdit::endpoints(&p.edits), vec![2, 3]);
         // Both communities are old-graph-reachable from the endpoints;
         // isolated node 6 is not.
         assert_eq!(p.affected_seekers, vec![0, 1, 2, 3, 4, 5]);
@@ -1043,10 +1023,11 @@ mod tests {
             cache.insert(&corpus.graph, seeker, MODEL, Arc::new(v));
         }
         assert_eq!(cache.len(), 2);
-        // An edge inside community {3,4,5}: community {0,1,2}'s σ is not
-        // looked at, seeker 3's is repaired where it lies.
+        // An edge inside community {3,4,5}: read again, community
+        // {0,1,2}'s σ is kept as it is, seeker 3's is repaired where it
+        // lies.
         let untouched = cache.get(&corpus.graph, 0, MODEL).expect("resident");
-        assert_eq!(commit_sweeping(&live, &edge_batch(3, 5, 1.0), &cache), 0);
+        commit_advancing(&live, &edge_batch(3, 5, 1.0), &cache);
         let now = live.snapshot();
         let kept = cache.get(&now.graph, 0, MODEL).expect("unaffected σ");
         assert!(
@@ -1056,21 +1037,36 @@ mod tests {
         let repaired = cache.get(&now.graph, 3, MODEL).expect("repaired σ");
         assert_eq!(*repaired, sigma_vec(&now.graph, 3));
         assert_ne!(*repaired, sigma_vec(&corpus.graph, 3));
-        // Joining the communities reaches both entries, both read since
-        // the last sweep: both repaired.
-        assert_eq!(commit_sweeping(&live, &edge_batch(2, 3, 1.0), &cache), 0);
-        // Only seeker 3 is read before the next batch: seeker 0's entry,
-        // unread for a whole epoch, is dropped rather than repaired.
-        let now = live.snapshot();
-        let repaired = cache.get(&now.graph, 3, MODEL).expect("repaired σ");
-        assert_eq!(*repaired, sigma_vec(&now.graph, 3));
         drop(repaired);
+        // Joining the communities and cutting them apart again, unread in
+        // between: the two batches fold to no edit at all.
         let cut = MutationBatch::new(vec![Mutation::RemoveEdge { u: 3, v: 2 }]);
-        assert_eq!(commit_sweeping(&live, &cut, &cache), 1);
+        commit_advancing(&live, &edge_batch(2, 3, 1.0), &cache);
+        commit_advancing(&live, &cut, &cache);
         let now = live.snapshot();
-        assert!(cache.get(&now.graph, 0, MODEL).is_none());
-        let repaired = cache.get(&now.graph, 3, MODEL).expect("repaired σ");
-        assert_eq!(*repaired, sigma_vec(&now.graph, 3));
+        let kept = cache.get(&now.graph, 0, MODEL).expect("unaffected σ");
+        assert!(Arc::ptr_eq(&kept, &untouched));
+        let kept = cache.get(&now.graph, 3, MODEL).expect("unaffected σ");
+        assert_eq!(*kept, sigma_vec(&now.graph, 3));
+        // A join read two batches late: both entries repaired across it.
+        commit_advancing(&live, &edge_batch(2, 3, 1.0), &cache);
+        commit_advancing(&live, &edge_batch(3, 4, 0.5), &cache);
+        let now = live.snapshot();
+        for seeker in [0, 3] {
+            let repaired = cache.get(&now.graph, seeker, MODEL).expect("repaired σ");
+            assert_eq!(*repaired, sigma_vec(&now.graph, seeker));
+        }
+        let stale = cache.stale_hits();
+        assert_eq!(
+            (
+                stale.kept,
+                stale.repaired,
+                stale.dropped,
+                stale.too_far_behind
+            ),
+            (3, 3, 0, 0)
+        );
+        assert_eq!(cache.stats().invalidated, 0);
     }
 
     #[test]
@@ -1099,9 +1095,17 @@ mod tests {
         ]);
         let p = live.prepare(&batch, None);
         assert!(p.edits.is_empty() && p.affected_seekers.is_empty());
-        assert_eq!(commit_sweeping(&live, &batch, &cache), 0);
+        commit_advancing(&live, &batch, &cache);
         assert_eq!(live.epoch(), 1);
-        assert_eq!(cache.len(), 7);
+        let now = live.snapshot();
+        for seeker in 0..7u32 {
+            assert!(cache.get(&now.graph, seeker, MODEL).is_some());
+        }
+        assert_eq!(
+            cache.stale_hits(),
+            SigmaSweep::default(),
+            "nothing is stale"
+        );
         assert_eq!(cache.stats().invalidated, 0);
     }
 
@@ -1125,7 +1129,7 @@ mod tests {
             },
             Mutation::RemoveEdge { u: 3, v: 4 },
         ]);
-        commit_sweeping(&live, &batch, &cache);
+        commit_advancing(&live, &batch, &cache);
         let now = live.snapshot();
         for seeker in 0..7u32 {
             if let Some(cached) = cache.get(&now.graph, seeker, MODEL) {
@@ -1193,7 +1197,7 @@ mod tests {
             (false, true, true, true, true)
         );
         assert!(p.touched_tags.is_empty());
-        assert_eq!(p.touched_nodes, vec![2, 3]);
+        assert_eq!(EdgeEdit::endpoints(&p.edits), vec![2, 3]);
     }
 
     #[test]
@@ -1219,7 +1223,7 @@ mod tests {
             base.store.tag_taggings(2),
             p.next.store.tag_taggings(2)
         ));
-        assert!(p.touched_nodes.is_empty() && p.affected_seekers.is_empty());
+        assert!(p.edits.is_empty() && p.affected_seekers.is_empty());
         assert_eq!(p.touched_tags, vec![2]);
     }
 
@@ -1229,8 +1233,7 @@ mod tests {
         let batch = MutationBatch::new(vec![Mutation::RemoveEdge { u: 0, v: 6 }]);
         let p = live.prepare(&batch, None);
         // Nothing changed, so nothing is touched and no seeker is affected.
-        assert!(p.edits.is_empty() && p.touched_nodes.is_empty());
-        assert!(p.affected_seekers.is_empty());
+        assert!(p.edits.is_empty() && p.affected_seekers.is_empty());
         assert_eq!(commit(&live, &batch), 1);
         assert_same_corpus(
             &live.snapshot(),

@@ -661,11 +661,6 @@ impl SigmaRepair {
     pub fn allocation_count(&self) -> u64 {
         self.allocations + self.kernel.allocation_count()
     }
-
-    /// The nodes whose σ the most recent successful repair changed.
-    pub fn changed(&self) -> &[NodeId] {
-        self.kernel.changed()
-    }
 }
 
 /// The per-edge multiplier of the [`ProximityModel::WeightedDecay`] model:

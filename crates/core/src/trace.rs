@@ -111,8 +111,8 @@ pub enum TraceEvent {
     /// before this query ran — the query raced a mutation.
     Mutation { epoch: u64, mutations: usize },
     /// Incremental invalidation performed by that mutation on this shard's
-    /// caches (σ entries and memoized rankings dropped).
-    Invalidation { sigma: u64, results: u64 },
+    /// result cache (memoized rankings dropped).
+    Invalidation { results: u64 },
     /// That racing batch's WAL receipt: it was appended (and, when
     /// `synced`, fsynced) *before* any shard acknowledged it.
     WalAppend { bytes: u64, synced: bool },
@@ -163,8 +163,8 @@ impl TraceEvent {
             TraceEvent::Mutation { epoch, mutations } => {
                 format!("raced mutation batch ({mutations} mutations) publishing epoch {epoch}")
             }
-            TraceEvent::Invalidation { sigma, results } => {
-                format!("invalidated sigma_entries={sigma} result_entries={results}")
+            TraceEvent::Invalidation { results } => {
+                format!("invalidated result_entries={results}")
             }
             TraceEvent::WalAppend { bytes, synced } => {
                 let fsync = if *synced { "fsynced" } else { "buffered" };
@@ -329,9 +329,9 @@ pub struct TraceRecord {
     /// `(epoch, batch size)` of a mutation batch this shard applied while
     /// the request was queued — the query raced a mutation epoch.
     pub mutation: Option<(u64, usize)>,
-    /// `(σ entries, result entries)` that racing batch swept from this
-    /// shard's caches.
-    pub invalidated: Option<(u64, u64)>,
+    /// Memoized rankings that racing batch swept from this shard's result
+    /// cache (its σ cache only records the batch's edits).
+    pub invalidated: Option<u64>,
     /// `(bytes, synced)` of that racing batch's WAL append — present only
     /// when the service runs durable.
     pub wal: Option<(u64, bool)>,
@@ -412,10 +412,8 @@ impl TraceRecord {
             if let Some((epoch, mutations)) = self.mutation {
                 queue.events.push(TraceEvent::Mutation { epoch, mutations });
             }
-            if let Some((sigma, results)) = self.invalidated {
-                queue
-                    .events
-                    .push(TraceEvent::Invalidation { sigma, results });
+            if let Some(results) = self.invalidated {
+                queue.events.push(TraceEvent::Invalidation { results });
             }
             if let Some((bytes, synced)) = self.wal {
                 queue.events.push(TraceEvent::WalAppend { bytes, synced });
@@ -775,7 +773,7 @@ mod tests {
             ..QueryStats::default()
         });
         rec.mutation = Some((3, 8));
-        rec.invalidated = Some((5, 2));
+        rec.invalidated = Some(2);
         let trace = c.retain(rec);
         let queue = trace.span("queue").unwrap();
         assert!(queue
@@ -788,7 +786,7 @@ mod tests {
             "{rendered}"
         );
         assert!(
-            rendered.contains("invalidated sigma_entries=5 result_entries=2"),
+            rendered.contains("invalidated result_entries=2"),
             "{rendered}"
         );
     }

@@ -5,14 +5,14 @@
 //! write to it, so both sides see the same counts; the sketch itself is
 //! unit-tested in `friends_core::cache`).
 //!
-//! Random get / re-check / insert / sweep / clear sequences run under an
-//! entry cap, a byte budget or both, with admission on and off. After every
-//! step the residents, their recency order and charges, `bytes` (the sum of
-//! the charges) and every counter must match the reference, an insert must
-//! build its value exactly when it goes in, and a sweep must tell each
-//! entry whether it was read since the previous sweep.
+//! Random get / re-check / insert / re-charge / invalidate / retain / clear
+//! sequences run under an entry cap, a byte budget or both, with admission
+//! on and off. After every step the residents, their recency order and
+//! charges, `bytes` (the sum of the charges) and every counter must match
+//! the reference, and an insert must build its value exactly when it goes
+//! in.
 
-use friends_core::cache::{AdmissionLru, CachePolicy, CacheStats, Sweep};
+use friends_core::cache::{AdmissionLru, CachePolicy, CacheStats};
 use proptest::prelude::*;
 use std::hash::{Hash, Hasher};
 
@@ -36,14 +36,12 @@ impl Hash for Key {
     }
 }
 
-/// One resident of the reference: key id, value, charge, read since the
-/// previous sweep.
+/// One resident of the reference: key id, value, charge.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     id: u32,
     value: u64,
     charge: usize,
-    read: bool,
 }
 
 struct Reference {
@@ -72,10 +70,25 @@ impl Reference {
                 None => self.stats.misses += 1,
             }
         }
-        let mut entry = self.order.remove(found?);
-        entry.read = true;
+        let entry = self.order.remove(found?);
         self.order.push(entry);
         Some(entry.value)
+    }
+
+    fn recharge(&mut self, id: u32, charge: usize) {
+        if let Some(i) = self.position(id) {
+            self.order[i].charge = charge;
+            self.evict_over_budget();
+        }
+    }
+
+    fn invalidate(&mut self, id: u32) -> bool {
+        let Some(i) = self.position(id) else {
+            return false;
+        };
+        self.order.remove(i);
+        self.stats.invalidated += 1;
+        true
     }
 
     fn evict_over_budget(&mut self) {
@@ -95,12 +108,7 @@ impl Reference {
         }
         if let Some(i) = self.position(id) {
             self.order.remove(i);
-            self.order.push(Entry {
-                id,
-                value,
-                charge,
-                read: true,
-            });
+            self.order.push(Entry { id, value, charge });
             self.evict_over_budget();
             return true;
         }
@@ -129,43 +137,23 @@ impl Reference {
         }
         self.order.drain(..victims);
         self.stats.evictions += victims as u64;
-        self.order.push(Entry {
-            id,
-            value,
-            charge,
-            read: true,
-        });
+        self.order.push(Entry { id, value, charge });
         self.stats.insertions += 1;
         true
     }
 
-    fn sweep(&mut self, verdict: impl Fn(u32) -> Sweep) -> u64 {
+    fn retain(&mut self, keep: impl Fn(u32) -> bool) -> u64 {
         let before = self.order.len();
-        self.order.retain_mut(|e| {
-            e.read = false;
-            match verdict(e.id) {
-                Sweep::Keep => true,
-                Sweep::Recharge(charge) => {
-                    e.charge = charge;
-                    true
-                }
-                Sweep::Drop => false,
-            }
-        });
+        self.order.retain(|e| keep(e.id));
         let dropped = (before - self.order.len()) as u64;
         self.stats.invalidated += dropped;
-        self.evict_over_budget();
         dropped
     }
 }
 
-/// The sweep verdict for key `id` in sweep `seed`.
-fn verdict(id: u32, seed: u32) -> Sweep {
-    match (id + seed) % 3 {
-        0 => Sweep::Keep,
-        1 => Sweep::Recharge(1 + ((id * 7 + seed) % 60) as usize),
-        _ => Sweep::Drop,
-    }
+/// Whether retain pass `seed` keeps key `id`.
+fn verdict(id: u32, seed: u32) -> bool {
+    !(id + seed).is_multiple_of(3)
 }
 
 fn same_state(lru: &AdmissionLru<Key, u64>, reference: &Reference) -> Result<(), TestCaseError> {
@@ -210,7 +198,7 @@ proptest! {
             match kind {
                 0..=11 => {
                     let probe = kind < 10;
-                    let got = lru.get(&key(id), probe).copied();
+                    let got = lru.get(&key(id), probe).map(|v| *v);
                     prop_assert_eq!(got, reference.get(id, probe), "get {} at {}", id, step);
                 }
                 12..=16 => {
@@ -224,19 +212,17 @@ proptest! {
                     prop_assert_eq!(went_in, expected, "insert {} ({}) at {}", id, n, step);
                     prop_assert_eq!(built, went_in, "make ran iff the insert went in");
                 }
-                17..=18 => {
+                17 => {
                     let seed = n as u32;
-                    let read: Vec<(u32, bool)> = reference.order.iter().map(|e| (e.id, e.read)).collect();
-                    let mut told = Vec::new();
-                    let dropped = lru.sweep(|k, _, was_read| {
-                        told.push((k.id, was_read));
-                        verdict(k.id, seed)
-                    });
-                    told.sort_unstable();
-                    let mut read = read;
-                    read.sort_unstable();
-                    prop_assert_eq!(told, read, "read-since-sweep flags at {}", step);
-                    prop_assert_eq!(dropped, reference.sweep(|id| verdict(id, seed)));
+                    let dropped = lru.retain(|k, _| verdict(k.id, seed));
+                    prop_assert_eq!(dropped, reference.retain(|id| verdict(id, seed)));
+                }
+                18 if n % 2 == 0 => {
+                    lru.recharge(&key(id), n);
+                    reference.recharge(id, n);
+                }
+                18 => {
+                    prop_assert_eq!(lru.invalidate(&key(id)), reference.invalidate(id));
                 }
                 _ => {
                     lru.clear();

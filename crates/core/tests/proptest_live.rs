@@ -1,21 +1,22 @@
 //! Property tests for the live-graph write path (`friends_core::live`):
 //!
 //! * **Rebuild equivalence** — interleaving random mutation batches with
-//!   queries through [`LiveCorpus`] (incremental sweeps, token-preserving
-//!   edits, a warm shared σ cache) answers byte-identically to a corpus
-//!   rebuilt from scratch at the same epoch. This is the contract that
-//!   lets the mutation subsystem claim "cached entries that survive a
-//!   sweep are still exact".
+//!   queries through [`LiveCorpus`] (a warm shared σ cache advanced across
+//!   every batch and repaired when read, token-preserving edits) answers
+//!   byte-identically to a corpus rebuilt from scratch at the same epoch.
+//!   This is the contract that lets the mutation subsystem claim "a cached
+//!   entry is served only exact for the reader's graph".
 //! * **Sweep exactness** — [`ProximityCache::invalidate_affected`] drops
 //!   *exactly* the entries whose σ support crosses a touched endpoint: a
 //!   differential count against dense σ, which also pins the acceptance
 //!   property that a batch outside every cached reach set drops nothing.
-//! * **Repair exactness** — after [`ProximityCache::repair_affected`] every
-//!   resident entry `==` the cold snapshot on the next graph as a
-//!   `ProximityVec`, the sweep's counts add up to the entries the reach
-//!   predicate marks, the byte charge is the sum of the residents', and
-//!   only exact decay-model entries read since the previous sweep are
-//!   repaired rather than dropped.
+//! * **Repair exactness** — reads interleaved with up to 64 batches a
+//!   [`ProximityCache`] advances across ([`ProximityCache::advance`]):
+//!   every vector served equals the cold snapshot on the reader's graph
+//!   bit for bit, however many batches it missed; a mirror predicts which
+//!   stale entries are kept, repaired, dropped (reached, no repair for
+//!   their model or bounds) or too far behind (the edit history holds
+//!   fewer batches), and the byte charge is the sum of the residents'.
 //! * **Snapshot isolation** — every answer computed against a pinned
 //!   snapshot while a writer races equals the frozen answer of *some*
 //!   published epoch, and pinned epochs never change under the reader.
@@ -31,7 +32,7 @@ use friends_data::store::TagStore;
 use friends_data::Tagging;
 use friends_graph::{GraphBuilder, NodeId};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const MODEL: ProximityModel = ProximityModel::WeightedDecay { alpha: 0.5 };
@@ -154,13 +155,180 @@ fn seed_corpus(edges: &[(u32, u32, f32)], taggings: &[(u32, u32, u32, f32)]) -> 
     Corpus::new(b.build(), TagStore::build(USERS, ITEMS, TAGS, taggings))
 }
 
+/// Nodes of the read-side repair lineage, and the seekers it reads.
+const LAZY_USERS: u32 = 40;
+const LAZY_SEEKERS: u32 = 8;
+
+/// The most edits the σ cache's edit history holds (its private
+/// `MAX_FOLDED_EDITS`): a stale entry whose missed batches edited more is
+/// rebuilt.
+const HISTORY_EDITS: usize = 1_400;
+
+/// σ entry kinds the read-side repair mirror reads: model and bounds.
+const KINDS: usize = 6;
+
+fn kind(kind: usize) -> (ProximityModel, SigmaBounds) {
+    match kind {
+        0 => (MODEL, SigmaBounds::EXACT),
+        1 => (
+            ProximityModel::DistanceDecay { alpha: 0.8 },
+            SigmaBounds::EXACT,
+        ),
+        2 => (MODEL, SigmaBounds::with_min_mass(0.2)),
+        3 => (
+            ProximityModel::Ppr {
+                alpha: 0.2,
+                epsilon: 1e-4,
+            },
+            SigmaBounds::EXACT,
+        ),
+        4 => (ProximityModel::AdamicAdar, SigmaBounds::EXACT),
+        _ => (ProximityModel::Global, SigmaBounds::EXACT),
+    }
+}
+
+/// Equal as `ProximityVec`s and bit for bit at every node.
+fn same_bits(a: &ProximityVec, b: &ProximityVec) -> bool {
+    a == b && (0..LAZY_USERS).all(|u| a.get(u).to_bits() == b.get(u).to_bits())
+}
+
+/// What a σ cache that repairs on read must do, predicted from first
+/// principles: the mirror keeps the graph of every cache version and, for a
+/// stale entry, finds the pairs whose weights differ between the entry's
+/// graph and the reader's — no fold, no ring.
+struct Lazy {
+    /// The graph of every cache version (a batch that edits no pair leaves
+    /// the version as it is), and how many pairs each version edited.
+    graphs: Vec<Arc<Corpus>>,
+    widths: Vec<usize>,
+    /// `(seeker, kind)` → the version its entry is exact for.
+    resident: BTreeMap<(u32, usize), usize>,
+    /// Stale hits kept, repaired, dropped and too far behind.
+    expect: [u64; 4],
+    colds: BTreeMap<(usize, u32, usize), Arc<ProximityVec>>,
+}
+
+impl Lazy {
+    fn new(seed: Arc<Corpus>) -> Self {
+        Lazy {
+            graphs: vec![seed],
+            widths: vec![0],
+            resident: BTreeMap::new(),
+            expect: [0; 4],
+            colds: BTreeMap::new(),
+        }
+    }
+
+    /// The cold snapshot of `(seeker, kind)` on `version`'s graph.
+    fn cold(&mut self, version: usize, seeker: u32, kind_: usize) -> Arc<ProximityVec> {
+        let graph = &self.graphs[version].graph;
+        let made = self
+            .colds
+            .entry((version, seeker, kind_))
+            .or_insert_with(|| {
+                let (model, bounds) = kind(kind_);
+                let mut ws = SigmaWorkspace::new();
+                model.materialize_bounded(graph, seeker, &mut ws, bounds);
+                Arc::new(ws.snapshot(graph.num_nodes()))
+            });
+        Arc::clone(made)
+    }
+
+    /// Whether reading the entry of `(seeker, kind_)` exact for `version`
+    /// at the latest version must serve it, counting the stale hit.
+    fn serves(&mut self, version: usize, seeker: u32, kind_: usize) -> bool {
+        let now = self.graphs.len() - 1;
+        if version == now {
+            return true;
+        }
+        if self.widths[version + 1..].iter().sum::<usize>() > HISTORY_EDITS {
+            self.expect[3] += 1;
+            return false;
+        }
+        let (then, fresh) = (
+            self.cold(version, seeker, kind_),
+            self.cold(now, seeker, kind_),
+        );
+        let (old, new) = (&self.graphs[version].graph, &self.graphs[now].graph);
+        let touches = |x: u32| x == seeker || then.get(x) > 0.0;
+        let reached = kind_ != 5
+            && (0..LAZY_USERS).any(|u| {
+                (u + 1..LAZY_USERS).any(|v| {
+                    old.edge_weight(u, v).map(f32::to_bits)
+                        != new.edge_weight(u, v).map(f32::to_bits)
+                        && (touches(u) || touches(v))
+                })
+            });
+        let fate = match (reached, kind_ < 2) {
+            (false, _) => 0,
+            (true, true) if same_bits(&then, &fresh) => 0,
+            (true, true) => 1,
+            (true, false) => 2,
+        };
+        self.expect[fate] += 1;
+        fate < 2
+    }
+
+    /// Reads `(seeker, kind_)` through `cache` at the latest version,
+    /// inserting a cold snapshot on a miss, and checks what came back.
+    fn read(
+        &mut self,
+        cache: &ProximityCache,
+        seeker: u32,
+        kind_: usize,
+    ) -> Result<(), TestCaseError> {
+        let now = self.graphs.len() - 1;
+        let (model, bounds) = kind(kind_);
+        let want = self.cold(now, seeker, kind_);
+        let served = match self.resident.get(&(seeker, kind_)) {
+            Some(&version) => self.serves(version, seeker, kind_),
+            None => false,
+        };
+        let graph = &self.graphs[now].graph;
+        match cache.get_bounded(graph, seeker, model, bounds) {
+            Some(got) => {
+                prop_assert!(served, "seeker {} kind {} served", seeker, kind_);
+                prop_assert!(
+                    same_bits(&got, &want),
+                    "version {} seeker {} kind {}: {:?} != {:?}",
+                    now,
+                    seeker,
+                    kind_,
+                    got,
+                    want
+                );
+            }
+            None => {
+                prop_assert!(!served, "seeker {} kind {} missed", seeker, kind_);
+                cache.insert_bounded(graph, seeker, model, bounds, want);
+            }
+        }
+        self.resident.insert((seeker, kind_), now);
+        Ok(())
+    }
+
+    fn check_counts(&self, cache: &ProximityCache) -> Result<(), TestCaseError> {
+        let stale = cache.stale_hits();
+        prop_assert_eq!(
+            [
+                stale.kept,
+                stale.repaired,
+                stale.dropped,
+                stale.too_far_behind
+            ],
+            self.expect
+        );
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Interleave mutation batches with queries: after every batch, every
-    /// query served from the live lineage (with its incrementally swept,
-    /// warm σ cache) must be byte-identical to a corpus rebuilt from
-    /// scratch at the same epoch.
+    /// query served from the live lineage (with its warm σ cache, advanced
+    /// across the batch and repaired when read) must be byte-identical to a
+    /// corpus rebuilt from scratch at the same epoch.
     #[test]
     fn interleaved_mutations_match_a_from_scratch_rebuild(
         (edges, taggings) in arb_seed(),
@@ -173,8 +341,8 @@ proptest! {
         let live = LiveCorpus::new(Arc::clone(&seed));
         let cache = Arc::new(ProximityCache::new(256));
         for (epoch, muts) in batches.into_iter().enumerate() {
-            // Warm the cache under the current epoch so the next sweep has
-            // survivors to get wrong.
+            // Warm the cache under the current epoch so the reads after the
+            // next batch have stale entries to get wrong.
             {
                 let snap = live.snapshot();
                 let mut exact = ExactOnline::with_cache(&snap, MODEL, Arc::clone(&cache));
@@ -185,7 +353,7 @@ proptest! {
             let batch = MutationBatch::new(muts);
             let published = live
                 .commit(&batch, None, |p, _| {
-                    cache.repair_affected(&p.next.graph, &p.edits);
+                    cache.advance(&p.edits);
                     p.epoch()
                 })
                 .unwrap();
@@ -207,7 +375,7 @@ proptest! {
         }
     }
 
-    /// The incremental σ sweep drops *exactly* the affected entries: for
+    /// The drop-only σ sweep drops *exactly* the affected entries: for
     /// every cached seeker, affectedness by the dense-σ rule (seeker is an
     /// endpoint, or σ(seeker, endpoint) > 0 for some endpoint) predicts
     /// the drop. A batch outside every reach set therefore drops nothing —
@@ -260,110 +428,79 @@ proptest! {
         }
     }
 
-    /// The repairing sweep against a mirror of what it must do. Entries of
-    /// six kinds per seeker — two repairable decay models, the same model
-    /// under lossy bounds, PPR, AdamicAdar, Global — are offered, a random
-    /// subset is read between batches, and after every sweep the mirror
-    /// says which entries are resident: unmarked ones untouched, marked
-    /// exact decay entries read (or inserted) since the last sweep
-    /// repaired, everything else marked dropped. Counts, length and byte
-    /// charge are checked against the mirror without reading the cache;
-    /// every read, and a full read at the end, compares the resident
-    /// vector with the cold snapshot on that epoch's graph.
+    /// Read-side repair against a mirror of what it must do ([`Lazy`]).
+    /// Entries of six kinds per seeker — two repairable decay models, the
+    /// same model under lossy bounds, PPR, AdamicAdar, Global — are read
+    /// at random points of a lineage of up to 64 batches, wide enough that
+    /// some entries fall further behind than the edit history holds. Every
+    /// vector served must equal the cold snapshot on the reader's graph bit
+    /// for bit, and after every batch the stale-hit counts and the byte
+    /// charge must match the mirror's. A full read at the end covers what
+    /// was not read again.
     #[test]
     fn repairing_sweep_leaves_cold_snapshots(
-        (edges, taggings) in arb_seed(),
-        batches in proptest::collection::vec(
-            proptest::collection::vec(arb_mutation(), 1..5), 1..6),
-        reads in proptest::collection::vec(
-            proptest::collection::vec((0u32..USERS, 0usize..6), 0..40), 6),
+        seed_edges in proptest::collection::vec(
+            (0u32..LAZY_USERS, 0u32..LAZY_USERS, 0.05f32..1.0), 0..120),
+        steps in proptest::collection::vec(
+            (
+                proptest::collection::vec(
+                    (0u32..LAZY_USERS, 0u32..LAZY_USERS, 0.05f32..2.0, 0u8..3), 16..96),
+                proptest::collection::vec((0u32..LAZY_SEEKERS, 0usize..6), 0..6),
+            ),
+            1..64),
     ) {
-        let bounded = SigmaBounds::with_min_mass(0.2);
-        let kinds: [(ProximityModel, SigmaBounds); 6] = [
-            (MODEL, SigmaBounds::EXACT),
-            (ProximityModel::DistanceDecay { alpha: 0.8 }, SigmaBounds::EXACT),
-            (MODEL, bounded),
-            (ProximityModel::Ppr { alpha: 0.2, epsilon: 1e-4 }, SigmaBounds::EXACT),
-            (ProximityModel::AdamicAdar, SigmaBounds::EXACT),
-            (ProximityModel::Global, SigmaBounds::EXACT),
-        ];
-        let cold = |graph: &friends_graph::CsrGraph, seeker: u32, kind: usize| -> ProximityVec {
-            let (model, bounds) = kinds[kind];
-            let mut ws = SigmaWorkspace::new();
-            model.materialize_bounded(graph, seeker, &mut ws, bounds);
-            ws.snapshot(graph.num_nodes())
-        };
-        let n = USERS as usize;
-        let live = LiveCorpus::new(Arc::new(seed_corpus(&edges, &taggings)));
-        let cache = ProximityCache::new(4 * 6 * n);
+        let mut b = GraphBuilder::new(LAZY_USERS as usize);
+        for &(u, v, w) in &seed_edges {
+            if u != v {
+                b.add_edge(u, v, w);
+            }
+        }
+        let store = TagStore::build(LAZY_USERS, 1, 1, Vec::new());
+        let live = LiveCorpus::new(Arc::new(Corpus::new(b.build(), store)));
+        let cache = ProximityCache::with_limits(usize::MAX, usize::MAX, 1, Default::default());
         let overhead = {
             let probe = ProximityCache::new(4);
-            let graph = &live.snapshot().graph;
-            probe.insert(graph, 0, MODEL, Arc::new(ProximityVec::AllOnes));
+            probe.insert(&live.snapshot().graph, 0, MODEL, Arc::new(ProximityVec::AllOnes));
             probe.memory_bytes()
         };
-        // (seeker, kind) → read or inserted since the last sweep.
-        let mut resident: BTreeMap<(u32, usize), bool> = BTreeMap::new();
-        for (round, muts) in batches.into_iter().enumerate() {
-            let snap = live.snapshot();
-            // Reads hit what is resident and insert what is not.
-            for &(seeker, kind) in &reads[round % reads.len()] {
-                let (model, bounds) = kinds[kind];
-                match cache.get_bounded(&snap.graph, seeker, model, bounds) {
-                    Some(v) => {
-                        prop_assert!(resident.contains_key(&(seeker, kind)));
-                        prop_assert_eq!(&*v, &cold(&snap.graph, seeker, kind),
-                            "round {} seeker {} kind {}", round, seeker, kind);
-                    }
-                    None => {
-                        prop_assert!(!resident.contains_key(&(seeker, kind)));
-                        let v = Arc::new(cold(&snap.graph, seeker, kind));
-                        cache.insert_bounded(&snap.graph, seeker, model, bounds, v);
-                    }
-                }
-                resident.insert((seeker, kind), true);
+        let mut mirror = Lazy::new(live.snapshot());
+        for (muts, reads) in &steps {
+            for &(seeker, kind) in reads {
+                mirror.read(&cache, seeker, kind)?;
             }
-            let prepared = live.prepare(&MutationBatch::new(muts), None);
-            let endpoints: BTreeSet<u32> = prepared.touched_nodes.iter().copied().collect();
-            let mut marked = 0u64;
-            let mut expect_dropped = 0u64;
-            resident.retain(|&(seeker, kind), read| {
-                let old = cold(&snap.graph, seeker, kind);
-                let hit = kind != 5
-                    && endpoints.iter().any(|&e| e == seeker || old.get(e) > 0.0);
-                marked += hit as u64;
-                let keep = !hit || (kind < 2 && *read);
-                expect_dropped += !keep as u64;
-                keep
+            // Two inserts to a removal, so the graph fills up and removals
+            // find edges to remove.
+            let muts = muts.iter().map(|&(u, v, weight, op)| {
+                let v = if u == v { (v + 1) % LAZY_USERS } else { v };
+                if op > 0 {
+                    Mutation::InsertEdge { u, v, weight }
+                } else {
+                    Mutation::RemoveEdge { u, v }
+                }
             });
-            let sweep = cache.repair_affected(&prepared.next.graph, &prepared.edits);
+            let prepared = live.prepare(&MutationBatch::new(muts.collect()), None);
+            cache.advance(&prepared.edits);
             live.publish(&prepared);
-            if !endpoints.is_empty() {
-                resident.values_mut().for_each(|read| *read = false);
+            if !prepared.edits.is_empty() {
+                mirror.graphs.push(Arc::clone(&prepared.next));
+                mirror.widths.push(prepared.edits.len());
             }
-            prop_assert_eq!(sweep.kept + sweep.repaired + sweep.dropped, marked);
-            prop_assert_eq!(sweep.dropped, expect_dropped);
-            prop_assert_eq!(sweep.repaired == 0, sweep.changed_nodes == 0);
-            prop_assert_eq!(cache.len(), resident.len());
-            let next = &prepared.next.graph;
-            let charges: usize = resident
-                .keys()
-                .map(|&(seeker, kind)| cold(next, seeker, kind).memory_bytes() + overhead)
+            mirror.check_counts(&cache)?;
+            prop_assert_eq!(cache.len(), mirror.resident.len());
+            let charges: usize = mirror
+                .resident
+                .clone()
+                .into_iter()
+                .map(|((seeker, kind), version)| mirror.cold(version, seeker, kind).memory_bytes())
                 .sum();
-            prop_assert_eq!(cache.memory_bytes(), charges);
+            prop_assert_eq!(cache.memory_bytes(), charges + mirror.resident.len() * overhead);
         }
-        let snap = live.snapshot();
-        for seeker in 0..USERS {
-            for (kind, &(model, bounds)) in kinds.iter().enumerate() {
-                let got = cache.get_bounded(&snap.graph, seeker, model, bounds);
-                prop_assert_eq!(got.is_some(), resident.contains_key(&(seeker, kind)));
-                if let Some(v) = got {
-                    prop_assert_eq!(&*v, &cold(&snap.graph, seeker, kind),
-                        "final: seeker {} kind {}", seeker, kind);
-                    prop_assert_eq!(v.residual_bound(), cold(&snap.graph, seeker, kind).residual_bound());
-                }
+        for seeker in 0..LAZY_SEEKERS {
+            for kind in 0..KINDS {
+                mirror.read(&cache, seeker, kind)?;
             }
         }
+        mirror.check_counts(&cache)?;
     }
 
     /// Readers pinning snapshots while a writer publishes epochs: every

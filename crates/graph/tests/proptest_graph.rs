@@ -12,7 +12,7 @@ use friends_graph::traversal::{
 use friends_graph::OrdF64;
 use proptest::prelude::*;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Strategy: a random small graph as (n, edge list with weights).
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId, f32)>)> {
@@ -573,6 +573,135 @@ proptest! {
                 .map(|&h| if h == UNREACHABLE { 0.0 } else { alpha.powi(h as i32) })
                 .collect()
         })?;
+    }
+}
+
+/// Folds per-batch edit lists into the one list that takes the first
+/// batch's graph to the last one's: each pair's first `old` and last `new`
+/// weight, and no pair whose two weights agree.
+fn fold(lists: &[Vec<EdgeEdit>]) -> Vec<EdgeEdit> {
+    let mut folded: BTreeMap<(NodeId, NodeId), EdgeEdit> = BTreeMap::new();
+    for e in lists.iter().flatten() {
+        folded
+            .entry((e.u, e.v))
+            .and_modify(|f| f.new = e.new)
+            .or_insert(*e);
+    }
+    folded
+        .into_values()
+        .filter(|e| e.old.map(f32::to_bits) != e.new.map(f32::to_bits))
+        .collect()
+}
+
+/// Two scripted batches on one pair, spliced into a random lineage:
+/// insert-then-remove, a reweight twice, or a stored edge removed and
+/// re-inserted at its old weight — the last must fold away.
+fn scripted(
+    g: &CsrGraph,
+    mode: u8,
+    pick: usize,
+    wi: usize,
+) -> Option<[Vec<(NodeId, NodeId, f32)>; 2]> {
+    let n = g.num_nodes();
+    if n < 2 {
+        return None;
+    }
+    let a = (pick % n) as NodeId;
+    let b = ((a as usize + 1 + pick / n % (n - 1)) % n) as NodeId;
+    let (w1, w2) = (QUANTA[wi], QUANTA[(wi + 1) % QUANTA.len()]);
+    // A negative weight stands for a removal.
+    Some(match mode {
+        0 => [vec![(a, b, w1)], vec![(a, b, -1.0)]],
+        1 => [vec![(a, b, w1)], vec![(a, b, w2)]],
+        _ => {
+            let stored: Vec<_> = g.undirected_edges().collect();
+            let (u, v, w) = *stored.get(pick % stored.len().max(1))?;
+            [vec![(u, v, -1.0)], vec![(u, v, w)]]
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One `repair_labels` across a whole multi-batch lineage: the batches'
+    /// effective edits folded into one list are exactly the pairs whose
+    /// weight differs between the first graph and the last, and repairing
+    /// the first graph's labels with them gives the last graph's
+    /// `decay_labels` bit for bit — with an insert-then-remove, a double
+    /// reweight or a remove-and-reinsert at the old weight spliced in.
+    #[test]
+    fn one_repair_across_folded_batches_equals_cold_labels(
+        (n, seeker, edges, batches) in arb_repair_case(),
+        (mode, pick, wi, at) in (0u8..3, 0usize..64, 0..QUANTA.len(), 0usize..6),
+        alpha in prop_oneof![Just(0.5f64), Just(1.0f64)],
+    ) {
+        let decay = move |w: f32| alpha * (w as f64).clamp(0.0, 1.0);
+        let cold = |g: &CsrGraph| {
+            let mut labels = ProximityLabels::new();
+            decay_labels(g, seeker, decay, 0.0, &mut labels);
+            labels.to_dense(n)
+        };
+        let weighted: Vec<(NodeId, NodeId, f32)> =
+            edges.iter().map(|&(u, v, wi)| (u, v, QUANTA[wi])).collect();
+        let first = build(n, &weighted);
+        let mut g = first.clone();
+        let mut lists = Vec::new();
+        let mut step = |g: &mut CsrGraph, inserts: Vec<(NodeId, NodeId, f32)>, removals: Vec<(NodeId, NodeId)>| {
+            let next = g.with_edits(&inserts, &removals);
+            lists.push(edits_between(g, &next, &inserts, &removals));
+            *g = next;
+        };
+        let mut pair = None;
+        for i in 0..=batches.len() {
+            if i == at.min(batches.len()) {
+                if let Some(script) = scripted(&g, mode, pick, wi) {
+                    for batch in script {
+                        let (u, v, w) = batch[0];
+                        pair = Some((u.min(v), u.max(v)));
+                        if w < 0.0 {
+                            step(&mut g, vec![], vec![(u, v)]);
+                        } else {
+                            step(&mut g, batch, vec![]);
+                        }
+                    }
+                }
+            }
+            if let Some(ops) = batches.get(i) {
+                let (inserts, removals) = resolve_ops(&g, seeker, ops);
+                step(&mut g, inserts, removals);
+            }
+        }
+        let folded = fold(&lists);
+        let differ: Vec<(NodeId, NodeId)> = (0..n as NodeId)
+            .flat_map(|u| (u + 1..n as NodeId).map(move |v| (u, v)))
+            .filter(|&(u, v)| {
+                first.edge_weight(u, v).map(f32::to_bits) != g.edge_weight(u, v).map(f32::to_bits)
+            })
+            .collect();
+        let pairs: Vec<(NodeId, NodeId)> = folded.iter().map(|e| (e.u, e.v)).collect();
+        prop_assert_eq!(&pairs, &differ);
+        if let (2, Some(pair)) = (mode, pair) {
+            let edited = lists.iter().flatten().filter(|e| (e.u, e.v) == pair).count();
+            if edited == 2 {
+                prop_assert!(!pairs.contains(&pair), "{:?} did not fold away", pair);
+            }
+        }
+        let mut values = cold(&first);
+        let relax = |p: f64, w: f32| p * decay(w);
+        repair_labels(&g, seeker, relax, &folded, &mut values, &mut RepairScratch::new());
+        let want = cold(&g);
+        for u in 0..n {
+            prop_assert_eq!(
+                values[u].to_bits(),
+                want[u].to_bits(),
+                "node {}: repaired {} cold {} (folded {:?})",
+                u,
+                values[u],
+                want[u],
+                folded
+            );
+        }
     }
 }
 

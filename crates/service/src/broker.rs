@@ -196,12 +196,11 @@ pub(crate) struct MutationJob {
     wal: Option<WalAppend>,
 }
 
-/// What a shard reports back once it has swept its caches for a batch.
+/// What a shard reports back once it has switched to a batch's epoch.
 struct ShardAck {
+    /// What the shard's reads did with stale σ since its previous ack.
     sigma: SigmaSweep,
     results_invalidated: u64,
-    /// Time the σ sweep took on the shard's thread.
-    repair: Duration,
 }
 
 /// The mutation a shard applied most recently, remembered for exactly one
@@ -211,7 +210,6 @@ struct ShardAck {
 struct RacedMutation {
     epoch: u64,
     mutations: usize,
-    prox_invalidated: u64,
     results_invalidated: u64,
     wal: Option<WalAppend>,
 }
@@ -224,17 +222,15 @@ pub struct MutationReport {
     pub epoch: u64,
     /// Mutations in the batch.
     pub mutations: usize,
-    /// What the shards' σ sweeps did with the cached vectors the batch
-    /// could reach, summed over shards.
+    /// What reads did with stale cached σ since the previous batch (σ is
+    /// repaired when read, not at the barrier), summed over shards.
     pub sigma: SigmaSweep,
-    /// σ cache entries the sweeps dropped (`sigma.dropped`).
-    pub prox_invalidated: u64,
     /// Memoized rankings dropped by the per-seeker/per-tag sweeps, summed
     /// over shards.
     pub results_invalidated: u64,
-    /// σ entries the sweeps repaired in place for the new epoch
-    /// (`sigma.kept + sigma.repaired`) — read-path misses a drop-only
-    /// sweep would have caused.
+    /// Stale σ entries served since the previous batch, as they were or
+    /// repaired in place (`sigma.kept + sigma.repaired`) — read-path misses
+    /// a drop-only sweep would have caused.
     pub sigma_refreshed: u64,
     /// The batch's WAL receipt. `Some` iff the service runs durable
     /// ([`ServiceConfig::durability`]): the record was appended — and,
@@ -242,9 +238,9 @@ pub struct MutationReport {
     pub wal: Option<WalAppend>,
     /// Time spent building the next epoch ([`LiveCorpus::prepare`]).
     pub prepare: Duration,
-    /// Time the shards spent in their σ sweeps (repairing the
-    /// `sigma_refreshed` vectors, dropping the rest), summed over shards;
-    /// it elapses inside `barrier`.
+    /// Time the shards' reads spent bringing stale σ forward since the
+    /// previous batch (`sigma.time`), summed over shards; it elapses on
+    /// the read path, not inside `barrier`.
     pub refresh: Duration,
     /// Time from the first broadcast send to the last shard's ack.
     pub barrier: Duration,
@@ -526,13 +522,12 @@ impl FriendsService {
     /// Each shard applies at its next **batch boundary** — queries drained
     /// before the boundary run under the old snapshot, queries after it
     /// under the new one, and no query ever straddles epochs (snapshot
-    /// isolation). Invalidation is incremental: the σ sweep looks only at
-    /// entries whose reach set crosses an endpoint of an effective edit —
-    /// repairing in place those read since the previous batch, dropping
-    /// the rest ([`ProximityCache::repair_affected`]) — the result sweep
-    /// drops only memoized rankings of affected seekers and touched tags;
-    /// everything else keeps
-    /// hitting because the edited graph keeps its identity token.
+    /// isolation). Cache maintenance is incremental: each shard's σ cache
+    /// only records the batch's edits ([`ProximityCache::advance`]) and
+    /// repairs a stale vector when a query next reads it, across every
+    /// batch it missed; the result sweep drops only memoized rankings of
+    /// affected seekers and touched tags. Everything else keeps hitting
+    /// because the edited graph keeps its identity token.
     ///
     /// `horizon` bounds the affected-seeker search (pass the proximity
     /// model's decay horizon or the serving σ-bounds radius; `None` =
@@ -581,13 +576,11 @@ impl FriendsService {
             drop(ack_tx);
             let mut sigma = SigmaSweep::default();
             let mut results = 0u64;
-            let mut refresh = Duration::ZERO;
             while let Ok(ack) = ack_rx.recv() {
                 sigma.merge(&ack.sigma);
                 results += ack.results_invalidated;
-                refresh += ack.repair;
             }
-            // Every shard now serves the new snapshot (and swept its
+            // Every shard now serves the new snapshot (and advanced its
             // caches); `commit` publishes once this returns.
             let barrier = started.elapsed();
             let prepare = prepared.prepare_time;
@@ -595,7 +588,6 @@ impl FriendsService {
                 let mut times = self.mutation_times.lock();
                 times.batches += 1;
                 times.prepare += prepare;
-                times.refresh += refresh;
                 times.barrier += barrier;
                 times.sigma.merge(&sigma);
             }
@@ -603,12 +595,11 @@ impl FriendsService {
                 epoch: prepared.epoch(),
                 mutations: prepared.mutations,
                 sigma,
-                prox_invalidated: sigma.dropped,
                 results_invalidated: results,
                 sigma_refreshed: sigma.kept + sigma.repaired,
                 wal,
                 prepare,
-                refresh,
+                refresh: sigma.time,
                 barrier,
             }
         })
@@ -748,6 +739,8 @@ struct WorkerCtl {
     fault: Option<FaultPlan>,
     /// Execution attempts on this worker (the fault ordinal clock).
     attempts: u64,
+    /// The shard's σ stale-hit counts at its previous mutation ack.
+    sigma_acked: SigmaSweep,
 }
 
 impl WorkerCtl {
@@ -758,6 +751,7 @@ impl WorkerCtl {
             ewma_job_us: None,
             fault,
             attempts: 0,
+            sigma_acked: SigmaSweep::default(),
         }
     }
 
@@ -827,8 +821,9 @@ impl WorkerCtl {
 ///
 /// A [`WorkItem::Mutation`] is a **batch boundary**: draining stops at it,
 /// the queries drained before it dispatch under the era's snapshot, the
-/// worker sweeps its caches, acks, and returns the next snapshot — ending
-/// the era (the caller builds a fresh executor over it and re-enters).
+/// worker advances its σ cache, sweeps its result cache, acks, and returns
+/// the next snapshot — ending the era (the caller builds a fresh executor
+/// over it and re-enters).
 /// Returns `None` when the queue disconnects (shutdown).
 fn worker_loop<'c, R>(
     rebuild: &R,
@@ -889,17 +884,17 @@ where
         }
         if let Some(m) = pending {
             // Sweep-then-swap, in that order: the edited graph keeps its
-            // token, so any entry not swept here will keep hitting under
-            // the new snapshot (see `friends_core::live`). No query of
-            // this shard is in flight, so the repair has every vector to
-            // itself.
-            let started = Instant::now();
-            let sigma = state
-                .cache
-                .as_ref()
-                .map(|c| c.repair_affected(&m.prepared.next.graph, &m.prepared.edits))
-                .unwrap_or_default();
-            let repair = started.elapsed();
+            // token, so every entry will keep hitting under the new
+            // snapshot (see `friends_core::live`). The σ cache only
+            // records the batch's edits — a stale vector is repaired when
+            // this shard next reads it, against the snapshot it switches
+            // to here — and the result sweep drops what the batch could
+            // change. No query of this shard is in flight in between.
+            let sigma = state.cache.as_ref().map_or_else(SigmaSweep::default, |c| {
+                c.advance(&m.prepared.edits);
+                let stale = c.stale_hits();
+                stale.since(&std::mem::replace(&mut ctl.sigma_acked, stale))
+            });
             let results = state
                 .results
                 .as_ref()
@@ -917,7 +912,6 @@ where
             *raced = Some(RacedMutation {
                 epoch: m.prepared.epoch(),
                 mutations: m.prepared.mutations,
-                prox_invalidated: sigma.dropped,
                 results_invalidated: results,
                 wal: m.wal,
             });
@@ -925,7 +919,6 @@ where
             let _ = m.ack.send(ShardAck {
                 sigma,
                 results_invalidated: results,
-                repair,
             });
             return Some(next);
         }
@@ -970,7 +963,7 @@ impl Cycle<'_> {
             |rec| {
                 if let Some(m) = raced {
                     rec.mutation = Some((m.epoch, m.mutations));
-                    rec.invalidated = Some((m.prox_invalidated, m.results_invalidated));
+                    rec.invalidated = Some(m.results_invalidated);
                     rec.wal = m.wal.map(|w| (w.bytes, w.synced));
                 }
                 fill(rec);
@@ -1476,10 +1469,11 @@ mod tests {
         assert_eq!(totals.mutation_epoch, 1, "{totals:?}");
     }
 
-    /// The repairing sweep end to end: 24 epochs of generated writes on a
+    /// Read-side σ repair end to end: 24 epochs of generated writes on a
     /// service whose σ and result caches stay warm (every query is read
-    /// twice between batches, so every batch repairs σ and sweeps memoized
-    /// rankings), each epoch's served rankings compared with direct
+    /// twice between batches, so the reads after every batch repair stale
+    /// σ and every batch sweeps memoized rankings), each epoch's served
+    /// rankings compared with direct
     /// execution on a corpus rebuilt from the bare edge and tagging lists —
     /// sharing nothing with the lineage.
     #[test]
@@ -1579,10 +1573,7 @@ mod tests {
         );
         assert_eq!((report.epoch, svc.epoch()), (1, 1));
         assert_eq!(report.sigma, SigmaSweep::default());
-        assert_eq!(
-            (report.prox_invalidated, report.results_invalidated),
-            (0, 0)
-        );
+        assert_eq!(report.results_invalidated, 0);
         let served = svc.stats().totals().result_served;
         let after = run(&svc, &w.queries);
         for (a, b) in before.iter().zip(&after) {
@@ -1590,6 +1581,7 @@ mod tests {
         }
         let totals = svc.shutdown().totals();
         assert_eq!(totals.result_served, served + w.len() as u64, "{totals:?}");
+        assert_eq!(totals.stale, SigmaSweep::default(), "no σ went stale");
     }
 
     #[test]
@@ -1607,7 +1599,7 @@ mod tests {
             tags: vec![0],
             k: 5,
         };
-        // Warm a σ entry so the sweep has something to drop.
+        // Warm a σ entry so the batch has something to make stale.
         let _ = run(&svc, std::slice::from_ref(&q));
         let report = svc.apply_mutations(
             &MutationBatch::new(vec![Mutation::InsertEdge {
@@ -1627,7 +1619,7 @@ mod tests {
             "{rendered}"
         );
         assert!(
-            rendered.contains("invalidated sigma_entries="),
+            rendered.contains("invalidated result_entries="),
             "{rendered}"
         );
         svc.shutdown();
@@ -1653,45 +1645,46 @@ mod tests {
             }]),
             None,
         );
-        // The delicious-like graph is well connected: some cached seeker
-        // is reachable from the endpoints — and, read a moment ago, its σ
-        // is repaired where it lies rather than dropped.
-        assert!(report.sigma.repaired > 0, "{report:?}");
-        assert_eq!(
-            report.sigma_refreshed,
-            report.sigma.kept + report.sigma.repaired
-        );
-        assert_eq!(report.prox_invalidated, report.sigma.dropped);
+        // The barrier does no σ work: nothing was stale before it.
+        assert_eq!(report.sigma, SigmaSweep::default(), "{report:?}");
         assert!(report.results_invalidated > 0, "{report:?}");
-        // A second batch finds nothing read since the first one's sweep:
-        // what it can reach it drops.
+        // The delicious-like graph is well connected: some seeker read
+        // again is reachable from the endpoints, and its σ is repaired
+        // where it lies. The next batch reports those reads.
+        let _ = run(&svc, &w.queries);
         let second = svc.apply_mutations(
             &MutationBatch::new(vec![Mutation::RemoveEdge { u: 0, v: 1 }]),
             None,
         );
-        assert!(second.prox_invalidated > 0, "{second:?}");
-        assert_eq!(second.sigma_refreshed, 0, "{second:?}");
+        let sigma = second.sigma;
+        assert!(sigma.repaired > 0, "{second:?}");
+        assert!(sigma.folded_edits >= sigma.kept + sigma.repaired);
+        assert_eq!(second.sigma_refreshed, sigma.kept + sigma.repaired);
+        assert_eq!((sigma.dropped, sigma.too_far_behind), (0, 0));
+        // Read once more, those vectors are repaired back across the
+        // removal; the registry counts every read, the mutation counters
+        // only the reads some batch has reported.
+        let _ = run(&svc, &w.queries);
         let stats = svc.shutdown();
         let registry = stats.registry();
         let counter = |name: &str| registry.get(name).expect("exported") as u64;
         assert_eq!(
             counter("friends_mutation_sigma_repaired_total"),
-            report.sigma.repaired
+            sigma.repaired
         );
-        assert_eq!(
-            counter("friends_mutation_sigma_dropped_total"),
-            report.prox_invalidated + second.prox_invalidated
-        );
-        assert_eq!(
-            counter("friends_mutation_sigma_kept_total"),
-            report.sigma.kept
-        );
+        assert_eq!(counter("friends_mutation_sigma_kept_total"), sigma.kept);
         assert!(registry.get("friends_mutation_sigma_changed_nodes") >= Some(1.0));
         let totals = stats.totals();
-        assert_eq!(
-            totals.cache.invalidated,
-            report.prox_invalidated + second.prox_invalidated
+        assert!(
+            counter("friends_proximity_cache_stale_repaired_total") > sigma.repaired,
+            "{:?}",
+            totals.stale
         );
+        assert_eq!(
+            counter("friends_proximity_cache_cold_misses_total"),
+            totals.cache.misses
+        );
+        assert_eq!(totals.cache.invalidated, 0);
         assert_eq!(
             totals.results.invalidated,
             report.results_invalidated + second.results_invalidated

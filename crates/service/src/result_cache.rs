@@ -28,7 +28,7 @@
 //!
 //! [`QueryStats`]: friends_core::corpus::QueryStats
 
-use friends_core::cache::{AdmissionLru, CachePolicy, CacheStats, Sweep};
+use friends_core::cache::{AdmissionLru, CachePolicy, CacheStats};
 use friends_core::processors::ScoringStrategy;
 use friends_core::proximity::{ProximityModel, SigmaBounds};
 use friends_data::queries::Query;
@@ -157,15 +157,10 @@ impl ResultCache {
         if seekers.is_empty() && tags.is_empty() {
             return 0;
         }
-        self.inner.lock().sweep(|key, _, _| {
+        self.inner.lock().retain(|key, _| {
             let sigma_dependent = key.model != ProximityModel::Global.key_bits();
-            if (sigma_dependent && seekers.binary_search(&key.query.seeker).is_ok())
-                || key.query.tags.iter().any(|t| tags.binary_search(t).is_ok())
-            {
-                Sweep::Drop
-            } else {
-                Sweep::Keep
-            }
+            let seeker_hit = sigma_dependent && seekers.binary_search(&key.query.seeker).is_ok();
+            !seeker_hit && !key.query.tags.iter().any(|t| tags.binary_search(t).is_ok())
         })
     }
 

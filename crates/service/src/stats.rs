@@ -113,6 +113,11 @@ impl ShardState {
             mutation_batches: self.mutation_batches.load(Ordering::Relaxed),
             mutation_epoch: self.mutation_epoch.load(Ordering::Relaxed),
             cache: self.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
+            stale: self
+                .cache
+                .as_ref()
+                .map(|c| c.stale_hits())
+                .unwrap_or_default(),
             results: self.results.as_ref().map(|r| r.stats()).unwrap_or_default(),
             plans: self.plans.snapshot(),
             latency: self.latency.snapshot(),
@@ -177,6 +182,9 @@ pub struct ShardStats {
     pub mutation_epoch: u64,
     /// The shard-private proximity cache's counters.
     pub cache: CacheStats,
+    /// What reads did with stale entries of that cache (its `misses`
+    /// include the ones rebuilt).
+    pub stale: SigmaSweep,
     /// The shard-private result-memoization cache's counters (all zero
     /// when disabled).
     pub results: CacheStats,
@@ -287,6 +295,13 @@ impl ShardStats {
             self.mutation_epoch as f64,
         );
         self.cache.register_into(registry, "proximity_cache");
+        self.stale
+            .register_into(registry, "friends_proximity_cache_stale");
+        registry.counter(
+            "friends_proximity_cache_cold_misses_total",
+            "sigma lookups that found nothing resident (stale entries rebuilt are not among them)",
+            self.cache.misses - self.stale.dropped - self.stale.too_far_behind,
+        );
         self.results.register_into(registry, "result_cache");
         self.plans.register_into(registry);
         self.latency.register_into(registry);
@@ -302,13 +317,11 @@ pub struct MutationTimes {
     pub batches: u64,
     /// Building the next epoch (`LiveCorpus::prepare`).
     pub prepare: Duration,
-    /// The shards' σ sweeps (in-place repairs and drops), summed over
-    /// shards; elapses inside `barrier`.
-    pub refresh: Duration,
     /// First broadcast send to last shard ack.
     pub barrier: Duration,
-    /// What those sweeps did with the cached vectors the batches could
-    /// reach.
+    /// What the shards' reads did with stale σ up to the latest batch
+    /// (each batch's `MutationReport::sigma`, summed); `sigma.time` is the
+    /// read-side repair time.
     pub sigma: SigmaSweep,
 }
 
@@ -324,29 +337,10 @@ impl MutationTimes {
         );
         registry.gauge(
             "friends_mutation_refresh_ms",
-            "mean milliseconds per batch the shards spent repairing and dropping cached sigma",
-            mean_ms(self.refresh),
+            "mean milliseconds per batch the shards' reads spent repairing stale cached sigma",
+            mean_ms(self.sigma.time),
         );
-        registry.counter(
-            "friends_mutation_sigma_kept_total",
-            "cached sigma vectors a batch could reach that its repair left unchanged",
-            self.sigma.kept,
-        );
-        registry.counter(
-            "friends_mutation_sigma_repaired_total",
-            "cached sigma vectors repaired in place for a new epoch",
-            self.sigma.repaired,
-        );
-        registry.counter(
-            "friends_mutation_sigma_dropped_total",
-            "cached sigma vectors a batch could reach that were dropped",
-            self.sigma.dropped,
-        );
-        registry.gauge(
-            "friends_mutation_sigma_changed_nodes",
-            "mean nodes whose sigma changed per repaired vector",
-            self.sigma.changed_nodes as f64 / self.sigma.repaired.max(1) as f64,
-        );
+        self.sigma.register_into(registry, "friends_mutation_sigma");
         registry.gauge(
             "friends_mutation_barrier_ms",
             "mean milliseconds per batch from broadcast to the last shard ack",
@@ -398,6 +392,7 @@ impl ServiceStats {
             t.mutation_batches = t.mutation_batches.max(s.mutation_batches);
             t.mutation_epoch = t.mutation_epoch.max(s.mutation_epoch);
             t.cache.merge(&s.cache);
+            t.stale.merge(&s.stale);
             t.results.merge(&s.results);
             t.plans.merge(&s.plans);
             // Shards iterate in index order, so the merged histograms are

@@ -2,16 +2,15 @@
 //!
 //! Streams generated mutations through [`ServedClient::apply_mutations`]
 //! in epoch batches while the same client keeps answering queries. After
-//! every batch it prints the new corpus epoch and what the switch cost —
-//! what the σ sweep did with the cached vectors the batch could reach
-//! (left as they were, repaired in place — with the mean number of nodes a
-//! repair changed — or dropped because nobody had read them since the
-//! previous batch), how many memoized results were invalidated
-//! per-seeker/per-tag, and where the write's ack went (building the next
-//! epoch, the shards' σ repair, the shard barrier around it) — then
-//! finishes with the registry's per-batch means of those stages, its σ
-//! sweep counters, and the read path's per-stage latency percentiles
-//! accumulated across all epochs.
+//! every batch it prints the new corpus epoch, what the queries since the
+//! previous batch did with the stale σ vectors they read (kept as they
+//! were, repaired in place — with the mean number of nodes a repair
+//! changed and the composed edits checked — or rebuilt), how many
+//! memoized results the batch invalidated per-seeker/per-tag, and where
+//! the write's ack went (building the next epoch, the shard barrier) next
+//! to the read-side repair time — then finishes with the registry's
+//! per-batch means of those stages, its stale-σ counters, and the read
+//! path's per-stage latency percentiles accumulated across all epochs.
 //!
 //! ```sh
 //! cargo run --release --example live_updates
@@ -54,14 +53,14 @@ fn main() {
     let model = ProximityModel::WeightedDecay { alpha: 0.5 };
 
     // Warm both caches so the epoch switches below have something real to
-    // invalidate — a cold cache makes every sweep trivially drop zero.
+    // make stale — a cold cache gives the reads nothing to repair.
     client.search(&queries, model);
 
     let batches = muts.batches(32);
     let per_epoch = queries.len() / (batches.len() + 1);
     println!(
-        "epoch | mutations | σ kept | σ repaired | mean Δ | σ dropped | results dropped \
-         | queries between | prepare ms | repair ms | barrier ms"
+        "epoch | mutations | σ kept | σ repaired | mean Δ | folded | σ rebuilt \
+         | results dropped | queries between | prepare ms | repair ms | barrier ms"
     );
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     for (i, batch) in batches.iter().enumerate() {
@@ -74,14 +73,15 @@ fn main() {
         let report: MutationReport = client.apply_mutations(batch, None);
         let sigma = report.sigma;
         println!(
-            "{:>5} | {:>9} | {:>6} | {:>10} | {:>6.1} | {:>9} | {:>15} | {:>15} | {:>10.3} \
-             | {:>9.3} | {:>10.3}",
+            "{:>5} | {:>9} | {:>6} | {:>10} | {:>6.1} | {:>6} | {:>9} | {:>15} | {:>15} \
+             | {:>10.3} | {:>9.3} | {:>10.3}",
             report.epoch,
             report.mutations,
             sigma.kept,
             sigma.repaired,
             sigma.changed_nodes as f64 / sigma.repaired.max(1) as f64,
-            sigma.dropped,
+            sigma.folded_edits,
+            sigma.dropped + sigma.too_far_behind,
             report.results_invalidated,
             slice.len(),
             ms(report.prepare),
@@ -92,7 +92,7 @@ fn main() {
 
     let stats = client.stats();
     let registry = stats.registry();
-    println!("\nwrite-path stage means per batch and σ sweep totals (registry):");
+    println!("\nwrite-path stage means per batch and stale-σ totals (registry):");
     for key in [
         "friends_mutation_prepare_ms",
         "friends_mutation_refresh_ms",
@@ -100,12 +100,16 @@ fn main() {
         "friends_mutation_sigma_kept_total",
         "friends_mutation_sigma_repaired_total",
         "friends_mutation_sigma_dropped_total",
+        "friends_mutation_sigma_too_far_behind_total",
+        "friends_mutation_sigma_folded_edits_total",
         "friends_mutation_sigma_changed_nodes",
+        "friends_proximity_cache_stale_repaired_total",
+        "friends_proximity_cache_cold_misses_total",
     ] {
         let value = registry
             .get(key)
             .expect("the service exports its write stages");
-        println!("  {key:<40} {value:>10.3}");
+        println!("  {key:<46} {value:>10.3}");
     }
     let totals = stats.totals();
     assert_eq!(totals.mutation_epoch, batches.len() as u64);
