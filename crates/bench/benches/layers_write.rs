@@ -4,13 +4,17 @@
 //! The write-side sibling of `layers_sigma`: `CsrGraph::with_edits`,
 //! `TagStore::with_appends` and `LiveCorpus::prepare_from` (both of those
 //! plus the blast radius and the derived σ-index / global lists) per batch
-//! against a warm base epoch, and the replay half of `LiveCorpus::recover`
+//! against a warm base epoch, the two derivations apart —
+//! `derive_sigma_index` and `derive_global_lists` are `Corpus::next_epoch`
+//! on a base with only that one structure built, over the batch's
+//! precomputed graph and store (a clone of each, pointer tables only, is
+//! part of the sample) — and the replay half of `LiveCorpus::recover`
 //! (`replay_onto`: eight logged batches coalesced into one rebuild, per
 //! batch), on the two corpus shapes the serving benchmark writes to — 10 k
 //! users × 64 heavy tags × 100 taggings (`memo_hot`, `scan_heavy`) and × 625
 //! light tags × 20 (`cold_sigma`, `live_durable`) — with batches from the
-//! generator and mix that benchmark uses. Each sample runs all eight
-//! batches against the same base, so a sample is eight batches' worth.
+//! generator and mix that benchmark uses. Each sample runs all eight batches against the same
+//! base, so a sample is eight batches' worth.
 //!
 //! The σ rows follow one lineage of eight consecutive epochs out and back
 //! (the eight batches, then the same eight undone), so a sample is sixteen
@@ -157,6 +161,30 @@ fn bench(c: &mut Criterion) {
                 }
             })
         });
+        let nexts: Vec<_> = splits
+            .iter()
+            .map(|(inserts, removals, appends)| {
+                let graph = base.graph.with_edits(inserts, removals);
+                (graph, base.store.with_appends(appends), appends)
+            })
+            .collect();
+        for (row, warm) in [
+            (
+                "derive_sigma_index",
+                (|c| _ = c.sigma_index()) as fn(&Corpus),
+            ),
+            ("derive_global_lists", |c| _ = c.global_lists()),
+        ] {
+            let one = Corpus::with_epoch(base.graph.clone(), base.store.clone(), base.epoch());
+            warm(&one);
+            group.bench_with_input(BenchmarkId::new(row, shape), &nexts, |b, nexts| {
+                b.iter(|| {
+                    for (graph, store, appends) in nexts {
+                        black_box(one.next_epoch(graph.clone(), store.clone(), appends));
+                    }
+                })
+            });
+        }
         group.bench_with_input(
             BenchmarkId::new("prepare_from", shape),
             &batches,

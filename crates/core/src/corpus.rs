@@ -2,7 +2,7 @@
 //! result/statistics types every processor returns.
 
 use friends_data::store::TagStore;
-use friends_data::{ItemId, TagId, UserId};
+use friends_data::{ItemId, TagId, Tagging, UserId};
 use friends_graph::CsrGraph;
 use friends_index::inverted::{IndexConfig, InvertedIndex};
 use friends_index::postings::PostingConfig;
@@ -14,9 +14,10 @@ use std::sync::{Arc, OnceLock};
 /// docs per block, at a modest skip-metadata cost.
 pub const SIGMA_INDEX_BLOCK_LEN: usize = 32;
 
-/// Per tag, the `(item, aggregate weight)` ranking [`Corpus::global_lists`]
-/// hands out.
-type GlobalLists = Vec<Vec<(ItemId, f32)>>;
+/// One tag's `(item, aggregate weight)` ranking, as [`Corpus::global_lists`]
+/// hands it out: descending weight, ties by item id. Shared between the
+/// epochs whose batches left the tag alone.
+pub type GlobalList = Arc<[(ItemId, f32)]>;
 
 /// A queryable dataset: the social graph and the tagging store, with users
 /// of the store identified with nodes of the graph.
@@ -33,9 +34,9 @@ pub struct Corpus {
     /// weight, ties by item id) — the candidate lists `GlobalBoundTA`
     /// drives its threshold-algorithm scans from. Store-only data, so the
     /// live write path warms it per epoch off the read path instead of
-    /// every shard re-sorting it on its first planned query. Behind an
-    /// `Arc` so an epoch that appended no tagging shares the whole table.
-    global_lists: OnceLock<Arc<GlobalLists>>,
+    /// every shard re-sorting it on its first planned query. Each row is
+    /// `Arc`'d, so the next epoch shares every row its batch left alone.
+    global_lists: OnceLock<Vec<GlobalList>>,
     /// Mutation epoch: 0 for a freshly built (frozen) corpus, bumped by one
     /// for every published mutation batch (see `crate::live`). Purely an
     /// observability/versioning stamp — cache identity stays keyed on the
@@ -73,39 +74,43 @@ impl Corpus {
     }
 
     /// The epoch after this one: `graph` and `store` are this corpus's with
-    /// one mutation batch applied, `touched_tags` every tag the batch
-    /// appended a tagging to (sorted, as `MutationBatch::touched_tags`
-    /// returns them).
+    /// one mutation batch applied, `appends` the batch's taggings (any
+    /// order, repeats allowed).
     ///
     /// Whatever this corpus has built of its σ-index and global lists is
-    /// carried over with only the touched tags rebuilt from `store`'s rows —
-    /// equal to a cold build over `store`, because both structures build
-    /// each tag from that tag's row alone. What this corpus never built
-    /// stays unbuilt.
-    pub fn next_epoch(&self, graph: CsrGraph, store: TagStore, touched_tags: &[TagId]) -> Self {
+    /// carried over, sharing every tag the batch appended nothing to. An
+    /// appended-to tag's posting list keeps its blocks below the tag's
+    /// smallest appended item and re-encodes the rest from `store`'s row
+    /// ([`InvertedIndex::with_suffixes_rebuilt`]); its global list re-sums
+    /// the appended items from that row and merges them back into the
+    /// ranking. Both equal a cold build over `store`, because both
+    /// structures build each tag from that tag's row alone and appends
+    /// change no item they do not name. What this corpus never built stays
+    /// unbuilt.
+    pub fn next_epoch(&self, graph: CsrGraph, store: TagStore, appends: &[Tagging]) -> Self {
         let next = Corpus::with_epoch(graph, store, self.epoch + 1);
+        let mut touched: Vec<(TagId, ItemId)> = appends.iter().map(|t| (t.tag, t.item)).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let per_tag = || touched.chunk_by(|a, b| a.0 == b.0);
         if let Some(index) = self.sigma_index.get() {
+            // Each tag's smallest appended item: its first changed doc.
+            let firsts: Vec<(TagId, ItemId)> = per_tag().map(|run| run[0]).collect();
             let derived =
-                index.with_terms_rebuilt(touched_tags, |t| sigma_quads(&next.store, t).collect());
+                index.with_suffixes_rebuilt(&firsts, |t, start| sigma_quads(&next.store, t, start));
             next.sigma_index
                 .set(derived)
                 .expect("a fresh corpus has no index");
         }
         if let Some(lists) = self.global_lists.get() {
-            let lists = if touched_tags.is_empty() {
-                Arc::clone(lists)
-            } else {
-                // The rows are plain `Vec`s (`global_lists` hands out
-                // `&[Vec<_>]`), so untouched ones are copied, not shared.
-                Arc::new(
-                    (0..next.store.num_tags())
-                        .map(|t| match touched_tags.binary_search(&t) {
-                            Ok(_) => global_list(&next.store, t),
-                            Err(_) => lists[t as usize].clone(),
-                        })
-                        .collect(),
-                )
-            };
+            let mut lists = lists.clone();
+            for run in per_tag() {
+                let t = run[0].0;
+                let items = run.iter().map(|&(_, item)| item);
+                let patched =
+                    patched_global_list(&lists[t as usize], t, items, &self.store, &next.store);
+                lists[t as usize] = patched;
+            }
             next.global_lists
                 .set(lists)
                 .expect("a fresh corpus has no global lists");
@@ -131,13 +136,11 @@ impl Corpus {
     /// Per-tag global item rankings (descending aggregate weight, ties by
     /// item id), building them on first call (thread-safe; subsequent calls
     /// are a load).
-    pub fn global_lists(&self) -> &[Vec<(ItemId, f32)>] {
+    pub fn global_lists(&self) -> &[GlobalList] {
         self.global_lists.get_or_init(|| {
-            Arc::new(
-                (0..self.store.num_tags())
-                    .map(|t| global_list(&self.store, t))
-                    .collect(),
-            )
+            (0..self.store.num_tags())
+                .map(|t| global_list(&self.store, t))
+                .collect()
         })
     }
 
@@ -146,7 +149,8 @@ impl Corpus {
     pub fn sigma_index(&self) -> &InvertedIndex {
         self.sigma_index.get_or_init(|| {
             let quads = (0..self.store.num_tags()).flat_map(|t| {
-                sigma_quads(&self.store, t).map(move |(item, user, weight)| (t, item, user, weight))
+                sigma_quads(&self.store, t, 0)
+                    .map(move |(item, user, weight)| (t, item, user, weight))
             });
             InvertedIndex::build_with_taggers(
                 quads,
@@ -161,20 +165,87 @@ impl Corpus {
     }
 }
 
-/// `tag`'s `(item, tagger, weight)` triples — what its σ-index list is built
-/// from.
-fn sigma_quads(store: &TagStore, tag: TagId) -> impl Iterator<Item = (ItemId, UserId, f32)> + '_ {
-    store
-        .tag_taggings(tag)
+/// `tag`'s `(item, tagger, weight)` triples from item `from` on, in `(item,
+/// tagger)` order — what its σ-index list is built from.
+fn sigma_quads(
+    store: &TagStore,
+    tag: TagId,
+    from: ItemId,
+) -> impl ExactSizeIterator<Item = (ItemId, UserId, f32)> + '_ {
+    let row = store.tag_taggings(tag);
+    row[row.partition_point(|tg| tg.item < from)..]
         .iter()
         .map(|tg| (tg.item, tg.user, tg.weight))
 }
 
-/// `tag`'s global item ranking: descending aggregate weight, ties by item.
-fn global_list(store: &TagStore, tag: TagId) -> Vec<(ItemId, f32)> {
+/// The global-list order: descending aggregate weight, ties by item.
+fn rank(a: &(ItemId, f32), b: &(ItemId, f32)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+}
+
+/// `tag`'s global item ranking, built from its whole row.
+fn global_list(store: &TagStore, tag: TagId) -> GlobalList {
     let mut v = store.global_item_scores(tag);
-    v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    v
+    v.sort_unstable_by(rank);
+    v.into()
+}
+
+/// `row`, `tag`'s ranking over `old`, brought to `new` — `old` with
+/// taggings of `tag` appended to `items` (distinct) and to no other of its
+/// items. Each item's stale entry is found by its old mass and dropped, and
+/// its new mass, re-summed from `new`'s row, is inserted where the order
+/// puts it. The row is copied once, run by run between those edits, and
+/// never re-sorted; the result equals [`global_list`] over `new`.
+fn patched_global_list(
+    row: &[(ItemId, f32)],
+    tag: TagId,
+    items: impl Iterator<Item = ItemId>,
+    old: &TagStore,
+    new: &TagStore,
+) -> GlobalList {
+    // `(p, Some(entry))` inserts `entry` before `row[p]`; `(p, None)` drops
+    // `row[p]`. A re-ranked entry never moves down (appends only add mass),
+    // and at one position inserts come first, in rank order.
+    let mut edits: Vec<(usize, Option<(ItemId, f32)>)> = Vec::new();
+    for item in items {
+        if let Some(mass) = old.tag_item_mass(tag, item) {
+            let at = row.binary_search_by(|e| rank(e, &(item, mass)));
+            edits.push((at.expect("a stored item is ranked"), None));
+        }
+        let mass = new.tag_item_mass(tag, item);
+        let entry = (item, mass.expect("an appended item is stored"));
+        edits.push((
+            row.partition_point(|e| rank(e, &entry).is_lt()),
+            Some(entry),
+        ));
+    }
+    edits.sort_unstable_by(|(p, a), (q, b)| {
+        p.cmp(q).then_with(|| match (a, b) {
+            (Some(a), Some(b)) => rank(a, b),
+            _ => a.is_none().cmp(&b.is_none()),
+        })
+    });
+    let inserts = edits.iter().filter(|e| e.1.is_some()).count();
+    let len = row.len() + 2 * inserts - edits.len();
+    // A `repeat_n` is exact-size: `collect` fills the one shared allocation
+    // in place, and the runs overwrite it.
+    let mut patched: GlobalList = std::iter::repeat_n((0, 0.0), len).collect();
+    let out = Arc::get_mut(&mut patched).expect("a fresh allocation is unique");
+    let (mut from, mut at) = (0, 0);
+    for (p, edit) in edits {
+        out[at..at + p - from].copy_from_slice(&row[from..p]);
+        at += p - from;
+        from = p;
+        match edit {
+            Some(entry) => {
+                out[at] = entry;
+                at += 1;
+            }
+            None => from += 1,
+        }
+    }
+    out[at..].copy_from_slice(&row[from..]);
+    patched
 }
 
 /// Work counters reported by each query execution (Fig 8 and Table 3 read

@@ -83,10 +83,14 @@
 //!   stay flat rather than chunked because σ traversals index them in
 //!   their innermost loop; a 0.15 ms sequential copy per write is cheaper
 //!   than a pointer chase per arc on every cold read.
-//! * **σ-index, global lists** — one `Arc`'d posting list per tag; the
-//!   base's with the touched tags rebuilt from the new store rows (built
-//!   in full only when the base never built them). Equal to a cold build
-//!   because each tag's list is built from that tag's row alone.
+//! * **σ-index, global lists** — one `Arc`'d posting list and one `Arc`'d
+//!   ranking per tag. Copied: the two pointer tables; each touched posting
+//!   list's blocks below the tag's smallest appended item, with the rest
+//!   re-encoded from the new store row; each touched ranking, with its
+//!   appended items re-summed and merged into place. Shared: every other
+//!   list and ranking. Built in full only when the base never built them.
+//!   Equal to a cold build because each tag's list and ranking are built
+//!   from that tag's row alone.
 //!
 //! Duplicate `(user, item, tag)` weights are summed in input order (stored
 //! weight, then appends in batch order) so that live applies, coalesced
@@ -310,13 +314,12 @@ impl LiveCorpus {
         let edits = effective_edits(&base.graph, &graph, &inserts, &removals);
         let touched_tags = batch.touched_tags();
         let affected_seekers = reachable_from(&base.graph, &EdgeEdit::endpoints(&edits), horizon);
-        let next = Arc::new(base.next_epoch(graph, store, &touched_tags));
+        let next = Arc::new(base.next_epoch(graph, store, &appends));
         // The σ-index and global lists must be warm before publication:
         // the first query needing them on each shard would otherwise build
         // them inline after the epoch switch, stalling that shard's queue
-        // for the whole build. `next_epoch` carried over what `base` had
-        // built (touched tags rebuilt), so these are loads on every epoch
-        // but the first.
+        // for the whole build. `next_epoch` derived them from what `base`
+        // had built, so these are loads on every epoch but the first.
         next.sigma_index();
         next.global_lists();
         PreparedMutation {
@@ -1172,7 +1175,7 @@ mod tests {
 
     /// Whether two corpora hold the same allocation for each shareable
     /// section: `(CSR arrays, user 0's row, tag 1's row, tag 1's posting
-    /// list, the global-list table)`.
+    /// list, tag 1's global list)`.
     fn shared_sections(a: &Corpus, b: &Corpus) -> (bool, bool, bool, bool, bool) {
         (
             std::ptr::eq(a.graph.neighbors(0), b.graph.neighbors(0)),
@@ -1182,7 +1185,7 @@ mod tests {
                 a.sigma_index().postings(1).unwrap(),
                 b.sigma_index().postings(1).unwrap(),
             ),
-            std::ptr::eq(a.global_lists(), b.global_lists()),
+            Arc::ptr_eq(&a.global_lists()[1], &b.global_lists()[1]),
         )
     }
 
@@ -1205,14 +1208,18 @@ mod tests {
         let base = fixture();
         base.sigma_index();
         base.global_lists();
-        // User 2 tags with tag 2: user 0's row, tag 1's row and tag 1's
-        // posting list are untouched; tag 2's are rebuilt.
+        // User 2 tags with tag 2: user 0's row and tag 1's row, posting
+        // list and global list are untouched; tag 2's are rebuilt.
         let batch = MutationBatch::new(vec![Mutation::AddTagging(Tagging::unit(2, 5, 2))]);
         let p = LiveCorpus::prepare_from(&base, &batch, None);
         assert_eq!(
             shared_sections(&base, &p.next),
-            (true, true, true, true, false)
+            (true, true, true, true, true)
         );
+        assert!(!Arc::ptr_eq(
+            &base.global_lists()[2],
+            &p.next.global_lists()[2]
+        ));
         let (old, new) = (base.sigma_index(), p.next.sigma_index());
         assert!(!std::ptr::eq(
             old.postings(2).unwrap(),

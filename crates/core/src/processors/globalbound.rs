@@ -16,7 +16,7 @@
 //! [`super::FriendExpansion`], which is what motivates [`super::Hybrid`].
 
 use crate::cache::ProximityCache;
-use crate::corpus::{Corpus, QueryStats, SearchResult};
+use crate::corpus::{Corpus, GlobalList, QueryStats, SearchResult};
 use crate::latency::elapsed_ns;
 use crate::processors::{resolve_sigma, Processor, ScoringStrategy};
 use crate::proximity::{ProximityModel, Sigma, SigmaBounds, SigmaWorkspace};
@@ -33,7 +33,7 @@ pub struct GlobalBoundTA<'a> {
     corpus: &'a Corpus,
     model: ProximityModel,
     /// Per tag: `(item, global mass)` sorted by mass desc, item asc.
-    lists: &'a [Vec<(ItemId, f32)>],
+    lists: &'a [GlobalList],
     sigma: SigmaWorkspace,
     seen_items: StampedSet,
     tags_scratch: Vec<TagId>,

@@ -1,8 +1,9 @@
 //! Property test for what one epoch hands the next
 //! ([`Corpus::next_epoch`] through [`LiveCorpus::prepare_from`]): along a
 //! chain of random batches the σ-index and the global lists each epoch
-//! *derives* — its predecessor's with the touched tags rebuilt — equal the
-//! ones a cold corpus over the same graph and store builds from scratch.
+//! *derives* — its predecessor's, each touched posting list re-encoded from
+//! its first changed block and each touched global list patched — equal
+//! the ones a cold corpus over the same graph and store builds from scratch.
 //! Compared per tag down to tagger groups, tagger ranges, block metadata
 //! and the encoded block bytes, plus the index-wide counts.
 
@@ -11,7 +12,7 @@ use friends_core::live::LiveCorpus;
 use friends_data::mutations::{Mutation, MutationBatch};
 use friends_data::store::TagStore;
 use friends_data::Tagging;
-use friends_graph::GraphBuilder;
+use friends_graph::{CsrGraph, GraphBuilder};
 use friends_index::inverted::InvertedIndex;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -54,10 +55,6 @@ fn batch_of(ops: &[RawOp]) -> MutationBatch {
 /// `num_docs`, start lists for tags the index has no list for, and push
 /// lists past one 32-entry block.
 fn seed_corpus(raw: &[(u32, u32, u32, u32)]) -> Corpus {
-    let graph = GraphBuilder::from_edges(
-        USERS as usize,
-        (0..USERS).map(|u| (u, (u * 5 + 1) % USERS, 0.5)),
-    );
     let taggings = raw
         .iter()
         .map(|&(user, item, tag, k)| Tagging {
@@ -67,7 +64,18 @@ fn seed_corpus(raw: &[(u32, u32, u32, u32)]) -> Corpus {
             weight: 0.1 * k as f32,
         })
         .collect();
-    Corpus::new(graph, TagStore::build(USERS, ITEMS, TAGS, taggings))
+    Corpus::new(ring(), TagStore::build(USERS, ITEMS, TAGS, taggings))
+}
+
+fn ring() -> CsrGraph {
+    GraphBuilder::from_edges(
+        USERS as usize,
+        (0..USERS).map(|u| (u, (u * 5 + 1) % USERS, 0.5)),
+    )
+}
+
+fn bits(row: &[(u32, f32)]) -> Vec<(u32, u32)> {
+    row.iter().map(|&(i, s)| (i, s.to_bits())).collect()
 }
 
 fn same_index(derived: &InvertedIndex, cold: &InvertedIndex) -> Result<(), TestCaseError> {
@@ -119,15 +127,48 @@ proptest! {
             let next = LiveCorpus::prepare_from(&current, &batch_of(ops), None).next;
             let cold = Corpus::with_epoch(next.graph.clone(), next.store.clone(), next.epoch());
             same_index(next.sigma_index(), cold.sigma_index())?;
-            let bits = |lists: &[Vec<(u32, f32)>]| -> Vec<Vec<(u32, u32)>> {
-                lists
-                    .iter()
-                    .map(|l| l.iter().map(|&(i, s)| (i, s.to_bits())).collect())
-                    .collect()
+            let bits = |lists: &[Arc<[(u32, f32)]>]| -> Vec<Vec<(u32, u32)>> {
+                lists.iter().map(|l| bits(l)).collect()
             };
             prop_assert_eq!(bits(next.global_lists()), bits(cold.global_lists()));
             current = next;
         }
         prop_assert_eq!(current.epoch(), chain.len() as u64);
+    }
+
+    /// Global lists under heavy ties: weights from {0, ½, 1} give many items
+    /// of a tag the same mass, so where a patched entry lands among its ties
+    /// is decided by item id alone. Every epoch's rows equal a ranking from
+    /// scratch, and every row its batch appended nothing to is shared.
+    #[test]
+    fn patched_global_lists_equal_cold_rankings_under_ties(
+        seed in proptest::collection::vec((0u32..64, 0u32..40, 0u32..4, 0u32..3), 0..150),
+        chain in proptest::collection::vec(
+            proptest::collection::vec((0u32..64, 0u32..80, 0u32..64, 0u32..3), 1..12),
+            8..16,
+        ),
+    ) {
+        let tagging = |&(user, item, tag, k): &(u32, u32, u32, u32)| Tagging {
+            user: user % USERS,
+            item,
+            tag: tag % TAGS,
+            weight: 0.5 * k as f32,
+        };
+        let store = TagStore::build(USERS, ITEMS, TAGS, seed.iter().map(tagging).collect());
+        let mut current = Arc::new(Corpus::new(ring(), store));
+        current.global_lists();
+        for adds in &chain {
+            let batch = adds.iter().map(|a| Mutation::AddTagging(tagging(a))).collect();
+            let next = LiveCorpus::prepare_from(&current, &MutationBatch::new(batch), None).next;
+            let cold = Corpus::new(next.graph.clone(), next.store.clone());
+            for t in 0..TAGS {
+                let (row, want) = (&next.global_lists()[t as usize], &cold.global_lists()[t as usize]);
+                prop_assert_eq!(bits(row), bits(want), "tag {}", t);
+                let touched = adds.iter().any(|a| a.2 % TAGS == t);
+                let shared = Arc::ptr_eq(row, &current.global_lists()[t as usize]);
+                prop_assert_eq!(shared, !touched, "tag {}", t);
+            }
+            current = next;
+        }
     }
 }

@@ -120,26 +120,52 @@ fn into_tag_order(mut taggings: Vec<Tagging>, num_tags: u32) -> Vec<Tagging> {
 
 /// Merges `adds` (stably sorted by `key`, so equal keys keep batch order)
 /// into `row` (sorted by `key`, keys unique): a key's weight is the row's,
-/// then the adds in order.
+/// then the adds in order. The merged row is written straight into its one
+/// shared allocation: sized by counting the new keys first, filled (a
+/// `repeat_n` is exact-size, so `collect` writes it in place), then
+/// overwritten run by run.
 fn merge_row<K: Ord>(
     row: &[Tagging],
     adds: &[Tagging],
     key: impl Fn(&Tagging) -> K,
 ) -> Arc<[Tagging]> {
-    let mut out: Vec<Tagging> = Vec::with_capacity(row.len() + adds.len());
-    let mut kept = 0;
-    for a in adds {
-        let k = key(a);
-        let upto = kept + row[kept..].partition_point(|t| key(t) <= k);
-        out.extend_from_slice(&row[kept..upto]);
+    let runs = || adds.chunk_by(|a, b| key(a) == key(b));
+    let new_keys = runs()
+        .filter(|run| row.binary_search_by(|t| key(t).cmp(&key(&run[0]))).is_err())
+        .count();
+    let mut merged: Arc<[Tagging]> = std::iter::repeat_n(adds[0], row.len() + new_keys).collect();
+    let out = Arc::get_mut(&mut merged).expect("a fresh allocation is unique");
+    let (mut kept, mut at) = (0, 0);
+    for run in runs() {
+        let k = key(&run[0]);
+        let upto = kept + row[kept..].partition_point(|t| key(t) < k);
+        out[at..at + upto - kept].copy_from_slice(&row[kept..upto]);
+        at += upto - kept;
         kept = upto;
-        match out.last_mut() {
-            Some(last) if key(last) == k => last.weight += a.weight,
-            _ => out.push(*a),
+        let (mut t, rest) = match row.get(kept).filter(|t| key(t) == k) {
+            Some(&t) => {
+                kept += 1;
+                (t, run)
+            }
+            None => (run[0], &run[1..]),
+        };
+        for a in rest {
+            t.weight += a.weight;
         }
+        out[at] = t;
+        at += 1;
     }
-    out.extend_from_slice(&row[kept..]);
-    Arc::from(out)
+    out[at..].copy_from_slice(&row[kept..]);
+    merged
+}
+
+/// The aggregated weight of one `(tag, item)` run of a tag row (non-empty,
+/// user order): the left fold from its first weight — every global item
+/// score's summation order.
+fn run_mass(run: &[Tagging]) -> f32 {
+    run[1..]
+        .iter()
+        .fold(run[0].weight, |mass, t| mass + t.weight)
 }
 
 /// Which part of the id and weight contract of [`TagStore::build`],
@@ -311,14 +337,20 @@ impl TagStore {
     /// Aggregated global per-item score for `tag`: `Σ_user weight`, sorted
     /// by item id. This feeds the non-personalized baseline index.
     pub fn global_item_scores(&self, tag: TagId) -> Vec<(ItemId, f32)> {
-        let mut out: Vec<(ItemId, f32)> = Vec::new();
-        for t in self.tag_taggings(tag) {
-            match out.last_mut() {
-                Some(last) if last.0 == t.item => last.1 += t.weight,
-                _ => out.push((t.item, t.weight)),
-            }
-        }
-        out
+        self.tag_taggings(tag)
+            .chunk_by(|a, b| a.item == b.item)
+            .map(|run| (run[0].item, run_mass(run)))
+            .collect()
+    }
+
+    /// `item`'s aggregated weight under `tag` — its entry in
+    /// [`TagStore::global_item_scores`], summed the same way — or `None`
+    /// when no tagging pairs them. Two binary searches and the item's run.
+    pub fn tag_item_mass(&self, tag: TagId, item: ItemId) -> Option<f32> {
+        let row = self.tag_taggings(tag);
+        let lo = row.partition_point(|t| t.item < item);
+        let len = row[lo..].partition_point(|t| t.item == item);
+        (len > 0).then(|| run_mass(&row[lo..lo + len]))
     }
 
     /// Users who used `tag` at least once (sorted, deduplicated).
@@ -477,6 +509,8 @@ mod tests {
         assert_eq!(t1.len(), 3);
         let g = s.global_item_scores(1);
         assert_eq!(g, vec![(0, 1.0), (1, 3.0)]);
+        assert_eq!(s.tag_item_mass(1, 1), Some(3.0));
+        assert_eq!(s.tag_item_mass(1, 4), None);
         assert_eq!(s.tag_users(1), vec![0, 1]);
         assert_eq!(s.tag_num_items(1), 2);
         assert_eq!(s.tag_max_weight(1), 2.0);

@@ -15,8 +15,9 @@ pub struct IndexConfig {
 /// An immutable inverted index: `term → PostingList` (doc-sorted).
 ///
 /// Every list sits behind its own `Arc`: a clone copies one pointer per
-/// term, and [`InvertedIndex::with_terms_rebuilt`] shares every list it
-/// does not rebuild with the index it came from.
+/// term, and [`InvertedIndex::with_suffixes_rebuilt`] shares every list
+/// whose triples did not change with the index it came from, and re-encodes
+/// only the changed tail of those that did.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct InvertedIndex {
     config: IndexConfig,
@@ -96,36 +97,41 @@ impl InvertedIndex {
         }
     }
 
-    /// This σ-aware index with the lists of `terms` rebuilt from
-    /// `quads_of(term)` — all of the term's `(doc, tagger, weight)` triples,
-    /// not a delta — and every other list shared. Because
-    /// [`InvertedIndex::build_with_taggers`] builds each term's list from
-    /// that term's triples alone, the result equals a from-scratch build
-    /// over the updated triples, provided no doc disappeared from a rebuilt
-    /// term (`num_docs` can only grow here; an append-only store
-    /// guarantees it).
-    pub fn with_terms_rebuilt(
+    /// This σ-aware index after the triples of some terms changed, each
+    /// from a first changed doc on: `changes` names every such term once
+    /// with that doc, and `suffix_of(term, start)` yields the term's new
+    /// `(doc, tagger, weight)` triples from doc `start` on, sorted by `(doc,
+    /// tagger)` with unique keys. Each named list keeps its blocks below the
+    /// first changed doc and re-encodes the rest
+    /// ([`PostingList::with_suffix_rebuilt`]); every other list is shared.
+    /// Because [`InvertedIndex::build_with_taggers`] builds each term's list
+    /// from that term's triples alone, the result equals a from-scratch
+    /// build over the new triples, provided no doc disappeared from a named
+    /// term (`num_docs` can only grow here; an append-only store guarantees
+    /// it).
+    pub fn with_suffixes_rebuilt<I>(
         &self,
-        terms: &[TermId],
-        mut quads_of: impl FnMut(TermId) -> Vec<(DocId, u32, Score)>,
-    ) -> Self {
+        changes: &[(TermId, DocId)],
+        mut suffix_of: impl FnMut(TermId, DocId) -> I,
+    ) -> Self
+    where
+        I: IntoIterator<Item = (DocId, u32, Score)>,
+    {
         let mut next = self.clone();
-        for &t in terms {
-            let entries = quads_of(t);
-            if let Some(&(d, ..)) = entries.iter().max_by_key(|e| e.0) {
-                next.num_docs = next.num_docs.max(d + 1);
-            }
+        let empty = PostingList::build_with_taggers(Vec::new(), self.config.postings);
+        for &(t, first_changed) in changes {
             let ti = t as usize;
+            let old = next.lists.get(ti).map_or(&empty, |l| &**l);
+            let list = old.with_suffix_rebuilt(first_changed, |start| suffix_of(t, start));
             if ti >= next.lists.len() {
-                if entries.is_empty() {
+                if list.is_empty() {
                     continue; // a from-scratch build never saw this term
                 }
-                let postings = self.config.postings;
-                next.lists.resize_with(ti + 1, || {
-                    Arc::new(PostingList::build_with_taggers(Vec::new(), postings))
-                });
+                next.lists.resize_with(ti + 1, || Arc::new(empty.clone()));
             }
-            let list = PostingList::build_with_taggers(entries, self.config.postings);
+            if let Some(last) = list.num_blocks().checked_sub(1) {
+                next.num_docs = next.num_docs.max(list.block(last).last_doc + 1);
+            }
             next.num_postings = next.num_postings - next.lists[ti].len() + list.len();
             next.lists[ti] = Arc::new(list);
         }
@@ -219,11 +225,13 @@ mod tests {
         // Term 2 gains a doc past the old `num_docs`; term 4 is new, which
         // also brings an empty term 3 into being.
         quads.extend([(2, 9, 4, 0.25), (4, 1, 1, 1.0)]);
-        let of = |t: TermId| -> Vec<(DocId, u32, Score)> {
-            let own = quads.iter().filter(|q| q.0 == t);
-            own.map(|&(_, d, u, w)| (d, u, w)).collect()
+        let of = |t: TermId, start: DocId| -> Vec<(DocId, u32, Score)> {
+            let own = quads.iter().filter(|q| q.0 == t && q.1 >= start);
+            let mut own: Vec<_> = own.map(|&(_, d, u, w)| (d, u, w)).collect();
+            own.sort_unstable_by_key(|&(d, u, _)| (d, u));
+            own
         };
-        let derived = base.with_terms_rebuilt(&[2, 4], of);
+        let derived = base.with_suffixes_rebuilt(&[(2, 9), (4, 1)], of);
         let cold = InvertedIndex::build_with_taggers(quads.clone(), IndexConfig::default());
         assert_eq!(derived.num_terms(), 5);
         assert_eq!(derived.num_docs(), 10);
@@ -238,7 +246,7 @@ mod tests {
             assert_eq!(shared, t != 2, "term {t}");
         }
         // Rebuilding nothing is a pointer-table copy.
-        let same = base.with_terms_rebuilt(&[], of);
+        let same = base.with_suffixes_rebuilt(&[], of);
         assert!(base
             .lists
             .iter()

@@ -211,30 +211,125 @@ impl PostingList {
                 false
             }
         });
+        let mut list = PostingList {
+            config,
+            len: 0,
+            max_score: 0.0,
+            blocks: Vec::new(),
+            docs: Vec::new(),
+            data: Vec::new(),
+            scores: Vec::new(),
+            tagger_offsets: vec![0],
+            taggers: Vec::new(),
+            list_min_tagger: u32::MAX,
+            list_max_tagger: 0,
+            list_sigma_base: 0.0,
+        };
+        list.push_tagged_blocks(entries);
+        list
+    }
+
+    /// This σ-aware list after its term's triples changed from doc
+    /// `first_changed` on, none below it: the list
+    /// [`PostingList::build_with_taggers`] builds over the new triples, bit
+    /// for bit, at the cost of the changed tail. Blocks are cut by
+    /// position, so every full block whose docs all sit below
+    /// `first_changed` is unchanged: those are copied as they are —
+    /// metadata, bytes, scores, tagger offsets and taggers — and the block
+    /// loop re-runs over `suffix(start)`, every new `(doc, tagger, weight)`
+    /// triple from doc `start` (one past the last kept doc) on, sorted by
+    /// `(doc, tagger)` with unique keys (the order `build_with_taggers`
+    /// sorts its input into).
+    ///
+    /// # Panics
+    /// Panics on a list built without tagger groups.
+    pub fn with_suffix_rebuilt<I>(
+        &self,
+        first_changed: DocId,
+        suffix: impl FnOnce(DocId) -> I,
+    ) -> Self
+    where
+        I: IntoIterator<Item = (DocId, u32, Score)>,
+    {
+        assert!(self.has_taggers(), "only σ-aware lists rebuild a suffix");
+        // Every block but the last is full, so `len / block_len` bounds the
+        // whole blocks below the first changed position.
+        let kept = self
+            .blocks
+            .partition_point(|b| b.last_doc < first_changed)
+            .min(self.len / self.config.block_len);
+        let kept_len = kept * self.config.block_len;
+        let kept_bytes = self
+            .blocks
+            .get(kept)
+            .map_or(self.data.len(), |b| b.byte_start as usize);
+        let start = kept
+            .checked_sub(1)
+            .map_or(0, |b| self.blocks[b].last_doc + 1);
+        let suffix = suffix(start).into_iter();
+        // Room for the suffix up front, so the block loop appends without
+        // moving the copied prefix: its docs are at most its triples, and
+        // a dense list's deltas take about a byte each.
+        let room = suffix.size_hint().0;
+        let (kept_docs, docs_room, data_room) = match self.config.encoding {
+            Encoding::Raw => (kept_len, room, 0),
+            Encoding::DeltaVarint => (0, 0, room),
+        };
+        let mut next = PostingList {
+            blocks: with_room(&self.blocks[..kept], room.div_ceil(self.config.block_len)),
+            docs: with_room(&self.docs[..kept_docs], docs_room),
+            data: with_room(&self.data[..kept_bytes], data_room),
+            scores: with_room(&self.scores[..kept_len], room),
+            tagger_offsets: with_room(&self.tagger_offsets[..=kept_len], room),
+            taggers: with_room(
+                &self.taggers[..self.tagger_offsets[kept_len] as usize],
+                room,
+            ),
+            len: kept_len,
+            ..*self
+        };
+        next.push_tagged_blocks(suffix);
+        next
+    }
+
+    /// The one σ-aware block loop, behind both
+    /// [`PostingList::build_with_taggers`] and
+    /// [`PostingList::with_suffix_rebuilt`]: appends `triples` — sorted by
+    /// `(doc, tagger)`, keys unique, every doc past this list's last — as
+    /// blocks after this list's (all full), then refolds the list-level
+    /// bounds over every block.
+    fn push_tagged_blocks(&mut self, triples: impl IntoIterator<Item = (DocId, u32, Score)>) {
+        let block_len = self.config.block_len;
+        debug_assert_eq!(self.len % block_len, 0, "kept blocks must be full");
+        let triples = triples.into_iter();
+        self.taggers.reserve(triples.size_hint().0);
         // Collapse to per-doc entries, tracking each doc's group extent.
         // `docs_meta[i] = (doc, mass_f32, group_start, group_len)`.
-        let mut taggers: Vec<(u32, Score)> = Vec::with_capacity(entries.len());
         let mut docs_meta: Vec<(DocId, Score, usize, usize)> = Vec::new();
-        for (d, u, w) in entries {
+        let mut last_key = self.blocks.last().map(|b| (b.last_doc, u32::MAX));
+        for (d, u, w) in triples {
+            debug_assert!(last_key < Some((d, u)), "unsorted or repeated triple");
+            last_key = Some((d, u));
             match docs_meta.last_mut() {
                 Some(m) if m.0 == d => {
                     m.1 += w;
                     m.3 += 1;
                 }
-                _ => docs_meta.push((d, w, taggers.len(), 1)),
+                _ => docs_meta.push((d, w, self.taggers.len(), 1)),
             }
-            taggers.push((u, w));
+            self.taggers.push((u, w));
         }
-        let len = docs_meta.len();
-        let mut blocks = Vec::with_capacity(len.div_ceil(config.block_len));
-        let mut docs = Vec::new();
-        let mut data = Vec::new();
-        let mut scores = Vec::with_capacity(len);
-        let mut tagger_offsets = Vec::with_capacity(len + 1);
-        tagger_offsets.push(0u32);
-        let mut max_score = 0.0f32;
-        for (bi, chunk) in docs_meta.chunks(config.block_len).enumerate() {
-            let ids: Vec<DocId> = chunk.iter().map(|&(d, ..)| d).collect();
+        let taggers = &self.taggers;
+        self.blocks.reserve(docs_meta.len().div_ceil(block_len));
+        self.scores.reserve(docs_meta.len());
+        self.tagger_offsets.reserve(docs_meta.len());
+        if self.config.encoding == Encoding::Raw {
+            self.docs.reserve(docs_meta.len());
+        }
+        let mut ids: Vec<DocId> = Vec::with_capacity(block_len);
+        for chunk in docs_meta.chunks(block_len) {
+            ids.clear();
+            ids.extend(chunk.iter().map(|&(d, ..)| d));
             let mut block_max = f32::NEG_INFINITY;
             let mut sigma_base = 0.0f32;
             let mut min_tagger = u32::MAX;
@@ -253,49 +348,35 @@ impl PostingList {
                 min_tagger = min_tagger.min(taggers[gs].0);
                 max_tagger = max_tagger.max(taggers[gs + gl - 1].0);
             }
-            max_score = max_score.max(block_max);
-            blocks.push(BlockMeta {
+            self.blocks.push(BlockMeta {
                 first_doc: ids[0],
                 last_doc: *ids.last().unwrap(),
                 max_score: block_max,
-                byte_start: data.len() as u32,
-                elem_start: (bi * config.block_len) as u32,
+                byte_start: self.data.len() as u32,
+                elem_start: self.len as u32,
                 count: ids.len() as u32,
                 min_tagger,
                 max_tagger,
                 sigma_base,
             });
-            match config.encoding {
-                Encoding::Raw => docs.extend_from_slice(&ids),
-                Encoding::DeltaVarint => varint::encode_sorted(&ids, &mut data),
+            match self.config.encoding {
+                Encoding::Raw => self.docs.extend_from_slice(&ids),
+                Encoding::DeltaVarint => varint::encode_sorted(&ids, &mut self.data),
             }
-            scores.extend(chunk.iter().map(|&(_, mass, ..)| mass));
-            tagger_offsets.extend(chunk.iter().map(|&(.., gs, gl)| (gs + gl) as u32));
+            self.scores.extend(chunk.iter().map(|&(_, mass, ..)| mass));
+            self.tagger_offsets
+                .extend(chunk.iter().map(|&(.., gs, gl)| (gs + gl) as u32));
+            self.len += chunk.len();
         }
-        if len == 0 {
-            max_score = 0.0;
-        }
-        let mut list_min_tagger = u32::MAX;
-        let mut list_max_tagger = 0u32;
-        let mut list_sigma_base = 0.0f32;
-        for b in &blocks {
-            list_min_tagger = list_min_tagger.min(b.min_tagger);
-            list_max_tagger = list_max_tagger.max(b.max_tagger);
-            list_sigma_base = list_sigma_base.max(b.sigma_base);
-        }
-        PostingList {
-            config,
-            len,
-            max_score,
-            blocks,
-            docs,
-            data,
-            scores,
-            tagger_offsets,
-            taggers,
-            list_min_tagger,
-            list_max_tagger,
-            list_sigma_base,
+        self.max_score = 0.0;
+        self.list_min_tagger = u32::MAX;
+        self.list_max_tagger = 0;
+        self.list_sigma_base = 0.0;
+        for b in &self.blocks {
+            self.max_score = self.max_score.max(b.max_score);
+            self.list_min_tagger = self.list_min_tagger.min(b.min_tagger);
+            self.list_max_tagger = self.list_max_tagger.max(b.max_tagger);
+            self.list_sigma_base = self.list_sigma_base.max(b.sigma_base);
         }
     }
 
@@ -482,6 +563,13 @@ impl PostingList {
         }
         out
     }
+}
+
+/// `prefix` copied into a vector with room for `room` more.
+fn with_room<T: Copy>(prefix: &[T], room: usize) -> Vec<T> {
+    let mut v = Vec::with_capacity(prefix.len() + room);
+    v.extend_from_slice(prefix);
+    v
 }
 
 /// Forward cursor over a [`PostingList`], in document-id order.

@@ -3,6 +3,12 @@
 //! the slow-query log, with a complete span tree (queue → plan → σ →
 //! scoring → reply) and a trace id matching its own [`Reply`]. Every other
 //! request stays under the threshold and must not be retained.
+//!
+//! The split between the two kinds must not depend on the host: an ordinary
+//! request here takes well under a millisecond even in a debug build, so
+//! the threshold sits hundreds of times above it — an ordinary request
+//! would have to stall a quarter second to cross it — and the injected
+//! delay three times above the threshold.
 
 use friends_core::corpus::Corpus;
 use friends_data::datasets::{DatasetSpec, Scale};
@@ -17,7 +23,7 @@ use std::time::Duration;
 fn delayed_request_lands_in_the_slow_query_log_with_its_span_tree() {
     let ds = DatasetSpec::delicious_like(Scale::Tiny).build(8);
     let corpus = Arc::new(Corpus::new(ds.graph, ds.store));
-    let delay = Duration::from_millis(50);
+    let delay = Duration::from_millis(750);
     let config = ServiceConfig {
         shards: 1,
         // No deadline: the stalled request must finish (slow), not shed.
@@ -29,7 +35,7 @@ fn delayed_request_lands_in_the_slow_query_log_with_its_span_tree() {
         trace: TraceConfig {
             // Head sampling off: only slowness can retain a trace here.
             sample_every: 0,
-            slow_threshold: Some(Duration::from_millis(10)),
+            slow_threshold: Some(Duration::from_millis(250)),
             ..TraceConfig::default()
         },
         ..ServiceConfig::default()
