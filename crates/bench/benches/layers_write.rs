@@ -8,7 +8,10 @@
 //! `derive_sigma_index` and `derive_global_lists` are `Corpus::next_epoch`
 //! on a base with only that one structure built, over the batch's
 //! precomputed graph and store (a clone of each, pointer tables only, is
-//! part of the sample) — and the replay half of `LiveCorpus::recover`
+//! part of the sample) — `blast_radius` (the batch's component labels
+//! derived from the base's with `Components::after` over the precomputed
+//! graph, plus its `AffectedSeekers`) and the replay half of
+//! `LiveCorpus::recover`
 //! (`replay_onto`: eight logged batches coalesced into one rebuild, per
 //! batch), on the two corpus shapes the serving benchmark writes to — 10 k
 //! users × 64 heavy tags × 100 taggings (`memo_hot`, `scan_heavy`) and × 625
@@ -42,7 +45,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use friends_bench::{overload_corpus, serving_corpus};
 use friends_core::cache::ProximityCache;
 use friends_core::corpus::Corpus;
-use friends_core::live::{LiveCorpus, RecoveryReport};
+use friends_core::live::{AffectedSeekers, LiveCorpus, RecoveryReport};
 use friends_core::proximity::{ProximityModel, ProximityVec, SigmaRepair, SigmaWorkspace};
 use friends_data::mutations::{MutationBatch, MutationParams, MutationStream};
 use friends_graph::traversal::EdgeEdit;
@@ -130,10 +133,12 @@ fn bench(c: &mut Criterion) {
         ),
     ] {
         let base = Arc::new(corpus);
-        // A serving epoch has both structures built; the next one derives
-        // them. (A base that never built them would pay two cold builds.)
+        // A serving epoch past its first write has all three structures
+        // built; the next one derives them. (A base that never built them
+        // would pay three cold builds.)
         base.sigma_index();
         base.global_lists();
+        base.components();
         let batches: Vec<MutationBatch> = MutationStream::generate(
             &base.graph,
             &base.store,
@@ -163,9 +168,11 @@ fn bench(c: &mut Criterion) {
         });
         let nexts: Vec<_> = splits
             .iter()
-            .map(|(inserts, removals, appends)| {
+            .zip(&batches)
+            .map(|((inserts, removals, appends), batch)| {
                 let graph = base.graph.with_edits(inserts, removals);
-                (graph, base.store.with_appends(appends), appends)
+                let edits = LiveCorpus::prepare_from(&base, batch, None).edits;
+                (graph, base.store.with_appends(appends), appends, edits)
             })
             .collect();
         for (row, warm) in [
@@ -179,12 +186,26 @@ fn bench(c: &mut Criterion) {
             warm(&one);
             group.bench_with_input(BenchmarkId::new(row, shape), &nexts, |b, nexts| {
                 b.iter(|| {
-                    for (graph, store, appends) in nexts {
-                        black_box(one.next_epoch(graph.clone(), store.clone(), appends));
+                    for (graph, store, appends, edits) in nexts {
+                        black_box(one.next_epoch(graph.clone(), store.clone(), appends, edits));
                     }
                 })
             });
         }
+        let components = base.components();
+        group.bench_with_input(
+            BenchmarkId::new("blast_radius", shape),
+            &nexts,
+            |b, nexts| {
+                b.iter(|| {
+                    for (graph, _, _, edits) in nexts {
+                        black_box(components.after(graph, edits));
+                        let endpoints = EdgeEdit::endpoints(edits);
+                        black_box(AffectedSeekers::connected_to(components, &endpoints));
+                    }
+                })
+            },
+        );
         group.bench_with_input(
             BenchmarkId::new("prepare_from", shape),
             &batches,

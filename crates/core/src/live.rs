@@ -36,7 +36,11 @@
 //!    mutation's blast radius: the *effective* edge edits (pairs whose
 //!    stored weight really differs — removing an absent edge or inserting
 //!    one at its stored weight touches nothing), their endpoints, the
-//!    affected seekers, the touched tags. No lock is held; queries proceed
+//!    affected seekers, the touched tags. Without a horizon the affected
+//!    seekers are the components of the endpoints, read from the base's
+//!    component labels ([`Corpus::components`]; built by the first write
+//!    that edits an edge, derived per epoch after that) — a membership
+//!    test, not a graph search. No lock is held; queries proceed
 //!    untouched.
 //! 2. **sweep** — make every cache entry the batch can affect safe under
 //!    the new epoch: σ caches record the batch's edits in O(1)
@@ -59,7 +63,12 @@
 //! 2. prepare the next epoch;
 //! 3. on a durable corpus ([`LiveCorpus::open_durable`]), append the batch
 //!    to the WAL as one record — the **durability point**: on an error the
-//!    call returns before anything is swept or published;
+//!    call returns before anything is swept or published. The append runs
+//!    on a scoped thread beside prepare (the epoch is the base's + 1,
+//!    known under the gate), and both finish before step 4. A batch that
+//!    breaks the graph's or the store's contract
+//!    ([`MutationBatch::keeps_the_contract`]) is refused before either
+//!    starts: prepare could not apply it, or recovery could not replay it;
 //! 4. run the caller's sweep with the prepared epoch and the WAL receipt;
 //! 5. publish;
 //! 6. write a snapshot if [`DurabilityConfig::snapshot_every`] says one is
@@ -166,6 +175,13 @@
 //! way). `Global`-model entries (σ ≡ 1) are graph-independent and never
 //! affected; tag appends touch no σ at all — they invalidate per-tag in
 //! the result layer instead.
+//!
+//! The same argument sizes [`PreparedMutation::affected_seekers`], the
+//! result layer's per-seeker set: the seekers the base graph connects to
+//! an endpoint. Without a horizon that is exactly the endpoints' components
+//! on the base graph, which its labels answer per seeker in O(1) — the
+//! same set a full-reach search returns, and everyone when the graph is
+//! one component. A horizon narrows it to a depth-limited search.
 
 use crate::corpus::Corpus;
 use crate::metrics::MetricsRegistry;
@@ -174,7 +190,7 @@ use friends_data::mutations::MutationBatch;
 use friends_data::wal::{StdFs, SyncPolicy, Wal, WalAppend, WalConfig, WalFs, WalStats};
 use friends_data::TagId;
 use friends_graph::traversal::EdgeEdit;
-use friends_graph::{CsrGraph, NodeId};
+use friends_graph::{Components, CsrGraph, NodeId};
 use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -182,10 +198,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A mutation batch resolved against a concrete base snapshot: the next
-/// corpus (sharing with the base whatever the batch left alone) plus the
-/// batch's blast radius. [`LiveCorpus::commit`] builds one and hands it to
-/// its sweep; [`LiveCorpus::prepare`] builds one without committing it.
-/// Cheap to clone behind an `Arc` for fan-out to per-shard workers.
+/// corpus (sharing with the base whatever the batch left alone, its
+/// component labels derived from the base's) plus the batch's blast
+/// radius. [`LiveCorpus::commit`] builds one and hands it to its sweep;
+/// [`LiveCorpus::prepare`] builds one without committing it. Cheap to
+/// clone behind an `Arc` for fan-out to per-shard workers.
 #[derive(Debug)]
 pub struct PreparedMutation {
     /// The next snapshot: edited graph (same token), appended store,
@@ -200,10 +217,10 @@ pub struct PreparedMutation {
     /// with it when read — no shard ever needs the base graph.
     pub edits: Arc<[EdgeEdit]>,
     /// Every seeker whose σ (and therefore rankings) the batch could
-    /// change, sorted: the nodes old-graph-reachable from any touched
-    /// node, depth-limited by the horizon passed to `prepare`. The
-    /// per-seeker result-invalidation set.
-    pub affected_seekers: Vec<NodeId>,
+    /// change: the nodes the base graph connects to an endpoint of
+    /// `edits`, within the horizon passed to `prepare` when it has one.
+    /// The per-seeker result-invalidation set.
+    pub affected_seekers: AffectedSeekers,
     /// Distinct tags appended by the batch, sorted: rankings of queries
     /// naming them are stale whatever their seeker (the postings changed).
     pub touched_tags: Vec<TagId>,
@@ -217,6 +234,59 @@ impl PreparedMutation {
     /// The epoch this mutation publishes.
     pub fn epoch(&self) -> u64 {
         self.next.epoch()
+    }
+}
+
+/// The seekers a batch's edge edits can reach: a membership test, not a
+/// list, because without a horizon it is whole components — usually the
+/// whole graph.
+#[derive(Clone, Debug)]
+pub enum AffectedSeekers {
+    /// These nodes, sorted: a horizon-bounded search, or no one at all.
+    Listed(Vec<NodeId>),
+    /// The nodes whose label in `components` is one of `labels` (sorted).
+    InComponents {
+        components: Components,
+        labels: Vec<NodeId>,
+    },
+    /// Every seeker: the edits touch every component.
+    Everyone,
+}
+
+impl AffectedSeekers {
+    /// The nodes `components` puts in one component with a node of
+    /// `sources` — what an unbounded search from `sources` reaches.
+    pub fn connected_to(components: &Components, sources: &[NodeId]) -> Self {
+        let mut labels: Vec<NodeId> = sources.iter().map(|&u| components.label(u)).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        if labels.is_empty() {
+            AffectedSeekers::Listed(labels)
+        } else if labels.len() == components.count() {
+            AffectedSeekers::Everyone
+        } else {
+            AffectedSeekers::InComponents {
+                components: components.clone(),
+                labels,
+            }
+        }
+    }
+
+    /// Whether the batch can change `seeker`'s σ.
+    pub fn contains(&self, seeker: NodeId) -> bool {
+        match self {
+            AffectedSeekers::Listed(nodes) => nodes.binary_search(&seeker).is_ok(),
+            AffectedSeekers::InComponents { components, labels } => components
+                .labels()
+                .get(seeker as usize)
+                .is_some_and(|l| labels.binary_search(l).is_ok()),
+            AffectedSeekers::Everyone => true,
+        }
+    }
+
+    /// Whether no seeker is affected (the batch edited no edge).
+    pub fn is_empty(&self) -> bool {
+        matches!(self, AffectedSeekers::Listed(nodes) if nodes.is_empty())
     }
 }
 
@@ -285,11 +355,12 @@ impl LiveCorpus {
     /// at a cost proportional to what the batch touches (see the module
     /// docs). Lock-free with respect to readers.
     ///
-    /// `horizon` bounds the affected-seeker search: pass the model's
-    /// decay horizon ([`crate::proximity::decay_horizon`]) or the serving
-    /// tier's [`crate::proximity::SigmaBounds`] radius when every cached
-    /// ranking was computed under one; `None` uses full reachability,
-    /// which is sound for every model.
+    /// `horizon` bounds the affected seekers: pass the model's decay
+    /// horizon ([`crate::proximity::decay_horizon`]) or the serving tier's
+    /// [`crate::proximity::SigmaBounds`] radius when every cached ranking
+    /// was computed under one, for a search that deep; `None` uses full
+    /// reachability — the endpoints' components, read from the base's
+    /// labels — which is sound for every model.
     ///
     /// Callers of the raw `prepare`/`publish` pair are the single-writer
     /// side of the contract: do not interleave two prepares, and log
@@ -312,9 +383,13 @@ impl LiveCorpus {
         let graph = base.graph.with_edits(&inserts, &removals);
         let store = base.store.with_appends(&appends);
         let edits = effective_edits(&base.graph, &graph, &inserts, &removals);
-        let touched_tags = batch.touched_tags();
-        let affected_seekers = reachable_from(&base.graph, &EdgeEdit::endpoints(&edits), horizon);
-        let next = Arc::new(base.next_epoch(graph, store, &appends));
+        let sources = EdgeEdit::endpoints(&edits);
+        let affected_seekers = match horizon {
+            _ if sources.is_empty() => AffectedSeekers::Listed(sources),
+            Some(hops) => AffectedSeekers::Listed(within_hops(&base.graph, &sources, hops)),
+            None => AffectedSeekers::connected_to(base.components(), &sources),
+        };
+        let next = Arc::new(base.next_epoch(graph, store, &appends, &edits));
         // The σ-index and global lists must be warm before publication:
         // the first query needing them on each shard would otherwise build
         // them inline after the epoch switch, stalling that shard's queue
@@ -326,26 +401,29 @@ impl LiveCorpus {
             next,
             edits: edits.into(),
             affected_seekers,
-            touched_tags,
+            touched_tags: batch.touched_tags(),
             mutations: batch.len(),
             prepare_time: started.elapsed(),
         }
     }
 
     /// Publishes a prepared snapshot: one pointer swap under the write
-    /// lock, then the epoch hint bump. Sweep the caches you own **before**
-    /// calling this — after the swap, readers will trust every surviving
-    /// entry (the graph token did not change).
+    /// lock, then the epoch hint bump. A retired epoch this held the last
+    /// reference to is freed after the lock is released. Sweep the caches
+    /// you own **before** calling this — after the swap, readers will
+    /// trust every surviving entry (the graph token did not change).
     pub fn publish(&self, prepared: &PreparedMutation) {
         let next = Arc::clone(&prepared.next);
         let epoch = next.epoch();
-        *self.current.write() = next;
+        // The guard is released at the end of this statement.
+        let retired = std::mem::replace(&mut *self.current.write(), next);
         self.epoch_hint.store(epoch, Ordering::Release);
+        drop(retired);
     }
 
-    /// The write path: under the writer gate, prepare the next epoch, append
-    /// `batch` to the WAL (durable corpora only), run `sweep`, publish, and
-    /// snapshot if one is due; returns what `sweep` returned.
+    /// The write path: under the writer gate, prepare the next epoch while
+    /// appending `batch` to the WAL (durable corpora only), run `sweep`,
+    /// publish, and snapshot if one is due; returns what `sweep` returned.
     ///
     /// `sweep` receives the prepared epoch and the batch's WAL receipt
     /// (`None` in memory) and must make every cache the caller owns safe
@@ -356,7 +434,10 @@ impl LiveCorpus {
     /// acks.
     ///
     /// `Err` from the WAL append means the batch is not durable: `sweep`
-    /// did not run and nothing was published. `Err` after the append can
+    /// did not run and nothing was published. So does `InvalidInput` from
+    /// a durable corpus, which refuses a batch that breaks the graph's or
+    /// the store's contract ([`MutationBatch::keeps_the_contract`]) before
+    /// logging it: recovery could not replay it. `Err` after the append can
     /// only come from snapshot maintenance; the batch is then already
     /// durable and published, and only the sweep's value is lost. Readers
     /// never wait on the gate.
@@ -367,11 +448,26 @@ impl LiveCorpus {
         sweep: impl FnOnce(&Arc<PreparedMutation>, Option<WalAppend>) -> R,
     ) -> std::io::Result<R> {
         let _writer = self.write_gate.lock();
-        let prepared = Arc::new(self.prepare(batch, horizon));
-        let wal = match &self.durable {
-            Some(d) => Some(d.wal.lock().append(prepared.epoch(), batch)?),
-            None => None,
+        let base = self.snapshot();
+        let (prepared, wal) = match &self.durable {
+            None => (Self::prepare_from(&base, batch, horizon), None),
+            Some(d) => {
+                if !batch.keeps_the_contract(&base.store) {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        "mutation batch breaks the graph's or the store's contract",
+                    ));
+                }
+                let (prepared, appended) = std::thread::scope(|s| {
+                    // The epoch is the base's + 1, fixed under the gate.
+                    let append = s.spawn(|| d.wal.lock().append(base.epoch() + 1, batch));
+                    (Self::prepare_from(&base, batch, horizon), append.join())
+                });
+                let appended = appended.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (prepared, Some(appended?))
+            }
         };
+        let prepared = Arc::new(prepared);
         let swept = sweep(&prepared, wal);
         self.publish(&prepared);
         if let Some(d) = &self.durable {
@@ -846,35 +942,30 @@ fn effective_edits(
         .collect()
 }
 
-/// Multi-source BFS over `graph` from `sources`, depth-limited by
-/// `horizon` (`None` = unlimited): every node whose σ could see a change
-/// at a source. Sources themselves are included. Sorted.
-fn reachable_from(graph: &CsrGraph, sources: &[NodeId], horizon: Option<u32>) -> Vec<NodeId> {
-    let n = graph.num_nodes();
-    if n == 0 || sources.is_empty() {
-        return Vec::new();
-    }
-    let mut seen = vec![false; n];
+/// Multi-source BFS over `graph` from `sources`, at most `hops` deep:
+/// every node whose σ under a model with that horizon could see a change at
+/// a source. Sources themselves are included. Sorted.
+fn within_hops(graph: &CsrGraph, sources: &[NodeId], hops: u32) -> Vec<NodeId> {
+    let mut seen = vec![false; graph.num_nodes()];
     let mut frontier: Vec<NodeId> = Vec::new();
     for &s in sources {
-        if (s as usize) < n && !seen[s as usize] {
-            seen[s as usize] = true;
+        if !std::mem::replace(&mut seen[s as usize], true) {
             frontier.push(s);
         }
     }
     let mut out: Vec<NodeId> = frontier.clone();
-    let mut depth = 0u32;
-    while !frontier.is_empty() && horizon.is_none_or(|h| depth < h) {
-        depth += 1;
+    for _ in 0..hops {
         let mut next = Vec::new();
         for &u in &frontier {
             for &v in graph.neighbors(u) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
+                if !std::mem::replace(&mut seen[v as usize], true) {
                     next.push(v);
                     out.push(v);
                 }
             }
+        }
+        if next.is_empty() {
+            break;
         }
         frontier = next;
     }
@@ -923,6 +1014,11 @@ mod tests {
     }
 
     const MODEL: ProximityModel = ProximityModel::WeightedDecay { alpha: 0.5 };
+
+    /// The nodes below `n` that `affected` contains.
+    fn members(affected: &AffectedSeekers, n: u32) -> Vec<NodeId> {
+        (0..n).filter(|&s| affected.contains(s)).collect()
+    }
 
     /// Commits `batch` with nothing to sweep; returns the published epoch.
     fn commit(live: &LiveCorpus, batch: &MutationBatch) -> u64 {
@@ -989,7 +1085,7 @@ mod tests {
         assert_eq!(EdgeEdit::endpoints(&p.edits), vec![2, 3]);
         // Both communities are old-graph-reachable from the endpoints;
         // isolated node 6 is not.
-        assert_eq!(p.affected_seekers, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(members(&p.affected_seekers, 7), vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(p.touched_tags, vec![3]);
     }
 
@@ -1010,9 +1106,9 @@ mod tests {
         let live = LiveCorpus::new(Arc::new(Corpus::new(graph, store)));
         let batch = MutationBatch::new(vec![Mutation::RemoveEdge { u: 0, v: 1 }]);
         let tight = live.prepare(&batch, Some(1));
-        assert_eq!(tight.affected_seekers, vec![0, 1, 2]);
+        assert_eq!(members(&tight.affected_seekers, 6), vec![0, 1, 2]);
         let full = live.prepare(&batch, None);
-        assert_eq!(full.affected_seekers, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(members(&full.affected_seekers, 6), vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -1335,6 +1431,35 @@ mod tests {
         assert!(!report.degraded(), "clean shutdown must not look degraded");
         assert_eq!(report.recovered_epoch, 4);
         assert_same_corpus(&recovered.snapshot(), &shadow.snapshot());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_durable_commit_refuses_what_recovery_could_not_replay() {
+        let dir = tmp_dir("refused");
+        let live = LiveCorpus::open_durable(fixture(), DurabilityConfig::new(&dir)).unwrap();
+        let insert = |u, v, weight| Mutation::InsertEdge { u, v, weight };
+        for bad in [
+            vec![insert(0, 9, 1.0)],
+            vec![insert(0, 3, -0.5)],
+            vec![Mutation::AddTagging(Tagging::unit(9, 0, 0))],
+            // `with_edits` reads only a pair's last insert, and ignores
+            // self-loops, but the log cannot hold a NaN.
+            vec![insert(0, 3, f32::NAN), insert(3, 0, 0.5)],
+            vec![insert(2, 2, f32::NAN)],
+        ] {
+            let err = live
+                .commit(&MutationBatch::new(bad), None, |_, _| ())
+                .unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert_eq!(live.epoch(), 0);
+        }
+        assert_eq!(live.wal_stats().unwrap().appends, 0);
+        assert_eq!(commit(&live, &edge_batch(0, 3, 0.5)), 1);
+        drop(live);
+        let (recovered, report) = LiveCorpus::recover(&dir).unwrap();
+        assert_eq!((report.replayed, report.degraded()), (1, false));
+        assert_eq!(recovered.snapshot().graph.edge_weight(0, 3), Some(0.5));
         std::fs::remove_dir_all(&dir).ok();
     }
 

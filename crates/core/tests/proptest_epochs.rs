@@ -5,14 +5,19 @@
 //! its first changed block and each touched global list patched — equal
 //! the ones a cold corpus over the same graph and store builds from scratch.
 //! Compared per tag down to tagger groups, tagger ranges, block metadata
-//! and the encoded block bytes, plus the index-wide counts.
+//! and the encoded block bytes, plus the index-wide counts. Along the same
+//! chain the derived component labels equal a cold labelling, and the
+//! affected-seeker set each prepare reads from its base's labels holds
+//! exactly the nodes an unbounded BFS from the batch's edit endpoints
+//! reaches on the base graph.
 
 use friends_core::corpus::Corpus;
 use friends_core::live::LiveCorpus;
 use friends_data::mutations::{Mutation, MutationBatch};
 use friends_data::store::TagStore;
 use friends_data::Tagging;
-use friends_graph::{CsrGraph, GraphBuilder};
+use friends_graph::traversal::EdgeEdit;
+use friends_graph::{CsrGraph, GraphBuilder, NodeId};
 use friends_index::inverted::InvertedIndex;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -74,6 +79,29 @@ fn ring() -> CsrGraph {
     )
 }
 
+/// Every node `graph` connects to one of `sources`, sorted: the unbounded
+/// multi-source BFS that the affected-seeker set replaces, as its oracle.
+fn reachable_from(graph: &CsrGraph, sources: &[NodeId]) -> Vec<NodeId> {
+    let mut seen = vec![false; graph.num_nodes()];
+    let mut stack: Vec<NodeId> = Vec::new();
+    for &s in sources {
+        if !std::mem::replace(&mut seen[s as usize], true) {
+            stack.push(s);
+        }
+    }
+    let mut out = stack.clone();
+    while let Some(u) = stack.pop() {
+        for &v in graph.neighbors(u) {
+            if !std::mem::replace(&mut seen[v as usize], true) {
+                stack.push(v);
+                out.push(v);
+            }
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
 fn bits(row: &[(u32, f32)]) -> Vec<(u32, u32)> {
     row.iter().map(|&(i, s)| (i, s.to_bits())).collect()
 }
@@ -124,8 +152,19 @@ proptest! {
         current.sigma_index();
         current.global_lists();
         for ops in &chain {
-            let next = LiveCorpus::prepare_from(&current, &batch_of(ops), None).next;
+            let prepared = LiveCorpus::prepare_from(&current, &batch_of(ops), None);
+            let reached = reachable_from(&current.graph, &EdgeEdit::endpoints(&prepared.edits));
+            for s in 0..USERS {
+                prop_assert_eq!(
+                    prepared.affected_seekers.contains(s),
+                    reached.binary_search(&s).is_ok(),
+                    "seeker {}",
+                    s
+                );
+            }
+            let next = prepared.next;
             let cold = Corpus::with_epoch(next.graph.clone(), next.store.clone(), next.epoch());
+            prop_assert_eq!(next.components(), cold.components());
             same_index(next.sigma_index(), cold.sigma_index())?;
             let bits = |lists: &[Arc<[(u32, f32)]>]| -> Vec<Vec<(u32, u32)>> {
                 lists.iter().map(|l| bits(l)).collect()

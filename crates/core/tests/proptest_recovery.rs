@@ -142,7 +142,8 @@ fn assert_identical(recovered: &Arc<Corpus>, expected: &Arc<Corpus>, ctx: &str) 
 /// Runs the workload against a durable corpus whose WAL writer is rigged
 /// with `mode`; returns how many batches were acknowledged (committed
 /// without error) before the injected failure. A failed commit must have
-/// published nothing: the corpus still serves the last acked epoch.
+/// swept and published nothing: its sweep never ran, and the corpus still
+/// serves the last acked epoch.
 fn run_with_fault(dir: &PathBuf, mode: FailMode, sync: SyncPolicy) -> usize {
     let fs = Arc::new(FailingFs::new(mode));
     let cfg = DurabilityConfig {
@@ -152,10 +153,12 @@ fn run_with_fault(dir: &PathBuf, mode: FailMode, sync: SyncPolicy) -> usize {
     let live = LiveCorpus::open_durable_with_fs(seed_corpus(), cfg, fs).unwrap();
     let mut acked = 0;
     for b in workload() {
-        match live.commit(&b, None, |_, _| ()) {
+        let mut swept = false;
+        match live.commit(&b, None, |_, _| swept = true) {
             Ok(()) => acked += 1,
             Err(_) => {
                 // The process "died" here, at the durability point.
+                assert!(!swept, "a failed commit ran its sweep");
                 assert_eq!(
                     live.epoch(),
                     acked as u64,

@@ -88,6 +88,26 @@ impl MutationBatch {
         (inserts, removals, taggings)
     }
 
+    /// Whether every mutation keeps the id and weight contract of
+    /// [`CsrGraph::with_edits`] and [`TagStore::with_appends`] on a corpus
+    /// whose graph has one node per user of `store`: every inserted edge,
+    /// self-loops included, in range with a finite, non-negative weight,
+    /// every tagging as [`TagStore::build`] requires, removals anything.
+    /// Such a batch applies without a panic, and its WAL record replays.
+    pub fn keeps_the_contract(&self, store: &TagStore) -> bool {
+        let n = store.num_users();
+        self.mutations.iter().all(|m| match *m {
+            Mutation::InsertEdge { u, v, weight } => {
+                friends_graph::csr::edge_in_contract(n as usize, u, v, weight)
+            }
+            Mutation::RemoveEdge { .. } => true,
+            Mutation::AddTagging(t) => {
+                crate::store::contract_violation(&t, n, store.num_items(), store.num_tags())
+                    .is_none()
+            }
+        })
+    }
+
     /// Every distinct edge endpoint touched by the batch, sorted — the
     /// node set invalidation sweeps test σ reach against.
     pub fn touched_nodes(&self) -> Vec<NodeId> {

@@ -299,11 +299,21 @@ impl Splice<'_> {
 /// The endpoint and weight contract shared by [`GraphBuilder::add_edge`]
 /// and [`CsrGraph::with_edits`].
 fn check_edge(n: usize, u: NodeId, v: NodeId, w: f32) {
-    assert!(
-        (u as usize) < n && (v as usize) < n,
-        "edge ({u}, {v}) out of range for {n} nodes"
-    );
-    assert!(w.is_finite() && w >= 0.0, "invalid edge weight {w}");
+    if !edge_in_contract(n, u, v, w) {
+        assert!(
+            (u as usize) < n && (v as usize) < n,
+            "edge ({u}, {v}) out of range for {n} nodes"
+        );
+        panic!("invalid edge weight {w}");
+    }
+}
+
+/// Whether the edge `{u, v}` at weight `w` keeps the contract
+/// [`GraphBuilder::add_edge`] and [`CsrGraph::with_edits`] enforce on a
+/// graph of `n` nodes: both endpoints in range, the weight finite and
+/// non-negative.
+pub fn edge_in_contract(n: usize, u: NodeId, v: NodeId, w: f32) -> bool {
+    (u as usize) < n && (v as usize) < n && w.is_finite() && w >= 0.0
 }
 
 /// Incremental builder producing a [`CsrGraph`].

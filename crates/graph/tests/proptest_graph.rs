@@ -2,6 +2,7 @@
 //! the CSR builder, optimality of the traversals, and the probabilistic
 //! contracts of PPR and the landmark oracle.
 
+use friends_graph::components::Components;
 use friends_graph::csr::{CsrGraph, GraphBuilder, NodeId};
 use friends_graph::landmarks::{LandmarkOracle, LandmarkStrategy};
 use friends_graph::ppr::{forward_push, power_iteration, PushWorkspace};
@@ -701,6 +702,50 @@ proptest! {
                 want[u],
                 folded
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Components::after` along a lineage equals `Components::build` on
+    /// every graph of it, and `build` names each node's component by the
+    /// smallest node a BFS from it reaches. The graphs are sparse (up to 2n
+    /// random edges on n ≤ 19 nodes), so they start in several components;
+    /// batches insert random pairs (joins), remove stored edges (bridges
+    /// that split a component, a node's last edge), remove absent pairs and
+    /// re-insert at the stored weight (no-ops), reweight stored edges, and
+    /// are sometimes empty. A batch that joins and splits nothing shares
+    /// its base's labels.
+    #[test]
+    fn derived_components_equal_cold_labels(
+        (n, _seeker, edges, batches) in arb_repair_case(),
+    ) {
+        let weighted: Vec<(NodeId, NodeId, f32)> =
+            edges.iter().map(|&(u, v, wi)| (u, v, QUANTA[wi])).collect();
+        let mut g = build(n, &weighted);
+        let mut labels = Components::build(&g);
+        for ops in &batches {
+            let (inserts, removals) = resolve_ops(&g, 0, ops);
+            let next = g.with_edits(&inserts, &removals);
+            let edits = edits_between(&g, &next, &inserts, &removals);
+            let derived = labels.after(&next, &edits);
+            let cold = Components::build(&next);
+            prop_assert_eq!(&derived, &cold, "edits {:?}", edits);
+            for u in 0..n as NodeId {
+                let dist = bfs_distances(&next, u);
+                let smallest = dist.iter().position(|&d| d != UNREACHABLE);
+                prop_assert_eq!(Some(cold.label(u) as usize), smallest, "node {}", u);
+            }
+            let roots = (0..n as NodeId).filter(|&u| cold.label(u) == u).count();
+            prop_assert_eq!(cold.count(), roots);
+            if cold == labels {
+                let shared = std::ptr::eq(derived.labels(), labels.labels());
+                prop_assert!(shared, "edits {:?}", edits);
+            }
+            g = next;
+            labels = derived;
         }
     }
 }

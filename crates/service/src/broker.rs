@@ -104,9 +104,6 @@ const SHARD_CACHE_POLICY: CachePolicy = CachePolicy {
 pub struct ServiceConfig {
     /// Worker shard count (≥ 1). Requests route by `hash(seeker) % shards`.
     pub shards: usize,
-    /// Per-shard queue bound; 0 means unbounded. A bounded queue makes
-    /// `submit` exert backpressure instead of buffering without limit.
-    pub queue_capacity: usize,
     /// Byte budget of each shard's private proximity cache, its only
     /// limit (`usize::MAX` disables it). A byte budget lets
     /// reach-proportional `Touched` snapshots pack thousands deep where
@@ -143,7 +140,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             shards: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            queue_capacity: 0,
             // A byte budget, not an entry cap: σ entries vary by orders of
             // magnitude between Touched and Dense snapshots.
             cache_bytes: 64 << 20,
@@ -244,17 +240,6 @@ pub struct MutationReport {
     pub refresh: Duration,
     /// Time from the first broadcast send to the last shard's ack.
     pub barrier: Duration,
-}
-
-/// A work queue: unbounded when `capacity` is 0.
-pub(crate) fn work_queue(
-    capacity: usize,
-) -> (channel::Sender<WorkItem>, channel::Receiver<WorkItem>) {
-    if capacity == 0 {
-        channel::unbounded()
-    } else {
-        channel::bounded(capacity)
-    }
 }
 
 /// Spawns one worker draining `rx`. The worker serves one snapshot per
@@ -446,7 +431,7 @@ impl FriendsService {
         let mut states = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (tx, rx) = work_queue(config.queue_capacity);
+            let (tx, rx) = channel::unbounded();
             let cache = Arc::new(ProximityCache::with_byte_budget(
                 config.cache_bytes,
                 1, // shard-private: exactly one worker ever takes the lock
@@ -547,11 +532,13 @@ impl FriendsService {
     /// [`FriendsService::apply_mutations`] with the durability error
     /// surfaced. The batch goes through [`LiveCorpus::commit`]: on a
     /// durable service it is appended to the WAL (group commit, fsynced
-    /// per [`DurabilityConfig::sync`]) *after* prepare and **before** any
+    /// per [`DurabilityConfig::sync`]) beside prepare and **before** any
     /// shard sees it, so `Err` from the append means nothing was
     /// broadcast, published or acknowledged — the corpus stays at the
-    /// previous epoch and the caller may retry. `Err` after the WAL write
-    /// can only come from snapshot maintenance
+    /// previous epoch and the caller may retry. The same holds for an
+    /// `InvalidInput` refusal of a batch that breaks the graph's or the
+    /// store's contract, which a retry will not cure. `Err` after the WAL
+    /// write can only come from snapshot maintenance
     /// ([`DurabilityConfig::snapshot_every`]); the batch itself is then
     /// already durable and published, and the report is lost only to the
     /// caller. Every batch, an empty one too, publishes one epoch.

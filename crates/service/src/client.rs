@@ -20,8 +20,7 @@
 //! (pinned by `tests/proptest_client.rs`).
 
 use crate::broker::{
-    enqueue, spawn_worker, work_queue, FaultPlan, FriendsService, ServiceConfig, WorkItem,
-    WorkerConfig,
+    enqueue, spawn_worker, FaultPlan, FriendsService, ServiceConfig, WorkItem, WorkerConfig,
 };
 use crate::request::{Reply, Ticket};
 use crate::stats::{ServiceStats, ShardState, ShardStats};
@@ -107,8 +106,6 @@ pub struct DirectConfig {
     /// jobs on one queue — no affinity, work goes wherever a thread is
     /// idle.
     pub threads: usize,
-    /// Job queue bound; 0 means unbounded.
-    pub queue_capacity: usize,
     /// Capacity of the **shared** sharded proximity cache; 0 runs
     /// cache-less (every query materializes σ into its worker's scratch).
     pub cache_capacity: usize,
@@ -126,7 +123,6 @@ impl Default for DirectConfig {
     fn default() -> Self {
         DirectConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            queue_capacity: 0,
             // Byte budget is the primary limit; the entry cap is a disabled
             // fallback (0 still runs cache-less).
             cache_capacity: usize::MAX,
@@ -182,7 +178,7 @@ impl DirectClient {
         } else {
             config.threads
         };
-        let (tx, rx) = work_queue(config.queue_capacity);
+        let (tx, rx) = channel::unbounded();
         let cache = (config.cache_capacity > 0).then(|| {
             Arc::new(ProximityCache::with_limits(
                 config.cache_capacity,

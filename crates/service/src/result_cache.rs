@@ -29,6 +29,7 @@
 //! [`QueryStats`]: friends_core::corpus::QueryStats
 
 use friends_core::cache::{AdmissionLru, CachePolicy, CacheStats};
+use friends_core::live::AffectedSeekers;
 use friends_core::processors::ScoringStrategy;
 use friends_core::proximity::{ProximityModel, SigmaBounds};
 use friends_data::queries::Query;
@@ -146,20 +147,20 @@ impl ResultCache {
     }
 
     /// Eagerly drops only the rankings a mutation batch can change:
-    /// entries whose seeker is in `seekers` (sorted) under a σ-dependent
-    /// model, plus entries whose query mentions a tag in `tags` (sorted).
+    /// entries whose seeker `seekers` contains under a σ-dependent model,
+    /// plus entries whose query mentions a tag in `tags` (sorted).
     ///
     /// Seeker matching skips the `Global` model (`σ ≡ 1` is
     /// graph-independent). Tag matching is model-blind: appended postings
     /// change every ranking that reads that tag. Returns the number of
     /// entries dropped.
-    pub fn invalidate_partial(&self, seekers: &[u32], tags: &[u32]) -> u64 {
+    pub fn invalidate_partial(&self, seekers: &AffectedSeekers, tags: &[u32]) -> u64 {
         if seekers.is_empty() && tags.is_empty() {
             return 0;
         }
         self.inner.lock().retain(|key, _| {
             let sigma_dependent = key.model != ProximityModel::Global.key_bits();
-            let seeker_hit = sigma_dependent && seekers.binary_search(&key.query.seeker).is_ok();
+            let seeker_hit = sigma_dependent && seekers.contains(key.query.seeker);
             !seeker_hit && !key.query.tags.iter().any(|t| tags.binary_search(t).is_ok())
         })
     }
@@ -248,6 +249,10 @@ mod tests {
 
     fn ranking(item: u32) -> Arc<Vec<(ItemId, f32)>> {
         Arc::new(vec![(item, 1.0)])
+    }
+
+    fn listed(seekers: &[u32]) -> AffectedSeekers {
+        AffectedSeekers::Listed(seekers.to_vec())
     }
 
     const POLICY: CachePolicy = CachePolicy {
@@ -344,7 +349,7 @@ mod tests {
             c.insert(key(u, u), ranking(u), 0.0);
         }
         assert!(c.get(&key(1, 1)).is_some()); // recency: 2 3 4 1
-        assert_eq!(c.invalidate_partial(&[3], &[2]), 2); // recency: 4 1
+        assert_eq!(c.invalidate_partial(&listed(&[3]), &[2]), 2); // recency: 4 1
         c.insert(key(5, 5), ranking(5), 0.0);
         c.insert(key(6, 6), ranking(6), 0.0); // full: 4 1 5 6
         assert!(c.get(&key(4, 4)).is_some()); // recency: 1 5 6 4
@@ -415,7 +420,7 @@ mod tests {
         c.insert(key(1, 0), ranking(1), 0.0);
         c.insert(key(2, 0), ranking(2), 0.0);
         c.insert(key(3, 0), ranking(3), 0.0);
-        let dropped = c.invalidate_partial(&[2], &[]);
+        let dropped = c.invalidate_partial(&listed(&[2]), &[]);
         assert_eq!(dropped, 1);
         assert!(c.get(&key(1, 0)).is_some(), "unaffected seeker swept");
         assert!(c.get(&key(2, 0)).is_none(), "affected seeker survived");
@@ -430,7 +435,7 @@ mod tests {
         let c = ResultCache::new(8, POLICY);
         c.insert(global(1, 0), ranking(1), 0.0);
         c.insert(key(2, 5), ranking(2), 0.0);
-        let dropped = c.invalidate_partial(&[], &[0]);
+        let dropped = c.invalidate_partial(&listed(&[]), &[0]);
         assert_eq!(dropped, 1);
         assert!(
             c.get(&global(1, 0)).is_none(),
@@ -447,7 +452,7 @@ mod tests {
         let c = ResultCache::new(8, POLICY);
         c.insert(global(1, 0), ranking(1), 0.0);
         c.insert(key(1, 1), ranking(2), 0.0);
-        let dropped = c.invalidate_partial(&[1], &[]);
+        let dropped = c.invalidate_partial(&listed(&[1]), &[]);
         assert_eq!(dropped, 1);
         assert!(
             c.get(&global(1, 0)).is_some(),

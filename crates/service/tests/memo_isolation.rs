@@ -99,10 +99,10 @@ fn submit_side_hits_answer_from_exactly_one_epoch() {
     )
     .queries;
     let num_tags = seed.store.num_tags();
+    let nodes = 0..seed.graph.num_nodes() as u32;
     for (seekers, tags) in &affected {
-        let inside = seekers.first().copied();
-        let outside =
-            (0..seed.graph.num_nodes() as u32).find(|u| seekers.binary_search(u).is_err());
+        let inside = nodes.clone().find(|&u| seekers.contains(u));
+        let outside = nodes.clone().find(|&u| !seekers.contains(u));
         let touched = tags.first().copied();
         let untouched = (0..num_tags).find(|t| tags.binary_search(t).is_err());
         for seeker in [inside, outside].into_iter().flatten() {
@@ -186,8 +186,7 @@ fn submit_side_hits_answer_from_exactly_one_epoch() {
             done.store(epoch as u64, Ordering::SeqCst);
             let (seekers, tags) = &affected[b];
             for (i, (q, model)) in requests.iter().enumerate() {
-                let seeker_hit =
-                    *model != ProximityModel::Global && seekers.binary_search(&q.seeker).is_ok();
+                let seeker_hit = *model != ProximityModel::Global && seekers.contains(q.seeker);
                 let tag_hit = q.tags.iter().any(|t| tags.binary_search(t).is_ok());
                 if !(seeker_hit || tag_hit) {
                     continue;
