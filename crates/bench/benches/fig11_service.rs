@@ -1,13 +1,12 @@
 //! Fig 11 kernel: the serving tier under a Zipf repeat-query request
 //! stream.
 //!
-//! Three ways to answer the same stream, per model:
+//! Three ways to answer the same stream, per model, each a planner-backed
+//! `ServedClient` with seeker-affinity shard routing and private
+//! admission-controlled σ caches:
 //!
-//! * `direct`  — a `DirectClient`: one shared queue over one shared sharded
-//!   cache, no affinity, no coalescing (the baseline);
-//! * `service` — a transient planner-backed `ServedClient`:
-//!   seeker-affinity shard routing, batched dispatch with
-//!   duplicate-request coalescing, private admission-controlled caches;
+//! * `baseline` — one request per dispatch cycle, so nothing coalesces;
+//! * `service` — batched dispatch with duplicate-request coalescing;
 //! * `service_memo` — the same with the cross-request result cache, so
 //!   repeats in *later* iterations of the measurement loop skip execution.
 //!
@@ -18,10 +17,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use friends_bench::serving_corpus;
-use friends_core::cache::CachePolicy;
 use friends_core::proximity::ProximityModel;
 use friends_data::requests::{RequestParams, RequestStream};
-use friends_service::{DirectClient, DirectConfig, SearchClient, ServedClient, ServiceConfig};
+use friends_service::{SearchClient, ServedClient, ServiceConfig};
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
@@ -49,28 +47,18 @@ fn bench(c: &mut Criterion) {
             epsilon: 1e-4,
         },
     ] {
-        group.bench_with_input(
-            BenchmarkId::new("direct", model.name()),
-            &queries,
-            |b, q| {
-                let client = DirectClient::start(
-                    Arc::clone(&corpus),
-                    DirectConfig {
-                        threads: shards,
-                        cache_capacity: corpus.num_users() as usize,
-                        cache_policy: CachePolicy::default(),
-                        ..DirectConfig::default()
-                    },
-                );
-                b.iter(|| std::hint::black_box(client.search(q, model)))
-            },
-        );
-        for (label, result_cache) in [("service", 0usize), ("service_memo", 4096)] {
+        let batch = ServiceConfig::default().max_batch;
+        for (label, max_batch, result_cache) in [
+            ("baseline", 1, 0usize),
+            ("service", batch, 0),
+            ("service_memo", batch, 4096),
+        ] {
             group.bench_with_input(BenchmarkId::new(label, model.name()), &queries, |b, q| {
                 let client = ServedClient::start(
                     Arc::clone(&corpus),
                     ServiceConfig {
                         shards,
+                        max_batch,
                         result_cache_capacity: result_cache,
                         ..ServiceConfig::default()
                     },

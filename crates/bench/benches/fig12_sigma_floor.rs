@@ -35,7 +35,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dense-snap", model.name()), &w, |b, w| {
             let cache = Arc::new(ProximityCache::with_byte_budget(
                 budget,
-                16,
                 CachePolicy::default(),
             ));
             let mut p = DenseSnapshotExact::new(&corpus, model, cache);
@@ -48,7 +47,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("touched", model.name()), &w, |b, w| {
             let cache = Arc::new(ProximityCache::with_byte_budget(
                 budget,
-                16,
                 CachePolicy::default(),
             ));
             let mut p = ExactOnline::with_cache(&corpus, model, cache);

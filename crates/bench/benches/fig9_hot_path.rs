@@ -2,14 +2,16 @@
 //! seeker traffic.
 //!
 //! Three σ paths over the same batch, per sparse-support-friendly model,
-//! each through a standing [`DirectClient`] pool:
+//! each through a standing 4-shard [`ServedClient`] that takes one request
+//! per dispatch cycle:
 //!
 //! * `dense`      — the baseline registry entry: per-query `O(n)`
 //!   materialize + full posting scan;
 //! * `workspace`  — epoch-stamped `SigmaWorkspace` (sparse support where the
-//!   model allows), zero per-query `O(n)` allocations;
-//! * `cached`     — workspace plus the sharded seeker-proximity cache shared
-//!   across the pool's workers.
+//!   model allows), zero per-query `O(n)` allocations: a zero σ byte budget
+//!   admits nothing;
+//! * `cached`     — workspace plus each shard's private seeker-proximity
+//!   cache.
 //!
 //! `report --exp fig9` prints the same comparison with throughput numbers
 //! and the correctness cross-check.
@@ -21,14 +23,14 @@ use friends_bench::{
 use friends_core::corpus::Corpus;
 use friends_core::proximity::ProximityModel;
 use friends_data::datasets::{DatasetSpec, Scale};
-use friends_service::{DirectClient, DirectConfig, SearchClient};
+use friends_service::{SearchClient, ServedClient, ServiceConfig};
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let ds = DatasetSpec::delicious_like(Scale::Tiny).build(42);
     let corpus = Arc::new(Corpus::new(ds.graph, ds.store));
     let w = zipf_seeker_workload(&corpus, 128, 10, 1.1, 7);
-    let threads = 4;
+    let shards = 4;
     let mut group = c.benchmark_group("fig9_hot_path");
     group.sample_size(10);
 
@@ -40,13 +42,14 @@ fn bench(c: &mut Criterion) {
             epsilon: 1e-4,
         },
     ] {
-        let pool = |cache_capacity| {
-            DirectClient::with_registry(
+        let pool = |cache_bytes| {
+            ServedClient::with_registry(
                 Arc::clone(&corpus),
-                DirectConfig {
-                    threads,
-                    cache_capacity,
-                    ..DirectConfig::default()
+                ServiceConfig {
+                    shards,
+                    cache_bytes,
+                    max_batch: 1,
+                    ..ServiceConfig::default()
                 },
                 registry_with_dense_baseline(),
             )
@@ -62,7 +65,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(client.search(&w.queries, model)))
         });
         group.bench_with_input(BenchmarkId::new("cached", model.name()), &w, |b, w| {
-            let client = pool(corpus.num_users() as usize);
+            let client = pool(ServiceConfig::default().cache_bytes);
             b.iter(|| std::hint::black_box(client.search(&w.queries, model)))
         });
     }

@@ -260,7 +260,7 @@ fn bench(c: &mut Criterion) {
             },
         );
         for resident in [64u32, 699] {
-            let cache = ProximityCache::with_shards(resident as usize, 1);
+            let cache = ProximityCache::new(resident as usize);
             for seeker in 0..resident {
                 let v = cold(model, &base.graph, seeker, &mut ws);
                 cache.insert(&base.graph, seeker, model, Arc::new(v));

@@ -144,16 +144,18 @@ fn main() {
         // Standing perf notes future PRs should read alongside the numbers.
         let notes = [
             "cache policy: global and friends-only bypass the ProximityCache \
-             (cache_worthy=false) - a shard-mutex hit costs about what their \
+             (cache_worthy=false) - a cache-mutex hit costs about what their \
              materialization does, so their fig9 'cached' column equals the \
              workspace path by design",
             "fig10: block-max sigma-aware WAND vs posting scan / support \
-             probe, driven through a single-threaded DirectClient with \
+             probe, driven through a one-shard ServedClient with \
              forced strategy hints; the ignored fig10_blockmax_gate test \
              pins the low-selectivity speedup at serving scale",
             "fig11: ServedClient (planner-backed seeker-affinity shards + \
              request coalescing + TinyLFU-admission shard caches + result \
-             memoization) vs a shared-queue DirectClient; the ignored fig11_service_gate test pins the >=1.3x \
+             memoization) vs a ServedClient over as many shards taking one \
+             request per dispatch cycle with no result cache; the ignored \
+             fig11_service_gate test pins the >=1.3x \
              serving-scale win with zero deadline misses through the \
              client API",
             "per-experiment 'metrics' objects carry result-cache counters \

@@ -21,7 +21,7 @@ use friends_graph::generators::{self, WeightModel};
 use friends_graph::metrics;
 use friends_index::inverted::IndexConfig;
 use friends_index::postings::{Encoding, PostingConfig};
-use friends_service::{DirectClient, DirectConfig, SearchClient, ServedClient, ServiceConfig};
+use friends_service::{SearchClient, ServedClient, ServiceConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -780,12 +780,14 @@ pub fn table3(profile: Profile) -> String {
 /// Fig 9: the query hot path under Zipf-skewed seeker traffic — batch
 /// throughput of the dense-materialize baseline
 /// ([`crate::DenseMaterializeExact`], a registry entry a cache-less client
-/// is told to use) vs the standard paths of the client API: a
-/// cache-less [`DirectClient`] (the epoch-stamped workspace path), a cached
-/// `DirectClient` (shared seeker-proximity cache), and a [`ServedClient`]
-/// over the seeker-affinity broker. Client pools are standing (started
-/// outside the timed region — that is the point of the API). Rankings are
-/// asserted identical across all four paths while measuring.
+/// is told to use) vs the standard paths of the client API, all
+/// [`ServedClient`]s with one shard per thread: a cache-less one (zero σ
+/// byte budget: the epoch-stamped workspace path), a cached one
+/// (shard-private seeker-proximity caches) — both, like the baseline, one
+/// request per dispatch cycle — and one in the serving posture, which also
+/// coalesces. Clients are standing (started outside the timed region —
+/// that is the point of the API). Rankings are asserted identical across
+/// all four paths while measuring.
 pub fn fig9(profile: Profile) -> ExperimentOutput {
     let c = Arc::new(corpus_for(&DatasetSpec::delicious_like(profile.scale())));
     let (count, threads) = match profile {
@@ -802,17 +804,22 @@ pub fn fig9(profile: Profile) -> ExperimentOutput {
         },
         ProximityModel::AdamicAdar,
     ];
-    let cacheless = DirectConfig {
-        threads,
-        cache_capacity: 0, // pure workspace path
-        ..DirectConfig::default()
+    // One request per dispatch cycle: the baselines do not coalesce.
+    let uncoalesced = ServiceConfig {
+        shards: threads,
+        max_batch: 1,
+        ..ServiceConfig::default()
     };
-    let dense_client = DirectClient::with_registry(
+    let cacheless = ServiceConfig {
+        cache_bytes: 0, // pure workspace path
+        ..uncoalesced.clone()
+    };
+    let dense_client = ServedClient::with_registry(
         Arc::clone(&c),
-        cacheless,
+        cacheless.clone(),
         crate::registry_with_dense_baseline(),
     );
-    let workspace_client = DirectClient::start(Arc::clone(&c), cacheless);
+    let workspace_client = ServedClient::start(Arc::clone(&c), cacheless);
     let served_client = ServedClient::start(
         Arc::clone(&c),
         ServiceConfig {
@@ -840,20 +847,12 @@ pub fn fig9(profile: Profile) -> ExperimentOutput {
         let (ws_r, ws_d) = timed(|| workspace_client.search(&w.queries, model));
         // A fresh cached client per model: the hit rate below is this
         // model's, not an accumulation across the row loop.
-        let cached_client = DirectClient::start(
-            Arc::clone(&c),
-            DirectConfig {
-                threads,
-                cache_capacity: c.num_users() as usize,
-                cache_policy: friends_core::cache::CachePolicy::default(),
-                ..DirectConfig::default()
-            },
-        );
+        let cached_client = ServedClient::start(Arc::clone(&c), uncoalesced.clone());
         let (cached_r, cached_d) = timed(|| cached_client.search(&w.queries, model));
         cached_lat.merge(&cached_client.latencies());
-        let cached_stats = cached_client.shutdown();
+        let cached_stats = cached_client.shutdown().totals();
         // The serving path: the same workload through the seeker-affinity
-        // broker (coalescing + shard-private caches).
+        // broker's serving posture (coalescing + shard-private caches).
         let (served_r, served_d) = timed(|| served_client.search(&w.queries, model));
         // The four paths must agree item-for-item — this is measured code,
         // but correctness is free to check here.
@@ -883,7 +882,7 @@ pub fn fig9(profile: Profile) -> ExperimentOutput {
     stage_rows(&mut lt, "cached", &cached_lat);
     stage_rows(&mut lt, "service", &svc_lat);
     let metrics = vec![
-        plans_metric(&workspace_client.stats().plans),
+        plans_metric(&workspace_client.stats().totals().plans),
         (
             "service_plans".to_owned(),
             plan_histogram_json(&served_client.stats().totals().plans),
@@ -1039,7 +1038,7 @@ pub fn cache_stats_json(s: &friends_core::cache::CacheStats) -> String {
 
 /// Fig 10: the three exact scoring strategies — full posting scan, support
 /// probe and block-max σ-aware WAND — across proximity models and tag
-/// selectivities, driven through a single-threaded [`DirectClient`] with
+/// selectivities, driven through a one-shard [`ServedClient`] with
 /// forced strategy hints (latencies include the client stack, identically
 /// for every strategy, so the ratios stay comparable). "Head" queries draw
 /// popular tags (long posting lists, the low-selectivity regime block-max
@@ -1049,11 +1048,11 @@ pub fn fig10(profile: Profile) -> ExperimentOutput {
     let c = Arc::new(corpus_for(&DatasetSpec::delicious_like(profile.scale())));
     c.sigma_index(); // built once, outside the timed region
     let n_q = profile.queries();
-    let client = DirectClient::start(
+    let client = ServedClient::start(
         Arc::clone(&c),
-        DirectConfig {
-            threads: 1, // per-query latency, one processor's scratch reuse
-            ..DirectConfig::default()
+        ServiceConfig {
+            shards: 1, // per-query latency, one processor's scratch reuse
+            ..ServiceConfig::default()
         },
     );
     let mut t = TextTable::new(&[
@@ -1128,9 +1127,9 @@ pub fn fig10(profile: Profile) -> ExperimentOutput {
     // ratios above).
     let lat = client.latencies();
     let mut lt = stage_table();
-    stage_rows(&mut lt, "direct", &lat);
+    stage_rows(&mut lt, "client", &lat);
     let registry_json = client.metrics().render_json();
-    let stats = client.shutdown();
+    let stats = client.shutdown().totals();
     ExperimentOutput {
         text: format!(
             "Fig 10 — scan vs support-probe vs block-max σ-aware WAND ({:?}, {n_q} queries, k=10)\n{}\nPer-stage latency (all strategies pooled)\n{}",
@@ -1140,23 +1139,23 @@ pub fn fig10(profile: Profile) -> ExperimentOutput {
         ),
         metrics: vec![
             plans_metric(&stats.plans),
-            ("latency_direct".to_owned(), stage_snapshot_json(&lat)),
-            ("metrics_direct".to_owned(), registry_json),
+            ("latency_client".to_owned(), stage_snapshot_json(&lat)),
+            ("metrics_client".to_owned(), registry_json),
         ],
     }
 }
 
 // ----------------------------------------------------------------- Fig 11
 
-/// Fig 11: the serving tier — a [`ServedClient`] (seeker-affinity broker
-/// with coalescing and result memoization) vs a [`DirectClient`] (one
-/// shared queue and cache: no affinity, no coalescing, no memoization), on
-/// a Zipf(1.1) request stream with
-/// per-seeker repeat queries (the [`friends_data::requests`] traffic shape).
-/// The service coalesces duplicate in-flight requests, serves cross-cycle
-/// repeats out of the result cache, keeps each seeker's σ on one shard's
-/// private admission-controlled cache, and sheds nothing at the default
-/// deadline. Rankings are asserted identical while measuring.
+/// Fig 11: the serving tier — a [`ServedClient`] with coalescing and result
+/// memoization vs a baseline `ServedClient` over as many shards that takes
+/// one request per dispatch cycle and memoizes nothing, on a Zipf(1.1)
+/// request stream with per-seeker repeat queries (the
+/// [`friends_data::requests`] traffic shape). Both keep each seeker's σ on
+/// one shard's private admission-controlled cache; only the service
+/// coalesces duplicate in-flight requests and serves cross-cycle repeats
+/// out of the result cache. It sheds nothing at the default deadline.
+/// Rankings are asserted identical while measuring.
 pub fn fig11(profile: Profile) -> ExperimentOutput {
     use friends_data::requests::{RequestParams, RequestStream};
 
@@ -1181,7 +1180,7 @@ pub fn fig11(profile: Profile) -> ExperimentOutput {
     let queries = stream.queries();
     let mut t = TextTable::new(&[
         "model",
-        "direct q/s",
+        "baseline q/s",
         "service q/s",
         "speedup",
         "coalesced %",
@@ -1199,14 +1198,14 @@ pub fn fig11(profile: Profile) -> ExperimentOutput {
             epsilon: 1e-4,
         },
     ] {
-        // The baseline: one shared queue over one shared sharded cache.
-        let base_client = DirectClient::start(
+        // The baseline: the same shards and σ caches, one request per
+        // dispatch cycle, no result cache.
+        let base_client = ServedClient::start(
             Arc::clone(&c),
-            DirectConfig {
-                threads: workers,
-                cache_capacity: c.num_users() as usize,
-                cache_policy: friends_core::cache::CachePolicy::default(),
-                ..DirectConfig::default()
+            ServiceConfig {
+                shards: workers,
+                max_batch: 1,
+                ..ServiceConfig::default()
             },
         );
         let (base_r, base_d) = timed(|| base_client.search(&queries, model));
@@ -1276,7 +1275,7 @@ pub fn fig11(profile: Profile) -> ExperimentOutput {
     }
     ExperimentOutput {
         text: format!(
-            "Fig 11 — serving tier: seeker-affinity ServedClient vs shared-queue DirectClient \
+            "Fig 11 — serving tier: coalescing, memoizing ServedClient vs one-request-per-cycle baseline \
              (Zipf(1.1) repeat-query stream, {users} users, {count} requests, {workers} shards)\n{}\nPer-stage service latency\n{}",
             t.render(),
             lt.render()
@@ -1358,7 +1357,7 @@ pub fn fig12(profile: Profile) -> ExperimentOutput {
             // speedup ratio stays a fair comparison. Queue wait stays
             // empty by construction: this drive has no queue.
             let policy = CachePolicy::default();
-            let dense_cache = Arc::new(ProximityCache::with_byte_budget(budget, 16, policy));
+            let dense_cache = Arc::new(ProximityCache::with_byte_budget(budget, policy));
             let mut dense = crate::DenseSnapshotExact::new(&c, model, Arc::clone(&dense_cache));
             let dense_stages = StageLatencies::new();
             let (dense_r, dense_d) = timed(|| {
@@ -1373,7 +1372,7 @@ pub fn fig12(profile: Profile) -> ExperimentOutput {
                     })
                     .collect::<Vec<_>>()
             });
-            let touched_cache = Arc::new(ProximityCache::with_byte_budget(budget, 16, policy));
+            let touched_cache = Arc::new(ProximityCache::with_byte_budget(budget, policy));
             let mut touched = ExactOnline::with_cache(&c, model, Arc::clone(&touched_cache));
             let touched_stages = StageLatencies::new();
             let (touched_r, touched_d) = timed(|| {

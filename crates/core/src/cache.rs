@@ -7,12 +7,11 @@
 //! materialized [`ProximityVec`] therefore converts the dominant per-query
 //! cost (a graph traversal) into an `Arc` clone for every repeated seeker.
 //!
-//! [`ProximityCache`] is sharded by key hash so a `DirectClient`'s workers
-//! contend only 1/`shards` of the time; `friends_service` workers each own
-//! a one-shard cache, so the lock is always uncontended. Each shard is one
-//! [`AdmissionLru`]: LRU plus the [`CachePolicy`] behaviors — TinyLFU
-//! admission, so one-hit wonders cannot wash a skewed working set out of a
-//! small cache, and a TTL bounding σ staleness in wall-clock time.
+//! [`ProximityCache`] is one [`AdmissionLru`] and its edit history behind
+//! one lock; `friends_service` workers each own a cache, so the lock is
+//! always uncontended. The LRU carries the [`CachePolicy`] behaviors —
+//! TinyLFU admission, so one-hit wonders cannot wash a skewed working set
+//! out of a small cache, and a TTL bounding σ staleness in wall-clock time.
 //!
 //! ## Byte budgets
 //!
@@ -36,7 +35,6 @@ use friends_graph::{CsrGraph, NodeId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -102,7 +100,7 @@ const MAX_FOLDED_EDITS: usize = 1_400;
 /// (`admission` off, no `ttl`) is the pre-existing plain-LRU behavior.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CachePolicy {
-    /// TinyLFU-style admission: a full shard admits a new key only when the
+    /// TinyLFU-style admission: a full cache admits a new key only when the
     /// frequency sketch has seen it more often than the would-be victim.
     pub admission: bool,
     /// Entries older than this are dropped on access (counted as a miss
@@ -223,7 +221,7 @@ pub struct CacheStats {
     pub invalidated: u64,
     pub entries: usize,
     /// Resident bytes currently charged against the byte budget
-    /// (value bytes + per-entry overhead, summed over all shards).
+    /// (value bytes + per-entry overhead).
     pub bytes: usize,
 }
 
@@ -378,7 +376,7 @@ impl SigmaSweep {
 
 /// The edit history of a [`ProximityCache`] and the state that brings stale
 /// entries forward across it. Only reads that find a stale entry, and
-/// [`ProximityCache::advance`], take its lock.
+/// [`ProximityCache::advance`], touch it.
 #[derive(Default)]
 struct History {
     /// `(version, edits)` of the latest edge-editing batches, oldest first,
@@ -486,8 +484,8 @@ fn reaches(key: &SigmaKey, sigma: &ProximityVec, mut nodes: impl Iterator<Item =
     key.model.0 != 0 && nodes.any(|u| u == key.seeker || sigma.get(u) > 0.0)
 }
 
-/// Sharded LRU cache of materialized proximity vectors, shared across batch
-/// workers via `Arc<ProximityCache>`. See the module docs for the optional
+/// LRU cache of materialized proximity vectors, shared with executors via
+/// `Arc<ProximityCache>`. See the module docs for the optional
 /// admission/TTL policy.
 ///
 /// On a live graph the cache is versioned: [`ProximityCache::advance`]
@@ -495,65 +493,50 @@ fn reaches(key: &SigmaKey, sigma: &ProximityVec, mut nodes: impl Iterator<Item =
 /// exact for, and a lookup that finds an older one brings it forward before
 /// serving it (see [`ProximityCache::get_bounded`]).
 pub struct ProximityCache {
-    shards: Box<[Mutex<AdmissionLru<SigmaKey, SigmaEntry>>]>,
+    inner: Mutex<Inner>,
+}
+
+/// Everything behind the cache's one lock.
+struct Inner {
+    lru: AdmissionLru<SigmaKey, SigmaEntry>,
     /// The graph version readers pass: the number of edge-editing batches
-    /// advanced across. Stored with `Release` after the batch is in the
-    /// history, loaded with `Acquire` by lookups and inserts.
-    version: AtomicU64,
-    history: Mutex<History>,
+    /// advanced across.
+    version: u64,
+    history: History,
 }
 
 impl ProximityCache {
-    /// Default shard count: enough to make worker contention negligible
-    /// without fragmenting tiny caches.
-    const DEFAULT_SHARDS: usize = 16;
-
-    /// Creates a cache holding at most `capacity` proximity vectors overall.
+    /// Creates a cache holding at most `capacity` proximity vectors.
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, Self::DEFAULT_SHARDS)
-    }
-
-    /// Creates a cache with an explicit shard count (rounded up to ≥ 1; the
-    /// per-shard capacity is `ceil(capacity / shards)`, minimum 1).
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        Self::with_limits(capacity, usize::MAX, shards, CachePolicy::default())
+        Self::with_limits(capacity, usize::MAX, 1, CachePolicy::default())
     }
 
     /// Byte-budgeted cache: holds whatever number of vectors fits in
-    /// `bytes` overall (split evenly across shards), charging each entry
-    /// its [`ProximityVec::memory_bytes`] plus bookkeeping overhead. The
-    /// shape serving tiers want: reach-proportional `Touched` snapshots
-    /// pack thousands deep where dense vectors fit dozens, without the
-    /// entry count lying about memory use.
-    pub fn with_byte_budget(bytes: usize, shards: usize, policy: CachePolicy) -> Self {
-        Self::with_limits(usize::MAX, bytes, shards, policy)
+    /// `bytes`, charging each entry its [`ProximityVec::memory_bytes`] plus
+    /// bookkeeping overhead. The shape serving tiers want:
+    /// reach-proportional `Touched` snapshots pack thousands deep where
+    /// dense vectors fit dozens, without the entry count lying about memory
+    /// use. A budget of 0 admits nothing.
+    pub fn with_byte_budget(bytes: usize, policy: CachePolicy) -> Self {
+        Self::with_limits(usize::MAX, bytes, 1, policy)
     }
 
     /// Fully explicit constructor: entry capacity **and** byte budget (both
-    /// enforced; pass `usize::MAX` to disable one), shard count, policy.
-    pub fn with_limits(capacity: usize, bytes: usize, shards: usize, policy: CachePolicy) -> Self {
-        let shards = shards.max(1);
-        let per_shard = |limit: usize| match limit {
-            usize::MAX => usize::MAX,
-            limit => limit.div_ceil(shards).max(1),
-        };
-        let (entries, bytes) = (per_shard(capacity), per_shard(bytes));
+    /// enforced; pass `usize::MAX` to disable one) and policy. `_shards` is
+    /// ignored: the cache is one LRU behind one lock.
+    pub fn with_limits(capacity: usize, bytes: usize, _shards: usize, policy: CachePolicy) -> Self {
         ProximityCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(AdmissionLru::new(entries, bytes, policy)))
-                .collect(),
-            version: AtomicU64::new(0),
-            history: Mutex::new(History::default()),
+            inner: Mutex::new(Inner {
+                lru: AdmissionLru::new(capacity, bytes, policy),
+                version: 0,
+                history: History::default(),
+            }),
         }
-    }
-
-    fn shard_of(&self, key: &SigmaKey) -> &Mutex<AdmissionLru<SigmaKey, SigmaEntry>> {
-        &self.shards[(key.hash as usize) % self.shards.len()]
     }
 
     /// Looks up `σ(seeker, ·)` on `graph` under `model`, refreshing its
     /// recency: one hash of the key plus [`AdmissionLru::get`] under the
-    /// shard lock.
+    /// lock.
     pub fn get(
         &self,
         graph: &CsrGraph,
@@ -586,22 +569,22 @@ impl ProximityCache {
         bounds: SigmaBounds,
     ) -> Option<Arc<ProximityVec>> {
         let key = SigmaKey::new(graph, seeker, model, bounds);
-        let mut shard = self.shard_of(&key).lock();
-        let version = self.version.load(Ordering::Acquire);
-        let entry = shard.get(&key, true)?;
-        if entry.version == version {
+        let mut inner = self.inner.lock();
+        let Inner {
+            lru,
+            version,
+            history,
+        } = &mut *inner;
+        let entry = lru.get(&key, true)?;
+        if entry.version == *version {
             return Some(Arc::clone(&entry.sigma));
         }
-        if self
-            .history
-            .lock()
-            .bring_forward(&key, entry, graph, version)
-        {
+        if history.bring_forward(&key, entry, graph, *version) {
             let sigma = Arc::clone(&entry.sigma);
-            shard.recharge(&key, charge_of(&sigma));
+            lru.recharge(&key, charge_of(&sigma));
             Some(sigma)
         } else {
-            shard.invalidate(&key);
+            lru.invalidate(&key);
             None
         }
     }
@@ -635,9 +618,9 @@ impl ProximityCache {
     /// [`ProximityCache::insert_bounded`] for a value that does not exist
     /// yet: the admission decision needs only the value's size, so the
     /// caller states `value_bytes` (its [`ProximityVec::memory_bytes`]) and
-    /// `make` builds it — under the shard lock — only once the insert is
-    /// certain to go in. A cold seeker whose insert the budget or TinyLFU
-    /// turns away never pays for the snapshot.
+    /// `make` builds it — under the lock — only once the insert is certain
+    /// to go in. A cold seeker whose insert the budget or TinyLFU turns
+    /// away never pays for the snapshot.
     pub fn insert_with(
         &self,
         graph: &CsrGraph,
@@ -649,8 +632,9 @@ impl ProximityCache {
     ) {
         let key = SigmaKey::new(graph, seeker, model, bounds);
         let charge = value_bytes + ENTRY_OVERHEAD_BYTES;
-        let version = self.version.load(Ordering::Acquire);
-        self.shard_of(&key).lock().insert_with(key, charge, || {
+        let mut inner = self.inner.lock();
+        let version = inner.version;
+        inner.lru.insert_with(key, charge, || {
             let sigma = make();
             debug_assert_eq!(sigma.memory_bytes(), value_bytes, "misstated charge");
             SigmaEntry {
@@ -664,7 +648,7 @@ impl ProximityCache {
 
     /// Number of cached vectors.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.inner.lock().lru.len()
     }
 
     /// Whether the cache holds nothing.
@@ -673,7 +657,7 @@ impl ProximityCache {
     }
 
     /// Resident bytes charged against the byte budget (value bytes plus
-    /// per-entry overhead, summed over all shards).
+    /// per-entry overhead).
     pub fn memory_bytes(&self) -> usize {
         self.stats().bytes
     }
@@ -694,10 +678,13 @@ impl ProximityCache {
         if edits.is_empty() {
             return;
         }
-        let mut history = self.history.lock();
-        let version = self.version.load(Ordering::Relaxed) + 1;
+        let mut inner = self.inner.lock();
+        inner.version += 1;
+        let Inner {
+            version, history, ..
+        } = &mut *inner;
         history.held += edits.len();
-        history.ring.push_back((version, Arc::clone(edits)));
+        history.ring.push_back((*version, Arc::clone(edits)));
         while history.held > MAX_FOLDED_EDITS {
             let (_, oldest) = history
                 .ring
@@ -705,7 +692,6 @@ impl ProximityCache {
                 .expect("held edits are in the ring");
             history.held -= oldest.len();
         }
-        self.version.store(version, Ordering::Release);
     }
 
     /// Drops every entry that `endpoints` (of edited pairs) could reach and
@@ -716,43 +702,35 @@ impl ProximityCache {
         if endpoints.is_empty() {
             return 0;
         }
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .lock()
-                    .retain(|key, entry| !reaches(key, &entry.sigma, endpoints.iter().copied()))
-            })
-            .sum()
+        self.inner
+            .lock()
+            .lru
+            .retain(|key, entry| !reaches(key, &entry.sigma, endpoints.iter().copied()))
     }
 
     /// What reads have done with stale entries so far.
     pub fn stale_hits(&self) -> SigmaSweep {
-        self.history.lock().stale
+        self.inner.lock().history.stale
     }
 
     /// Growth events of the read-side repair's graph-sized scratch (see
     /// [`SigmaRepair::allocation_count`]): constant once a repair has seen
     /// the graph.
     pub fn repair_allocation_count(&self) -> u64 {
-        self.history.lock().scratch.allocation_count()
+        self.inner.lock().history.scratch.allocation_count()
     }
 
     /// Drops every entry (counters are kept).
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().clear();
-        }
+        self.inner.lock().lru.clear();
     }
 
     /// Aggregate counters. A stale hit that had to be dropped counts as a
     /// miss, not a hit.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for shard in self.shards.iter() {
-            stats.merge(&shard.lock().stats());
-        }
-        let stale = self.stale_hits();
+        let inner = self.inner.lock();
+        let mut stats = inner.lru.stats();
+        let stale = inner.history.stale;
         let rebuilt = stale.dropped + stale.too_far_behind;
         stats.hits -= rebuilt;
         stats.misses += rebuilt;
@@ -815,9 +793,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_within_shard() {
-        // Single shard so the LRU order is globally observable.
         let g = graph();
-        let c = ProximityCache::with_shards(2, 1);
+        let c = ProximityCache::new(2);
         c.insert(&g, 1, MODEL, vec_for(1));
         c.insert(&g, 2, MODEL, vec_for(2));
         assert!(c.get(&g, 1, MODEL).is_some()); // refresh 1 → 2 is now oldest
@@ -830,9 +807,28 @@ mod tests {
     }
 
     #[test]
+    fn stated_limits_hold_for_the_whole_cache() {
+        // At most `capacity` vectors overall, whatever the keys hash to.
+        let g = graph();
+        let c = ProximityCache::new(8);
+        for u in 0..64 {
+            c.insert(&g, u, MODEL, vec_for(u));
+        }
+        assert_eq!(c.len(), 8);
+        // Any entry within the byte budget is admitted; the shard count is
+        // ignored, so it does not split the budget.
+        let g = CsrGraph::empty(20_000);
+        let entry = touched_vec(1, 40);
+        assert!((1000 / 16..1000).contains(&charge_of(&entry)));
+        let c = ProximityCache::with_limits(usize::MAX, 1000, 16, CachePolicy::default());
+        c.insert(&g, 1, MODEL, entry);
+        assert_eq!((c.len(), c.stats().insertions), (1, 1));
+    }
+
+    #[test]
     fn reinsert_refreshes_instead_of_duplicating() {
         let g = graph();
-        let c = ProximityCache::with_shards(4, 1);
+        let c = ProximityCache::new(4);
         c.insert(&g, 1, MODEL, vec_for(1));
         c.insert(&g, 1, MODEL, vec_for(1));
         assert_eq!(c.len(), 1);
@@ -971,7 +967,7 @@ mod tests {
     fn byte_budget_evicts_by_resident_size() {
         let g = CsrGraph::empty(20_000);
         let per_entry = charge_of(&touched_vec(0, 4)); // 4 pairs + overhead
-        let c = ProximityCache::with_byte_budget(3 * per_entry, 1, CachePolicy::default());
+        let c = ProximityCache::with_byte_budget(3 * per_entry, CachePolicy::default());
         for u in 0..3 {
             c.insert(&g, u, MODEL, touched_vec(u, 4));
         }
@@ -989,7 +985,7 @@ mod tests {
     fn one_wide_entry_displaces_many_narrow_ones() {
         let g = CsrGraph::empty(20_000);
         let narrow = charge_of(&touched_vec(0, 4));
-        let c = ProximityCache::with_byte_budget(8 * narrow, 1, CachePolicy::default());
+        let c = ProximityCache::with_byte_budget(8 * narrow, CachePolicy::default());
         for u in 0..8 {
             c.insert(&g, u, MODEL, touched_vec(u, 4));
         }
@@ -1010,11 +1006,11 @@ mod tests {
         // more seekers than dense ones.
         let g = CsrGraph::empty(20_000);
         let budget = 1 << 20; // 1 MiB
-        let dense = ProximityCache::with_byte_budget(budget, 1, CachePolicy::default());
+        let dense = ProximityCache::with_byte_budget(budget, CachePolicy::default());
         for u in 0..2_000 {
             dense.insert(&g, u, MODEL, dense_vec(u, 10_000)); // 80 KB each
         }
-        let touched = ProximityCache::with_byte_budget(budget, 1, CachePolicy::default());
+        let touched = ProximityCache::with_byte_budget(budget, CachePolicy::default());
         for u in 0..2_000 {
             touched.insert(&g, u, MODEL, touched_vec(u, 100)); // 1.6 KB each
         }
@@ -1026,7 +1022,7 @@ mod tests {
     #[test]
     fn oversized_value_is_rejected_outright() {
         let g = CsrGraph::empty(20_000);
-        let c = ProximityCache::with_byte_budget(1024, 1, CachePolicy::default());
+        let c = ProximityCache::with_byte_budget(1024, CachePolicy::default());
         c.insert(&g, 1, MODEL, dense_vec(1, 10_000));
         assert!(c.is_empty());
         assert_eq!(c.stats().rejections, 1);
@@ -1043,7 +1039,7 @@ mod tests {
             ttl: None,
         };
         let per_entry = charge_of(&touched_vec(0, 4));
-        let c = ProximityCache::with_byte_budget(2 * per_entry, 1, policy);
+        let c = ProximityCache::with_byte_budget(2 * per_entry, policy);
         let built = std::cell::Cell::new(0u32);
         let offer = |u: NodeId, v: Arc<ProximityVec>| {
             c.insert_with(&g, u, MODEL, SigmaBounds::EXACT, v.memory_bytes(), || {
@@ -1073,10 +1069,10 @@ mod tests {
     #[test]
     fn oversized_insert_leaves_residents_untouched() {
         // The rejection must be decided before any eviction: an entry that
-        // could never fit must not flush the shard on its way out.
+        // could never fit must not flush the cache on its way out.
         let g = CsrGraph::empty(20_000);
         let per_entry = charge_of(&touched_vec(0, 4));
-        let c = ProximityCache::with_byte_budget(4 * per_entry, 1, CachePolicy::default());
+        let c = ProximityCache::with_byte_budget(4 * per_entry, CachePolicy::default());
         for u in 0..4 {
             c.insert(&g, u, MODEL, touched_vec(u, 4));
         }
@@ -1092,7 +1088,7 @@ mod tests {
     fn rejected_multi_victim_insert_keeps_every_resident() {
         // Two-phase eviction: a newcomer needing several victims is judged
         // against each of them *before* anything is removed — a hot victim
-        // anywhere in the plan rejects the insert with the shard intact,
+        // anywhere in the plan rejects the insert with the cache intact,
         // including the colder entries that would have been evicted first.
         let g = CsrGraph::empty(20_000);
         let policy = CachePolicy {
@@ -1100,7 +1096,7 @@ mod tests {
             ttl: None,
         };
         let narrow = charge_of(&touched_vec(0, 4));
-        let c = ProximityCache::with_byte_budget(3 * narrow, 1, policy);
+        let c = ProximityCache::with_byte_budget(3 * narrow, policy);
         let _ = c.get(&g, 1, MODEL); // cold-ish resident: one access
         c.insert(&g, 1, MODEL, touched_vec(1, 4));
         for _ in 0..8 {
@@ -1126,7 +1122,7 @@ mod tests {
     fn over_budget_refresh_evicts_others_to_fit() {
         let g = CsrGraph::empty(20_000);
         let narrow = charge_of(&touched_vec(0, 4));
-        let c = ProximityCache::with_byte_budget(6 * narrow, 1, CachePolicy::default());
+        let c = ProximityCache::with_byte_budget(6 * narrow, CachePolicy::default());
         for u in 0..6 {
             c.insert(&g, u, MODEL, touched_vec(u, 4));
         }
@@ -1137,7 +1133,7 @@ mod tests {
         c.insert(&g, 5, MODEL, touched_vec(5, 4 * 4 + 8));
         assert!(
             c.memory_bytes() <= 6 * narrow,
-            "refresh left shard over budget"
+            "refresh left the cache over budget"
         );
         assert!(
             c.get(&g, 5, MODEL).is_some(),
@@ -1158,7 +1154,7 @@ mod tests {
             admission: false,
             ttl: Some(Duration::from_millis(20)),
         };
-        let c = ProximityCache::with_byte_budget(4 * narrow, 1, policy);
+        let c = ProximityCache::with_byte_budget(4 * narrow, policy);
         for u in 0..4 {
             c.insert(&g, u, MODEL, touched_vec(u, 4));
         }
@@ -1173,7 +1169,7 @@ mod tests {
     #[test]
     fn byte_accounting_tracks_refresh_and_clear() {
         let g = CsrGraph::empty(20_000);
-        let c = ProximityCache::with_byte_budget(1 << 20, 1, CachePolicy::default());
+        let c = ProximityCache::with_byte_budget(1 << 20, CachePolicy::default());
         c.insert(&g, 1, MODEL, touched_vec(1, 4));
         let small = c.memory_bytes();
         c.insert(&g, 1, MODEL, touched_vec(1, 400)); // refresh with a wider σ
@@ -1193,7 +1189,7 @@ mod tests {
             ttl: None,
         };
         let per_entry = charge_of(&touched_vec(0, 4));
-        let c = ProximityCache::with_byte_budget(2 * per_entry, 1, policy);
+        let c = ProximityCache::with_byte_budget(2 * per_entry, policy);
         for _ in 0..6 {
             let _ = c.get(&g, 1, MODEL);
             let _ = c.get(&g, 2, MODEL);
@@ -1220,7 +1216,7 @@ mod tests {
             ttl: None,
         };
         let narrow = charge_of(&touched_vec(0, 4));
-        let c = ProximityCache::with_byte_budget(8 * narrow, 1, policy);
+        let c = ProximityCache::with_byte_budget(8 * narrow, policy);
         for u in 0..8 {
             let _ = c.get(&g, u, MODEL);
             let _ = c.get(&g, u, MODEL);
@@ -1256,10 +1252,9 @@ mod tests {
     fn bounded_entries_do_not_alias_exact_ones() {
         // The degraded-serving contract: σ materialized under tighter
         // bounds lives under its own key — an exact request never sees it,
-        // and distinct bounds never see each other's entries. One shard:
-        // both entries must co-reside whatever shards their keys hash to.
+        // and distinct bounds never see each other's entries.
         let g = graph();
-        let c = ProximityCache::with_shards(8, 1);
+        let c = ProximityCache::new(8);
         let m = ProximityModel::DistanceDecay { alpha: 0.5 };
         let b2 = SigmaBounds::with_radius(2);
         let b3 = SigmaBounds::with_radius(3);

@@ -1,6 +1,6 @@
 //! The one cache engine behind both of the workspace's caches: the σ cache
-//! ([`super::ProximityCache`], one engine per shard) and `friends_service`'s
-//! result cache (one per service shard).
+//! ([`super::ProximityCache`]) and `friends_service`'s result cache (one of
+//! each per service shard).
 //!
 //! An [`AdmissionLru`] is a slab of entries threaded oldest → newest by an
 //! intrusive doubly linked recency list, indexed by a map whose keys carry

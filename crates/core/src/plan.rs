@@ -177,7 +177,7 @@ pub const EXACT_ONLINE: &str = "exact-online";
 pub const GLOBAL_BOUND_TA: &str = "global-bound-ta";
 
 /// A processor constructor: corpus + model + optional shared proximity
-/// cache. The cache is `None` when the owning client runs cache-less.
+/// cache (`None` materializes every σ into the processor's scratch).
 pub type ProcessorBuilder = dyn for<'c> Fn(&'c Corpus, ProximityModel, Option<Arc<ProximityCache>>) -> Box<dyn Processor + 'c>
     + Send
     + Sync;

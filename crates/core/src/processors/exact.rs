@@ -71,10 +71,11 @@ impl<'a> ExactOnline<'a> {
         }
     }
 
-    /// Like [`ExactOnline::new`], sharing a seeker-proximity cache (typically
-    /// across a client's workers). Models whose materialization is about as
-    /// cheap as a cache hit ([`ProximityModel::cache_worthy`] is false)
-    /// bypass the cache entirely — no shard lock is ever taken for them.
+    /// Like [`ExactOnline::new`], reading σ through a seeker-proximity cache
+    /// (typically a service shard's private one). Models whose
+    /// materialization is about as cheap as a cache hit
+    /// ([`ProximityModel::cache_worthy`] is false) bypass the cache
+    /// entirely — its lock is never taken for them.
     pub fn with_cache(
         corpus: &'a Corpus,
         model: ProximityModel,

@@ -211,7 +211,7 @@ impl ProximityModel {
 
     /// Whether caching this model's materialized vector pays for itself.
     ///
-    /// A [`crate::cache::ProximityCache`] hit costs a shard-mutex round trip
+    /// A [`crate::cache::ProximityCache`] hit costs a mutex round trip
     /// plus two `O(log n)` recency updates. For `Global` (nothing to
     /// materialize) and `FriendsOnly` (one adjacency-slice walk) that is
     /// about what materializing costs, so processors bypass the cache for

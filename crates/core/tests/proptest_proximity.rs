@@ -191,7 +191,7 @@ proptest! {
             if model.cache_worthy() {
                 prop_assert!(cache.stats().hits > 0, "{}: no cache hit", model.name());
             } else {
-                // Cheap models must bypass the shard mutex entirely.
+                // Cheap models must bypass the cache mutex entirely.
                 prop_assert_eq!(cache.stats().hits + cache.stats().misses, 0);
             }
             assert_byte_identical(&want, &hit.items, model.name())?;

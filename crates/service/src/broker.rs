@@ -108,6 +108,8 @@ pub struct ServiceConfig {
     /// limit (`usize::MAX` disables it). A byte budget lets
     /// reach-proportional `Touched` snapshots pack thousands deep where
     /// dense vectors fit dozens — entry counts cannot tell the two apart.
+    /// 0 admits nothing: every σ goes through the worker's scratch and is
+    /// never snapshotted, the cache-less posture.
     pub cache_bytes: usize,
     /// Capacity of each shard's private result-memoization cache, in
     /// rankings; 0 disables memoization (the default).
@@ -154,15 +156,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// What a worker reads of its owner's configuration.
-#[derive(Clone, Copy)]
-pub(crate) struct WorkerConfig {
-    /// Most requests drained into one dispatch cycle.
-    pub max_batch: usize,
-    pub overload: Option<OverloadPolicy>,
-    pub fault: Option<FaultPlan>,
-}
-
 /// Stable label of an injected fault for trace events.
 fn fault_name(kind: FaultKind) -> &'static str {
     match kind {
@@ -177,14 +170,14 @@ fn fault_name(kind: FaultKind) -> &'static str {
 /// query runs entirely under the snapshot that was current when the worker
 /// reached it, so each answer is *some* epoch's frozen answer (snapshot
 /// isolation; `tests/proptest_live.rs` pins this).
-pub(crate) enum WorkItem {
+enum WorkItem {
     Query(Job),
     Mutation(MutationJob),
 }
 
 /// One shard's share of a broadcast mutation: the prepared next snapshot
 /// plus the ack the publisher collects (per-shard invalidation counts).
-pub(crate) struct MutationJob {
+struct MutationJob {
     prepared: Arc<PreparedMutation>,
     ack: channel::Sender<ShardAck>,
     /// The batch's WAL receipt (`None` on memory-only services) — carried
@@ -245,24 +238,19 @@ pub struct MutationReport {
 /// Spawns one worker draining `rx`. The worker serves one snapshot per
 /// *era*: its executor borrows the era's corpus, `rebuild` re-creates it
 /// after a contained panic (the old instance's scratch state is suspect,
-/// the shared cache and counters survive untouched), and a mutation ends
+/// the shard's cache and counters survive untouched), and a mutation ends
 /// the era — [`worker_loop`] returns the next snapshot and a fresh executor
 /// is built over it. Controller state and the armed fault outlive eras.
-///
-/// `shard` is what the worker's replies and traces report; several workers
-/// may share one `rx` and `state` (a `DirectClient` pool).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spawn_worker(
-    name: String,
+fn spawn_worker(
     shard: usize,
     mut corpus: Arc<Corpus>,
     rx: channel::Receiver<WorkItem>,
     state: Arc<ShardState>,
     registry: Arc<ProcessorRegistry>,
-    config: WorkerConfig,
+    config: ServiceConfig,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
-        .name(name)
+        .name(format!("friends-svc-{shard}"))
         .spawn(move || {
             let mut ctl = WorkerCtl::new(config.fault);
             let mut raced: Option<RacedMutation> = None;
@@ -271,7 +259,7 @@ pub(crate) fn spawn_worker(
                     let rebuild = || {
                         PlannedExecutor::new(
                             corpus.as_ref(),
-                            state.cache.clone(),
+                            Some(Arc::clone(&state.cache)),
                             Arc::clone(&registry),
                             Planner,
                             Arc::clone(&state.plans),
@@ -293,7 +281,7 @@ pub(crate) fn spawn_worker(
 /// ranking: then the submitting thread answers it ([`answer_at_submit`])
 /// and the ticket comes back completed. `shard` is what the ticket reports
 /// until a worker answers.
-pub(crate) fn enqueue(
+fn enqueue(
     sender: &channel::Sender<WorkItem>,
     state: &ShardState,
     shard: usize,
@@ -434,7 +422,6 @@ impl FriendsService {
             let (tx, rx) = channel::unbounded();
             let cache = Arc::new(ProximityCache::with_byte_budget(
                 config.cache_bytes,
-                1, // shard-private: exactly one worker ever takes the lock
                 SHARD_CACHE_POLICY,
             ));
             let results = (config.result_cache_capacity > 0).then(|| {
@@ -444,22 +431,17 @@ impl FriendsService {
                 ))
             });
             let state = Arc::new(ShardState::new(
-                Some(cache),
+                cache,
                 results,
                 TraceCollector::new(shard, config.trace),
             ));
             workers.push(spawn_worker(
-                format!("friends-svc-{shard}"),
                 shard,
                 Arc::clone(&corpus),
                 rx,
                 Arc::clone(&state),
                 Arc::clone(&registry),
-                WorkerConfig {
-                    max_batch: config.max_batch,
-                    overload: config.overload,
-                    fault: config.fault,
-                },
+                config.clone(),
             ));
             senders.push(tx);
             states.push(state);
@@ -817,7 +799,7 @@ fn worker_loop<'c, R>(
     rx: &channel::Receiver<WorkItem>,
     state: &ShardState,
     shard: usize,
-    config: &WorkerConfig,
+    config: &ServiceConfig,
     ctl: &mut WorkerCtl,
     raced: &mut Option<RacedMutation>,
 ) -> Option<Arc<Corpus>>
@@ -877,11 +859,9 @@ where
             // this shard next reads it, against the snapshot it switches
             // to here — and the result sweep drops what the batch could
             // change. No query of this shard is in flight in between.
-            let sigma = state.cache.as_ref().map_or_else(SigmaSweep::default, |c| {
-                c.advance(&m.prepared.edits);
-                let stale = c.stale_hits();
-                stale.since(&std::mem::replace(&mut ctl.sigma_acked, stale))
-            });
+            state.cache.advance(&m.prepared.edits);
+            let stale = state.cache.stale_hits();
+            let sigma = stale.since(&std::mem::replace(&mut ctl.sigma_acked, stale));
             let results = state
                 .results
                 .as_ref()

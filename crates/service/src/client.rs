@@ -1,47 +1,37 @@
-//! The unified client API: one planner-backed query surface over direct
-//! and served execution.
+//! The unified client API: one planner-backed query surface.
 //!
 //! Callers build a [`QueryRequest`] (seeker, tags, k, proximity model,
-//! strategy hint, deadline, tag) and hand it to any [`SearchClient`]:
+//! strategy hint, deadline, tag) and hand it to a [`SearchClient`] — in
+//! this crate a [`ServedClient`], a planner-backed [`FriendsService`]:
+//! seeker affinity, batched dispatch, duplicate coalescing, shard-private
+//! caches, optional result memoization. Its [`ServiceConfig`] covers the
+//! lighter postures too: `cache_bytes: 0` runs every σ through the
+//! worker's scratch, and `max_batch: 1` takes one request per dispatch
+//! cycle, so nothing coalesces.
 //!
-//! * [`DirectClient`] — in-process execution on a standing worker pool
-//!   with one **shared** sharded proximity cache. No affinity, no
-//!   coalescing: the lightest way to run personalized queries concurrently.
-//! * [`ServedClient`] — a planner-backed [`FriendsService`]: seeker
-//!   affinity, batched dispatch, duplicate coalescing, shard-private
-//!   caches, optional result memoization. The serving tier behind the same
-//!   trait.
-//!
-//! Both return non-blocking [`Ticket`]s; a [`crate::Multiplexer`] drives
+//! It returns non-blocking [`Ticket`]s; a [`crate::Multiplexer`] drives
 //! many in-flight tickets from one loop. Behind the trait, the
 //! [`friends_core::plan::Planner`] maps every request to a
 //! [`ProcessorRegistry`] entry plus a scoring strategy — callers never
 //! name a processor type, and every plan returns byte-identical rankings
 //! (pinned by `tests/proptest_client.rs`).
 
-use crate::broker::{
-    enqueue, spawn_worker, FaultPlan, FriendsService, ServiceConfig, WorkItem, WorkerConfig,
-};
+use crate::broker::{FriendsService, ServiceConfig};
 use crate::request::{Reply, Ticket};
-use crate::stats::{ServiceStats, ShardState, ShardStats};
-use crossbeam::channel;
-use friends_core::cache::{CachePolicy, ProximityCache};
+use crate::stats::ServiceStats;
 use friends_core::corpus::{Corpus, SearchResult};
 use friends_core::latency::StageSnapshot;
 use friends_core::metrics::MetricsRegistry;
 use friends_core::plan::{ProcessorRegistry, QueryRequest};
 use friends_core::proximity::ProximityModel;
-use friends_core::trace::{QueryTrace, TraceCollector, TraceConfig};
+use friends_core::trace::QueryTrace;
 use friends_data::mutations::MutationBatch;
 use friends_data::queries::Query;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// The one query surface of the system. Implementations differ in *where
-/// and how* a request executes (in-process pool vs serving tier), never in
-/// its answer: for the same corpus and request, every client returns
-/// byte-identical rankings.
+/// and how* a request executes, never in its answer: for the same corpus
+/// and request, every client returns byte-identical rankings.
 pub trait SearchClient {
     /// Enqueues one request, returning a non-blocking [`Ticket`].
     fn submit(&self, request: QueryRequest) -> Ticket;
@@ -99,183 +89,10 @@ pub trait SearchClient {
     fn metrics(&self) -> MetricsRegistry;
 }
 
-/// [`DirectClient`] tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct DirectConfig {
-    /// Worker threads (0 → one per hardware thread). Workers compete for
-    /// jobs on one queue — no affinity, work goes wherever a thread is
-    /// idle.
-    pub threads: usize,
-    /// Capacity of the **shared** sharded proximity cache; 0 runs
-    /// cache-less (every query materializes σ into its worker's scratch).
-    pub cache_capacity: usize,
-    /// Byte budget of the shared cache across all its shards
-    /// (`usize::MAX` disables; both limits are enforced when set).
-    pub cache_bytes: usize,
-    /// Policy of the shared cache.
-    pub cache_policy: CachePolicy,
-    /// Deadline budget for requests that don't carry their own; `None`
-    /// disables shedding for them.
-    pub default_deadline: Option<Duration>,
-}
-
-impl Default for DirectConfig {
-    fn default() -> Self {
-        DirectConfig {
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            // Byte budget is the primary limit; the entry cap is a disabled
-            // fallback (0 still runs cache-less).
-            cache_capacity: usize::MAX,
-            cache_bytes: 64 << 20,
-            cache_policy: CachePolicy {
-                admission: true,
-                ttl: None,
-            },
-            default_deadline: Some(Duration::from_secs(5)),
-        }
-    }
-}
-
-/// In-process [`SearchClient`]: a standing pool of planner-backed workers
-/// over one shared proximity cache — non-blocking submission, per-request
-/// models and deadlines, no per-batch thread spawning. The pool runs the
-/// broker's worker loop: one queue and one set of shard counters shared by
-/// every worker, no result cache, and one request per dispatch cycle so a
-/// worker never drains work its idle siblings could take.
-pub struct DirectClient {
-    /// `None` only while shutting down (dropping it disconnects the queue).
-    sender: Option<channel::Sender<WorkItem>>,
-    state: Arc<ShardState>,
-    workers: Vec<JoinHandle<()>>,
-    default_deadline: Option<Duration>,
-}
-
-impl DirectClient {
-    /// Starts a pool with the standard registry.
-    pub fn start(corpus: Arc<Corpus>, config: DirectConfig) -> Self {
-        Self::with_registry(corpus, config, Arc::new(ProcessorRegistry::standard()))
-    }
-
-    /// Starts a pool over a custom registry.
-    pub fn with_registry(
-        corpus: Arc<Corpus>,
-        config: DirectConfig,
-        registry: Arc<ProcessorRegistry>,
-    ) -> Self {
-        Self::spawn(corpus, config, registry, None)
-    }
-
-    /// [`DirectClient::with_registry`] with a test-only fault armed on
-    /// every worker (see [`FaultPlan`]).
-    fn spawn(
-        corpus: Arc<Corpus>,
-        config: DirectConfig,
-        registry: Arc<ProcessorRegistry>,
-        fault: Option<FaultPlan>,
-    ) -> Self {
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            config.threads
-        };
-        let (tx, rx) = channel::unbounded();
-        let cache = (config.cache_capacity > 0).then(|| {
-            Arc::new(ProximityCache::with_limits(
-                config.cache_capacity,
-                config.cache_bytes,
-                threads.clamp(1, 16),
-                config.cache_policy,
-            ))
-        });
-        // One pool-wide collector (the workers compete on one queue, so
-        // there is no per-shard affinity to preserve in the trace ids).
-        let state = Arc::new(ShardState::new(
-            cache,
-            None,
-            TraceCollector::new(0, TraceConfig::default()),
-        ));
-        let workers = (0..threads)
-            .map(|worker| {
-                spawn_worker(
-                    format!("friends-direct-{worker}"),
-                    worker,
-                    Arc::clone(&corpus),
-                    rx.clone(),
-                    Arc::clone(&state),
-                    Arc::clone(&registry),
-                    WorkerConfig {
-                        max_batch: 1,
-                        overload: None,
-                        fault,
-                    },
-                )
-            })
-            .collect();
-        DirectClient {
-            sender: Some(tx),
-            state,
-            workers,
-            default_deadline: config.default_deadline,
-        }
-    }
-
-    /// A live snapshot of the pool's counters: the one queue's
-    /// [`ShardStats`] (shard 0), filled by every worker. The pool neither
-    /// coalesces nor memoizes, so those counters stay 0.
-    pub fn stats(&self) -> ShardStats {
-        self.state.snapshot(0)
-    }
-
-    /// Drain-based shutdown: closes the queue, lets workers finish what is
-    /// already enqueued, joins them, and returns the final stats.
-    pub fn shutdown(mut self) -> ShardStats {
-        self.join();
-        self.stats()
-    }
-
-    fn join(&mut self) {
-        self.sender = None; // disconnects; workers drain then exit
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for DirectClient {
-    fn drop(&mut self) {
-        self.join();
-    }
-}
-
-impl SearchClient for DirectClient {
-    fn submit(&self, request: QueryRequest) -> Ticket {
-        let sender = self.sender.as_ref().expect("queue open until shutdown");
-        enqueue(sender, &self.state, 0, request, self.default_deadline)
-    }
-
-    fn latencies(&self) -> StageSnapshot {
-        self.state.latency.snapshot()
-    }
-
-    fn traces(&self) -> Vec<Arc<QueryTrace>> {
-        self.state.traces.drain_sampled()
-    }
-
-    fn slow_queries(&self) -> Vec<Arc<QueryTrace>> {
-        self.state.traces.drain_retained()
-    }
-
-    fn metrics(&self) -> MetricsRegistry {
-        let mut registry = MetricsRegistry::new();
-        self.stats().register_into(&mut registry);
-        registry
-    }
-}
-
 /// [`SearchClient`] over the serving tier: a planner-backed
 /// [`FriendsService`] (seeker affinity, batched dispatch, coalescing,
-/// shard-private caches, optional result memoization) behind the same
-/// request surface as [`DirectClient`].
+/// shard-private caches, optional result memoization) behind the
+/// [`SearchClient`] request surface.
 pub struct ServedClient {
     service: FriendsService,
 }
@@ -375,13 +192,12 @@ impl SearchClient for ServedClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultKind, Outcome};
+    use crate::{FaultKind, FaultPlan, Outcome};
     use friends_core::plan::GLOBAL_BOUND_TA;
     use friends_core::processors::{ExactOnline, GlobalBoundTA, Processor};
     use friends_data::datasets::{DatasetSpec, Scale};
     use friends_data::queries::{QueryParams, QueryWorkload};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::time::Instant;
+    use std::time::Duration;
 
     fn fixture() -> (Arc<Corpus>, QueryWorkload) {
         let ds = DatasetSpec::delicious_like(Scale::Tiny).build(8);
@@ -400,15 +216,22 @@ mod tests {
 
     const MODEL: ProximityModel = ProximityModel::WeightedDecay { alpha: 0.5 };
 
-    fn clients(corpus: &Arc<Corpus>) -> (DirectClient, ServedClient) {
+    /// The cache-less posture: no σ fits a zero byte budget, so every one
+    /// goes through the worker's scratch, and one request per dispatch
+    /// cycle, so nothing coalesces.
+    fn cacheless(shards: usize) -> ServiceConfig {
+        ServiceConfig {
+            shards,
+            cache_bytes: 0,
+            max_batch: 1,
+            ..ServiceConfig::default()
+        }
+    }
+
+    /// A cache-less client and one in the serving posture.
+    fn clients(corpus: &Arc<Corpus>) -> (ServedClient, ServedClient) {
         (
-            DirectClient::start(
-                Arc::clone(corpus),
-                DirectConfig {
-                    threads: 3,
-                    ..DirectConfig::default()
-                },
-            ),
+            ServedClient::start(Arc::clone(corpus), cacheless(3)),
             ServedClient::start(
                 Arc::clone(corpus),
                 ServiceConfig {
@@ -424,9 +247,9 @@ mod tests {
         let (corpus, w) = fixture();
         let mut reference = ExactOnline::new(&corpus, MODEL);
         let want: Vec<_> = w.queries.iter().map(|q| reference.query(q).items).collect();
-        let (direct, served) = clients(&corpus);
+        let (lean, served) = clients(&corpus);
         for (client, name) in [
-            (&direct as &dyn SearchClient, "direct"),
+            (&lean as &dyn SearchClient, "cache-less"),
             (&served as &dyn SearchClient, "served"),
         ] {
             let got = client.search(&w.queries, MODEL);
@@ -435,7 +258,7 @@ mod tests {
                 assert_eq!(a, &b.items, "{name} diverged");
             }
         }
-        let ds = direct.shutdown();
+        let ds = lean.shutdown().totals();
         assert_eq!(ds.submitted, w.len() as u64);
         assert_eq!(ds.executed, w.len() as u64);
         assert!(ds.plans.total() >= w.len() as u64);
@@ -445,7 +268,7 @@ mod tests {
     #[test]
     fn per_request_models_do_not_interfere() {
         let (corpus, w) = fixture();
-        let (direct, served) = clients(&corpus);
+        let (lean, served) = clients(&corpus);
         let models = [
             ProximityModel::Global,
             ProximityModel::FriendsOnly,
@@ -453,7 +276,7 @@ mod tests {
             ProximityModel::AdamicAdar,
         ];
         // Interleave models within one in-flight burst on each client.
-        for client in [&direct as &dyn SearchClient, &served as &dyn SearchClient] {
+        for client in [&lean as &dyn SearchClient, &served as &dyn SearchClient] {
             let tickets: Vec<Ticket> = w
                 .queries
                 .iter()
@@ -474,18 +297,18 @@ mod tests {
                 assert_eq!(want, got.items, "query {i} under {}", model.name());
             }
         }
-        direct.shutdown();
+        lean.shutdown();
         served.shutdown();
     }
 
     #[test]
     fn processor_override_routes_to_the_named_entry() {
         let (corpus, w) = fixture();
-        let (direct, served) = clients(&corpus);
+        let (lean, served) = clients(&corpus);
         let mut reference = GlobalBoundTA::new(&corpus, ProximityModel::FriendsOnly);
         for q in w.queries.iter().take(6) {
             let want = reference.query(q).items;
-            for client in [&direct as &dyn SearchClient, &served as &dyn SearchClient] {
+            for client in [&lean as &dyn SearchClient, &served as &dyn SearchClient] {
                 let reply = client.run(
                     QueryRequest::from_query(q.clone())
                         .with_model(ProximityModel::FriendsOnly)
@@ -495,44 +318,9 @@ mod tests {
                 assert_eq!(reply.outcome.result().expect("done").items, want);
             }
         }
-        let stats = direct.shutdown();
+        let stats = lean.shutdown().totals();
         assert_eq!(stats.plans.processors[1], 6, "{:?}", stats.plans);
         served.shutdown();
-    }
-
-    #[test]
-    fn direct_client_sheds_expired_requests() {
-        let (corpus, w) = fixture();
-        let client = DirectClient::start(
-            Arc::clone(&corpus),
-            DirectConfig {
-                threads: 1,
-                ..DirectConfig::default()
-            },
-        );
-        // Park the single worker, then submit a zero-budget request.
-        let parked: Vec<Ticket> = w
-            .queries
-            .iter()
-            .map(|q| client.submit(QueryRequest::from_query(q.clone()).without_deadline()))
-            .collect();
-        let doomed = client.submit(
-            QueryRequest::new(5, vec![1], 5)
-                .with_model(MODEL)
-                .with_deadline(Duration::ZERO),
-        );
-        let reply = doomed.wait_deadline();
-        assert!(matches!(reply.outcome, Outcome::DeadlineMissed));
-        for t in parked {
-            assert!(t.wait().outcome.result().is_some());
-        }
-        let stats = client.shutdown();
-        assert!(stats.deadline_misses <= 1); // shed in queue, or missed at the ticket
-        assert_eq!(
-            stats.executed + stats.deadline_misses,
-            stats.submitted,
-            "{stats:?}"
-        );
     }
 
     /// A request mix with every way a request can end: a repeat that
@@ -585,208 +373,72 @@ mod tests {
         );
     }
 
-    /// Both clients run the one worker loop, so after a drained shutdown
-    /// the same identity holds for both — in the stats and in the registry
-    /// keys reporting reads — under an injected panic and an injected
-    /// error alike.
+    /// Both postures run the one worker loop, so after a drained shutdown
+    /// the same identity holds for both — in the registry keys reporting
+    /// reads — under an injected panic and an injected error alike. The
+    /// memoizing client answers some requests from its result cache and
+    /// coalesces others; the cache-less one does neither.
     #[test]
     fn counters_balance_on_the_one_loop_for_both_clients() {
         let (corpus, w) = fixture();
         for kind in [FaultKind::Panic, FaultKind::Error] {
             let fault = Some(FaultPlan { nth: 2, kind });
-            let context = format!("{kind:?}");
-
-            let served = ServedClient::start(
-                Arc::clone(&corpus),
-                ServiceConfig {
-                    shards: 2,
-                    result_cache_capacity: 256,
-                    fault,
-                    ..ServiceConfig::default()
-                },
-            );
-            let replies = mixed_traffic(&served, &w);
-            let registry = served.shutdown().registry();
-            let read = |name: &str| {
-                let key = format!("friends_service_{name}_total");
-                registry.get(&key).expect("exported") as u64
-            };
-            let counters = [
-                "submitted",
-                "executed",
-                "coalesced",
-                "result_served",
-                "deadline_misses",
-                "failed",
-            ]
-            .map(read);
-            assert_balanced(&replies, counters, &format!("served, {context}"));
-            assert!(counters[2] > 0 && counters[3] > 0, "{counters:?}");
-
-            let direct = DirectClient::spawn(
-                Arc::clone(&corpus),
-                DirectConfig {
-                    threads: 2,
-                    ..DirectConfig::default()
-                },
-                Arc::new(ProcessorRegistry::standard()),
+            let memoizing = ServiceConfig {
+                shards: 2,
+                result_cache_capacity: 256,
                 fault,
-            );
-            let replies = mixed_traffic(&direct, &w);
-            let stats = direct.shutdown();
-            let mut registry = MetricsRegistry::new();
-            stats.register_into(&mut registry);
-            let read = |name: &str| {
-                let key = format!("friends_service_{name}_total");
-                registry.get(&key).expect("exported") as u64
+                ..ServiceConfig::default()
             };
-            let counters = [
-                "submitted",
-                "executed",
-                "coalesced",
-                "result_served",
-                "deadline_misses",
-                "failed",
-            ]
-            .map(read);
-            assert_eq!(
-                counters,
-                [
-                    stats.submitted,
-                    stats.executed,
-                    0,
-                    0,
-                    stats.deadline_misses,
-                    stats.failed
+            let lean = ServiceConfig {
+                fault,
+                ..cacheless(2)
+            };
+            for (config, name) in [(memoizing, "memoizing"), (lean, "cache-less")] {
+                let memoizes = config.result_cache_capacity > 0;
+                let client = ServedClient::start(Arc::clone(&corpus), config);
+                let replies = mixed_traffic(&client, &w);
+                let registry = client.shutdown().registry();
+                let read = |name: &str| {
+                    let key = format!("friends_service_{name}_total");
+                    registry.get(&key).expect("exported") as u64
+                };
+                let counters = [
+                    "submitted",
+                    "executed",
+                    "coalesced",
+                    "result_served",
+                    "deadline_misses",
+                    "failed",
                 ]
-            );
-            assert_balanced(&replies, counters, &format!("direct, {context}"));
-        }
-    }
-
-    /// A registry entry whose every query waits until `PARTIES` executions
-    /// are inside it at the same time (a cyclic barrier with a timeout, so
-    /// a broken pool fails the test instead of hanging it).
-    struct Rendezvous {
-        arrived: Arc<AtomicUsize>,
-        timed_out: Arc<AtomicBool>,
-    }
-
-    const PARTIES: usize = 4;
-
-    impl Processor for Rendezvous {
-        fn name(&self) -> &'static str {
-            "rendezvous"
-        }
-
-        fn query(&mut self, _q: &Query) -> SearchResult {
-            let ticket = self.arrived.fetch_add(1, Ordering::SeqCst);
-            let full = (ticket / PARTIES + 1) * PARTIES;
-            let started = Instant::now();
-            while self.arrived.load(Ordering::SeqCst) < full {
-                // One timeout fails the run: later queries pass through.
-                if self.timed_out.load(Ordering::SeqCst)
-                    || started.elapsed() > Duration::from_secs(10)
-                {
-                    self.timed_out.store(true, Ordering::SeqCst);
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(50));
+                .map(read);
+                assert_balanced(&replies, counters, &format!("{name}, {kind:?}"));
+                assert_eq!(
+                    counters[2] > 0 && counters[3] > 0,
+                    memoizes,
+                    "{name}: {counters:?}"
+                );
             }
-            SearchResult::default()
         }
     }
 
-    /// The pool's topology, pinned: one shared queue and one request per
-    /// dispatch cycle, so a flood keeps every worker busy until it is
-    /// gone. A worker that drained a batch of its own would sit in the
-    /// rendezvous holding work its idle siblings need to get there.
     #[test]
-    fn direct_client_spreads_a_flood_over_all_its_workers() {
-        let (corpus, _) = fixture();
-        let arrived = Arc::new(AtomicUsize::new(0));
-        let timed_out = Arc::new(AtomicBool::new(false));
-        let mut registry = ProcessorRegistry::standard();
-        let (a, t) = (Arc::clone(&arrived), Arc::clone(&timed_out));
-        registry.register("rendezvous", move |_, _, _| {
-            Box::new(Rendezvous {
-                arrived: Arc::clone(&a),
-                timed_out: Arc::clone(&t),
-            })
-        });
-        let client = DirectClient::with_registry(
-            Arc::clone(&corpus),
-            DirectConfig {
-                threads: PARTIES,
-                ..DirectConfig::default()
-            },
-            Arc::new(registry),
-        );
-        let tickets: Vec<Ticket> = (0..64)
-            .map(|i| {
-                client.submit(
-                    QueryRequest::new(i % 7, vec![0], 1 + i as usize)
-                        .with_processor("rendezvous")
-                        .without_deadline(),
-                )
-            })
-            .collect();
-        for t in tickets {
-            assert!(t.wait().outcome.result().is_some());
-        }
-        assert!(
-            !timed_out.load(Ordering::SeqCst),
-            "a worker held queued work while its siblings idled"
-        );
-        assert_eq!(arrived.load(Ordering::SeqCst), 64);
-        client.shutdown();
-    }
-
-    #[test]
-    fn direct_client_shares_its_cache_across_workers() {
+    fn cacheless_served_client_still_answers_exactly() {
         let (corpus, w) = fixture();
-        let client = DirectClient::start(
-            Arc::clone(&corpus),
-            DirectConfig {
-                threads: 4,
-                ..DirectConfig::default()
-            },
-        );
-        client.search(&w.queries, MODEL);
-        client.search(&w.queries, MODEL); // repeat pass: seekers hit
-        let stats = client.shutdown();
-        assert!(stats.cache.insertions > 0, "{stats:?}");
-        assert!(stats.cache.hits > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn cacheless_direct_client_still_answers_exactly() {
-        let (corpus, w) = fixture();
-        let client = DirectClient::start(
-            Arc::clone(&corpus),
-            DirectConfig {
-                threads: 2,
-                cache_capacity: 0,
-                ..DirectConfig::default()
-            },
-        );
+        let client = ServedClient::start(Arc::clone(&corpus), cacheless(2));
         let mut reference = ExactOnline::new(&corpus, MODEL);
         let got = client.search(&w.queries, MODEL);
         for (q, b) in w.queries.iter().zip(&got) {
             assert_eq!(reference.query(q).items, b.items);
         }
-        let stats = client.shutdown();
-        assert_eq!(
-            stats.cache,
-            friends_core::cache::CacheStats::default(),
-            "cache must be unused"
-        );
+        let cache = client.shutdown().totals().cache;
+        assert_eq!((cache.insertions, cache.entries), (0, 0), "{cache:?}");
+        assert_eq!(cache.rejections, cache.misses, "{cache:?}");
     }
 
     #[test]
     fn run_batch_preserves_input_order_and_tags() {
         let (corpus, w) = fixture();
-        let (direct, _served) = clients(&corpus);
+        let (lean, _served) = clients(&corpus);
         let requests: Vec<QueryRequest> = w
             .queries
             .iter()
@@ -798,12 +450,12 @@ mod tests {
                     .without_deadline()
             })
             .collect();
-        let replies = direct.run_batch(requests);
+        let replies = lean.run_batch(requests);
         assert_eq!(replies.len(), w.len());
         for (i, r) in replies.iter().enumerate() {
             assert_eq!(r.tag, i as u64, "input order lost");
             assert!(r.outcome.result().is_some());
         }
-        direct.shutdown();
+        lean.shutdown();
     }
 }

@@ -1,22 +1,22 @@
 //! # friends-service
 //!
 //! The serving tier and the **unified client API** over it: one
-//! planner-backed query surface ([`SearchClient`]) with two execution
-//! backends, non-blocking tickets, and a deadline-aware completion
-//! multiplexer.
+//! planner-backed query surface ([`SearchClient`]) over one client
+//! ([`ServedClient`]), non-blocking tickets, and a deadline-aware
+//! completion multiplexer.
 //!
 //! ## The client API
 //!
 //! Callers build a [`QueryRequest`] — seeker, tags, k, proximity model,
-//! strategy hint, deadline, correlation tag — and hand it to either client:
+//! strategy hint, deadline, correlation tag — and hand it to a
+//! [`ServedClient`], which wraps a planner-backed [`FriendsService`]: seeker
+//! affinity, batched dispatch, coalescing, shard-private caches, result
+//! memoization. [`ServiceConfig`] also gives the lighter postures:
+//! `cache_bytes: 0` admits no σ (every query materializes into its
+//! worker's scratch) and `max_batch: 1` takes one request per dispatch
+//! cycle (nothing coalesces).
 //!
-//! * [`DirectClient`] — in-process worker pool over one shared proximity
-//!   cache.
-//! * [`ServedClient`] — wraps a planner-backed [`FriendsService`]: seeker
-//!   affinity, batched dispatch, coalescing, shard-private caches, result
-//!   memoization.
-//!
-//! Behind both, a [`friends_core::plan::Planner`] maps
+//! Behind it, a [`friends_core::plan::Planner`] maps
 //! `(model, corpus stats, request)` to a
 //! [`friends_core::plan::ProcessorRegistry`] entry plus a
 //! [`friends_core::processors::ScoringStrategy`] — callers never name a
@@ -30,12 +30,12 @@
 //! use friends_core::plan::QueryRequest;
 //! use friends_core::proximity::ProximityModel;
 //! use friends_data::datasets::{DatasetSpec, Scale};
-//! use friends_service::{DirectClient, DirectConfig, SearchClient};
+//! use friends_service::{SearchClient, ServedClient, ServiceConfig};
 //! use std::sync::Arc;
 //!
 //! let ds = DatasetSpec::delicious_like(Scale::Tiny).build(1);
 //! let corpus = Arc::new(Corpus::new(ds.graph, ds.store));
-//! let client = DirectClient::start(Arc::clone(&corpus), DirectConfig::default());
+//! let client = ServedClient::start(Arc::clone(&corpus), ServiceConfig::default());
 //! let reply = client.run(
 //!     QueryRequest::new(3, vec![1, 2], 5)
 //!         .with_model(ProximityModel::WeightedDecay { alpha: 0.5 }),
@@ -52,8 +52,7 @@
 //! * **Seeker-affinity sharding** — `hash(seeker) % shards` routes every
 //!   request of a seeker to the same worker, so their σ materializations
 //!   and cache entries stay hot on one thread instead of being recomputed
-//!   (or fetched through a contended shared cache) on whichever worker a
-//!   chunk split happened to land them on.
+//!   on whichever worker a chunk split happened to land them on.
 //! * **Batched dispatch with request coalescing** — each worker drains its
 //!   queue into a small batch and executes duplicate in-flight
 //!   `(query, model, strategy)` requests **once**, fanning the result
@@ -68,8 +67,8 @@
 //!   shard's own thread. `submit` probes it on the submitting
 //!   thread: a hit comes back as an already-answered [`Ticket`], with no
 //!   queue hop and no worker wake-up.
-//! * **Admission-controlled private caches** — every shard owns an
-//!   unsharded [`friends_core::cache::ProximityCache`] with TinyLFU-style
+//! * **Admission-controlled private caches** — every shard owns a
+//!   [`friends_core::cache::ProximityCache`] with TinyLFU-style
 //!   admission (and optional TTL): uncontended for its owner, and scan
 //!   traffic cannot evict the shard's hot seekers.
 //! * **Deadline-aware execution** — requests carry a deadline (defaulted
@@ -97,7 +96,7 @@ mod stats;
 pub use broker::{
     FaultKind, FaultPlan, FriendsService, MutationReport, OverloadPolicy, ServiceConfig,
 };
-pub use client::{DirectClient, DirectConfig, SearchClient, ServedClient};
+pub use client::{SearchClient, ServedClient};
 pub use multiplexer::Multiplexer;
 pub use request::{Deadline, Outcome, Reply, Ticket};
 pub use stats::{MutationTimes, ServiceStats, ShardStats};

@@ -48,7 +48,7 @@ impl Outcome {
 #[derive(Clone, Debug)]
 pub struct Reply {
     pub outcome: Outcome,
-    /// Shard (or direct-client worker) that served the request.
+    /// Shard that served the request.
     pub shard: usize,
     /// Time from submission to the start of its dispatch cycle.
     pub queue_wait: Duration,

@@ -12,9 +12,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Live counters of one queue, shared between the worker(s) draining it and
-/// the handle that submits to it — a service shard and its one worker, or a
-/// `DirectClient` and its whole pool (all relaxed atomics — monitoring, not
+/// Live counters of one service shard, shared between its worker and the
+/// handle that submits to it (all relaxed atomics — monitoring, not
 /// coordination).
 pub(crate) struct ShardState {
     pub depth: AtomicUsize,
@@ -40,9 +39,9 @@ pub(crate) struct ShardState {
     pub mutation_batches: AtomicU64,
     /// Epoch of the snapshot this shard currently serves from.
     pub mutation_epoch: AtomicU64,
-    /// The proximity cache the queue's executors share; `None` runs
-    /// cache-less.
-    pub cache: Option<Arc<ProximityCache>>,
+    /// The shard-private proximity cache (a zero byte budget admits
+    /// nothing, which runs the shard cache-less).
+    pub cache: Arc<ProximityCache>,
     /// Present when the service memoizes results.
     pub results: Option<Arc<ResultCache>>,
     pub plans: Arc<PlanCounters>,
@@ -57,7 +56,7 @@ pub(crate) struct ShardState {
 
 impl ShardState {
     pub fn new(
-        cache: Option<Arc<ProximityCache>>,
+        cache: Arc<ProximityCache>,
         results: Option<Arc<ResultCache>>,
         traces: TraceCollector,
     ) -> Self {
@@ -112,12 +111,8 @@ impl ShardState {
             mutations_applied: self.mutations_applied.load(Ordering::Relaxed),
             mutation_batches: self.mutation_batches.load(Ordering::Relaxed),
             mutation_epoch: self.mutation_epoch.load(Ordering::Relaxed),
-            cache: self.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
-            stale: self
-                .cache
-                .as_ref()
-                .map(|c| c.stale_hits())
-                .unwrap_or_default(),
+            cache: self.cache.stats(),
+            stale: self.cache.stale_hits(),
             results: self.results.as_ref().map(|r| r.stats()).unwrap_or_default(),
             plans: self.plans.snapshot(),
             latency: self.latency.snapshot(),
@@ -180,7 +175,9 @@ pub struct ShardStats {
     pub mutation_batches: u64,
     /// Epoch of the snapshot this shard serves from (max across shards).
     pub mutation_epoch: u64,
-    /// The shard-private proximity cache's counters.
+    /// The shard-private proximity cache's counters. Under
+    /// `ServiceConfig::cache_bytes: 0` it holds nothing, and every insert
+    /// it refuses counts as a rejection.
     pub cache: CacheStats,
     /// What reads did with stale entries of that cache (its `misses`
     /// include the ones rebuilt).

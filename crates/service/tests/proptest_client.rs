@@ -1,7 +1,8 @@
 //! Client-exactness property suite: for random corpora and request
-//! streams, [`DirectClient`] and [`ServedClient`] return byte-identical
-//! results (same item ids, bit-equal scores) to direct processor execution,
-//! for every proximity model × scoring strategy. The reference re-derives the planner's exact
+//! streams, [`ServedClient`] — cache-less, and coalescing with result
+//! memoization — returns byte-identical results (same item ids, bit-equal
+//! scores) to direct processor execution, for every proximity model ×
+//! scoring strategy. The reference re-derives the planner's exact
 //! decision per query, so planning is pinned deterministic too. A separate
 //! test drives ≥ 64 in-flight requests with mixed deadlines through the
 //! [`Multiplexer`].
@@ -14,10 +15,7 @@ use friends_data::queries::Query;
 use friends_data::store::TagStore;
 use friends_data::Tagging;
 use friends_graph::GraphBuilder;
-use friends_service::{
-    DirectClient, DirectConfig, Multiplexer, Outcome, SearchClient, ServedClient, ServiceConfig,
-    Ticket,
-};
+use friends_service::{Multiplexer, Outcome, SearchClient, ServedClient, ServiceConfig, Ticket};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -177,13 +175,14 @@ fn client_stream(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// `DirectClient` is byte-identical to plan-resolved direct execution
-    /// for every model × strategy hint.
+    /// A cache-less `ServedClient` — no σ fits a zero byte budget, and one
+    /// request per dispatch cycle — is byte-identical to plan-resolved
+    /// direct execution for every model × strategy hint.
     #[test]
-    fn direct_client_is_byte_identical((corpus, queries) in arb_corpus_and_stream()) {
-        let client = DirectClient::start(
+    fn cacheless_served_client_is_byte_identical((corpus, queries) in arb_corpus_and_stream()) {
+        let client = ServedClient::start(
             Arc::clone(&corpus),
-            DirectConfig { threads: 2, ..DirectConfig::default() },
+            ServiceConfig { shards: 2, cache_bytes: 0, max_batch: 1, ..ServiceConfig::default() },
         );
         for model in all_models() {
             for hint in STRATEGIES {
@@ -192,7 +191,7 @@ proptest! {
                 assert_streams_identical(
                     &want,
                     &got,
-                    &format!("direct {} {:?}", model.name(), hint),
+                    &format!("cache-less {} {:?}", model.name(), hint),
                 )?;
             }
         }

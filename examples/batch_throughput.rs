@@ -1,7 +1,7 @@
 //! Serving-style throughput: answer a whole query log sequentially with
-//! one [`ExactOnline`] (the oracle), through an in-process [`DirectClient`]
-//! pool, and through a [`ServedClient`] over the seeker-affinity broker
-//! (with and without result memoization) — and verify the answers never
+//! one [`ExactOnline`] (the oracle), and through a [`ServedClient`] over
+//! the seeker-affinity broker (one request per dispatch cycle, coalescing,
+//! and coalescing with result memoization) — and verify the answers never
 //! change.
 //!
 //! ```sh
@@ -48,42 +48,23 @@ fn main() {
         workload.len() as f64 / elapsed.as_secs_f64()
     );
 
-    // The in-process client: same executors behind the unified API, plus a
-    // shared proximity cache and non-blocking submission.
-    for threads in [1usize, 2, 4] {
-        let client = DirectClient::start(
-            Arc::clone(&corpus),
-            DirectConfig {
-                threads,
-                ..DirectConfig::default()
-            },
-        );
-        let start = Instant::now();
-        let results = client.search(&workload.queries, model);
-        let elapsed = start.elapsed();
-        for (a, b) in want.iter().zip(&results) {
-            assert_eq!(a.items, b.items, "client must not change any answer");
-        }
-        let stats = client.shutdown();
-        println!(
-            "{:<22} {:>12.1} {:>12.0}   ({:.0}% cache hits)",
-            format!("DirectClient x{threads}"),
-            elapsed.as_secs_f64() * 1e3,
-            workload.len() as f64 / elapsed.as_secs_f64(),
-            100.0 * stats.cache.hit_rate(),
-        );
-    }
-
-    // The serving tier: the same workload through the seeker-affinity
-    // broker. Repeated seekers stay on one shard (hot private caches),
-    // duplicate in-flight queries execute once, and — with memoization on —
-    // repeats across dispatch cycles skip execution entirely.
-    for (label, result_cache) in [("ServedClient", 0usize), ("  + result memo", 4096)] {
-        for shards in [2usize, 4] {
+    // The same workload through the seeker-affinity broker behind the
+    // unified API. Repeated seekers stay on one shard (hot private caches);
+    // past one request per dispatch cycle, duplicate in-flight queries
+    // execute once, and — with memoization on — repeats across dispatch
+    // cycles skip execution entirely.
+    let batch = ServiceConfig::default().max_batch;
+    for (label, max_batch, result_cache) in [
+        ("one per cycle", 1, 0usize),
+        ("ServedClient", batch, 0),
+        ("  + result memo", batch, 4096),
+    ] {
+        for shards in [1usize, 2, 4] {
             let client = ServedClient::start(
                 Arc::clone(&corpus),
                 ServiceConfig {
                     shards,
+                    max_batch,
                     result_cache_capacity: result_cache,
                     ..ServiceConfig::default()
                 },

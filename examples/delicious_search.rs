@@ -53,7 +53,7 @@ fn main() {
 
     // One client, four in-flight requests, one completion loop. Tags
     // 0/1 = alice/bob global, 2/3 = alice/bob personalized.
-    let client = DirectClient::start(Arc::clone(&corpus), DirectConfig::default());
+    let client = ServedClient::start(Arc::clone(&corpus), ServiceConfig::default());
     let mut mux = Multiplexer::new();
     for (tag_id, (seeker, model)) in [
         (alice, ProximityModel::Global),

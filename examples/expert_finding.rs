@@ -97,7 +97,7 @@ fn main() {
     // What would those nearby authorities point the seeker at? The same
     // topic as an item query through the unified client — the planner
     // picks the processor and strategy.
-    let client = DirectClient::start(Arc::clone(&corpus), DirectConfig::default());
+    let client = ServedClient::start(Arc::clone(&corpus), ServiceConfig::default());
     let reply = client.run(
         QueryRequest::new(seeker, vec![topic], 5)
             .with_model(ProximityModel::WeightedDecay { alpha: 0.5 }),

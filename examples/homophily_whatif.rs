@@ -6,7 +6,7 @@
 //! global ranking approximates the personalized one, and the cost profile
 //! of FriendExpansion — making the knob's (sometimes counter-intuitive)
 //! effects visible end to end. The personalized truth at every level runs
-//! through the unified [`SearchClient`] (a fresh [`DirectClient`] per
+//! through the unified [`SearchClient`] (a fresh [`ServedClient`] per
 //! corpus, since each level is a different world).
 //!
 //! ```sh
@@ -56,7 +56,7 @@ fn main() {
 
         // Personalized truth through the client API; global and expansion
         // driven directly for their cost/quality counters.
-        let client = DirectClient::start(Arc::clone(&corpus), DirectConfig::default());
+        let client = ServedClient::start(Arc::clone(&corpus), ServiceConfig::default());
         let truths = client.search(
             &workload.queries,
             ProximityModel::WeightedDecay { alpha: 0.4 },

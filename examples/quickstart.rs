@@ -43,7 +43,7 @@ fn main() {
 
     // The application-facing path: one client, one request type. The
     // planner chooses the processor and scoring strategy behind the trait.
-    let client = DirectClient::start(Arc::clone(&corpus), DirectConfig::default());
+    let client = ServedClient::start(Arc::clone(&corpus), ServiceConfig::default());
     let t = Instant::now();
     let reply = client.run(QueryRequest::from_query(q.clone()).with_model(model));
     let truth = reply.outcome.result().expect("served in time").clone();
@@ -51,7 +51,7 @@ fn main() {
         "SearchClient answered in {} us (worker {}, plan: {:?})\n",
         t.elapsed().as_micros(),
         reply.shard,
-        client.stats().plans.strategies,
+        client.stats().totals().plans.strategies,
     );
 
     // Under the hood: the processors the planner chooses between, driven

@@ -14,7 +14,6 @@
 //!   the planner/registry behind the client API;
 //! * [`service`] — the serving tier and the unified client API:
 //!   [`SearchClient`](prelude::SearchClient) over
-//!   [`DirectClient`](prelude::DirectClient) (in-process pool) and
 //!   [`ServedClient`](prelude::ServedClient) (sharded broker), non-blocking
 //!   tickets, and the deadline-aware [`Multiplexer`](prelude::Multiplexer).
 //!
@@ -31,8 +30,9 @@
 //! let ds = DatasetSpec::delicious_like(Scale::Tiny).build(42);
 //! let corpus = Arc::new(Corpus::new(ds.graph, ds.store));
 //!
-//! // 2. Start an in-process client (worker pool + shared proximity cache).
-//! let client = DirectClient::start(Arc::clone(&corpus), DirectConfig::default());
+//! // 2. Start a client: one worker shard per hardware thread, each with
+//! //    its own proximity cache.
+//! let client = ServedClient::start(Arc::clone(&corpus), ServiceConfig::default());
 //!
 //! // 3. Ask a personalized question.
 //! let reply = client.run(
@@ -56,10 +56,10 @@
 //! }
 //! ```
 //!
-//! The same requests serve unchanged — byte-identical rankings — through a
-//! [`ServedClient`](prelude::ServedClient) over the sharded
-//! seeker-affinity broker; see `crates/README.md` for the request
-//! lifecycle.
+//! Every [`ServiceConfig`](prelude::ServiceConfig) posture — cache-less
+//! (`cache_bytes: 0`), one request per dispatch cycle (`max_batch: 1`),
+//! memoizing (`result_cache_capacity`) — returns byte-identical rankings;
+//! see `crates/README.md` for the request lifecycle.
 //!
 //! Live writes take one path, [`LiveCorpus::commit`](prelude::LiveCorpus::commit):
 //! prepare the next epoch, append it to the WAL when the corpus was opened
@@ -102,11 +102,10 @@ pub mod prelude {
     pub use friends_graph::{CsrGraph, GraphBuilder, NodeId};
     pub use friends_index::inverted::{IndexConfig, InvertedIndex};
     pub use friends_service::{
-        DirectClient, DirectConfig, DurabilityConfig, FaultKind, FaultPlan, FriendsService,
-        LiveCorpus, Metric, MetricKind, MetricsRegistry, Multiplexer, Mutation, MutationBatch,
-        MutationParams, MutationReport, MutationStream, MutationTimes, Outcome, OverloadPolicy,
-        QueryTrace, RecoverError, RecoveryReport, Reply, SearchClient, ServedClient, ServiceConfig,
-        ServiceStats, ShardStats, SyncPolicy, Ticket, TraceConfig, TraceEvent, TraceOutcome,
-        TraceSpan, WalAppend, WalStats,
+        DurabilityConfig, FaultKind, FaultPlan, FriendsService, LiveCorpus, Metric, MetricKind,
+        MetricsRegistry, Multiplexer, Mutation, MutationBatch, MutationParams, MutationReport,
+        MutationStream, MutationTimes, Outcome, OverloadPolicy, QueryTrace, RecoverError,
+        RecoveryReport, Reply, SearchClient, ServedClient, ServiceConfig, ServiceStats, ShardStats,
+        SyncPolicy, Ticket, TraceConfig, TraceEvent, TraceOutcome, TraceSpan, WalAppend, WalStats,
     };
 }

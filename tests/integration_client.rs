@@ -1,7 +1,7 @@
 //! End-to-end integration of the unified client API through the facade
-//! prelude: one `QueryRequest` surface over `DirectClient` and
-//! `ServedClient`, non-blocking tickets, the multiplexer and result
-//! memoization.
+//! prelude: one `QueryRequest` surface over `ServedClient` in its
+//! cache-less and memoizing postures, non-blocking tickets, the multiplexer
+//! and result memoization.
 
 use friends::prelude::*;
 use std::sync::Arc;
@@ -30,7 +30,15 @@ fn one_request_surface_two_backends_same_answers() {
     let mut reference = ExactOnline::new(&corpus, MODEL);
     let want: Vec<_> = w.queries.iter().map(|q| reference.query(q).items).collect();
 
-    let direct = DirectClient::start(Arc::clone(&corpus), DirectConfig::default());
+    // No σ fits a zero budget, and one request per dispatch cycle.
+    let lean = ServedClient::start(
+        Arc::clone(&corpus),
+        ServiceConfig {
+            cache_bytes: 0,
+            max_batch: 1,
+            ..ServiceConfig::default()
+        },
+    );
     let served = ServedClient::start(
         Arc::clone(&corpus),
         ServiceConfig {
@@ -39,7 +47,7 @@ fn one_request_surface_two_backends_same_answers() {
             ..ServiceConfig::default()
         },
     );
-    for client in [&direct as &dyn SearchClient, &served as &dyn SearchClient] {
+    for client in [&lean as &dyn SearchClient, &served as &dyn SearchClient] {
         let got = client.search(&w.queries, MODEL);
         for (a, b) in want.iter().zip(&got) {
             assert_eq!(a, &b.items);
@@ -59,7 +67,7 @@ fn one_request_surface_two_backends_same_answers() {
         stats.plans.total() > 0,
         "planner decisions must be recorded"
     );
-    direct.shutdown();
+    lean.shutdown();
 }
 
 #[test]

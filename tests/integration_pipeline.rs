@@ -13,7 +13,7 @@ fn client_truth(
     queries: &[Query],
     model: ProximityModel,
 ) -> Vec<SearchResult> {
-    let client = DirectClient::start(Arc::clone(corpus), DirectConfig::default());
+    let client = ServedClient::start(Arc::clone(corpus), ServiceConfig::default());
     let out = client.search(queries, model);
     client.shutdown();
     out
