@@ -1705,7 +1705,6 @@ pub fn drive_live_open_loop(
     model: ProximityModel,
     deadline: Duration,
     writes: &[(Duration, friends_data::mutations::MutationBatch)],
-    horizon: Option<u32>,
 ) -> (OverloadOutcome, friends_service::MutationReport) {
     use std::time::Instant;
     std::thread::scope(|s| {
@@ -1717,7 +1716,7 @@ pub fn drive_live_open_loop(
                 if now < *arrival {
                     std::thread::sleep(*arrival - now);
                 }
-                let r = client.apply_mutations(batch, horizon);
+                let r = client.apply_mutations(batch);
                 sum.epoch = r.epoch;
                 sum.mutations += r.mutations;
                 sum.sigma.merge(&r.sigma);
@@ -1739,8 +1738,9 @@ pub fn drive_live_open_loop(
 /// tagging appends — applied through `apply_mutations` at 15% of the query
 /// rate (the fig14 regime floor is 10%). Every batch is a batch-boundary
 /// epoch switch on every shard: the σ cache records the batch's edits and
-/// repairs stale σ when read, plus per-seeker / per-tag result-cache
-/// invalidation, never a full stamp. The gate
+/// repairs stale σ when read, plus the result-cache sweep (every
+/// σ-dependent ranking after an edge edit, and those naming a touched
+/// tag), never a full stamp. The gate
 /// (`fig14_live_graph_gate`) pins the Full-profile claim: live read p99
 /// within 2× the frozen baseline, with nonzero incremental invalidations
 /// and zero full-stamp expirations.
@@ -1781,9 +1781,8 @@ pub fn fig14(profile: Profile) -> ExperimentOutput {
 
     // The write stream: 10% of the query rate (the fig14 regime floor),
     // batched 64 mutations per epoch step, each batch applied when its
-    // last member has arrived. `horizon: None` keeps result-cache
-    // invalidation exact (unbounded seeker BFS on the pre-mutation graph)
-    // — the cost being measured.
+    // last member has arrived. Every batch that edits an edge drops every
+    // σ-dependent memoized ranking — the cost being measured.
     let write_rate = 0.10 * rate;
     let muts = MutationStream::generate(
         &c.graph,
@@ -1835,7 +1834,7 @@ pub fn fig14(profile: Profile) -> ExperimentOutput {
             },
         );
         let (run, report) = if mode == "live" {
-            drive_live_open_loop(&client, &stream, model, deadline, &writes, None)
+            drive_live_open_loop(&client, &stream, model, deadline, &writes)
         } else {
             (
                 drive_open_loop(&client, &stream, model, deadline),
@@ -2052,10 +2051,10 @@ pub fn fig15(profile: Profile) -> ExperimentOutput {
                 ..ServiceConfig::default()
             },
         );
-        let (run, _) = drive_live_open_loop(&client, &stream, model, deadline, &writes, None);
+        let (run, _) = drive_live_open_loop(&client, &stream, model, deadline, &writes);
         let (_, wd) = timed(|| {
             for b in &burst {
-                client.apply_mutations(b, None);
+                client.apply_mutations(b);
             }
         });
         let write_qps = burst_mutations as f64 / wd.as_secs_f64();
@@ -2131,7 +2130,7 @@ pub fn fig15(profile: Profile) -> ExperimentOutput {
         while applied < target {
             let b = rbatches.next().expect("curve exceeds mutation stream");
             applied += b.len();
-            live.commit(&b, None, |_, _| ()).expect("durable commit");
+            live.commit(&b, |_, _| ()).expect("durable commit");
         }
         live.sync_wal()
             .expect("flush WAL tail before recovery reads it");

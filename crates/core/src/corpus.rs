@@ -3,8 +3,7 @@
 
 use friends_data::store::TagStore;
 use friends_data::{ItemId, TagId, Tagging, UserId};
-use friends_graph::traversal::EdgeEdit;
-use friends_graph::{Components, CsrGraph};
+use friends_graph::CsrGraph;
 use friends_index::inverted::{IndexConfig, InvertedIndex};
 use friends_index::postings::PostingConfig;
 use std::sync::{Arc, OnceLock};
@@ -38,11 +37,6 @@ pub struct Corpus {
     /// every shard re-sorting it on its first planned query. Each row is
     /// `Arc`'d, so the next epoch shares every row its batch left alone.
     global_lists: OnceLock<Vec<GlobalList>>,
-    /// Lazily built connected-component labels of the graph — what the
-    /// live write path reads a batch's affected seekers from. Built by the
-    /// first write that edits an edge, never by construction or recovery;
-    /// each later epoch derives its labels from its predecessor's.
-    components: OnceLock<Components>,
     /// Mutation epoch: 0 for a freshly built (frozen) corpus, bumped by one
     /// for every published mutation batch (see `crate::live`). Purely an
     /// observability/versioning stamp — cache identity stays keyed on the
@@ -67,7 +61,6 @@ impl Corpus {
             store,
             sigma_index: OnceLock::new(),
             global_lists: OnceLock::new(),
-            components: OnceLock::new(),
             epoch: 0,
         }
     }
@@ -82,36 +75,20 @@ impl Corpus {
 
     /// The epoch after this one: `graph` and `store` are this corpus's with
     /// one mutation batch applied, `appends` the batch's taggings (any
-    /// order, repeats allowed) and `edits` every pair whose edge the batch
-    /// changed.
+    /// order, repeats allowed).
     ///
-    /// Whatever this corpus has built of its σ-index, global lists and
-    /// component labels is carried over. The labels go through
-    /// [`Components::after`], which shares them when the batch joins and
-    /// splits no component. The two indexes share every tag the batch
-    /// appended nothing to. An appended-to tag's posting list keeps its
-    /// blocks below the tag's smallest appended item and re-encodes the
-    /// rest from `store`'s row
+    /// Whatever this corpus has built of its σ-index and global lists is
+    /// carried over, sharing every tag the batch appended nothing to. An
+    /// appended-to tag's posting list keeps its blocks below the tag's
+    /// smallest appended item and re-encodes the rest from `store`'s row
     /// ([`InvertedIndex::with_suffixes_rebuilt`]); its global list re-sums
     /// the appended items from that row and merges them back into the
     /// ranking. Both equal a cold build over `store`, because both
     /// structures build each tag from that tag's row alone and appends
     /// change no item they do not name. What this corpus never built stays
     /// unbuilt.
-    pub fn next_epoch(
-        &self,
-        graph: CsrGraph,
-        store: TagStore,
-        appends: &[Tagging],
-        edits: &[EdgeEdit],
-    ) -> Self {
+    pub fn next_epoch(&self, graph: CsrGraph, store: TagStore, appends: &[Tagging]) -> Self {
         let next = Corpus::with_epoch(graph, store, self.epoch + 1);
-        if let Some(components) = self.components.get() {
-            let derived = components.after(&next.graph, edits);
-            next.components
-                .set(derived)
-                .expect("a fresh corpus has no labels");
-        }
         let mut touched: Vec<(TagId, ItemId)> = appends.iter().map(|t| (t.tag, t.item)).collect();
         touched.sort_unstable();
         touched.dedup();
@@ -165,13 +142,6 @@ impl Corpus {
                 .map(|t| global_list(&self.store, t))
                 .collect()
         })
-    }
-
-    /// The graph's connected-component labels, building them on first call
-    /// (one `O(n + m)` pass; thread-safe, later calls are a load).
-    pub fn components(&self) -> &Components {
-        self.components
-            .get_or_init(|| Components::build(&self.graph))
     }
 
     /// The σ-aware posting index over `(tag; item, tagger, weight)`,

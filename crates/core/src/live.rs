@@ -32,23 +32,19 @@
 //! 1. **prepare** — assemble the next corpus from the current snapshot:
 //!    [`friends_graph::CsrGraph::with_edits`] (token-preserving) plus
 //!    [`friends_data::store::TagStore::with_appends`] plus
-//!    [`Corpus::next_epoch`], stamped `epoch + 1`, and compute the
-//!    mutation's blast radius: the *effective* edge edits (pairs whose
-//!    stored weight really differs — removing an absent edge or inserting
-//!    one at its stored weight touches nothing), their endpoints, the
-//!    affected seekers, the touched tags. Without a horizon the affected
-//!    seekers are the components of the endpoints, read from the base's
-//!    component labels ([`Corpus::components`]; built by the first write
-//!    that edits an edge, derived per epoch after that) — a membership
-//!    test, not a graph search. No lock is held; queries proceed
-//!    untouched.
+//!    [`Corpus::next_epoch`], stamped `epoch + 1`, and record what the
+//!    batch changed: the *effective* edge edits (pairs whose stored weight
+//!    really differs — removing an absent edge or inserting one at its
+//!    stored weight touches nothing) and the touched tags. No lock is
+//!    held; queries proceed untouched.
 //! 2. **sweep** — make every cache entry the batch can affect safe under
 //!    the new epoch: σ caches record the batch's edits in O(1)
 //!    ([`crate::cache::ProximityCache::advance`]) and repair a stale vector
-//!    when it is next read; the serving tier's result caches drop the
-//!    rankings of affected seekers and touched tags. Because the edited
-//!    graph keeps its identity token, everything else keeps hitting under
-//!    the new epoch — that is the entire point.
+//!    when it is next read; the serving tier's result caches drop every
+//!    σ-dependent ranking when the batch edited an edge, and the rankings
+//!    that name a touched tag. Because the edited graph keeps its identity
+//!    token, everything else keeps hitting under the new epoch — that is
+//!    the entire point.
 //! 3. **publish** — swap the snapshot pointer. Writers hold the write lock
 //!    only for the swap itself; readers hold the read lock only to clone
 //!    the `Arc`. The retired corpus is reclaimed when its last pinned
@@ -176,12 +172,12 @@
 //! affected; tag appends touch no σ at all — they invalidate per-tag in
 //! the result layer instead.
 //!
-//! The same argument sizes [`PreparedMutation::affected_seekers`], the
-//! result layer's per-seeker set: the seekers the base graph connects to
-//! an endpoint. Without a horizon that is exactly the endpoints' components
-//! on the base graph, which its labels answer per seeker in O(1) — the
-//! same set a full-reach search returns, and everyone when the graph is
-//! one component. A horizon narrows it to a depth-limited search.
+//! The result layer keeps no σ to test reach against, so it does not ask
+//! which seekers a batch reaches: a batch with an effective edge edit
+//! drops every σ-dependent ranking. On a connected graph every seeker
+//! reaches an endpoint, so short of the decay horizon that is the set the
+//! reach argument gives; on a disconnected one it drops more, which is
+//! always sound.
 
 use crate::corpus::Corpus;
 use crate::metrics::MetricsRegistry;
@@ -190,7 +186,7 @@ use friends_data::mutations::MutationBatch;
 use friends_data::wal::{StdFs, SyncPolicy, Wal, WalAppend, WalConfig, WalFs, WalStats};
 use friends_data::TagId;
 use friends_graph::traversal::EdgeEdit;
-use friends_graph::{Components, CsrGraph, NodeId};
+use friends_graph::{CsrGraph, NodeId};
 use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -198,11 +194,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A mutation batch resolved against a concrete base snapshot: the next
-/// corpus (sharing with the base whatever the batch left alone, its
-/// component labels derived from the base's) plus the batch's blast
-/// radius. [`LiveCorpus::commit`] builds one and hands it to its sweep;
-/// [`LiveCorpus::prepare`] builds one without committing it. Cheap to
-/// clone behind an `Arc` for fan-out to per-shard workers.
+/// corpus (sharing with the base whatever the batch left alone) plus what
+/// the batch changed. [`LiveCorpus::commit`] builds one and hands it to
+/// its sweep; [`LiveCorpus::prepare`] builds one without committing it.
+/// Cheap to clone behind an `Arc` for fan-out to per-shard workers.
 #[derive(Debug)]
 pub struct PreparedMutation {
     /// The next snapshot: edited graph (same token), appended store,
@@ -214,13 +209,9 @@ pub struct PreparedMutation {
     /// inserting one at its stored weight is not an edit. Shared, so each
     /// shard's σ cache records it in O(1)
     /// ([`crate::cache::ProximityCache::advance`]) and repairs cached σ
-    /// with it when read — no shard ever needs the base graph.
+    /// with it when read — no shard ever needs the base graph. Non-empty
+    /// means every σ-dependent ranking may have changed.
     pub edits: Arc<[EdgeEdit]>,
-    /// Every seeker whose σ (and therefore rankings) the batch could
-    /// change: the nodes the base graph connects to an endpoint of
-    /// `edits`, within the horizon passed to `prepare` when it has one.
-    /// The per-seeker result-invalidation set.
-    pub affected_seekers: AffectedSeekers,
     /// Distinct tags appended by the batch, sorted: rankings of queries
     /// naming them are stale whatever their seeker (the postings changed).
     pub touched_tags: Vec<TagId>,
@@ -234,59 +225,6 @@ impl PreparedMutation {
     /// The epoch this mutation publishes.
     pub fn epoch(&self) -> u64 {
         self.next.epoch()
-    }
-}
-
-/// The seekers a batch's edge edits can reach: a membership test, not a
-/// list, because without a horizon it is whole components — usually the
-/// whole graph.
-#[derive(Clone, Debug)]
-pub enum AffectedSeekers {
-    /// These nodes, sorted: a horizon-bounded search, or no one at all.
-    Listed(Vec<NodeId>),
-    /// The nodes whose label in `components` is one of `labels` (sorted).
-    InComponents {
-        components: Components,
-        labels: Vec<NodeId>,
-    },
-    /// Every seeker: the edits touch every component.
-    Everyone,
-}
-
-impl AffectedSeekers {
-    /// The nodes `components` puts in one component with a node of
-    /// `sources` — what an unbounded search from `sources` reaches.
-    pub fn connected_to(components: &Components, sources: &[NodeId]) -> Self {
-        let mut labels: Vec<NodeId> = sources.iter().map(|&u| components.label(u)).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        if labels.is_empty() {
-            AffectedSeekers::Listed(labels)
-        } else if labels.len() == components.count() {
-            AffectedSeekers::Everyone
-        } else {
-            AffectedSeekers::InComponents {
-                components: components.clone(),
-                labels,
-            }
-        }
-    }
-
-    /// Whether the batch can change `seeker`'s σ.
-    pub fn contains(&self, seeker: NodeId) -> bool {
-        match self {
-            AffectedSeekers::Listed(nodes) => nodes.binary_search(&seeker).is_ok(),
-            AffectedSeekers::InComponents { components, labels } => components
-                .labels()
-                .get(seeker as usize)
-                .is_some_and(|l| labels.binary_search(l).is_ok()),
-            AffectedSeekers::Everyone => true,
-        }
-    }
-
-    /// Whether no seeker is affected (the batch edited no edge).
-    pub fn is_empty(&self) -> bool {
-        matches!(self, AffectedSeekers::Listed(nodes) if nodes.is_empty())
     }
 }
 
@@ -351,29 +289,24 @@ impl LiveCorpus {
 
     /// Builds the next snapshot from the current one without publishing
     /// it: edited graph (token preserved), appended store, derived
-    /// σ-index and global lists, epoch + 1, and the batch's blast radius —
-    /// at a cost proportional to what the batch touches (see the module
-    /// docs). Lock-free with respect to readers.
-    ///
-    /// `horizon` bounds the affected seekers: pass the model's decay
-    /// horizon ([`crate::proximity::decay_horizon`]) or the serving tier's
-    /// [`crate::proximity::SigmaBounds`] radius when every cached ranking
-    /// was computed under one, for a search that deep; `None` uses full
-    /// reachability — the endpoints' components, read from the base's
-    /// labels — which is sound for every model.
+    /// σ-index and global lists, epoch + 1, the effective edge edits and
+    /// the touched tags — at a cost proportional to what the batch touches
+    /// (see the module docs). Lock-free with respect to readers.
     ///
     /// Callers of the raw `prepare`/`publish` pair are the single-writer
     /// side of the contract: do not interleave two prepares, and log
     /// nothing — [`LiveCorpus::commit`] is the write path.
-    pub fn prepare(&self, batch: &MutationBatch, horizon: Option<u32>) -> PreparedMutation {
-        Self::prepare_from(&self.snapshot(), batch, horizon)
+    pub fn prepare(&self, batch: &MutationBatch) -> PreparedMutation {
+        Self::prepare_from(&self.snapshot(), batch, None)
     }
 
     /// [`LiveCorpus::prepare`] against an explicit base snapshot.
+    /// `_horizon` is ignored: the serving benchmark (`benchmark/`) still
+    /// passes `None`, and the argument goes when it stops.
     pub fn prepare_from(
         base: &Arc<Corpus>,
         batch: &MutationBatch,
-        horizon: Option<u32>,
+        _horizon: Option<u32>,
     ) -> PreparedMutation {
         let started = Instant::now();
         let (inserts, removals, appends) = batch.split();
@@ -383,13 +316,7 @@ impl LiveCorpus {
         let graph = base.graph.with_edits(&inserts, &removals);
         let store = base.store.with_appends(&appends);
         let edits = effective_edits(&base.graph, &graph, &inserts, &removals);
-        let sources = EdgeEdit::endpoints(&edits);
-        let affected_seekers = match horizon {
-            _ if sources.is_empty() => AffectedSeekers::Listed(sources),
-            Some(hops) => AffectedSeekers::Listed(within_hops(&base.graph, &sources, hops)),
-            None => AffectedSeekers::connected_to(base.components(), &sources),
-        };
-        let next = Arc::new(base.next_epoch(graph, store, &appends, &edits));
+        let next = Arc::new(base.next_epoch(graph, store, &appends));
         // The σ-index and global lists must be warm before publication:
         // the first query needing them on each shard would otherwise build
         // them inline after the epoch switch, stalling that shard's queue
@@ -400,7 +327,6 @@ impl LiveCorpus {
         PreparedMutation {
             next,
             edits: edits.into(),
-            affected_seekers,
             touched_tags: batch.touched_tags(),
             mutations: batch.len(),
             prepare_time: started.elapsed(),
@@ -444,13 +370,12 @@ impl LiveCorpus {
     pub fn commit<R>(
         &self,
         batch: &MutationBatch,
-        horizon: Option<u32>,
         sweep: impl FnOnce(&Arc<PreparedMutation>, Option<WalAppend>) -> R,
     ) -> std::io::Result<R> {
         let _writer = self.write_gate.lock();
         let base = self.snapshot();
         let (prepared, wal) = match &self.durable {
-            None => (Self::prepare_from(&base, batch, horizon), None),
+            None => (Self::prepare_from(&base, batch, None), None),
             Some(d) => {
                 if !batch.keeps_the_contract(&base.store) {
                     return Err(std::io::Error::new(
@@ -461,7 +386,7 @@ impl LiveCorpus {
                 let (prepared, appended) = std::thread::scope(|s| {
                     // The epoch is the base's + 1, fixed under the gate.
                     let append = s.spawn(|| d.wal.lock().append(base.epoch() + 1, batch));
-                    (Self::prepare_from(&base, batch, horizon), append.join())
+                    (Self::prepare_from(&base, batch, None), append.join())
                 });
                 let appended = appended.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
                 (prepared, Some(appended?))
@@ -942,37 +867,6 @@ fn effective_edits(
         .collect()
 }
 
-/// Multi-source BFS over `graph` from `sources`, at most `hops` deep:
-/// every node whose σ under a model with that horizon could see a change at
-/// a source. Sources themselves are included. Sorted.
-fn within_hops(graph: &CsrGraph, sources: &[NodeId], hops: u32) -> Vec<NodeId> {
-    let mut seen = vec![false; graph.num_nodes()];
-    let mut frontier: Vec<NodeId> = Vec::new();
-    for &s in sources {
-        if !std::mem::replace(&mut seen[s as usize], true) {
-            frontier.push(s);
-        }
-    }
-    let mut out: Vec<NodeId> = frontier.clone();
-    for _ in 0..hops {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for &v in graph.neighbors(u) {
-                if !std::mem::replace(&mut seen[v as usize], true) {
-                    next.push(v);
-                    out.push(v);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1015,20 +909,14 @@ mod tests {
 
     const MODEL: ProximityModel = ProximityModel::WeightedDecay { alpha: 0.5 };
 
-    /// The nodes below `n` that `affected` contains.
-    fn members(affected: &AffectedSeekers, n: u32) -> Vec<NodeId> {
-        (0..n).filter(|&s| affected.contains(s)).collect()
-    }
-
     /// Commits `batch` with nothing to sweep; returns the published epoch.
     fn commit(live: &LiveCorpus, batch: &MutationBatch) -> u64 {
-        live.commit(batch, None, |p, _| p.epoch()).unwrap()
+        live.commit(batch, |p, _| p.epoch()).unwrap()
     }
 
     /// Commits `batch`, advancing `cache` across it.
     fn commit_advancing(live: &LiveCorpus, batch: &MutationBatch, cache: &ProximityCache) {
-        live.commit(batch, None, |p, _| cache.advance(&p.edits))
-            .unwrap()
+        live.commit(batch, |p, _| cache.advance(&p.edits)).unwrap()
     }
 
     fn sigma_vec(graph: &CsrGraph, seeker: u32) -> ProximityVec {
@@ -1070,45 +958,25 @@ mod tests {
     #[test]
     fn prepare_computes_the_blast_radius() {
         let live = LiveCorpus::new(fixture());
-        let p = live.prepare(
-            &MutationBatch::new(vec![
-                Mutation::InsertEdge {
-                    u: 2,
-                    v: 3,
-                    weight: 1.0,
-                },
-                Mutation::AddTagging(Tagging::unit(0, 0, 3)),
-            ]),
-            None,
-        );
+        let p = live.prepare(&MutationBatch::new(vec![
+            Mutation::InsertEdge {
+                u: 2,
+                v: 3,
+                weight: 1.0,
+            },
+            Mutation::AddTagging(Tagging::unit(0, 0, 3)),
+        ]));
         assert_eq!(p.epoch(), 1);
-        assert_eq!(EdgeEdit::endpoints(&p.edits), vec![2, 3]);
-        // Both communities are old-graph-reachable from the endpoints;
-        // isolated node 6 is not.
-        assert_eq!(members(&p.affected_seekers, 7), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(p.touched_tags, vec![3]);
-    }
-
-    #[test]
-    fn horizon_bounds_the_affected_seekers() {
-        // Path graph 0-1-2-3-4-5 (rebuild for a clear distance structure).
-        let graph = GraphBuilder::from_edges(
-            6,
-            [
-                (0, 1, 1.0),
-                (1, 2, 1.0),
-                (2, 3, 1.0),
-                (3, 4, 1.0),
-                (4, 5, 1.0),
-            ],
+        assert_eq!(
+            *p.edits,
+            [EdgeEdit {
+                u: 2,
+                v: 3,
+                old: None,
+                new: Some(1.0)
+            }]
         );
-        let store = TagStore::build(6, 1, 1, vec![]);
-        let live = LiveCorpus::new(Arc::new(Corpus::new(graph, store)));
-        let batch = MutationBatch::new(vec![Mutation::RemoveEdge { u: 0, v: 1 }]);
-        let tight = live.prepare(&batch, Some(1));
-        assert_eq!(members(&tight.affected_seekers, 6), vec![0, 1, 2]);
-        let full = live.prepare(&batch, None);
-        assert_eq!(members(&full.affected_seekers, 6), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(p.touched_tags, vec![3]);
     }
 
     #[test]
@@ -1192,8 +1060,8 @@ mod tests {
                 weight: 1.0,
             },
         ]);
-        let p = live.prepare(&batch, None);
-        assert!(p.edits.is_empty() && p.affected_seekers.is_empty());
+        let p = live.prepare(&batch);
+        assert!(p.edits.is_empty());
         commit_advancing(&live, &batch, &cache);
         assert_eq!(live.epoch(), 1);
         let now = live.snapshot();
@@ -1296,7 +1164,15 @@ mod tests {
             (false, true, true, true, true)
         );
         assert!(p.touched_tags.is_empty());
-        assert_eq!(EdgeEdit::endpoints(&p.edits), vec![2, 3]);
+        assert_eq!(
+            *p.edits,
+            [EdgeEdit {
+                u: 2,
+                v: 3,
+                old: None,
+                new: Some(1.0)
+            }]
+        );
     }
 
     #[test]
@@ -1326,7 +1202,7 @@ mod tests {
             base.store.tag_taggings(2),
             p.next.store.tag_taggings(2)
         ));
-        assert!(p.edits.is_empty() && p.affected_seekers.is_empty());
+        assert!(p.edits.is_empty());
         assert_eq!(p.touched_tags, vec![2]);
     }
 
@@ -1334,9 +1210,9 @@ mod tests {
     fn removing_an_absent_edge_still_publishes_an_epoch() {
         let live = LiveCorpus::new(fixture());
         let batch = MutationBatch::new(vec![Mutation::RemoveEdge { u: 0, v: 6 }]);
-        let p = live.prepare(&batch, None);
-        // Nothing changed, so nothing is touched and no seeker is affected.
-        assert!(p.edits.is_empty() && p.affected_seekers.is_empty());
+        let p = live.prepare(&batch);
+        // Nothing changed, so nothing is touched.
+        assert!(p.edits.is_empty());
         assert_eq!(commit(&live, &batch), 1);
         assert_same_corpus(
             &live.snapshot(),
@@ -1416,7 +1292,7 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let (epoch, receipt) = live.commit(b, None, |p, wal| (p.epoch(), wal)).unwrap();
+            let (epoch, receipt) = live.commit(b, |p, wal| (p.epoch(), wal)).unwrap();
             assert_eq!(epoch, i as u64 + 1);
             assert!(
                 receipt.expect("durable corpus").synced,
@@ -1449,7 +1325,7 @@ mod tests {
             vec![insert(2, 2, f32::NAN)],
         ] {
             let err = live
-                .commit(&MutationBatch::new(bad), None, |_, _| ())
+                .commit(&MutationBatch::new(bad), |_, _| ())
                 .unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
             assert_eq!(live.epoch(), 0);

@@ -190,7 +190,7 @@ fn repairing_sweep_steady_state_is_allocation_free() {
                 }
             }
         }
-        let prepared = live.prepare(batch, None);
+        let prepared = live.prepare(batch);
         cache.advance(&prepared.edits);
         live.publish(&prepared);
     }

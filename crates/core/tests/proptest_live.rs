@@ -352,7 +352,7 @@ proptest! {
             }
             let batch = MutationBatch::new(muts);
             let published = live
-                .commit(&batch, None, |p, _| {
+                .commit(&batch, |p, _| {
                     cache.advance(&p.edits);
                     p.epoch()
                 })
@@ -478,7 +478,7 @@ proptest! {
                     Mutation::RemoveEdge { u, v }
                 }
             });
-            let prepared = live.prepare(&MutationBatch::new(muts.collect()), None);
+            let prepared = live.prepare(&MutationBatch::new(muts.collect()));
             cache.advance(&prepared.edits);
             live.publish(&prepared);
             if !prepared.edits.is_empty() {
@@ -522,7 +522,7 @@ proptest! {
                 let mut lineage = vec![];
                 for muts in batches {
                     let batch = MutationBatch::new(muts);
-                    writer_live.commit(&batch, None, |_, _| ()).unwrap();
+                    writer_live.commit(&batch, |_, _| ()).unwrap();
                     lineage.push(writer_live.snapshot());
                 }
                 lineage

@@ -83,7 +83,7 @@ fn shadow_states(batches: &[MutationBatch]) -> Vec<Arc<Corpus>> {
     let live = LiveCorpus::new(seed_corpus());
     let mut states = vec![live.snapshot()];
     for b in batches {
-        live.commit(b, None, |_, _| ()).unwrap();
+        live.commit(b, |_, _| ()).unwrap();
         states.push(live.snapshot());
     }
     states
@@ -154,7 +154,7 @@ fn run_with_fault(dir: &PathBuf, mode: FailMode, sync: SyncPolicy) -> usize {
     let mut acked = 0;
     for b in workload() {
         let mut swept = false;
-        match live.commit(&b, None, |_, _| swept = true) {
+        match live.commit(&b, |_, _| swept = true) {
             Ok(()) => acked += 1,
             Err(_) => {
                 // The process "died" here, at the durability point.
@@ -191,7 +191,7 @@ fn kill_at_every_byte_offset_recovers_the_acked_prefix() {
         )
         .unwrap();
         for b in &batches {
-            live.commit(b, None, |_, _| ()).unwrap();
+            live.commit(b, |_, _| ()).unwrap();
         }
     }
     let total = probe_fs.stream_position();
@@ -295,7 +295,7 @@ proptest! {
             };
             let live = LiveCorpus::open_durable(seed_corpus(), cfg).unwrap();
             for b in &batches {
-                live.commit(b, None, |_, _| ()).unwrap();
+                live.commit(b, |_, _| ()).unwrap();
             }
         }
         let snaps = snapio::list_snapshots(&dir).unwrap();

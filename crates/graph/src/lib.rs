@@ -2,8 +2,8 @@
 //!
 //! Social-graph substrate for the `friends` workspace: a compact CSR
 //! (compressed sparse row) in-memory graph, synthetic social-network
-//! generators, traversals, connected components, personalized PageRank,
-//! landmark distance oracles, community detection and descriptive metrics.
+//! generators, traversals, personalized PageRank, landmark distance
+//! oracles, community detection and descriptive metrics.
 //!
 //! The crate is deliberately self-contained (no graph ecosystem
 //! dependencies): the ICDE-2013 reproduction needs full control over memory
@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub mod community;
-pub mod components;
 pub mod csr;
 pub mod generators;
 pub mod landmarks;
@@ -41,7 +40,6 @@ pub mod metrics;
 pub mod ppr;
 pub mod traversal;
 
-pub use components::Components;
 pub use csr::{CsrGraph, GraphBuilder, NodeId};
 
 /// A totally ordered `f32` wrapper for use in binary heaps.

@@ -597,17 +597,6 @@ pub struct EdgeEdit {
     pub new: Option<f32>,
 }
 
-impl EdgeEdit {
-    /// The distinct endpoints of `edits`, sorted: the nodes a proximity
-    /// vector must reach for the edits to matter to it.
-    pub fn endpoints(edits: &[EdgeEdit]) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = edits.iter().flat_map(|e| [e.u, e.v]).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
-    }
-}
-
 /// What phase A of [`repair_labels`] has decided about a node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Support {

@@ -214,8 +214,9 @@ pub struct MutationReport {
     /// What reads did with stale cached σ since the previous batch (σ is
     /// repaired when read, not at the barrier), summed over shards.
     pub sigma: SigmaSweep,
-    /// Memoized rankings dropped by the per-seeker/per-tag sweeps, summed
-    /// over shards.
+    /// Memoized rankings dropped by the result sweeps (every σ-dependent
+    /// ranking when the batch edited an edge, plus those naming a touched
+    /// tag), summed over shards.
     pub results_invalidated: u64,
     /// Stale σ entries served since the previous batch, as they were or
     /// repaired in place (`sigma.kept + sigma.repaired`) — read-path misses
@@ -492,22 +493,21 @@ impl FriendsService {
     /// isolation). Cache maintenance is incremental: each shard's σ cache
     /// only records the batch's edits ([`ProximityCache::advance`]) and
     /// repairs a stale vector when a query next reads it, across every
-    /// batch it missed; the result sweep drops only memoized rankings of
-    /// affected seekers and touched tags. Everything else keeps hitting
-    /// because the edited graph keeps its identity token.
+    /// batch it missed. The result sweep drops every σ-dependent memoized
+    /// ranking when the batch edited an edge, and every ranking naming a
+    /// touched tag. Everything else keeps hitting because the edited graph
+    /// keeps its identity token.
     ///
-    /// `horizon` bounds the affected-seeker search (pass the proximity
-    /// model's decay horizon or the serving σ-bounds radius; `None` =
-    /// full reachability, sound for every model). Blocks until every live
-    /// shard has switched; concurrent callers serialize.
+    /// Blocks until every live shard has switched; concurrent callers
+    /// serialize.
     ///
     /// # Panics
     /// On a durable service ([`ServiceConfig::durability`]), panics if the
     /// WAL append fails — an unlogged mutation must not be acknowledged,
     /// and this infallible entry point has no other way to refuse. Use
     /// [`FriendsService::try_apply_mutations`] to handle the error.
-    pub fn apply_mutations(&self, batch: &MutationBatch, horizon: Option<u32>) -> MutationReport {
-        self.try_apply_mutations(batch, horizon)
+    pub fn apply_mutations(&self, batch: &MutationBatch) -> MutationReport {
+        self.try_apply_mutations(batch)
             .expect("mutation batch could not be made durable")
     }
 
@@ -524,12 +524,8 @@ impl FriendsService {
     /// ([`DurabilityConfig::snapshot_every`]); the batch itself is then
     /// already durable and published, and the report is lost only to the
     /// caller. Every batch, an empty one too, publishes one epoch.
-    pub fn try_apply_mutations(
-        &self,
-        batch: &MutationBatch,
-        horizon: Option<u32>,
-    ) -> std::io::Result<MutationReport> {
-        self.live.commit(batch, horizon, |prepared, wal| {
+    pub fn try_apply_mutations(&self, batch: &MutationBatch) -> std::io::Result<MutationReport> {
+        self.live.commit(batch, |prepared, wal| {
             let started = Instant::now();
             let (ack_tx, ack_rx) = channel::bounded(self.senders.len());
             for tx in &self.senders {
@@ -865,9 +861,7 @@ where
             let results = state
                 .results
                 .as_ref()
-                .map(|rc| {
-                    rc.invalidate_partial(&m.prepared.affected_seekers, &m.prepared.touched_tags)
-                })
+                .map(|rc| rc.invalidate(!m.prepared.edits.is_empty(), &m.prepared.touched_tags))
                 .unwrap_or(0);
             state
                 .mutations_applied
@@ -1414,7 +1408,7 @@ mod tests {
                 weight: 2.0,
             }),
         ]);
-        let report = svc.apply_mutations(&batch, None);
+        let report = svc.apply_mutations(&batch);
         assert_eq!(report.epoch, 1);
         assert_eq!(report.mutations, 2);
         assert_eq!(svc.epoch(), 1);
@@ -1475,7 +1469,7 @@ mod tests {
         let mut repaired = 0;
         let _ = run(&svc, &w.queries);
         for batch in &batches {
-            let report = svc.apply_mutations(batch, None);
+            let report = svc.apply_mutations(batch);
             repaired += report.sigma.repaired;
             let (inserts, removals, appends) = batch.split();
             for (u, v) in removals {
@@ -1531,13 +1525,10 @@ mod tests {
         let absent = (0..corpus.graph.num_nodes() as u32)
             .find(|&x| x != u && !corpus.graph.has_edge(u, x))
             .expect("a non-neighbour");
-        let report = svc.apply_mutations(
-            &MutationBatch::new(vec![
-                Mutation::RemoveEdge { u, v: absent },
-                Mutation::InsertEdge { u: v, v: u, weight },
-            ]),
-            None,
-        );
+        let report = svc.apply_mutations(&MutationBatch::new(vec![
+            Mutation::RemoveEdge { u, v: absent },
+            Mutation::InsertEdge { u: v, v: u, weight },
+        ]));
         assert_eq!((report.epoch, svc.epoch()), (1, 1));
         assert_eq!(report.sigma, SigmaSweep::default());
         assert_eq!(report.results_invalidated, 0);
@@ -1549,6 +1540,82 @@ mod tests {
         let totals = svc.shutdown().totals();
         assert_eq!(totals.result_served, served + w.len() as u64, "{totals:?}");
         assert_eq!(totals.stale, SigmaSweep::default(), "no σ went stale");
+    }
+
+    /// An edge edit drops every σ-dependent memo, in every component: an
+    /// edit inside {0, 1, 2} drops seeker 4's ranking, whose σ it cannot
+    /// move, and keeps both seekers' `Global` rankings.
+    #[test]
+    fn an_edge_batch_drops_sigma_dependent_memos_in_every_component() {
+        use friends_data::Tagging;
+        let graph = friends_graph::GraphBuilder::from_edges(
+            6,
+            [
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (0, 2, 0.5),
+                (3, 4, 1.0),
+                (4, 5, 1.0),
+            ],
+        );
+        let taggings = vec![
+            Tagging::unit(0, 0, 0),
+            Tagging::unit(2, 1, 0),
+            Tagging::unit(3, 2, 0),
+            Tagging::unit(5, 3, 0),
+        ];
+        let store = friends_data::store::TagStore::build(6, 4, 1, taggings);
+        let corpus = Arc::new(Corpus::new(graph, store));
+        let svc = start(
+            &corpus,
+            ServiceConfig {
+                shards: 2,
+                result_cache_capacity: 64,
+                ..ServiceConfig::default()
+            },
+        );
+        let requests: Vec<QueryRequest> = [1, 4]
+            .into_iter()
+            .flat_map(|seeker| {
+                let q = Query {
+                    seeker,
+                    tags: vec![0],
+                    k: 4,
+                };
+                [MODEL, ProximityModel::Global]
+                    .map(|model| QueryRequest::from_query(q.clone()).with_model(model))
+            })
+            .collect();
+        let answer = |svc: &FriendsService| -> Vec<Vec<(u32, f32)>> {
+            requests
+                .iter()
+                .map(|r| {
+                    let reply = svc.submit(r.clone().without_deadline()).wait();
+                    reply.outcome.expect_done("answer").items
+                })
+                .collect()
+        };
+        let before = answer(&svc);
+        assert_eq!(answer(&svc), before);
+        let served = svc.stats().totals().result_served;
+        assert_eq!(served, 4, "every ranking memoized");
+        let report = svc.apply_mutations(&MutationBatch::new(vec![Mutation::InsertEdge {
+            u: 0,
+            v: 1,
+            weight: 2.0,
+        }]));
+        assert_eq!(report.results_invalidated, 2, "{report:?}");
+        let after = answer(&svc);
+        let now = svc.snapshot();
+        for (r, got) in requests.iter().zip(&after) {
+            let want = ExactOnline::new(&now, r.model).query(&r.query).items;
+            assert_eq!(got, &want, "{r:?}");
+        }
+        // Seeker 4's σ-dependent ranking did not change, yet it was
+        // executed again; only the two Global rankings were memo-served.
+        assert_eq!(after[2], before[2]);
+        let totals = svc.shutdown().totals();
+        assert_eq!(totals.result_served, served + 2, "{totals:?}");
     }
 
     #[test]
@@ -1568,14 +1635,11 @@ mod tests {
         };
         // Warm a σ entry so the batch has something to make stale.
         let _ = run(&svc, std::slice::from_ref(&q));
-        let report = svc.apply_mutations(
-            &MutationBatch::new(vec![Mutation::InsertEdge {
-                u: 2,
-                v: 3,
-                weight: 1.5,
-            }]),
-            None,
-        );
+        let report = svc.apply_mutations(&MutationBatch::new(vec![Mutation::InsertEdge {
+            u: 2,
+            v: 3,
+            weight: 1.5,
+        }]));
         assert_eq!(report.epoch, 1);
         // The first dispatch cycle after the boundary carries the marker.
         let reply = svc.submit(request(&q).with_trace()).wait();
@@ -1604,14 +1668,11 @@ mod tests {
             },
         );
         let _ = run(&svc, &w.queries); // warm σ + memoized rankings
-        let report = svc.apply_mutations(
-            &MutationBatch::new(vec![Mutation::InsertEdge {
-                u: 0,
-                v: 1,
-                weight: 2.0,
-            }]),
-            None,
-        );
+        let report = svc.apply_mutations(&MutationBatch::new(vec![Mutation::InsertEdge {
+            u: 0,
+            v: 1,
+            weight: 2.0,
+        }]));
         // The barrier does no σ work: nothing was stale before it.
         assert_eq!(report.sigma, SigmaSweep::default(), "{report:?}");
         assert!(report.results_invalidated > 0, "{report:?}");
@@ -1619,10 +1680,10 @@ mod tests {
         // again is reachable from the endpoints, and its σ is repaired
         // where it lies. The next batch reports those reads.
         let _ = run(&svc, &w.queries);
-        let second = svc.apply_mutations(
-            &MutationBatch::new(vec![Mutation::RemoveEdge { u: 0, v: 1 }]),
-            None,
-        );
+        let second = svc.apply_mutations(&MutationBatch::new(vec![Mutation::RemoveEdge {
+            u: 0,
+            v: 1,
+        }]));
         let sigma = second.sigma;
         assert!(sigma.repaired > 0, "{second:?}");
         assert!(sigma.folded_edits >= sigma.kept + sigma.repaired);
@@ -2524,7 +2585,7 @@ mod tests {
             .iter()
             .enumerate()
         {
-            let report = svc.try_apply_mutations(batch, None).expect("durable apply");
+            let report = svc.try_apply_mutations(batch).expect("durable apply");
             assert_eq!(report.epoch, i as u64 + 1);
             let wal = report.wal.expect("durable service returns a WAL receipt");
             assert!(wal.bytes > 0, "{wal:?}");
@@ -2569,8 +2630,8 @@ mod tests {
             ..ServiceConfig::default()
         };
         let svc = start(&corpus, config.clone());
-        svc.apply_mutations(&edge_batch(0, 3), None);
-        let report = svc.apply_mutations(&MutationBatch::default(), None);
+        svc.apply_mutations(&edge_batch(0, 3));
+        let report = svc.apply_mutations(&MutationBatch::default());
         assert_eq!(report.epoch, 2, "{report:?}");
         assert!(report.wal.is_some(), "{report:?}");
         assert_eq!(svc.epoch(), 2);
@@ -2609,7 +2670,7 @@ mod tests {
             k: 5,
         };
         let _ = run(&svc, std::slice::from_ref(&q));
-        let report = svc.apply_mutations(&edge_batch(2, 3), None);
+        let report = svc.apply_mutations(&edge_batch(2, 3));
         let wal = report.wal.expect("durable service returns a WAL receipt");
         // The first post-boundary dispatch cycle's traces show the
         // durability point alongside the epoch switch.
@@ -2645,7 +2706,7 @@ mod tests {
         };
         let svc = start(&corpus, config.clone());
         for (u, v) in [(0, 3), (1, 4), (2, 5), (3, 6), (4, 7)] {
-            svc.apply_mutations(&edge_batch(u, v), None);
+            svc.apply_mutations(&edge_batch(u, v));
         }
         let stats = svc.wal_stats().expect("durable service");
         assert_eq!(stats.appends, 5, "{stats:?}");

@@ -128,25 +128,23 @@ impl ServedClient {
     /// Applies a live-graph mutation batch across every shard with
     /// incremental cache invalidation — see
     /// [`FriendsService::apply_mutations`].
-    pub fn apply_mutations(
-        &self,
-        batch: &MutationBatch,
-        horizon: Option<u32>,
-    ) -> crate::MutationReport {
-        self.service.apply_mutations(batch, horizon)
+    pub fn apply_mutations(&self, batch: &MutationBatch) -> crate::MutationReport {
+        self.service.apply_mutations(batch)
     }
 
     /// [`ServedClient::apply_mutations`] with the durability error
     /// surfaced instead of panicking — see
     /// [`FriendsService::try_apply_mutations`]. On a durable service,
     /// `Ok` means the batch is on the WAL (fsynced per its sync policy)
-    /// before any shard acknowledged it.
+    /// before any shard acknowledged it. `_horizon` is ignored: the
+    /// serving benchmark (`benchmark/`) still passes `None`, and the
+    /// argument goes when it stops.
     pub fn try_apply_mutations(
         &self,
         batch: &MutationBatch,
-        horizon: Option<u32>,
+        _horizon: Option<u32>,
     ) -> std::io::Result<crate::MutationReport> {
-        self.service.try_apply_mutations(batch, horizon)
+        self.service.try_apply_mutations(batch)
     }
 
     /// The startup recovery report of a durable service — see

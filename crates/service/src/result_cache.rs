@@ -14,12 +14,14 @@
 //! after every shard has swept, a probe answers from exactly one epoch, and
 //! a probe that starts after the ack never sees a swept ranking.
 //!
-//! Invalidation is **partial**: [`ResultCache::invalidate_partial`] eagerly
-//! sweeps only the entries a mutation batch can actually change —
-//! per-seeker (the seeker's σ vector may cross a new/removed edge — see
-//! `friends_core::live`) and per-tag (the batch appended postings under one
-//! of the query's tags). Everything else keeps serving hits. The broker
-//! sets no [`CachePolicy::ttl`]: the sweeps alone keep entries current.
+//! Invalidation is **partial**: [`ResultCache::invalidate`] eagerly sweeps
+//! the entries a mutation batch can change — every σ-dependent ranking
+//! when the batch edited an edge (σ may cross a new or removed edge; see
+//! `friends_core::live`), and every ranking whose query names a tag the
+//! batch appended postings under. `Global` rankings of untouched tags, and
+//! everything after a batch that changed neither, keep serving hits. The
+//! broker sets no [`CachePolicy::ttl`]: the sweeps alone keep entries
+//! current.
 //!
 //! Rankings are memoized, not statistics: a cached reply carries the exact
 //! `(item, score)` list of the original execution (byte-identical — the
@@ -29,7 +31,6 @@
 //! [`QueryStats`]: friends_core::corpus::QueryStats
 
 use friends_core::cache::{AdmissionLru, CachePolicy, CacheStats};
-use friends_core::live::AffectedSeekers;
 use friends_core::processors::ScoringStrategy;
 use friends_core::proximity::{ProximityModel, SigmaBounds};
 use friends_data::queries::Query;
@@ -146,22 +147,21 @@ impl ResultCache {
         }
     }
 
-    /// Eagerly drops only the rankings a mutation batch can change:
-    /// entries whose seeker `seekers` contains under a σ-dependent model,
-    /// plus entries whose query mentions a tag in `tags` (sorted).
+    /// Eagerly drops the rankings a mutation batch can change: every
+    /// entry under a σ-dependent model when `edges_changed`, plus every
+    /// entry whose query mentions a tag in `tags` (sorted).
     ///
-    /// Seeker matching skips the `Global` model (`σ ≡ 1` is
-    /// graph-independent). Tag matching is model-blind: appended postings
-    /// change every ranking that reads that tag. Returns the number of
-    /// entries dropped.
-    pub fn invalidate_partial(&self, seekers: &AffectedSeekers, tags: &[u32]) -> u64 {
-        if seekers.is_empty() && tags.is_empty() {
+    /// Edge edits spare the `Global` model (`σ ≡ 1` is graph-independent).
+    /// Tag matching is model-blind: appended postings change every ranking
+    /// that reads that tag. Returns the number of entries dropped.
+    pub fn invalidate(&self, edges_changed: bool, tags: &[u32]) -> u64 {
+        if !edges_changed && tags.is_empty() {
             return 0;
         }
+        let global = ProximityModel::Global.key_bits();
         self.inner.lock().retain(|key, _| {
-            let sigma_dependent = key.model != ProximityModel::Global.key_bits();
-            let seeker_hit = sigma_dependent && seekers.contains(key.query.seeker);
-            !seeker_hit && !key.query.tags.iter().any(|t| tags.binary_search(t).is_ok())
+            let sigma_hit = edges_changed && key.model != global;
+            !sigma_hit && !key.query.tags.iter().any(|t| tags.binary_search(t).is_ok())
         })
     }
 
@@ -249,10 +249,6 @@ mod tests {
 
     fn ranking(item: u32) -> Arc<Vec<(ItemId, f32)>> {
         Arc::new(vec![(item, 1.0)])
-    }
-
-    fn listed(seekers: &[u32]) -> AffectedSeekers {
-        AffectedSeekers::Listed(seekers.to_vec())
     }
 
     const POLICY: CachePolicy = CachePolicy {
@@ -349,7 +345,7 @@ mod tests {
             c.insert(key(u, u), ranking(u), 0.0);
         }
         assert!(c.get(&key(1, 1)).is_some()); // recency: 2 3 4 1
-        assert_eq!(c.invalidate_partial(&listed(&[3]), &[2]), 2); // recency: 4 1
+        assert_eq!(c.invalidate(false, &[2, 3]), 2); // recency: 4 1
         c.insert(key(5, 5), ranking(5), 0.0);
         c.insert(key(6, 6), ranking(6), 0.0); // full: 4 1 5 6
         assert!(c.get(&key(4, 4)).is_some()); // recency: 1 5 6 4
@@ -415,17 +411,16 @@ mod tests {
     }
 
     #[test]
-    fn partial_invalidation_is_per_seeker() {
+    fn partial_invalidation_drops_nothing_without_edits_or_tags() {
+        // Removing an absent edge or re-inserting one at its stored weight
+        // is no edit, and a batch without appends touches no tag.
         let c = ResultCache::new(8, POLICY);
-        c.insert(key(1, 0), ranking(1), 0.0);
+        c.insert(global(1, 0), ranking(1), 0.0);
         c.insert(key(2, 0), ranking(2), 0.0);
-        c.insert(key(3, 0), ranking(3), 0.0);
-        let dropped = c.invalidate_partial(&listed(&[2]), &[]);
-        assert_eq!(dropped, 1);
-        assert!(c.get(&key(1, 0)).is_some(), "unaffected seeker swept");
-        assert!(c.get(&key(2, 0)).is_none(), "affected seeker survived");
-        assert!(c.get(&key(3, 0)).is_some(), "unaffected seeker swept");
-        assert_eq!(c.stats().invalidated, 1);
+        assert_eq!(c.invalidate(false, &[]), 0);
+        assert!(c.get(&global(1, 0)).is_some());
+        assert!(c.get(&key(2, 0)).is_some());
+        assert_eq!(c.stats().invalidated, 0);
     }
 
     #[test]
@@ -434,34 +429,46 @@ mod tests {
         // entries reading that tag must go; other tags survive.
         let c = ResultCache::new(8, POLICY);
         c.insert(global(1, 0), ranking(1), 0.0);
-        c.insert(key(2, 5), ranking(2), 0.0);
-        let dropped = c.invalidate_partial(&listed(&[]), &[0]);
-        assert_eq!(dropped, 1);
+        c.insert(key(2, 0), ranking(2), 0.0);
+        c.insert(key(3, 5), ranking(3), 0.0);
+        c.insert(global(4, 5), ranking(4), 0.0);
+        let dropped = c.invalidate(false, &[0]);
+        assert_eq!(dropped, 2);
         assert!(
             c.get(&global(1, 0)).is_none(),
             "touched tag must sweep Global"
         );
-        assert!(c.get(&key(2, 5)).is_some(), "untouched tag swept");
+        assert!(c.get(&key(2, 0)).is_none(), "touched tag survived");
+        assert!(c.get(&key(3, 5)).is_some(), "untouched tag swept");
+        assert!(c.get(&global(4, 5)).is_some(), "untouched tag swept");
     }
 
     #[test]
     fn partial_invalidation_skips_global_for_edge_only_batches() {
-        // An edge mutation cannot move σ ≡ 1: Global entries survive even
-        // when their seeker is in the affected set; every other model's
-        // entries for that seeker are swept.
+        // An edge edit may move any seeker's σ, so every σ-dependent entry
+        // goes, whatever its seeker or tag; σ ≡ 1 cannot move, so Global
+        // entries stay.
         let c = ResultCache::new(8, POLICY);
         c.insert(global(1, 0), ranking(1), 0.0);
-        c.insert(key(1, 1), ranking(2), 0.0);
-        let dropped = c.invalidate_partial(&listed(&[1]), &[]);
-        assert_eq!(dropped, 1);
-        assert!(
-            c.get(&global(1, 0)).is_some(),
-            "Global is graph-independent"
-        );
-        assert!(
-            c.get(&key(1, 1)).is_none(),
-            "σ-dependent entry must be swept"
-        );
+        c.insert(global(2, 5), ranking(2), 0.0);
+        c.insert(key(1, 1), ranking(3), 0.0);
+        c.insert(key(2, 0), ranking(4), 0.0);
+        c.insert(key(7, 5), ranking(5), 0.0);
+        let dropped = c.invalidate(true, &[]);
+        assert_eq!(dropped, 3);
+        for (seeker, tag) in [(1, 0), (2, 5)] {
+            assert!(
+                c.get(&global(seeker, tag)).is_some(),
+                "Global is graph-independent"
+            );
+        }
+        for (seeker, tag) in [(1, 1), (2, 0), (7, 5)] {
+            assert!(
+                c.get(&key(seeker, tag)).is_none(),
+                "σ-dependent entry must be swept"
+            );
+        }
+        assert_eq!(c.stats().invalidated, 3);
     }
 
     #[test]

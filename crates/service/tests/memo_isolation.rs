@@ -1,6 +1,6 @@
 //! One epoch per answer, with result-cache hits answered on the submitting
 //! thread. A reader hammers `submit` on a 2-shard memoizing service — for
-//! seekers inside and outside each batch's affected set, under tags each
+//! seekers at each batch's edited edges and elsewhere, under tags each
 //! batch touches and tags it leaves alone, under a σ-dependent model and
 //! under `Global` — while a writer applies mutation batches. Checked:
 //!
@@ -74,20 +74,23 @@ fn submit_side_hits_answer_from_exactly_one_epoch() {
     // `epochs[e]` is the corpus epoch `e` publishes.
     let mirror = LiveCorpus::new(Arc::clone(&seed));
     let mut epochs = vec![Arc::clone(&seed)];
+    // Per batch: the endpoint of its first edge edit, if it edited one,
+    // and the tags it touched.
     let mut affected = Vec::new();
     for batch in &batches {
-        let prepared = mirror.prepare(batch, None);
+        let prepared = mirror.prepare(batch);
         epochs.push(Arc::clone(&prepared.next));
         affected.push((
-            prepared.affected_seekers.clone(),
+            prepared.edits.first().map(|e| e.u),
             prepared.touched_tags.clone(),
         ));
         mirror.publish(&prepared);
     }
 
-    // The request pool: a generated workload plus, per batch, an affected
-    // and (where one exists) an unaffected seeker under a tag it touched
-    // and one it did not — each under both models.
+    // The request pool: a generated workload plus, per batch, the seeker
+    // at its first edited edge under a tag it touched and one it did not —
+    // each under both models. An edge-editing batch affects every seeker's
+    // σ-dependent rankings, so the workload's seekers are affected too.
     let mut pool: Vec<Query> = QueryWorkload::generate(
         &seed.graph,
         &seed.store,
@@ -99,13 +102,10 @@ fn submit_side_hits_answer_from_exactly_one_epoch() {
     )
     .queries;
     let num_tags = seed.store.num_tags();
-    let nodes = 0..seed.graph.num_nodes() as u32;
-    for (seekers, tags) in &affected {
-        let inside = nodes.clone().find(|&u| seekers.contains(u));
-        let outside = nodes.clone().find(|&u| !seekers.contains(u));
+    for (edited, tags) in &affected {
         let touched = tags.first().copied();
         let untouched = (0..num_tags).find(|t| tags.binary_search(t).is_err());
-        for seeker in [inside, outside].into_iter().flatten() {
+        for seeker in edited.iter().copied() {
             for tag in [touched, untouched].into_iter().flatten() {
                 pool.push(Query {
                     seeker,
@@ -181,12 +181,12 @@ fn submit_side_hits_answer_from_exactly_one_epoch() {
             // Let the reader memoize under the current epoch first.
             std::thread::sleep(Duration::from_millis(3));
             started.store(epoch as u64, Ordering::SeqCst);
-            let report = client.apply_mutations(batch, None);
+            let report = client.apply_mutations(batch);
             assert_eq!(report.epoch, epoch as u64);
             done.store(epoch as u64, Ordering::SeqCst);
-            let (seekers, tags) = &affected[b];
+            let (edited, tags) = &affected[b];
             for (i, (q, model)) in requests.iter().enumerate() {
-                let seeker_hit = *model != ProximityModel::Global && seekers.contains(q.seeker);
+                let seeker_hit = *model != ProximityModel::Global && edited.is_some();
                 let tag_hit = q.tags.iter().any(|t| tags.binary_search(t).is_ok());
                 if !(seeker_hit || tag_hit) {
                     continue;

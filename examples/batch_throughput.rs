@@ -1,4 +1,5 @@
-//! Serving-style throughput: answer a whole query log sequentially with
+//! Serving-style throughput: answer a request stream with repeats (Zipf
+//! seekers, each rotating among a few personal queries) sequentially with
 //! one [`ExactOnline`] (the oracle), and through a [`ServedClient`] over
 //! the seeker-affinity broker (one request per dispatch cycle, coalescing,
 //! and coalescing with result memoization) — and verify the answers never
@@ -15,19 +16,19 @@ use std::time::Instant;
 fn main() {
     let ds = DatasetSpec::delicious_like(Scale::Tiny).build(11);
     let corpus = Arc::new(Corpus::new(ds.graph, ds.store));
-    let workload = QueryWorkload::generate(
+    let queries = RequestStream::generate(
         &corpus.graph,
         &corpus.store,
-        &QueryParams {
+        &RequestParams {
             count: 400,
-            k: 10,
-            ..QueryParams::default()
+            ..RequestParams::default()
         },
         3,
-    );
+    )
+    .queries();
     println!(
         "{} queries over {} users / {} taggings ({} hardware threads)\n",
-        workload.len(),
+        queries.len(),
         corpus.num_users(),
         corpus.store.num_taggings(),
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -39,16 +40,16 @@ fn main() {
     // The oracle: one processor, one thread, no cache.
     let start = Instant::now();
     let mut exact = ExactOnline::new(&corpus, model);
-    let want: Vec<SearchResult> = workload.queries.iter().map(|q| exact.query(q)).collect();
+    let want: Vec<SearchResult> = queries.iter().map(|q| exact.query(q)).collect();
     let elapsed = start.elapsed();
     println!(
         "{:<22} {:>12.1} {:>12.0}",
         "ExactOnline (oracle)",
         elapsed.as_secs_f64() * 1e3,
-        workload.len() as f64 / elapsed.as_secs_f64()
+        queries.len() as f64 / elapsed.as_secs_f64()
     );
 
-    // The same workload through the seeker-affinity broker behind the
+    // The same stream through the seeker-affinity broker behind the
     // unified API. Repeated seekers stay on one shard (hot private caches);
     // past one request per dispatch cycle, duplicate in-flight queries
     // execute once, and — with memoization on — repeats across dispatch
@@ -70,7 +71,7 @@ fn main() {
                 },
             );
             let start = Instant::now();
-            let served = client.search(&workload.queries, model);
+            let served = client.search(&queries, model);
             let elapsed = start.elapsed();
             for (a, b) in want.iter().zip(&served) {
                 assert_eq!(a.items, b.items, "service must not change any answer");
@@ -80,7 +81,7 @@ fn main() {
                 "{:<22} {:>12.1} {:>12.0}   ({} executed, {} coalesced, {} memo-served, {:.0}% cache hits)",
                 format!("{label} x{shards}"),
                 elapsed.as_secs_f64() * 1e3,
-                workload.len() as f64 / elapsed.as_secs_f64(),
+                queries.len() as f64 / elapsed.as_secs_f64(),
                 stats.executed,
                 stats.coalesced,
                 stats.result_served,

@@ -71,7 +71,7 @@ fn main() {
     client.search(&queries, model);
     println!("epoch | mutations | wal bytes | fsynced");
     for batch in muts.batches(32) {
-        let report: MutationReport = client.apply_mutations(&batch, None);
+        let report: MutationReport = client.apply_mutations(&batch);
         let wal = report.wal.expect("durable service returns a WAL receipt");
         println!(
             "{:>5} | {:>9} | {:>9} | {}",

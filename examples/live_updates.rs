@@ -6,9 +6,9 @@
 //! previous batch did with the stale σ vectors they read (kept as they
 //! were, repaired in place — with the mean number of nodes a repair
 //! changed and the composed edits checked — or rebuilt), how many
-//! memoized results the batch invalidated per-seeker/per-tag, and where
-//! the write's ack went (building the next epoch, the shard barrier) next
-//! to the read-side repair time — then finishes with the registry's
+//! memoized results the batch invalidated, and where the write's ack went
+//! (building the next epoch, the shard barrier) next to the read-side
+//! repair time — then finishes with the registry's
 //! per-batch means of those stages, its stale-σ counters, and the read
 //! path's per-stage latency percentiles accumulated across all epochs.
 //!
@@ -68,9 +68,9 @@ fn main() {
         // epoch the previous batch published.
         let slice = &queries[i * per_epoch..(i + 1) * per_epoch];
         client.search(slice, model);
-        // `None` horizon: exact reach-based invalidation (a horizon
-        // over-approximates the sweep to bound its cost on huge graphs).
-        let report: MutationReport = client.apply_mutations(batch, None);
+        // A batch that edits an edge drops every σ-dependent memoized
+        // ranking; σ itself is repaired by the next read that needs it.
+        let report: MutationReport = client.apply_mutations(batch);
         let sigma = report.sigma;
         println!(
             "{:>5} | {:>9} | {:>6} | {:>10} | {:>6.1} | {:>6} | {:>9} | {:>15} | {:>15} \
